@@ -1,11 +1,12 @@
 """Deciding what kind of box a behavior is.
 
-The decision problem is linear: a behavior is a mixture of deterministic
-strategies exactly when a feasibility program has a solution, and when it
-does not, the dual of that program hands over a violated inequality.
-Everything here is built on that one correspondence: classification,
-inequality derivation, and bisection for critical noise and detection
-parameters.
+The decision problem is linear: one small program measures the l1
+distance from a behavior to the mixtures of deterministic strategies.
+At distance zero its optimal mixture is the local model; at a positive
+distance its row prices are the deepest box-normalized cut, a violated
+inequality.  Everything here is built on that one program:
+classification, inequality derivation, and bisection for critical noise
+and detection parameters.
 """
 
 from __future__ import annotations
@@ -19,7 +20,7 @@ from .errors import StalledError, ValidationError
 from .lp import LinearProgram, solve
 from .polytope import BellFunctional, LocalModel, canonicalize, strategy_matrix
 from .quantum import BellSetup, behavior_from_setup, lift_with_efficiency
-from .scenario import Behavior, NoSignallingReport, Scenario, mix, no_signalling_defect
+from .scenario import _CHSH_SCENARIO, Behavior, NoSignallingReport, mix, no_signalling_defect
 
 DEFAULT_TOL = 1e-9
 VISIBILITY_TOL = 1e-6
@@ -76,22 +77,52 @@ class ThresholdResult:
     tolerance: float
 
 
-def _cut_program(behavior: Behavior) -> tuple[LinearProgram, np.ndarray]:
-    """Maximum-violation program over box-normalized functionals.
+def _distance_program(V: np.ndarray, probs: np.ndarray) -> LinearProgram:
+    """l1 distance from the behavior to the deterministic mixtures.
 
-    Variables are (c, beta, t): maximize c.p - beta subject to
-    c.V_s - beta + t_s = 0 with t_s >= 0 and |c_j| <= 1.  The optimum is
-    the depth of the deepest cut separating p from the deterministic
-    mixtures; it is 0 exactly when p is such a mixture, and then the dual
-    weights of the strategy rows are one reproducing mixture.
+    Variables are (w, u, v) >= 0: minimize sum(u + v) subject to
+    V w + u - v = p and sum(w) = 1.  The optimum is 0 exactly when w is a
+    reproducing mixture.  It is the LP dual of the box-normalized cut
+    program, so the prices of the first d rows are the coefficients of
+    the deepest cut with |c_j| <= 1.
+    """
+    d, n = V.shape
+    eye = np.eye(d)
+    A = np.block([[V, eye, -eye], [np.ones((1, n)), np.zeros((1, 2 * d))]])
+    b = np.append(probs, 1.0)
+    cost = np.concatenate([np.zeros(n), np.ones(2 * d)])
+    return LinearProgram(A=A, b=b, c=cost, maximize=False)
+
+
+def _decide(behavior: Behavior, tol: float = DEFAULT_TOL) -> tuple[bool, np.ndarray]:
+    """Local-set decision with a witness rechecked against the strategies.
+
+    Returns (True, weights) with weights reproducing the behavior to
+    within ``MODEL_TOL``, or (False, c) with c.p strictly above every
+    deterministic value of c.  A witness that fails its recheck raises.
     """
     V = strategy_matrix(behavior.scenario)
     d, n = V.shape
-    A = np.hstack([V.T, -np.ones((n, 1)), np.eye(n)])
-    objective = np.concatenate([behavior.probs, [-1.0], np.zeros(n)])
-    bounds = [(-1.0, 1.0)] * d + [(None, None)] + [(0.0, None)] * n
-    lp = LinearProgram(A=A, b=np.zeros(n), c=objective, maximize=True, bounds=bounds)
-    return lp, V
+    p = behavior.probs
+    out = solve(_distance_program(V, p), tol=tol)
+    if out.status != "optimal":
+        raise StalledError(f"membership program ended with status {out.status!r}")
+    if out.objective <= tol:
+        # basic weights can end a few 1e-12 below zero near the boundary
+        weights = np.clip(out.x[:n], 0.0, None)
+        weights = weights / weights.sum()
+        residual = float(np.abs(V @ weights - p).max())
+        if residual > MODEL_TOL:
+            raise StalledError(f"membership model misses the behavior by {residual:.3e}")
+        return True, weights
+    cut = np.array(out.y[:d])
+    margin = float(cut @ p - (cut @ V).max())
+    if margin <= 0.0:
+        raise StalledError(
+            f"membership program at distance {out.objective:.3e} priced a cut "
+            f"that misses the behavior by {-margin:.3e}"
+        )
+    return False, cut
 
 
 def membership(behavior: Behavior, tol: float = DEFAULT_TOL) -> MembershipResult:
@@ -105,32 +136,25 @@ def membership(behavior: Behavior, tol: float = DEFAULT_TOL) -> MembershipResult
     only removes per-block constants, so the reported violation applies
     to the behavior as given.
     """
-    lp, V = _cut_program(behavior)
-    out = solve(lp, tol=tol)
-    if out.status != "optimal":
-        raise StalledError(f"membership program ended with status {out.status!r}")
-    depth = float(out.objective)
-    d, n = V.shape
-    if depth <= tol:
-        weights = np.clip(out.y[:n], 0.0, None)
-        total = float(weights.sum())
-        if abs(total - 1.0) > 1e-6:
-            raise StalledError(f"membership dual weights sum to {total!r}, not 1")
-        weights = weights / total
-        residual = float(np.abs(V @ weights - behavior.probs).max())
-        if residual > MODEL_TOL:
-            raise StalledError(f"membership model misses the behavior by {residual:.3e}")
-        model = LocalModel(scenario=behavior.scenario, weights=weights)
+    return _membership(behavior, tol, gauge=None)
+
+
+def _membership(behavior: Behavior, tol: float, gauge: str | None) -> MembershipResult:
+    """``membership`` for a caller that may already know the gauge;
+    ``None`` picks it from the behavior's signalling defect."""
+    is_local, witness = _decide(behavior, tol)
+    if is_local:
+        model = LocalModel(scenario=behavior.scenario, weights=witness)
         return MembershipResult(is_local=True, model=model)
-    raw = BellFunctional(scenario=behavior.scenario, coeffs=np.array(out.x[:d]))
-    ns_gap = no_signalling_defect(behavior).max_defect
-    gauge = "no_signalling" if ns_gap <= tol else "normalization"
+    if gauge is None:
+        ns_gap = no_signalling_defect(behavior).max_defect
+        gauge = "no_signalling" if ns_gap <= tol else "normalization"
+    raw = BellFunctional(scenario=behavior.scenario, coeffs=witness)
     functional = canonicalize(raw, gauge=gauge)
     violation = float(functional.value(behavior) - functional.local_bound)
     if violation <= 0.0:
         raise StalledError(
-            f"separating cut of depth {depth:.3e} lost its violation "
-            f"({violation:.3e}) during canonicalization"
+            f"separating cut lost its violation ({violation:.3e}) during canonicalization"
         )
     return MembershipResult(is_local=False, functional=functional, violation=violation)
 
@@ -151,7 +175,7 @@ def classify(behavior: Behavior, tol: float = DEFAULT_TOL) -> Classification:
             f"{ctx_lo} to {ctx_hi}, so the box transmits information between sites."
         )
         return Classification(verdict=Verdict.SIGNALLING, summary=summary, signalling=report)
-    res = membership(behavior, tol=tol)
+    res = _membership(behavior, tol, gauge="no_signalling")
     if res.is_local:
         support = int(np.count_nonzero(res.model.weights > tol))
         summary = (
@@ -182,9 +206,6 @@ def derive_critical_inequality(behavior: Behavior, tol: float = DEFAULT_TOL) -> 
             "from the deterministic mixtures"
         )
     return res.functional
-
-
-_CHSH_SCENARIO = Scenario.uniform(2, 2, 2)
 
 
 def chsh_value(behavior: Behavior) -> float:
@@ -238,15 +259,15 @@ def visibility_threshold(
     certified-local side."""
     if behavior.scenario != noise.scenario:
         raise ValidationError("behavior and noise live on different scenarios")
-    if not membership(noise).is_local:
+    if not _decide(noise)[0]:
         raise ValidationError("noise behavior must be local")
-    if membership(behavior).is_local:
+    if _decide(behavior)[0]:
         raise ValidationError(
             "behavior is already local at full visibility; no threshold exists"
         )
 
     def is_local_at(v: float) -> bool:
-        return membership(mix([(v, behavior), (1.0 - v, noise)])).is_local
+        return _decide(mix([(v, behavior), (1.0 - v, noise)]))[0]
 
     return _bisect("visibility", is_local_at, tol)
 
@@ -265,14 +286,14 @@ def efficiency_threshold(setup: BellSetup, tol: float = EFFICIENCY_TOL) -> Thres
             )
         )
 
-    if membership(behavior_at(1.0)).is_local:
+    if _decide(behavior_at(1.0))[0]:
         raise ValidationError(
             "setup is local even with perfect detection; no threshold exists"
         )
-    if not membership(behavior_at(0.0)).is_local:
+    if not _decide(behavior_at(0.0))[0]:
         raise StalledError("all-no-click statistics failed the local check")
 
     def is_local_at(eta: float) -> bool:
-        return membership(behavior_at(eta)).is_local
+        return _decide(behavior_at(eta))[0]
 
     return _bisect("efficiency", is_local_at, tol)

@@ -24,7 +24,7 @@ from functools import lru_cache
 import numpy as np
 
 from .errors import SizeCapError, StalledError, ValidationError
-from .scenario import Behavior, Scenario, flat_index, validate_behavior
+from .scenario import _CHSH_SCENARIO, Behavior, Scenario, flat_index, validate_behavior
 
 STRATEGY_CAP = 10_000_000
 FACET_VERTEX_CAP = 256
@@ -34,8 +34,6 @@ INTEGER_DENOMINATOR_CAP = 64
 INTEGER_FIT_TOL = 1e-9
 _RAY_TOL = 1e-9
 _WEIGHT_TOL = 1e-12
-
-_CHSH = Scenario.uniform(2, 2, 2)
 
 
 @dataclass(frozen=True)
@@ -215,10 +213,10 @@ def chsh_functional(signs: tuple[int, int, int, int] = (1, 1, 1, -1)) -> BellFun
             for a in range(2):
                 for b in range(2):
                     val = s if a == b else -s
-                    coeffs[flat_index(_CHSH, (x, y), (a, b))] = val
-    f = BellFunctional(scenario=_CHSH, coeffs=coeffs)
+                    coeffs[flat_index(_CHSH_SCENARIO, (x, y), (a, b))] = val
+    f = BellFunctional(scenario=_CHSH_SCENARIO, coeffs=coeffs)
     bound, _ = local_bound(f)
-    return BellFunctional(scenario=_CHSH, coeffs=coeffs, local_bound=bound)
+    return BellFunctional(scenario=_CHSH_SCENARIO, coeffs=coeffs, local_bound=bound)
 
 
 # -- reduced coordinates ----------------------------------------------------
@@ -524,17 +522,15 @@ def enumerate_facets(scenario: Scenario) -> tuple[BellFunctional, ...]:
 
     facets = {}
     for ray in rays:
-        a, s = ray[:-1], float(ray[-1])
+        a = ray[:-1]
         if float(np.abs(a).max()) <= _RAY_TOL:
             raise StalledError("facet enumeration produced a degenerate ray")
-        shift = s + float(a @ centroid)
         full = rs.lift_functional(a)
         canon = canonicalize(BellFunctional(scenario=scenario, coeffs=full))
         key = canon.key()
         if key in facets:
             raise StalledError("facet enumeration produced duplicate canonical forms")
         facets[key] = canon
-        del shift  # bound is recomputed during canonicalization
     return tuple(facets[k] for k in sorted(facets))
 
 

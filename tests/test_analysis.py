@@ -30,6 +30,7 @@ from bellbox.quantum import (
     behavior_from_setup,
     lift_with_efficiency,
     named_setup,
+    random_setup,
 )
 
 ROOT2 = float(np.sqrt(2.0))
@@ -115,13 +116,47 @@ def test_membership_reproduces_random_local_models(seed):
     assert gap <= 1e-7
 
 
-@pytest.mark.parametrize("seed", range(20))
-def test_membership_agrees_with_external_solver(seed):
+# (local dims, inputs per party) of the random quantum tables, keyed by
+# the scenario (parties, inputs, outputs); each setup seed list holds a
+# local and a nonlocal table
+ORACLE_SCENARIOS = {
+    "232": ((2, 2), (3, 3), (0, 2)),
+    "223": ((3, 3), (2, 2), (0, 206)),
+    "242": ((2, 2), (4, 4), (0, 1)),
+    "233": ((3, 3), (3, 3), (0, 5)),
+}
+ORACLE_CASES = [pytest.param("chsh", seed, id=str(seed)) for seed in range(20)] + [
+    pytest.param(label, seed, id=f"{label}-{seed}")
+    for label, (_, _, seeds) in ORACLE_SCENARIOS.items()
+    for seed in seeds
+]
+
+
+def oracle_behavior(label, seed):
+    """CHSH: the PR box over a random local model.  Otherwise: a random
+    quantum table over white noise, at a weight drawn from the seed."""
     rng = np.random.default_rng(900 + seed)
-    w = float(rng.uniform(0.30, 0.90))
-    noise = random_local_model(CHSH, seed=seed).behavior()
-    beh = mix([(w, named_behavior("pr_box")), (1.0 - w, noise)])
-    assert membership(beh).is_local == scipy_is_local(beh)
+    if label == "chsh":
+        w = float(rng.uniform(0.30, 0.90))
+        noise = random_local_model(CHSH, seed=seed).behavior()
+        return mix([(w, named_behavior("pr_box")), (1.0 - w, noise)])
+    dims, inputs, _ = ORACLE_SCENARIOS[label]
+    w = float(rng.uniform(0.90, 1.0))
+    beh = behavior_from_setup(random_setup(seed, dims, inputs))
+    return mix([(w, beh), (1.0 - w, named_behavior("uniform", beh.scenario))])
+
+
+@pytest.mark.parametrize(("label", "seed"), ORACLE_CASES)
+def test_membership_agrees_with_external_solver(label, seed):
+    beh = oracle_behavior(label, seed)
+    res = membership(beh)
+    assert res.is_local == scipy_is_local(beh)
+    V = strategy_matrix(beh.scenario)
+    if res.is_local:
+        assert float(np.abs(V @ res.model.weights - beh.probs).max()) <= 1e-7
+    else:
+        c = res.functional.coeffs
+        assert float(c @ beh.probs) - float((c @ V).max()) > 0.0
 
 
 def test_membership_pr_box_certificate():
@@ -301,6 +336,25 @@ def test_efficiency_threshold_singlet():
 def test_efficiency_threshold_rejects_always_local_setup():
     with pytest.raises(ValidationError, match="local"):
         efficiency_threshold(named_setup("product_basis"))
+
+
+def test_thresholds_and_classify_skip_unneeded_witness_work(monkeypatch):
+    """Bisection probes need only the LP verdict, and classify already
+    knows the gauge once its signalling check passes."""
+    import bellbox.analysis as analysis
+
+    calls = {"canonicalize": 0, "no_signalling_defect": 0}
+    for name in calls:
+        def counting(*args, _name=name, _original=getattr(analysis, name), **kwargs):
+            calls[_name] += 1
+            return _original(*args, **kwargs)
+
+        monkeypatch.setattr(analysis, name, counting)
+    singlet = behavior_from_setup(named_setup("singlet_chsh"))
+    visibility_threshold(singlet, named_behavior("uniform"))
+    assert calls == {"canonicalize": 0, "no_signalling_defect": 0}
+    assert classify(singlet).verdict is Verdict.WEAKLY_NONLOCAL
+    assert calls["no_signalling_defect"] == 1
 
 
 def test_threshold_result_is_plain_data():
