@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import functools
 import json
 import os
 import sys
@@ -360,7 +361,10 @@ def _add_common(sub, with_tol: bool = True):
                          help="numerical tolerance for this verb")
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
+    """The argument tree, built once per process: it reads no environment,
+    and ``parse_args`` leaves it unchanged."""
     parser = argparse.ArgumentParser(
         prog="bellbox",
         description="Analyze black-box correlations: locality, signalling, "

@@ -1,14 +1,19 @@
 """Dense linear programming kernel with self-verified certificates.
 
 Equality-form problems over nonnegative (optionally free or box-bounded)
-variables are solved by a two-phase primal simplex on a dense tableau with
-Bland's anti-cycling rule.  Every outcome carries evidence: a primal
-solution for feasible problems, a Farkas vector for infeasible ones, an
-improving ray for unbounded ones, and each can be checked against its own
-verification inequality by an independent routine.
+variables are solved by a two-phase primal simplex on a dense tableau.
+Each row starts on a structural column that already equals its unit
+vector, where one exists, and on its artificial otherwise.  The entering
+column is the one with the most negative reduced cost (Dantzig's rule);
+after a long run of degenerate pivots the rule falls back to Bland's
+smallest index, which cannot cycle, until the objective moves again.
+Every outcome carries evidence: a primal solution for feasible problems,
+a Farkas vector for infeasible ones, an improving ray for unbounded ones,
+and each can be checked against its own verification inequality by an
+independent routine.
 
-Problem sizes here are tiny (dozens to hundreds of variables), so the
-design optimizes for robustness and certificate extraction, not speed.
+Problem sizes are small (up to a few thousand columns), so the design
+optimizes for robustness and certificate extraction over raw speed.
 """
 
 from __future__ import annotations
@@ -24,7 +29,9 @@ PIVOT_TOL = 1e-10
 DEFAULT_TOL = 1e-9
 VERIFY_TOL = 1e-7
 DEFAULT_MAX_ITERS = 10_000
-DIMENSION_CAP = 4096
+DIMENSION_CAP = 8192
+# consecutive degenerate pivots after which pricing switches to Bland's rule
+BLAND_AFTER = 50
 
 _INF = float("inf")
 
@@ -220,7 +227,9 @@ class _Simplex:
     columns are structural, then one artificial per row, then the rhs.
     Artificial columns are never dropped: at any point they hold the
     inverse of the current basis, which is what the dual and Farkas
-    extraction reads off.
+    extraction reads off.  A row whose sign-flipped constraint already has
+    a structural +e_i column starts with that column basic instead of its
+    artificial; the two columns are identical, so only the basis differs.
     """
 
     def __init__(self, A: np.ndarray, b: np.ndarray, max_iters: int):
@@ -233,6 +242,11 @@ class _Simplex:
         cost = np.zeros(body.shape[1])
         self.T = np.vstack([body, cost])
         self.basis = [n + i for i in range(m)]
+        flipped = body[:, :n]
+        units = np.flatnonzero((np.count_nonzero(flipped, axis=0) == 1)
+                               & (flipped.max(axis=0, initial=0.0) == 1.0))
+        for j in units[::-1]:  # the smallest unit column of a row wins
+            self.basis[int(np.argmax(flipped[:, j]))] = int(j)
         self.rows = list(range(m))  # ids into the original row order
         self.max_iters = max_iters
         self.iterations = 0
@@ -265,15 +279,25 @@ class _Simplex:
         T[-1, self.basis] = 0.0
 
     def run(self, allowed: np.ndarray) -> tuple[str, int | None]:
-        """Minimize the installed cost row over ``allowed`` columns."""
+        """Minimize the installed cost row over ``allowed`` columns.
+
+        Dantzig pricing picks the entering column; once ``BLAND_AFTER``
+        pivots in a row have left the objective where it was, Bland's
+        smallest-index rule takes over until a pivot moves it, so a
+        degenerate vertex cannot cycle.
+        """
         T = self.T
         m = len(self.basis)
+        degenerate = 0
         while True:
             r = T[-1, :-1]
             eligible = np.where(allowed & (r < -PIVOT_TOL))[0]
             if eligible.size == 0:
                 return "optimal", None
-            j = int(eligible[0])  # Bland: smallest eligible index
+            if degenerate < BLAND_AFTER:
+                j = int(eligible[np.argmin(r[eligible])])  # Dantzig
+            else:
+                j = int(eligible[0])  # Bland: smallest eligible index
             col = T[:m, j]
             pos = np.where(col > PIVOT_TOL)[0]
             if pos.size == 0:
@@ -282,6 +306,7 @@ class _Simplex:
             best = ratios.min()
             tied = pos[ratios <= best + PIVOT_TOL]
             i = int(min(tied, key=lambda t: self.basis[t]))  # Bland tie-break
+            degenerate = degenerate + 1 if best <= PIVOT_TOL else 0
             self._pivot(i, j)
 
     # -- phases ------------------------------------------------------------

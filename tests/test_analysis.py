@@ -221,6 +221,42 @@ def test_membership_tolerance_is_respected():
     assert membership(barely, tol=1e-6).is_local
 
 
+@pytest.mark.parametrize("strategy", [0, 17, 100, 255])
+def test_membership_pivot_budget_on_242(monkeypatch, strategy):
+    """A deterministic strategy under 40% white noise on (2,4,2), a 65x384
+    distance program.  Each of these takes 88-118 pivots; the budget
+    fails if pricing or the starting basis regresses to smallest-index
+    pricing from all artificials, which takes 360-694."""
+    import bellbox.analysis as analysis
+
+    pivots = []
+
+    def counting(*args, _original=analysis.solve, **kwargs):
+        out = _original(*args, **kwargs)
+        pivots.append(out.iterations)
+        return out
+
+    monkeypatch.setattr(analysis, "solve", counting)
+    sc = Scenario.uniform(2, 4, 2)
+    V = strategy_matrix(sc)
+    probs = 0.6 * V[:, strategy] + 0.4 * named_behavior("uniform", sc).probs
+    assert membership(validate_behavior(sc, probs)).is_local
+    assert len(pivots) == 1 and pivots[0] <= 200
+
+
+def test_classify_on_234_within_caps():
+    """A (2,3,4) table: its distance program is 145x4384, within the LP
+    cap, and the simplex decides it without stalling."""
+    beh = behavior_from_setup(random_setup(seed=3, dims=(4, 4), inputs=(3, 3)))
+    c = classify(beh)
+    assert (c.verdict is Verdict.LOCAL) == scipy_is_local(beh)
+    if c.model is not None:
+        V = strategy_matrix(beh.scenario)
+        assert float(np.abs(V @ c.model.weights - beh.probs).max()) <= 1e-7
+    else:
+        assert c.violation > 0.0
+
+
 # -- classification ----------------------------------------------------------
 
 def test_classify_local():

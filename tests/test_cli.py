@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 
 from bellbox import Scenario, named_behavior
-from bellbox.cli import main
+from bellbox.cli import _build_parser, main
 from bellbox.documents import emit_document, parse_document_text, write_document
 from bellbox.fixtures import fixture_path
 from bellbox.polytope import BellFunctional
@@ -289,6 +289,18 @@ def test_structured_output_is_deterministic(capsys):
         _, first, _ = run_cli(capsys, *argv)
         _, second, _ = run_cli(capsys, *argv)
         assert first == second
+
+
+def test_parser_is_built_once(capsys):
+    _build_parser.cache_clear()
+    code, structured, _ = run_cli(capsys, "chsh", "--format", "structured", fx("pr_box"))
+    assert code == 0
+    code, text, _ = run_cli(capsys, "chsh", fx("pr_box"))
+    assert code == 0
+    assert _build_parser.cache_info().misses == 1
+    # the second call's defaults do not inherit the first call's flags
+    assert structured.lstrip().startswith("{")
+    assert not text.lstrip().startswith("{")
 
 
 # -- process-level entry point ----------------------------------------------

@@ -8,8 +8,10 @@ from scipy.optimize import linprog
 
 from bellbox.errors import SizeCapError, StalledError, ValidationError
 from bellbox.lp import (
+    DIMENSION_CAP,
     LinearProgram,
     LpOutcome,
+    _Simplex,
     solve,
     verify_certificate,
 )
@@ -94,7 +96,7 @@ def test_empty_bounds_rejected():
 
 def test_dimension_cap():
     with pytest.raises(SizeCapError):
-        LinearProgram(A=np.zeros((1, 4097)), b=np.zeros(1))
+        LinearProgram(A=np.zeros((1, DIMENSION_CAP + 1)), b=np.zeros(1))
 
 
 def test_stall_raises_not_misreports():
@@ -129,6 +131,55 @@ def test_degenerate_case_matches_scipy(case):
                          ids=lambda c: c.name)
 def test_degenerate_case_rational_recheck(case):
     out = solve(case.lp, rational_check=True)
+    assert out.rational_verified is True
+
+
+# -- unit-column start -------------------------------------------------------
+
+def test_unit_column_on_negative_row_does_not_start_basic():
+    # column 0 is +e_0, but row 0 is flipped (b_0 < 0), so there it reads
+    # -e_0 and row 0 starts on its artificial; column 3 is +e_1 on a
+    # nonnegative row and starts basic
+    A = np.array([[1.0, 1.0, -1.0, 0.0],
+                  [0.0, 1.0, 1.0, 1.0]])
+    b = np.array([-1.0, 2.0])
+    lp = LinearProgram(A=A, b=b, c=np.array([1.0, 2.0, 3.0, 1.0]), maximize=False)
+    assert _Simplex(lp.A, lp.b, max_iters=10).basis == [4, 3]
+    out = solve(lp)
+    expect, value = scipy_status(lp)
+    assert out.status == expect == "optimal"
+    assert out.objective == pytest.approx(value, abs=1e-9)
+    assert verify_certificate(lp, out).ok
+
+
+def test_infeasible_with_unit_slacks_gives_exact_farkas_vector():
+    # x0 + x1 + s0 = 1 and x0 + x1 - s1 = 2: s0 starts basic on row 0
+    A = np.array([[1.0, 1.0, 1.0, 0.0],
+                  [1.0, 1.0, 0.0, -1.0]])
+    lp = LinearProgram(A=A, b=np.array([1.0, 2.0]))
+    assert _Simplex(lp.A, lp.b, max_iters=10).basis == [2, 5]
+    out = solve(lp, rational_check=True)
+    assert out.status == "infeasible" == scipy_status(lp)[0]
+    assert verify_certificate(lp, out).ok
+    assert out.rational_verified is True
+
+
+@pytest.mark.parametrize("seed", range(10))
+def test_random_slack_form_problems_match_scipy(seed):
+    # G x + s = b with an identity block of slacks and mixed-sign b: rows
+    # with b_i >= 0 start on their slack, the others on an artificial
+    rng = np.random.default_rng(5000 + seed)
+    m = int(rng.integers(3, 7))
+    k = int(rng.integers(2, 6))
+    A = np.hstack([rng.normal(size=(m, k)), np.eye(m)])
+    b = rng.normal(size=m)
+    lp = LinearProgram(A=A, b=b, c=rng.random(m + k), maximize=False)
+    out = solve(lp, rational_check=True)
+    expect, value = scipy_status(lp)
+    assert out.status == expect
+    if value is not None:
+        assert abs(out.objective - value) < 1e-7 * max(1.0, abs(value))
+    assert verify_certificate(lp, out).ok
     assert out.rational_verified is True
 
 
