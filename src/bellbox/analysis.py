@@ -16,9 +16,10 @@ from enum import Enum
 
 import numpy as np
 
-from .errors import StalledError, ValidationError
-from .lp import LinearProgram, solve
-from .polytope import BellFunctional, LocalModel, canonicalize, strategy_matrix
+from .errors import SizeCapError, StalledError, ValidationError
+from .lp import DIMENSION_CAP, LinearProgram, solve
+from .polytope import (BellFunctional, LocalModel, canonicalize, strategy_count,
+                       strategy_matrix)
 from .quantum import BellSetup, behavior_from_setup, lift_with_efficiency
 from .scenario import _CHSH_SCENARIO, Behavior, NoSignallingReport, mix, no_signalling_defect
 
@@ -85,11 +86,21 @@ def _distance_program(V: np.ndarray, probs: np.ndarray) -> LinearProgram:
     reproducing mixture.  It is the LP dual of the box-normalized cut
     program, so the prices of the first d rows are the coefficients of
     the deepest cut with |c_j| <= 1.
+
+    The first d rows are written with V[:, s0] times the last row taken
+    off, for the strategy s0 nearest to p in l1.  That leaves the
+    feasible set and the prices of the first d rows as they were, and
+    gives every row a structural unit column (w_s0 for the last row, u_k
+    or v_k for row k), so the simplex starts at the feasible point
+    w = e_s0 and needs no phase 1.
     """
     d, n = V.shape
+    # |p - V[:, s]|_1 = sum(p) + (1 - 2p).V[:, s] for 0/1 columns
+    s0 = int(np.argmin((1.0 - 2.0 * probs) @ V))
     eye = np.eye(d)
-    A = np.block([[V, eye, -eye], [np.ones((1, n)), np.zeros((1, 2 * d))]])
-    b = np.append(probs, 1.0)
+    A = np.block([[V - V[:, s0:s0 + 1], eye, -eye],
+                  [np.ones((1, n)), np.zeros((1, 2 * d))]])
+    b = np.append(probs - V[:, s0], 1.0)
     cost = np.concatenate([np.zeros(n), np.ones(2 * d)])
     return LinearProgram(A=A, b=b, c=cost, maximize=False)
 
@@ -100,9 +111,15 @@ def _decide(behavior: Behavior, tol: float = DEFAULT_TOL) -> tuple[bool, np.ndar
     Returns (True, weights) with weights reproducing the behavior to
     within ``MODEL_TOL``, or (False, c) with c.p strictly above every
     deterministic value of c.  A witness that fails its recheck raises.
+    A program over the LP size cap is refused before the strategies are
+    enumerated.
     """
+    d = behavior.scenario.dimension
+    rows, cols = d + 1, strategy_count(behavior.scenario) + 2 * d
+    if rows > DIMENSION_CAP or cols > DIMENSION_CAP:
+        raise SizeCapError(f"LP of size {rows}x{cols} exceeds the {DIMENSION_CAP} cap")
     V = strategy_matrix(behavior.scenario)
-    d, n = V.shape
+    n = V.shape[1]
     p = behavior.probs
     out = solve(_distance_program(V, p), tol=tol)
     if out.status != "optimal":

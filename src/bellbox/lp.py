@@ -1,14 +1,18 @@
 """Dense linear programming kernel with self-verified certificates.
 
 Equality-form problems over nonnegative (optionally free or box-bounded)
-variables are solved by a two-phase primal simplex on a dense tableau.
-Each row starts on a structural column that already equals its unit
-vector, where one exists, and on its artificial otherwise.  The entering
-column is the one with the most negative reduced cost (Dantzig's rule);
-after a long run of degenerate pivots the rule falls back to Bland's
-smallest index, which cannot cycle, until the objective moves again.
-Every outcome carries evidence: a primal solution for feasible problems,
-a Farkas vector for infeasible ones, an improving ray for unbounded ones,
+variables are solved by a two-phase revised simplex that keeps the basis
+inverse, the basic values and the basic costs, and nothing else: each
+iteration prices every column from the row prices, forms only the
+entering column and updates the inverse by a rank-one change.
+Artificial columns are unit columns that are never stored.  Each row
+starts on a structural column that already equals its unit vector,
+where one exists, and on its artificial otherwise.  The entering column
+is the one with the most negative reduced cost (Dantzig's rule); after a
+long run of degenerate pivots the rule falls back to Bland's smallest
+index, which cannot cycle, until the objective moves again.  Every
+outcome carries evidence: a primal solution for feasible problems, a
+Farkas vector for infeasible ones, an improving ray for unbounded ones,
 and each can be checked against its own verification inequality by an
 independent routine.
 
@@ -144,92 +148,61 @@ class _StandardForm:
 
     def __init__(self, lp: LinearProgram):
         m, n = lp.shape
-        cols: list[np.ndarray] = []
-        cost: list[float] = []
-        # var_map[j] = (kind, first standard column index)
-        self.var_map: list[tuple[str, int]] = []
-        self.shift = np.zeros(n)
-        c_min = np.zeros(n) if lp.c is None else (-lp.c if lp.maximize else lp.c)
+        if lp.bounds is None:
+            lo, hi = np.zeros(n), np.full(n, _INF)
+        else:
+            lo, hi = np.array(lp.bounds, dtype=np.float64).reshape(n, 2).T
+        # x_j = shift_j + sign_j * x'_j, less x''_j for a free (split) variable
+        self.split = (lo == -_INF) & (hi == _INF)
+        negated = (lo == -_INF) & ~self.split
+        ranged = (lo != -_INF) & (hi != _INF)
+        self.shift = np.where(negated, hi, np.where(lo == -_INF, 0.0, lo))
+        self.sign = np.where(negated, -1.0, 1.0)
+        width = 1 + self.split.astype(np.intp)
+        self.first = np.cumsum(width) - width  # first standard column of x_j
+        origin = np.repeat(np.arange(n), width)
+        col_sign = self.sign[origin]
+        col_sign[self.first[self.split] + 1] = -1.0
+
         b = lp.b.astype(np.float64, copy=True)
-        bound_rows: list[tuple[int, float]] = []  # (var index, range width)
-        for j in range(n):
-            lo, hi = lp.var_bounds(j)
-            col = lp.A[:, j]
-            if lo == -_INF and hi == _INF:
-                self.var_map.append(("split", len(cols)))
-                cols.append(col)
-                cost.append(c_min[j])
-                cols.append(-col)
-                cost.append(-c_min[j])
-            elif lo == -_INF:
-                # only bounded above: substitute x = hi - x'' with x'' >= 0
-                self.var_map.append(("negated", len(cols)))
-                self.shift[j] = hi
-                b -= col * hi
-                cols.append(-col)
-                cost.append(-c_min[j])
-            else:
-                self.var_map.append(("plain", len(cols)))
-                if lo != 0.0:
-                    self.shift[j] = lo
-                    b -= col * lo
-                cols.append(col)
-                cost.append(c_min[j])
-                if hi != _INF:
-                    bound_rows.append((j, hi - lo))
-        self.n_struct = len(cols)
-        n_rows = m + len(bound_rows)
-        A_std = np.zeros((n_rows, self.n_struct + len(bound_rows)))
-        if cols:
-            A_std[:m, : self.n_struct] = np.column_stack(cols)
-        b_std = np.zeros(n_rows)
-        b_std[:m] = b
-        for k, (j, width) in enumerate(bound_rows):
-            _, col0 = self.var_map[j]
-            A_std[m + k, col0] = 1.0
-            A_std[m + k, self.n_struct + k] = 1.0  # range slack
-            b_std[m + k] = width
-            cost.append(0.0)
+        for j in np.flatnonzero(self.shift):
+            b -= lp.A[:, j] * self.shift[j]
+        n_struct = origin.size
+        k = int(ranged.sum())
+        A_std = np.zeros((m + k, n_struct + k))
+        A_std[:m, :n_struct] = lp.A[:, origin] * col_sign
+        A_std[m + np.arange(k), self.first[ranged]] = 1.0
+        A_std[m + np.arange(k), n_struct + np.arange(k)] = 1.0  # range slacks
+        c_min = np.zeros(n) if lp.c is None else (-lp.c if lp.maximize else lp.c)
         self.A = A_std
-        self.b = b_std
-        self.c_min = np.array(cost)
-        self.m_rows = n_rows
-        self.m_orig = m
-        self.n_orig = n
+        self.b = np.concatenate([b, (hi - lo)[ranged]])
+        self.c_min = np.concatenate([c_min[origin] * col_sign, np.zeros(k)])
+        self.m_rows = m + k
 
     def to_original(self, x_std: np.ndarray) -> np.ndarray:
-        x = np.zeros(self.n_orig)
-        for j, (kind, k) in enumerate(self.var_map):
-            if kind == "split":
-                x[j] = x_std[k] - x_std[k + 1]
-            elif kind == "negated":
-                x[j] = self.shift[j] - x_std[k]
-            else:
-                x[j] = self.shift[j] + x_std[k]
-        return x
+        return self.shift + self.ray_to_original(x_std)
 
     def ray_to_original(self, d_std: np.ndarray) -> np.ndarray:
-        d = np.zeros(self.n_orig)
-        for j, (kind, k) in enumerate(self.var_map):
-            if kind == "split":
-                d[j] = d_std[k] - d_std[k + 1]
-            elif kind == "negated":
-                d[j] = -d_std[k]
-            else:
-                d[j] = d_std[k]
+        d = self.sign * d_std[self.first]
+        d[self.split] -= d_std[self.first[self.split] + 1]
         return d
 
 
 class _Simplex:
-    """Two-phase dense tableau simplex over a standard-form system.
+    """Two-phase revised simplex over a standard-form system.
 
-    Tableau rows are the constraints followed by the reduced-cost row;
-    columns are structural, then one artificial per row, then the rhs.
-    Artificial columns are never dropped: at any point they hold the
-    inverse of the current basis, which is what the dual and Farkas
-    extraction reads off.  A row whose sign-flipped constraint already has
-    a structural +e_i column starts with that column basic instead of its
-    artificial; the two columns are identical, so only the basis differs.
+    Rows are sign-flipped so the right-hand side is nonnegative.  The
+    state is the basis (one column index per row), the basic values
+    ``xB``, the basic costs ``cB`` and the basis inverse ``Binv``, with
+    one row per current row and one column per original row: the current
+    tableau is ``Binv`` applied to the flipped system, so the row prices
+    and the Farkas vector are ``cB Binv``.  Column ``n + i`` is the
+    artificial of row ``i``, a unit column that is never stored.  Each
+    iteration prices with ``y = cB Binv``, forms only the entering column
+    ``Binv a_j`` and updates ``Binv`` by a rank-one change.  A row whose
+    flipped constraint already has a structural +e_i column starts with
+    that column basic instead of its artificial; either way the starting
+    basis matrix is the identity.
     """
 
     def __init__(self, A: np.ndarray, b: np.ndarray, max_iters: int):
@@ -238,91 +211,95 @@ class _Simplex:
         m, n = A.shape
         self.m0 = m
         self.n = n
-        body = np.hstack([A * sign[:, None], np.eye(m), (b * sign)[:, None]])
-        cost = np.zeros(body.shape[1])
-        self.T = np.vstack([body, cost])
-        self.basis = [n + i for i in range(m)]
-        flipped = body[:, :n]
-        units = np.flatnonzero((np.count_nonzero(flipped, axis=0) == 1)
-                               & (flipped.max(axis=0, initial=0.0) == 1.0))
-        for j in units[::-1]:  # the smallest unit column of a row wins
-            self.basis[int(np.argmax(flipped[:, j]))] = int(j)
+        self.A = A * sign[:, None]
+        self.Binv = np.eye(m)
+        self.xB = b * sign
+        units = np.flatnonzero((np.count_nonzero(self.A, axis=0) == 1)
+                               & (self.A.max(axis=0, initial=0.0) == 1.0))
+        rows = np.nonzero(self.A[:, units].T)[1]  # the row of each unit column
+        # np.unique keeps the first, so the smallest, unit column of a row
+        rows, first = np.unique(rows, return_index=True)
+        basis = np.arange(n, n + m)
+        basis[rows] = units[first]
+        self.basis = basis.tolist()
         self.rows = list(range(m))  # ids into the original row order
         self.max_iters = max_iters
         self.iterations = 0
-        self._installed_art_cost = np.zeros(m)
+        self.cost = np.zeros(n + m)
+        self.cB = np.zeros(m)
 
     # -- low-level ---------------------------------------------------------
-    def _pivot(self, i: int, j: int):
-        T = self.T
-        T[i, :] /= T[i, j]
-        col = T[:, j].copy()
-        col[i] = 0.0
-        T -= np.outer(col, T[i, :])
-        T[:, j] = 0.0
-        T[i, j] = 1.0
+    def column(self, j: int) -> np.ndarray:
+        """Column ``j`` of the current tableau, ``Binv a_j``."""
+        if j < self.n:
+            return self.Binv @ self.A[:, j]
+        return self.Binv[:, j - self.n].copy()
+
+    def _pivot(self, i: int, j: int, col: np.ndarray):
+        """Make ``j`` basic in row ``i``; ``col`` is its tableau column."""
+        row = self.Binv[i] / col[i]
+        value = self.xB[i] / col[i]
+        self.Binv -= col[:, None] * row
+        self.Binv[i] = row
+        self.xB -= col * value
+        self.xB[i] = value
+        self.cB[i] = self.cost[j]
         self.basis[i] = j
         self.iterations += 1
         if self.iterations > self.max_iters:
             raise StalledError(
                 f"simplex exceeded {self.max_iters} pivots without concluding")
 
-    def _set_cost_row(self, c: np.ndarray):
-        """Install minimization costs ``c`` (length = column count) and
-        reduce them against the current basis."""
-        T = self.T
-        T[-1, :] = 0.0
-        T[-1, : c.shape[0]] = c
-        for i, jb in enumerate(self.basis):
-            if T[-1, jb] != 0.0:
-                T[-1, :] -= T[-1, jb] * T[i, :]
-        T[-1, self.basis] = 0.0
+    def prices(self) -> np.ndarray:
+        """Simplex multipliers ``c_B Binv``, indexed by original row id."""
+        return self.cB @ self.Binv
 
-    def run(self, allowed: np.ndarray) -> tuple[str, int | None]:
-        """Minimize the installed cost row over ``allowed`` columns.
+    def run(self, artificials: bool) -> tuple[str, int | None]:
+        """Minimize the installed costs over the structural columns, and
+        over the artificial ones too if ``artificials``.
 
         Dantzig pricing picks the entering column; once ``BLAND_AFTER``
         pivots in a row have left the objective where it was, Bland's
         smallest-index rule takes over until a pivot moves it, so a
         degenerate vertex cannot cycle.
         """
-        T = self.T
-        m = len(self.basis)
+        n = self.n
         degenerate = 0
         while True:
-            r = T[-1, :-1]
-            eligible = np.where(allowed & (r < -PIVOT_TOL))[0]
-            if eligible.size == 0:
-                return "optimal", None
+            y = self.prices()
+            r = self.cost[:n] - y @ self.A
+            if artificials:
+                r = np.concatenate([r, self.cost[n:] - y])
             if degenerate < BLAND_AFTER:
-                j = int(eligible[np.argmin(r[eligible])])  # Dantzig
+                j = int(np.argmin(r))  # Dantzig
+                if r[j] >= -PIVOT_TOL:
+                    return "optimal", None
             else:
+                eligible = np.flatnonzero(r < -PIVOT_TOL)
+                if eligible.size == 0:
+                    return "optimal", None
                 j = int(eligible[0])  # Bland: smallest eligible index
-            col = T[:m, j]
-            pos = np.where(col > PIVOT_TOL)[0]
+            col = self.column(j)
+            pos = np.flatnonzero(col > PIVOT_TOL)
             if pos.size == 0:
                 return "unbounded", j
-            ratios = T[pos, -1] / col[pos]
+            ratios = self.xB[pos] / col[pos]
             best = ratios.min()
             tied = pos[ratios <= best + PIVOT_TOL]
-            i = int(min(tied, key=lambda t: self.basis[t]))  # Bland tie-break
+            i = min(tied.tolist(), key=self.basis.__getitem__)  # Bland tie-break
             degenerate = degenerate + 1 if best <= PIVOT_TOL else 0
-            self._pivot(i, j)
+            self._pivot(i, j, col)
 
     # -- phases ------------------------------------------------------------
-    def art_col(self, row_id: int) -> int:
-        return self.n + row_id
-
     def is_artificial(self, j: int) -> bool:
         return j >= self.n
 
     def phase1(self) -> float:
         """Minimize the sum of artificials; returns the attained value."""
         self.install_costs(np.zeros(self.n), 1.0)
-        allowed = np.ones(self.T.shape[1] - 1, dtype=bool)
-        status, _ = self.run(allowed)
+        status, _ = self.run(artificials=True)
         assert status == "optimal"  # phase-1 objective is bounded below by zero
-        return float(-self.T[-1, -1])
+        return float(self.cB @ self.xB)
 
     def drive_out_artificials(self):
         """Pivot basic artificials onto structural columns; drop rows that
@@ -330,17 +307,22 @@ class _Simplex:
         i = 0
         while i < len(self.basis):
             if self.is_artificial(self.basis[i]):
-                row = self.T[i, : self.n]
-                cands = np.where(np.abs(row) > PIVOT_TOL)[0]
+                row = self.Binv[i] @ self.A
+                cands = np.flatnonzero(np.abs(row) > PIVOT_TOL)
                 if cands.size:
-                    self._pivot(i, int(cands[0]))
+                    j = int(cands[0])
+                    self._pivot(i, j, self.column(j))
                 else:
                     self._delete_row(i)
                     continue
             i += 1
 
     def _delete_row(self, i: int):
-        self.T = np.delete(self.T, i, axis=0)
+        # the deleted row's artificial is basic there, so its column of
+        # Binv is e_i: every other row keeps a zero in it, for good
+        self.Binv = np.delete(self.Binv, i, axis=0)
+        self.xB = np.delete(self.xB, i)
+        self.cB = np.delete(self.cB, i)
         del self.basis[i]
         del self.rows[i]
 
@@ -349,33 +331,26 @@ class _Simplex:
         x = np.zeros(self.n)
         for i, jb in enumerate(self.basis):
             if jb < self.n:
-                x[jb] = self.T[i, -1]
+                x[jb] = self.xB[i]
         return x
 
     def duals(self) -> np.ndarray:
-        """Row prices for the installed cost row, in original row order and
-        orientation.  For row i, the reduced cost of its artificial column
-        is c_art - y_i, with c_art the artificial's installed cost."""
-        y = np.zeros(self.m0)
-        r = self.T[-1, :-1]
-        c_art = self._installed_art_cost
-        for pos, row_id in enumerate(self.rows):
-            y[row_id] = (c_art[pos] - r[self.art_col(row_id)]) * self.row_sign[row_id]
-        return y
+        """Row prices for the installed costs, in original row order and
+        orientation; a deleted row's price is zero."""
+        return self.prices() * self.row_sign
 
     def install_costs(self, c: np.ndarray, art_cost: float):
-        full = np.zeros(self.T.shape[1] - 1)
-        full[: c.shape[0]] = c
-        full[self.n:] = art_cost
-        self._installed_art_cost = np.full(len(self.rows), art_cost)
-        self._set_cost_row(full)
+        self.cost[: c.shape[0]] = c
+        self.cost[self.n:] = art_cost
+        self.cB = self.cost[self.basis]
 
     def ray(self, enter: int) -> np.ndarray:
         d = np.zeros(self.n)
         d[enter] = 1.0
+        col = self.column(enter)
         for i, jb in enumerate(self.basis):
             if jb < self.n:
-                d[jb] = -self.T[i, enter]
+                d[jb] = -col[i]
         return d
 
 
@@ -413,7 +388,7 @@ def solve(lp: LinearProgram, tol: float = DEFAULT_TOL,
         return out
 
     sx.install_costs(std.c_min, 0.0)
-    status, enter = sx.run(_structural_mask(sx))
+    status, enter = sx.run(artificials=False)
     x_std = sx.primal()
     x = std.to_original(x_std)
     if status == "unbounded":
@@ -432,12 +407,6 @@ def solve(lp: LinearProgram, tol: float = DEFAULT_TOL,
     if rational_check:
         out = _with_rational(out, std, sx, lp)
     return out
-
-
-def _structural_mask(sx: _Simplex) -> np.ndarray:
-    allowed = np.zeros(sx.T.shape[1] - 1, dtype=bool)
-    allowed[: sx.n] = True
-    return allowed
 
 
 def _check_internal(std: _StandardForm, out: LpOutcome, tol: float,

@@ -356,8 +356,10 @@ def _context_indicator(scenario, T, t_inputs, t_outputs, others, context) -> np.
 def canonicalize(functional: BellFunctional, gauge: str = "no_signalling") -> BellFunctional:
     """Canonical representative of the functional's equivalence class:
     gauge components removed, maximum coefficient scaled to one, integer
-    form recorded when a common denominator up to 64 fits, deterministic
-    bound recomputed.
+    form recorded when a common denominator up to 64 fits (the
+    coefficients are then that form divided by its denominator, so float
+    noise in the input does not reach them), deterministic bound
+    recomputed.
 
     ``gauge`` picks the quotient: "no_signalling" (default) also removes
     marginal difference directions and is the right notion when the
@@ -391,6 +393,7 @@ def canonicalize(functional: BellFunctional, gauge: str = "no_signalling") -> Be
             integer_bound = int(values.max())
             integer_coeffs = tuple(int(v) for v in ints)
             bound = integer_bound * g / d
+            c = ints * g / d  # each entry correctly rounded, free of the input's noise
             break
     if bound is None:
         f = BellFunctional(scenario=sc, coeffs=c)

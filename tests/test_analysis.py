@@ -9,6 +9,7 @@ verdicts are cross-checked against an external feasibility solver.
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 from scipy.optimize import linprog
 
 from bellbox import Scenario, mix, named_behavior, validate_behavior
@@ -16,6 +17,7 @@ from bellbox.analysis import (
     Classification,
     ThresholdResult,
     Verdict,
+    _distance_program,
     chsh_value,
     classify,
     derive_critical_inequality,
@@ -23,7 +25,8 @@ from bellbox.analysis import (
     membership,
     visibility_threshold,
 )
-from bellbox.errors import ValidationError
+from bellbox.errors import SizeCapError, ValidationError
+from bellbox.lp import LinearProgram, _Simplex, solve
 from bellbox.polytope import random_local_model, strategy_matrix
 from bellbox.quantum import (
     BellSetup,
@@ -255,6 +258,114 @@ def test_classify_on_234_within_caps():
         assert float(np.abs(V @ c.model.weights - beh.probs).max()) <= 1e-7
     else:
         assert c.violation > 0.0
+
+
+def unreduced_program(V, probs):
+    """The distance program as first written: V w + u - v = p, sum(w) = 1."""
+    d, n = V.shape
+    eye = np.eye(d)
+    A = np.block([[V, eye, -eye], [np.ones((1, n)), np.zeros((1, 2 * d))]])
+    cost = np.concatenate([np.zeros(n), np.ones(2 * d)])
+    return LinearProgram(A=A, b=np.append(probs, 1.0), c=cost, maximize=False)
+
+
+def cut_margin(V, probs, y):
+    cut = y[: V.shape[0]]
+    return float(cut @ probs - (cut @ V).max())
+
+
+START_CASES = [
+    pytest.param(label, which, id=f"{label}-{which}")
+    for label in ("chsh", "232", "242")
+    for which in ("uniform", "strategy", "oracle")
+]
+
+
+@pytest.mark.parametrize(("label", "which"), START_CASES)
+def test_distance_program_starts_feasible(label, which):
+    """Every row of the distance program starts on a structural unit
+    column, so phase 1 makes no pivot (``max_iters=0`` would raise)."""
+    sc = {"chsh": CHSH, "232": Scenario.uniform(2, 3, 2),
+          "242": Scenario.uniform(2, 4, 2)}[label]
+    V = strategy_matrix(sc)
+    if which == "uniform":
+        probs = named_behavior("uniform", sc).probs
+    elif which == "strategy":
+        probs = V[:, 5]  # every row but the last has right-hand side 0
+    else:
+        probs = oracle_behavior(label, 1).probs
+    lp = _distance_program(V, probs)
+    sx = _Simplex(lp.A, lp.b, max_iters=0)
+    assert all(not sx.is_artificial(j) for j in sx.basis)
+    assert sx.phase1() == 0.0 and sx.iterations == 0
+    out = solve(lp)
+    assert out.status == "optimal"
+
+
+def behavior_on(scenario, seed, w):
+    """A random normalized table (signalling in general) blended into a
+    random local model with weight ``w``: local for small ``w``."""
+    rng = np.random.default_rng(seed)
+    raw = rng.random(scenario.dimension)
+    for inputs in scenario.joint_inputs():
+        sl = scenario.block_slice(inputs)
+        raw[sl] /= raw[sl].sum()
+    local = random_local_model(scenario, seed=seed).behavior().probs
+    return validate_behavior(scenario, w * raw + (1.0 - w) * local)
+
+
+@settings(deadline=None, max_examples=40)
+@given(seed=st.integers(0, 2**32 - 1), w=st.floats(0.0, 1.0, allow_nan=False),
+       label=st.sampled_from(["chsh", "232"]))
+def test_reduced_distance_program_matches_unreduced(seed, w, label):
+    """Taking a strategy's multiple of the last row off the first d rows
+    leaves the optimum and the cut prices' certificate intact."""
+    sc = CHSH if label == "chsh" else Scenario.uniform(2, 3, 2)
+    beh = behavior_on(sc, seed, w)
+    V = strategy_matrix(sc)
+    reduced = solve(_distance_program(V, beh.probs))
+    full = solve(unreduced_program(V, beh.probs))
+    assert reduced.status == full.status == "optimal"
+    assert abs(reduced.objective - full.objective) <= 1e-9
+    if full.objective > 1e-9:
+        assert cut_margin(V, beh.probs, reduced.y) > 0.0
+        assert cut_margin(V, beh.probs, full.y) > 0.0
+
+
+def test_distance_on_243_matches_highs():
+    """A (2,4,3) table, a 145x6849 distance program: nonlocal, with its
+    distance within 1e-9 of HiGHS on the unreduced program."""
+    beh = behavior_from_setup(random_setup(seed=1, dims=(3, 3), inputs=(4, 4)))
+    V = strategy_matrix(beh.scenario)
+    out = solve(_distance_program(V, beh.probs))
+    oracle = unreduced_program(V, beh.probs)
+    res = linprog(oracle.c, A_eq=oracle.A, b_eq=oracle.b, method="highs")
+    assert out.status == "optimal" and res.status == 0
+    assert abs(out.objective - res.fun) <= 1e-9
+    assert out.objective > 1e-3
+    assert cut_margin(V, beh.probs, out.y) > 0.0
+
+
+def test_oversize_membership_refused_before_enumeration(monkeypatch, capsys, tmp_path):
+    """(2,4,4) has 65,536 strategies: its program is refused from the
+    scenario's sizes alone, through the API and the CLI (exit 3)."""
+    import bellbox.analysis as analysis
+    from bellbox.cli import main
+    from bellbox.documents import write_document
+
+    def refuse(scenario):
+        raise AssertionError("strategy matrix built for an oversize program")
+
+    monkeypatch.setattr(analysis, "strategy_matrix", refuse)
+    beh = behavior_from_setup(random_setup(seed=1, dims=(4, 4), inputs=(4, 4)))
+    with pytest.raises(SizeCapError, match="257x66048"):
+        classify(beh)
+    with pytest.raises(SizeCapError):
+        membership(beh)
+    doc = tmp_path / "big.json"
+    write_document(beh, doc)
+    assert main(["classify", str(doc)]) == 3
+    assert "cap" in capsys.readouterr().err
 
 
 # -- classification ----------------------------------------------------------

@@ -12,6 +12,7 @@ from bellbox.lp import (
     LinearProgram,
     LpOutcome,
     _Simplex,
+    _StandardForm,
     solve,
     verify_certificate,
 )
@@ -73,6 +74,17 @@ def test_unbounded_with_ray():
     assert out.status == "unbounded"
     assert float(lp.c @ out.ray) > 0.0
     np.testing.assert_allclose(lp.A @ out.ray, 0.0, atol=1e-12)
+
+
+
+def test_systems_without_rows_or_columns():
+    no_rows = LinearProgram(A=np.zeros((0, 3)), b=np.zeros(0), c=np.ones(3),
+                            maximize=False)
+    out = solve(no_rows)
+    assert out.status == "optimal" and out.objective == 0.0
+    np.testing.assert_array_equal(out.x, 0.0)
+    no_cols = solve(LinearProgram(A=np.zeros((2, 0)), b=np.zeros(2)))
+    assert no_cols.status == "feasible" and no_cols.x.shape == (0,)
 
 
 # -- input validation and caps ----------------------------------------------
@@ -181,6 +193,83 @@ def test_random_slack_form_problems_match_scipy(seed):
         assert abs(out.objective - value) < 1e-7 * max(1.0, abs(value))
     assert verify_certificate(lp, out).ok
     assert out.rational_verified is True
+
+
+
+def reference_standard_form(lp: LinearProgram):
+    """Column by column: plain, shifted, negated (bounded above only) or a
+    +/- pair (free), with one range row and slack per finite range."""
+    m, n = lp.shape
+    c = np.zeros(n) if lp.c is None else (-lp.c if lp.maximize else lp.c)
+    b = lp.b.copy()
+    cols, cost, ranges, first = [], [], [], []
+    for j in range(n):
+        lo, hi = lp.var_bounds(j)
+        first.append(len(cols))
+        if lo == -_INF and hi == _INF:
+            cols += [lp.A[:, j], -lp.A[:, j]]
+            cost += [c[j], -c[j]]
+        elif lo == -_INF:
+            b -= lp.A[:, j] * hi
+            cols.append(-lp.A[:, j])
+            cost.append(-c[j])
+        else:
+            if lo != 0.0:
+                b -= lp.A[:, j] * lo
+            cols.append(lp.A[:, j])
+            cost.append(c[j])
+            if hi != _INF:
+                ranges.append((len(cols) - 1, hi - lo))
+    k = len(ranges)
+    A = np.zeros((m + k, len(cols) + k))
+    A[:m, : len(cols)] = np.column_stack(cols)
+    for r, (col, width) in enumerate(ranges):
+        A[m + r, col] = A[m + r, len(cols) + r] = 1.0
+    widths = [width for _, width in ranges]
+    return A, np.concatenate([b, widths]), np.array(cost + [0.0] * k)
+
+
+@pytest.mark.parametrize("seed", range(10))
+def test_standard_form_matches_column_by_column_reference(seed):
+    rng = np.random.default_rng(6000 + seed)
+    m, n = int(rng.integers(1, 5)), int(rng.integers(1, 9))
+    choices = [(0.0, _INF), (-1.0, 2.0), (-_INF, 1.5), (-_INF, _INF), (0.5, _INF)]
+    bounds = tuple(choices[int(i)] for i in rng.integers(0, len(choices), size=n))
+    lp = LinearProgram(A=rng.normal(size=(m, n)), b=rng.normal(size=m),
+                       c=rng.normal(size=n), maximize=bool(seed % 2), bounds=bounds)
+    std = _StandardForm(lp)
+    A, b, cost = reference_standard_form(lp)
+    np.testing.assert_array_equal(std.A, A)
+    np.testing.assert_array_equal(std.b, b)
+    np.testing.assert_array_equal(std.c_min, cost)
+    x = rng.random(std.A.shape[1])
+    expect = np.zeros(n)
+    k = 0
+    for j in range(n):
+        lo, hi = lp.var_bounds(j)
+        if lo == -_INF and hi == _INF:
+            expect[j] = x[k] - x[k + 1]
+            k += 2
+            continue
+        expect[j] = hi - x[k] if lo == -_INF else lo + x[k]
+        k += 1
+    np.testing.assert_array_equal(std.to_original(x), expect)
+
+
+@pytest.mark.parametrize("seed", range(10))
+def test_starting_basis_takes_the_smallest_unit_column_of_each_row(seed):
+    rng = np.random.default_rng(7000 + seed)
+    m, n = int(rng.integers(1, 6)), int(rng.integers(1, 12))
+    A = rng.choice([-1.0, 0.0, 0.0, 1.0], size=(m, n))
+    A[:, rng.integers(0, n, size=n)] = A[:, rng.integers(0, n, size=n)]  # repeats
+    b = rng.choice([-1.0, 0.0, 1.0], size=m)
+    flipped = A * np.where(b < 0.0, -1.0, 1.0)[:, None]
+    expect = [n + i for i in range(m)]
+    for j in reversed(range(n)):
+        nz = np.flatnonzero(flipped[:, j])
+        if nz.size == 1 and flipped[nz[0], j] == 1.0:
+            expect[int(nz[0])] = j
+    assert _Simplex(A, b, max_iters=10).basis == expect
 
 
 # -- certificates -----------------------------------------------------------

@@ -422,6 +422,29 @@ def test_canonicalization_is_idempotent():
     np.testing.assert_allclose(again.coeffs, f.coeffs, atol=1e-12)
 
 
+
+@pytest.mark.parametrize("gauge", ["no_signalling", "normalization"])
+@pytest.mark.parametrize("case", ["chsh", "positivity", "random-232"])
+def test_canonical_coefficients_are_free_of_input_noise(case, gauge):
+    """Two inputs that differ by float noise share an integer form, and
+    then their canonical coefficients are bit-identical."""
+    rng = np.random.default_rng(7)
+    if case == "chsh":
+        sc, clean = CHSH, oracle_chsh_coeffs()
+    elif case == "positivity":
+        sc, clean = CHSH, np.where(np.arange(16) == 6, -1.0, 0.0)
+    else:
+        sc = Scenario.uniform(2, 3, 2)
+        clean = rng.integers(-3, 4, size=sc.dimension) / 3.0
+    noisy = clean + rng.normal(scale=1e-13, size=clean.size)
+    a = canonicalize(BellFunctional(scenario=sc, coeffs=clean), gauge=gauge)
+    b = canonicalize(BellFunctional(scenario=sc, coeffs=noisy), gauge=gauge)
+    assert a.integer_coeffs is not None and b.key() == a.key()
+    assert a.coeffs.tobytes() == b.coeffs.tobytes()
+    assert a.local_bound == b.local_bound
+    assert float(np.abs(a.coeffs).max()) == 1.0
+
+
 # -- relabellings -----------------------------------------------------------
 
 def test_relabelling_group_size():
