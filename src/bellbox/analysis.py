@@ -4,9 +4,13 @@ The decision problem is linear: one small program measures the l1
 distance from a behavior to the mixtures of deterministic strategies.
 At distance zero its optimal mixture is the local model; at a positive
 distance its row prices are the deepest box-normalized cut, a violated
-inequality.  Everything here is built on that one program:
-classification, inequality derivation, and bisection for critical noise
-and detection parameters.
+inequality.  Classification, inequality derivation and the bisection
+for the critical detection efficiency are built on that one program.
+
+The critical visibility has a program of its own: the largest weight of
+a behavior in a mixture with local noise that stays local.  Its optimal
+mixture and its row prices answer every probe of the visibility
+bisection, so that threshold takes one solve instead of one per probe.
 """
 
 from __future__ import annotations
@@ -64,11 +68,13 @@ class Classification:
 
 @dataclass(frozen=True)
 class ThresholdResult:
-    """A critical parameter value found by bisection.
+    """A critical parameter value bracketed by bisection.
 
     ``critical`` is the certified-local end of the final bracket; the
     other end is certified nonlocal and the bracket is no wider than
-    ``tolerance``.
+    ``tolerance``.  ``iterations`` counts the halvings of [0, 1], which
+    is not the number of programs solved: a visibility threshold answers
+    every probe off one program.
     """
 
     parameter: str
@@ -248,8 +254,24 @@ def chsh_value(behavior: Behavior) -> float:
     return total
 
 
+BISECTION_TOL_FLOOR = 2.0 ** -52
+
+
+def _check_bisection_tol(tol: float):
+    """Refuse a bracket width the halving may not reach.  From [0, 1],
+    every midpoint is exact down to width 2**-52, so ``_bisect`` ends
+    within 53 steps; below that, the bracket can close on two adjacent
+    floats, whose midpoint is one of them, and the loop would not end."""
+    if not tol >= BISECTION_TOL_FLOOR:
+        raise ValidationError(
+            f"bisection tolerance {tol!r} is below the floor of 2**-52; "
+            "halving [0, 1] cannot get narrower"
+        )
+
+
 def _bisect(parameter: str, is_local_at, tol: float) -> ThresholdResult:
-    # invariant: 0 is certified local, 1 certified nonlocal before entry
+    # invariant: 0 is certified local, 1 certified nonlocal before entry,
+    # and tol passed _check_bisection_tol
     lo, hi = 0.0, 1.0
     iterations = 0
     while hi - lo > tol:
@@ -268,31 +290,99 @@ def _bisect(parameter: str, is_local_at, tol: float) -> ThresholdResult:
     )
 
 
+def _visibility_program(V: np.ndarray, probs: np.ndarray, noise: np.ndarray) -> LinearProgram:
+    """Largest weight v at which v p + (1 - v) q is a deterministic mixture.
+
+    Variables are (w, v) >= 0: maximize v subject to V w - v (p - q) = q
+    and sum(w) = 1 (Kaszlikowski et al., PRL 85, 4418 (2000)).  With q
+    local and p not, the feasible v form an interval [0, v*] with v* < 1,
+    so the program is bounded.  Its optimal w is a local model at v*; its
+    row prices (-c, t) satisfy c.V_s <= t for every strategy s and
+    c.(p - q) >= 1, so c separates every mixture with v > v*.
+    """
+    n = V.shape[1]
+    A = np.block([[V, (noise - probs)[:, None]],
+                  [np.ones((1, n)), np.zeros((1, 1))]])
+    cost = np.zeros(n + 1)
+    cost[n] = 1.0
+    return LinearProgram(A=A, b=np.append(noise, 1.0), c=cost, maximize=True)
+
+
+def _visibility_probe(behavior: Behavior, noise: Behavior, noise_weights: np.ndarray):
+    """Solve ``_visibility_program`` once and return a probe that decides
+    v p + (1 - v) q for any v in [0, 1] with ``_decide``'s contract:
+    (True, weights) or (False, c), each rechecked on that mixture.
+
+    At or below the optimum v*, the weights are the optimal mixture
+    rescaled toward ``noise_weights``, q's own model at v = 0; above it,
+    c is the program's cut.  Each recheck carries a guard of the decision
+    tolerance, so the probe calls every mixture as ``_decide`` would; a
+    mixture within round-off of v* fails both and goes to ``_decide``.
+    """
+    V = strategy_matrix(behavior.scenario)
+    n = V.shape[1]
+    p, q = behavior.probs, noise.probs
+    out = solve(_visibility_program(V, p, q))
+    if out.status != "optimal":
+        raise StalledError(f"visibility program ended with status {out.status!r}")
+    v_star = max(float(out.x[n]), 0.0)
+    # basic weights can end a few 1e-12 below zero, as in _decide
+    weights = np.clip(out.x[:n], 0.0, None)
+    weights = weights / weights.sum()
+    cut = -out.y[:V.shape[0]]
+    cut_bound = float((cut @ V).max())
+    cut_guard = 2.0 * DEFAULT_TOL * float(np.abs(cut).max())
+
+    def probe(v: float) -> tuple[bool, np.ndarray]:
+        # the raw mixture: validating it through mix() costs more than the recheck
+        mixture = v * p + (1.0 - v) * q
+        if v <= v_star:
+            s = v / v_star
+            model = s * weights + (1.0 - s) * noise_weights
+            # an l1 miss below half the tolerance keeps _decide's distance below it
+            if float(np.abs(V @ model - mixture).sum()) <= 0.5 * DEFAULT_TOL:
+                return True, model
+        # the margin over |c|_inf bounds the l1 distance from below
+        elif float(cut @ mixture) - cut_bound > cut_guard:
+            return False, cut
+        return _decide(mix([(v, behavior), (1.0 - v, noise)]))
+
+    return probe
+
+
 def visibility_threshold(
     behavior: Behavior, noise: Behavior, tol: float = VISIBILITY_TOL
 ) -> ThresholdResult:
     """Largest weight at which blending the behavior into the noise is
-    still local, located by bisection with ties resolved toward the
-    certified-local side."""
+    still local, bracketed by bisection with ties resolved toward the
+    certified-local side.
+
+    The bracket is the one a bisection of ``_decide`` calls would give,
+    but one program (``_visibility_program``) answers every probe: its
+    optimal mixture certifies the local ones and its cut the nonlocal
+    ones, each rechecked on the probe's mixture (``_visibility_probe``).
+    That is three solves with the two endpoint checks, plus one for any
+    probe that lands within round-off of the threshold.
+    """
     if behavior.scenario != noise.scenario:
         raise ValidationError("behavior and noise live on different scenarios")
-    if not _decide(noise)[0]:
+    _check_bisection_tol(tol)
+    noise_is_local, noise_weights = _decide(noise)
+    if not noise_is_local:
         raise ValidationError("noise behavior must be local")
     if _decide(behavior)[0]:
         raise ValidationError(
             "behavior is already local at full visibility; no threshold exists"
         )
-
-    def is_local_at(v: float) -> bool:
-        return _decide(mix([(v, behavior), (1.0 - v, noise)]))[0]
-
-    return _bisect("visibility", is_local_at, tol)
+    probe = _visibility_probe(behavior, noise, noise_weights)
+    return _bisect("visibility", lambda v: probe(v)[0], tol)
 
 
 def efficiency_threshold(setup: BellSetup, tol: float = EFFICIENCY_TOL) -> ThresholdResult:
     """Largest detection efficiency at which the setup's statistics stay
     local when both parties' detectors fire with that probability and
     no-clicks are kept as their own outcome."""
+    _check_bisection_tol(tol)
 
     def behavior_at(eta: float) -> Behavior:
         return behavior_from_setup(

@@ -94,9 +94,27 @@ def enumerate_strategies(scenario: Scenario) -> tuple[DeterministicStrategy, ...
 
 @lru_cache(maxsize=32)
 def strategy_matrix(scenario: Scenario) -> np.ndarray:
-    """Column j is the probability table of strategy j; read-only."""
-    strategies = enumerate_strategies(scenario)
-    V = np.column_stack([s.behavior().probs for s in strategies])
+    """Column j is the probability table of strategy j, in the order of
+    ``enumerate_strategies``; read-only.
+
+    Built by index arithmetic: strategy j's digits in the mixed radix of
+    the (party, input) alphabets, party-major and last digit fastest, are
+    its outputs, and each input block gets a single 1 at its offset plus
+    the mixed-radix index of those outputs within the block.
+    """
+    count = strategy_count(scenario)
+    if count > STRATEGY_CAP:
+        raise SizeCapError(
+            f"{count} deterministic strategies exceed the cap of {STRATEGY_CAP}")
+    columns = np.arange(count)
+    digits = np.unravel_index(columns, [k for outs in scenario.outputs for k in outs])
+    first = np.cumsum([0] + list(scenario.inputs_per_party))  # first digit of each party
+    V = np.zeros((scenario.dimension, count))
+    for inputs in scenario.joint_inputs():
+        within = np.zeros(count, dtype=np.intp)
+        for p, x in enumerate(inputs):
+            within = within * scenario.outputs[p][x] + digits[first[p] + x]
+        V[scenario.block_offset(inputs) + within, columns] = 1.0
     V.setflags(write=False)
     return V
 

@@ -7,6 +7,8 @@ certainty scores 4 and tolerates noise down to weight 1/2.  Membership
 verdicts are cross-checked against an external feasibility solver.
 """
 
+import itertools
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -14,10 +16,13 @@ from scipy.optimize import linprog
 
 from bellbox import Scenario, mix, named_behavior, validate_behavior
 from bellbox.analysis import (
+    MODEL_TOL,
     Classification,
     ThresholdResult,
     Verdict,
+    _decide,
     _distance_program,
+    _visibility_probe,
     chsh_value,
     classify,
     derive_critical_inequality,
@@ -462,6 +467,111 @@ def test_visibility_threshold_rejects_mismatched_scenarios():
     other = named_behavior("uniform", Scenario.uniform(2, 2, 3))
     with pytest.raises(ValidationError):
         visibility_threshold(singlet, other)
+
+
+def decide_bisection(behavior, noise, tol):
+    """The plain bisection: one membership decision per probe."""
+    lo, hi, iterations = 0.0, 1.0, 0
+    while hi - lo > tol:
+        mid = 0.5 * (lo + hi)
+        iterations += 1
+        if _decide(mix([(mid, behavior), (1.0 - mid, noise)]))[0]:
+            lo = mid
+        else:
+            hi = mid
+    return lo, (lo, hi), iterations
+
+
+def first_nonlocal_setup(seed, inputs):
+    """The first random_setup table from ``seed`` on that is nonlocal."""
+    for s in itertools.count(seed):
+        behavior = behavior_from_setup(random_setup(s, dims=(2, 2), inputs=inputs))
+        if not _decide(behavior)[0]:
+            return behavior
+
+
+@settings(max_examples=15, deadline=None)
+@given(seed=st.integers(0, 10_000), inputs=st.sampled_from([(2, 2), (3, 3)]))
+def test_visibility_threshold_equals_decide_bisection(seed, inputs):
+    behavior = first_nonlocal_setup(seed, inputs)
+    noise = named_behavior("uniform", behavior.scenario)
+    res = visibility_threshold(behavior, noise)
+    assert (res.critical, res.bracket, res.iterations) == decide_bisection(behavior, noise, 1e-6)
+
+
+def test_visibility_threshold_solves_three_programs(monkeypatch):
+    import bellbox.analysis as analysis
+
+    calls = []
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return solve(*args, **kwargs)
+
+    monkeypatch.setattr(analysis, "solve", counting)
+    res = visibility_threshold(behavior_from_setup(named_setup("singlet_chsh")),
+                               named_behavior("uniform"))
+    assert res.iterations == 20
+    assert len(calls) <= 3
+
+
+@pytest.mark.parametrize("behavior", [
+    behavior_from_setup(named_setup("singlet_chsh")),
+    named_behavior("pr_box"),
+    behavior_from_setup(random_setup(1, dims=(2, 2), inputs=(3, 3))),
+], ids=["singlet", "pr_box", "232"])
+def test_visibility_bracket_ends_carry_rechecked_witnesses(behavior):
+    """The probe's model reproduces the raw mixture at the local end, and
+    its cut separates the raw mixture at the nonlocal end."""
+    noise = named_behavior("uniform", behavior.scenario)
+    res = visibility_threshold(behavior, noise)
+    probe = _visibility_probe(behavior, noise, _decide(noise)[1])
+    V = strategy_matrix(behavior.scenario)
+    lo, hi = res.bracket
+
+    is_local, weights = probe(lo)
+    assert is_local
+    assert weights.min() >= 0.0 and weights.sum() == pytest.approx(1.0, abs=1e-12)
+    lo_mixture = lo * behavior.probs + (1.0 - lo) * noise.probs
+    assert float(np.abs(V @ weights - lo_mixture).max()) <= MODEL_TOL
+
+    is_local, cut = probe(hi)
+    assert not is_local
+    hi_mixture = hi * behavior.probs + (1.0 - hi) * noise.probs
+    assert float(cut @ hi_mixture - (cut @ V).max()) > 0.0
+
+
+def test_visibility_probe_near_the_optimum_agrees_with_decide():
+    """Probes within round-off of the PR box's threshold 1/2 are called
+    as a fresh membership decision calls them."""
+    pr_box, noise = named_behavior("pr_box"), named_behavior("uniform")
+    probe = _visibility_probe(pr_box, noise, _decide(noise)[1])
+    for v in (0.5 - 1e-9, 0.5 - 1e-12, 0.5, 0.5 + 1e-12, 0.5 + 1e-10, 0.5 + 1e-8):
+        expected = _decide(mix([(v, pr_box), (1.0 - v, noise)]))[0]
+        assert probe(v)[0] is expected
+
+
+@pytest.mark.parametrize("tol", [1e-20, 2.0 ** -53, 0.0, -1e-3, float("nan")])
+def test_thresholds_refuse_tolerances_below_the_halving_floor(tol, monkeypatch):
+    import bellbox.analysis as analysis
+
+    def no_solve(*args, **kwargs):
+        raise AssertionError("a solve ran before the tolerance was checked")
+
+    monkeypatch.setattr(analysis, "solve", no_solve)
+    with pytest.raises(ValidationError, match="tolerance"):
+        visibility_threshold(named_behavior("pr_box"), named_behavior("uniform"), tol=tol)
+    with pytest.raises(ValidationError, match="tolerance"):
+        efficiency_threshold(named_setup("singlet_chsh"), tol=tol)
+
+
+def test_visibility_threshold_at_the_halving_floor_terminates():
+    pr_box, noise = named_behavior("pr_box"), named_behavior("uniform")
+    res = visibility_threshold(pr_box, noise, tol=2.0 ** -52)
+    assert res.iterations == 52
+    assert res.bracket[1] - res.bracket[0] == 2.0 ** -52
+    assert (res.critical, res.bracket, res.iterations) == decide_bisection(
+        pr_box, noise, 2.0 ** -52)
 
 
 # -- efficiency threshold ----------------------------------------------------

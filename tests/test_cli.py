@@ -8,6 +8,7 @@ byte-identical across identical invocations.
 import json
 import subprocess
 import sys
+import time
 
 import numpy as np
 import pytest
@@ -270,6 +271,19 @@ def test_threshold_efficiency_cli(capsys):
     payload = json.loads(out)
     assert payload["parameter"] == "efficiency"
     assert payload["critical"] == pytest.approx(2.0 / (1.0 + ROOT2), abs=2e-3)
+
+
+@pytest.mark.parametrize("verb_args", [
+    ("visibility", fx("pr_box"), fx("uniform")),
+    ("efficiency", fx("singlet_chsh")),
+], ids=["visibility", "efficiency"])
+def test_threshold_rejects_tolerance_below_halving_floor(capsys, verb_args):
+    start = time.perf_counter()
+    code, out, err = run_cli(capsys, "threshold", *verb_args, "--tol", "1e-20")
+    assert time.perf_counter() - start < 5.0
+    assert code == 2
+    assert out == ""
+    assert "2**-52" in err
 
 
 def test_threshold_rejects_local_target(capsys):

@@ -227,6 +227,23 @@ def test_strategy_matrix_is_cached():
     assert strategy_matrix(CHSH) is strategy_matrix(Scenario.uniform(2, 2, 2))
 
 
+@pytest.mark.parametrize("scenario", [
+    CHSH,
+    Scenario.uniform(2, 3, 2),
+    Scenario.uniform(3, 2, 2),
+    Scenario(inputs_per_party=(2, 3), outputs=((2, 3), (3, 1, 2))),
+    Scenario.uniform(2, 3, 3),
+], ids=["chsh", "232", "322", "mixed", "233"])
+def test_strategy_matrix_matches_strategy_objects(scenario):
+    """Index arithmetic gives bit for bit the columns of the public
+    strategy objects, in their enumeration order."""
+    expected = np.column_stack([s.behavior().probs for s in enumerate_strategies(scenario)])
+    V = strategy_matrix(scenario)
+    assert V.dtype == expected.dtype and V.shape == expected.shape
+    assert np.array_equal(V, expected)
+    assert not V.flags.writeable
+
+
 # -- local models -----------------------------------------------------------
 
 def test_uniform_local_model_behavior():
