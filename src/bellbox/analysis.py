@@ -103,9 +103,12 @@ def _distance_program(V: np.ndarray, probs: np.ndarray) -> LinearProgram:
     d, n = V.shape
     # |p - V[:, s]|_1 = sum(p) + (1 - 2p).V[:, s] for 0/1 columns
     s0 = int(np.argmin((1.0 - 2.0 * probs) @ V))
-    eye = np.eye(d)
-    A = np.block([[V - V[:, s0:s0 + 1], eye, -eye],
-                  [np.ones((1, n)), np.zeros((1, 2 * d))]])
+    A = np.zeros((d + 1, n + 2 * d))
+    np.subtract(V, V[:, s0:s0 + 1], out=A[:d, :n])
+    rows = np.arange(d)
+    A[rows, n + rows] = 1.0
+    A[rows, n + d + rows] = -1.0
+    A[d, :n] = 1.0
     b = np.append(probs - V[:, s0], 1.0)
     cost = np.concatenate([np.zeros(n), np.ones(2 * d)])
     return LinearProgram(A=A, b=b, c=cost, maximize=False)
@@ -115,7 +118,7 @@ def _decide(behavior: Behavior, tol: float = DEFAULT_TOL) -> tuple[bool, np.ndar
     """Local-set decision with a witness rechecked against the strategies.
 
     Returns (True, weights) with weights reproducing the behavior to
-    within ``MODEL_TOL``, or (False, c) with c.p strictly above every
+    within ``MODEL_TOL`` and none in (0, ``DEFAULT_TOL``], or (False, c) with c.p strictly above every
     deterministic value of c.  A witness that fails its recheck raises.
     A program over the LP size cap is refused before the strategies are
     enumerated.
@@ -127,12 +130,17 @@ def _decide(behavior: Behavior, tol: float = DEFAULT_TOL) -> tuple[bool, np.ndar
     V = strategy_matrix(behavior.scenario)
     n = V.shape[1]
     p = behavior.probs
-    out = solve(_distance_program(V, p), tol=tol)
+    # the simplex stops at the first vertex within its tol of distance 0;
+    # a looser tol moves only the decision below, so that the model the
+    # simplex stops at still meets MODEL_TOL
+    out = solve(_distance_program(V, p), tol=min(tol, DEFAULT_TOL))
     if out.status != "optimal":
         raise StalledError(f"membership program ended with status {out.status!r}")
     if out.objective <= tol:
-        # basic weights can end a few 1e-12 below zero near the boundary
-        weights = np.clip(out.x[:n], 0.0, None)
+        # basic weights at or below DEFAULT_TOL are round-off (or a few
+        # 1e-12 below zero near the boundary): drop them, so the support is
+        # the strategies the model uses; a looser tol keeps real weights
+        weights = np.where(out.x[:n] > DEFAULT_TOL, out.x[:n], 0.0)
         weights = weights / weights.sum()
         residual = float(np.abs(V @ weights - p).max())
         if residual > MODEL_TOL:
@@ -200,7 +208,7 @@ def classify(behavior: Behavior, tol: float = DEFAULT_TOL) -> Classification:
         return Classification(verdict=Verdict.SIGNALLING, summary=summary, signalling=report)
     res = _membership(behavior, tol, gauge="no_signalling")
     if res.is_local:
-        support = int(np.count_nonzero(res.model.weights > tol))
+        support = res.model.support.size
         summary = (
             f"Local: reproduced by a mixture of {support} deterministic strategies, "
             "so shared randomness fully explains these statistics."

@@ -115,8 +115,7 @@ def _functional_witness(functional: BellFunctional, violation: float) -> dict:
 def _witness_payload(c) -> dict:
     if c.model is not None:
         weights = [float(w) for w in c.model.weights]
-        support = sum(1 for w in weights if w > 0.0)
-        return {"type": "local_model", "support": support, "weights": weights}
+        return {"type": "local_model", "support": c.model.support.size, "weights": weights}
     if c.functional is not None:
         return _functional_witness(c.functional, c.violation)
     party, x, a, (ctx_hi, ctx_lo) = c.signalling.worst_marginal
@@ -141,10 +140,9 @@ def _functional_lines(f: BellFunctional, indent: str = "  ") -> list[str]:
 
 def _witness_lines(c) -> list[str]:
     if c.model is not None:
-        weights = c.model.weights
-        support = [(i, float(w)) for i, w in enumerate(weights) if w > 0.0]
-        lines = [f"witness: local model mixing {len(support)} deterministic strategies"]
-        lines += [f"  strategy {i}: {_fmt(w)}" for i, w in support]
+        support = c.model.support
+        lines = [f"witness: local model mixing {support.size} deterministic strategies"]
+        lines += [f"  strategy {i}: {_fmt(float(c.model.weights[i]))}" for i in support]
         return lines
     if c.functional is not None:
         return (["witness: violated inequality"]

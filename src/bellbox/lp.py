@@ -10,11 +10,15 @@ starts on a structural column that already equals its unit vector,
 where one exists, and on its artificial otherwise.  The entering column
 is the one with the most negative reduced cost (Dantzig's rule); after a
 long run of degenerate pivots the rule falls back to Bland's smallest
-index, which cannot cycle, until the objective moves again.  Every
-outcome carries evidence: a primal solution for feasible problems, a
-Farkas vector for infeasible ones, an improving ray for unbounded ones,
-and each can be checked against its own verification inequality by an
-independent routine.
+index, which cannot cycle, until the objective moves again.  When every
+cost is nonnegative, c.x >= 0 holds on the whole feasible set, so a
+feasible basis whose objective is within tol of zero is optimal to
+within tol as it stands: phase 2 stops there, whatever the reduced
+costs say, and y = 0 is its dual certificate.  Every outcome carries
+evidence: a primal solution for feasible problems, a Farkas vector for
+infeasible ones, an improving ray for unbounded ones, and each can be
+checked against its own verification inequality by an independent
+routine.
 
 Problem sizes are small (up to a few thousand columns), so the design
 optimizes for robustness and certificate extraction over raw speed.
@@ -131,6 +135,7 @@ class CertificateReport:
     bound_violation: float | None = None
     objective_gap: float | None = None
     duality_gap: float | None = None
+    reduced_cost_min: float | None = None
     farkas_dot_max: float | None = None
     farkas_margin: float | None = None
     ray_residual: float | None = None
@@ -202,10 +207,12 @@ class _Simplex:
     ``Binv a_j`` and updates ``Binv`` by a rank-one change.  A row whose
     flipped constraint already has a structural +e_i column starts with
     that column basic instead of its artificial; either way the starting
-    basis matrix is the identity.
+    basis matrix is the identity.  Under nonnegative costs a phase-2
+    basis whose objective is at most ``tol`` ends the phase.
     """
 
-    def __init__(self, A: np.ndarray, b: np.ndarray, max_iters: int):
+    def __init__(self, A: np.ndarray, b: np.ndarray, max_iters: int,
+                 tol: float = DEFAULT_TOL):
         sign = np.where(b < 0.0, -1.0, 1.0)
         self.row_sign = sign
         m, n = A.shape
@@ -225,8 +232,10 @@ class _Simplex:
         self.rows = list(range(m))  # ids into the original row order
         self.max_iters = max_iters
         self.iterations = 0
+        self.tol = tol
         self.cost = np.zeros(n + m)
         self.cB = np.zeros(m)
+        self.nonnegative = True
 
     # -- low-level ---------------------------------------------------------
     def column(self, j: int) -> np.ndarray:
@@ -254,6 +263,14 @@ class _Simplex:
         """Simplex multipliers ``c_B Binv``, indexed by original row id."""
         return self.cB @ self.Binv
 
+    def at_floor(self) -> bool:
+        """True when no feasible point does better than the current basis
+        by more than ``tol``: every installed cost is >= 0, so c.x >= 0
+        everywhere, and the basic objective is already at most ``tol``.
+        The band is not scaled by b: y = 0 leaves a duality gap equal to
+        the objective, which must stay within tol whatever b is."""
+        return self.nonnegative and float(self.cB @ self.xB) <= self.tol
+
     def run(self, artificials: bool) -> tuple[str, int | None]:
         """Minimize the installed costs over the structural columns, and
         over the artificial ones too if ``artificials``.
@@ -261,11 +278,15 @@ class _Simplex:
         Dantzig pricing picks the entering column; once ``BLAND_AFTER``
         pivots in a row have left the objective where it was, Bland's
         smallest-index rule takes over until a pivot moves it, so a
-        degenerate vertex cannot cycle.
+        degenerate vertex cannot cycle.  In phase 2 (no artificials) a
+        basis at the floor (``at_floor``) is optimal without pricing;
+        phase 1 always runs to its priced optimum.
         """
         n = self.n
         degenerate = 0
         while True:
+            if not artificials and self.at_floor():
+                return "optimal", None
             y = self.prices()
             r = self.cost[:n] - y @ self.A
             if artificials:
@@ -336,13 +357,18 @@ class _Simplex:
 
     def duals(self) -> np.ndarray:
         """Row prices for the installed costs, in original row order and
-        orientation; a deleted row's price is zero."""
+        orientation; a deleted row's price is zero.  At the floor they
+        are y = 0, which certifies optimality under nonnegative costs
+        (the reduced costs are the costs); the basis prices may not."""
+        if self.at_floor():
+            return np.zeros(self.m0)
         return self.prices() * self.row_sign
 
     def install_costs(self, c: np.ndarray, art_cost: float):
         self.cost[: c.shape[0]] = c
         self.cost[self.n:] = art_cost
         self.cB = self.cost[self.basis]
+        self.nonnegative = bool(c.min(initial=0.0) >= 0.0)
 
     def ray(self, enter: int) -> np.ndarray:
         d = np.zeros(self.n)
@@ -363,9 +389,14 @@ def solve(lp: LinearProgram, tol: float = DEFAULT_TOL,
     Statuses: "optimal" (x, y, objective), "infeasible" (y is a Farkas
     vector for ``A x = b, x in bounds``), "unbounded" (x feasible, ray
     improving), "feasible" (no objective; x only).
+
+    Phase 2 stops at a feasible basis as soon as the costs are all
+    nonnegative and its objective is at most ``tol``: nothing feasible
+    costs less than zero, so that basis is optimal to within tol and
+    y = 0 is its certificate.
     """
     std = _StandardForm(lp)
-    sx = _Simplex(std.A, std.b, max_iters)
+    sx = _Simplex(std.A, std.b, max_iters, tol)
 
     gap = sx.phase1()
     if gap > tol * max(1.0, float(np.abs(std.b).max(initial=0.0))):
@@ -431,7 +462,8 @@ def verify_certificate(lp: LinearProgram, outcome: LpOutcome,
 
     This routine never trusts solver internals: it re-derives the
     standard-form system from ``lp`` and checks the reported evidence
-    against it with plain matrix arithmetic.
+    against it with plain matrix arithmetic.  An optimum needs a feasible
+    x, a dual feasible y and equal primal and dual values.
     """
     status = outcome.status
     ok = True
@@ -456,9 +488,10 @@ def verify_certificate(lp: LinearProgram, outcome: LpOutcome,
         fields["objective_gap"] = abs(value - outcome.objective)
         ok &= fields["objective_gap"] <= tol * max(1.0, abs(value))
         if outcome.y is not None:
-            gap = _duality_gap(lp, outcome)
+            gap, least = _dual_check(lp, outcome)
             fields["duality_gap"] = gap
-            ok &= gap <= tol * max(1.0, abs(value))
+            fields["reduced_cost_min"] = least
+            ok &= gap <= tol * max(1.0, abs(value)) and least >= -tol
     elif status == "infeasible":
         if outcome.y is None:
             ok = False
@@ -496,20 +529,26 @@ def verify_certificate(lp: LinearProgram, outcome: LpOutcome,
     return CertificateReport(status=status, ok=bool(ok), **fields)
 
 
-def _duality_gap(lp: LinearProgram, outcome: LpOutcome) -> float:
-    """|c.x - y.b_std - c.shift| over the reconstructed standard system.
+def _dual_check(lp: LinearProgram, outcome: LpOutcome) -> tuple[float, float]:
+    """The duality gap |c.x - y.b_std - c.shift| and the least reduced
+    cost of y, both over the reconstructed standard system.
 
     Variable shifts (finite lower bounds, upper-only bounds) displace the
     objective by a constant c.shift; after removing it, primal and dual
-    values coincide at optimality in either orientation.
+    values coincide at optimality in either orientation.  Equal values
+    prove optimality only for a dual feasible y: its reduced costs, taken
+    as for a minimization (a maximum's y is negated) over every standard
+    column, range slacks included, must all be >= 0.
     """
     std = _StandardForm(lp)
     y = outcome.y
     if y.shape[0] != std.m_rows:
-        return _INF  # prices for the synthetic range rows were not reported
+        return _INF, -_INF  # prices for the synthetic range rows were not reported
     dual = float(y @ std.b)
     offset = float(lp.c @ std.shift)
-    return abs(float(lp.c @ outcome.x) - dual - offset)
+    reduced = std.c_min - (-y if lp.maximize else y) @ std.A
+    return (abs(float(lp.c @ outcome.x) - dual - offset),
+            float(reduced.min(initial=_INF)))
 
 
 # -- exact re-check ---------------------------------------------------------
@@ -530,9 +569,10 @@ def _rational_recheck(status: str, std: _StandardForm, sx: _Simplex,
     """Re-derive the final basis exactly over the rationals.
 
     Checks basic feasibility and the sign conditions that certify the
-    reported status; float data converts to Fraction losslessly, so a
-    True here means the claimed basis proves the claim in exact
-    arithmetic.
+    reported status (for an optimum under nonnegative costs, an exact
+    objective of 0 is such a condition); float data converts to Fraction
+    losslessly, so a True here means the claimed basis proves the claim
+    in exact arithmetic.
     """
     rows = sx.rows
     n = std.A.shape[1]
@@ -579,6 +619,8 @@ def _rational_recheck(status: str, std: _StandardForm, sx: _Simplex,
         else:
             c_full = [Fraction(0)] * n + [Fraction(1)] * sx.m0
         cB = [c_full[j] for j in sx.basis]
+        if status == "optimal" and min(c_full, default=0) >= 0 and _dot(cB, xB) == 0:
+            return True  # c.x >= 0 on every feasible x, and this one costs 0
         yT = _vecmat(cB, Binv)
         for j in range(n):
             rj = Fraction(c_full[j]) - _dot(yT, column(j))

@@ -141,6 +141,11 @@ class LocalModel:
         w.setflags(write=False)
         object.__setattr__(self, "weights", w)
 
+    @property
+    def support(self) -> np.ndarray:
+        """Indices of the strategies with nonzero weight."""
+        return np.flatnonzero(self.weights)
+
     def behavior(self) -> Behavior:
         probs = strategy_matrix(self.scenario) @ self.weights
         return validate_behavior(self.scenario, probs)

@@ -148,14 +148,19 @@ def behavior_from_setup(setup: BellSetup, tol: float = 1e-9) -> Behavior:
     The result is always no-signalling because each party's effects sum to
     the identity, so remote choices marginalize away.
     """
-    sc = setup.scenario
-    vec = np.zeros(sc.dimension)
-    rho = setup.state.rho
-    for x, y in sc.joint_inputs():
-        for a, b in sc.joint_outputs((x, y)):
-            joint = np.kron(setup.alice.effects[x][a], setup.bob.effects[y][b])
-            vec[flat_index(sc, (x, y), (a, b))] = float(np.real(np.trace(rho @ joint)))
-    return validate_behavior(sc, vec, tol=tol)
+    da, db = setup.alice.dim, setup.bob.dim
+    # rho[(i, k), (j, l)] as rho4[i, k, j, l]; Tr[rho (A tensor B)] sums
+    # rho4[i, k, j, l] A[j, i] B[l, k] for every (x, a) row and (y, b) column
+    rho4 = setup.state.rho.reshape(da, db, da, db)
+    alice = np.array([m for row in setup.alice.effects for m in row])
+    bob = np.array([m for row in setup.bob.effects for m in row])
+    table = np.einsum("ikjl,rji,slk->rs", rho4, alice, bob).real
+    # joint input major, then the outputs, party 0 slowest in both
+    split_a = np.cumsum(setup.alice.outcome_counts)[:-1]
+    split_b = np.cumsum(setup.bob.outcome_counts)[:-1]
+    vec = np.concatenate([block.ravel() for rows in np.split(table, split_a, axis=0)
+                          for block in np.split(rows, split_b, axis=1)])
+    return validate_behavior(setup.scenario, vec, tol=tol)
 
 
 def lift_with_efficiency(mset: MeasurementSet, efficiency: float) -> MeasurementSet:

@@ -252,6 +252,76 @@ def test_membership_pivot_budget_on_242(monkeypatch, strategy):
     assert len(pivots) == 1 and pivots[0] <= 200
 
 
+def noisy_strategy_242(strategy, noise):
+    sc = Scenario.uniform(2, 4, 2)
+    V = strategy_matrix(sc)
+    probs = (1.0 - noise) * V[:, strategy] + noise * named_behavior("uniform", sc).probs
+    return V, probs
+
+
+def test_local_242_distance_programs_stop_at_zero_distance():
+    """Twelve local (2,4,2) tables, each one deterministic strategy under
+    white noise.  The simplex stops at the first vertex at distance 0:
+    381 pivots in all.  Pricing on to dual feasibility, as if a zero
+    distance were not already optimal, takes 1083."""
+    total = 0
+    for strategy in (0, 17, 100, 255):
+        for noise in (0.3, 0.4, 0.6):
+            out = solve(_distance_program(*noisy_strategy_242(strategy, noise)))
+            assert out.status == "optimal" and out.objective <= 1e-9
+            total += out.iterations
+    assert total <= 600
+
+
+@pytest.mark.parametrize(("seed", "pivots"), [(1, 243), (2, 146)])
+def test_nonlocal_242_distance_program_pivots_are_pinned(seed, pivots):
+    """A nonlocal table never reaches the floor, so its pivots are those
+    of the pricing rule alone; a change to either shows here."""
+    beh = behavior_from_setup(random_setup(seed=seed, dims=(2, 2), inputs=(4, 4)))
+    out = solve(_distance_program(strategy_matrix(beh.scenario), beh.probs))
+    assert out.objective > 0.2
+    assert out.iterations == pivots
+
+
+def test_loose_tolerance_keeps_the_model_within_model_tol():
+    """With tol = 1e-3 the decision accepts distances up to 1e-3, but the
+    simplex still stops only within the default tol of distance 0, so the
+    model of a local table passes its MODEL_TOL recheck.  A solve at the
+    loose tol stops here at distance 1.75e-4."""
+    sc = Scenario.uniform(2, 4, 2)
+    V = strategy_matrix(sc)
+    rng = np.random.default_rng(25)
+    k = int(rng.integers(2, 12))
+    idx = rng.choice(V.shape[1], k, replace=False)
+    weights = rng.dirichlet(np.ones(k))
+    noise = rng.uniform(0.0, 0.3)
+    probs = (1.0 - noise) * V[:, idx] @ weights + noise * V.mean(axis=1)
+    is_local, model = _decide(validate_behavior(sc, probs), tol=1e-3)
+    assert is_local
+    assert float(np.abs(V @ model - probs).max()) <= MODEL_TOL
+
+
+def block_distance_program(V, probs):
+    """``_distance_program`` as first assembled, with np.block."""
+    d, n = V.shape
+    s0 = int(np.argmin((1.0 - 2.0 * probs) @ V))
+    eye = np.eye(d)
+    A = np.block([[V - V[:, s0:s0 + 1], eye, -eye],
+                  [np.ones((1, n)), np.zeros((1, 2 * d))]])
+    return A, np.append(probs - V[:, s0], 1.0)
+
+
+@pytest.mark.parametrize("label", ["chsh", "232", "242"])
+def test_distance_program_matrix_matches_block_assembly(label):
+    sc = {"chsh": CHSH, "232": Scenario.uniform(2, 3, 2),
+          "242": Scenario.uniform(2, 4, 2)}[label]
+    V = strategy_matrix(sc)
+    for probs in (oracle_behavior(label, 1).probs, named_behavior("uniform", sc).probs):
+        lp = _distance_program(V, probs)
+        A, b = block_distance_program(V, probs)
+        assert np.array_equal(lp.A, A) and np.array_equal(lp.b, b)
+
+
 def test_classify_on_234_within_caps():
     """A (2,3,4) table: its distance program is 145x4384, within the LP
     cap, and the simplex decides it without stalling."""
@@ -335,6 +405,21 @@ def test_reduced_distance_program_matches_unreduced(seed, w, label):
     if full.objective > 1e-9:
         assert cut_margin(V, beh.probs, reduced.y) > 0.0
         assert cut_margin(V, beh.probs, full.y) > 0.0
+
+
+def test_phase1_floor_stop_waits_for_a_feasible_point():
+    """The unreduced program needs phase 1.  On this table, 1e-9 away from
+    a local one, phase 1 passes a vertex whose artificial carries about
+    1e-9, inside the feasibility band.  A phase 1 that stopped there and
+    drove the artificial out would leave an infeasible point and a
+    distance of 9.98e-10, against 2.07e-9 for the reduced program."""
+    sc = Scenario.uniform(2, 3, 2)
+    beh = behavior_on(sc, 1, 1e-9)
+    V = strategy_matrix(sc)
+    reduced = solve(_distance_program(V, beh.probs))
+    full = solve(unreduced_program(V, beh.probs))
+    assert reduced.objective > 2e-9
+    assert abs(reduced.objective - full.objective) <= 1e-10
 
 
 def test_distance_on_243_matches_highs():

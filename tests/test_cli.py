@@ -13,11 +13,11 @@ import time
 import numpy as np
 import pytest
 
-from bellbox import Scenario, named_behavior
+from bellbox import Scenario, named_behavior, validate_behavior
 from bellbox.cli import _build_parser, main
 from bellbox.documents import emit_document, parse_document_text, write_document
 from bellbox.fixtures import fixture_path
-from bellbox.polytope import BellFunctional
+from bellbox.polytope import BellFunctional, strategy_matrix
 from bellbox.quantum import named_setup
 
 ROOT2 = float(np.sqrt(2.0))
@@ -114,6 +114,34 @@ def test_classify_accepts_setup_documents(capsys):
     code, out, _ = run_cli(capsys, "classify", "--format", "structured", fx("singlet_chsh"))
     assert code == 0
     assert json.loads(out)["verdict"] == "weakly nonlocal"
+
+
+@pytest.mark.parametrize(("parties", "seed"), [(2, 2), (2, 12), (3, 0)])
+def test_local_model_support_is_counted_once(capsys, tmp_path, parties, seed):
+    """Six strategies under white noise: the simplex can leave weights of
+    1e-17 basic.  The summary, the structured support and the text
+    witness all count the model's nonzero weights, and none of those is
+    round-off."""
+    sc = Scenario.uniform(parties, 2, 2)
+    V = strategy_matrix(sc)
+    rng = np.random.default_rng(seed)
+    idx = rng.choice(V.shape[1], 6, replace=False)
+    w = rng.dirichlet(np.ones(6))
+    noise = rng.uniform(0.1, 0.3)
+    probs = (1.0 - noise) * V[:, idx] @ w + noise * V.mean(axis=1)
+    doc = tmp_path / "mixture.json"
+    write_document(validate_behavior(sc, probs), doc)
+    code, out, _ = run_cli(capsys, "classify", "--format", "structured", str(doc))
+    assert code == 0
+    payload = json.loads(out)
+    weights = np.array(payload["witness"]["weights"])
+    support = int(np.count_nonzero(weights))
+    assert payload["witness"]["support"] == support
+    assert f"a mixture of {support} deterministic" in payload["summary"]
+    assert weights[weights > 0.0].min() > 1e-9
+    code, out, _ = run_cli(capsys, "classify", str(doc))
+    assert f"local model mixing {support} deterministic strategies" in out
+    assert out.count("  strategy ") == support
 
 
 def test_classify_werner_fixtures_split(capsys):

@@ -2,8 +2,11 @@
 
 import dataclasses
 
+from unittest import mock
+
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 from scipy.optimize import linprog
 
 from bellbox.errors import SizeCapError, StalledError, ValidationError
@@ -296,6 +299,25 @@ def test_tampered_farkas_is_flagged():
     assert not report.ok
 
 
+def test_suboptimal_point_with_matching_dual_value_is_flagged():
+    """min x0 + 2 x1 + 5 x2 s.t. x0 + x2 = 1, x1 = 1 has optimum 3 at
+    (1, 1, 0).  The point (0, 1, 1) costs 7, and y = (7, 0) has the same
+    value y.b = 7, but its reduced costs (-6, 2, -2) are not dual
+    feasible, so equal values prove nothing."""
+    lp = LinearProgram(A=np.array([[1.0, 0.0, 1.0], [0.0, 1.0, 0.0]]),
+                       b=np.array([1.0, 1.0]), c=np.array([1.0, 2.0, 5.0]),
+                       maximize=False)
+    claim = LpOutcome(status="optimal", x=np.array([0.0, 1.0, 1.0]),
+                      y=np.array([7.0, 0.0]), objective=7.0)
+    report = verify_certificate(lp, claim)
+    assert report.duality_gap == 0.0
+    assert report.reduced_cost_min == -6.0
+    assert not report.ok
+    out = solve(lp)
+    assert out.objective == pytest.approx(3.0, abs=1e-12)
+    assert verify_certificate(lp, out).ok
+
+
 def test_weak_duality_holds_at_optimum():
     rng = np.random.default_rng(3)
     for _ in range(20):
@@ -309,6 +331,85 @@ def test_weak_duality_holds_at_optimum():
         if out.status != "optimal":
             continue
         assert abs(float(lp.c @ out.x) - float(out.y @ lp.b)) < 1e-7
+
+
+# -- the floor stop ----------------------------------------------------------
+
+def zero_floor_data(seed: int):
+    """Small integer A, a feasible x0 and costs >= 0 that vanish on the
+    support of x0, so min c.x s.t. A x = A x0, x >= 0 is exactly 0."""
+    rng = np.random.default_rng(seed)
+    m, n = int(rng.integers(1, 5)), int(rng.integers(2, 8))
+    A = rng.integers(-3, 4, size=(m, n)).astype(float)
+    x0 = rng.integers(0, 4, size=n) * (rng.random(n) < 0.5)
+    cost = np.where(x0 > 0, 0, rng.integers(0, 5, size=n)).astype(float)
+    return A, x0, cost
+
+
+@settings(deadline=None, max_examples=60)
+@given(seed=st.integers(0, 2**32 - 1), maximize=st.booleans())
+def test_zero_optimum_under_nonnegative_costs_has_zero_duals(seed, maximize):
+    """c.x >= 0 on every feasible x, so a feasible point of cost 0 is
+    optimal and y = 0 certifies it, in floats and exactly."""
+    A, x0, cost = zero_floor_data(seed)
+    lp = LinearProgram(A=A, b=A @ x0, c=-cost if maximize else cost,
+                       maximize=maximize)
+    out = solve(lp, rational_check=True)
+    assert out.status == "optimal"
+    assert abs(out.objective) <= 1e-9
+    assert not np.any(out.y)
+    assert verify_certificate(lp, out).ok
+    assert out.rational_verified is True
+
+
+@pytest.mark.parametrize("A, b, c", [
+    # a tiny cost on a large right-hand side: x0 starts basic at cost 5e-7
+    ([[1.0, 1.0]], [1000.0], [5e-10, 0.0]),
+    # O(1) costs beside a large row: x2 starts basic at cost 5e-4
+    ([[1.0, 1.0, 0.0, 0.0], [0.0, 0.0, 1.0, 1.0]], [1e6, 5e-4],
+     [0.0, 0.0, 1.0, 0.0]),
+], ids=["tiny-cost", "mixed-scale-rhs"])
+def test_floor_band_is_not_scaled_by_the_rhs(A, b, c):
+    """The starting vertex costs less than tol * |b|_inf but more than
+    tol; the optimum is 0, and a stop at the starting vertex would leave
+    a duality gap that verify_certificate rejects."""
+    lp = LinearProgram(A=np.array(A), b=np.array(b), c=np.array(c), maximize=False)
+    out = solve(lp, rational_check=True)
+    assert out.status == "optimal"
+    assert out.objective == 0.0
+    assert verify_certificate(lp, out).ok
+    assert out.rational_verified is True
+
+
+@settings(deadline=None, max_examples=60)
+@given(seed=st.integers(0, 2**32 - 1))
+def test_negative_cost_never_stops_at_the_floor(seed):
+    """One cost made negative, with sum(x) capped so the optimum stays
+    finite: the phase that prices it never ends on the floor test, and
+    the duals it returns are dual feasible."""
+    A0, x0, cost = zero_floor_data(seed)
+    m, n = A0.shape
+    # x0 plus a slack of 1 meets the cap row sum(x) + slack = sum(x0) + 1
+    A = np.vstack([np.hstack([A0, np.zeros((m, 1))]), np.ones((1, n + 1))])
+    b = np.append(A0 @ x0, x0.sum() + 1.0)
+    c = np.append(cost, 0.0)
+    c[np.random.default_rng(seed).integers(n)] = -1.0
+    lp = LinearProgram(A=A, b=b, c=c, maximize=False)
+    stops = []
+
+    def recording(sx, _original=_Simplex.at_floor):
+        hit = _original(sx)
+        if hit:
+            stops.append(float(sx.cost[:sx.n].min()))
+        return hit
+
+    with mock.patch.object(_Simplex, "at_floor", recording):
+        out = solve(lp, rational_check=True)
+    assert all(least >= 0.0 for least in stops)
+    assert out.status == "optimal"
+    assert out.objective == pytest.approx(scipy_status(lp)[1], abs=1e-9)
+    assert verify_certificate(lp, out).ok
+    assert out.rational_verified is True
 
 
 # -- randomized scipy cross-check -------------------------------------------

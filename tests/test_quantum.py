@@ -12,6 +12,7 @@ from hypothesis import given, settings, strategies as st
 
 from bellbox import Scenario, named_behavior, no_signalling_defect
 from bellbox.errors import ValidationError
+from bellbox.scenario import flat_index
 from bellbox.quantum import (
     BellSetup,
     MeasurementSet,
@@ -138,6 +139,34 @@ def test_singlet_pair_probabilities_match_closed_form():
     assert beh.prob((0, 0), (0, 1)) == pytest.approx((1.0 + c) / 4.0, abs=1e-12)
     assert beh.prob((0, 0), (1, 0)) == pytest.approx((1.0 + c) / 4.0, abs=1e-12)
     assert beh.prob((0, 0), (1, 1)) == pytest.approx((1.0 - c) / 4.0, abs=1e-12)
+
+
+def kron_born_table(setup):
+    """The Born rule entry by entry: Tr[rho (A_a^x kron B_b^y)]."""
+    sc = setup.scenario
+    vec = np.zeros(sc.dimension)
+    for x, y in sc.joint_inputs():
+        for a, b in sc.joint_outputs((x, y)):
+            joint = np.kron(setup.alice.effects[x][a], setup.bob.effects[y][b])
+            vec[flat_index(sc, (x, y), (a, b))] = float(np.real(np.trace(setup.state.rho @ joint)))
+    return vec
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_born_rule_matches_the_kron_loop(seed):
+    """Unequal dimensions, and outcome counts that differ between inputs
+    (one input of each party lifted with a no-click outcome)."""
+    base = random_setup(seed=seed, dims=(2 + seed % 3, 2 + seed % 2), inputs=(3, 2))
+    eta = 0.5 + 0.05 * seed
+    alice = MeasurementSet(dim=base.alice.dim, effects=(
+        base.alice.effects[0], lift_with_efficiency(base.alice, eta).effects[1],
+        base.alice.effects[2]))
+    bob = MeasurementSet(dim=base.bob.dim, effects=(
+        lift_with_efficiency(base.bob, eta).effects[0], base.bob.effects[1]))
+    for setup in (base, BellSetup(state=base.state, alice=alice, bob=bob)):
+        beh = behavior_from_setup(setup)
+        assert beh.scenario == setup.scenario
+        np.testing.assert_allclose(beh.probs, kron_born_table(setup), rtol=0.0, atol=1e-12)
 
 
 def test_product_state_computational_basis_is_deterministic():
