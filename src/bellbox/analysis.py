@@ -165,7 +165,9 @@ def membership(behavior: Behavior, tol: float = DEFAULT_TOL) -> MembershipResult
     violation is strictly positive.  Signalling behaviors are legitimate
     inputs; their inequalities are canonicalized in the weaker gauge that
     only removes per-block constants, so the reported violation applies
-    to the behavior as given.
+    to the behavior as given.  A table within tol of no-signalling whose
+    cut separates it only through that signalling is inside when such a
+    mixture exists.
     """
     return _membership(behavior, tol, gauge=None)
 
@@ -181,13 +183,39 @@ def _membership(behavior: Behavior, tol: float, gauge: str | None) -> Membership
         ns_gap = no_signalling_defect(behavior).max_defect
         gauge = "no_signalling" if ns_gap <= tol else "normalization"
     raw = BellFunctional(scenario=behavior.scenario, coeffs=witness)
-    functional = canonicalize(raw, gauge=gauge)
+    try:
+        functional, violation = _canonical_cut(raw, behavior, gauge)
+    except StalledError:
+        if gauge != "no_signalling":
+            raise
+        # a cut with nothing left to violate once the no-signalling gauge
+        # is removed parts the box from the local set only through its
+        # signalling, which is within tol in every marginal but may add up
+        # to more than tol in l1: the box is local if a mixture reproduces
+        # it to within MODEL_TOL
+        is_local, weights = _decide(behavior, MODEL_TOL)
+        if not is_local:
+            raise
+        model = LocalModel(scenario=behavior.scenario, weights=weights)
+        return MembershipResult(is_local=True, model=model)
+    return MembershipResult(is_local=False, functional=functional, violation=violation)
+
+
+def _canonical_cut(raw: BellFunctional, behavior: Behavior,
+                   gauge: str) -> tuple[BellFunctional, float]:
+    """The solver's cut in canonical form with its violation on the
+    behavior; a cut that has no canonical form or loses its violation
+    raises ``StalledError``, since the cut is the solver's own."""
+    try:
+        functional = canonicalize(raw, gauge=gauge)
+    except ValidationError as exc:
+        raise StalledError(f"separating cut has no canonical form in the {gauge} gauge") from exc
     violation = float(functional.value(behavior) - functional.local_bound)
     if violation <= 0.0:
         raise StalledError(
             f"separating cut lost its violation ({violation:.3e}) during canonicalization"
         )
-    return MembershipResult(is_local=False, functional=functional, violation=violation)
+    return functional, violation
 
 
 def classify(behavior: Behavior, tol: float = DEFAULT_TOL) -> Classification:
@@ -200,8 +228,12 @@ def classify(behavior: Behavior, tol: float = DEFAULT_TOL) -> Classification:
     report = no_signalling_defect(behavior)
     if report.max_defect > tol:
         party, x, a, (ctx_hi, ctx_lo) = report.worst_marginal
+        if isinstance(party, int):
+            marginal = f"party {party}'s chance of output {a} under input {x}"
+        else:
+            marginal = f"the joint chance of outputs {a} of parties {party} under inputs {x}"
         summary = (
-            f"Signalling: party {party}'s chance of output {a} under input {x} "
+            f"Signalling: {marginal} "
             f"moves by {report.max_defect:.6g} when the remote inputs change from "
             f"{ctx_lo} to {ctx_hi}, so the box transmits information between sites."
         )

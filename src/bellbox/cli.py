@@ -149,11 +149,14 @@ def _witness_lines(c) -> list[str]:
                 + _functional_lines(c.functional)
                 + [f"  violation: {_fmt(c.violation)}"])
     party, x, a, (ctx_hi, ctx_lo) = c.signalling.worst_marginal
+    if isinstance(party, int):
+        marginal = f"party {party}, output {a} under input {x}"
+    else:
+        marginal = f"parties {party}, outputs {a} under inputs {x}"
     return [
         "witness: marginal shift",
         f"  max defect: {_fmt(c.signalling.max_defect)}",
-        f"  party {party}, output {a} under input {x}, "
-        f"remote contexts {ctx_hi} vs {ctx_lo}",
+        f"  {marginal}, remote contexts {ctx_hi} vs {ctx_lo}",
     ]
 
 

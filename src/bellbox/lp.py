@@ -10,7 +10,11 @@ starts on a structural column that already equals its unit vector,
 where one exists, and on its artificial otherwise.  The entering column
 is the one with the most negative reduced cost (Dantzig's rule); after a
 long run of degenerate pivots the rule falls back to Bland's smallest
-index, which cannot cycle, until the objective moves again.  When every
+index, which cannot cycle, until the objective moves again.  The ratio
+test takes no pivot below ``RATIO_TOL`` of the entering column's largest
+entry, reads basic values a round-off below zero as zero, and breaks
+near-ties only among rows whose step leaves every basic value above
+``-TIE_TOL``.  When every
 cost is nonnegative, c.x >= 0 holds on the whole feasible set, so a
 feasible basis whose objective is within tol of zero is optimal to
 within tol as it stands: phase 2 stops there, whatever the reduced
@@ -34,6 +38,10 @@ import numpy as np
 from .errors import SizeCapError, StalledError, ValidationError
 
 PIVOT_TOL = 1e-10
+# least pivot in the ratio test, relative to the entering column's largest entry
+RATIO_TOL = 1e-9
+# how far a tie taken in the ratio test may step any basic value below zero
+TIE_TOL = 1e-11
 DEFAULT_TOL = 1e-9
 VERIFY_TOL = 1e-7
 DEFAULT_MAX_ITERS = 10_000
@@ -301,13 +309,32 @@ class _Simplex:
                     return "optimal", None
                 j = int(eligible[0])  # Bland: smallest eligible index
             col = self.column(j)
-            pos = np.flatnonzero(col > PIVOT_TOL)
+            # a pivot small beside its column blows B^-1 up
+            pos = np.flatnonzero(col > RATIO_TOL * max(1.0, float(np.abs(col).max())))
             if pos.size == 0:
                 return "unbounded", j
-            ratios = self.xB[pos] / col[pos]
+            piv = col[pos]
+            ratios = self.xB[pos] / piv
             best = ratios.min()
-            tied = pos[ratios <= best + PIVOT_TOL]
-            i = min(tied.tolist(), key=self.basis.__getitem__)  # Bland tie-break
+            if best < 0.0:
+                # a basic value a round-off below zero is read as zero: its
+                # own ratio would be a large negative step that drives the
+                # other basic values negative
+                ratios = np.maximum(ratios, 0.0)
+                best = 0.0
+            band = ratios <= best + PIVOT_TOL
+            tied = pos[band]
+            if tied.size == 1:
+                i = int(tied[0])
+            else:
+                # ties are bounded in x as well as in the ratio: a ratio
+                # band alone lets a basic value with column entry c fall
+                # to -c * PIVOT_TOL, and the floor stop then reads the
+                # objective of a point that is not feasible
+                room = np.maximum(self.xB[tied], 0.0)
+                reach = ((room + TIE_TOL) / piv[band]).min()
+                tied = tied[ratios[band] <= reach]
+                i = min(tied.tolist(), key=self.basis.__getitem__)  # Bland tie-break
             degenerate = degenerate + 1 if best <= PIVOT_TOL else 0
             self._pivot(i, j, col)
 
@@ -487,7 +514,9 @@ def verify_certificate(lp: LinearProgram, outcome: LpOutcome,
         value = float(lp.c @ outcome.x)
         fields["objective_gap"] = abs(value - outcome.objective)
         ok &= fields["objective_gap"] <= tol * max(1.0, abs(value))
-        if outcome.y is not None:
+        if outcome.y is None:
+            ok = False  # a feasible x alone proves no optimum
+        else:
             gap, least = _dual_check(lp, outcome)
             fields["duality_gap"] = gap
             fields["reduced_cost_min"] = least

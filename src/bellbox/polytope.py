@@ -24,7 +24,8 @@ from functools import lru_cache
 import numpy as np
 
 from .errors import SizeCapError, StalledError, ValidationError
-from .scenario import _CHSH_SCENARIO, Behavior, Scenario, flat_index, validate_behavior
+from .scenario import (_CHSH_SCENARIO, Behavior, Scenario, flat_index, marginal_differences,
+                       marginal_indicator, validate_behavior)
 
 STRATEGY_CAP = 10_000_000
 FACET_VERTEX_CAP = 256
@@ -269,41 +270,16 @@ class ReducedSpace:
 @lru_cache(maxsize=32)
 def reduced_space(scenario: Scenario) -> ReducedSpace:
     rows = []
-    parties = range(scenario.parties)
-    subsets = []
     for size in range(1, scenario.parties + 1):
-        subsets.extend(itertools.combinations(parties, size))
-    for T in subsets:
-        input_ranges = [range(scenario.inputs_per_party[p]) for p in T]
-        for t_inputs in itertools.product(*input_ranges):
-            out_ranges = [range(scenario.outputs[p][x] - 1)
-                          for p, x in zip(T, t_inputs)]
-            for t_outputs in itertools.product(*out_ranges):
-                rows.append(_marginal_row(scenario, T, t_inputs, t_outputs))
+        base = (0,) * (scenario.parties - size)  # remote inputs pinned to zero
+        for T in itertools.combinations(range(scenario.parties), size):
+            for t_inputs in itertools.product(*(range(scenario.inputs_per_party[p]) for p in T)):
+                for t_outputs in itertools.product(
+                        *(range(scenario.outputs[p][x] - 1) for p, x in zip(T, t_inputs))):
+                    rows.append(marginal_indicator(scenario, T, t_inputs, t_outputs, base))
     matrix = np.array(rows)
     matrix.setflags(write=False)
     return ReducedSpace(scenario=scenario, matrix=matrix)
-
-
-def _marginal_row(scenario, T, t_inputs, t_outputs) -> np.ndarray:
-    """Indicator summing P(outputs|inputs) over parties outside T, with
-    those parties' inputs pinned to zero."""
-    row = np.zeros(scenario.dimension)
-    inputs = [0] * scenario.parties
-    for p, x in zip(T, t_inputs):
-        inputs[p] = x
-    inputs = tuple(inputs)
-    fixed = dict(zip(T, t_outputs))
-    free = [p for p in range(scenario.parties) if p not in fixed]
-    free_ranges = [range(scenario.outputs[p][inputs[p]]) for p in free]
-    for combo in itertools.product(*free_ranges):
-        outputs = [0] * scenario.parties
-        for p, o in fixed.items():
-            outputs[p] = o
-        for p, o in zip(free, combo):
-            outputs[p] = o
-        row[flat_index(scenario, inputs, tuple(outputs))] = 1.0
-    return row
 
 
 # -- gauge span and canonical forms -----------------------------------------
@@ -316,13 +292,9 @@ def _gauge_basis(scenario: Scenario, include_marginals: bool = True) -> np.ndarr
     normalized no-signalling behaviors.  With ``include_marginals`` off
     only the normalization rows are used; shifts along those preserve
     violations on every normalized behavior, signalling or not."""
-    rows = [_block_indicator(scenario, joint) for joint in scenario.joint_inputs()]
+    gauge = np.array([_block_indicator(scenario, joint) for joint in scenario.joint_inputs()])
     if include_marginals:
-        parties = range(scenario.parties)
-        for size in range(1, scenario.parties):
-            for T in itertools.combinations(parties, size):
-                rows.extend(_difference_rows(scenario, T))
-    gauge = np.array(rows)
+        gauge = np.vstack([gauge, marginal_differences(scenario).matrix])
     u, s, _ = np.linalg.svd(gauge.T, full_matrices=False)
     rank = int((s > 1e-9 * s[0]).sum())
     q = u[:, :rank].copy()
@@ -333,46 +305,6 @@ def _gauge_basis(scenario: Scenario, include_marginals: bool = True) -> np.ndarr
 def _block_indicator(scenario, joint) -> np.ndarray:
     row = np.zeros(scenario.dimension)
     row[scenario.block_slice(joint)] = 1.0
-    return row
-
-
-def _difference_rows(scenario, T) -> list[np.ndarray]:
-    """For subset T: its marginal evaluated at any two settings of the
-    other parties' inputs must agree; one row per (T data, remote pair)."""
-    rows = []
-    others = [p for p in range(scenario.parties) if p not in T]
-    other_ranges = [range(scenario.inputs_per_party[p]) for p in others]
-    remote_contexts = list(itertools.product(*other_ranges))
-    if len(remote_contexts) < 2:
-        return rows
-    base = remote_contexts[0]
-    input_ranges = [range(scenario.inputs_per_party[p]) for p in T]
-    for t_inputs in itertools.product(*input_ranges):
-        out_ranges = [range(scenario.outputs[p][x]) for p, x in zip(T, t_inputs)]
-        for t_outputs in itertools.product(*out_ranges):
-            for context in remote_contexts[1:]:
-                row = (_context_indicator(scenario, T, t_inputs, t_outputs, others, context)
-                       - _context_indicator(scenario, T, t_inputs, t_outputs, others, base))
-                rows.append(row)
-    return rows
-
-
-def _context_indicator(scenario, T, t_inputs, t_outputs, others, context) -> np.ndarray:
-    row = np.zeros(scenario.dimension)
-    inputs = [0] * scenario.parties
-    for p, x in zip(T, t_inputs):
-        inputs[p] = x
-    for p, x in zip(others, context):
-        inputs[p] = x
-    inputs = tuple(inputs)
-    free_ranges = [range(scenario.outputs[p][inputs[p]]) for p in others]
-    for combo in itertools.product(*free_ranges):
-        outputs = [0] * scenario.parties
-        for p, o in zip(T, t_outputs):
-            outputs[p] = o
-        for p, o in zip(others, combo):
-            outputs[p] = o
-        row[flat_index(scenario, inputs, tuple(outputs))] = 1.0
     return row
 
 

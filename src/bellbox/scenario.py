@@ -12,7 +12,7 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, lru_cache
 
 import numpy as np
 
@@ -229,66 +229,115 @@ def mix(components, tol: float | None = None) -> Behavior:
     return validate_behavior(scenario, combo, tol=tol)
 
 
+def marginal_indicator(scenario: Scenario, T: tuple[int, ...], t_inputs: tuple[int, ...],
+                       t_outputs: tuple[int, ...], context: tuple[int, ...]) -> np.ndarray:
+    """Row whose product with a behavior is the joint marginal of the
+    parties in T: P(T's outputs | T's inputs) with the other parties'
+    inputs set to ``context`` (in party order) and their outputs summed."""
+    inputs = [0] * scenario.parties
+    outputs: list = [slice(None)] * scenario.parties
+    for p, x, a in zip(T, t_inputs, t_outputs):
+        inputs[p] = x
+        outputs[p] = a
+    others = [p for p in range(scenario.parties) if p not in T]
+    for p, x in zip(others, context):
+        inputs[p] = x
+    inputs = tuple(inputs)
+    row = np.zeros(scenario.dimension)
+    row[scenario.block_slice(inputs)].reshape(scenario.outputs_for(inputs))[tuple(outputs)] = 1.0
+    return row
+
+
+@dataclass(frozen=True, eq=False)
+class MarginalDifferences:
+    """The no-signalling conditions of a scenario as rows D, with D p = 0
+    exactly when p is no-signalling (Barrett et al., PRA 71, 022101 (2005)).
+
+    Row r is the joint marginal of a proper party subset T at the remote
+    context ``labels[r] = (T, T's inputs, T's outputs, context)`` minus
+    the same marginal at the base context, every remote input 0.  Rows
+    sharing (T, inputs, outputs) are contiguous and ``starts`` holds the
+    first row of each such group.  Ordered by subset size, then T, T's
+    inputs, T's outputs and context.
+    """
+
+    matrix: np.ndarray
+    labels: tuple[tuple, ...]
+    starts: np.ndarray
+
+
+@lru_cache(maxsize=32)
+def marginal_differences(scenario: Scenario) -> MarginalDifferences:
+    """Every marginal-difference row of every proper party subset; read-only."""
+    rows, labels, starts = [], [], []
+    for size in range(1, scenario.parties):
+        for T in itertools.combinations(range(scenario.parties), size):
+            contexts = list(itertools.product(
+                *(range(n) for p, n in enumerate(scenario.inputs_per_party) if p not in T)))
+            if len(contexts) < 2:
+                continue
+            for t_inputs in itertools.product(*(range(scenario.inputs_per_party[p]) for p in T)):
+                for t_outputs in itertools.product(
+                        *(range(scenario.outputs[p][x]) for p, x in zip(T, t_inputs))):
+                    starts.append(len(rows))
+                    base = marginal_indicator(scenario, T, t_inputs, t_outputs, contexts[0])
+                    for context in contexts[1:]:
+                        rows.append(marginal_indicator(scenario, T, t_inputs, t_outputs, context)
+                                    - base)
+                        labels.append((T, t_inputs, t_outputs, context))
+    matrix = np.array(rows).reshape(len(rows), scenario.dimension)
+    starts = np.array(starts, dtype=np.intp)
+    matrix.setflags(write=False)
+    starts.setflags(write=False)
+    return MarginalDifferences(matrix=matrix, labels=tuple(labels), starts=starts)
+
+
 @dataclass(frozen=True)
 class NoSignallingReport:
-    """Largest dependence of any one-party marginal on remote inputs.
+    """Largest dependence of any proper party subset's joint marginal on
+    the remote inputs.
 
-    ``max_defect`` is zero exactly when every party's output statistics are
-    independent of what the other parties asked; such behaviors cannot be
-    used to transmit anything between the parties.
+    ``max_defect`` is zero exactly when no party or group of parties
+    sees its output statistics move with what the others asked; such
+    behaviors cannot be used to transmit anything between the parties.
     ``worst_marginal`` is (party, input, output, (remote inputs A, remote
-    inputs B)), the marginal and context pair attaining the defect.
+    inputs B)), the marginal and context pair attaining the defect, the
+    first in ``marginal_differences`` order; for a group's joint marginal
+    the first three entries are equal-length tuples (parties, their
+    inputs, their outputs) and ``worst_party`` is the parties' tuple.
     """
 
     max_defect: float
-    worst_party: int
+    worst_party: int | tuple[int, ...]
     worst_marginal: tuple
 
 
-def _remote(inputs: tuple[int, ...], party: int) -> tuple[int, ...]:
-    return inputs[:party] + inputs[party + 1 :]
+_NO_DEFECT = NoSignallingReport(max_defect=0.0, worst_party=0, worst_marginal=(0, 0, 0, ((), ())))
 
 
 def no_signalling_defect(behavior: Behavior) -> NoSignallingReport:
-    """Scan all one-party marginals for dependence on remote inputs."""
-    scenario = behavior.scenario
-    marginals: dict[tuple, float] = {}
-    for joint_in in scenario.joint_inputs():
-        block = behavior.block(joint_in)
-        for k, joint_out in enumerate(scenario.joint_outputs(joint_in)):
-            p_val = float(block[k])
-            if p_val == 0.0:
-                continue
-            for p in range(scenario.parties):
-                key = (p, joint_in[p], joint_out[p], _remote(joint_in, p))
-                marginals[key] = marginals.get(key, 0.0) + p_val
-
-    best = 0.0
-    worst_party = 0
-    worst = (0, 0, ((), ()))
-    for p in range(scenario.parties):
-        remote_inputs = list(
-            itertools.product(
-                *(range(n) for q, n in enumerate(scenario.inputs_per_party) if q != p)
-            )
-        )
-        if len(remote_inputs) < 2:
-            continue
-        for x in range(scenario.inputs_per_party[p]):
-            for a in range(scenario.outputs[p][x]):
-                vals = [marginals.get((p, x, a, r), 0.0) for r in remote_inputs]
-                hi = max(range(len(vals)), key=lambda i: vals[i])
-                lo = min(range(len(vals)), key=lambda i: vals[i])
-                defect = vals[hi] - vals[lo]
-                if defect > best:
-                    best = defect
-                    worst_party = p
-                    worst = (x, a, (remote_inputs[hi], remote_inputs[lo]))
-    return NoSignallingReport(
-        max_defect=best,
-        worst_party=worst_party,
-        worst_marginal=(worst_party,) + worst,
-    )
+    """Largest max - min of one joint marginal of a proper party subset
+    over the remote contexts, read off the marginal differences D p; the
+    first group and the first contexts attaining it name the witness."""
+    md = marginal_differences(behavior.scenario)
+    if not md.starts.size:
+        return _NO_DEFECT
+    shifts = md.matrix @ behavior.probs
+    # each group's base context has shift 0
+    defects = (np.maximum(np.maximum.reduceat(shifts, md.starts), 0.0)
+               - np.minimum(np.minimum.reduceat(shifts, md.starts), 0.0))
+    g = int(np.argmax(defects))
+    if defects[g] <= 0.0:
+        return _NO_DEFECT
+    first = int(md.starts[g])
+    last = int(md.starts[g + 1]) if g + 1 < md.starts.size else len(md.labels)
+    T, t_inputs, t_outputs, context = md.labels[first]
+    contexts = [(0,) * len(context)] + [md.labels[r][3] for r in range(first, last)]
+    group = np.append(0.0, shifts[first:last])
+    worst = (T, t_inputs, t_outputs) if len(T) > 1 else (T[0], t_inputs[0], t_outputs[0])
+    pair = (contexts[int(np.argmax(group))], contexts[int(np.argmin(group))])
+    return NoSignallingReport(max_defect=float(defects[g]), worst_party=worst[0],
+                              worst_marginal=worst + (pair,))
 
 
 _CHSH_SCENARIO = Scenario.uniform(2, 2, 2)

@@ -283,6 +283,26 @@ def test_nonlocal_242_distance_program_pivots_are_pinned(seed, pivots):
     assert out.iterations == pivots
 
 
+def test_distance_program_stays_primal_feasible_on_323_mixture():
+    """A (3,2,3) mixture of deterministic strategies whose degenerate
+    solve meets a pivot of 1.5e-10 over a basic value of -7e-16.  Taking
+    that pivot stepped by -4.6e-6 and left basic weights near -0.011, an
+    'optimal' distance of -0.069 and a model that missed the table by
+    0.016.  The ratio test refuses pivots below 1e-9 of their column's
+    largest entry."""
+    sc = Scenario.uniform(3, 2, 3)
+    V = strategy_matrix(sc)
+    rng = np.random.default_rng(1034)
+    beh = validate_behavior(sc, V @ rng.dirichlet(np.full(V.shape[1], 0.2)))
+    out = solve(_distance_program(V, beh.probs))
+    assert out.status == "optimal"
+    assert out.x.min() >= -1e-12
+    assert abs(out.objective) <= 1e-9
+    is_local, weights = _decide(beh)
+    assert is_local
+    assert np.abs(V @ weights - beh.probs).max() <= MODEL_TOL
+
+
 def test_loose_tolerance_keeps_the_model_within_model_tol():
     """With tol = 1e-3 the decision accepts distances up to 1e-3, but the
     simplex still stops only within the default tol of distance 0, so the
@@ -420,6 +440,20 @@ def test_phase1_floor_stop_waits_for_a_feasible_point():
     full = solve(unreduced_program(V, beh.probs))
     assert reduced.objective > 2e-9
     assert abs(reduced.objective - full.objective) <= 1e-10
+
+
+def test_ratio_test_ties_keep_the_point_feasible():
+    """A (2,3,2) table 1e-9 from a local one.  Breaking a ratio-test tie
+    within 1e-10 of the least ratio let a basic value with column entry
+    8 fall to -4.7e-10, and the unreduced program stopped at the floor
+    with a distance of 1.6e-10, against 2.24e-9 for the reduced one."""
+    sc = Scenario.uniform(2, 3, 2)
+    beh = behavior_on(sc, 382, 1e-9)
+    V = strategy_matrix(sc)
+    reduced = solve(_distance_program(V, beh.probs))
+    full = solve(unreduced_program(V, beh.probs))
+    assert min(reduced.x.min(), full.x.min()) >= -1e-11
+    assert abs(reduced.objective - full.objective) <= 1e-11
 
 
 def test_distance_on_243_matches_highs():

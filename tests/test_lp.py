@@ -495,3 +495,16 @@ def test_deterministic_replay():
     second = solve(lp)
     assert first.iterations == second.iterations
     np.testing.assert_array_equal(first.x, second.x)
+
+
+def test_optimal_claim_without_duals_is_not_verified():
+    """x = (0, 1, 1) costs 7 against the optimum 3; without y nothing
+    proves it optimal, so the claim fails."""
+    lp = LinearProgram(A=np.array([[1.0, 0.0, 1.0], [0.0, 1.0, 0.0]]),
+                       b=np.array([1.0, 1.0]), c=np.array([1.0, 2.0, 5.0]),
+                       maximize=False)
+    claim = LpOutcome(status="optimal", x=np.array([0.0, 1.0, 1.0]), objective=7.0)
+    assert claim.y is None
+    report = verify_certificate(lp, claim)
+    assert report.residual == 0.0
+    assert not report.ok
