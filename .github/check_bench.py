@@ -1,14 +1,38 @@
-"""Fail unless every line of a perfbench/run.py JSONL output is correct
-and no operation of any workload failed.
+"""Fail unless every line of a perfbench/run.py JSONL output is correct,
+no operation of any workload failed, and a traced membership-242 line
+averages at most 60 simplex pivots per operation.
 
 usage: python3 .github/check_bench.py BENCH.jsonl
 
 run.py exits 0 even when its answer checks fail, so its lines are read
-here.  Neither verdicts nor membership-242 has a known failure.
+here.  Neither verdicts nor membership-242 has a known failure.  The
+pivot gate reads ``lp.pivots`` of a traced run made without
+``--workload`` (only those lines name their workload), so a regression
+in the pricing rule fails: steepest-edge pricing takes about 40 pivots
+per membership-242 operation on the 2-second smoke deck, pricing by the
+most negative reduced cost about 87.
 """
 import json
 import sys
 
+MAX_PIVOTS_242 = 60
+
+
+def failures(r: dict) -> list[str]:
+    out = []
+    if r["correct"] is not True or r["failed"] != 0:
+        out.append("answer checks failed or operations failed")
+    pivots = r["metrics"].get("lp.pivots")
+    if r.get("workload") == "membership-242" and pivots is not None:
+        if pivots["value"] > MAX_PIVOTS_242:
+            out.append(f"membership-242 takes {pivots['value']:.1f} pivots per operation, "
+                       f"above {MAX_PIVOTS_242}")
+    return out
+
+
 lines = [json.loads(s) for s in open(sys.argv[1]) if s.strip()]
 print(*lines, sep="\n")
-sys.exit(0 if lines and all(r["correct"] is True and r["failed"] == 0 for r in lines) else 1)
+problems = [p for r in lines for p in failures(r)]
+for p in problems:
+    print(f"check_bench: {p}", file=sys.stderr)
+sys.exit(0 if lines and not problems else 1)

@@ -2,27 +2,30 @@
 
 Equality-form problems over nonnegative (optionally free or box-bounded)
 variables are solved by a two-phase revised simplex that keeps the basis
-inverse, the basic values and the basic costs, and nothing else: each
-iteration prices every column from the row prices, forms only the
-entering column and updates the inverse by a rank-one change.
-Artificial columns are unit columns that are never stored.  Each row
-starts on a structural column that already equals its unit vector,
-where one exists, and on its artificial otherwise.  The entering column
-is the one with the most negative reduced cost (Dantzig's rule); after a
-long run of degenerate pivots the rule falls back to Bland's smallest
-index, which cannot cycle, until the objective moves again.  The ratio
-test takes no pivot below ``RATIO_TOL`` of the entering column's largest
-entry, reads basic values a round-off below zero as zero, and breaks
-near-ties only among rows whose step leaves every basic value above
-``-TIE_TOL``.  When every
-cost is nonnegative, c.x >= 0 holds on the whole feasible set, so a
-feasible basis whose objective is within tol of zero is optimal to
-within tol as it stands: phase 2 stops there, whatever the reduced
-costs say, and y = 0 is its dual certificate.  Every outcome carries
-evidence: a primal solution for feasible problems, a Farkas vector for
-infeasible ones, an improving ray for unbounded ones, and each can be
-checked against its own verification inequality by an independent
-routine.
+inverse, the basic values, the basic costs and, while a phase prices,
+its reduced costs and steepest-edge weights: each iteration forms only
+the entering column and the pivot row, updates the inverse by a
+rank-one change and carries the reduced costs and weights across the
+pivot.  Artificial columns are unit columns that are never stored.
+Each row starts on a structural column that already equals its unit
+vector, where one exists, and on its artificial otherwise.  The
+entering column is the steepest edge (Goldfarb and Reid, Math. Prog.
+12, 361 (1977)): the largest r_j^2 / (1 + |B^-1 a_j|^2) over reduced
+costs r_j below ``-PIVOT_TOL``, with the weights kept exact by rank-one
+updates and the reduced costs priced afresh every m pivots and before
+a phase ends.  After a long run of degenerate pivots the rule falls
+back to Bland's smallest index, which cannot cycle, until the objective
+moves again.  The ratio test takes no pivot below ``RATIO_TOL`` of the
+entering column's largest entry, reads basic values a round-off below
+zero as zero, and breaks near-ties only among rows whose step leaves
+every basic value above ``-TIE_TOL``.  When every cost is nonnegative,
+c.x >= 0 holds on the whole feasible set, so a feasible basis whose
+objective is within tol of zero is optimal to within tol as it stands:
+phase 2 stops there, whatever the reduced costs say, and y = 0 is its
+dual certificate.  Every outcome carries evidence: a primal solution
+for feasible problems, a Farkas vector for infeasible ones, an
+improving ray for unbounded ones, and each can be checked against its
+own verification inequality by an independent routine.
 
 Problem sizes are small (up to a few thousand columns), so the design
 optimizes for robustness and certificate extraction over raw speed.
@@ -182,10 +185,13 @@ class _StandardForm:
             b -= lp.A[:, j] * self.shift[j]
         n_struct = origin.size
         k = int(ranged.sum())
-        A_std = np.zeros((m + k, n_struct + k))
-        A_std[:m, :n_struct] = lp.A[:, origin] * col_sign
-        A_std[m + np.arange(k), self.first[ranged]] = 1.0
-        A_std[m + np.arange(k), n_struct + np.arange(k)] = 1.0  # range slacks
+        if n_struct == n and k == 0 and not negated.any():
+            A_std = lp.A  # every column stands as it is; nothing writes to it
+        else:
+            A_std = np.zeros((m + k, n_struct + k))
+            A_std[:m, :n_struct] = lp.A[:, origin] * col_sign
+            A_std[m + np.arange(k), self.first[ranged]] = 1.0
+            A_std[m + np.arange(k), n_struct + np.arange(k)] = 1.0  # range slacks
         c_min = np.zeros(n) if lp.c is None else (-lp.c if lp.maximize else lp.c)
         self.A = A_std
         self.b = np.concatenate([b, (hi - lo)[ranged]])
@@ -211,12 +217,14 @@ class _Simplex:
     tableau is ``Binv`` applied to the flipped system, so the row prices
     and the Farkas vector are ``cB Binv``.  Column ``n + i`` is the
     artificial of row ``i``, a unit column that is never stored.  Each
-    iteration prices with ``y = cB Binv``, forms only the entering column
-    ``Binv a_j`` and updates ``Binv`` by a rank-one change.  A row whose
-    flipped constraint already has a structural +e_i column starts with
-    that column basic instead of its artificial; either way the starting
-    basis matrix is the identity.  Under nonnegative costs a phase-2
-    basis whose objective is at most ``tol`` ends the phase.
+    iteration picks the steepest edge from the kept reduced costs and
+    weights, forms only the entering column ``Binv a_j``, updates the
+    reduced costs and weights from the pivot row and updates ``Binv`` by
+    a rank-one change.  A row whose flipped constraint already has a
+    structural +e_i column starts with that column basic instead of its
+    artificial; either way the starting basis matrix is the identity.
+    Under nonnegative costs a phase-2 basis whose objective is at most
+    ``tol`` ends the phase.
     """
 
     def __init__(self, A: np.ndarray, b: np.ndarray, max_iters: int,
@@ -244,6 +252,9 @@ class _Simplex:
         self.cost = np.zeros(n + m)
         self.cB = np.zeros(m)
         self.nonnegative = True
+        # steepest-edge state of the current ``run``: weights, reduced costs
+        self.weights = self.reduced = None
+        self.pair = np.empty((2, m))  # workspace of ``_update_pricing``
 
     # -- low-level ---------------------------------------------------------
     def column(self, j: int) -> np.ndarray:
@@ -256,7 +267,7 @@ class _Simplex:
         """Make ``j`` basic in row ``i``; ``col`` is its tableau column."""
         row = self.Binv[i] / col[i]
         value = self.xB[i] / col[i]
-        self.Binv -= col[:, None] * row
+        np.subtract(self.Binv, np.dot(col[:, None], row[None, :]), out=self.Binv)
         self.Binv[i] = row
         self.xB -= col * value
         self.xB[i] = value
@@ -283,31 +294,35 @@ class _Simplex:
         """Minimize the installed costs over the structural columns, and
         over the artificial ones too if ``artificials``.
 
-        Dantzig pricing picks the entering column; once ``BLAND_AFTER``
-        pivots in a row have left the objective where it was, Bland's
-        smallest-index rule takes over until a pivot moves it, so a
-        degenerate vertex cannot cycle.  In phase 2 (no artificials) a
-        basis at the floor (``at_floor``) is optimal without pricing;
-        phase 1 always runs to its priced optimum.
+        Steepest-edge pricing picks the entering column: among reduced
+        costs below ``-PIVOT_TOL`` it takes the largest r_j^2 / gamma_j,
+        where gamma_j = 1 + |Binv a_j|^2 is the squared length of the edge
+        that column j would move along.  The weights are formed on the
+        first pricing of the call that has a column to enter, so a phase
+        that starts optimal builds none; each pivot then updates them
+        exactly (Goldfarb and Reid), and the reduced costs with them, from
+        the pivot row.  The reduced costs are priced afresh from the row
+        prices every m pivots and before the phase is declared optimal.
+        Once ``BLAND_AFTER`` pivots in a row have left the objective where
+        it was, Bland's smallest-index rule takes over until a pivot moves
+        it, so a degenerate vertex cannot cycle.  In phase 2 (no
+        artificials) a basis at the floor (``at_floor``) is optimal
+        without pricing; phase 1 always runs to its priced optimum.
         """
-        n = self.n
-        degenerate = 0
+        self.weights = self.reduced = None
+        degenerate = stale = 0
         while True:
             if not artificials and self.at_floor():
                 return "optimal", None
-            y = self.prices()
-            r = self.cost[:n] - y @ self.A
-            if artificials:
-                r = np.concatenate([r, self.cost[n:] - y])
-            if degenerate < BLAND_AFTER:
-                j = int(np.argmin(r))  # Dantzig
-                if r[j] >= -PIVOT_TOL:
-                    return "optimal", None
-            else:
-                eligible = np.flatnonzero(r < -PIVOT_TOL)
-                if eligible.size == 0:
-                    return "optimal", None
-                j = int(eligible[0])  # Bland: smallest eligible index
+            if self.reduced is None or stale >= len(self.basis):
+                self.reduced, stale = self.reduced_costs(artificials), 0
+            j = self._entering(degenerate < BLAND_AFTER, artificials)
+            if j is None and stale:
+                # an updated pricing never ends a phase: price afresh first
+                self.reduced, stale = self.reduced_costs(artificials), 0
+                j = self._entering(degenerate < BLAND_AFTER, artificials)
+            if j is None:
+                return "optimal", None
             col = self.column(j)
             # a pivot small beside its column blows B^-1 up
             pos = np.flatnonzero(col > RATIO_TOL * max(1.0, float(np.abs(col).max())))
@@ -336,7 +351,78 @@ class _Simplex:
                 tied = tied[ratios[band] <= reach]
                 i = min(tied.tolist(), key=self.basis.__getitem__)  # Bland tie-break
             degenerate = degenerate + 1 if best <= PIVOT_TOL else 0
+            self._update_pricing(i, j, col, artificials)
+            stale += 1
             self._pivot(i, j, col)
+
+    def _entering(self, steepest: bool, artificials: bool) -> int | None:
+        """The entering column under the kept reduced costs, None when no
+        cost is below ``-PIVOT_TOL``: the largest r_j^2 / gamma_j, or the
+        smallest index under Bland's rule.  The weights are built here, on
+        the first pricing with a column to enter."""
+        r = self.reduced
+        eligible = r < -PIVOT_TOL
+        if not eligible.any():
+            return None
+        if not steepest:
+            return int(eligible.argmax())
+        if self.weights is None:
+            self.weights = self.edge_weights(artificials)
+        score = np.where(eligible, r, 0.0)
+        score *= score
+        score /= self.weights
+        return int(score.argmax())
+
+    def reduced_costs(self, artificials: bool) -> np.ndarray:
+        """Reduced costs of the priced columns, from ``y = cB Binv``."""
+        y = self.prices()
+        r = self.cost[:self.n] - y @ self.A
+        if artificials:
+            r = np.concatenate([r, self.cost[self.n:] - y])
+        return r
+
+    def edge_weights(self, artificials: bool) -> np.ndarray:
+        """Steepest-edge weights 1 + |Binv a_j|^2 of the priced columns;
+        an artificial column is a unit column, so its image is a column
+        of ``Binv``."""
+        T = self.Binv @ self.A
+        w = 1.0 + np.einsum("ij,ij->j", T, T)
+        if artificials:
+            w = np.concatenate([w, 1.0 + np.einsum("ij,ij->j", self.Binv, self.Binv)])
+        return w
+
+    def _update_pricing(self, i: int, j: int, col: np.ndarray, artificials: bool):
+        """Carry the reduced costs and edge weights across the pivot that
+        makes ``j`` basic in row ``i``; reads ``Binv`` before the pivot.
+
+        With alpha the pivot row of the tableau and ratio = alpha / col[i],
+        r_k loses r_j * ratio_k and gamma_k becomes
+        max(gamma_k - 2 ratio_k a_k.(Binv^T col) + ratio_k^2 gamma_j,
+        1 + ratio_k^2), gamma_j = 1 + |col|^2 exactly.  The leaving column
+        takes max(gamma_j / col[i]^2, 1)."""
+        pair = self.pair  # row i of Binv and col^T Binv, written in place
+        pair[0] = self.Binv[i]
+        np.dot(col, self.Binv, out=pair[1])
+        rows = pair @ self.A
+        if artificials:
+            rows = np.hstack((rows, pair))
+        ratio, dots = rows
+        ratio /= col[i]
+        gamma = 1.0 + float(col @ col)
+        r, w = self.reduced, self.weights
+        rj = r[j]
+        r -= rj * ratio
+        dots *= 2.0
+        dots -= gamma * ratio
+        dots *= ratio
+        w -= dots
+        floor = ratio * ratio
+        floor += 1.0
+        np.maximum(w, floor, out=w)
+        leave = self.basis[i]
+        r[j] = 0.0
+        r[leave] = -rj / col[i]
+        w[leave] = max(gamma / (col[i] * col[i]), 1.0)
 
     # -- phases ------------------------------------------------------------
     def is_artificial(self, j: int) -> bool:
@@ -511,16 +597,16 @@ def verify_certificate(lp: LinearProgram, outcome: LpOutcome,
         ok &= res <= tol and bv <= tol
 
     if status == "optimal":
-        value = float(lp.c @ outcome.x)
-        fields["objective_gap"] = abs(value - outcome.objective)
-        ok &= fields["objective_gap"] <= tol * max(1.0, abs(value))
-        if outcome.y is None:
-            ok = False  # a feasible x alone proves no optimum
+        if outcome.x is None or outcome.y is None:
+            ok = False  # a feasible x alone proves no optimum, nor do prices alone
         else:
+            value = float(lp.c @ outcome.x)
+            fields["objective_gap"] = abs(value - outcome.objective)
             gap, least = _dual_check(lp, outcome)
             fields["duality_gap"] = gap
             fields["reduced_cost_min"] = least
-            ok &= gap <= tol * max(1.0, abs(value)) and least >= -tol
+            scale = tol * max(1.0, abs(value))
+            ok &= fields["objective_gap"] <= scale and gap <= scale and least >= -tol
     elif status == "infeasible":
         if outcome.y is None:
             ok = False

@@ -40,6 +40,7 @@ from bellbox.quantum import (
     named_setup,
     random_setup,
 )
+from test_no_signalling import _pr_box_on_pair
 
 ROOT2 = float(np.sqrt(2.0))
 CHSH_MAX = 2.0 * ROOT2
@@ -273,7 +274,7 @@ def test_local_242_distance_programs_stop_at_zero_distance():
     assert total <= 600
 
 
-@pytest.mark.parametrize(("seed", "pivots"), [(1, 243), (2, 146)])
+@pytest.mark.parametrize(("seed", "pivots"), [(1, 93), (2, 69)])
 def test_nonlocal_242_distance_program_pivots_are_pinned(seed, pivots):
     """A nonlocal table never reaches the floor, so its pivots are those
     of the pricing rule alone; a change to either shows here."""
@@ -301,6 +302,27 @@ def test_distance_program_stays_primal_feasible_on_323_mixture():
     is_local, weights = _decide(beh)
     assert is_local
     assert np.abs(V @ weights - beh.probs).max() <= MODEL_TOL
+
+
+@pytest.mark.parametrize("seed", [6, 53])
+def test_perturbed_323_pr_box_is_decided_far_below_the_pivot_cap(seed):
+    """A (3,2,3) PR box on a random pair mixed with 1e-10 to 1e-8 of a
+    random table.  Nearly every pivot on it is degenerate at the scale of
+    the perturbation: pricing by the most negative reduced cost took 8,556
+    pivots on seed 6 and passed the 10,000 cap on seed 53.  Steepest-edge
+    pricing takes 271 and 691."""
+    rng = np.random.default_rng(seed)
+    box = _pr_box_on_pair(rng, 3)
+    eps = 10 ** rng.uniform(-10, -8)
+    p = (1 - eps) * box + eps * rng.dirichlet(np.ones(27), size=8).reshape(-1)
+    beh = validate_behavior(Scenario.uniform(3, 2, 3), p)
+    V = strategy_matrix(beh.scenario)
+    out = solve(_distance_program(V, beh.probs))
+    assert out.status == "optimal"
+    assert out.iterations <= 1500
+    is_local, cut = _decide(beh)  # raises unless the cut passes its recheck
+    assert not is_local
+    assert cut @ beh.probs > (cut @ V).max()
 
 
 def test_loose_tolerance_keeps_the_model_within_model_tol():

@@ -485,6 +485,98 @@ def test_random_free_variable_problems_match_scipy(seed):
         assert abs(out.objective - value) < 1e-6 * max(1.0, abs(value))
 
 
+# -- steepest-edge pricing --------------------------------------------------
+
+def _priced_random_lp(seed: int) -> LinearProgram:
+    """A feasible program bounded below, whose rows all start on their
+    artificials (a normal matrix has no unit column), so both phases
+    price."""
+    rng = np.random.default_rng(3000 + seed)
+    m = int(rng.integers(3, 9))
+    n = int(rng.integers(m + 2, 3 * m + 1))
+    A = rng.normal(size=(m, n))
+    b = A @ rng.random(n)
+    # c.x = z.b + s.x on the feasible set, with s >= 0
+    c = A.T @ rng.normal(size=m) + rng.random(n)
+    return LinearProgram(A=A, b=b, c=c, maximize=False)
+
+
+def test_steepest_edge_weights_are_exact_after_every_pivot():
+    """The weights the kernel carries by rank-one updates equal
+    1 + |Binv a_j|^2 on every nonbasic priced column after each pivot of
+    either phase; an artificial column's image is a column of Binv."""
+    phase: list = []  # artificials of the run under way, empty between runs
+    checked = {True: 0, False: 0}
+    run, pivot = _Simplex.run, _Simplex._pivot
+
+    def watched_run(self, artificials):
+        phase.append(artificials)
+        try:
+            return run(self, artificials)
+        finally:
+            phase.pop()
+
+    def watched_pivot(self, i, j, col):
+        pivot(self, i, j, col)
+        if not phase:
+            return  # driving out artificials between the phases prices nothing
+        images = self.Binv @ self.A
+        if phase[-1]:
+            images = np.hstack([images, self.Binv])
+        fresh = 1.0 + (images * images).sum(axis=0)
+        nonbasic = np.setdiff1d(np.arange(fresh.size), self.basis)
+        np.testing.assert_allclose(self.weights[nonbasic], fresh[nonbasic], rtol=1e-8)
+        checked[phase[-1]] += 1
+
+    with mock.patch.object(_Simplex, "run", watched_run), \
+            mock.patch.object(_Simplex, "_pivot", watched_pivot):
+        for seed in range(25):
+            lp = _priced_random_lp(seed)
+            out = solve(lp)
+            assert out.status == "optimal"
+            assert verify_certificate(lp, out).ok
+    assert checked[True] > 0 and checked[False] > 0
+
+
+def test_updated_reduced_costs_match_a_fresh_pricing():
+    """Each fresh pricing, every m pivots and before a phase is declared
+    optimal, finds the reduced costs kept by pivot-row updates within
+    1e-9 of its own; and every priced optimal exit of a run that pivoted
+    comes after such a comparison."""
+    compared = []  # per pricing: did it find updated costs to compare?
+    exits = 0
+    fresh_costs = _Simplex.reduced_costs
+
+    def watched_costs(self, artificials):
+        fresh = fresh_costs(self, artificials)
+        if self.reduced is not None:
+            np.testing.assert_allclose(self.reduced, fresh, rtol=0.0, atol=1e-9)
+        compared.append(self.reduced is not None)
+        return fresh
+
+    run = _Simplex.run
+
+    def watched_run(self, artificials):
+        nonlocal exits
+        before, compared[:] = self.iterations, []
+        status, enter = run(self, artificials)
+        floor = not artificials and self.at_floor()
+        if status == "optimal" and self.iterations > before and not floor:
+            assert compared[-1], "an optimal exit read reduced costs never priced afresh"
+            exits += 1
+        return status, enter
+
+    with mock.patch.object(_Simplex, "reduced_costs", watched_costs), \
+            mock.patch.object(_Simplex, "run", watched_run):
+        for seed in range(25):
+            lp = _priced_random_lp(seed)
+            out = solve(lp)
+            assert out.status == "optimal"
+            _, value = scipy_status(lp)
+            assert out.objective == pytest.approx(value, rel=1e-7, abs=1e-7)
+    assert exits >= 25
+
+
 def test_deterministic_replay():
     rng = np.random.default_rng(5)
     A = rng.normal(size=(4, 9))
@@ -507,4 +599,16 @@ def test_optimal_claim_without_duals_is_not_verified():
     assert claim.y is None
     report = verify_certificate(lp, claim)
     assert report.residual == 0.0
+    assert not report.ok
+
+
+def test_optimal_claim_without_a_point_is_not_verified():
+    """y = (1, 2) prices the program above exactly (reduced costs 0, 0, 4
+    and y.b = 3), but prices alone prove no optimum: with x missing the
+    claim fails instead of raising."""
+    lp = LinearProgram(A=np.array([[1.0, 0.0, 1.0], [0.0, 1.0, 0.0]]),
+                       b=np.array([1.0, 1.0]), c=np.array([1.0, 2.0, 5.0]),
+                       maximize=False)
+    claim = LpOutcome(status="optimal", y=np.array([1.0, 2.0]), objective=3.0)
+    report = verify_certificate(lp, claim)
     assert not report.ok
