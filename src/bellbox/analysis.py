@@ -11,6 +11,10 @@ The critical visibility has a program of its own: the largest weight of
 a behavior in a mixture with local noise that stays local.  Its optimal
 mixture and its row prices answer every probe of the visibility
 bisection, so that threshold takes one solve instead of one per probe.
+
+Every default and recheck tolerance here comes from ``tolerances``, and
+each public entry point refuses a ``tol`` that is not a positive, finite
+number (``require_tolerance``) before any program is built.
 """
 
 from __future__ import annotations
@@ -20,17 +24,14 @@ from enum import Enum
 
 import numpy as np
 
-from .errors import SizeCapError, StalledError, ValidationError
-from .lp import DIMENSION_CAP, LinearProgram, solve
+from .errors import StalledError, ValidationError
+from .lp import LinearProgram, check_size, solve
 from .polytope import (BellFunctional, LocalModel, canonicalize, strategy_count,
                        strategy_matrix)
 from .quantum import BellSetup, behavior_from_setup, lift_with_efficiency
 from .scenario import _CHSH_SCENARIO, Behavior, NoSignallingReport, mix, no_signalling_defect
-
-DEFAULT_TOL = 1e-9
-VISIBILITY_TOL = 1e-6
-EFFICIENCY_TOL = 1e-4
-MODEL_TOL = 1e-7
+from .tolerances import (BISECTION_TOL_FLOOR, DEFAULT_TOL, EFFICIENCY_TOL, MODEL_TOL,
+                         VISIBILITY_TOL, require_tolerance)
 
 
 class Verdict(Enum):
@@ -124,9 +125,7 @@ def _decide(behavior: Behavior, tol: float = DEFAULT_TOL) -> tuple[bool, np.ndar
     enumerated.
     """
     d = behavior.scenario.dimension
-    rows, cols = d + 1, strategy_count(behavior.scenario) + 2 * d
-    if rows > DIMENSION_CAP or cols > DIMENSION_CAP:
-        raise SizeCapError(f"LP of size {rows}x{cols} exceeds the {DIMENSION_CAP} cap")
+    check_size(d + 1, strategy_count(behavior.scenario) + 2 * d)
     V = strategy_matrix(behavior.scenario)
     n = V.shape[1]
     p = behavior.probs
@@ -167,9 +166,9 @@ def membership(behavior: Behavior, tol: float = DEFAULT_TOL) -> MembershipResult
     only removes per-block constants, so the reported violation applies
     to the behavior as given.  A table within tol of no-signalling whose
     cut separates it only through that signalling is inside when such a
-    mixture exists.
+    mixture exists.  A ``tol`` that is not positive and finite is refused.
     """
-    return _membership(behavior, tol, gauge=None)
+    return _membership(behavior, require_tolerance(tol), gauge=None)
 
 
 def _membership(behavior: Behavior, tol: float, gauge: str | None) -> MembershipResult:
@@ -223,8 +222,9 @@ def classify(behavior: Behavior, tol: float = DEFAULT_TOL) -> Classification:
 
     The signalling check runs first because membership witnesses are only
     meaningful relative to it; each verdict comes with exactly one
-    witness.
+    witness.  A ``tol`` that is not positive and finite is refused.
     """
+    tol = require_tolerance(tol)
     report = no_signalling_defect(behavior)
     if report.max_defect > tol:
         party, x, a, (ctx_hi, ctx_lo) = report.worst_marginal
@@ -261,7 +261,8 @@ def classify(behavior: Behavior, tol: float = DEFAULT_TOL) -> Classification:
 
 
 def derive_critical_inequality(behavior: Behavior, tol: float = DEFAULT_TOL) -> BellFunctional:
-    """Violated inequality in canonical form for a nonlocal behavior."""
+    """Violated inequality in canonical form for a nonlocal behavior;
+    ``membership`` vets ``tol``."""
     res = membership(behavior, tol=tol)
     if res.is_local:
         raise ValidationError(
@@ -294,15 +295,13 @@ def chsh_value(behavior: Behavior) -> float:
     return total
 
 
-BISECTION_TOL_FLOOR = 2.0 ** -52
-
-
 def _check_bisection_tol(tol: float):
-    """Refuse a bracket width the halving may not reach.  From [0, 1],
-    every midpoint is exact down to width 2**-52, so ``_bisect`` ends
-    within 53 steps; below that, the bracket can close on two adjacent
-    floats, whose midpoint is one of them, and the loop would not end."""
-    if not tol >= BISECTION_TOL_FLOOR:
+    """Refuse a bracket width that is not a positive, finite number or
+    that the halving may not reach.  From [0, 1], every midpoint is exact
+    down to width 2**-52, so ``_bisect`` ends within 53 steps; below that,
+    the bracket can close on two adjacent floats, whose midpoint is one of
+    them, and the loop would not end."""
+    if require_tolerance(tol, "bisection tolerance") < BISECTION_TOL_FLOOR:
         raise ValidationError(
             f"bisection tolerance {tol!r} is below the floor of 2**-52; "
             "halving [0, 1] cannot get narrower"

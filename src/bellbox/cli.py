@@ -10,7 +10,8 @@ Structured output is JSON with a fixed key order, so identical
 invocations produce byte-identical reports.  Text output renders every
 numeric value with 17 significant digits.  The environment variable
 ``BELLBOX_TOL`` replaces each verb's default tolerance; an explicit
-``--tol`` wins over both.
+``--tol`` wins over both.  The defaults come from ``tolerances``, and a
+tolerance that is not positive and finite exits with code 2.
 """
 
 from __future__ import annotations
@@ -23,9 +24,6 @@ import os
 import sys
 
 from .analysis import (
-    DEFAULT_TOL,
-    EFFICIENCY_TOL,
-    VISIBILITY_TOL,
     chsh_value,
     classify,
     derive_critical_inequality,
@@ -44,6 +42,7 @@ from .quantum import (
     random_setup,
 )
 from .scenario import Behavior, Scenario
+from .tolerances import DEFAULT_TOL, EFFICIENCY_TOL, VISIBILITY_TOL, require_tolerance
 
 ENV_TOL = "BELLBOX_TOL"
 
@@ -64,9 +63,7 @@ def _effective_tol(args, default: float) -> float:
             value = float(raw)
         except ValueError:
             raise ValidationError(f"{ENV_TOL} must be a number, got {raw!r}")
-    if not value > 0.0:
-        raise ValidationError(f"tolerance must be positive, got {value!r}")
-    return value
+    return require_tolerance(value)
 
 
 def _emit_structured(payload: dict) -> None:

@@ -5,7 +5,8 @@ the payload fields in a fixed order.  Floats are emitted in Python's
 shortest round-trip representation, so parsing an emitted document
 reproduces the value exactly and re-emitting a parsed document
 reproduces the bytes exactly.  Complex matrices are written as nested
-lists of [re, im] pairs.
+lists of [re, im] pairs.  A behavior document's ``tol`` defaults to
+``tolerances.DEFAULT_TOL`` and must be a positive, finite number.
 """
 
 from __future__ import annotations
@@ -19,6 +20,7 @@ from .errors import ValidationError
 from .polytope import BellFunctional
 from .quantum import BellSetup, MeasurementSet, QuantumState
 from .scenario import Behavior, Scenario, validate_behavior
+from .tolerances import DEFAULT_TOL, require_tolerance
 
 
 def _scenario_fields(sc: Scenario) -> dict:
@@ -120,7 +122,7 @@ def _parse_behavior(payload: dict, tol: float | None) -> Behavior:
     sc = _parse_scenario_fields(payload, "behavior")
     probs = _float_list(_require(payload, "probs", "behavior"), "probs")
     if tol is None:
-        tol = float(payload.get("tol", 1e-9))
+        tol = require_tolerance(payload.get("tol", DEFAULT_TOL), "behavior document: tol")
     return validate_behavior(sc, probs, tol=tol)
 
 

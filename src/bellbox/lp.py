@@ -25,7 +25,9 @@ phase 2 stops there, whatever the reduced costs say, and y = 0 is its
 dual certificate.  Every outcome carries evidence: a primal solution
 for feasible problems, a Farkas vector for infeasible ones, an
 improving ray for unbounded ones, and each can be checked against its
-own verification inequality by an independent routine.
+own verification inequality by an independent routine.  The
+tolerances come from ``tolerances``; the size cap and the pivot limit
+are this module's own, and ``check_size`` is the one size check.
 
 Problem sizes are small (up to a few thousand columns), so the design
 optimizes for robustness and certificate extraction over raw speed.
@@ -39,20 +41,23 @@ from fractions import Fraction
 import numpy as np
 
 from .errors import SizeCapError, StalledError, ValidationError
+from .tolerances import (DEFAULT_TOL, PIVOT_TOL, RATIO_TOL, TIE_TOL, VERIFY_TOL,
+                         require_tolerance)
 
-PIVOT_TOL = 1e-10
-# least pivot in the ratio test, relative to the entering column's largest entry
-RATIO_TOL = 1e-9
-# how far a tie taken in the ratio test may step any basic value below zero
-TIE_TOL = 1e-11
-DEFAULT_TOL = 1e-9
-VERIFY_TOL = 1e-7
 DEFAULT_MAX_ITERS = 10_000
+# most rows, and most columns, of a program; DIMENSION_CAP ** 2 entries
+# (512 MiB as float64) is also the largest strategy matrix polytope builds
 DIMENSION_CAP = 8192
 # consecutive degenerate pivots after which pricing switches to Bland's rule
 BLAND_AFTER = 50
 
 _INF = float("inf")
+
+
+def check_size(rows: int, cols: int):
+    """Refuse a program with more than ``DIMENSION_CAP`` rows or columns."""
+    if rows > DIMENSION_CAP or cols > DIMENSION_CAP:
+        raise SizeCapError(f"LP of size {rows}x{cols} exceeds the {DIMENSION_CAP} cap")
 
 
 @dataclass(frozen=True, eq=False)
@@ -86,8 +91,7 @@ class LinearProgram:
             if c.shape[0] != n:
                 raise ValidationError(f"objective has length {c.shape[0]}, matrix has {n} columns")
             object.__setattr__(self, "c", c)
-        if m > DIMENSION_CAP or n > DIMENSION_CAP:
-            raise SizeCapError(f"LP of size {m}x{n} exceeds the {DIMENSION_CAP} cap")
+        check_size(m, n)
         if not (np.all(np.isfinite(A)) and np.all(np.isfinite(b))):
             raise ValidationError("LP data must be finite")
         if self.c is not None and not np.all(np.isfinite(self.c)):
@@ -506,8 +510,10 @@ def solve(lp: LinearProgram, tol: float = DEFAULT_TOL,
     Phase 2 stops at a feasible basis as soon as the costs are all
     nonnegative and its objective is at most ``tol``: nothing feasible
     costs less than zero, so that basis is optimal to within tol and
-    y = 0 is its certificate.
+    y = 0 is its certificate.  A ``tol`` that is not positive and finite
+    is refused.
     """
+    tol = require_tolerance(tol)
     std = _StandardForm(lp)
     sx = _Simplex(std.A, std.b, max_iters, tol)
 

@@ -12,6 +12,10 @@ differ by a combination of per-block normalization rows and marginal
 difference rows, so the canonical representative is the projection onto
 the orthogonal complement of that span, rescaled to unit maximum
 coefficient, with the deterministic bound recomputed.
+
+No strategy matrix is built with more than ``lp.DIMENSION_CAP ** 2``
+entries, the largest program matrix the LP kernel accepts
+(``_checked_strategy_count``); the tolerances come from ``tolerances``.
 """
 
 from __future__ import annotations
@@ -24,17 +28,16 @@ from functools import lru_cache
 import numpy as np
 
 from .errors import SizeCapError, StalledError, ValidationError
+from .lp import DIMENSION_CAP
 from .scenario import (_CHSH_SCENARIO, Behavior, Scenario, flat_index, marginal_differences,
                        marginal_indicator, validate_behavior)
+from .tolerances import (DEFAULT_TOL, FACET_ZERO_TOL, GAUGE_RANK_TOL, INTEGER_FIT_TOL,
+                         NEGATIVE_WEIGHT_TOL, PURE_GAUGE_TOL)
 
-STRATEGY_CAP = 10_000_000
 FACET_VERTEX_CAP = 256
 FACET_DIM_CAP = 16
 RELABELLING_CAP = 1_000_000
 INTEGER_DENOMINATOR_CAP = 64
-INTEGER_FIT_TOL = 1e-9
-_RAY_TOL = 1e-9
-_WEIGHT_TOL = 1e-12
 
 
 @dataclass(frozen=True)
@@ -78,13 +81,23 @@ def strategy_count(scenario: Scenario) -> int:
     return count
 
 
+def _checked_strategy_count(scenario: Scenario) -> int:
+    """The strategy count, refused when the strategy matrix would hold
+    more than ``DIMENSION_CAP ** 2`` entries, the largest program matrix
+    the LP kernel accepts (512 MiB as float64)."""
+    count = strategy_count(scenario)
+    entries = scenario.dimension * count
+    if entries > DIMENSION_CAP ** 2:
+        raise SizeCapError(
+            f"strategy matrix of {scenario.dimension}x{count} = {entries} entries "
+            f"exceeds the cap of {DIMENSION_CAP}**2")
+    return count
+
+
 @lru_cache(maxsize=32)
 def enumerate_strategies(scenario: Scenario) -> tuple[DeterministicStrategy, ...]:
     """All deterministic strategies in party-major lexicographic order."""
-    count = strategy_count(scenario)
-    if count > STRATEGY_CAP:
-        raise SizeCapError(
-            f"{count} deterministic strategies exceed the cap of {STRATEGY_CAP}")
+    _checked_strategy_count(scenario)
     per_party = []
     for p in range(scenario.parties):
         outs = scenario.outputs[p]
@@ -103,10 +116,7 @@ def strategy_matrix(scenario: Scenario) -> np.ndarray:
     its outputs, and each input block gets a single 1 at its offset plus
     the mixed-radix index of those outputs within the block.
     """
-    count = strategy_count(scenario)
-    if count > STRATEGY_CAP:
-        raise SizeCapError(
-            f"{count} deterministic strategies exceed the cap of {STRATEGY_CAP}")
+    count = _checked_strategy_count(scenario)
     columns = np.arange(count)
     digits = np.unravel_index(columns, [k for outs in scenario.outputs for k in outs])
     first = np.cumsum([0] + list(scenario.inputs_per_party))  # first digit of each party
@@ -133,10 +143,12 @@ class LocalModel:
         if w.shape[0] != count:
             raise ValidationError(
                 f"expected {count} strategy weights, got {w.shape[0]}")
-        if w.min(initial=0.0) < -_WEIGHT_TOL:
+        if not np.all(np.isfinite(w)):
+            raise ValidationError("strategy weights must be finite")
+        if w.min(initial=0.0) < -NEGATIVE_WEIGHT_TOL:
             raise ValidationError(f"negative strategy weight {w.min():.3e}")
         s = float(w.sum())
-        if abs(s - 1.0) > 1e-9:
+        if abs(s - 1.0) > DEFAULT_TOL:
             raise ValidationError(f"strategy weights sum to {s!r}, expected 1")
         w = np.where(w < 0.0, 0.0, w)
         w.setflags(write=False)
@@ -155,10 +167,7 @@ class LocalModel:
 def random_local_model(scenario: Scenario, seed: int) -> LocalModel:
     """Seeded model with weights drawn once from the flat Dirichlet
     distribution over the strategy simplex (``default_rng(seed)``)."""
-    count = strategy_count(scenario)
-    if count > STRATEGY_CAP:
-        raise SizeCapError(
-            f"{count} deterministic strategies exceed the cap of {STRATEGY_CAP}")
+    count = _checked_strategy_count(scenario)
     rng = np.random.default_rng(seed)
     return LocalModel(scenario=scenario, weights=rng.dirichlet(np.ones(count)))
 
@@ -296,7 +305,7 @@ def _gauge_basis(scenario: Scenario, include_marginals: bool = True) -> np.ndarr
     if include_marginals:
         gauge = np.vstack([gauge, marginal_differences(scenario).matrix])
     u, s, _ = np.linalg.svd(gauge.T, full_matrices=False)
-    rank = int((s > 1e-9 * s[0]).sum())
+    rank = int((s > GAUGE_RANK_TOL * s[0]).sum())
     q = u[:, :rank].copy()
     q.setflags(write=False)
     return q
@@ -328,7 +337,7 @@ def canonicalize(functional: BellFunctional, gauge: str = "no_signalling") -> Be
     q = _gauge_basis(sc, gauge == "no_signalling")
     c = functional.coeffs - q @ (q.T @ functional.coeffs)
     peak = float(np.abs(c).max())
-    if peak <= 1e-12:
+    if peak <= PURE_GAUGE_TOL:
         raise ValidationError("functional is pure gauge; no canonical form exists")
     c = c / peak
 
@@ -368,17 +377,8 @@ def relabellings(scenario: Scenario) -> tuple[np.ndarray, ...]:
     if count > RELABELLING_CAP:
         raise SizeCapError(f"{count} relabellings exceed the cap of {RELABELLING_CAP}")
     perms = []
-    for sigma in itertools.permutations(range(scenario.parties)):
-        if any(scenario.inputs_per_party[sigma[p]] != scenario.inputs_per_party[p]
-               for p in range(scenario.parties)):
-            continue
-        input_choices = []
-        for p in range(scenario.parties):
-            valid = [pi for pi in itertools.permutations(range(scenario.inputs_per_party[p]))
-                     if all(scenario.outputs[p][pi[x]] == scenario.outputs[sigma[p]][x]
-                            for x in range(scenario.inputs_per_party[p]))]
-            input_choices.append(valid)
-        for pis in itertools.product(*input_choices):
+    for sigma, input_maps in _party_exchanges(scenario):
+        for pis in itertools.product(*input_maps):
             output_choices = []
             for p in range(scenario.parties):
                 per_input = []
@@ -395,22 +395,29 @@ def relabellings(scenario: Scenario) -> tuple[np.ndarray, ...]:
     return out
 
 
-def _relabelling_count(scenario: Scenario) -> int:
-    total = 0
-    for sigma in itertools.permutations(range(scenario.parties)):
+def _party_exchanges(scenario: Scenario):
+    """Each party exchange sigma that keeps every party's input count,
+    with one iterator per party p over the input permutations pi that
+    carry party sigma[p]'s output alphabets onto p's:
+    ``outputs[p][pi[x]] == outputs[sigma[p]][x]`` for every input x.
+    The iterators are lazy, so counting them holds no permutation."""
+    def input_maps(sigma, p, n):
+        return (pi for pi in itertools.permutations(range(n))
+                if all(scenario.outputs[p][pi[x]] == scenario.outputs[sigma[p]][x]
+                       for x in range(n)))
+
+    parties = range(scenario.parties)
+    for sigma in itertools.permutations(parties):
         if any(scenario.inputs_per_party[sigma[p]] != scenario.inputs_per_party[p]
-               for p in range(scenario.parties)):
+               for p in parties):
             continue
-        size = 1
-        for p in range(scenario.parties):
-            valid = sum(1 for pi in itertools.permutations(range(scenario.inputs_per_party[p]))
-                        if all(scenario.outputs[p][pi[x]] == scenario.outputs[sigma[p]][x]
-                               for x in range(scenario.inputs_per_party[p])))
-            size *= valid
-            for x in range(scenario.inputs_per_party[p]):
-                size *= math.factorial(scenario.outputs[p][x])
-        total += size
-    return total
+        yield sigma, [input_maps(sigma, p, n) for p, n in enumerate(scenario.inputs_per_party)]
+
+
+def _relabelling_count(scenario: Scenario) -> int:
+    output_maps = math.prod(math.factorial(k) for outs in scenario.outputs for k in outs)
+    return sum(math.prod(sum(1 for _ in maps) for maps in input_maps) * output_maps
+               for _, input_maps in _party_exchanges(scenario))
 
 
 def _relabelling_perm(scenario, sigma, pis, taus) -> np.ndarray:
@@ -472,7 +479,7 @@ def enumerate_facets(scenario: Scenario) -> tuple[BellFunctional, ...]:
     R = rs.matrix @ strategy_matrix(scenario)  # columns are vertices
     centroid = R.mean(axis=1)
     H = R - centroid[:, None]
-    if np.linalg.matrix_rank(H, tol=1e-9) != r:
+    if np.linalg.matrix_rank(H, tol=FACET_ZERO_TOL) != r:
         raise ValidationError("local polytope is not full-dimensional in reduced coordinates")
 
     rows = [np.append(H[:, i], -1.0) for i in range(count)]
@@ -481,7 +488,7 @@ def enumerate_facets(scenario: Scenario) -> tuple[BellFunctional, ...]:
     facets = {}
     for ray in rays:
         a = ray[:-1]
-        if float(np.abs(a).max()) <= _RAY_TOL:
+        if float(np.abs(a).max()) <= FACET_ZERO_TOL:
             raise StalledError("facet enumeration produced a degenerate ray")
         full = rs.lift_functional(a)
         canon = canonicalize(BellFunctional(scenario=scenario, coeffs=full))
@@ -503,7 +510,7 @@ def _double_description(rows: list[np.ndarray], dim: int) -> list[np.ndarray]:
     for i, row in enumerate(rows):
         candidate = init_idx + [i]
         M = np.array([rows[j] for j in candidate])
-        if np.linalg.matrix_rank(M, tol=1e-9) == len(candidate):
+        if np.linalg.matrix_rank(M, tol=FACET_ZERO_TOL) == len(candidate):
             init_idx.append(i)
         if len(init_idx) == dim:
             break
@@ -521,12 +528,12 @@ def _double_description(rows: list[np.ndarray], dim: int) -> list[np.ndarray]:
         vals = [float(row @ ray) for ray in rays]
         keep_rays: list[np.ndarray] = []
         keep_zero: list[frozenset] = []
-        neg = [k for k, v in enumerate(vals) if v < -_RAY_TOL]
-        pos = [k for k, v in enumerate(vals) if v > _RAY_TOL]
+        neg = [k for k, v in enumerate(vals) if v < -FACET_ZERO_TOL]
+        pos = [k for k, v in enumerate(vals) if v > FACET_ZERO_TOL]
         for k, v in enumerate(vals):
-            if v > _RAY_TOL:
+            if v > FACET_ZERO_TOL:
                 continue
-            z = zero_sets[k] | {t} if abs(v) <= _RAY_TOL else zero_sets[k]
+            z = zero_sets[k] | {t} if abs(v) <= FACET_ZERO_TOL else zero_sets[k]
             keep_rays.append(rays[k])
             keep_zero.append(z)
         for u in pos:

@@ -5,7 +5,8 @@ the Born rule turns it into a behavior on the matching scenario.  The
 module also covers the two standard experimental complications: detector
 inefficiency, modeled by shrinking every effect and adding an explicit
 no-click outcome, and the bookkeeping step of folding no-clicks back into
-an ordinary outcome.
+an ordinary outcome.  States and effects are checked at the tolerances
+of ``tolerances``.
 """
 
 from __future__ import annotations
@@ -16,10 +17,8 @@ import numpy as np
 
 from .errors import ValidationError
 from .scenario import Behavior, Scenario, flat_index, validate_behavior
+from .tolerances import DEFAULT_TOL, EFFECT_TOL, EIG_FLOOR, STATE_TOL
 
-STATE_TOL = 1e-12
-EFFECT_TOL = 1e-10
-EIG_FLOOR = -1e-10
 DIM_CAP = 4
 
 
@@ -142,7 +141,7 @@ class BellSetup:
         )
 
 
-def behavior_from_setup(setup: BellSetup, tol: float = 1e-9) -> Behavior:
+def behavior_from_setup(setup: BellSetup, tol: float = DEFAULT_TOL) -> Behavior:
     """Born-rule behavior of a setup: P(ab|xy) = Tr[rho (A_a^x tensor B_b^y)].
 
     The result is always no-signalling because each party's effects sum to

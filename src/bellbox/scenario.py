@@ -4,7 +4,8 @@ A scenario fixes how many parties there are, how many inputs each party
 can choose, and how many outputs each (party, input) pair can produce.
 A behavior is the conditional probability table P(outputs | inputs) laid
 out as a flat vector in one fixed lexicographic order that every other
-module shares.
+module shares.  A table is checked at a tolerance from ``tolerances``
+or from the caller, which ``tolerances.require_tolerance`` vets.
 """
 
 from __future__ import annotations
@@ -17,10 +18,7 @@ from functools import cached_property, lru_cache
 import numpy as np
 
 from .errors import ValidationError
-
-DEFAULT_TOL = 1e-9
-
-_EPS = float(np.finfo(np.float64).eps)
+from .tolerances import DEFAULT_TOL, FLOAT_EPS, MIX_WEIGHT_SUM_TOL, require_tolerance
 
 
 @dataclass(frozen=True)
@@ -173,7 +171,9 @@ def validate_behavior(scenario: Scenario, raw, tol: float = DEFAULT_TOL) -> Beha
     input block's sum may deviate from 1 by at most ``tol`` (the block is
     rescaled).  Rescaling is skipped when a block already sums to 1 at float
     precision, which makes validation idempotent and keeps round-trips exact.
+    A ``tol`` that is not a positive, finite number is refused.
     """
+    tol = require_tolerance(tol)
     vec = np.array(raw, dtype=np.float64).reshape(-1)
     if vec.shape[0] != scenario.dimension:
         raise ValidationError(
@@ -195,7 +195,7 @@ def validate_behavior(scenario: Scenario, raw, tol: float = DEFAULT_TOL) -> Beha
             raise ValidationError(
                 f"input block {joint}: probabilities sum to {s!r}, expected 1 within {tol}"
             )
-        if abs(s - 1.0) > 4.0 * _EPS * max(1, block.shape[0]):
+        if abs(s - 1.0) > 4.0 * FLOAT_EPS * max(1, block.shape[0]):
             block = block / s
         vec[sl] = block
     return Behavior(scenario=scenario, probs=vec, tol=tol)
@@ -215,7 +215,7 @@ def mix(components, tol: float | None = None) -> Behavior:
     behaviors = [b for _, b in components]
     if np.any(weights < 0.0):
         raise ValidationError("mix weights must be nonnegative")
-    if abs(float(weights.sum()) - 1.0) > 1e-12:
+    if abs(float(weights.sum()) - 1.0) > MIX_WEIGHT_SUM_TOL:
         raise ValidationError(f"mix weights sum to {float(weights.sum())!r}, expected 1")
     scenario = behaviors[0].scenario
     for b in behaviors[1:]:

@@ -230,6 +230,21 @@ def test_membership_tolerance_is_respected():
     assert membership(barely, tol=1e-6).is_local
 
 
+@pytest.mark.parametrize("decide", [classify, membership, derive_critical_inequality])
+@pytest.mark.parametrize("tol", [float("nan"), float("inf"), 0.0, -1e-9])
+def test_decisions_refuse_a_bad_tolerance(decide, tol, monkeypatch):
+    """A NaN tol used to reach the simplex and end in an internal failure
+    (StalledError, exit 3); a caller's bad tol is a validation error."""
+    import bellbox.analysis as analysis
+
+    def no_solve(*args, **kwargs):
+        raise AssertionError("a solve ran before the tolerance was checked")
+
+    monkeypatch.setattr(analysis, "solve", no_solve)
+    with pytest.raises(ValidationError, match="tolerance must be positive and finite"):
+        decide(named_behavior("pr_box"), tol=tol)
+
+
 @pytest.mark.parametrize("strategy", [0, 17, 100, 255])
 def test_membership_pivot_budget_on_242(monkeypatch, strategy):
     """A deterministic strategy under 40% white noise on (2,4,2), a 65x384
@@ -704,6 +719,16 @@ def test_thresholds_refuse_tolerances_below_the_halving_floor(tol, monkeypatch):
         visibility_threshold(named_behavior("pr_box"), named_behavior("uniform"), tol=tol)
     with pytest.raises(ValidationError, match="tolerance"):
         efficiency_threshold(named_setup("singlet_chsh"), tol=tol)
+
+
+def test_thresholds_refuse_an_infinite_tolerance():
+    """An infinite width passed the halving floor and gave a bracket of
+    [0, 1] after no step."""
+    with pytest.raises(ValidationError, match="bisection tolerance"):
+        visibility_threshold(named_behavior("pr_box"), named_behavior("uniform"),
+                             tol=float("inf"))
+    with pytest.raises(ValidationError, match="bisection tolerance"):
+        efficiency_threshold(named_setup("singlet_chsh"), tol=float("inf"))
 
 
 def test_visibility_threshold_at_the_halving_floor_terminates():

@@ -77,6 +77,16 @@ def test_validate_flag_beats_env(capsys, tmp_path, monkeypatch):
     assert code == 0
 
 
+def test_infinite_tolerance_exits_2(capsys, monkeypatch):
+    code, _, err = run_cli(capsys, "classify", "--tol", "inf", fx("pr_box"))
+    assert code == 2
+    assert "positive and finite" in err
+    monkeypatch.setenv("BELLBOX_TOL", "inf")
+    code, _, err = run_cli(capsys, "membership", fx("pr_box"))
+    assert code == 2
+    assert "positive and finite" in err
+
+
 def test_missing_file(capsys):
     code, out, err = run_cli(capsys, "classify", "/no/such/file.json")
     assert code == 2

@@ -168,6 +168,23 @@ def test_non_finite_probability_rejected():
         parse_document_text(json.dumps(payload))
 
 
+def test_nan_document_tolerance_rejected():
+    """Python's json reads NaN; at that tol a table of threes would parse
+    as the uniform table."""
+    payload = json.loads(emit_document(named_behavior("uniform")))
+    payload["probs"] = [3.0] * 16
+    payload["tol"] = float("nan")
+    with pytest.raises(ValidationError, match="tol must be positive and finite"):
+        parse_document_text(json.dumps(payload))
+
+
+def test_string_document_tolerance_rejected():
+    payload = json.loads(emit_document(named_behavior("uniform")))
+    payload["tol"] = "loose"
+    with pytest.raises(ValidationError, match="tol must be a number"):
+        parse_document_text(json.dumps(payload))
+
+
 # -- shipped fixtures --------------------------------------------------------
 
 def test_fixture_catalog():

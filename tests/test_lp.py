@@ -114,6 +114,15 @@ def test_dimension_cap():
         LinearProgram(A=np.zeros((1, DIMENSION_CAP + 1)), b=np.zeros(1))
 
 
+@pytest.mark.parametrize("tol", [float("nan"), float("inf"), 0.0])
+def test_solve_refuses_a_bad_tolerance(tol):
+    """At tol NaN or inf, x + y = -2 over x, y >= 0 came back "feasible"
+    at x = (-2, 0)."""
+    lp = LinearProgram(A=np.array([[1.0, 1.0]]), b=np.array([-2.0]))
+    with pytest.raises(ValidationError, match="tolerance must be positive and finite"):
+        solve(lp, tol=tol)
+
+
 def test_stall_raises_not_misreports():
     lp = LinearProgram(A=np.array([[1.0, 1.0, 1.0]]), b=np.array([1.0]),
                        c=np.array([1.0, 2.0, 3.0]))

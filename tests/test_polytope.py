@@ -196,6 +196,27 @@ def test_strategy_cap_raises_before_enumerating():
     assert time.perf_counter() - t0 < 0.5
 
 
+def test_strategy_matrix_cap_counts_entries():
+    """The cap is on dimension x strategies, DIMENSION_CAP**2 entries:
+    (2,4,4) is 256 x 65,536 and passes; (2,7,3) has only 4,782,969
+    strategies, but 441 rows of them would take 15.7 GiB."""
+    from bellbox.polytope import _checked_strategy_count
+
+    assert _checked_strategy_count(Scenario.uniform(2, 4, 4)) == 65_536
+    for sc in (Scenario.uniform(2, 4, 5), Scenario.uniform(2, 5, 4)):
+        with pytest.raises(SizeCapError, match="entries"):
+            _checked_strategy_count(sc)
+    big = Scenario.uniform(2, 7, 3)
+    t0 = time.perf_counter()
+    with pytest.raises(SizeCapError, match="entries"):
+        local_bound(BellFunctional(scenario=big, coeffs=np.zeros(big.dimension)))
+    with pytest.raises(SizeCapError):
+        enumerate_strategies(big)
+    with pytest.raises(SizeCapError):
+        random_local_model(big, seed=1)
+    assert time.perf_counter() - t0 < 0.5
+
+
 def test_enumeration_order_is_party_major():
     strategies = enumerate_strategies(CHSH)
     assert len(strategies) == 16
@@ -262,6 +283,15 @@ def test_local_model_validation():
         LocalModel(scenario=CHSH, weights=bad)
     with pytest.raises(ValidationError):
         LocalModel(scenario=CHSH, weights=np.full(16, 0.9 / 16.0))
+
+
+def test_local_model_rejects_non_finite_weights():
+    with pytest.raises(ValidationError, match="finite"):
+        LocalModel(scenario=CHSH, weights=np.full(16, np.nan))
+    inf = np.zeros(16)
+    inf[0] = np.inf
+    with pytest.raises(ValidationError, match="finite"):
+        LocalModel(scenario=CHSH, weights=inf)
 
 
 def test_random_local_model_is_reproducible():

@@ -93,6 +93,13 @@ def test_validate_accepts_uniform_table():
     np.testing.assert_array_equal(beh.probs, raw)
 
 
+def test_validate_refuses_a_nan_tolerance():
+    """A NaN tol fails every "beyond tol" comparison: every block of fives
+    would be rescaled to a distribution."""
+    with pytest.raises(ValidationError, match="positive and finite"):
+        validate_behavior(CHSH, np.full(16, 5.0), tol=float("nan"))
+
+
 def test_validate_rejects_wrong_length():
     with pytest.raises(ValidationError, match="16"):
         validate_behavior(CHSH, np.full(15, 0.25))
