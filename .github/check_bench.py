@@ -1,6 +1,6 @@
 """Fail unless every line of a perfbench/run.py JSONL output is correct,
 no operation of any workload failed, and a traced membership-242 line
-averages at most 60 simplex pivots per operation.
+averages at most 35 simplex pivots per operation.
 
 usage: python3 .github/check_bench.py BENCH.jsonl
 
@@ -8,14 +8,15 @@ run.py exits 0 even when its answer checks fail, so its lines are read
 here.  Neither verdicts nor membership-242 has a known failure.  The
 pivot gate reads ``lp.pivots`` of a traced run made without
 ``--workload`` (only those lines name their workload), so a regression
-in the pricing rule fails: steepest-edge pricing takes about 40 pivots
-per membership-242 operation on the 2-second smoke deck, pricing by the
-most negative reduced cost about 87.
+in the pricing rule or the ratio test fails: steepest-edge pricing with
+long steps across the slack pairs takes about 21-25 pivots per
+membership-242 operation (seeds 1-3), the plain ratio test about 40,
+and pricing by the most negative reduced cost about 87.
 """
 import json
 import sys
 
-MAX_PIVOTS_242 = 60
+MAX_PIVOTS_242 = 35
 
 
 def failures(r: dict) -> list[str]:

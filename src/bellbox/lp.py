@@ -18,7 +18,15 @@ back to Bland's smallest index, which cannot cycle, until the objective
 moves again.  The ratio test takes no pivot below ``RATIO_TOL`` of the
 entering column's largest entry, reads basic values a round-off below
 zero as zero, and breaks near-ties only among rows whose step leaves
-every basic value above ``-TIE_TOL``.  When every cost is nonnegative,
+every basic value above ``-TIE_TOL``.  In phase 2, while steepest edge
+prices, the ratio test takes long steps: a structural +e_i column and a
+-e_i column in the same row, such as the slacks u_k and v_k of the l1
+distance program, are mates, and a basic column that the step drives
+through zero hands its row to its mate instead of leaving, for as long
+as the objective keeps falling along the step (Barrodale and Roberts,
+SIAM J. Numer. Anal. 10, 839 (1973); Fourer, Math. Prog. 33, 204
+(1985)).  Bland pivots take the plain ratio test, and phase 1 never
+takes a long step.  When every cost is nonnegative,
 c.x >= 0 holds on the whole feasible set, so a feasible basis whose
 objective is within tol of zero is optimal to within tol as it stands:
 phase 2 stops there, whatever the reduced costs say, and y = 0 is its
@@ -227,8 +235,11 @@ class _Simplex:
     a rank-one change.  A row whose flipped constraint already has a
     structural +e_i column starts with that column basic instead of its
     artificial; either way the starting basis matrix is the identity.
-    Under nonnegative costs a phase-2 basis whose objective is at most
-    ``tol`` ends the phase.
+    The same scan pairs that column with the row's -e_i column, where
+    there is one: the two are mates (``mate``), and in phase 2 a long
+    step may hand the row from one to the other (``_long_step``,
+    ``_cross``).  Under nonnegative costs a phase-2 basis whose
+    objective is at most ``tol`` ends the phase.
     """
 
     def __init__(self, A: np.ndarray, b: np.ndarray, max_iters: int,
@@ -240,25 +251,39 @@ class _Simplex:
         self.n = n
         self.A = A * sign[:, None]
         self.Binv = np.eye(m)
+        self.identity = True  # Binv is still the identity: no pivot yet
         self.xB = b * sign
-        units = np.flatnonzero((np.count_nonzero(self.A, axis=0) == 1)
-                               & (self.A.max(axis=0, initial=0.0) == 1.0))
-        rows = np.nonzero(self.A[:, units].T)[1]  # the row of each unit column
-        # np.unique keeps the first, so the smallest, unit column of a row
-        rows, first = np.unique(rows, return_index=True)
+        single = np.flatnonzero(np.count_nonzero(self.A, axis=0) == 1)
+        rows = np.nonzero(self.A[:, single].T)[1]  # the row of each singleton
+        value = self.A[rows, single]
+        # per row, its smallest +e_i and smallest -e_i column (np.unique
+        # keeps the first), or -1
+        plus, minus = np.full((2, m), -1)
+        for side, unit in ((plus, 1.0), (minus, -1.0)):
+            at, first = np.unique(rows[value == unit], return_index=True)
+            side[at] = single[value == unit][first]
         basis = np.arange(n, n + m)
-        basis[rows] = units[first]
+        basis[plus >= 0] = plus[plus >= 0]
         self.basis = basis.tolist()
+        # a +e_i column and a -e_i column are mates: one crosses to the
+        # other where its value passes zero (``_long_step``)
+        both = (plus >= 0) & (minus >= 0)
+        self.mate = np.full(n + m, -1)
+        self.mate[plus[both]] = minus[both]
+        self.mate[minus[both]] = plus[both]
+        self.paired = bool(both.any())
         self.rows = list(range(m))  # ids into the original row order
         self.max_iters = max_iters
         self.iterations = 0
         self.tol = tol
         self.cost = np.zeros(n + m)
         self.cB = np.zeros(m)
+        # crossing slopes per column and per row, set by ``install_costs``
+        self.col_jump, self.row_jump = np.full(n + m, _INF), np.full(m, _INF)
         self.nonnegative = True
         # steepest-edge state of the current ``run``: weights, reduced costs
         self.weights = self.reduced = None
-        self.pair = np.empty((2, m))  # workspace of ``_update_pricing``
+        self.pair = np.empty((3, m))  # workspace of ``_update_pricing``
 
     # -- low-level ---------------------------------------------------------
     def column(self, j: int) -> np.ndarray:
@@ -276,7 +301,9 @@ class _Simplex:
         self.xB -= col * value
         self.xB[i] = value
         self.cB[i] = self.cost[j]
+        self.row_jump[i] = self.col_jump[j]
         self.basis[i] = j
+        self.identity = False
         self.iterations += 1
         if self.iterations > self.max_iters:
             raise StalledError(
@@ -302,16 +329,26 @@ class _Simplex:
         costs below ``-PIVOT_TOL`` it takes the largest r_j^2 / gamma_j,
         where gamma_j = 1 + |Binv a_j|^2 is the squared length of the edge
         that column j would move along.  The weights are formed on the
-        first pricing of the call that has a column to enter, so a phase
-        that starts optimal builds none; each pivot then updates them
-        exactly (Goldfarb and Reid), and the reduced costs with them, from
-        the pivot row.  The reduced costs are priced afresh from the row
-        prices every m pivots and before the phase is declared optimal.
-        Once ``BLAND_AFTER`` pivots in a row have left the objective where
-        it was, Bland's smallest-index rule takes over until a pivot moves
-        it, so a degenerate vertex cannot cycle.  In phase 2 (no
-        artificials) a basis at the floor (``at_floor``) is optimal
-        without pricing; phase 1 always runs to its priced optimum.
+        first pricing of the call that has a column to enter (from the
+        columns themselves while ``Binv`` is still the identity), so a
+        phase that starts optimal builds none; each pivot then updates
+        them exactly (Goldfarb and Reid), and the reduced costs with them,
+        from the pivot row.  The reduced costs are priced afresh from the
+        row prices every m pivots and before the phase is declared
+        optimal.  Once ``BLAND_AFTER`` pivots in a row have left the
+        objective where it was, Bland's smallest-index rule takes over
+        until a pivot moves it, so a degenerate vertex cannot cycle.
+
+        The ratio test sorts the candidate rows by ratio.  In phase 2,
+        while steepest edge is in charge, it walks them (``_long_step``):
+        a basic column with a mate crosses its breakpoint, its mate taking
+        the row (``_cross``), while the objective still falls after it;
+        the first row that does not cross leaves.  Bland pivots and phase
+        1 take the plain ratio test, the first row leaving.  Either way
+        near-ties among the rows that may leave are bounded in x and
+        broken by the smallest basic index.  In phase 2 (no artificials)
+        a basis at the floor (``at_floor``) is optimal without pricing;
+        phase 1 always runs to its priced optimum.
         """
         self.weights = self.reduced = None
         degenerate = stale = 0
@@ -320,44 +357,84 @@ class _Simplex:
                 return "optimal", None
             if self.reduced is None or stale >= len(self.basis):
                 self.reduced, stale = self.reduced_costs(artificials), 0
-            j = self._entering(degenerate < BLAND_AFTER, artificials)
+            steepest = degenerate < BLAND_AFTER
+            j = self._entering(steepest, artificials)
             if j is None and stale:
                 # an updated pricing never ends a phase: price afresh first
                 self.reduced, stale = self.reduced_costs(artificials), 0
-                j = self._entering(degenerate < BLAND_AFTER, artificials)
+                j = self._entering(steepest, artificials)
             if j is None:
                 return "optimal", None
             col = self.column(j)
             # a pivot small beside its column blows B^-1 up
-            pos = np.flatnonzero(col > RATIO_TOL * max(1.0, float(np.abs(col).max())))
+            pos = (col > RATIO_TOL * max(1.0, float(np.abs(col).max()))).nonzero()[0]
             if pos.size == 0:
                 return "unbounded", j
-            piv = col[pos]
-            ratios = self.xB[pos] / piv
-            best = ratios.min()
-            if best < 0.0:
-                # a basic value a round-off below zero is read as zero: its
-                # own ratio would be a large negative step that drives the
-                # other basic values negative
-                ratios = np.maximum(ratios, 0.0)
-                best = 0.0
-            band = ratios <= best + PIVOT_TOL
-            tied = pos[band]
-            if tied.size == 1:
-                i = int(tied[0])
+            # a basic value a round-off below zero is read as zero: its own
+            # ratio would be a large negative step that drives the other
+            # basic values negative
+            ratios = np.maximum(self.xB[pos] / col[pos], 0.0)
+            order = ratios.argsort(kind="stable")
+            pos, ratios = pos[order], ratios[order]  # the candidates by ratio
+            k = 0  # the candidates before k cross, and the step ends at k
+            if steepest and self.paired and not artificials:
+                k = self._long_step(j, pos, col)
+            best = ratios[k]
+            end = int(ratios.searchsorted(best + PIVOT_TOL, side="right"))
+            if end == k + 1:
+                i = int(pos[k])
             else:
                 # ties are bounded in x as well as in the ratio: a ratio
                 # band alone lets a basic value with column entry c fall
                 # to -c * PIVOT_TOL, and the floor stop then reads the
                 # objective of a point that is not feasible
+                tied = pos[k:end]
                 room = np.maximum(self.xB[tied], 0.0)
-                reach = ((room + TIE_TOL) / piv[band]).min()
-                tied = tied[ratios[band] <= reach]
+                reach = ((room + TIE_TOL) / col[tied]).min()
+                tied = tied[ratios[k:end] <= reach]
                 i = min(tied.tolist(), key=self.basis.__getitem__)  # Bland tie-break
             degenerate = degenerate + 1 if best <= PIVOT_TOL else 0
-            self._update_pricing(i, j, col, artificials)
+            shift = self._cross(pos[:k], col) if k else None
+            self._update_pricing(i, j, col, artificials, shift)
             stale += 1
             self._pivot(i, j, col)
+
+    def _long_step(self, j: int, pos: np.ndarray, col: np.ndarray) -> int:
+        """How many of the ratio test's candidate rows ``pos``, sorted by
+        ratio, cross on the step of entering column ``j``, whose tableau
+        column is ``col``.
+
+        Walking the candidates by ratio, the objective's slope along the
+        step is r_j plus (c_u + c_v) col_i for each row passed, where the
+        basic u passes zero and its mate v = -u takes over at the cost
+        c_v; a row whose column has no mate, or whose pair's costs sum
+        below zero, stops the walk.  A row crosses while the slope after
+        it stays below ``-PIVOT_TOL``; the first that does not, and the
+        last candidate in any case, is where the step ends."""
+        slope = (self.row_jump[pos] * col[pos]).cumsum()
+        slope += self.reduced[j]
+        return min(int(slope.searchsorted(-PIVOT_TOL)), pos.size - 1)
+
+    def _cross(self, rows: np.ndarray, col: np.ndarray) -> np.ndarray:
+        """Hand each of ``rows`` from its basic column to that column's
+        mate, the same column negated: the row of ``Binv``, of ``xB`` and
+        of the entering column ``col`` change sign, and the mate takes the
+        nonbasic weight.  Returns sum (c_u + c_v) Binv_i over the rows,
+        taken before the flip: each reduced cost grows by its product with
+        the column."""
+        flipped = self.Binv[rows]
+        shift = self.row_jump[rows] @ flipped
+        self.Binv[rows] = np.negative(flipped, out=flipped)
+        self.xB[rows] *= -1.0
+        col[rows] *= -1.0
+        w = self.weights
+        for i in rows.tolist():
+            u = self.basis[i]
+            v = int(self.mate[u])
+            self.basis[i] = v
+            self.cB[i] = self.cost[v]
+            w[u] = w[v]
+        return shift
 
     def _entering(self, steepest: bool, artificials: bool) -> int | None:
         """The entering column under the kept reduced costs, None when no
@@ -388,32 +465,41 @@ class _Simplex:
     def edge_weights(self, artificials: bool) -> np.ndarray:
         """Steepest-edge weights 1 + |Binv a_j|^2 of the priced columns;
         an artificial column is a unit column, so its image is a column
-        of ``Binv``."""
-        T = self.Binv @ self.A
+        of ``Binv``.  Before the first pivot ``Binv`` is the identity and
+        the images are the columns themselves."""
+        T = self.A if self.identity else self.Binv @ self.A
         w = 1.0 + np.einsum("ij,ij->j", T, T)
         if artificials:
             w = np.concatenate([w, 1.0 + np.einsum("ij,ij->j", self.Binv, self.Binv)])
         return w
 
-    def _update_pricing(self, i: int, j: int, col: np.ndarray, artificials: bool):
+    def _update_pricing(self, i: int, j: int, col: np.ndarray, artificials: bool,
+                        shift: np.ndarray | None = None):
         """Carry the reduced costs and edge weights across the pivot that
         makes ``j`` basic in row ``i``; reads ``Binv`` before the pivot.
 
-        With alpha the pivot row of the tableau and ratio = alpha / col[i],
-        r_k loses r_j * ratio_k and gamma_k becomes
-        max(gamma_k - 2 ratio_k a_k.(Binv^T col) + ratio_k^2 gamma_j,
-        1 + ratio_k^2), gamma_j = 1 + |col|^2 exactly.  The leaving column
-        takes max(gamma_j / col[i]^2, 1)."""
-        pair = self.pair  # row i of Binv and col^T Binv, written in place
+        A long step's crossings (``_cross``) come first: the reduced costs
+        gain ``shift`` times the columns.  With alpha the pivot row of the
+        tableau and ratio = alpha / col[i], r_k then loses r_j * ratio_k and
+        gamma_k becomes max(gamma_k - 2 ratio_k a_k.(Binv^T col) +
+        ratio_k^2 gamma_j, 1 + ratio_k^2), gamma_j = 1 + |col|^2 exactly;
+        sign changes of rows leave every gamma as it was.  The leaving
+        column takes max(gamma_j / col[i]^2, 1)."""
+        # row i of Binv, col^T Binv and the shift, written in place
+        pair = self.pair[:2] if shift is None else self.pair
         pair[0] = self.Binv[i]
         np.dot(col, self.Binv, out=pair[1])
+        if shift is not None:
+            pair[2] = shift
         rows = pair @ self.A
         if artificials:
-            rows = np.hstack((rows, pair))
-        ratio, dots = rows
+            rows = np.hstack((rows, pair))  # phase 1 takes no long step
+        ratio, dots = rows[:2]
+        r, w = self.reduced, self.weights
+        if shift is not None:
+            r += rows[2]
         ratio /= col[i]
         gamma = 1.0 + float(col @ col)
-        r, w = self.reduced, self.weights
         rj = r[j]
         r -= rj * ratio
         dots *= 2.0
@@ -461,6 +547,8 @@ class _Simplex:
         self.Binv = np.delete(self.Binv, i, axis=0)
         self.xB = np.delete(self.xB, i)
         self.cB = np.delete(self.cB, i)
+        self.row_jump = np.delete(self.row_jump, i)
+        self.identity = False
         del self.basis[i]
         del self.rows[i]
 
@@ -486,6 +574,11 @@ class _Simplex:
         self.cost[self.n:] = art_cost
         self.cB = self.cost[self.basis]
         self.nonnegative = bool(c.min(initial=0.0) >= 0.0)
+        # per column, the slope a crossing to its mate adds per unit of
+        # its tableau entry, c_u + c_v; infinite where it may not cross
+        jump = self.cost + self.cost[self.mate]
+        self.col_jump = np.where((self.mate >= 0) & (jump >= 0.0), jump, _INF)
+        self.row_jump = self.col_jump[self.basis]
 
     def ray(self, enter: int) -> np.ndarray:
         d = np.zeros(self.n)

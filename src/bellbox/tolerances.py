@@ -48,7 +48,8 @@ BISECTION_TOL_FLOOR = 2.0 ** -52
 
 # -- linear programs (lp) ---------------------------------------------------
 
-# the simplex's zero: entering reduced costs, ratio ties, degenerate steps, drive-out entries
+# the simplex's zero: entering reduced costs, ratio ties, degenerate steps, a long step's
+# slope, drive-out entries
 PIVOT_TOL = 1e-10
 # least pivot in the ratio test, relative to the entering column's largest entry
 RATIO_TOL = 1e-9

@@ -31,14 +31,16 @@ from bellbox.analysis import (
     visibility_threshold,
 )
 from bellbox.errors import SizeCapError, ValidationError
-from bellbox.lp import LinearProgram, _Simplex, solve
+from bellbox.lp import LinearProgram, _Simplex, solve, verify_certificate
 from bellbox.polytope import random_local_model, strategy_matrix
 from bellbox.quantum import (
     BellSetup,
+    MeasurementSet,
     behavior_from_setup,
     lift_with_efficiency,
     named_setup,
     random_setup,
+    spin_projectors,
 )
 from test_no_signalling import _pr_box_on_pair
 
@@ -248,9 +250,10 @@ def test_decisions_refuse_a_bad_tolerance(decide, tol, monkeypatch):
 @pytest.mark.parametrize("strategy", [0, 17, 100, 255])
 def test_membership_pivot_budget_on_242(monkeypatch, strategy):
     """A deterministic strategy under 40% white noise on (2,4,2), a 65x384
-    distance program.  Each of these takes 88-118 pivots; the budget
-    fails if pricing or the starting basis regresses to smallest-index
-    pricing from all artificials, which takes 360-694."""
+    distance program.  Each of these takes 3 pivots (9, 9, 7 and 9 under
+    the plain ratio test); the budget fails if pricing or the starting
+    basis regresses to smallest-index pricing from all artificials,
+    which takes 340-809."""
     import bellbox.analysis as analysis
 
     pivots = []
@@ -278,21 +281,23 @@ def noisy_strategy_242(strategy, noise):
 def test_local_242_distance_programs_stop_at_zero_distance():
     """Twelve local (2,4,2) tables, each one deterministic strategy under
     white noise.  The simplex stops at the first vertex at distance 0:
-    381 pivots in all.  Pricing on to dual feasibility, as if a zero
-    distance were not already optimal, takes 1083."""
+    36 pivots in all (102 under the plain ratio test).  Pricing on to
+    dual feasibility, as if a zero distance were not already optimal,
+    takes 322."""
     total = 0
     for strategy in (0, 17, 100, 255):
         for noise in (0.3, 0.4, 0.6):
             out = solve(_distance_program(*noisy_strategy_242(strategy, noise)))
             assert out.status == "optimal" and out.objective <= 1e-9
             total += out.iterations
-    assert total <= 600
+    assert total <= 150
 
 
-@pytest.mark.parametrize(("seed", "pivots"), [(1, 93), (2, 69)])
+@pytest.mark.parametrize(("seed", "pivots"), [(1, 58), (2, 46)])
 def test_nonlocal_242_distance_program_pivots_are_pinned(seed, pivots):
     """A nonlocal table never reaches the floor, so its pivots are those
-    of the pricing rule alone; a change to either shows here."""
+    of the pricing rule and the ratio test alone; a change to either
+    shows here.  The plain ratio test takes 93 and 69."""
     beh = behavior_from_setup(random_setup(seed=seed, dims=(2, 2), inputs=(4, 4)))
     out = solve(_distance_program(strategy_matrix(beh.scenario), beh.probs))
     assert out.objective > 0.2
@@ -319,25 +324,53 @@ def test_distance_program_stays_primal_feasible_on_323_mixture():
     assert np.abs(V @ weights - beh.probs).max() <= MODEL_TOL
 
 
-@pytest.mark.parametrize("seed", [6, 53])
-def test_perturbed_323_pr_box_is_decided_far_below_the_pivot_cap(seed):
+def perturbed_323_pr_box(seed):
     """A (3,2,3) PR box on a random pair mixed with 1e-10 to 1e-8 of a
-    random table.  Nearly every pivot on it is degenerate at the scale of
-    the perturbation: pricing by the most negative reduced cost took 8,556
-    pivots on seed 6 and passed the 10,000 cap on seed 53.  Steepest-edge
-    pricing takes 271 and 691."""
+    random table."""
     rng = np.random.default_rng(seed)
     box = _pr_box_on_pair(rng, 3)
     eps = 10 ** rng.uniform(-10, -8)
     p = (1 - eps) * box + eps * rng.dirichlet(np.ones(27), size=8).reshape(-1)
-    beh = validate_behavior(Scenario.uniform(3, 2, 3), p)
+    return validate_behavior(Scenario.uniform(3, 2, 3), p)
+
+
+@pytest.mark.parametrize("seed", [6, 53])
+def test_perturbed_323_pr_box_is_decided_far_below_the_pivot_cap(seed):
+    """Nearly every pivot on a perturbed (3,2,3) PR box is degenerate at
+    the scale of the perturbation: pricing by the most negative reduced
+    cost took 8,556 pivots on seed 6 and passed the 10,000 cap on seed
+    53.  Steepest-edge pricing took 271 and 691 under the plain ratio
+    test; with long steps across the slack pairs it takes 90 and 128."""
+    beh = perturbed_323_pr_box(seed)
     V = strategy_matrix(beh.scenario)
     out = solve(_distance_program(V, beh.probs))
     assert out.status == "optimal"
-    assert out.iterations <= 1500
+    assert out.iterations <= 400
     is_local, cut = _decide(beh)  # raises unless the cut passes its recheck
     assert not is_local
     assert cut @ beh.probs > (cut @ V).max()
+
+
+def test_bland_rule_does_not_dominate_the_perturbed_323_pr_box(monkeypatch):
+    """Under the plain ratio test the simplex stopped at every zero slack
+    of seed 168's perturbed PR box, and after 50 such degenerate pivots in
+    a row Bland's smallest index chose 2,158 of its 2,402 entering
+    columns.  Long steps carry the slacks through zero to their mates:
+    146 pivots, 43 of them Bland's."""
+    chosen = {True: 0, False: 0}
+
+    def counting(self, steepest, artificials, _original=_Simplex._entering):
+        j = _original(self, steepest, artificials)
+        if j is not None:
+            chosen[steepest] += 1
+        return j
+
+    monkeypatch.setattr(_Simplex, "_entering", counting)
+    beh = perturbed_323_pr_box(168)
+    out = solve(_distance_program(strategy_matrix(beh.scenario), beh.probs))
+    assert out.status == "optimal" and out.objective > 3.9
+    assert out.iterations <= 500
+    assert chosen[False] <= 250
 
 
 def test_loose_tolerance_keeps_the_model_within_model_tol():
@@ -505,6 +538,64 @@ def test_distance_on_243_matches_highs():
     assert abs(out.objective - res.fun) <= 1e-9
     assert out.objective > 1e-3
     assert cut_margin(V, beh.probs, out.y) > 0.0
+
+
+def parity_box(m, f):
+    """Two parties with m binary-output inputs each: a xor b = f[x, y],
+    each output uniform.  On m = 2, f = x y is the PR box."""
+    t = np.zeros((m, m, 2, 2))
+    for x, y, a in itertools.product(range(m), range(m), range(2)):
+        t[x, y, a, a ^ f[x, y]] = 0.5
+    return t.reshape(-1)
+
+
+def singlet_table(rng, m):
+    """The singlet measured along m random directions in the x-z plane
+    by each party."""
+    alice, bob = (MeasurementSet(dim=2, effects=tuple(spin_projectors(angle) for angle in row))
+                  for row in rng.uniform(0.0, 2.0 * np.pi, size=(2, m)))
+    state = named_setup("singlet_chsh").state
+    return behavior_from_setup(BellSetup(state=state, alice=alice, bob=bob)).probs
+
+
+def test_parity_box_on_chsh_is_the_pr_box():
+    np.testing.assert_array_equal(parity_box(2, np.array([[0, 0], [0, 1]])),
+                                  named_behavior("pr_box").probs)
+
+
+@settings(deadline=None, max_examples=60)
+@given(seed=st.integers(0, 2**32 - 1), label=st.sampled_from(["chsh", "232", "322"]),
+       part=st.sampled_from(["pr", "singlet"]))
+def test_distance_program_matches_highs_on_random_mixtures(seed, label, part):
+    """A random local model, white noise and a nonlocal part, mixed with
+    Dirichlet weights: a parity box or the singlet for two parties, a PR
+    box on a random pair for three.  The simplex's distance, reached by
+    long steps across the slack pairs, is HiGHS's to within 1e-9 and
+    passes its certificate check, and the local/nonlocal decision agrees
+    with HiGHS's feasibility program."""
+    rng = np.random.default_rng(seed)
+    parties, m = {"chsh": (2, 2), "232": (2, 3), "322": (3, 2)}[label]
+    sc = Scenario.uniform(parties, m, 2)
+    if parties == 3:
+        odd = _pr_box_on_pair(rng, 2)
+    elif part == "pr":
+        odd = parity_box(m, rng.integers(0, 2, size=(m, m)))
+    else:
+        odd = singlet_table(rng, m)
+    local = random_local_model(sc, seed=int(rng.integers(2**31))).behavior().probs
+    w = rng.dirichlet(np.ones(3))
+    beh = validate_behavior(sc, w[0] * local + w[1] * named_behavior("uniform", sc).probs
+                            + w[2] * odd)
+    V = strategy_matrix(sc)
+    lp = _distance_program(V, beh.probs)
+    out = solve(lp)
+    assert out.status == "optimal"
+    assert verify_certificate(lp, out).ok
+    oracle = unreduced_program(V, beh.probs)
+    res = linprog(oracle.c, A_eq=oracle.A, b_eq=oracle.b, method="highs")
+    assert res.status == 0
+    assert abs(out.objective - res.fun) <= 1e-9
+    assert _decide(beh)[0] == scipy_is_local(beh)
 
 
 def test_oversize_membership_refused_before_enumeration(monkeypatch, capsys, tmp_path):

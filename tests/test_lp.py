@@ -9,6 +9,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from scipy.optimize import linprog
 
+from bellbox.analysis import _distance_program
 from bellbox.errors import SizeCapError, StalledError, ValidationError
 from bellbox.lp import (
     DIMENSION_CAP,
@@ -19,7 +20,11 @@ from bellbox.lp import (
     solve,
     verify_certificate,
 )
+from bellbox.polytope import strategy_matrix
+from bellbox.quantum import behavior_from_setup, named_setup, random_setup
+from bellbox.scenario import Scenario, named_behavior
 from _lp_cases import degenerate_cases
+from test_no_signalling import _pr_box_on_pair
 
 _INF = float("inf")
 
@@ -510,12 +515,36 @@ def _priced_random_lp(seed: int) -> LinearProgram:
     return LinearProgram(A=A, b=b, c=c, maximize=False)
 
 
+def _paired_distance_programs() -> list[LinearProgram]:
+    """Distance programs of a nonlocal (2,4,2) table and of a (3,2,3) PR
+    box on a random pair: every slack u_k has its mate v_k = -u_k, so
+    phase 2 takes long steps, and neither table reaches the floor."""
+    beh = behavior_from_setup(random_setup(seed=1, dims=(2, 2), inputs=(4, 4)))
+    box = _pr_box_on_pair(np.random.default_rng(3), 3)
+    return [_distance_program(strategy_matrix(beh.scenario), beh.probs),
+            _distance_program(strategy_matrix(Scenario.uniform(3, 2, 3)), box)]
+
+
+def _counting_crossings(counts: list):
+    """Patch ``_Simplex._cross`` to append the rows of each long step."""
+    cross = _Simplex._cross
+
+    def counting(self, rows, col):
+        counts.append(rows.size)
+        return cross(self, rows, col)
+
+    return mock.patch.object(_Simplex, "_cross", counting)
+
+
 def test_steepest_edge_weights_are_exact_after_every_pivot():
     """The weights the kernel carries by rank-one updates equal
     1 + |Binv a_j|^2 on every nonbasic priced column after each pivot of
-    either phase; an artificial column's image is a column of Binv."""
+    either phase, long steps included; an artificial column's image is a
+    column of Binv.  After every pivot Binv B is the identity to within
+    1e-9 in the infinity norm, B the basis matrix."""
     phase: list = []  # artificials of the run under way, empty between runs
     checked = {True: 0, False: 0}
+    crossings: list = []
     run, pivot = _Simplex.run, _Simplex._pivot
 
     def watched_run(self, artificials):
@@ -527,6 +556,9 @@ def test_steepest_edge_weights_are_exact_after_every_pivot():
 
     def watched_pivot(self, i, j, col):
         pivot(self, i, j, col)
+        basis = np.hstack([self.A, np.eye(self.m0)])[:, self.basis]
+        residual = np.abs(self.Binv @ basis - np.eye(len(self.basis))).sum(axis=1).max()
+        assert residual <= 1e-9
         if not phase:
             return  # driving out artificials between the phases prices nothing
         images = self.Binv @ self.A
@@ -538,22 +570,32 @@ def test_steepest_edge_weights_are_exact_after_every_pivot():
         checked[phase[-1]] += 1
 
     with mock.patch.object(_Simplex, "run", watched_run), \
-            mock.patch.object(_Simplex, "_pivot", watched_pivot):
+            mock.patch.object(_Simplex, "_pivot", watched_pivot), \
+            _counting_crossings(crossings):
         for seed in range(25):
             lp = _priced_random_lp(seed)
             out = solve(lp)
             assert out.status == "optimal"
             assert verify_certificate(lp, out).ok
+        assert not crossings  # no unit column has a mate in these programs
+        for lp in _paired_distance_programs():
+            before = len(crossings)
+            out = solve(lp)
+            assert out.status == "optimal"
+            assert verify_certificate(lp, out).ok
+            assert len(crossings) > before
     assert checked[True] > 0 and checked[False] > 0
 
 
 def test_updated_reduced_costs_match_a_fresh_pricing():
     """Each fresh pricing, every m pivots and before a phase is declared
-    optimal, finds the reduced costs kept by pivot-row updates within
-    1e-9 of its own; and every priced optimal exit of a run that pivoted
-    comes after such a comparison."""
+    optimal, finds the reduced costs kept by pivot-row updates, and by
+    the row updates of long steps, within 1e-9 of its own; and every
+    priced optimal exit of a run that pivoted comes after such a
+    comparison."""
     compared = []  # per pricing: did it find updated costs to compare?
     exits = 0
+    crossings: list = []
     fresh_costs = _Simplex.reduced_costs
 
     def watched_costs(self, artificials):
@@ -575,15 +617,34 @@ def test_updated_reduced_costs_match_a_fresh_pricing():
             exits += 1
         return status, enter
 
+    lps = [_priced_random_lp(seed) for seed in range(25)] + _paired_distance_programs()
     with mock.patch.object(_Simplex, "reduced_costs", watched_costs), \
-            mock.patch.object(_Simplex, "run", watched_run):
-        for seed in range(25):
-            lp = _priced_random_lp(seed)
+            mock.patch.object(_Simplex, "run", watched_run), \
+            _counting_crossings(crossings):
+        for lp in lps:
             out = solve(lp)
             assert out.status == "optimal"
             _, value = scipy_status(lp)
             assert out.objective == pytest.approx(value, rel=1e-7, abs=1e-7)
-    assert exits >= 25
+    assert exits >= 27
+    assert crossings
+
+
+@pytest.mark.parametrize("name", ["pr_box", "singlet"])
+def test_long_step_optimum_passes_the_rational_recheck(name):
+    """The CHSH distance programs of the PR box and the singlet end on
+    bases reached by long steps; the exact re-check over the rationals
+    confirms them."""
+    beh = (named_behavior("pr_box") if name == "pr_box"
+           else behavior_from_setup(named_setup("singlet_chsh")))
+    lp = _distance_program(strategy_matrix(beh.scenario), beh.probs)
+    crossings: list = []
+    with _counting_crossings(crossings):
+        out = solve(lp, rational_check=True)
+    assert crossings
+    assert out.status == "optimal" and out.objective > 0.8
+    assert verify_certificate(lp, out).ok
+    assert out.rational_verified is True
 
 
 def test_deterministic_replay():
