@@ -1,6 +1,7 @@
 """Fail unless every line of a perfbench/run.py JSONL output is correct,
-no operation of any workload failed, and a traced membership-242 line
-averages at most 35 simplex pivots per operation.
+no operation of any workload failed, a traced membership-242 line
+averages at most 35 simplex pivots per operation, and a traced verdicts
+line at most 1.2 LP solves per operation.
 
 usage: python3 .github/check_bench.py BENCH.jsonl
 
@@ -11,12 +12,18 @@ pivot gate reads ``lp.pivots`` of a traced run made without
 in the pricing rule or the ratio test fails: steepest-edge pricing with
 long steps across the slack pairs takes about 21-25 pivots per
 membership-242 operation (seeds 1-3), the plain ratio test about 40,
-and pricing by the most negative reduced cost about 87.
+and pricing by the most negative reduced cost about 87.  The solve gate
+reads ``lp.solves`` of a traced verdicts line the same way, so a CHSH
+visibility threshold that goes back to a separate membership decision
+of its target fails: with two solves per threshold, a 2 s traced smoke
+run takes about 1.08 solves per verdicts operation, with three about
+1.31.
 """
 import json
 import sys
 
 MAX_PIVOTS_242 = 35
+MAX_SOLVES_VERDICTS = 1.2
 
 
 def failures(r: dict) -> list[str]:
@@ -28,6 +35,11 @@ def failures(r: dict) -> list[str]:
         if pivots["value"] > MAX_PIVOTS_242:
             out.append(f"membership-242 takes {pivots['value']:.1f} pivots per operation, "
                        f"above {MAX_PIVOTS_242}")
+    solves = r["metrics"].get("lp.solves")
+    if r.get("workload") == "verdicts" and solves is not None:
+        if solves["value"] > MAX_SOLVES_VERDICTS:
+            out.append(f"verdicts takes {solves['value']:.3f} LP solves per operation, "
+                       f"above {MAX_SOLVES_VERDICTS}")
     return out
 
 

@@ -334,10 +334,12 @@ def _visibility_program(V: np.ndarray, probs: np.ndarray, noise: np.ndarray) -> 
 
     Variables are (w, v) >= 0: maximize v subject to V w - v (p - q) = q
     and sum(w) = 1 (Kaszlikowski et al., PRL 85, 4418 (2000)).  With q
-    local and p not, the feasible v form an interval [0, v*] with v* < 1,
-    so the program is bounded.  Its optimal w is a local model at v*; its
-    row prices (-c, t) satisfy c.V_s <= t for every strategy s and
-    c.(p - q) >= 1, so c separates every mixture with v > v*.
+    local, the feasible v form an interval [0, v*], and v* < 1 exactly
+    when p is nonlocal.  The program is bounded unless p = q: an
+    improving ray has dw >= 0 with sum(dw) = 0, so dw = 0 and p - q = 0.
+    Its optimal w is a local model at v*; its row prices (-c, t) satisfy
+    c.V_s <= t for every strategy s and c.(p - q) >= 1, so c separates
+    every mixture with v > v*.
     """
     n = V.shape[1]
     A = np.block([[V, (noise - probs)[:, None]],
@@ -350,7 +352,9 @@ def _visibility_program(V: np.ndarray, probs: np.ndarray, noise: np.ndarray) -> 
 def _visibility_probe(behavior: Behavior, noise: Behavior, noise_weights: np.ndarray):
     """Solve ``_visibility_program`` once and return a probe that decides
     v p + (1 - v) q for any v in [0, 1] with ``_decide``'s contract:
-    (True, weights) or (False, c), each rechecked on that mixture.
+    (True, weights) or (False, c), each rechecked on that mixture; None
+    when the program is unbounded, which happens exactly when p = q, since
+    v is then free.
 
     At or below the optimum v*, the weights are the optimal mixture
     rescaled toward ``noise_weights``, q's own model at v = 0; above it,
@@ -362,6 +366,8 @@ def _visibility_probe(behavior: Behavior, noise: Behavior, noise_weights: np.nda
     n = V.shape[1]
     p, q = behavior.probs, noise.probs
     out = solve(_visibility_program(V, p, q))
+    if out.status == "unbounded":
+        return None
     if out.status != "optimal":
         raise StalledError(f"visibility program ended with status {out.status!r}")
     v_star = max(float(out.x[n]), 0.0)
@@ -400,7 +406,9 @@ def visibility_threshold(
     but one program (``_visibility_program``) answers every probe: its
     optimal mixture certifies the local ones and its cut the nonlocal
     ones, each rechecked on the probe's mixture (``_visibility_probe``).
-    That is three solves with the two endpoint checks, plus one for any
+    Its probe at full visibility also decides the behavior itself, and
+    the program is unbounded exactly when the behavior is the noise.
+    That is two solves with the noise's own check, plus one for any
     probe that lands within round-off of the threshold.
     """
     if behavior.scenario != noise.scenario:
@@ -409,11 +417,11 @@ def visibility_threshold(
     noise_is_local, noise_weights = _decide(noise)
     if not noise_is_local:
         raise ValidationError("noise behavior must be local")
-    if _decide(behavior)[0]:
+    probe = _visibility_probe(behavior, noise, noise_weights)
+    if probe is None or probe(1.0)[0]:
         raise ValidationError(
             "behavior is already local at full visibility; no threshold exists"
         )
-    probe = _visibility_probe(behavior, noise, noise_weights)
     return _bisect("visibility", lambda v: probe(v)[0], tol)
 
 

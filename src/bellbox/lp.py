@@ -6,9 +6,13 @@ inverse, the basic values, the basic costs and, while a phase prices,
 its reduced costs and steepest-edge weights: each iteration forms only
 the entering column and the pivot row, updates the inverse by a
 rank-one change and carries the reduced costs and weights across the
-pivot.  Artificial columns are unit columns that are never stored.
-Each row starts on a structural column that already equals its unit
-vector, where one exists, and on its artificial otherwise.  The
+pivot.  The constraint matrix is used as given, never copied: a row
+whose right-hand side is negative is flipped by the sign that the basis
+inverse starts with.  Artificial columns are signed unit columns that
+are never stored.  Each row starts on a structural column that already
+equals its unit vector in the flipped system, where one exists, and on
+its artificial otherwise; phase 1 runs only when some row starts on its
+artificial, since a start without one is already feasible.  The
 entering column is the steepest edge (Goldfarb and Reid, Math. Prog.
 12, 361 (1977)): the largest r_j^2 / (1 + |B^-1 a_j|^2) over reduced
 costs r_j below ``-PIVOT_TOL``, with the weights kept exact by rank-one
@@ -222,19 +226,23 @@ class _StandardForm:
 class _Simplex:
     """Two-phase revised simplex over a standard-form system.
 
-    Rows are sign-flipped so the right-hand side is nonnegative.  The
-    state is the basis (one column index per row), the basic values
-    ``xB``, the basic costs ``cB`` and the basis inverse ``Binv``, with
-    one row per current row and one column per original row: the current
-    tableau is ``Binv`` applied to the flipped system, so the row prices
-    and the Farkas vector are ``cB Binv``.  Column ``n + i`` is the
-    artificial of row ``i``, a unit column that is never stored.  Each
-    iteration picks the steepest edge from the kept reduced costs and
-    weights, forms only the entering column ``Binv a_j``, updates the
-    reduced costs and weights from the pivot row and updates ``Binv`` by
-    a rank-one change.  A row whose flipped constraint already has a
-    structural +e_i column starts with that column basic instead of its
-    artificial; either way the starting basis matrix is the identity.
+    Rows are flipped so the right-hand side is nonnegative, without a
+    flipped copy of ``A``: ``Binv`` starts as ``diag(row_sign)``, so
+    ``Binv A`` is the flipped system from the start.  The state is the
+    basis (an ``np.intp`` array, one column index per row), the basic
+    values ``xB``, the basic costs ``cB`` and the basis inverse ``Binv``,
+    with one row per current row and one column per original row: the
+    current tableau is ``Binv A``, and the row prices and the Farkas
+    vector are ``cB Binv`` in the original orientation.  Column ``n + i``
+    is the artificial of row ``i``, the unit column ``row_sign[i] e_i``,
+    never stored.  Each iteration picks the steepest edge from the kept
+    reduced costs and weights, forms only the entering column
+    ``Binv a_j``, updates the reduced costs and weights from the pivot
+    row and updates ``Binv`` by a rank-one change.  A row whose flipped
+    constraint already has a structural +e_i column starts with that
+    column basic instead of its artificial; either way the starting
+    basis matrix is ``diag(row_sign)``, and phase 1 has nothing to do
+    unless some artificial starts basic.
     The same scan pairs that column with the row's -e_i column, where
     there is one: the two are mates (``mate``), and in phase 2 a long
     step may hand the row from one to the other (``_long_step``,
@@ -249,22 +257,22 @@ class _Simplex:
         m, n = A.shape
         self.m0 = m
         self.n = n
-        self.A = A * sign[:, None]
-        self.Binv = np.eye(m)
-        self.identity = True  # Binv is still the identity: no pivot yet
+        self.A = A  # never written: Binv carries the row signs
+        self.Binv = np.diag(sign)
+        self.diagonal = True  # Binv is still diag(row_sign): no pivot yet
         self.xB = b * sign
-        single = np.flatnonzero(np.count_nonzero(self.A, axis=0) == 1)
-        rows = np.nonzero(self.A[:, single].T)[1]  # the row of each singleton
-        value = self.A[rows, single]
-        # per row, its smallest +e_i and smallest -e_i column (np.unique
-        # keeps the first), or -1
+        nonzero = A != 0.0
+        single = np.flatnonzero(np.count_nonzero(nonzero, axis=0) == 1)
+        rows = np.nonzero(nonzero[:, single].T)[1]  # the row of each singleton
+        value = A[rows, single] * sign[rows]
+        # per row, its smallest +e_i and smallest -e_i column of the
+        # flipped system (np.unique keeps the first), or -1
         plus, minus = np.full((2, m), -1)
         for side, unit in ((plus, 1.0), (minus, -1.0)):
             at, first = np.unique(rows[value == unit], return_index=True)
             side[at] = single[value == unit][first]
-        basis = np.arange(n, n + m)
-        basis[plus >= 0] = plus[plus >= 0]
-        self.basis = basis.tolist()
+        self.basis = np.arange(n, n + m, dtype=np.intp)
+        self.basis[plus >= 0] = plus[plus >= 0]
         # a +e_i column and a -e_i column are mates: one crosses to the
         # other where its value passes zero (``_long_step``)
         both = (plus >= 0) & (minus >= 0)
@@ -272,7 +280,7 @@ class _Simplex:
         self.mate[plus[both]] = minus[both]
         self.mate[minus[both]] = plus[both]
         self.paired = bool(both.any())
-        self.rows = list(range(m))  # ids into the original row order
+        self.rows = np.arange(m)  # ids into the original row order
         self.max_iters = max_iters
         self.iterations = 0
         self.tol = tol
@@ -290,7 +298,8 @@ class _Simplex:
         """Column ``j`` of the current tableau, ``Binv a_j``."""
         if j < self.n:
             return self.Binv @ self.A[:, j]
-        return self.Binv[:, j - self.n].copy()
+        i = j - self.n
+        return self.Binv[:, i] * self.row_sign[i]
 
     def _pivot(self, i: int, j: int, col: np.ndarray):
         """Make ``j`` basic in row ``i``; ``col`` is its tableau column."""
@@ -303,7 +312,7 @@ class _Simplex:
         self.cB[i] = self.cost[j]
         self.row_jump[i] = self.col_jump[j]
         self.basis[i] = j
-        self.identity = False
+        self.diagonal = False
         self.iterations += 1
         if self.iterations > self.max_iters:
             raise StalledError(
@@ -330,7 +339,7 @@ class _Simplex:
         where gamma_j = 1 + |Binv a_j|^2 is the squared length of the edge
         that column j would move along.  The weights are formed on the
         first pricing of the call that has a column to enter (from the
-        columns themselves while ``Binv`` is still the identity), so a
+        columns themselves while ``Binv`` is still diagonal), so a
         phase that starts optimal builds none; each pivot then updates
         them exactly (Goldfarb and Reid), and the reduced costs with them,
         from the pivot row.  The reduced costs are priced afresh from the
@@ -392,7 +401,7 @@ class _Simplex:
                 room = np.maximum(self.xB[tied], 0.0)
                 reach = ((room + TIE_TOL) / col[tied]).min()
                 tied = tied[ratios[k:end] <= reach]
-                i = min(tied.tolist(), key=self.basis.__getitem__)  # Bland tie-break
+                i = int(tied[self.basis[tied].argmin()])  # Bland tie-break
             degenerate = degenerate + 1 if best <= PIVOT_TOL else 0
             shift = self._cross(pos[:k], col) if k else None
             self._update_pricing(i, j, col, artificials, shift)
@@ -427,13 +436,11 @@ class _Simplex:
         self.Binv[rows] = np.negative(flipped, out=flipped)
         self.xB[rows] *= -1.0
         col[rows] *= -1.0
-        w = self.weights
-        for i in rows.tolist():
-            u = self.basis[i]
-            v = int(self.mate[u])
-            self.basis[i] = v
-            self.cB[i] = self.cost[v]
-            w[u] = w[v]
+        u = self.basis[rows]
+        v = self.mate[u]
+        self.basis[rows] = v
+        self.cB[rows] = self.cost[v]
+        self.weights[u] = self.weights[v]
         return shift
 
     def _entering(self, steepest: bool, artificials: bool) -> int | None:
@@ -459,15 +466,16 @@ class _Simplex:
         y = self.prices()
         r = self.cost[:self.n] - y @ self.A
         if artificials:
-            r = np.concatenate([r, self.cost[self.n:] - y])
+            r = np.concatenate([r, self.cost[self.n:] - y * self.row_sign])
         return r
 
     def edge_weights(self, artificials: bool) -> np.ndarray:
         """Steepest-edge weights 1 + |Binv a_j|^2 of the priced columns;
-        an artificial column is a unit column, so its image is a column
-        of ``Binv``.  Before the first pivot ``Binv`` is the identity and
-        the images are the columns themselves."""
-        T = self.A if self.identity else self.Binv @ self.A
+        an artificial column is a signed unit column, so its image is a
+        column of ``Binv`` up to sign.  Before the first pivot ``Binv`` is
+        diagonal with entries +-1, and the images are the columns
+        themselves up to the signs of their rows."""
+        T = self.A if self.diagonal else self.Binv @ self.A
         w = 1.0 + np.einsum("ij,ij->j", T, T)
         if artificials:
             w = np.concatenate([w, 1.0 + np.einsum("ij,ij->j", self.Binv, self.Binv)])
@@ -493,7 +501,8 @@ class _Simplex:
             pair[2] = shift
         rows = pair @ self.A
         if artificials:
-            rows = np.hstack((rows, pair))  # phase 1 takes no long step
+            # phase 1 takes no long step; artificial i is row_sign[i] e_i
+            rows = np.hstack((rows, pair * self.row_sign))
         ratio, dots = rows[:2]
         r, w = self.reduced, self.weights
         if shift is not None:
@@ -515,49 +524,49 @@ class _Simplex:
         w[leave] = max(gamma / (col[i] * col[i]), 1.0)
 
     # -- phases ------------------------------------------------------------
-    def is_artificial(self, j: int) -> bool:
-        return j >= self.n
-
     def phase1(self) -> float:
-        """Minimize the sum of artificials; returns the attained value."""
+        """Minimize the sum of artificials; returns the attained value.
+
+        A basis with no artificial is feasible as it stands: it would
+        price, find no column to enter and stop, so it returns 0 without
+        installing costs or pricing."""
+        if not (self.basis >= self.n).any():
+            return 0.0
         self.install_costs(np.zeros(self.n), 1.0)
         status, _ = self.run(artificials=True)
         assert status == "optimal"  # phase-1 objective is bounded below by zero
         return float(self.cB @ self.xB)
 
     def drive_out_artificials(self):
-        """Pivot basic artificials onto structural columns; drop rows that
-        turn out redundant (no structural entry left)."""
-        i = 0
-        while i < len(self.basis):
-            if self.is_artificial(self.basis[i]):
-                row = self.Binv[i] @ self.A
-                cands = np.flatnonzero(np.abs(row) > PIVOT_TOL)
-                if cands.size:
-                    j = int(cands[0])
-                    self._pivot(i, j, self.column(j))
-                else:
-                    self._delete_row(i)
-                    continue
-            i += 1
+        """Pivot basic artificials onto structural columns; drop the rows
+        that turn out redundant (no structural entry left) after the sweep.
 
-    def _delete_row(self, i: int):
-        # the deleted row's artificial is basic there, so its column of
-        # Binv is e_i: every other row keeps a zero in it, for good
-        self.Binv = np.delete(self.Binv, i, axis=0)
-        self.xB = np.delete(self.xB, i)
-        self.cB = np.delete(self.cB, i)
-        self.row_jump = np.delete(self.row_jump, i)
-        self.identity = False
-        del self.basis[i]
-        del self.rows[i]
+        A redundant row's artificial stays basic there, so its column of
+        ``Binv`` is +-e_i: every other row keeps a zero in it, for good,
+        and no pivot of the sweep reads the redundant rows."""
+        redundant = []
+        for i in np.flatnonzero(self.basis >= self.n).tolist():
+            row = self.Binv[i] @ self.A
+            cands = np.flatnonzero(np.abs(row) > PIVOT_TOL)
+            if cands.size:
+                j = int(cands[0])
+                self._pivot(i, j, self.column(j))
+            else:
+                redundant.append(i)
+        if redundant:
+            self.Binv = np.delete(self.Binv, redundant, axis=0)
+            self.xB = np.delete(self.xB, redundant)
+            self.cB = np.delete(self.cB, redundant)
+            self.row_jump = np.delete(self.row_jump, redundant)
+            self.basis = np.delete(self.basis, redundant)
+            self.rows = np.delete(self.rows, redundant)
+            self.diagonal = False
 
     # -- extraction --------------------------------------------------------
     def primal(self) -> np.ndarray:
         x = np.zeros(self.n)
-        for i, jb in enumerate(self.basis):
-            if jb < self.n:
-                x[jb] = self.xB[i]
+        structural = self.basis < self.n
+        x[self.basis[structural]] = self.xB[structural]
         return x
 
     def duals(self) -> np.ndarray:
@@ -567,7 +576,7 @@ class _Simplex:
         (the reduced costs are the costs); the basis prices may not."""
         if self.at_floor():
             return np.zeros(self.m0)
-        return self.prices() * self.row_sign
+        return self.prices()
 
     def install_costs(self, c: np.ndarray, art_cost: float):
         self.cost[: c.shape[0]] = c
@@ -584,9 +593,8 @@ class _Simplex:
         d = np.zeros(self.n)
         d[enter] = 1.0
         col = self.column(enter)
-        for i, jb in enumerate(self.basis):
-            if jb < self.n:
-                d[jb] = -col[i]
+        structural = self.basis < self.n
+        d[self.basis[structural]] = -col[structural]
         return d
 
 
@@ -638,6 +646,8 @@ def solve(lp: LinearProgram, tol: float = DEFAULT_TOL,
         d = std.ray_to_original(sx.ray(enter))
         out = LpOutcome(status="unbounded", x=x, ray=d, iterations=sx.iterations)
         _check_internal(std, out, tol, lp=lp)
+        if rational_check:
+            out = _with_rational(out, std, sx, lp)
         return out
 
     value = float(lp.c @ x)
@@ -788,7 +798,7 @@ def _rational_recheck(status: str, std: _StandardForm, sx: _Simplex,
     losslessly, so a True here means the claimed basis proves the claim
     in exact arithmetic.
     """
-    rows = sx.rows
+    rows = sx.rows.tolist()
     n = std.A.shape[1]
     A = [[Fraction(std.A[i, j]) for j in range(n)] for i in rows]
     sign = [Fraction(sx.row_sign[i]) for i in rows]

@@ -164,6 +164,26 @@ class Behavior:
         return float(self.probs[flat_index(self.scenario, inputs, outputs)])
 
 
+@lru_cache(maxsize=32)
+def _blocks_by_size(scenario: Scenario) -> tuple[np.ndarray, np.ndarray, tuple]:
+    """The size of every input block, the miss from 1 of each block's sum
+    below which ``validate_behavior`` leaves the block unscaled (4 eps x
+    its size), and the blocks grouped by size: per size, the block
+    numbers and a (blocks, size) matrix of the flat indices of their
+    entries.  Cached by value, since every document builds its own
+    scenario; the arrays are read-only."""
+    offsets = np.array(scenario._block_offsets)
+    sizes = np.diff(offsets)
+    groups = []
+    for k in sorted(set(sizes.tolist())):  # np.unique would import numpy.ma
+        blocks = np.flatnonzero(sizes == k)
+        groups.append((blocks, offsets[blocks, None] + np.arange(k)))
+    float_band = 4.0 * FLOAT_EPS * sizes
+    for array in (sizes, float_band, *(a for group in groups for a in group)):
+        array.setflags(write=False)
+    return sizes, float_band, tuple(groups)
+
+
 def validate_behavior(scenario: Scenario, raw, tol: float = DEFAULT_TOL) -> Behavior:
     """Check and normalize a flat probability table into a Behavior.
 
@@ -171,7 +191,9 @@ def validate_behavior(scenario: Scenario, raw, tol: float = DEFAULT_TOL) -> Beha
     input block's sum may deviate from 1 by at most ``tol`` (the block is
     rescaled).  Rescaling is skipped when a block already sums to 1 at float
     precision, which makes validation idempotent and keeps round-trips exact.
-    A ``tol`` that is not a positive, finite number is refused.
+    A ``tol`` that is not a positive, finite number is refused.  The
+    first block that fails is reported, its negative entries before its
+    sum.
     """
     tol = require_tolerance(tol)
     vec = np.array(raw, dtype=np.float64).reshape(-1)
@@ -181,24 +203,29 @@ def validate_behavior(scenario: Scenario, raw, tol: float = DEFAULT_TOL) -> Beha
         )
     if not np.all(np.isfinite(vec)):
         raise ValidationError("behavior contains non-finite entries")
-    for joint in scenario.joint_inputs():
-        sl = scenario.block_slice(joint)
-        block = vec[sl]
-        worst = block.min()
-        if worst < -tol:
-            raise ValidationError(
-                f"input block {joint}: negative probability {worst:.3e} below -tol"
-            )
-        block = np.where(block < 0.0, 0.0, block)
-        s = float(block.sum())
-        if abs(s - 1.0) > tol:
-            raise ValidationError(
-                f"input block {joint}: probabilities sum to {s!r}, expected 1 within {tol}"
-            )
-        if abs(s - 1.0) > 4.0 * FLOAT_EPS * max(1, block.shape[0]):
-            block = block / s
-        vec[sl] = block
-    return Behavior(scenario=scenario, probs=vec, tol=tol)
+    sizes, float_band, groups = _blocks_by_size(scenario)
+    clipped = np.where(vec < 0.0, 0.0, vec)
+    sums = np.empty(sizes.size)
+    for blocks, index in groups:
+        # a row sum of a contiguous copy adds in the order block.sum() does
+        sums[blocks] = clipped[index].sum(axis=1)
+    miss = np.abs(sums - 1.0)
+    if vec.min() < -tol or miss.max() > tol:
+        for j, joint in enumerate(scenario.joint_inputs()):
+            worst = vec[scenario.block_slice(joint)].min()
+            if worst < -tol:
+                raise ValidationError(
+                    f"input block {joint}: negative probability {worst:.3e} below -tol"
+                )
+            if miss[j] > tol:
+                raise ValidationError(
+                    f"input block {joint}: probabilities sum to {float(sums[j])!r}, "
+                    f"expected 1 within {tol}"
+                )
+    rescale = miss > float_band
+    if rescale.any():
+        clipped /= np.repeat(np.where(rescale, sums, 1.0), sizes)
+    return Behavior(scenario=scenario, probs=clipped, tol=tol)
 
 
 def mix(components, tol: float | None = None) -> Behavior:

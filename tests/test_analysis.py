@@ -461,7 +461,7 @@ def test_distance_program_starts_feasible(label, which):
         probs = oracle_behavior(label, 1).probs
     lp = _distance_program(V, probs)
     sx = _Simplex(lp.A, lp.b, max_iters=0)
-    assert all(not sx.is_artificial(j) for j in sx.basis)
+    assert (sx.basis < sx.n).all()
     assert sx.phase1() == 0.0 and sx.iterations == 0
     out = solve(lp)
     assert out.status == "optimal"
@@ -703,6 +703,31 @@ def test_visibility_threshold_rejects_local_target():
         visibility_threshold(named_behavior("uniform"), named_behavior("uniform"))
 
 
+@pytest.mark.parametrize("target", [
+    named_behavior("uniform"),
+    behavior_from_setup(named_setup("werner", 0.6)),
+], ids=["the-noise", "werner-0.60"])
+def test_local_target_is_refused_after_two_solves(monkeypatch, target):
+    """The noise itself makes the visibility program unbounded; a local
+    target that is not the noise gives v* > 1, and the probe at full
+    visibility calls it local.  Either way the target is refused as a
+    separate membership decision refused it, without a third solve."""
+    import bellbox.analysis as analysis
+
+    assert _decide(target)[0]
+    calls = []
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return solve(*args, **kwargs)
+
+    monkeypatch.setattr(analysis, "solve", counting)
+    with pytest.raises(ValidationError,
+                       match="already local at full visibility; no threshold exists"):
+        visibility_threshold(target, named_behavior("uniform"))
+    assert len(calls) <= 2
+
+
 def test_visibility_threshold_rejects_nonlocal_noise():
     singlet = behavior_from_setup(named_setup("singlet_chsh"))
     with pytest.raises(ValidationError, match="noise"):
@@ -746,7 +771,9 @@ def test_visibility_threshold_equals_decide_bisection(seed, inputs):
     assert (res.critical, res.bracket, res.iterations) == decide_bisection(behavior, noise, 1e-6)
 
 
-def test_visibility_threshold_solves_three_programs(monkeypatch):
+def test_visibility_threshold_solves_two_programs(monkeypatch):
+    """The noise's own decision and the visibility program; the program's
+    probe at full visibility decides the behavior without a solve."""
     import bellbox.analysis as analysis
 
     calls = []
@@ -759,7 +786,7 @@ def test_visibility_threshold_solves_three_programs(monkeypatch):
     res = visibility_threshold(behavior_from_setup(named_setup("singlet_chsh")),
                                named_behavior("uniform"))
     assert res.iterations == 20
-    assert len(calls) <= 3
+    assert len(calls) <= 2
 
 
 @pytest.mark.parametrize("behavior", [

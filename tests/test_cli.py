@@ -330,6 +330,13 @@ def test_threshold_rejects_local_target(capsys):
     assert "local" in err
 
 
+def test_threshold_rejects_local_target_that_is_not_the_noise(capsys):
+    code, out, err = run_cli(capsys, "threshold", "visibility", fx("werner_0.60"), fx("uniform"))
+    assert code == 2
+    assert out == ""
+    assert "already local at full visibility" in err
+
+
 # -- determinism spot check --------------------------------------------------
 
 def test_structured_output_is_deterministic(capsys):

@@ -173,7 +173,7 @@ def test_unit_column_on_negative_row_does_not_start_basic():
                   [0.0, 1.0, 1.0, 1.0]])
     b = np.array([-1.0, 2.0])
     lp = LinearProgram(A=A, b=b, c=np.array([1.0, 2.0, 3.0, 1.0]), maximize=False)
-    assert _Simplex(lp.A, lp.b, max_iters=10).basis == [4, 3]
+    assert _Simplex(lp.A, lp.b, max_iters=10).basis.tolist() == [4, 3]
     out = solve(lp)
     expect, value = scipy_status(lp)
     assert out.status == expect == "optimal"
@@ -186,7 +186,7 @@ def test_infeasible_with_unit_slacks_gives_exact_farkas_vector():
     A = np.array([[1.0, 1.0, 1.0, 0.0],
                   [1.0, 1.0, 0.0, -1.0]])
     lp = LinearProgram(A=A, b=np.array([1.0, 2.0]))
-    assert _Simplex(lp.A, lp.b, max_iters=10).basis == [2, 5]
+    assert _Simplex(lp.A, lp.b, max_iters=10).basis.tolist() == [2, 5]
     out = solve(lp, rational_check=True)
     assert out.status == "infeasible" == scipy_status(lp)[0]
     assert verify_certificate(lp, out).ok
@@ -286,7 +286,84 @@ def test_starting_basis_takes_the_smallest_unit_column_of_each_row(seed):
         nz = np.flatnonzero(flipped[:, j])
         if nz.size == 1 and flipped[nz[0], j] == 1.0:
             expect[int(nz[0])] = j
-    assert _Simplex(A, b, max_iters=10).basis == expect
+    assert _Simplex(A, b, max_iters=10).basis.tolist() == expect
+
+
+def _recording_runs(calls: list):
+    """Patch ``_Simplex.run`` to append the ``artificials`` of each run."""
+    run = _Simplex.run
+
+    def recording(self, artificials):
+        calls.append(artificials)
+        return run(self, artificials)
+
+    return mock.patch.object(_Simplex, "run", recording)
+
+
+def test_phase1_runs_only_when_an_artificial_starts_basic():
+    """A distance program starts every row on a structural unit column,
+    so phase 1 prices nothing; a row with no unit column starts on its
+    artificial, and phase 1 runs."""
+    beh = behavior_from_setup(random_setup(seed=1, dims=(2, 2), inputs=(4, 4)))
+    calls: list = []
+    with _recording_runs(calls):
+        out = solve(_distance_program(strategy_matrix(beh.scenario), beh.probs))
+    assert out.status == "optimal"
+    assert calls == [False]
+    # row 0 reads -e_0 in column 0 once flipped, so it starts on its artificial
+    lp = LinearProgram(A=np.array([[1.0, 1.0, -1.0, 0.0], [0.0, 1.0, 1.0, 1.0]]),
+                       b=np.array([-1.0, 2.0]), c=np.array([1.0, 2.0, 3.0, 1.0]),
+                       maximize=False)
+    calls.clear()
+    with _recording_runs(calls):
+        out = solve(lp)
+    assert out.status == "optimal"
+    assert calls == [True, False]
+
+
+def test_simplex_reads_the_standard_form_matrix_without_a_copy():
+    """The distance program has negative right-hand sides; their rows are
+    flipped by the signs Binv starts with, not in a copy of A."""
+    beh = behavior_from_setup(random_setup(seed=1, dims=(2, 2), inputs=(4, 4)))
+    lp = _distance_program(strategy_matrix(beh.scenario), beh.probs)
+    assert (lp.b < 0.0).any()
+    std = _StandardForm(lp)
+    sx = _Simplex(std.A, std.b, max_iters=10)
+    assert np.shares_memory(sx.A, std.A)
+    np.testing.assert_array_equal(sx.Binv, np.diag(np.where(std.b < 0.0, -1.0, 1.0)))
+
+
+def _mixed_sign_programs(status: str, count: int = 6) -> list[LinearProgram]:
+    """The first ``count`` seeded programs G x + s = b (small integer G,
+    an identity block of slacks) whose b has both signs and whose
+    status is ``status``; "feasible" ones have no objective."""
+    found = []
+    for seed in range(10_000):
+        rng = np.random.default_rng(8000 + seed)
+        m, k = int(rng.integers(2, 6)), int(rng.integers(1, 5))
+        A = np.hstack([rng.integers(-3, 4, size=(m, k)).astype(float), np.eye(m)])
+        b = rng.integers(-3, 4, size=m).astype(float)
+        if not ((b < 0.0).any() and (b > 0.0).any()):
+            continue
+        c = None if status == "feasible" else rng.integers(-3, 4, size=m + k).astype(float)
+        lp = LinearProgram(A=A, b=b, c=c, maximize=bool(seed % 2))
+        if scipy_status(lp)[0] == status:
+            found.append(lp)
+            if len(found) == count:
+                return found
+    raise AssertionError(f"no {count} {status} programs found")
+
+
+@pytest.mark.parametrize("status", ["optimal", "infeasible", "unbounded", "feasible"])
+def test_mixed_sign_rhs_certificates_pass_both_checks(status):
+    """Rows with b_i < 0 start flipped, some on their artificials: every
+    status's evidence passes ``verify_certificate`` and the exact
+    re-check of its final basis."""
+    for lp in _mixed_sign_programs(status):
+        out = solve(lp, rational_check=True)
+        assert out.status == status
+        assert verify_certificate(lp, out).ok
+        assert out.rational_verified is True
 
 
 # -- certificates -----------------------------------------------------------
@@ -539,9 +616,10 @@ def _counting_crossings(counts: list):
 def test_steepest_edge_weights_are_exact_after_every_pivot():
     """The weights the kernel carries by rank-one updates equal
     1 + |Binv a_j|^2 on every nonbasic priced column after each pivot of
-    either phase, long steps included; an artificial column's image is a
-    column of Binv.  After every pivot Binv B is the identity to within
-    1e-9 in the infinity norm, B the basis matrix."""
+    either phase, long steps included; artificial i is row_sign[i] e_i in
+    the unflipped system, so its image is row_sign[i] times column i of
+    Binv.  After every pivot Binv B is the identity to within 1e-9 in the
+    infinity norm, B the basis matrix over the same columns."""
     phase: list = []  # artificials of the run under way, empty between runs
     checked = {True: 0, False: 0}
     crossings: list = []
@@ -556,14 +634,14 @@ def test_steepest_edge_weights_are_exact_after_every_pivot():
 
     def watched_pivot(self, i, j, col):
         pivot(self, i, j, col)
-        basis = np.hstack([self.A, np.eye(self.m0)])[:, self.basis]
+        basis = np.hstack([self.A, np.diag(self.row_sign)])[:, self.basis]
         residual = np.abs(self.Binv @ basis - np.eye(len(self.basis))).sum(axis=1).max()
         assert residual <= 1e-9
         if not phase:
             return  # driving out artificials between the phases prices nothing
         images = self.Binv @ self.A
         if phase[-1]:
-            images = np.hstack([images, self.Binv])
+            images = np.hstack([images, self.Binv * self.row_sign])
         fresh = 1.0 + (images * images).sum(axis=0)
         nonbasic = np.setdiff1d(np.arange(fresh.size), self.basis)
         np.testing.assert_allclose(self.weights[nonbasic], fresh[nonbasic], rtol=1e-8)

@@ -120,6 +120,66 @@ def test_validate_rejects_negative_entry_beyond_tolerance():
         validate_behavior(CHSH, raw)
 
 
+RAGGED = Scenario(inputs_per_party=(2, 3), outputs=((2, 3), (4, 1, 3)))
+
+
+def reference_validation(scenario, raw, tol):
+    """Block by block, in joint-input order: refuse an entry below -tol,
+    clip the rest at 0, refuse a sum more than tol from 1, and rescale a
+    block whose sum is more than 4 eps x its size from 1."""
+    vec = np.array(raw, dtype=np.float64)
+    for joint in scenario.joint_inputs():
+        sl = scenario.block_slice(joint)
+        block = vec[sl]
+        if block.min() < -tol:
+            return f"input block {joint}: negative probability {block.min():.3e} below -tol"
+        block = np.where(block < 0.0, 0.0, block)
+        s = float(block.sum())
+        if abs(s - 1.0) > tol:
+            return f"input block {joint}: probabilities sum to {s!r}, expected 1 within {tol}"
+        if abs(s - 1.0) > 4.0 * np.finfo(float).eps * block.size:
+            block = block / s
+        vec[sl] = block
+    return vec
+
+
+@settings(deadline=None, max_examples=200)
+@given(seed=st.integers(0, 2**32 - 1), noise=st.sampled_from([0.0, 1e-12, 1e-10, 1e-9, 1e-6]),
+       tol=st.sampled_from([1e-9, 1e-6]))
+def test_validate_matches_the_block_by_block_reference_on_a_ragged_scenario(seed, noise, tol):
+    """Blocks of 2 to 12 entries: the result is bitwise the per-block
+    reference's, and a refusal names the same first failing block with
+    the same message, negative entries before sums."""
+    assert len({RAGGED.block_size(j) for j in RAGGED.joint_inputs()}) > 3
+    rng = np.random.default_rng(seed)
+    raw = rng.random(RAGGED.dimension)
+    for joint in RAGGED.joint_inputs():
+        raw[RAGGED.block_slice(joint)] /= raw[RAGGED.block_slice(joint)].sum()
+    raw += noise * rng.normal(size=raw.size)
+    expect = reference_validation(RAGGED, raw, tol)
+    if isinstance(expect, str):
+        with pytest.raises(ValidationError) as info:
+            validate_behavior(RAGGED, raw, tol=tol)
+        assert str(info.value) == expect
+    else:
+        assert validate_behavior(RAGGED, raw, tol=tol).probs.tobytes() == expect.tobytes()
+
+
+def test_validate_reports_the_first_failing_ragged_block():
+    """A later block's negative entry does not hide an earlier block's bad
+    sum, and within one block the negative entry is reported first."""
+    raw = named_behavior("uniform", RAGGED).probs.copy()
+    late = RAGGED.block_slice((1, 2))
+    raw[late.start] = -1e-3
+    raw[RAGGED.block_slice((0, 1))] *= 1.1
+    with pytest.raises(ValidationError, match=r"input block \(0, 1\): probabilities sum"):
+        validate_behavior(RAGGED, raw)
+    raw[RAGGED.block_slice((0, 1))] /= 1.1
+    raw[late.start + 1] += 1.0
+    with pytest.raises(ValidationError, match=r"input block \(1, 2\): negative probability"):
+        validate_behavior(RAGGED, raw)
+
+
 def test_validate_clips_negative_noise_and_renormalizes():
     raw = np.full(16, 0.25)
     raw[0:4] = [-1e-12, 0.25, 0.375, 0.375]  # sums to 1 - 1e-12
