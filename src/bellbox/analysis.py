@@ -106,12 +106,12 @@ def _distance_program(V: np.ndarray, probs: np.ndarray) -> LinearProgram:
     s0 = int(np.argmin((1.0 - 2.0 * probs) @ V))
     A = np.zeros((d + 1, n + 2 * d))
     np.subtract(V, V[:, s0:s0 + 1], out=A[:d, :n])
-    rows = np.arange(d)
-    A[rows, n + rows] = 1.0
-    A[rows, n + d + rows] = -1.0
+    np.fill_diagonal(A[:d, n:n + d], 1.0)
+    np.fill_diagonal(A[:d, n + d:], -1.0)
     A[d, :n] = 1.0
     b = np.append(probs - V[:, s0], 1.0)
-    cost = np.concatenate([np.zeros(n), np.ones(2 * d)])
+    cost = np.zeros(n + 2 * d)
+    cost[n:] = 1.0
     return LinearProgram(A=A, b=b, c=cost, maximize=False)
 
 
@@ -341,9 +341,12 @@ def _visibility_program(V: np.ndarray, probs: np.ndarray, noise: np.ndarray) -> 
     c.V_s <= t for every strategy s and c.(p - q) >= 1, so c separates
     every mixture with v > v*.
     """
-    n = V.shape[1]
-    A = np.block([[V, (noise - probs)[:, None]],
-                  [np.ones((1, n)), np.zeros((1, 1))]])
+    d, n = V.shape
+    A = np.empty((d + 1, n + 1))
+    A[:d, :n] = V
+    np.subtract(noise, probs, out=A[:d, n])
+    A[d, :n] = 1.0
+    A[d, n] = 0.0
     cost = np.zeros(n + 1)
     cost[n] = 1.0
     return LinearProgram(A=A, b=np.append(noise, 1.0), c=cost, maximize=True)

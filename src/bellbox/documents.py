@@ -7,6 +7,9 @@ reproduces the value exactly and re-emitting a parsed document
 reproduces the bytes exactly.  Complex matrices are written as nested
 lists of [re, im] pairs.  A behavior document's ``tol`` defaults to
 ``tolerances.DEFAULT_TOL`` and must be a positive, finite number.
+Counts (parties, inputs, outputs, dims) are JSON integers, and table,
+coefficient and matrix entries are JSON numbers: a bool or a string is
+neither, and a number that does not make a finite float is refused.
 """
 
 from __future__ import annotations
@@ -83,17 +86,29 @@ def _require(payload: dict, field: str, kind: str):
     return payload[field]
 
 
+# JSON numbers as ``json`` reads them; a bool is not one, though it is an int
+_NUMBER = (int, float)
+
+
+def _refuse():
+    raise TypeError
+
+
 def _parse_scenario_fields(payload: dict, kind: str) -> Scenario:
     parties = _require(payload, "parties", kind)
     inputs = _require(payload, "inputs", kind)
     outputs = _require(payload, "outputs", kind)
     try:
-        inputs = tuple(int(v) for v in inputs)
-        outputs = tuple(tuple(int(v) for v in row) for row in outputs)
-    except (TypeError, ValueError):
+        # counts are JSON integers as they stand: 2.7, "2" and true are refused
+        inputs = tuple(v if type(v) is int else _refuse() for v in inputs)
+        outputs = tuple(tuple(v if type(v) is int else _refuse() for v in row)
+                        for row in outputs)
+    except TypeError:
         raise ValidationError(
             f"{kind} document: inputs and outputs must be integer tables"
         ) from None
+    if type(parties) is not int:
+        raise ValidationError(f"{kind} document: parties must be an integer, got {parties!r}")
     if parties != len(inputs):
         raise ValidationError(
             f"{kind} document: parties field says {parties}, "
@@ -103,18 +118,23 @@ def _parse_scenario_fields(payload: dict, kind: str) -> Scenario:
 
 
 def _float_list(raw, what: str) -> np.ndarray:
+    # a JSON integer too large for a float overflows; inf and nan, which
+    # json reads too, are refused where the values are validated
     try:
-        return np.array([float(v) for v in raw], dtype=np.float64)
-    except (TypeError, ValueError):
+        return np.array([float(v) if type(v) in _NUMBER else _refuse() for v in raw],
+                        dtype=np.float64)
+    except (TypeError, OverflowError):
         raise ValidationError(f"{what} must be a flat list of numbers") from None
 
 
 def _complex_matrix(raw, what: str) -> np.ndarray:
     try:
         return np.array(
-            [[complex(float(e[0]), float(e[1])) for e in row] for row in raw]
+            [[complex(float(e[0]) if type(e[0]) in _NUMBER else _refuse(),
+                      float(e[1]) if type(e[1]) in _NUMBER else _refuse())
+              for e in row] for row in raw]
         )
-    except (TypeError, ValueError, IndexError):
+    except (TypeError, ValueError, OverflowError, IndexError, KeyError):
         raise ValidationError(f"{what} must be a matrix of [re, im] pairs") from None
 
 
@@ -130,13 +150,18 @@ def _parse_functional(payload: dict) -> BellFunctional:
     sc = _parse_scenario_fields(payload, "functional")
     coeffs = _float_list(_require(payload, "coeffs", "functional"), "coeffs")
     bound = payload.get("local_bound")
+    if bound is not None:
+        try:
+            bound = float(bound) if type(bound) in _NUMBER else _refuse()
+        except (TypeError, OverflowError):
+            raise ValidationError("functional document: local_bound must be a number") from None
     note = payload.get("note")
     if note is not None and not isinstance(note, str):
         raise ValidationError("functional document: note must be a string")
     return BellFunctional(
         scenario=sc,
         coeffs=coeffs,
-        local_bound=None if bound is None else float(bound),
+        local_bound=bound,
         note=note,
     )
 
@@ -144,7 +169,7 @@ def _parse_functional(payload: dict) -> BellFunctional:
 def _parse_setup(payload: dict) -> BellSetup:
     dims = _require(payload, "dims", "setup")
     try:
-        dim_a, dim_b = (int(v) for v in dims)
+        dim_a, dim_b = (v if type(v) is int else _refuse() for v in dims)
     except (TypeError, ValueError):
         raise ValidationError("setup document: dims must be two integers") from None
     state = QuantumState(
@@ -155,10 +180,15 @@ def _parse_setup(payload: dict) -> BellSetup:
     sides = []
     for field, dim in (("alice", dim_a), ("bob", dim_b)):
         rows = _require(payload, field, "setup")
-        effects = tuple(
-            tuple(_complex_matrix(m, f"{field} effect ({x}, {a})") for a, m in enumerate(row))
-            for x, row in enumerate(rows)
-        )
+        try:
+            effects = tuple(
+                tuple(_complex_matrix(m, f"{field} effect ({x}, {a})") for a, m in enumerate(row))
+                for x, row in enumerate(rows)
+            )
+        except TypeError:
+            raise ValidationError(
+                f"setup document: {field} must list, per input, a list of effects"
+            ) from None
         sides.append(MeasurementSet(dim=dim, effects=effects))
     return BellSetup(state=state, alice=sides[0], bob=sides[1])
 
@@ -175,6 +205,8 @@ def parse_document_text(text: str, tol: float | None = None):
         raise ValidationError(
             f"document grammar error at line {err.lineno}, column {err.colno}: {err.msg}"
         ) from None
+    except ValueError as err:  # an integer literal past Python's digit limit
+        raise ValidationError(f"document number error: {err}") from None
     if not isinstance(payload, dict):
         raise ValidationError("document must be a JSON object with a 'kind' field")
     kind = payload.get("kind")

@@ -6,13 +6,17 @@ inverse, the basic values, the basic costs and, while a phase prices,
 its reduced costs and steepest-edge weights: each iteration forms only
 the entering column and the pivot row, updates the inverse by a
 rank-one change and carries the reduced costs and weights across the
-pivot.  The constraint matrix is used as given, never copied: a row
-whose right-hand side is negative is flipped by the sign that the basis
-inverse starts with.  Artificial columns are signed unit columns that
-are never stored.  Each row starts on a structural column that already
-equals its unit vector in the flipped system, where one exists, and on
-its artificial otherwise; phase 1 runs only when some row starts on its
-artificial, since a start without one is already feasible.  The
+pivot.  The constraint matrix is used as given, never copied: a
+program without variable bounds passes through the standard form
+unchanged, and a row whose right-hand side is negative is flipped by
+the sign that the basis inverse starts with.  Artificial columns are
+signed unit columns that are never stored.  Each row starts on a
+structural column that already equals its unit vector in the flipped
+system, where one exists, and on its artificial otherwise; phase 1 runs
+only when some row starts on its artificial, since a start without one
+is already feasible.  The scan that finds those columns sorts nothing:
+one product of the nonzero pattern gives each column's nonzero count
+and row, and ``np.minimum.at`` keeps each row's smallest.  The
 entering column is the steepest edge (Goldfarb and Reid, Math. Prog.
 12, 361 (1977)): the largest r_j^2 / (1 + |B^-1 a_j|^2) over reduced
 costs r_j below ``-PIVOT_TOL``, with the weights kept exact by rank-one
@@ -172,18 +176,25 @@ class CertificateReport:
 class _StandardForm:
     """Equality system with every variable nonnegative.
 
-    Columns are generated per original variable: a plain column for lo=0,
-    a shifted column for finite lo, a negated column for variables only
-    bounded above, and a +/- pair for free variables.  Finite ranges get
-    one extra row ``x' + s = hi - lo`` appended after the input rows.
+    A program without bounds is one already: its A, b and objective
+    stand as given (``identity``), and a point or ray of the system is
+    one of the program, so ``to_original`` and ``ray_to_original`` return
+    their argument.  Otherwise columns are generated per original
+    variable: a plain column for lo=0, a shifted column for finite lo, a
+    negated column for variables only bounded above, and a +/- pair for
+    free variables.  Finite ranges get one extra row ``x' + s = hi - lo``
+    appended after the input rows.
     """
 
     def __init__(self, lp: LinearProgram):
         m, n = lp.shape
-        if lp.bounds is None:
-            lo, hi = np.zeros(n), np.full(n, _INF)
-        else:
-            lo, hi = np.array(lp.bounds, dtype=np.float64).reshape(n, 2).T
+        c_min = np.zeros(n) if lp.c is None else (-lp.c if lp.maximize else lp.c)
+        self.identity = lp.bounds is None
+        if self.identity:
+            # nothing writes to A, b or c_min
+            self.A, self.b, self.c_min, self.m_rows = lp.A, lp.b, c_min, m
+            return
+        lo, hi = np.array(lp.bounds, dtype=np.float64).reshape(n, 2).T
         # x_j = shift_j + sign_j * x'_j, less x''_j for a free (split) variable
         self.split = (lo == -_INF) & (hi == _INF)
         negated = (lo == -_INF) & ~self.split
@@ -208,16 +219,19 @@ class _StandardForm:
             A_std[:m, :n_struct] = lp.A[:, origin] * col_sign
             A_std[m + np.arange(k), self.first[ranged]] = 1.0
             A_std[m + np.arange(k), n_struct + np.arange(k)] = 1.0  # range slacks
-        c_min = np.zeros(n) if lp.c is None else (-lp.c if lp.maximize else lp.c)
         self.A = A_std
         self.b = np.concatenate([b, (hi - lo)[ranged]])
         self.c_min = np.concatenate([c_min[origin] * col_sign, np.zeros(k)])
         self.m_rows = m + k
 
     def to_original(self, x_std: np.ndarray) -> np.ndarray:
+        if self.identity:
+            return x_std
         return self.shift + self.ray_to_original(x_std)
 
     def ray_to_original(self, d_std: np.ndarray) -> np.ndarray:
+        if self.identity:
+            return d_std
         d = self.sign * d_std[self.first]
         d[self.split] -= d_std[self.first[self.split] + 1]
         return d
@@ -246,8 +260,11 @@ class _Simplex:
     The same scan pairs that column with the row's -e_i column, where
     there is one: the two are mates (``mate``), and in phase 2 a long
     step may hand the row from one to the other (``_long_step``,
-    ``_cross``).  Under nonnegative costs a phase-2 basis whose
-    objective is at most ``tol`` ends the phase.
+    ``_cross``).  The scan sorts nothing: one product with the nonzero
+    pattern of ``A`` counts each column's nonzeros and sums their rows,
+    and ``np.minimum.at`` keeps each row's smallest +e_i and -e_i
+    column.  Under nonnegative costs a phase-2 basis whose objective is
+    at most ``tol`` ends the phase.
     """
 
     def __init__(self, A: np.ndarray, b: np.ndarray, max_iters: int,
@@ -261,21 +278,27 @@ class _Simplex:
         self.Binv = np.diag(sign)
         self.diagonal = True  # Binv is still diag(row_sign): no pivot yet
         self.xB = b * sign
-        nonzero = A != 0.0
-        single = np.flatnonzero(np.count_nonzero(nonzero, axis=0) == 1)
-        rows = np.nonzero(nonzero[:, single].T)[1]  # the row of each singleton
+        # per column, the count of its nonzeros and the sum of their rows,
+        # both exact small integers: a singleton column's sum is its row
+        tally = np.empty((2, m))
+        tally[0] = 1.0
+        tally[1] = np.arange(m)
+        count, row_sum = tally @ (A != 0.0)
+        single = np.flatnonzero(count == 1.0)
+        rows = row_sum[single].astype(np.intp)
         value = A[rows, single] * sign[rows]
-        # per row, its smallest +e_i and smallest -e_i column of the
-        # flipped system (np.unique keeps the first), or -1
-        plus, minus = np.full((2, m), -1)
-        for side, unit in ((plus, 1.0), (minus, -1.0)):
-            at, first = np.unique(rows[value == unit], return_index=True)
-            side[at] = single[value == unit][first]
-        self.basis = np.arange(n, n + m, dtype=np.intp)
-        self.basis[plus >= 0] = plus[plus >= 0]
+        unit = np.abs(value) == 1.0
+        # per row, its smallest +e_i column of the flipped system (slot i)
+        # and its smallest -e_i column (slot m + i), or n where it has none;
+        # a plain fancy-index write with repeated slots leaves unspecified
+        # which column wins
+        first = np.full(2 * m, n, dtype=np.intp)
+        np.minimum.at(first, rows[unit] + m * (value[unit] < 0.0), single[unit])
+        plus, minus = first[:m], first[m:]
+        self.basis = np.where(plus < n, plus, np.arange(n, n + m, dtype=np.intp))
         # a +e_i column and a -e_i column are mates: one crosses to the
         # other where its value passes zero (``_long_step``)
-        both = (plus >= 0) & (minus >= 0)
+        both = (plus < n) & (minus < n)
         self.mate = np.full(n + m, -1)
         self.mate[plus[both]] = minus[both]
         self.mate[minus[both]] = plus[both]
@@ -769,7 +792,7 @@ def _dual_check(lp: LinearProgram, outcome: LpOutcome) -> tuple[float, float]:
     if y.shape[0] != std.m_rows:
         return _INF, -_INF  # prices for the synthetic range rows were not reported
     dual = float(y @ std.b)
-    offset = float(lp.c @ std.shift)
+    offset = 0.0 if std.identity else float(lp.c @ std.shift)
     reduced = std.c_min - (-y if lp.maximize else y) @ std.A
     return (abs(float(lp.c @ outcome.x) - dual - offset),
             float(reduced.min(initial=_INF)))

@@ -86,13 +86,7 @@ class Scenario:
 
     @cached_property
     def _block_offsets(self) -> tuple[int, ...]:
-        offsets = []
-        acc = 0
-        for joint in self.joint_inputs():
-            offsets.append(acc)
-            acc += self.block_size(joint)
-        offsets.append(acc)
-        return tuple(offsets)
+        return _block_offsets_of(self)  # built once per scenario value
 
     @property
     def dimension(self) -> int:
@@ -111,6 +105,17 @@ class Scenario:
     def block_slice(self, inputs: tuple[int, ...]) -> slice:
         j = self.joint_input_index(inputs)
         return slice(self._block_offsets[j], self._block_offsets[j + 1])
+
+
+@lru_cache(maxsize=32)
+def _block_offsets_of(scenario: Scenario) -> tuple[int, ...]:
+    """Where each input block starts in the flat table, joint inputs in
+    order, and the table's length last.  Cached by value, since every
+    document builds its own scenario."""
+    offsets = [0]
+    for joint in scenario.joint_inputs():
+        offsets.append(offsets[-1] + scenario.block_size(joint))
+    return tuple(offsets)
 
 
 def flat_index(scenario: Scenario, inputs: tuple[int, ...], outputs: tuple[int, ...]) -> int:

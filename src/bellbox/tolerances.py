@@ -84,7 +84,10 @@ def require_tolerance(value, what: str = "tolerance") -> float:
     positive and finite, raises ``ValidationError``."""
     if not isinstance(value, Real) or isinstance(value, bool):
         raise ValidationError(f"{what} must be a number, got {value!r}")
-    value = float(value)
-    if not (value > 0.0 and math.isfinite(value)):
+    try:
+        number = float(value)
+    except OverflowError:  # an int too large for a float
+        number = math.inf
+    if not (number > 0.0 and math.isfinite(number)):
         raise ValidationError(f"{what} must be positive and finite, got {value!r}")
-    return value
+    return number

@@ -378,3 +378,16 @@ def test_unknown_verb_exit_code():
         capture_output=True, text=True)
     assert proc.returncode == 2
     assert proc.stderr.strip()
+
+
+def test_document_numbers_that_are_no_floats_exit_2(capsys, tmp_path):
+    """An integer too large for a float used to raise OverflowError out of
+    main; a string probability used to parse as a number."""
+    payload = json.loads(emit_document(named_behavior("uniform")))
+    for entry in (10 ** 400, "0.25"):
+        payload["probs"][0] = entry
+        doc = tmp_path / "table.json"
+        doc.write_text(json.dumps(payload))
+        code, out, err = run_cli(capsys, "classify", str(doc))
+        assert (code, out) == (2, "")
+        assert "probs must be a flat list of numbers" in err

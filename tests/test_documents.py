@@ -20,7 +20,7 @@ from bellbox.documents import (
 )
 from bellbox.errors import ValidationError
 from bellbox.fixtures import fixture_names, fixture_path
-from bellbox.polytope import BellFunctional, canonicalize, chsh_functional
+from bellbox.polytope import BellFunctional, canonicalize, chsh_functional, strategy_matrix
 from bellbox.quantum import BellSetup, behavior_from_setup, named_setup
 
 
@@ -205,3 +205,125 @@ def test_fixtures_parse_and_are_emit_normalized():
 def test_unknown_fixture():
     with pytest.raises(ValidationError, match="no_such_thing"):
         fixture_path("no_such_thing")
+
+
+# -- numbers in documents ----------------------------------------------------
+
+def _uniform_payload() -> dict:
+    return json.loads(emit_document(named_behavior("uniform")))
+
+
+@pytest.mark.parametrize("field, value", [
+    ("inputs", [2.7, 2]),
+    ("inputs", [2.0, 2]),
+    ("inputs", ["2", 2]),
+    ("inputs", [True, 2]),
+    ("outputs", [[2, "2"], [2, 2]]),
+    ("outputs", [[2, 2], [2.0, 2]]),
+    ("outputs", [[True, 2], [2, 2]]),
+    ("parties", "2"),
+    ("parties", 2.0),
+])
+def test_count_fields_take_json_integers_only(field, value):
+    """2.7 used to truncate to 2, and "2" and true to parse as counts."""
+    payload = _uniform_payload()
+    payload[field] = value
+    with pytest.raises(ValidationError, match="integer"):
+        parse_document_text(json.dumps(payload))
+
+
+def test_parties_true_is_not_one_party():
+    payload = {"kind": "scenario", "parties": True, "inputs": [2], "outputs": [[2, 2]]}
+    with pytest.raises(ValidationError, match="parties must be an integer"):
+        parse_document_text(json.dumps(payload))
+
+
+@pytest.mark.parametrize("entry", ["0.25", True, None, [0.25]])
+def test_probabilities_take_json_numbers_only(entry):
+    payload = _uniform_payload()
+    payload["probs"][0] = entry
+    with pytest.raises(ValidationError, match="probs must be a flat list of numbers"):
+        parse_document_text(json.dumps(payload))
+
+
+def test_boolean_table_is_not_a_table():
+    """[true, false, ...] is not the 0/1 table it spells."""
+    payload = _uniform_payload()
+    payload["probs"] = [bool(v) for v in named_behavior("pr_box").probs]
+    with pytest.raises(ValidationError, match="probs"):
+        parse_document_text(json.dumps(payload))
+
+
+def test_integer_probabilities_stay_accepted():
+    payload = _uniform_payload()
+    payload["probs"] = [int(v) for v in strategy_matrix(Scenario.uniform(2, 2, 2))[:, 5]]
+    assert set(payload["probs"]) == {0, 1}
+    table = parse_document_text(json.dumps(payload))
+    assert table.probs.tolist() == [float(v) for v in payload["probs"]]
+
+
+@pytest.mark.parametrize("big", [10 ** 400, -(10 ** 400)], ids=["huge", "minus-huge"])
+def test_integer_too_large_for_a_float_is_refused(big):
+    """float(10 ** 400) raises OverflowError, which used to escape."""
+    payload = _uniform_payload()
+    payload["probs"][0] = big
+    with pytest.raises(ValidationError, match="probs"):
+        parse_document_text(json.dumps(payload))
+    payload = _uniform_payload()
+    payload["tol"] = big
+    with pytest.raises(ValidationError, match="tol must be positive and finite"):
+        parse_document_text(json.dumps(payload))
+
+
+def test_integer_past_the_digit_limit_is_refused():
+    text = emit_document(named_behavior("uniform")).replace("0.25", "9" * 5000, 1)
+    with pytest.raises(ValidationError, match="number"):
+        parse_document_text(text)
+
+
+def test_overflowing_json_float_is_refused_as_non_finite():
+    """json reads 1e999 as inf; the table's own check refuses it."""
+    text = emit_document(named_behavior("uniform")).replace("0.25", "1e999", 1)
+    with pytest.raises(ValidationError, match="finite"):
+        parse_document_text(text)
+
+
+@pytest.mark.parametrize("entry", ["1", True, 10 ** 400], ids=["string", "bool", "huge"])
+def test_coefficients_and_bounds_take_json_numbers_only(entry):
+    payload = json.loads(emit_document(chsh_functional()))
+    payload["coeffs"][0] = entry
+    with pytest.raises(ValidationError, match="coeffs"):
+        parse_document_text(json.dumps(payload))
+    payload = json.loads(emit_document(chsh_functional()))
+    payload["local_bound"] = entry
+    with pytest.raises(ValidationError, match="local_bound must be a number"):
+        parse_document_text(json.dumps(payload))
+
+
+@pytest.mark.parametrize("entry", ["0.5", False, 10 ** 400], ids=["string", "bool", "huge"])
+def test_matrix_entries_take_json_numbers_only(entry):
+    payload = json.loads(emit_document(named_setup("singlet_chsh")))
+    payload["state"][0][0][0] = entry
+    with pytest.raises(ValidationError, match="state must be a matrix"):
+        parse_document_text(json.dumps(payload))
+    payload = json.loads(emit_document(named_setup("singlet_chsh")))
+    payload["alice"][0][0][1][1][1] = entry
+    with pytest.raises(ValidationError, match="alice effect"):
+        parse_document_text(json.dumps(payload))
+
+
+@pytest.mark.parametrize("dims", [[2.0, 2], ["2", 2], [True, 2]])
+def test_setup_dims_take_json_integers_only(dims):
+    payload = json.loads(emit_document(named_setup("singlet_chsh")))
+    payload["dims"] = dims
+    with pytest.raises(ValidationError, match="dims must be two integers"):
+        parse_document_text(json.dumps(payload))
+
+
+@pytest.mark.parametrize("effects", [5, [5]], ids=["number", "list-of-numbers"])
+def test_setup_effects_that_are_no_lists_are_refused(effects):
+    """A number where the effect lists belong raised TypeError."""
+    payload = json.loads(emit_document(named_setup("singlet_chsh")))
+    payload["bob"] = effects
+    with pytest.raises(ValidationError, match="bob must list, per input, a list of effects"):
+        parse_document_text(json.dumps(payload))

@@ -289,6 +289,71 @@ def test_starting_basis_takes_the_smallest_unit_column_of_each_row(seed):
     assert _Simplex(A, b, max_iters=10).basis.tolist() == expect
 
 
+def reference_unit_scan(A: np.ndarray, b: np.ndarray):
+    """The starting basis, mates and ``paired`` by the earlier scan: count
+    each column's nonzeros, take each singleton's row, and keep the first
+    +e_i and -e_i column per row of the flipped system by np.unique."""
+    sign = np.where(b < 0.0, -1.0, 1.0)
+    m, n = A.shape
+    nonzero = A != 0.0
+    single = np.flatnonzero(np.count_nonzero(nonzero, axis=0) == 1)
+    rows = np.nonzero(nonzero[:, single].T)[1]
+    value = A[rows, single] * sign[rows]
+    plus, minus = np.full((2, m), -1)
+    for side, unit in ((plus, 1.0), (minus, -1.0)):
+        at, first = np.unique(rows[value == unit], return_index=True)
+        side[at] = single[value == unit][first]
+    basis = np.arange(n, n + m)
+    basis[plus >= 0] = plus[plus >= 0]
+    both = (plus >= 0) & (minus >= 0)
+    mate = np.full(n + m, -1)
+    mate[plus[both]] = minus[both]
+    mate[minus[both]] = plus[both]
+    return basis, mate, bool(both.any())
+
+
+@st.composite
+def unit_column_systems(draw):
+    """Systems whose columns are zero, +-e_i (several per row, repeated),
+    scaled or tiny unit columns, or dense; b has negative, zero and -0.0
+    entries.  0 rows and 0 columns are drawn too."""
+    m, n = draw(st.integers(0, 5)), draw(st.integers(0, 12))
+    A = np.zeros((m, n))
+    for j in range(n):
+        kind = draw(st.sampled_from(["zero", "unit", "unit", "scaled", "dense"]))
+        if m == 0 or kind == "zero":
+            continue
+        if kind == "dense":
+            A[:, j] = draw(st.lists(st.sampled_from([-1.0, 0.0, 1.0, 2.5]),
+                                    min_size=m, max_size=m))
+            continue
+        scale = 1.0 if kind == "unit" else draw(st.sampled_from([2.0, 0.5, 1e-300]))
+        A[draw(st.integers(0, m - 1)), j] = draw(st.sampled_from([1.0, -1.0])) * scale
+    b = np.array(draw(st.lists(st.sampled_from([-2.0, -1.0, -0.0, 0.0, 1.0]),
+                               min_size=m, max_size=m)))
+    return A, b
+
+
+@settings(max_examples=300, deadline=None)
+@given(unit_column_systems())
+def test_unit_column_scan_matches_the_unique_scan(system):
+    A, b = system
+    sx = _Simplex(A, b, max_iters=10)
+    basis, mate, paired = reference_unit_scan(A, b)
+    assert sx.basis.tolist() == basis.tolist()
+    assert sx.mate.tolist() == mate.tolist()
+    assert sx.paired == paired
+
+
+@pytest.mark.parametrize("shape", [(0, 0), (0, 3), (3, 0)])
+def test_unit_column_scan_on_empty_systems(shape):
+    A, b = np.zeros(shape), -np.ones(shape[0])
+    sx = _Simplex(A, b, max_iters=10)
+    assert sx.basis.tolist() == list(range(shape[1], shape[1] + shape[0]))
+    assert sx.mate.tolist() == [-1] * sum(shape)
+    assert not sx.paired
+
+
 def _recording_runs(calls: list):
     """Patch ``_Simplex.run`` to append the ``artificials`` of each run."""
     run = _Simplex.run

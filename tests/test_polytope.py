@@ -602,6 +602,25 @@ def test_facet_output_is_sorted(chsh_facets):
     assert keys == sorted(keys)
 
 
+def test_3322_facet_census():
+    """(2,3,2) has 684 facets in three relabelling classes: 36 positivity,
+    72 CHSH and 576 I3322 facets (Collins and Gisin, J. Phys. A 37, 1775
+    (2004)); each class is the orbit of any one of its members."""
+    sc = Scenario.uniform(2, 3, 2)
+    facets = {f.key(): f for f in enumerate_facets(sc)}
+    assert len(facets) == 684
+    perms = relabellings(sc)
+    sizes = []
+    while facets:
+        member = next(iter(facets.values()))
+        orbit = {canonicalize(relabel_functional(member, p)).key() for p in perms}
+        assert orbit <= facets.keys()
+        sizes.append(len(orbit))
+        for key in orbit:
+            del facets[key]
+    assert sorted(sizes) == [36, 72, 576]
+
+
 def test_facet_caps():
     with pytest.raises(SizeCapError):
         enumerate_facets(Scenario.uniform(3, 2, 2))

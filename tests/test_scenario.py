@@ -1,6 +1,7 @@
 """Indexing, validation, mixing and signalling checks for the core types."""
 
 import itertools
+import math
 
 import numpy as np
 import pytest
@@ -16,6 +17,7 @@ from bellbox import (
     validate_behavior,
 )
 from bellbox.errors import ValidationError
+from bellbox.scenario import _block_offsets_of
 
 CHSH = Scenario.uniform(2, 2, 2)
 
@@ -32,6 +34,25 @@ def test_ragged_scenario_dimension():
     # Alice: 2 inputs with 2 and 3 outputs; Bob: 1 input with 2 outputs
     sc = Scenario(inputs_per_party=(2, 1), outputs=((2, 3), (2,)))
     assert sc.dimension == 2 * 2 + 3 * 2
+
+
+def test_block_offsets_are_built_once_per_scenario_value():
+    """Every document builds its own Scenario; equal ones share offsets."""
+    inputs, outputs = (2, 3, 1), ((2, 3), (4, 1, 2), (3,))
+    _block_offsets_of.cache_clear()
+    first = Scenario(inputs_per_party=inputs, outputs=outputs)
+    second = Scenario(inputs_per_party=inputs, outputs=outputs)
+    assert first is not second and first == second
+    # block sizes, joint inputs in order: 2*4*3, 2*1*3, 2*2*3, 3*4*3, ...
+    sizes = [math.prod(o) for o in itertools.product(
+        *([outputs[p][x] for x in range(inputs[p])] for p in range(3)))]
+    offsets = np.concatenate([[0], np.cumsum(sizes)]).tolist()
+    assert first.dimension == second.dimension == offsets[-1] == (2 + 3) * (4 + 1 + 2) * 3
+    for j, joint in enumerate(itertools.product(*(range(n) for n in inputs))):
+        assert second.block_slice(joint) == slice(offsets[j], offsets[j + 1])
+        assert first.block_offset(joint) == offsets[j]
+    info = _block_offsets_of.cache_info()
+    assert (info.misses, info.hits) == (1, 1)
 
 
 def test_scenario_rejects_empty_alphabets():
