@@ -202,16 +202,12 @@ def _cmd_classify(args) -> int:
 def _cmd_membership(args) -> int:
     tol = _effective_tol(args, DEFAULT_TOL)
     res = membership(_load_behavior(args.file, tol), tol=tol)
-    if res.is_local:
-        witness = _witness_payload(res)
-    else:
-        witness = _functional_witness(res.functional, res.violation)
     if args.format == "structured":
         _emit_structured({
             "verb": "membership",
             "tolerance": tol,
             "is_local": res.is_local,
-            "witness": witness,
+            "witness": _witness_payload(res),
         })
     else:
         lines = [

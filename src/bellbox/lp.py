@@ -10,15 +10,20 @@ pivot.  The constraint matrix is used as given, never copied: a
 program without variable bounds passes through the standard form
 unchanged, and a row whose right-hand side is negative is flipped by
 the sign that the basis inverse starts with.  Artificial columns are
-signed unit columns that are never stored.  Each row starts on a
-structural column that already equals its unit vector in the flipped
-system, where one exists, and on its artificial otherwise; phase 1 runs
-only when some row starts on its artificial, since a start without one
-is already feasible.  The scan that finds those columns sorts nothing:
-one product of the nonzero pattern gives each column's nonzero count
-and row, and ``np.minimum.at`` keeps each row's smallest.  The
-entering column is the steepest edge (Goldfarb and Reid, Math. Prog.
-12, 361 (1977)): the largest r_j^2 / (1 + |B^-1 a_j|^2) over reduced
+signed unit columns that are never stored, and they are start-up
+scaffolding only: no phase prices them, so one that leaves the basis
+never returns (Bertsimas and Tsitsiklis, Introduction to Linear
+Optimization, 1997, section 3.5), and a redundant row keeps its
+artificial basic at zero instead of being deleted, so the basis inverse
+stays square over the same rows for the whole solve.  Each row starts
+on a structural column that already equals its unit vector in the
+flipped system, where one exists, and on its artificial otherwise;
+phase 1 runs only when some row starts on its artificial, since a start
+without one is already feasible.  The scan that finds those columns
+sorts nothing: one product of the nonzero pattern gives each column's
+nonzero count and row, and ``np.minimum.at`` keeps each row's smallest.
+The entering column is the steepest edge (Goldfarb and Reid, Math.
+Prog. 12, 361 (1977)): the largest r_j^2 / (1 + |B^-1 a_j|^2) over reduced
 costs r_j below ``-PIVOT_TOL``, with the weights kept exact by rank-one
 updates and the reduced costs priced afresh every m pivots and before
 a phase ends.  After a long run of degenerate pivots the rule falls
@@ -173,6 +178,14 @@ class CertificateReport:
     ray_gain: float | None = None
 
 
+def _bound_arrays(lp: LinearProgram) -> tuple[np.ndarray, np.ndarray]:
+    """The lower and the upper bounds of every variable, as two arrays."""
+    n = lp.shape[1]
+    if lp.bounds is None:
+        return np.zeros(n), np.full(n, _INF)
+    return np.array(lp.bounds, dtype=np.float64).reshape(n, 2).T
+
+
 class _StandardForm:
     """Equality system with every variable nonnegative.
 
@@ -194,7 +207,7 @@ class _StandardForm:
             # nothing writes to A, b or c_min
             self.A, self.b, self.c_min, self.m_rows = lp.A, lp.b, c_min, m
             return
-        lo, hi = np.array(lp.bounds, dtype=np.float64).reshape(n, 2).T
+        lo, hi = _bound_arrays(lp)
         # x_j = shift_j + sign_j * x'_j, less x''_j for a free (split) variable
         self.split = (lo == -_INF) & (hi == _INF)
         negated = (lo == -_INF) & ~self.split
@@ -244,19 +257,21 @@ class _Simplex:
     flipped copy of ``A``: ``Binv`` starts as ``diag(row_sign)``, so
     ``Binv A`` is the flipped system from the start.  The state is the
     basis (an ``np.intp`` array, one column index per row), the basic
-    values ``xB``, the basic costs ``cB`` and the basis inverse ``Binv``,
-    with one row per current row and one column per original row: the
-    current tableau is ``Binv A``, and the row prices and the Farkas
-    vector are ``cB Binv`` in the original orientation.  Column ``n + i``
-    is the artificial of row ``i``, the unit column ``row_sign[i] e_i``,
-    never stored.  Each iteration picks the steepest edge from the kept
-    reduced costs and weights, forms only the entering column
-    ``Binv a_j``, updates the reduced costs and weights from the pivot
-    row and updates ``Binv`` by a rank-one change.  A row whose flipped
-    constraint already has a structural +e_i column starts with that
-    column basic instead of its artificial; either way the starting
-    basis matrix is ``diag(row_sign)``, and phase 1 has nothing to do
-    unless some artificial starts basic.
+    values ``xB``, the basic costs ``cB`` and the square basis inverse
+    ``Binv``, one row and one column per row of ``A`` from the first
+    pivot to the last: the current tableau is ``Binv A``, and the row
+    prices and the Farkas vector are ``cB Binv`` in the original
+    orientation.  Column ``n + i`` is the artificial of row ``i``, the
+    unit column ``row_sign[i] e_i``, never stored and never priced: the
+    reduced costs and weights cover the ``n`` structural columns only.
+    Each iteration picks the steepest edge from the kept reduced costs
+    and weights, forms only the entering column ``Binv a_j``, updates the
+    reduced costs and weights from the pivot row and updates ``Binv`` by
+    a rank-one change.  A row whose flipped constraint already has a
+    structural +e_i column starts with that column basic instead of its
+    artificial; either way the starting basis matrix is
+    ``diag(row_sign)``, and phase 1 has nothing to do unless some
+    artificial starts basic.
     The same scan pairs that column with the row's -e_i column, where
     there is one: the two are mates (``mate``), and in phase 2 a long
     step may hand the row from one to the other (``_long_step``,
@@ -272,7 +287,6 @@ class _Simplex:
         sign = np.where(b < 0.0, -1.0, 1.0)
         self.row_sign = sign
         m, n = A.shape
-        self.m0 = m
         self.n = n
         self.A = A  # never written: Binv carries the row signs
         self.Binv = np.diag(sign)
@@ -303,7 +317,6 @@ class _Simplex:
         self.mate[plus[both]] = minus[both]
         self.mate[minus[both]] = plus[both]
         self.paired = bool(both.any())
-        self.rows = np.arange(m)  # ids into the original row order
         self.max_iters = max_iters
         self.iterations = 0
         self.tol = tol
@@ -318,11 +331,8 @@ class _Simplex:
 
     # -- low-level ---------------------------------------------------------
     def column(self, j: int) -> np.ndarray:
-        """Column ``j`` of the current tableau, ``Binv a_j``."""
-        if j < self.n:
-            return self.Binv @ self.A[:, j]
-        i = j - self.n
-        return self.Binv[:, i] * self.row_sign[i]
+        """Structural column ``j`` of the current tableau, ``Binv a_j``."""
+        return self.Binv @ self.A[:, j]
 
     def _pivot(self, i: int, j: int, col: np.ndarray):
         """Make ``j`` basic in row ``i``; ``col`` is its tableau column."""
@@ -342,7 +352,7 @@ class _Simplex:
                 f"simplex exceeded {self.max_iters} pivots without concluding")
 
     def prices(self) -> np.ndarray:
-        """Simplex multipliers ``c_B Binv``, indexed by original row id."""
+        """Simplex multipliers ``c_B Binv``, one per row of ``A``."""
         return self.cB @ self.Binv
 
     def at_floor(self) -> bool:
@@ -353,9 +363,11 @@ class _Simplex:
         the objective, which must stay within tol whatever b is."""
         return self.nonnegative and float(self.cB @ self.xB) <= self.tol
 
-    def run(self, artificials: bool) -> tuple[str, int | None]:
-        """Minimize the installed costs over the structural columns, and
-        over the artificial ones too if ``artificials``.
+    def run(self, phase: int) -> tuple[str, int | None]:
+        """Minimize the installed costs over the structural columns in
+        ``phase`` 1 or 2.  Only structural columns are priced, so an
+        artificial that leaves the basis never enters it again; the phase
+        decides only the floor stop and the long steps below.
 
         Steepest-edge pricing picks the entering column: among reduced
         costs below ``-PIVOT_TOL`` it takes the largest r_j^2 / gamma_j,
@@ -378,23 +390,23 @@ class _Simplex:
         the first row that does not cross leaves.  Bland pivots and phase
         1 take the plain ratio test, the first row leaving.  Either way
         near-ties among the rows that may leave are bounded in x and
-        broken by the smallest basic index.  In phase 2 (no artificials)
-        a basis at the floor (``at_floor``) is optimal without pricing;
-        phase 1 always runs to its priced optimum.
+        broken by the smallest basic index.  In phase 2 a basis at the
+        floor (``at_floor``) is optimal without pricing; phase 1 always
+        runs to its priced optimum.
         """
         self.weights = self.reduced = None
         degenerate = stale = 0
         while True:
-            if not artificials and self.at_floor():
+            if phase == 2 and self.at_floor():
                 return "optimal", None
             if self.reduced is None or stale >= len(self.basis):
-                self.reduced, stale = self.reduced_costs(artificials), 0
+                self.reduced, stale = self.reduced_costs(), 0
             steepest = degenerate < BLAND_AFTER
-            j = self._entering(steepest, artificials)
+            j = self._entering(steepest)
             if j is None and stale:
                 # an updated pricing never ends a phase: price afresh first
-                self.reduced, stale = self.reduced_costs(artificials), 0
-                j = self._entering(steepest, artificials)
+                self.reduced, stale = self.reduced_costs(), 0
+                j = self._entering(steepest)
             if j is None:
                 return "optimal", None
             col = self.column(j)
@@ -409,7 +421,7 @@ class _Simplex:
             order = ratios.argsort(kind="stable")
             pos, ratios = pos[order], ratios[order]  # the candidates by ratio
             k = 0  # the candidates before k cross, and the step ends at k
-            if steepest and self.paired and not artificials:
+            if steepest and self.paired and phase == 2:
                 k = self._long_step(j, pos, col)
             best = ratios[k]
             end = int(ratios.searchsorted(best + PIVOT_TOL, side="right"))
@@ -427,7 +439,7 @@ class _Simplex:
                 i = int(tied[self.basis[tied].argmin()])  # Bland tie-break
             degenerate = degenerate + 1 if best <= PIVOT_TOL else 0
             shift = self._cross(pos[:k], col) if k else None
-            self._update_pricing(i, j, col, artificials, shift)
+            self._update_pricing(i, j, col, shift)
             stale += 1
             self._pivot(i, j, col)
 
@@ -466,7 +478,7 @@ class _Simplex:
         self.weights[u] = self.weights[v]
         return shift
 
-    def _entering(self, steepest: bool, artificials: bool) -> int | None:
+    def _entering(self, steepest: bool) -> int | None:
         """The entering column under the kept reduced costs, None when no
         cost is below ``-PIVOT_TOL``: the largest r_j^2 / gamma_j, or the
         smallest index under Bland's rule.  The weights are built here, on
@@ -478,33 +490,25 @@ class _Simplex:
         if not steepest:
             return int(eligible.argmax())
         if self.weights is None:
-            self.weights = self.edge_weights(artificials)
+            self.weights = self.edge_weights()
         score = np.where(eligible, r, 0.0)
         score *= score
         score /= self.weights
         return int(score.argmax())
 
-    def reduced_costs(self, artificials: bool) -> np.ndarray:
-        """Reduced costs of the priced columns, from ``y = cB Binv``."""
-        y = self.prices()
-        r = self.cost[:self.n] - y @ self.A
-        if artificials:
-            r = np.concatenate([r, self.cost[self.n:] - y * self.row_sign])
-        return r
+    def reduced_costs(self) -> np.ndarray:
+        """Reduced costs of the structural columns, from ``y = cB Binv``."""
+        return self.cost[:self.n] - self.prices() @ self.A
 
-    def edge_weights(self, artificials: bool) -> np.ndarray:
-        """Steepest-edge weights 1 + |Binv a_j|^2 of the priced columns;
-        an artificial column is a signed unit column, so its image is a
-        column of ``Binv`` up to sign.  Before the first pivot ``Binv`` is
-        diagonal with entries +-1, and the images are the columns
-        themselves up to the signs of their rows."""
+    def edge_weights(self) -> np.ndarray:
+        """Steepest-edge weights 1 + |Binv a_j|^2 of the structural
+        columns.  Before the first pivot ``Binv`` is diagonal with entries
+        +-1, and the images are the columns themselves up to the signs of
+        their rows."""
         T = self.A if self.diagonal else self.Binv @ self.A
-        w = 1.0 + np.einsum("ij,ij->j", T, T)
-        if artificials:
-            w = np.concatenate([w, 1.0 + np.einsum("ij,ij->j", self.Binv, self.Binv)])
-        return w
+        return 1.0 + np.einsum("ij,ij->j", T, T)
 
-    def _update_pricing(self, i: int, j: int, col: np.ndarray, artificials: bool,
+    def _update_pricing(self, i: int, j: int, col: np.ndarray,
                         shift: np.ndarray | None = None):
         """Carry the reduced costs and edge weights across the pivot that
         makes ``j`` basic in row ``i``; reads ``Binv`` before the pivot.
@@ -514,8 +518,9 @@ class _Simplex:
         tableau and ratio = alpha / col[i], r_k then loses r_j * ratio_k and
         gamma_k becomes max(gamma_k - 2 ratio_k a_k.(Binv^T col) +
         ratio_k^2 gamma_j, 1 + ratio_k^2), gamma_j = 1 + |col|^2 exactly;
-        sign changes of rows leave every gamma as it was.  The leaving
-        column takes max(gamma_j / col[i]^2, 1)."""
+        sign changes of rows leave every gamma as it was.  A structural
+        leaving column takes max(gamma_j / col[i]^2, 1); a leaving
+        artificial is priced no more, so it takes nothing."""
         # row i of Binv, col^T Binv and the shift, written in place
         pair = self.pair[:2] if shift is None else self.pair
         pair[0] = self.Binv[i]
@@ -523,9 +528,6 @@ class _Simplex:
         if shift is not None:
             pair[2] = shift
         rows = pair @ self.A
-        if artificials:
-            # phase 1 takes no long step; artificial i is row_sign[i] e_i
-            rows = np.hstack((rows, pair * self.row_sign))
         ratio, dots = rows[:2]
         r, w = self.reduced, self.weights
         if shift is not None:
@@ -543,8 +545,9 @@ class _Simplex:
         np.maximum(w, floor, out=w)
         leave = self.basis[i]
         r[j] = 0.0
-        r[leave] = -rj / col[i]
-        w[leave] = max(gamma / (col[i] * col[i]), 1.0)
+        if leave < self.n:
+            r[leave] = -rj / col[i]
+            w[leave] = max(gamma / (col[i] * col[i]), 1.0)
 
     # -- phases ------------------------------------------------------------
     def phase1(self) -> float:
@@ -556,34 +559,28 @@ class _Simplex:
         if not (self.basis >= self.n).any():
             return 0.0
         self.install_costs(np.zeros(self.n), 1.0)
-        status, _ = self.run(artificials=True)
+        status, _ = self.run(phase=1)
         assert status == "optimal"  # phase-1 objective is bounded below by zero
         return float(self.cB @ self.xB)
 
     def drive_out_artificials(self):
-        """Pivot basic artificials onto structural columns; drop the rows
-        that turn out redundant (no structural entry left) after the sweep.
+        """Pivot each basic artificial onto the first structural column
+        with an entry above ``PIVOT_TOL`` in its row of the tableau.
 
-        A redundant row's artificial stays basic there, so its column of
-        ``Binv`` is +-e_i: every other row keeps a zero in it, for good,
-        and no pivot of the sweep reads the redundant rows."""
-        redundant = []
+        A row with no such entry is redundant, and nothing is deleted: its
+        artificial stays basic at zero (to within the phase-1 band), at
+        cost 0 in phase 2, and its column of ``Binv`` stays +-e_i, since
+        every other row keeps a zero there for good, so its price is zero.
+        Its tableau entries are at most ``PIVOT_TOL``, below the least
+        pivot that the ratio test takes, so phase 2 passes the row by;
+        should an entry grow past it, the artificial leaves as any basic
+        column does, for good."""
         for i in np.flatnonzero(self.basis >= self.n).tolist():
             row = self.Binv[i] @ self.A
             cands = np.flatnonzero(np.abs(row) > PIVOT_TOL)
             if cands.size:
                 j = int(cands[0])
                 self._pivot(i, j, self.column(j))
-            else:
-                redundant.append(i)
-        if redundant:
-            self.Binv = np.delete(self.Binv, redundant, axis=0)
-            self.xB = np.delete(self.xB, redundant)
-            self.cB = np.delete(self.cB, redundant)
-            self.row_jump = np.delete(self.row_jump, redundant)
-            self.basis = np.delete(self.basis, redundant)
-            self.rows = np.delete(self.rows, redundant)
-            self.diagonal = False
 
     # -- extraction --------------------------------------------------------
     def primal(self) -> np.ndarray:
@@ -594,11 +591,11 @@ class _Simplex:
 
     def duals(self) -> np.ndarray:
         """Row prices for the installed costs, in original row order and
-        orientation; a deleted row's price is zero.  At the floor they
+        orientation; a redundant row's price is zero.  At the floor they
         are y = 0, which certifies optimality under nonnegative costs
         (the reduced costs are the costs); the basis prices may not."""
         if self.at_floor():
-            return np.zeros(self.m0)
+            return np.zeros(self.basis.size)
         return self.prices()
 
     def install_costs(self, c: np.ndarray, art_cost: float):
@@ -644,54 +641,35 @@ def solve(lp: LinearProgram, tol: float = DEFAULT_TOL,
     gap = sx.phase1()
     if gap > tol * max(1.0, float(np.abs(std.b).max(initial=0.0))):
         # phase-1 prices already satisfy y.A <= 0 with y.b = gap > 0
-        y_std = sx.duals()
-        out = LpOutcome(status="infeasible", y=y_std, iterations=sx.iterations)
-        _check_internal(std, out, tol)
-        if rational_check:
-            out = _with_rational(out, std, sx, lp)
-        return out
-
-    sx.drive_out_artificials()
-
-    if lp.c is None:
+        out = LpOutcome(status="infeasible", y=sx.duals(), iterations=sx.iterations)
+    elif lp.c is None:
+        sx.drive_out_artificials()
+        out = LpOutcome(status="feasible", x=std.to_original(sx.primal()),
+                        iterations=sx.iterations)
+    else:
+        sx.drive_out_artificials()
+        sx.install_costs(std.c_min, 0.0)
+        status, enter = sx.run(phase=2)
         x = std.to_original(sx.primal())
-        out = LpOutcome(status="feasible", x=x, iterations=sx.iterations)
-        _check_internal(std, out, tol, lp=lp)
-        if rational_check:
-            out = _with_rational(out, std, sx, lp)
-        return out
-
-    sx.install_costs(std.c_min, 0.0)
-    status, enter = sx.run(artificials=False)
-    x_std = sx.primal()
-    x = std.to_original(x_std)
-    if status == "unbounded":
-        d = std.ray_to_original(sx.ray(enter))
-        out = LpOutcome(status="unbounded", x=x, ray=d, iterations=sx.iterations)
-        _check_internal(std, out, tol, lp=lp)
-        if rational_check:
-            out = _with_rational(out, std, sx, lp)
-        return out
-
-    value = float(lp.c @ x)
-    y_std = sx.duals()
-    if lp.maximize:
-        y_std = -y_std  # tableau prices are for the negated objective
-    out = LpOutcome(status="optimal", x=x, y=y_std, objective=value,
-                    iterations=sx.iterations)
-    _check_internal(std, out, tol, lp=lp)
+        if status == "unbounded":
+            out = LpOutcome(status="unbounded", x=x, ray=std.ray_to_original(sx.ray(enter)),
+                            iterations=sx.iterations)
+        else:
+            y = sx.duals()  # prices of the minimized objective: a maximum negates them
+            out = LpOutcome(status="optimal", x=x, y=-y if lp.maximize else y,
+                            objective=float(lp.c @ x), iterations=sx.iterations)
+    _check_internal(lp, std, out, tol)
     if rational_check:
         out = _with_rational(out, std, sx, lp)
     return out
 
 
-def _check_internal(std: _StandardForm, out: LpOutcome, tol: float,
-                    lp: LinearProgram | None = None):
+def _check_internal(lp: LinearProgram, std: _StandardForm, out: LpOutcome, tol: float):
     """Cheap invariant checks on the way out; a failure here means the
     tableau bookkeeping broke, which must never surface as a status."""
     scale = max(1.0, float(np.abs(std.b).max(initial=0.0)))
     slack = 100.0 * tol * scale
-    if out.x is not None and lp is not None:
+    if out.x is not None:
         res = float(np.abs(lp.A @ out.x - lp.b).max(initial=0.0))
         if res > slack:
             raise StalledError(f"solution residual {res:.3e} exceeds tolerance band")
@@ -713,17 +691,12 @@ def verify_certificate(lp: LinearProgram, outcome: LpOutcome,
     status = outcome.status
     ok = True
     fields: dict[str, float | None] = {}
+    lo, hi = _bound_arrays(lp)
 
     if outcome.x is not None:
         res = float(np.abs(lp.A @ outcome.x - lp.b).max(initial=0.0))
-        bv = 0.0
-        for j in range(lp.shape[1]):
-            lo, hi = lp.var_bounds(j)
-            v = outcome.x[j]
-            if lo != -_INF:
-                bv = max(bv, lo - v)
-            if hi != _INF:
-                bv = max(bv, v - hi)
+        # an infinite bound gives -inf here, never a violation
+        bv = float(np.maximum(lo - outcome.x, outcome.x - hi).max(initial=0.0))
         fields["residual"] = res
         fields["bound_violation"] = bv
         ok &= res <= tol and bv <= tol
@@ -758,13 +731,8 @@ def verify_certificate(lp: LinearProgram, outcome: LpOutcome,
             gain = float(lp.c @ d)
             if not lp.maximize:
                 gain = -gain
-            dir_ok = True
-            for j in range(lp.shape[1]):
-                lo, hi = lp.var_bounds(j)
-                if lo != -_INF and d[j] < -tol:
-                    dir_ok = False
-                if hi != _INF and d[j] > tol:
-                    dir_ok = False
+            # the ray may not leave a finite bound by more than tol
+            dir_ok = not (((lo > -_INF) & (d < -tol)).any() or ((hi < _INF) & (d > tol)).any())
             fields["ray_residual"] = rres
             fields["ray_gain"] = gain
             ok &= rres <= tol and gain > tol and dir_ok
@@ -821,20 +789,16 @@ def _rational_recheck(status: str, std: _StandardForm, sx: _Simplex,
     losslessly, so a True here means the claimed basis proves the claim
     in exact arithmetic.
     """
-    rows = sx.rows.tolist()
-    n = std.A.shape[1]
-    A = [[Fraction(std.A[i, j]) for j in range(n)] for i in rows]
-    sign = [Fraction(sx.row_sign[i]) for i in rows]
-    b = [Fraction(std.b[i]) * sign[k] for k, i in enumerate(rows)]
-    A = [[sign[k] * v for v in row] for k, row in enumerate(A)]
-    m = len(rows)
+    m, n = std.A.shape
+    sign = [Fraction(s) for s in sx.row_sign]
+    A = [[sign[i] * Fraction(std.A[i, j]) for j in range(n)] for i in range(m)]
+    b = [sign[i] * Fraction(std.b[i]) for i in range(m)]
 
     def column(j: int) -> list[Fraction]:
         if j < n:
             return [A[i][j] for i in range(m)]
         unit = [Fraction(0)] * m
-        pos = {row_id: k for k, row_id in enumerate(rows)}[j - sx.n]
-        unit[pos] = Fraction(1)
+        unit[j - n] = Fraction(1)
         return unit
 
     B = [column(j) for j in sx.basis]  # list of columns
@@ -848,23 +812,15 @@ def _rational_recheck(status: str, std: _StandardForm, sx: _Simplex,
     if status in ("optimal", "feasible", "unbounded"):
         if any(v < 0 for v in xB):
             return False
-        # the basic point must satisfy every row of the full system,
-        # including any dropped as redundant during float pivoting
-        x_full = [Fraction(0)] * n
-        for k, jb in enumerate(sx.basis):
-            if jb < n:
-                x_full[jb] = xB[k]
-        for i in range(std.A.shape[0]):
-            lhs = sum(Fraction(std.A[i, j]) * x_full[j] for j in range(n)
-                      if x_full[j] != 0)
-            if lhs != Fraction(std.b[i]):
-                return False
+        # a basic artificial, such as a redundant row's, must be exactly
+        # zero, so that the structural columns alone meet every row
+        if any(v != 0 for v, j in zip(xB, sx.basis) if j >= n):
+            return False
     if status in ("optimal", "infeasible"):
         if status == "optimal":
-            c_full = [Fraction(std.c_min[j]) if j < n else Fraction(0)
-                      for j in range(n + sx.m0)]
+            c_full = [Fraction(v) for v in std.c_min] + [Fraction(0)] * m
         else:
-            c_full = [Fraction(0)] * n + [Fraction(1)] * sx.m0
+            c_full = [Fraction(0)] * n + [Fraction(1)] * m
         cB = [c_full[j] for j in sx.basis]
         if status == "optimal" and min(c_full, default=0) >= 0 and _dot(cB, xB) == 0:
             return True  # c.x >= 0 on every feasible x, and this one costs 0

@@ -88,10 +88,14 @@ class Scenario:
     def _block_offsets(self) -> tuple[int, ...]:
         return _block_offsets_of(self)  # built once per scenario value
 
-    @property
+    @cached_property
     def dimension(self) -> int:
-        """Length of a behavior vector on this scenario."""
-        return self._block_offsets[-1]
+        """Length of a behavior vector on this scenario: the sum over joint
+        inputs of the product of their output counts, which factors into
+        the product over parties of each party's summed output counts, so
+        no joint input is enumerated and a huge scenario's table length is
+        known before any of its blocks are."""
+        return math.prod(sum(row) for row in self.outputs)
 
     def joint_input_index(self, inputs: tuple[int, ...]) -> int:
         idx = 0

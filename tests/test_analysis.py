@@ -359,8 +359,8 @@ def test_bland_rule_does_not_dominate_the_perturbed_323_pr_box(monkeypatch):
     146 pivots, 43 of them Bland's."""
     chosen = {True: 0, False: 0}
 
-    def counting(self, steepest, artificials, _original=_Simplex._entering):
-        j = _original(self, steepest, artificials)
+    def counting(self, steepest, _original=_Simplex._entering):
+        j = _original(self, steepest)
         if j is not None:
             chosen[steepest] += 1
         return j

@@ -355,12 +355,12 @@ def test_unit_column_scan_on_empty_systems(shape):
 
 
 def _recording_runs(calls: list):
-    """Patch ``_Simplex.run`` to append the ``artificials`` of each run."""
+    """Patch ``_Simplex.run`` to append the phase of each run."""
     run = _Simplex.run
 
-    def recording(self, artificials):
-        calls.append(artificials)
-        return run(self, artificials)
+    def recording(self, phase):
+        calls.append(phase)
+        return run(self, phase)
 
     return mock.patch.object(_Simplex, "run", recording)
 
@@ -374,7 +374,7 @@ def test_phase1_runs_only_when_an_artificial_starts_basic():
     with _recording_runs(calls):
         out = solve(_distance_program(strategy_matrix(beh.scenario), beh.probs))
     assert out.status == "optimal"
-    assert calls == [False]
+    assert calls == [2]
     # row 0 reads -e_0 in column 0 once flipped, so it starts on its artificial
     lp = LinearProgram(A=np.array([[1.0, 1.0, -1.0, 0.0], [0.0, 1.0, 1.0, 1.0]]),
                        b=np.array([-1.0, 2.0]), c=np.array([1.0, 2.0, 3.0, 1.0]),
@@ -383,7 +383,54 @@ def test_phase1_runs_only_when_an_artificial_starts_basic():
     with _recording_runs(calls):
         out = solve(lp)
     assert out.status == "optimal"
-    assert calls == [True, False]
+    assert calls == [1, 2]
+
+
+def test_an_artificial_that_leaves_never_enters_again():
+    """Phase 1 prices only the structural columns.  Pricing the
+    artificials too, this program took 7 pivots and its fifth put the
+    artificial of row 3 back into the basis; without, 6 pivots reach the
+    same optimum 2, on a basis the exact re-check confirms."""
+    A = np.array([[-2, 0, 2, -3, -1, -1, 2], [1, -1, 2, 3, -2, 3, -2],
+                  [1, 3, -1, 1, -1, 2, 0], [1, -1, -2, 1, -2, -2, -2]], dtype=float)
+    lp = LinearProgram(A=A, b=np.array([-8.0, 3.0, 2.0, 1.0]),
+                       c=np.array([2.0, 2.0, 2.0, -2.0, 0.0, -1.0, -2.0]), maximize=False)
+    entered = []
+    pivot = _Simplex._pivot
+
+    def watched_pivot(self, i, j, col):
+        entered.append(j)
+        pivot(self, i, j, col)
+
+    with mock.patch.object(_Simplex, "_pivot", watched_pivot):
+        out = solve(lp, rational_check=True)
+    assert entered and max(entered) < A.shape[1]
+    assert out.status == "optimal" and out.objective == pytest.approx(2.0, abs=1e-12)
+    assert verify_certificate(lp, out).ok
+    assert out.rational_verified is True
+
+
+@pytest.mark.parametrize("name", ["duplicated_row", "zero_row_consistent"])
+def test_a_redundant_row_keeps_its_artificial_basic_at_zero(name):
+    """No row is deleted: after the solve Binv is still m x m, and the
+    redundant row's artificial is basic at zero."""
+    case = next(c for c in degenerate_cases() if c.name == name)
+    simplices = []
+    primal = _Simplex.primal
+
+    def watched_primal(self):
+        simplices.append(self)
+        return primal(self)
+
+    with mock.patch.object(_Simplex, "primal", watched_primal):
+        out = solve(case.lp, rational_check=True)
+    assert out.status == "optimal" and out.rational_verified is True
+    sx = simplices[-1]
+    m, n = case.lp.shape
+    assert sx.Binv.shape == (m, m) and sx.basis.size == m
+    artificial = sx.basis >= n
+    assert artificial.sum() == 1
+    assert sx.xB[artificial].tolist() == [0.0]
 
 
 def test_simplex_reads_the_standard_form_matrix_without_a_copy():
@@ -680,37 +727,36 @@ def _counting_crossings(counts: list):
 
 def test_steepest_edge_weights_are_exact_after_every_pivot():
     """The weights the kernel carries by rank-one updates equal
-    1 + |Binv a_j|^2 on every nonbasic priced column after each pivot of
-    either phase, long steps included; artificial i is row_sign[i] e_i in
-    the unflipped system, so its image is row_sign[i] times column i of
-    Binv.  After every pivot Binv B is the identity to within 1e-9 in the
-    infinity norm, B the basis matrix over the same columns."""
-    phase: list = []  # artificials of the run under way, empty between runs
-    checked = {True: 0, False: 0}
+    1 + |Binv a_j|^2 on every nonbasic structural column after each pivot
+    of either phase, long steps included.  After every pivot Binv B is
+    the identity to within 1e-9 in the infinity norm, B the basis matrix
+    over the same columns, artificial i being row_sign[i] e_i in the
+    unflipped system."""
+    running: list = []  # phase of the run under way, empty between runs
+    checked = {1: 0, 2: 0}
     crossings: list = []
     run, pivot = _Simplex.run, _Simplex._pivot
 
-    def watched_run(self, artificials):
-        phase.append(artificials)
+    def watched_run(self, phase):
+        running.append(phase)
         try:
-            return run(self, artificials)
+            return run(self, phase)
         finally:
-            phase.pop()
+            running.pop()
 
     def watched_pivot(self, i, j, col):
         pivot(self, i, j, col)
         basis = np.hstack([self.A, np.diag(self.row_sign)])[:, self.basis]
         residual = np.abs(self.Binv @ basis - np.eye(len(self.basis))).sum(axis=1).max()
         assert residual <= 1e-9
-        if not phase:
+        if not running:
             return  # driving out artificials between the phases prices nothing
         images = self.Binv @ self.A
-        if phase[-1]:
-            images = np.hstack([images, self.Binv * self.row_sign])
         fresh = 1.0 + (images * images).sum(axis=0)
+        assert self.weights.shape == fresh.shape  # structural columns only
         nonbasic = np.setdiff1d(np.arange(fresh.size), self.basis)
         np.testing.assert_allclose(self.weights[nonbasic], fresh[nonbasic], rtol=1e-8)
-        checked[phase[-1]] += 1
+        checked[running[-1]] += 1
 
     with mock.patch.object(_Simplex, "run", watched_run), \
             mock.patch.object(_Simplex, "_pivot", watched_pivot), \
@@ -727,7 +773,7 @@ def test_steepest_edge_weights_are_exact_after_every_pivot():
             assert out.status == "optimal"
             assert verify_certificate(lp, out).ok
             assert len(crossings) > before
-    assert checked[True] > 0 and checked[False] > 0
+    assert checked[1] > 0 and checked[2] > 0
 
 
 def test_updated_reduced_costs_match_a_fresh_pricing():
@@ -741,8 +787,8 @@ def test_updated_reduced_costs_match_a_fresh_pricing():
     crossings: list = []
     fresh_costs = _Simplex.reduced_costs
 
-    def watched_costs(self, artificials):
-        fresh = fresh_costs(self, artificials)
+    def watched_costs(self):
+        fresh = fresh_costs(self)
         if self.reduced is not None:
             np.testing.assert_allclose(self.reduced, fresh, rtol=0.0, atol=1e-9)
         compared.append(self.reduced is not None)
@@ -750,11 +796,11 @@ def test_updated_reduced_costs_match_a_fresh_pricing():
 
     run = _Simplex.run
 
-    def watched_run(self, artificials):
+    def watched_run(self, phase):
         nonlocal exits
         before, compared[:] = self.iterations, []
-        status, enter = run(self, artificials)
-        floor = not artificials and self.at_floor()
+        status, enter = run(self, phase)
+        floor = phase == 2 and self.at_floor()
         if status == "optimal" and self.iterations > before and not floor:
             assert compared[-1], "an optimal exit read reduced costs never priced afresh"
             exits += 1

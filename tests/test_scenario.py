@@ -36,6 +36,23 @@ def test_ragged_scenario_dimension():
     assert sc.dimension == 2 * 2 + 3 * 2
 
 
+def test_length_is_refused_before_any_block_is_laid_out(monkeypatch):
+    """Three parties with 1,000 inputs each have 10^9 joint inputs.  The
+    table length is the product of each party's summed output counts,
+    so a table of the wrong length is refused without the block offsets,
+    which would enumerate every joint input."""
+    import bellbox.scenario as scenario
+
+    def unreachable(sc):
+        raise AssertionError("block offsets built before the length check")
+
+    monkeypatch.setattr(scenario, "_block_offsets_of", unreachable)
+    sc = Scenario(inputs_per_party=(1000,) * 3, outputs=((2,) * 1000,) * 3)
+    assert sc.dimension == 2000 ** 3
+    with pytest.raises(ValidationError, match="behavior has length 0, scenario dimension"):
+        validate_behavior(sc, [])
+
+
 def test_block_offsets_are_built_once_per_scenario_value():
     """Every document builds its own Scenario; equal ones share offsets."""
     inputs, outputs = (2, 3, 1), ((2, 3), (4, 1, 2), (3,))
