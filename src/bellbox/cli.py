@@ -19,7 +19,6 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import functools
-import json
 import os
 import sys
 
@@ -31,7 +30,7 @@ from .analysis import (
     membership,
     visibility_threshold,
 )
-from .documents import document_payload, emit_document, parse_document
+from .documents import document_payload, emit_document, parse_document, render_json
 from .errors import SizeCapError, StalledError, ValidationError
 from .polytope import BellFunctional, enumerate_facets
 from .quantum import (
@@ -67,7 +66,7 @@ def _effective_tol(args, default: float) -> float:
 
 
 def _emit_structured(payload: dict) -> None:
-    sys.stdout.write(json.dumps(payload, indent=2) + "\n")
+    sys.stdout.write(render_json(payload) + "\n")
 
 
 def _emit_text(lines: list[str]) -> None:

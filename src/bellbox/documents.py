@@ -8,13 +8,16 @@ reproduces the bytes exactly.  Complex matrices are written as nested
 lists of [re, im] pairs.  A behavior document's ``tol`` defaults to
 ``tolerances.DEFAULT_TOL`` and must be a positive, finite number.
 Counts (parties, inputs, outputs, dims) are JSON integers, and table,
-coefficient and matrix entries are JSON numbers: a bool or a string is
-neither, and a number that does not make a finite float is refused.
+coefficient, bound and matrix entries are JSON numbers: a bool or a
+string is neither, and a number that does not make a finite float is
+refused.  ``render_json`` writes every document and every structured
+command-line report with the bytes of ``json.dumps(..., indent=2)``.
 """
 
 from __future__ import annotations
 
 import json
+import math
 from pathlib import Path
 
 import numpy as np
@@ -71,9 +74,50 @@ def document_payload(obj) -> dict:
     raise ValidationError(f"cannot serialize a {type(obj).__name__} as a document")
 
 
+_encode_string = json.encoder.encode_basestring_ascii
+
+
+def _indented(obj, pad: str) -> str:
+    """``obj`` as ``json.dumps(obj, indent=2)`` renders it at indentation
+    ``pad``.  Strings, finite floats, ints, bools, None and the lists and
+    str-keyed dicts of them are rendered here; anything else, non-finite
+    floats included, is left to ``json.dumps``, re-indented."""
+    if isinstance(obj, str):
+        return _encode_string(obj)
+    if obj is None:
+        return "null"
+    if obj is True:
+        return "true"
+    if obj is False:
+        return "false"
+    if isinstance(obj, int):
+        return int.__repr__(obj)
+    if isinstance(obj, float) and math.isfinite(obj):
+        return float.__repr__(obj)
+    inner = pad + "  "
+    if isinstance(obj, (list, tuple)):
+        if not obj:
+            return "[]"
+        items = (_indented(v, inner) for v in obj)
+        return "[\n" + inner + (",\n" + inner).join(items) + "\n" + pad + "]"
+    if isinstance(obj, dict) and all(isinstance(k, str) for k in obj):
+        if not obj:
+            return "{}"
+        items = (_encode_string(k) + ": " + _indented(v, inner) for k, v in obj.items())
+        return "{\n" + inner + (",\n" + inner).join(items) + "\n" + pad + "}"
+    # strings are escaped to ASCII, so every newline here is a line break
+    return json.dumps(obj, indent=2).replace("\n", "\n" + pad)
+
+
+def render_json(payload) -> str:
+    """``json.dumps(payload, indent=2)``, byte for byte, without the
+    standard library's pure-Python indenting encoder."""
+    return _indented(payload, "")
+
+
 def emit_document(obj) -> str:
     """Serialize a scenario, behavior, functional, or setup."""
-    return json.dumps(document_payload(obj), indent=2) + "\n"
+    return render_json(document_payload(obj)) + "\n"
 
 
 def write_document(obj, path) -> None:

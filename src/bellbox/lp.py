@@ -6,10 +6,14 @@ inverse, the basic values, the basic costs and, while a phase prices,
 its reduced costs and steepest-edge weights: each iteration forms only
 the entering column and the pivot row, updates the inverse by a
 rank-one change and carries the reduced costs and weights across the
-pivot.  The constraint matrix is used as given, never copied: a
-program without variable bounds passes through the standard form
-unchanged, and a row whose right-hand side is negative is flipped by
-the sign that the basis inverse starts with.  Artificial columns are
+pivot.  The basis inverse and the basic values are the two parts of one
+m x (m+1) array, so that one rank-one update moves both, and an
+iteration writes its pricing rows, pivot row, outer product and
+entering scores into workspaces sized once per solve.  The constraint
+matrix is used as given, never copied: a program without variable
+bounds passes through the standard form unchanged, and a row whose
+right-hand side is negative is flipped by the sign that the basis
+inverse starts with.  Artificial columns are
 signed unit columns that are never stored, and they are start-up
 scaffolding only: no phase prices them, so one that leaves the basis
 never returns (Bertsimas and Tsitsiklis, Introduction to Linear
@@ -261,7 +265,12 @@ class _Simplex:
     ``Binv``, one row and one column per row of ``A`` from the first
     pivot to the last: the current tableau is ``Binv A``, and the row
     prices and the Farkas vector are ``cB Binv`` in the original
-    orientation.  Column ``n + i`` is the artificial of row ``i``, the
+    orientation.  ``Binv`` and ``xB`` are views of one array ``BX =
+    [Binv | xB]``: a pivot's rank-one update and a long step's row flips
+    move both at once.  The iteration allocates no array the size of
+    ``Binv`` or of a pricing row: those products, the pivot row, its
+    outer product and the entering scores go into workspaces made with
+    the simplex.  Column ``n + i`` is the artificial of row ``i``, the
     unit column ``row_sign[i] e_i``, never stored and never priced: the
     reduced costs and weights cover the ``n`` structural columns only.
     Each iteration picks the steepest edge from the kept reduced costs
@@ -289,9 +298,13 @@ class _Simplex:
         m, n = A.shape
         self.n = n
         self.A = A  # never written: Binv carries the row signs
-        self.Binv = np.diag(sign)
+        # [Binv | xB] in one array, so that one rank-one update moves both
+        # and one row gather flips both; Binv and xB are views into it
+        self.BX = np.zeros((m, m + 1))
+        self.Binv, self.xB = self.BX[:, :m], self.BX[:, m]
+        np.fill_diagonal(self.Binv, sign)
+        np.multiply(b, sign, out=self.xB)
         self.diagonal = True  # Binv is still diag(row_sign): no pivot yet
-        self.xB = b * sign
         # per column, the count of its nonzeros and the sum of their rows,
         # both exact small integers: a singleton column's sum is its row
         tally = np.empty((2, m))
@@ -327,7 +340,14 @@ class _Simplex:
         self.nonnegative = True
         # steepest-edge state of the current ``run``: weights, reduced costs
         self.weights = self.reduced = None
-        self.pair = np.empty((3, m))  # workspace of ``_update_pricing``
+        # workspaces, sized once: the pricing rows of ``_update_pricing``
+        # (left and right of A), the pivot row and its outer product, the
+        # entering column's candidate rows, and the entering scores
+        self.pair, self.priced = np.empty((3, m)), np.empty((3, n))
+        self.ratio, self.dots, self.scratch = self.priced  # its rows, as views
+        self.pivot_row, self.outer = np.empty(m + 1), np.empty((m, m + 1))
+        self.magnitude, self.candidate = np.empty(m), np.empty(m, dtype=bool)
+        self.eligible, self.score = np.empty(n, dtype=bool), np.empty(n)
 
     # -- low-level ---------------------------------------------------------
     def column(self, j: int) -> np.ndarray:
@@ -335,13 +355,11 @@ class _Simplex:
         return self.Binv @ self.A[:, j]
 
     def _pivot(self, i: int, j: int, col: np.ndarray):
-        """Make ``j`` basic in row ``i``; ``col`` is its tableau column."""
-        row = self.Binv[i] / col[i]
-        value = self.xB[i] / col[i]
-        np.subtract(self.Binv, np.dot(col[:, None], row[None, :]), out=self.Binv)
-        self.Binv[i] = row
-        self.xB -= col * value
-        self.xB[i] = value
+        """Make ``j`` basic in row ``i``; ``col`` is its tableau column.
+        One rank-one update of [Binv | xB] moves both."""
+        row = np.divide(self.BX[i], col[i], out=self.pivot_row)
+        np.subtract(self.BX, np.dot(col[:, None], row[None, :], out=self.outer), out=self.BX)
+        self.BX[i] = row
         self.cB[i] = self.cost[j]
         self.row_jump[i] = self.col_jump[j]
         self.basis[i] = j
@@ -411,13 +429,16 @@ class _Simplex:
                 return "optimal", None
             col = self.column(j)
             # a pivot small beside its column blows B^-1 up
-            pos = (col > RATIO_TOL * max(1.0, float(np.abs(col).max()))).nonzero()[0]
+            largest = float(np.maximum.reduce(np.abs(col, out=self.magnitude)))
+            np.greater(col, RATIO_TOL * max(1.0, largest), out=self.candidate)
+            pos = self.candidate.nonzero()[0]
             if pos.size == 0:
                 return "unbounded", j
             # a basic value a round-off below zero is read as zero: its own
             # ratio would be a large negative step that drives the other
             # basic values negative
-            ratios = np.maximum(self.xB[pos] / col[pos], 0.0)
+            ratios = np.divide(self.xB[pos], col[pos])
+            np.maximum(ratios, 0.0, out=ratios)
             order = ratios.argsort(kind="stable")
             pos, ratios = pos[order], ratios[order]  # the candidates by ratio
             k = 0  # the candidates before k cross, and the step ends at k
@@ -465,11 +486,10 @@ class _Simplex:
         of the entering column ``col`` change sign, and the mate takes the
         nonbasic weight.  Returns sum (c_u + c_v) Binv_i over the rows,
         taken before the flip: each reduced cost grows by its product with
-        the column."""
-        flipped = self.Binv[rows]
-        shift = self.row_jump[rows] @ flipped
-        self.Binv[rows] = np.negative(flipped, out=flipped)
-        self.xB[rows] *= -1.0
+        the column.  One gather of [Binv | xB] flips both."""
+        flipped = self.BX[rows]
+        shift = self.row_jump[rows] @ flipped[:, :-1]
+        self.BX[rows] = np.negative(flipped, out=flipped)
         col[rows] *= -1.0
         u = self.basis[rows]
         v = self.mate[u]
@@ -482,18 +502,21 @@ class _Simplex:
         """The entering column under the kept reduced costs, None when no
         cost is below ``-PIVOT_TOL``: the largest r_j^2 / gamma_j, or the
         smallest index under Bland's rule.  The weights are built here, on
-        the first pricing with a column to enter."""
-        r = self.reduced
-        eligible = r < -PIVOT_TOL
-        if not eligible.any():
+        the first pricing with a column to enter.  The scores are written
+        into kept buffers, the ineligible ones as zero."""
+        if self.n == 0:
+            return None  # no column, and argmax has nothing to reduce
+        eligible = np.less(self.reduced, -PIVOT_TOL, out=self.eligible)
+        j = int(eligible.argmax())  # the first eligible column, if any
+        if not eligible[j]:
             return None
         if not steepest:
-            return int(eligible.argmax())
+            return j
         if self.weights is None:
             self.weights = self.edge_weights()
-        score = np.where(eligible, r, 0.0)
-        score *= score
-        score /= self.weights
+        score = np.multiply(self.reduced, eligible, out=self.score)
+        np.multiply(score, score, out=score)
+        np.divide(score, self.weights, out=score)
         return int(score.argmax())
 
     def reduced_costs(self) -> np.ndarray:
@@ -521,26 +544,28 @@ class _Simplex:
         sign changes of rows leave every gamma as it was.  A structural
         leaving column takes max(gamma_j / col[i]^2, 1); a leaving
         artificial is priced no more, so it takes nothing."""
-        # row i of Binv, col^T Binv and the shift, written in place
+        # row i of Binv, col^T Binv and the shift, and their products with
+        # A, all written into the workspaces; the third product row, once
+        # added, is scratch
         pair = self.pair[:2] if shift is None else self.pair
         pair[0] = self.Binv[i]
-        np.dot(col, self.Binv, out=pair[1])
+        np.matmul(col, self.Binv, out=pair[1])
         if shift is not None:
             pair[2] = shift
-        rows = pair @ self.A
-        ratio, dots = rows[:2]
+        np.dot(pair, self.A, out=self.priced[:pair.shape[0]])
+        ratio, dots, scratch = self.ratio, self.dots, self.scratch
         r, w = self.reduced, self.weights
         if shift is not None:
-            r += rows[2]
+            r += scratch
         ratio /= col[i]
         gamma = 1.0 + float(col @ col)
         rj = r[j]
-        r -= rj * ratio
-        dots *= 2.0
-        dots -= gamma * ratio
+        r -= np.multiply(ratio, rj, out=scratch)
+        dots += dots  # twice, exactly
+        dots -= np.multiply(ratio, gamma, out=scratch)
         dots *= ratio
         w -= dots
-        floor = ratio * ratio
+        floor = np.multiply(ratio, ratio, out=ratio)
         floor += 1.0
         np.maximum(w, floor, out=w)
         leave = self.basis[i]

@@ -166,9 +166,13 @@ class LocalModel:
 
 def random_local_model(scenario: Scenario, seed: int) -> LocalModel:
     """Seeded model with weights drawn once from the flat Dirichlet
-    distribution over the strategy simplex (``default_rng(seed)``)."""
+    distribution over the strategy simplex (``default_rng(seed)``).  A
+    negative seed is refused with ``ValidationError``."""
     count = _checked_strategy_count(scenario)
-    rng = np.random.default_rng(seed)
+    try:
+        rng = np.random.default_rng(seed)
+    except ValueError:  # numpy's refusal of a negative seed
+        raise ValidationError(f"seed {seed!r} must be a nonnegative integer") from None
     return LocalModel(scenario=scenario, weights=rng.dirichlet(np.ones(count)))
 
 
@@ -176,8 +180,9 @@ def random_local_model(scenario: Scenario, seed: int) -> LocalModel:
 class BellFunctional:
     """Linear functional on behaviors, optionally with its deterministic
     bound and an exact integer form found during canonicalization.
-    ``note`` is free-form provenance (say, facet versus certificate) and
-    plays no part in identity."""
+    Coefficients and a given bound must be finite.  ``note`` is free-form
+    provenance (say, facet versus certificate) and plays no part in
+    identity."""
 
     scenario: Scenario
     coeffs: np.ndarray
@@ -193,6 +198,9 @@ class BellFunctional:
                 f"expected {self.scenario.dimension} coefficients, got {c.shape[0]}")
         if not np.all(np.isfinite(c)):
             raise ValidationError("coefficients must be finite")
+        # a document's bound may read NaN, Infinity or 1e999, all floats to json
+        if self.local_bound is not None and not math.isfinite(self.local_bound):
+            raise ValidationError(f"local_bound must be finite, got {self.local_bound!r}")
         c = c.copy()
         c.setflags(write=False)
         object.__setattr__(self, "coeffs", c)

@@ -293,7 +293,8 @@ def random_setup(
     afterwards), then for each input of the first party a complex square
     matrix of standard normals whose QR factorization supplies an
     orthonormal basis (outcome k projects onto column k), then the same
-    for the second party.  Local dimensions are capped at 4.
+    for the second party.  Local dimensions are capped at 4, and a
+    negative seed is refused with ``ValidationError``.
     """
     dim_a, dim_b = dims
     if not (1 <= dim_a <= DIM_CAP and 1 <= dim_b <= DIM_CAP):
@@ -301,7 +302,10 @@ def random_setup(
     n_a, n_b = inputs
     if n_a < 1 or n_b < 1:
         raise ValidationError(f"inputs {inputs!r} must be >= 1")
-    rng = np.random.default_rng(seed)
+    try:
+        rng = np.random.default_rng(seed)
+    except ValueError:  # numpy's refusal of a negative seed
+        raise ValidationError(f"seed {seed!r} must be a nonnegative integer") from None
     d = dim_a * dim_b
     psi = rng.standard_normal(d) + 1j * rng.standard_normal(d)
     psi = psi / np.linalg.norm(psi)

@@ -23,6 +23,7 @@ from bellbox.analysis import (
     _decide,
     _distance_program,
     _visibility_probe,
+    _visibility_program,
     chsh_value,
     classify,
     derive_critical_inequality,
@@ -302,6 +303,46 @@ def test_nonlocal_242_distance_program_pivots_are_pinned(seed, pivots):
     out = solve(_distance_program(strategy_matrix(beh.scenario), beh.probs))
     assert out.objective > 0.2
     assert out.iterations == pivots
+
+
+def _seeded_table(kind: str, inputs: int, seed: int) -> tuple[Scenario, np.ndarray]:
+    """A two-party qubit table of ``random_setup``, a ``random_local_model``
+    table, or, for three parties, a 0.9 pair-PR box with white noise."""
+    if kind == "setup":
+        beh = behavior_from_setup(random_setup(seed=seed, dims=(2, 2), inputs=(inputs, inputs)))
+        return beh.scenario, beh.probs
+    sc = Scenario.uniform(3 if kind.startswith("three") else 2, inputs, 2)
+    if kind.endswith("local"):
+        return sc, random_local_model(sc, seed).behavior().probs
+    box = _pr_box_on_pair(np.random.default_rng(seed), 2)
+    return sc, 0.9 * box + 0.1 / 8
+
+
+@pytest.mark.parametrize(("kind", "inputs", "seed", "iterations"), [
+    ("setup", 3, 1, 42), ("setup", 3, 2, 28), ("local", 3, 1, 15),
+    ("three-pr", 2, 1, 29), ("three-pr", 2, 2, 37), ("three-local", 2, 1, 26),
+    ("setup", 4, 3, 44), ("local", 4, 1, 28),
+])
+def test_distance_program_iterations_are_pinned(kind, inputs, seed, iterations):
+    """Per-solve iteration counts of seeded (2,3,2), (3,2,2) and (2,4,2)
+    distance programs, local and nonlocal; a change to the pricing rule,
+    the ratio test or their arithmetic shows here."""
+    sc, probs = _seeded_table(kind, inputs, seed)
+    out = solve(_distance_program(strategy_matrix(sc), probs))
+    assert out.status == "optimal"
+    assert out.iterations == iterations
+
+
+@pytest.mark.parametrize(("target", "iterations"), [("pr_box", 15), ("singlet", 15)])
+def test_chsh_visibility_program_iterations_are_pinned(target, iterations):
+    """The CHSH visibility program against the uniform table: v* is 1/2
+    for the PR box and 1/sqrt(2) for the singlet."""
+    p = (named_behavior("pr_box") if target == "pr_box"
+         else behavior_from_setup(named_setup("singlet_chsh"))).probs
+    out = solve(_visibility_program(strategy_matrix(CHSH), p, named_behavior("uniform").probs))
+    assert out.status == "optimal"
+    assert out.objective == pytest.approx(0.5 if target == "pr_box" else 1.0 / ROOT2, abs=1e-9)
+    assert out.iterations == iterations
 
 
 def test_distance_program_stays_primal_feasible_on_323_mixture():

@@ -9,14 +9,15 @@ import json
 import subprocess
 import sys
 import time
+from unittest import mock
 
 import numpy as np
 import pytest
 
-from bellbox import Scenario, named_behavior, validate_behavior
+from bellbox import Scenario, cli, documents, named_behavior, validate_behavior
 from bellbox.cli import _build_parser, main
 from bellbox.documents import emit_document, parse_document_text, write_document
-from bellbox.fixtures import fixture_path
+from bellbox.fixtures import fixture_names, fixture_path
 from bellbox.polytope import BellFunctional, strategy_matrix
 from bellbox.quantum import named_setup
 
@@ -280,6 +281,14 @@ def test_quantum_needs_exactly_one_source(capsys):
     assert code == 2
 
 
+def test_quantum_refuses_a_negative_seed(capsys):
+    """numpy's refusal of a negative seed used to leave main as a
+    traceback."""
+    code, out, err = run_cli(capsys, "quantum", "--seed", "-1")
+    assert (code, out) == (2, "")
+    assert err == "error: seed -1 must be a nonnegative integer\n"
+
+
 def test_quantum_rejects_behavior_document(capsys):
     code, _, err = run_cli(capsys, "quantum", fx("pr_box"))
     assert code == 2
@@ -350,6 +359,37 @@ def test_structured_output_is_deterministic(capsys):
         assert first == second
 
 
+def _structured_invocations() -> list[list[str]]:
+    """Every verb's structured report, on the bundled fixtures."""
+    setups = ["singlet_chsh", "werner_0.60", "werner_0.80"]
+    runs = [["validate", fx(name)] for name in fixture_names()]
+    runs += [["classify", fx(name)] for name in ("uniform", "pr_box", "signalling_demo", *setups)]
+    runs += [["membership", fx(name)] for name in ("uniform", "pr_box", "signalling_demo")]
+    runs += [["derive-inequality", fx(name)] for name in ("pr_box", "singlet_chsh")]
+    runs += [["facets", fx("chsh_scenario")], ["chsh", fx("pr_box")],
+             ["quantum", fx("werner_0.80")], ["quantum", "--seed", "7", "--dims", "2", "3"],
+             ["threshold", "visibility", "--tol", "1e-3", fx("werner_0.80"), fx("uniform")],
+             ["threshold", "efficiency", "--tol", "1e-3", fx("singlet_chsh")]]
+    return [argv + ["--format", "structured"] for argv in runs]
+
+
+@pytest.mark.parametrize("argv", _structured_invocations(), ids=" ".join)
+def test_structured_reports_are_json_dumps_byte_for_byte(capsys, argv):
+    """The package's encoder gives the bytes of json.dumps(..., indent=2)
+    on every verb's report."""
+    code, ours, err = run_cli(capsys, *argv)
+    assert (code, err) == (0, "")
+
+    def reference(payload):
+        return json.dumps(payload, indent=2)
+
+    with mock.patch.object(cli, "render_json", reference), \
+            mock.patch.object(documents, "render_json", reference):
+        code, theirs, _ = run_cli(capsys, *argv)
+    assert code == 0
+    assert ours.encode() == theirs.encode()
+
+
 def test_parser_is_built_once(capsys):
     _build_parser.cache_clear()
     code, structured, _ = run_cli(capsys, "chsh", "--format", "structured", fx("pr_box"))
@@ -391,3 +431,16 @@ def test_document_numbers_that_are_no_floats_exit_2(capsys, tmp_path):
         code, out, err = run_cli(capsys, "classify", str(doc))
         assert (code, out) == (2, "")
         assert "probs must be a flat list of numbers" in err
+
+
+@pytest.mark.parametrize("spelling", ["NaN", "Infinity", "-Infinity", "1e999"])
+def test_non_finite_local_bound_exits_2(capsys, tmp_path, spelling):
+    """validate used to accept such a bound and print it as NaN or
+    Infinity, which is not JSON."""
+    text = emit_document(BellFunctional(scenario=Scenario.uniform(2, 2, 2),
+                                        coeffs=np.ones(16), local_bound=4.0))
+    doc = tmp_path / "functional.json"
+    doc.write_text(text.replace('"local_bound": 4.0', f'"local_bound": {spelling}'))
+    code, out, err = run_cli(capsys, "validate", "--format", "structured", str(doc))
+    assert (code, out) == (2, "")
+    assert "local_bound must be finite" in err

@@ -9,6 +9,7 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from bellbox import Scenario, named_behavior
 from bellbox.analysis import chsh_value
@@ -16,6 +17,7 @@ from bellbox.documents import (
     emit_document,
     parse_document,
     parse_document_text,
+    render_json,
     write_document,
 )
 from bellbox.errors import ValidationError
@@ -327,3 +329,57 @@ def test_setup_effects_that_are_no_lists_are_refused(effects):
     payload["bob"] = effects
     with pytest.raises(ValidationError, match="bob must list, per input, a list of effects"):
         parse_document_text(json.dumps(payload))
+
+
+@pytest.mark.parametrize("spelling", ["NaN", "Infinity", "-Infinity", "1e999"])
+def test_non_finite_local_bound_is_refused(spelling):
+    """json reads all four spellings as floats; the bound was taken as it
+    came and emitted again as NaN or Infinity, which is not JSON."""
+    text = emit_document(chsh_functional())
+    assert '"local_bound": 2.0' in text
+    with pytest.raises(ValidationError, match="local_bound must be finite"):
+        parse_document_text(text.replace('"local_bound": 2.0', f'"local_bound": {spelling}'))
+
+
+# -- the structured-output encoder -------------------------------------------
+
+_FLOATS = st.one_of(
+    st.floats(),  # NaN and the infinities included: they take the fallback
+    st.sampled_from([-0.0, 0.0, 5e-324, 1e16, 1e22, 0.1, 1e308, -1e308]),
+    st.floats(allow_nan=False).map(np.float64),
+)
+_STRINGS = st.one_of(
+    st.text(),
+    st.sampled_from(['"', "\\", "\n\t\r\x00\x1f\x7f", "caf\u00e9", "\u2028", "\U0001f600",
+                     'a "quoted" key']),
+)
+_SCALARS = st.one_of(_FLOATS, st.integers(), st.integers(-10 ** 40, 10 ** 40),
+                     st.booleans(), st.none(), _STRINGS)
+_PAYLOADS = st.recursive(
+    _SCALARS,
+    lambda inner: st.one_of(
+        st.lists(inner, max_size=5),
+        st.lists(inner, max_size=3).map(tuple),
+        st.dictionaries(_STRINGS, inner, max_size=5),
+        # flat float lists, the tables' shape, finite or not
+        st.lists(st.floats(allow_nan=False, allow_infinity=False), max_size=8),
+        st.lists(st.floats(), min_size=1, max_size=8),
+        st.lists(_FLOATS, max_size=8),
+    ),
+    max_leaves=30,
+)
+
+
+@settings(max_examples=400, deadline=None)
+@given(_PAYLOADS)
+@example([0.5, float("nan")])
+@example({"a": [float("-inf"), 1.0], "b": {}})
+def test_render_json_is_json_dumps_byte_for_byte(payload):
+    assert render_json(payload) == json.dumps(payload, indent=2)
+
+
+def test_render_json_on_emitted_documents():
+    for obj in (chsh_functional(), named_behavior("pr_box"), named_setup("singlet_chsh"),
+                Scenario.uniform(3, 2, 2)):
+        payload = json.loads(emit_document(obj))
+        assert emit_document(obj) == json.dumps(payload, indent=2) + "\n"

@@ -731,7 +731,9 @@ def test_steepest_edge_weights_are_exact_after_every_pivot():
     of either phase, long steps included.  After every pivot Binv B is
     the identity to within 1e-9 in the infinity norm, B the basis matrix
     over the same columns, artificial i being row_sign[i] e_i in the
-    unflipped system."""
+    unflipped system, and the basic values xB, which share one array
+    with Binv and its rank-one updates, are Binv b to within 1e-9."""
+    rhs: list = []  # b of the program being solved; none has bounds, so it is std.b
     running: list = []  # phase of the run under way, empty between runs
     checked = {1: 0, 2: 0}
     crossings: list = []
@@ -749,6 +751,7 @@ def test_steepest_edge_weights_are_exact_after_every_pivot():
         basis = np.hstack([self.A, np.diag(self.row_sign)])[:, self.basis]
         residual = np.abs(self.Binv @ basis - np.eye(len(self.basis))).sum(axis=1).max()
         assert residual <= 1e-9
+        assert np.abs(self.Binv @ rhs[-1] - self.xB).max() <= 1e-9
         if not running:
             return  # driving out artificials between the phases prices nothing
         images = self.Binv @ self.A
@@ -763,12 +766,14 @@ def test_steepest_edge_weights_are_exact_after_every_pivot():
             _counting_crossings(crossings):
         for seed in range(25):
             lp = _priced_random_lp(seed)
+            rhs.append(lp.b)
             out = solve(lp)
             assert out.status == "optimal"
             assert verify_certificate(lp, out).ok
         assert not crossings  # no unit column has a mate in these programs
         for lp in _paired_distance_programs():
             before = len(crossings)
+            rhs.append(lp.b)
             out = solve(lp)
             assert out.status == "optimal"
             assert verify_certificate(lp, out).ok

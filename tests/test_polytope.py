@@ -217,6 +217,18 @@ def test_strategy_matrix_cap_counts_entries():
     assert time.perf_counter() - t0 < 0.5
 
 
+@pytest.mark.parametrize("bound", [float("nan"), float("inf"), -float("inf")])
+def test_functional_refuses_a_non_finite_bound(bound):
+    with pytest.raises(ValidationError, match="local_bound must be finite"):
+        BellFunctional(scenario=CHSH, coeffs=np.zeros(16), local_bound=bound)
+
+
+@pytest.mark.parametrize("seed", [-1, -3])
+def test_random_local_model_refuses_a_negative_seed(seed):
+    with pytest.raises(ValidationError, match="must be a nonnegative integer"):
+        random_local_model(CHSH, seed=seed)
+
+
 def test_enumeration_order_is_party_major():
     strategies = enumerate_strategies(CHSH)
     assert len(strategies) == 16

@@ -385,6 +385,13 @@ def test_random_setups_differ_across_seeds():
     assert diff > 1e-6
 
 
+@pytest.mark.parametrize("seed", [-1, -3, np.int64(-2)])
+def test_random_setup_refuses_a_negative_seed(seed):
+    """numpy refused it with its own ValueError."""
+    with pytest.raises(ValidationError, match="must be a nonnegative integer"):
+        random_setup(seed=seed)
+
+
 def test_random_setup_dims_cap():
     with pytest.raises(ValidationError):
         random_setup(seed=0, dims=(5, 2))
