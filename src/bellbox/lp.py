@@ -54,14 +54,14 @@ own verification inequality by an independent routine.  The
 tolerances come from ``tolerances``; the size cap and the pivot limit
 are this module's own, and ``check_size`` is the one size check.
 
-Problem sizes are small (up to a few thousand columns), so the design
-optimizes for robustness and certificate extraction over raw speed.
+Problems have at most ``DIMENSION_CAP`` (8192) rows and as many
+columns, so the design optimizes for robustness and certificate
+extraction over raw speed.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 
 import numpy as np
 
@@ -128,8 +128,9 @@ class LinearProgram:
             for j, (lo, hi) in enumerate(self.bounds):
                 lo = -_INF if lo is None else float(lo)
                 hi = _INF if hi is None else float(hi)
-                if lo > hi:
-                    raise ValidationError(f"variable {j}: lower bound {lo} above upper bound {hi}")
+                # a NaN bound fails lo <= hi, as a lower bound above its upper does
+                if not lo <= hi:
+                    raise ValidationError(f"variable {j}: bounds ({lo}, {hi}) do not meet lo <= hi")
                 if lo == _INF or hi == -_INF:
                     raise ValidationError(f"variable {j}: bounds ({lo}, {hi}) are empty")
                 clean.append((lo, hi))
@@ -138,11 +139,6 @@ class LinearProgram:
     @property
     def shape(self) -> tuple[int, int]:
         return self.A.shape
-
-    def var_bounds(self, j: int) -> tuple[float, float]:
-        if self.bounds is None:
-            return (0.0, _INF)
-        return self.bounds[j]
 
 
 @dataclass(frozen=True, eq=False)
@@ -153,7 +149,6 @@ class LpOutcome:
     infeasible problems; its first ``m`` entries correspond to the input
     rows (synthetic rows for box bounds follow, if any).  ``ray`` is an
     improving feasible direction for unbounded problems.
-    ``rational_verified`` is None unless an exact re-check was requested.
     """
 
     status: str
@@ -162,7 +157,6 @@ class LpOutcome:
     ray: np.ndarray | None = None
     objective: float | None = None
     iterations: int = 0
-    rational_verified: bool | None = None
 
 
 @dataclass(frozen=True)
@@ -644,8 +638,7 @@ class _Simplex:
 
 
 def solve(lp: LinearProgram, tol: float = DEFAULT_TOL,
-          max_iters: int = DEFAULT_MAX_ITERS,
-          rational_check: bool = False) -> LpOutcome:
+          max_iters: int = DEFAULT_MAX_ITERS) -> LpOutcome:
     """Solve ``lp``; the status is backed by a certificate and a stall or
     misbehaving tableau raises rather than return a wrong answer.
 
@@ -684,23 +677,22 @@ def solve(lp: LinearProgram, tol: float = DEFAULT_TOL,
             out = LpOutcome(status="optimal", x=x, y=-y if lp.maximize else y,
                             objective=float(lp.c @ x), iterations=sx.iterations)
     _check_internal(lp, std, out, tol)
-    if rational_check:
-        out = _with_rational(out, std, sx, lp)
     return out
 
 
 def _check_internal(lp: LinearProgram, std: _StandardForm, out: LpOutcome, tol: float):
     """Cheap invariant checks on the way out; a failure here means the
-    tableau bookkeeping broke, which must never surface as a status."""
+    tableau bookkeeping broke, which must never surface as a status.
+    Each test passes only on a number that meets it, so a NaN fails."""
     scale = max(1.0, float(np.abs(std.b).max(initial=0.0)))
     slack = 100.0 * tol * scale
     if out.x is not None:
         res = float(np.abs(lp.A @ out.x - lp.b).max(initial=0.0))
-        if res > slack:
+        if not res <= slack:
             raise StalledError(f"solution residual {res:.3e} exceeds tolerance band")
     if out.status == "infeasible":
         dots = out.y @ std.A
-        if dots.max(initial=0.0) > slack or out.y @ std.b <= 0.0:
+        if not (dots.max(initial=0.0) <= slack and out.y @ std.b > 0.0):
             raise StalledError("infeasibility evidence failed its defining inequality")
 
 
@@ -789,104 +781,3 @@ def _dual_check(lp: LinearProgram, outcome: LpOutcome) -> tuple[float, float]:
     reduced = std.c_min - (-y if lp.maximize else y) @ std.A
     return (abs(float(lp.c @ outcome.x) - dual - offset),
             float(reduced.min(initial=_INF)))
-
-
-# -- exact re-check ---------------------------------------------------------
-
-def _with_rational(out: LpOutcome, std: _StandardForm, sx: _Simplex,
-                   lp: LinearProgram) -> LpOutcome:
-    try:
-        verified = _rational_recheck(out.status, std, sx, lp)
-    except ZeroDivisionError:
-        verified = False
-    return LpOutcome(status=out.status, x=out.x, y=out.y, ray=out.ray,
-                     objective=out.objective, iterations=out.iterations,
-                     rational_verified=verified)
-
-
-def _rational_recheck(status: str, std: _StandardForm, sx: _Simplex,
-                      lp: LinearProgram) -> bool:
-    """Re-derive the final basis exactly over the rationals.
-
-    Checks basic feasibility and the sign conditions that certify the
-    reported status (for an optimum under nonnegative costs, an exact
-    objective of 0 is such a condition); float data converts to Fraction
-    losslessly, so a True here means the claimed basis proves the claim
-    in exact arithmetic.
-    """
-    m, n = std.A.shape
-    sign = [Fraction(s) for s in sx.row_sign]
-    A = [[sign[i] * Fraction(std.A[i, j]) for j in range(n)] for i in range(m)]
-    b = [sign[i] * Fraction(std.b[i]) for i in range(m)]
-
-    def column(j: int) -> list[Fraction]:
-        if j < n:
-            return [A[i][j] for i in range(m)]
-        unit = [Fraction(0)] * m
-        unit[j - n] = Fraction(1)
-        return unit
-
-    B = [column(j) for j in sx.basis]  # list of columns
-    Bm = [[B[j][i] for j in range(m)] for i in range(m)]
-    try:
-        Binv = _fraction_inverse(Bm)
-    except ZeroDivisionError:
-        return False
-
-    xB = _matvec(Binv, b)
-    if status in ("optimal", "feasible", "unbounded"):
-        if any(v < 0 for v in xB):
-            return False
-        # a basic artificial, such as a redundant row's, must be exactly
-        # zero, so that the structural columns alone meet every row
-        if any(v != 0 for v, j in zip(xB, sx.basis) if j >= n):
-            return False
-    if status in ("optimal", "infeasible"):
-        if status == "optimal":
-            c_full = [Fraction(v) for v in std.c_min] + [Fraction(0)] * m
-        else:
-            c_full = [Fraction(0)] * n + [Fraction(1)] * m
-        cB = [c_full[j] for j in sx.basis]
-        if status == "optimal" and min(c_full, default=0) >= 0 and _dot(cB, xB) == 0:
-            return True  # c.x >= 0 on every feasible x, and this one costs 0
-        yT = _vecmat(cB, Binv)
-        for j in range(n):
-            rj = Fraction(c_full[j]) - _dot(yT, column(j))
-            if rj < 0:
-                return False
-        if status == "infeasible":
-            # the optimal phase-1 value must be strictly positive
-            if _dot(cB, xB) <= 0:
-                return False
-    return True
-
-
-def _fraction_inverse(M: list[list[Fraction]]) -> list[list[Fraction]]:
-    m = len(M)
-    aug = [row[:] + [Fraction(int(i == k)) for i in range(m)]
-           for k, row in enumerate(M)]
-    for col in range(m):
-        piv = next((r for r in range(col, m) if aug[r][col] != 0), None)
-        if piv is None:
-            raise ZeroDivisionError("exactly singular basis")
-        aug[col], aug[piv] = aug[piv], aug[col]
-        inv_piv = aug[col][col]
-        aug[col] = [v / inv_piv for v in aug[col]]
-        for r in range(m):
-            if r != col and aug[r][col] != 0:
-                f = aug[r][col]
-                aug[r] = [a - f * bcol for a, bcol in zip(aug[r], aug[col])]
-    return [row[m:] for row in aug]
-
-
-def _matvec(M, v):
-    return [_dot(row, v) for row in M]
-
-
-def _vecmat(v, M):
-    m = len(M)
-    return [_dot(v, [M[i][j] for i in range(m)]) for j in range(m)]
-
-
-def _dot(u, v):
-    return sum(a * b for a, b in zip(u, v))

@@ -262,30 +262,14 @@ def chsh_functional(signs: tuple[int, int, int, int] = (1, 1, 1, -1)) -> BellFun
 
 # -- reduced coordinates ----------------------------------------------------
 
-@dataclass(frozen=True, eq=False)
-class ReducedSpace:
-    """Minimal coordinates for no-signalling behaviors: for every nonempty
-    party subset, its joint marginal at remote inputs zero, dropping each
-    party's last output."""
-
-    scenario: Scenario
-    matrix: np.ndarray  # (reduced dim) x (full dim), 0/1 marginalization rows
-
-    @property
-    def dimension(self) -> int:
-        return self.matrix.shape[0]
-
-    def to_reduced(self, vec: np.ndarray) -> np.ndarray:
-        return self.matrix @ vec
-
-    def lift_functional(self, a: np.ndarray) -> np.ndarray:
-        """Full-space coefficients pairing with behaviors exactly as ``a``
-        pairs with their reduced coordinates."""
-        return self.matrix.T @ a
-
-
 @lru_cache(maxsize=32)
-def reduced_space(scenario: Scenario) -> ReducedSpace:
+def reduced_space(scenario: Scenario) -> np.ndarray:
+    """Minimal coordinates for no-signalling behaviors, as a read-only
+    (reduced dim) x (full dim) matrix of 0/1 marginalization rows: for
+    every nonempty party subset, its joint marginal at remote inputs
+    zero, dropping each party's last output.  A functional ``a`` on
+    these coordinates lifts to ``M.T @ a``, which pairs with every
+    behavior as ``a`` pairs with its reduced coordinates."""
     rows = []
     for size in range(1, scenario.parties + 1):
         base = (0,) * (scenario.parties - size)  # remote inputs pinned to zero
@@ -296,7 +280,7 @@ def reduced_space(scenario: Scenario) -> ReducedSpace:
                     rows.append(marginal_indicator(scenario, T, t_inputs, t_outputs, base))
     matrix = np.array(rows)
     matrix.setflags(write=False)
-    return ReducedSpace(scenario=scenario, matrix=matrix)
+    return matrix
 
 
 # -- gauge span and canonical forms -----------------------------------------
@@ -478,13 +462,13 @@ def enumerate_facets(scenario: Scenario) -> tuple[BellFunctional, ...]:
     if count > FACET_VERTEX_CAP:
         raise SizeCapError(
             f"{count} vertices exceed the facet enumeration cap of {FACET_VERTEX_CAP}")
-    rs = reduced_space(scenario)
-    r = rs.dimension
+    M = reduced_space(scenario)
+    r = M.shape[0]
     if r > FACET_DIM_CAP:
         raise SizeCapError(
             f"reduced dimension {r} exceeds the facet enumeration cap of {FACET_DIM_CAP}")
 
-    R = rs.matrix @ strategy_matrix(scenario)  # columns are vertices
+    R = M @ strategy_matrix(scenario)  # columns are vertices
     centroid = R.mean(axis=1)
     H = R - centroid[:, None]
     if np.linalg.matrix_rank(H, tol=FACET_ZERO_TOL) != r:
@@ -498,7 +482,7 @@ def enumerate_facets(scenario: Scenario) -> tuple[BellFunctional, ...]:
         a = ray[:-1]
         if float(np.abs(a).max()) <= FACET_ZERO_TOL:
             raise StalledError("facet enumeration produced a degenerate ray")
-        full = rs.lift_functional(a)
+        full = M.T @ a
         canon = canonicalize(BellFunctional(scenario=scenario, coeffs=full))
         key = canon.key()
         if key in facets:

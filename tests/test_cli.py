@@ -412,6 +412,33 @@ def test_module_entry_point():
     assert "4" in proc.stdout
 
 
+_VERBS_WITHOUT_SCIPY = """
+import contextlib, io, sys
+from bellbox import cli
+table = sys.argv[1]
+with contextlib.redirect_stdout(io.StringIO()) as doc:
+    assert cli.main(["quantum", "--seed", "1", "--inputs", "3", "3",
+                     "--format", "structured"]) == 0
+with open(table, "w") as handle:
+    handle.write(doc.getvalue())
+with contextlib.redirect_stdout(io.StringIO()):
+    assert cli.main(["classify", sys.argv[2]]) == 0
+    assert cli.main(["membership", table]) == 0
+print("scipy" in sys.modules)
+"""
+
+
+def test_package_verbs_never_import_scipy(tmp_path):
+    """numpy is the one declared dependency; scipy is a test-only oracle.
+    A fresh interpreter classifies the PR box and decides membership of
+    a (2,3,2) table without scipy ever entering ``sys.modules``."""
+    proc = subprocess.run(
+        [sys.executable, "-c", _VERBS_WITHOUT_SCIPY, str(tmp_path / "t232.json"), fx("pr_box")],
+        capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "False"
+
+
 def test_unknown_verb_exit_code():
     proc = subprocess.run(
         [sys.executable, "-m", "bellbox", "frobnicate"],

@@ -17,12 +17,15 @@ from bellbox.lp import (
     LpOutcome,
     _Simplex,
     _StandardForm,
+    _bound_arrays,
+    _check_internal,
     solve,
     verify_certificate,
 )
 from bellbox.polytope import strategy_matrix
 from bellbox.quantum import behavior_from_setup, named_setup, random_setup
 from bellbox.scenario import Scenario, named_behavior
+from _exact import solve_and_recheck
 from _lp_cases import degenerate_cases
 from test_no_signalling import _pr_box_on_pair
 
@@ -33,9 +36,8 @@ def scipy_status(lp: LinearProgram):
     """Independent solve via scipy's HiGHS backend."""
     n = lp.shape[1]
     c = np.zeros(n) if lp.c is None else (-lp.c if lp.maximize else lp.c)
-    bounds = [lp.var_bounds(j) for j in range(n)]
     bounds = [(None if lo == -_INF else lo, None if hi == _INF else hi)
-              for lo, hi in bounds]
+              for lo, hi in zip(*_bound_arrays(lp))]
     res = linprog(c, A_eq=lp.A, b_eq=lp.b, bounds=bounds, method="highs")
     status = {0: "optimal", 2: "infeasible", 3: "unbounded"}.get(res.status, "other")
     if status == "optimal" and lp.c is None:
@@ -114,6 +116,31 @@ def test_empty_bounds_rejected():
         LinearProgram(A=np.eye(1), b=np.ones(1), bounds=((2.0, 1.0),))
 
 
+_NAN = float("nan")
+
+
+@pytest.mark.parametrize("bound", [(0.0, _NAN), (None, _NAN), (_NAN, 1.0)],
+                         ids=["nan-above", "free-below-nan-above", "nan-below"])
+def test_nan_bounds_rejected(bound):
+    """lo > hi is False for NaN: min x0 s.t. x0 + x1 = 1 came back
+    "optimal" at x = (1, 0) under (0, nan), at x = (nan, nan) under
+    (None, nan), and (nan, 1) raised a bare ValueError from the solve."""
+    with pytest.raises(ValidationError, match="lo <= hi"):
+        LinearProgram(A=np.array([[1.0, 1.0]]), b=np.array([1.0]),
+                      c=np.array([1.0, 0.0]), maximize=False, bounds=(bound, bound))
+
+
+def test_nan_residual_is_an_internal_failure():
+    """A NaN in the reported x fails the residual band instead of passing
+    a ``res > slack`` test; infeasibility evidence with NaN fails too."""
+    lp = LinearProgram(A=np.array([[1.0, 1.0]]), b=np.array([1.0]))
+    std = _StandardForm(lp)
+    with pytest.raises(StalledError, match="residual"):
+        _check_internal(lp, std, LpOutcome(status="feasible", x=np.array([_NAN, 0.0])), 1e-9)
+    with pytest.raises(StalledError, match="infeasibility evidence"):
+        _check_internal(lp, std, LpOutcome(status="infeasible", y=np.array([_NAN])), 1e-9)
+
+
 def test_dimension_cap():
     with pytest.raises(SizeCapError):
         LinearProgram(A=np.zeros((1, DIMENSION_CAP + 1)), b=np.zeros(1))
@@ -159,8 +186,8 @@ def test_degenerate_case_matches_scipy(case):
                                   if c.status in ("optimal", "infeasible")],
                          ids=lambda c: c.name)
 def test_degenerate_case_rational_recheck(case):
-    out = solve(case.lp, rational_check=True)
-    assert out.rational_verified is True
+    _, exact = solve_and_recheck(case.lp)
+    assert exact is True
 
 
 # -- unit-column start -------------------------------------------------------
@@ -187,10 +214,10 @@ def test_infeasible_with_unit_slacks_gives_exact_farkas_vector():
                   [1.0, 1.0, 0.0, -1.0]])
     lp = LinearProgram(A=A, b=np.array([1.0, 2.0]))
     assert _Simplex(lp.A, lp.b, max_iters=10).basis.tolist() == [2, 5]
-    out = solve(lp, rational_check=True)
+    out, exact = solve_and_recheck(lp)
     assert out.status == "infeasible" == scipy_status(lp)[0]
     assert verify_certificate(lp, out).ok
-    assert out.rational_verified is True
+    assert exact is True
 
 
 @pytest.mark.parametrize("seed", range(10))
@@ -203,13 +230,13 @@ def test_random_slack_form_problems_match_scipy(seed):
     A = np.hstack([rng.normal(size=(m, k)), np.eye(m)])
     b = rng.normal(size=m)
     lp = LinearProgram(A=A, b=b, c=rng.random(m + k), maximize=False)
-    out = solve(lp, rational_check=True)
+    out, exact = solve_and_recheck(lp)
     expect, value = scipy_status(lp)
     assert out.status == expect
     if value is not None:
         assert abs(out.objective - value) < 1e-7 * max(1.0, abs(value))
     assert verify_certificate(lp, out).ok
-    assert out.rational_verified is True
+    assert exact is True
 
 
 
@@ -219,9 +246,10 @@ def reference_standard_form(lp: LinearProgram):
     m, n = lp.shape
     c = np.zeros(n) if lp.c is None else (-lp.c if lp.maximize else lp.c)
     b = lp.b.copy()
+    lows, highs = _bound_arrays(lp)
     cols, cost, ranges, first = [], [], [], []
     for j in range(n):
-        lo, hi = lp.var_bounds(j)
+        lo, hi = lows[j], highs[j]
         first.append(len(cols))
         if lo == -_INF and hi == _INF:
             cols += [lp.A[:, j], -lp.A[:, j]]
@@ -261,9 +289,10 @@ def test_standard_form_matches_column_by_column_reference(seed):
     np.testing.assert_array_equal(std.c_min, cost)
     x = rng.random(std.A.shape[1])
     expect = np.zeros(n)
+    lows, highs = _bound_arrays(lp)
     k = 0
     for j in range(n):
-        lo, hi = lp.var_bounds(j)
+        lo, hi = lows[j], highs[j]
         if lo == -_INF and hi == _INF:
             expect[j] = x[k] - x[k + 1]
             k += 2
@@ -403,11 +432,11 @@ def test_an_artificial_that_leaves_never_enters_again():
         pivot(self, i, j, col)
 
     with mock.patch.object(_Simplex, "_pivot", watched_pivot):
-        out = solve(lp, rational_check=True)
+        out, exact = solve_and_recheck(lp)
     assert entered and max(entered) < A.shape[1]
     assert out.status == "optimal" and out.objective == pytest.approx(2.0, abs=1e-12)
     assert verify_certificate(lp, out).ok
-    assert out.rational_verified is True
+    assert exact is True
 
 
 @pytest.mark.parametrize("name", ["duplicated_row", "zero_row_consistent"])
@@ -423,8 +452,8 @@ def test_a_redundant_row_keeps_its_artificial_basic_at_zero(name):
         return primal(self)
 
     with mock.patch.object(_Simplex, "primal", watched_primal):
-        out = solve(case.lp, rational_check=True)
-    assert out.status == "optimal" and out.rational_verified is True
+        out, exact = solve_and_recheck(case.lp)
+    assert out.status == "optimal" and exact is True
     sx = simplices[-1]
     m, n = case.lp.shape
     assert sx.Binv.shape == (m, m) and sx.basis.size == m
@@ -472,10 +501,10 @@ def test_mixed_sign_rhs_certificates_pass_both_checks(status):
     status's evidence passes ``verify_certificate`` and the exact
     re-check of its final basis."""
     for lp in _mixed_sign_programs(status):
-        out = solve(lp, rational_check=True)
+        out, exact = solve_and_recheck(lp)
         assert out.status == status
         assert verify_certificate(lp, out).ok
-        assert out.rational_verified is True
+        assert exact is True
 
 
 # -- certificates -----------------------------------------------------------
@@ -557,12 +586,12 @@ def test_zero_optimum_under_nonnegative_costs_has_zero_duals(seed, maximize):
     A, x0, cost = zero_floor_data(seed)
     lp = LinearProgram(A=A, b=A @ x0, c=-cost if maximize else cost,
                        maximize=maximize)
-    out = solve(lp, rational_check=True)
+    out, exact = solve_and_recheck(lp)
     assert out.status == "optimal"
     assert abs(out.objective) <= 1e-9
     assert not np.any(out.y)
     assert verify_certificate(lp, out).ok
-    assert out.rational_verified is True
+    assert exact is True
 
 
 @pytest.mark.parametrize("A, b, c", [
@@ -577,11 +606,11 @@ def test_floor_band_is_not_scaled_by_the_rhs(A, b, c):
     tol; the optimum is 0, and a stop at the starting vertex would leave
     a duality gap that verify_certificate rejects."""
     lp = LinearProgram(A=np.array(A), b=np.array(b), c=np.array(c), maximize=False)
-    out = solve(lp, rational_check=True)
+    out, exact = solve_and_recheck(lp)
     assert out.status == "optimal"
     assert out.objective == 0.0
     assert verify_certificate(lp, out).ok
-    assert out.rational_verified is True
+    assert exact is True
 
 
 @settings(deadline=None, max_examples=60)
@@ -607,12 +636,12 @@ def test_negative_cost_never_stops_at_the_floor(seed):
         return hit
 
     with mock.patch.object(_Simplex, "at_floor", recording):
-        out = solve(lp, rational_check=True)
+        out, exact = solve_and_recheck(lp)
     assert all(least >= 0.0 for least in stops)
     assert out.status == "optimal"
     assert out.objective == pytest.approx(scipy_status(lp)[1], abs=1e-9)
     assert verify_certificate(lp, out).ok
-    assert out.rational_verified is True
+    assert exact is True
 
 
 # -- randomized scipy cross-check -------------------------------------------
@@ -834,11 +863,23 @@ def test_long_step_optimum_passes_the_rational_recheck(name):
     lp = _distance_program(strategy_matrix(beh.scenario), beh.probs)
     crossings: list = []
     with _counting_crossings(crossings):
-        out = solve(lp, rational_check=True)
+        out, exact = solve_and_recheck(lp)
     assert crossings
     assert out.status == "optimal" and out.objective > 0.8
     assert verify_certificate(lp, out).ok
-    assert out.rational_verified is True
+    assert exact is True
+
+
+def test_exact_recheck_can_say_no():
+    """On a seeded (2,3,2) quantum table the float optimum's basis is not
+    exactly feasible and optimal over the rationals, although the float
+    certificate passes: the re-check is no formality."""
+    beh = behavior_from_setup(random_setup(seed=1, dims=(2, 2), inputs=(3, 3)))
+    lp = _distance_program(strategy_matrix(beh.scenario), beh.probs)
+    out, exact = solve_and_recheck(lp)
+    assert out.status == "optimal"
+    assert verify_certificate(lp, out).ok
+    assert exact is False
 
 
 def test_deterministic_replay():

@@ -367,34 +367,40 @@ def test_local_bound_matches_bruteforce_on_lifted_scenario():
 # -- reduced coordinates ----------------------------------------------------
 
 def test_reduced_dimensions():
-    assert reduced_space(CHSH).dimension == 8
-    assert reduced_space(Scenario.uniform(2, 3, 2)).dimension == 15
-    assert reduced_space(LIFTED).dimension == 24
+    assert reduced_space(CHSH).shape == (8, 16)
+    assert reduced_space(Scenario.uniform(2, 3, 2)).shape == (15, 36)
+    assert reduced_space(LIFTED).shape == (24, 36)
+
+
+def test_reduced_space_is_one_cached_read_only_matrix():
+    M = reduced_space(CHSH)
+    assert reduced_space(CHSH) is M
+    assert not M.flags.writeable
 
 
 def test_reduced_coords_of_vertices_are_binary_and_distinct():
-    rs = reduced_space(CHSH)
+    M = reduced_space(CHSH)
     V = strategy_matrix(CHSH)
-    reduced = rs.matrix @ V
+    reduced = M @ V
     assert set(np.unique(reduced)) <= {0.0, 1.0}
     cols = {tuple(col) for col in reduced.T}
     assert len(cols) == 16
 
 
 def test_reduced_coords_of_uniform_table():
-    rs = reduced_space(CHSH)
-    r = rs.to_reduced(named_behavior("uniform", CHSH).probs)
+    M = reduced_space(CHSH)
+    r = M @ named_behavior("uniform", CHSH).probs
     # four single-party coords at one half, four joint coords at one quarter
     assert sorted(r) == [0.25] * 4 + [0.5] * 4
 
 
 def test_functional_lift_preserves_pairing():
-    rs = reduced_space(CHSH)
+    M = reduced_space(CHSH)
     rng = np.random.default_rng(4)
-    a = rng.normal(size=rs.dimension)
+    a = rng.normal(size=M.shape[0])
     beh = named_behavior("pr_box")
-    lifted = rs.lift_functional(a)
-    assert float(a @ rs.to_reduced(beh.probs)) == pytest.approx(
+    lifted = M.T @ a
+    assert float(a @ (M @ beh.probs)) == pytest.approx(
         float(lifted @ beh.probs), abs=1e-12)
 
 
