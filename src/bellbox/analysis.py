@@ -6,6 +6,8 @@ At distance zero its optimal mixture is the local model; at a positive
 distance its row prices are the deepest box-normalized cut, a violated
 inequality.  Classification, inequality derivation and the bisection
 for the critical detection efficiency are built on that one program.
+A table whose signalling defect exceeds the tolerance never reaches it:
+the shift of its worst marginal is already a violated inequality.
 
 The critical visibility has a program of its own: the largest weight of
 a behavior in a mixture with local noise that stays local.  Its optimal
@@ -26,10 +28,11 @@ import numpy as np
 
 from .errors import StalledError, ValidationError
 from .lp import LinearProgram, check_size, solve
-from .polytope import (BellFunctional, LocalModel, canonicalize, strategy_count,
+from .polytope import (BellFunctional, LocalModel, canonicalize, local_bound, strategy_count,
                        strategy_matrix)
 from .quantum import BellSetup, behavior_from_setup, lift_with_efficiency
-from .scenario import _CHSH_SCENARIO, Behavior, NoSignallingReport, mix, no_signalling_defect
+from .scenario import (_CHSH_SCENARIO, Behavior, NoSignallingReport, marginal_indicator, mix,
+                       no_signalling_defect)
 from .tolerances import (BISECTION_TOL_FLOOR, DEFAULT_TOL, EFFICIENCY_TOL, MODEL_TOL,
                          VISIBILITY_TOL, require_tolerance)
 
@@ -155,66 +158,91 @@ def _decide(behavior: Behavior, tol: float = DEFAULT_TOL) -> tuple[bool, np.ndar
     return False, cut
 
 
-def membership(behavior: Behavior, tol: float = DEFAULT_TOL) -> MembershipResult:
-    """Decide whether a behavior is a mixture of deterministic strategies.
+def _decided(behavior: Behavior, tol: float) -> tuple[NoSignallingReport, MembershipResult | None]:
+    """The one decision flow behind ``classify``, ``membership`` and
+    ``derive_critical_inequality``: the no-signalling scan first, and
+    ``None`` for a table whose defect exceeds tol; otherwise ``_decide``,
+    with a local model or a cut canonicalized in the no-signalling gauge.
 
-    Inside: the result carries a mixture reproducing the behavior to
-    within 1e-7.  Outside: it carries a canonicalized inequality whose
-    deterministic bound is recomputed by direct enumeration and whose
-    violation is strictly positive.  Signalling behaviors are legitimate
-    inputs; their inequalities are canonicalized in the weaker gauge that
-    only removes per-block constants, so the reported violation applies
-    to the behavior as given.  A table within tol of no-signalling whose
-    cut separates it only through that signalling is inside when such a
-    mixture exists.  A ``tol`` that is not positive and finite is refused.
+    A table within tol of no-signalling can still lie more than tol from
+    the local set in l1, summed over many entries.  When its cut has
+    nothing left to violate once that gauge is removed, it parts the box
+    from the local set only through that signalling, and the box is local
+    if a mixture reproduces it to within ``MODEL_TOL``.
     """
-    return _membership(behavior, require_tolerance(tol), gauge=None)
-
-
-def _membership(behavior: Behavior, tol: float, gauge: str | None) -> MembershipResult:
-    """``membership`` for a caller that may already know the gauge;
-    ``None`` picks it from the behavior's signalling defect."""
+    report = no_signalling_defect(behavior)
+    if report.max_defect > tol:
+        return report, None
     is_local, witness = _decide(behavior, tol)
-    if is_local:
-        model = LocalModel(scenario=behavior.scenario, weights=witness)
-        return MembershipResult(is_local=True, model=model)
-    if gauge is None:
-        ns_gap = no_signalling_defect(behavior).max_defect
-        gauge = "no_signalling" if ns_gap <= tol else "normalization"
-    raw = BellFunctional(scenario=behavior.scenario, coeffs=witness)
-    try:
-        functional, violation = _canonical_cut(raw, behavior, gauge)
-    except StalledError:
-        if gauge != "no_signalling":
-            raise
-        # a cut with nothing left to violate once the no-signalling gauge
-        # is removed parts the box from the local set only through its
-        # signalling, which is within tol in every marginal but may add up
-        # to more than tol in l1: the box is local if a mixture reproduces
-        # it to within MODEL_TOL
-        is_local, weights = _decide(behavior, MODEL_TOL)
-        if not is_local:
-            raise
-        model = LocalModel(scenario=behavior.scenario, weights=weights)
-        return MembershipResult(is_local=True, model=model)
-    return MembershipResult(is_local=False, functional=functional, violation=violation)
+    if not is_local:
+        raw = BellFunctional(scenario=behavior.scenario, coeffs=witness)
+        try:
+            functional, violation = _canonical_cut(raw, behavior)
+        except StalledError:
+            is_local, witness = _decide(behavior, MODEL_TOL)
+            if not is_local:
+                raise
+        else:
+            return report, MembershipResult(is_local=False, functional=functional,
+                                            violation=violation)
+    model = LocalModel(scenario=behavior.scenario, weights=witness)
+    return report, MembershipResult(is_local=True, model=model)
 
 
-def _canonical_cut(raw: BellFunctional, behavior: Behavior,
-                   gauge: str) -> tuple[BellFunctional, float]:
+def _canonical_cut(raw: BellFunctional, behavior: Behavior) -> tuple[BellFunctional, float]:
     """The solver's cut in canonical form with its violation on the
     behavior; a cut that has no canonical form or loses its violation
     raises ``StalledError``, since the cut is the solver's own."""
     try:
-        functional = canonicalize(raw, gauge=gauge)
+        functional = canonicalize(raw)
     except ValidationError as exc:
-        raise StalledError(f"separating cut has no canonical form in the {gauge} gauge") from exc
+        raise StalledError(
+            "separating cut has no canonical form in the no_signalling gauge") from exc
     violation = float(functional.value(behavior) - functional.local_bound)
     if violation <= 0.0:
         raise StalledError(
             f"separating cut lost its violation ({violation:.3e}) during canonicalization"
         )
     return functional, violation
+
+
+def _shift_witness(behavior: Behavior, report: NoSignallingReport) -> MembershipResult:
+    """A signalling table's witness: the report's worst marginal at its
+    high context minus the same marginal at its low one.  Every strategy
+    is no-signalling, so the local bound is 0, recomputed by enumeration;
+    the violation is the shift, the defect.  The two marginals sit in
+    disjoint input blocks, so no mixture comes within the defect in l1,
+    and the table is outside the local set."""
+    sc = behavior.scenario
+    party, x, a, (ctx_hi, ctx_lo) = report.worst_marginal
+    if isinstance(party, int):
+        party, x, a = (party,), (x,), (a,)
+    coeffs = (marginal_indicator(sc, party, x, a, ctx_hi)
+              - marginal_indicator(sc, party, x, a, ctx_lo))
+    bound, _ = local_bound(BellFunctional(scenario=sc, coeffs=coeffs))
+    if bound != 0.0:
+        raise StalledError(f"marginal shift has deterministic bound {bound!r}, not 0")
+    functional = BellFunctional(scenario=sc, coeffs=coeffs, local_bound=0.0,
+                                integer_coeffs=tuple(int(v) for v in coeffs), integer_bound=0)
+    return MembershipResult(is_local=False, functional=functional,
+                            violation=functional.violation(behavior))
+
+
+def membership(behavior: Behavior, tol: float = DEFAULT_TOL) -> MembershipResult:
+    """Decide whether a behavior is a mixture of deterministic strategies,
+    by the flow ``classify`` uses.
+
+    Inside: the result carries a mixture reproducing the behavior to
+    within 1e-7.  Outside and within tol of no-signalling: it carries a
+    canonicalized inequality whose deterministic bound is recomputed by
+    direct enumeration and whose violation is strictly positive.  A
+    table whose signalling defect exceeds tol is outside with no program
+    solved: its inequality is the marginal shift ``classify`` reports,
+    with local bound 0 and the defect as its violation.  A ``tol`` that
+    is not positive and finite is refused.
+    """
+    report, res = _decided(behavior, require_tolerance(tol))
+    return res if res is not None else _shift_witness(behavior, report)
 
 
 def classify(behavior: Behavior, tol: float = DEFAULT_TOL) -> Classification:
@@ -224,9 +252,8 @@ def classify(behavior: Behavior, tol: float = DEFAULT_TOL) -> Classification:
     meaningful relative to it; each verdict comes with exactly one
     witness.  A ``tol`` that is not positive and finite is refused.
     """
-    tol = require_tolerance(tol)
-    report = no_signalling_defect(behavior)
-    if report.max_defect > tol:
+    report, res = _decided(behavior, require_tolerance(tol))
+    if res is None:
         party, x, a, (ctx_hi, ctx_lo) = report.worst_marginal
         if isinstance(party, int):
             marginal = f"party {party}'s chance of output {a} under input {x}"
@@ -238,7 +265,6 @@ def classify(behavior: Behavior, tol: float = DEFAULT_TOL) -> Classification:
             f"{ctx_lo} to {ctx_hi}, so the box transmits information between sites."
         )
         return Classification(verdict=Verdict.SIGNALLING, summary=summary, signalling=report)
-    res = _membership(behavior, tol, gauge="no_signalling")
     if res.is_local:
         support = res.model.support.size
         summary = (
@@ -261,8 +287,9 @@ def classify(behavior: Behavior, tol: float = DEFAULT_TOL) -> Classification:
 
 
 def derive_critical_inequality(behavior: Behavior, tol: float = DEFAULT_TOL) -> BellFunctional:
-    """Violated inequality in canonical form for a nonlocal behavior;
-    ``membership`` vets ``tol``."""
+    """Violated inequality for a nonlocal behavior, from ``membership``:
+    the canonical cut of a table within tol of no-signalling, the
+    marginal shift of one beyond it.  ``membership`` vets ``tol``."""
     res = membership(behavior, tol=tol)
     if res.is_local:
         raise ValidationError(

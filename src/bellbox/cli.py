@@ -52,7 +52,7 @@ def _fmt(x: float) -> str:
 
 
 def _effective_tol(args, default: float) -> float:
-    if getattr(args, "tol", None) is not None:
+    if args.tol is not None:
         value = float(args.tol)
     else:
         raw = os.environ.get(ENV_TOL)
@@ -346,12 +346,11 @@ def _cmd_threshold_efficiency(args) -> int:
 
 # -- parser ------------------------------------------------------------------
 
-def _add_common(sub, with_tol: bool = True):
+def _add_common(sub):
     sub.add_argument("--format", choices=("text", "structured"), default="text",
                      help="report style: human text or stable JSON")
-    if with_tol:
-        sub.add_argument("--tol", type=float, default=None,
-                         help="numerical tolerance for this verb")
+    sub.add_argument("--tol", type=float, default=None,
+                     help="numerical tolerance for this verb")
 
 
 @functools.cache

@@ -11,7 +11,10 @@ two functionals that agree on every normalized no-signalling behavior
 differ by a combination of per-block normalization rows and marginal
 difference rows, so the canonical representative is the projection onto
 the orthogonal complement of that span, rescaled to unit maximum
-coefficient, with the deterministic bound recomputed.
+coefficient, with the deterministic bound recomputed.  That is the only
+gauge: a canonical form is meant for no-signalling behaviors, and a
+signalling one is witnessed by its marginal shift instead
+(``analysis.membership``).
 
 No strategy matrix is built with more than ``lp.DIMENSION_CAP ** 2``
 entries, the largest program matrix the LP kernel accepts
@@ -278,7 +281,7 @@ def reduced_space(scenario: Scenario) -> np.ndarray:
                 for t_outputs in itertools.product(
                         *(range(scenario.outputs[p][x] - 1) for p, x in zip(T, t_inputs))):
                     rows.append(marginal_indicator(scenario, T, t_inputs, t_outputs, base))
-    matrix = np.array(rows)
+    matrix = np.array(rows).reshape(len(rows), scenario.dimension)
     matrix.setflags(write=False)
     return matrix
 
@@ -286,16 +289,13 @@ def reduced_space(scenario: Scenario) -> np.ndarray:
 # -- gauge span and canonical forms -----------------------------------------
 
 @lru_cache(maxsize=32)
-def _gauge_basis(scenario: Scenario, include_marginals: bool = True) -> np.ndarray:
+def _gauge_basis(scenario: Scenario) -> np.ndarray:
     """Orthonormal basis (columns) for the span of the normalization
-    indicator rows and, unless disabled, the marginal difference rows,
-    i.e. the directions along which functionals cannot be told apart on
-    normalized no-signalling behaviors.  With ``include_marginals`` off
-    only the normalization rows are used; shifts along those preserve
-    violations on every normalized behavior, signalling or not."""
-    gauge = np.array([_block_indicator(scenario, joint) for joint in scenario.joint_inputs()])
-    if include_marginals:
-        gauge = np.vstack([gauge, marginal_differences(scenario).matrix])
+    indicator rows and the marginal difference rows, i.e. the directions
+    along which functionals cannot be told apart on normalized
+    no-signalling behaviors."""
+    gauge = np.vstack([[_block_indicator(scenario, joint) for joint in scenario.joint_inputs()],
+                       marginal_differences(scenario).matrix])
     u, s, _ = np.linalg.svd(gauge.T, full_matrices=False)
     rank = int((s > GAUGE_RANK_TOL * s[0]).sum())
     q = u[:, :rank].copy()
@@ -309,24 +309,18 @@ def _block_indicator(scenario, joint) -> np.ndarray:
     return row
 
 
-def canonicalize(functional: BellFunctional, gauge: str = "no_signalling") -> BellFunctional:
-    """Canonical representative of the functional's equivalence class:
-    gauge components removed, maximum coefficient scaled to one, integer
-    form recorded when a common denominator up to 64 fits (the
-    coefficients are then that form divided by its denominator, so float
-    noise in the input does not reach them), deterministic bound
-    recomputed.
-
-    ``gauge`` picks the quotient: "no_signalling" (default) also removes
-    marginal difference directions and is the right notion when the
-    functional will only ever be evaluated on no-signalling behaviors;
-    "normalization" removes only per-block constants, which keeps the
-    violation of arbitrary normalized behaviors unchanged.
+def canonicalize(functional: BellFunctional) -> BellFunctional:
+    """Canonical representative of the functional's equivalence class on
+    normalized no-signalling behaviors: components along the
+    normalization and marginal difference rows removed, maximum
+    coefficient scaled to one, integer form recorded when a common
+    denominator up to 64 fits (the coefficients are then that form
+    divided by its denominator, so float noise in the input does not
+    reach them), deterministic bound recomputed.  A functional that is
+    all gauge has no canonical form (``ValidationError``).
     """
-    if gauge not in ("no_signalling", "normalization"):
-        raise ValidationError(f"unknown gauge {gauge!r}")
     sc = functional.scenario
-    q = _gauge_basis(sc, gauge == "no_signalling")
+    q = _gauge_basis(sc)
     c = functional.coeffs - q @ (q.T @ functional.coeffs)
     peak = float(np.abs(c).max())
     if peak <= PURE_GAUGE_TOL:
@@ -464,6 +458,8 @@ def enumerate_facets(scenario: Scenario) -> tuple[BellFunctional, ...]:
             f"{count} vertices exceed the facet enumeration cap of {FACET_VERTEX_CAP}")
     M = reduced_space(scenario)
     r = M.shape[0]
+    if r == 0:  # every alphabet has one output: the polytope is one point
+        return ()
     if r > FACET_DIM_CAP:
         raise SizeCapError(
             f"reduced dimension {r} exceeds the facet enumeration cap of {FACET_DIM_CAP}")

@@ -17,7 +17,8 @@ from functools import cached_property, lru_cache
 
 import numpy as np
 
-from .errors import ValidationError
+from .errors import SizeCapError, ValidationError
+from .lp import DIMENSION_CAP
 from .tolerances import DEFAULT_TOL, FLOAT_EPS, MIX_WEIGHT_SUM_TOL, require_tolerance
 
 
@@ -302,9 +303,30 @@ class MarginalDifferences:
     starts: np.ndarray
 
 
+def _marginal_difference_count(scenario: Scenario) -> int:
+    """Rows of ``marginal_differences``, counted without building any:
+    per proper subset T, every non-base remote context times every
+    (T's inputs, T's outputs)."""
+    rows = 0
+    for size in range(1, scenario.parties):
+        for T in itertools.combinations(range(scenario.parties), size):
+            contexts = math.prod(n for p, n in enumerate(scenario.inputs_per_party)
+                                 if p not in T)
+            rows += (contexts - 1) * math.prod(sum(scenario.outputs[p]) for p in T)
+    return rows
+
+
 @lru_cache(maxsize=32)
 def marginal_differences(scenario: Scenario) -> MarginalDifferences:
-    """Every marginal-difference row of every proper party subset; read-only."""
+    """Every marginal-difference row of every proper party subset; read-only.
+    A matrix of more than ``DIMENSION_CAP ** 2`` entries, the cap on
+    strategy matrices, is refused before any row is built."""
+    count = _marginal_difference_count(scenario)
+    entries = count * scenario.dimension
+    if entries > DIMENSION_CAP ** 2:
+        raise SizeCapError(
+            f"marginal-difference matrix of {count}x{scenario.dimension} = {entries} "
+            f"entries exceeds the cap of {DIMENSION_CAP}**2")
     rows, labels, starts = [], [], []
     for size in range(1, scenario.parties):
         for T in itertools.combinations(range(scenario.parties), size):

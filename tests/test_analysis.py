@@ -204,8 +204,8 @@ def test_membership_werner_family():
 
 def test_membership_of_signalling_behavior():
     """Signalling tables are outside the local polytope too; the returned
-    inequality must keep its violation on such tables, which rules out
-    shifts along marginal-difference directions."""
+    inequality, their marginal shift, must keep its violation on the
+    table as given."""
     beh = named_behavior("signalling_demo")
     res = membership(beh)
     assert not res.is_local

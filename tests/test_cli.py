@@ -213,6 +213,20 @@ def test_facets_of_chsh_scenario(capsys):
     assert all(doc["note"] == "facet" for doc in payload["facets"])
 
 
+def test_facets_of_a_one_point_polytope(capsys, tmp_path):
+    """Every alphabet has one output: one strategy, so no facet.  This
+    used to end in a numpy traceback (exit 1) on an empty reduced space."""
+    doc = tmp_path / "single.json"
+    doc.write_text(json.dumps({"kind": "scenario", "parties": 2, "inputs": [2, 2],
+                               "outputs": [[1, 1], [1, 1]]}))
+    code, out, err = run_cli(capsys, "facets", "--format", "structured", str(doc))
+    assert (code, err) == (0, "")
+    payload = json.loads(out)
+    assert payload["count"] == 0 and payload["facets"] == []
+    code, out, _ = run_cli(capsys, "facets", str(doc))
+    assert code == 0 and out.startswith("count: 0\n")
+
+
 def test_facets_cap_exit(capsys, tmp_path):
     big = tmp_path / "big.json"
     write_document(Scenario.uniform(2, 5, 2), big)

@@ -9,18 +9,23 @@ entry by entry.
 
 import itertools
 import json
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 from bellbox import Scenario, validate_behavior
-from bellbox.analysis import DEFAULT_TOL, MODEL_TOL, Verdict, _membership, classify, membership
+import bellbox.analysis as analysis
+import bellbox.scenario
+from bellbox.analysis import (DEFAULT_TOL, MODEL_TOL, Verdict, _canonical_cut, _decide, classify,
+                              membership)
 from bellbox.cli import main
 from bellbox.documents import write_document
-from bellbox.errors import StalledError, ValidationError
-from bellbox.polytope import canonicalize, strategy_matrix
-from bellbox.scenario import marginal_differences, no_signalling_defect
+from bellbox.errors import SizeCapError, StalledError
+from bellbox.polytope import BellFunctional, local_bound, strategy_matrix
+from bellbox.scenario import (flat_index, marginal_differences, marginal_indicator,
+                              named_behavior, no_signalling_defect)
 
 THREE = Scenario.uniform(3, 2, 2)
 
@@ -114,27 +119,52 @@ def test_pair_signalling_classify_cli_exits_zero(capsys, tmp_path):
     assert "parties (0, 1), outputs" in capsys.readouterr().out
 
 
-def test_pair_signalling_membership_uses_the_normalization_gauge(capsys, tmp_path):
-    res = membership(pair_signalling())
-    assert not res.is_local and res.violation > 0.0
-    # the cut lies in the no-signalling gauge span: only the weaker gauge keeps it
-    with pytest.raises(ValidationError, match="pure gauge"):
-        canonicalize(res.functional, gauge="no_signalling")
-    again = canonicalize(res.functional, gauge="normalization")
-    np.testing.assert_allclose(again.coeffs, res.functional.coeffs, atol=1e-12)
+def assert_shift_witness(behavior, res, report):
+    """``membership``'s witness on a table whose defect exceeds tol: the
+    report's worst marginal at its high context minus the same marginal
+    at its low one, local bound 0 by enumeration, an integer form, and
+    the defect as its violation."""
+    party, x, a, (hi, lo) = report.worst_marginal
+    if isinstance(party, int):
+        party, x, a = (party,), (x,), (a,)
+    sc = behavior.scenario
+    want = marginal_indicator(sc, party, x, a, hi) - marginal_indicator(sc, party, x, a, lo)
+    f = res.functional
+    assert not res.is_local and res.model is None
+    assert f.coeffs.tobytes() == want.tobytes()
+    assert f.local_bound == 0.0 and local_bound(f)[0] == 0.0
+    assert f.integer_coeffs == tuple(int(v) for v in want) and f.integer_bound == 0
+    assert abs(res.violation - report.max_defect) <= 1e-12
+    assert res.violation == f.value(behavior) - f.local_bound
+
+
+def test_pair_signalling_membership_is_its_marginal_shift(capsys, tmp_path):
+    """No program is solved: the shift of the pair (0, 1)'s joint marginal
+    with party 2's input is the witness, violated by the defect 0.5."""
+    with mock.patch.object(analysis, "solve", wraps=analysis.solve) as solves:
+        res = membership(pair_signalling())
+    assert solves.call_count == 0
+    report = no_signalling_defect(pair_signalling())
+    assert_shift_witness(pair_signalling(), res, report)
+    assert res.violation == 0.5
     path = tmp_path / "pair.json"
     write_document(pair_signalling(), path)
     assert main(["membership", str(path), "--format", "structured"]) == 0
     payload = json.loads(capsys.readouterr().out)
     assert payload["is_local"] is False
     assert payload["witness"]["type"] == "functional"
+    assert payload["witness"]["violation"] == 0.5
+    assert payload["witness"]["functional"]["local_bound"] == 0.0
 
 
 def test_pure_gauge_cut_is_an_internal_failure():
     """The cut comes from the solver; failing to canonicalize it is the
-    package's failure (exit 3), not the input's (exit 2)."""
+    package's failure (exit 3), not the input's (exit 2).  The pair
+    table's own distance cut lies in the no-signalling gauge span."""
+    is_local, cut = _decide(pair_signalling())
+    assert not is_local
     with pytest.raises(StalledError, match="canonical form"):
-        _membership(pair_signalling(), DEFAULT_TOL, gauge="no_signalling")
+        _canonical_cut(BellFunctional(scenario=THREE, coeffs=cut), pair_signalling())
 
 
 def test_signalling_below_tol_does_not_make_a_local_box_nonlocal():
@@ -245,3 +275,71 @@ def test_defect_matches_every_subset_brute_force(seed, k, ns, signalling, w):
     if report.max_defect > 0.0:
         assert named_shift(report, scenario, behavior.probs) == pytest.approx(want, abs=1e-12)
     assert (classify(behavior).verdict is Verdict.SIGNALLING) == (want > DEFAULT_TOL)
+
+
+# -- one decision flow -------------------------------------------------------
+
+CHSH = Scenario.uniform(2, 2, 2)
+UNEVEN = Scenario(inputs_per_party=(2, 3), outputs=((2, 3), (3, 2, 2)))
+
+
+def _embedded_pr_box(scenario):
+    """A two-party PR box on inputs 0 and 1 and outputs 0 and 1; a party
+    on any other input answers 0.  Every marginal is flat or fixed
+    whatever the remote input, so the table is no-signalling."""
+    t = np.zeros(scenario.dimension)
+    for x, y in scenario.joint_inputs():
+        a_outs = (0, 1) if x < 2 else (0,)
+        b_outs = (0, 1) if y < 2 else (0,)
+        pairs = [(a, b) for a in a_outs for b in b_outs
+                 if x >= 2 or y >= 2 or (a ^ b) == (x & y)]
+        for a, b in pairs:
+            t[flat_index(scenario, (x, y), (a, b))] = 1.0 / len(pairs)
+    return t
+
+
+@settings(deadline=None, max_examples=60)
+@given(seed=st.integers(0, 2**32 - 1), scenario=st.sampled_from([CHSH, THREE, UNEVEN]),
+       nonlocal_weight=st.floats(0.0, 1.0, allow_nan=False),
+       signalling_weight=st.sampled_from([0.0, 1e-11, 1e-3, 0.2, 1.0]))
+def test_membership_and_classify_share_one_decision(seed, scenario, nonlocal_weight,
+                                                     signalling_weight):
+    """Local, PR-box and random (signalling) parts mixed at random: both
+    entry points scan for signalling once and agree on locality, and a
+    signalling table's membership witness is its marginal shift, found
+    with no program solved."""
+    rng = np.random.default_rng(seed)
+    pr = _pr_box_on_pair(rng, 2) if scenario == THREE else _embedded_pr_box(scenario)
+    probs = (1.0 - nonlocal_weight) * _deterministic_mixture(rng, scenario) + nonlocal_weight * pr
+    probs = (1.0 - signalling_weight) * probs + signalling_weight * _random_table(rng, scenario)
+    behavior = validate_behavior(scenario, probs)
+    with mock.patch.object(analysis, "no_signalling_defect",
+                           wraps=analysis.no_signalling_defect) as scans:
+        verdict = classify(behavior).verdict
+        assert scans.call_count == 1
+        with mock.patch.object(analysis, "solve", wraps=analysis.solve) as solves:
+            res = membership(behavior)
+        assert scans.call_count == 2
+    assert res.is_local == (verdict is Verdict.LOCAL)
+    if verdict is Verdict.SIGNALLING:
+        assert solves.call_count == 0
+        assert_shift_witness(behavior, res, no_signalling_defect(behavior))
+
+
+def test_marginal_difference_matrix_is_capped_before_any_row(monkeypatch, tmp_path):
+    """A declared (2,64,2) table has 16,128 marginal-difference rows of
+    16,384 entries, a 2.1 GB matrix: refused (exit 3) before a row is
+    built, so a patched row builder never runs."""
+    behavior = named_behavior("uniform", Scenario.uniform(2, 64, 2))
+    path = tmp_path / "wide.json"
+    write_document(behavior, path)
+
+    def no_rows(*args, **kwargs):
+        raise AssertionError("a marginal-difference row was built")
+
+    monkeypatch.setattr(bellbox.scenario, "marginal_indicator", no_rows)
+    for decide in (classify, membership):
+        with pytest.raises(SizeCapError, match="marginal-difference matrix"):
+            decide(behavior)
+    for verb in ("classify", "membership"):
+        assert main([verb, str(path)]) == 3
