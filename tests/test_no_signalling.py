@@ -19,13 +19,13 @@ from bellbox import Scenario, validate_behavior
 import bellbox.analysis as analysis
 import bellbox.scenario
 from bellbox.analysis import (DEFAULT_TOL, MODEL_TOL, Verdict, _canonical_cut, _decide, classify,
-                              membership)
+                              derive_critical_inequality, membership)
 from bellbox.cli import main
 from bellbox.documents import write_document
 from bellbox.errors import SizeCapError, StalledError
 from bellbox.polytope import BellFunctional, local_bound, strategy_matrix
-from bellbox.scenario import (flat_index, marginal_differences, marginal_indicator,
-                              named_behavior, no_signalling_defect)
+from bellbox.scenario import (_marginal_difference_count, flat_index, marginal_differences,
+                              marginal_indicator, named_behavior, no_signalling_defect)
 
 THREE = Scenario.uniform(3, 2, 2)
 
@@ -157,6 +157,20 @@ def test_pair_signalling_membership_is_its_marginal_shift(capsys, tmp_path):
     assert payload["witness"]["functional"]["local_bound"] == 0.0
 
 
+@pytest.mark.parametrize("name", ["pair", "signalling_demo"])
+def test_derived_inequality_of_a_signalling_table_is_its_marginal_shift(name):
+    """``derive_critical_inequality`` reads ``membership``'s flow: beyond
+    tol of no-signalling it solves no program and returns the shift."""
+    behavior = pair_signalling() if name == "pair" else named_behavior(name)
+    with mock.patch.object(analysis, "solve", wraps=analysis.solve) as solves:
+        f = derive_critical_inequality(behavior)
+    assert solves.call_count == 0
+    report = no_signalling_defect(behavior)
+    assert_shift_witness(behavior, membership(behavior), report)
+    assert f.coeffs.tobytes() == membership(behavior).functional.coeffs.tobytes()
+    assert f.value(behavior) - f.local_bound == pytest.approx(report.max_defect, abs=1e-12)
+
+
 def test_pure_gauge_cut_is_an_internal_failure():
     """The cut comes from the solver; failing to canonicalize it is the
     package's failure (exit 3), not the input's (exit 2).  The pair
@@ -203,6 +217,20 @@ def test_each_row_is_its_labelled_marginal_difference(scenario):
     # a group is every non-base context of one (T, inputs, outputs)
     keys = [label[:3] for label in md.labels]
     assert [keys.index(key) for key in dict.fromkeys(keys)] == list(md.starts)
+
+
+@pytest.mark.parametrize("scenario", [
+    THREE,
+    Scenario.uniform(1, 3, 2),
+    Scenario.uniform(2, 3, 2),
+    Scenario(inputs_per_party=(2, 3), outputs=((2, 3), (3, 2, 2))),
+    Scenario(inputs_per_party=(1, 2, 3), outputs=((2,), (2, 3), (2, 2, 2))),
+    Scenario(inputs_per_party=(1, 1), outputs=((2,), (3,))),
+])
+def test_the_size_cap_counts_the_rows_that_are_built(scenario):
+    """The cap is checked on a count made without building any row; it
+    must be the number of rows the matrix then has."""
+    assert _marginal_difference_count(scenario) == marginal_differences(scenario).matrix.shape[0]
 
 
 def test_one_party_scenario_has_no_conditions():
