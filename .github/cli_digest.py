@@ -1,0 +1,90 @@
+"""Print a digest of every command-line operation the benchmark decks and
+the packaged fixtures drive: one JSON line per operation.
+
+usage: python3 .github/cli_digest.py > DIGEST.jsonl
+
+The operations are every item of both perfbench decks at seeds 1-3,
+then validate, classify and membership, in both output formats, on
+every packaged fixture.  Each runs through ``bellbox.cli.main`` in this
+process, with bellbox imported from this checkout's src; perfbench/decks.py
+is imported and not written to.  Documents go to a temporary directory,
+whose path is masked as ``<tmp>`` in the output.  A line holds the
+operation's name, its command line, the exit code, the sha256 of its
+stdout and of its stderr, and the simplex iteration count of each LP it
+solved, read through a wrapper on ``bellbox.analysis.solve``.
+
+Two runs in one checkout must print the same bytes.  The lines of two
+checkouts, compared by name, show which operations a change moved.
+"""
+import contextlib
+import hashlib
+import io
+import json
+import os
+import sys
+import tempfile
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parents[1]
+sys.dont_write_bytecode = True  # leave no cache files next to perfbench/decks.py
+sys.path[:0] = [str(ROOT / "src"), str(ROOT / "perfbench")]
+os.environ.pop("BELLBOX_TOL", None)  # the command line reads it as its default tolerance
+
+import bellbox.analysis  # noqa: E402
+import decks  # noqa: E402
+from bellbox.cli import main  # noqa: E402
+from bellbox.fixtures import fixture_names, fixture_path  # noqa: E402
+
+SEEDS = (1, 2, 3)
+FIXTURE_VERBS = ("validate", "classify", "membership")
+
+
+def operations():
+    """(name, argv, documents) of every operation, in a fixed order."""
+    for workload, deck in decks.DECKS.items():
+        for seed in SEEDS:
+            for items in deck(seed):
+                for item in items:
+                    yield f"{workload}/seed{seed}/{item.index}", item.argv, item.docs
+    for fixture in fixture_names():
+        doc = f"{fixture}.json"
+        text = fixture_path(fixture).read_text()
+        for verb in FIXTURE_VERBS:
+            for fmt in ("text", "structured"):
+                yield f"fixture/{fixture}/{verb}/{fmt}", [verb, doc, "--format", fmt], {doc: text}
+
+
+def sha256(text: str) -> str:
+    return hashlib.sha256(text.encode()).hexdigest()
+
+
+def digest():
+    iterations = []
+    solve = bellbox.analysis.solve
+
+    def counted(*args, **kwargs):
+        out = solve(*args, **kwargs)
+        iterations.append(out.iterations)
+        return out
+
+    bellbox.analysis.solve = counted
+    with tempfile.TemporaryDirectory() as tmp:
+        def mask(text: str) -> str:
+            return text.replace(tmp, "<tmp>")
+
+        for name, argv, docs in operations():
+            for doc, text in docs.items():
+                Path(tmp, doc).write_text(text)
+            argv = [os.path.join(tmp, arg) if arg in docs else arg for arg in argv]
+            out, err = io.StringIO(), io.StringIO()
+            iterations.clear()
+            with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+                code = main(argv)
+            print(json.dumps({"op": name, "argv": [mask(arg) for arg in argv], "exit": code,
+                              "stdout": sha256(mask(out.getvalue())),
+                              "stderr": sha256(mask(err.getvalue())),
+                              "iterations": iterations}))
+
+
+if __name__ == "__main__":
+    digest()

@@ -31,7 +31,7 @@ from .lp import LinearProgram, check_size, solve
 from .polytope import (BellFunctional, LocalModel, canonicalize, local_bound, strategy_count,
                        strategy_matrix)
 from .quantum import BellSetup, behavior_from_setup, lift_with_efficiency
-from .scenario import (_CHSH_SCENARIO, Behavior, NoSignallingReport, marginal_indicator, mix,
+from .scenario import (_CHSH_SCENARIO, Behavior, NoSignallingReport, _marginal_index, mix,
                        no_signalling_defect)
 from .tolerances import (BISECTION_TOL_FLOOR, DEFAULT_TOL, EFFICIENCY_TOL, MODEL_TOL,
                          VISIBILITY_TOL, require_tolerance)
@@ -217,8 +217,8 @@ def _shift_witness(behavior: Behavior, report: NoSignallingReport) -> Membership
     party, x, a, (ctx_hi, ctx_lo) = report.worst_marginal
     if isinstance(party, int):
         party, x, a = (party,), (x,), (a,)
-    coeffs = (marginal_indicator(sc, party, x, a, ctx_hi)
-              - marginal_indicator(sc, party, x, a, ctx_lo))
+    index = _marginal_index(sc)
+    coeffs = index.row(party, (x, a, ctx_hi)) - index.row(party, (x, a, ctx_lo))
     bound, _ = local_bound(BellFunctional(scenario=sc, coeffs=coeffs))
     if bound != 0.0:
         raise StalledError(f"marginal shift has deterministic bound {bound!r}, not 0")

@@ -251,6 +251,8 @@ def parse_document_text(text: str, tol: float | None = None):
         ) from None
     except ValueError as err:  # an integer literal past Python's digit limit
         raise ValidationError(f"document number error: {err}") from None
+    except RecursionError:
+        raise ValidationError("document nests arrays or objects too deeply") from None
     if not isinstance(payload, dict):
         raise ValidationError("document must be a JSON object with a 'kind' field")
     kind = payload.get("kind")

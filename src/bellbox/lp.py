@@ -52,7 +52,7 @@ for feasible problems, a Farkas vector for infeasible ones, an
 improving ray for unbounded ones, and each can be checked against its
 own verification inequality by an independent routine.  The
 tolerances come from ``tolerances``; the size cap and the pivot limit
-are this module's own, and ``check_size`` is the one size check.
+are this module's own, and ``check_size`` and ``check_entries`` apply it.
 
 Problems have at most ``DIMENSION_CAP`` (8192) rows and as many
 columns, so the design optimizes for robustness and certificate
@@ -83,6 +83,13 @@ def check_size(rows: int, cols: int):
     """Refuse a program with more than ``DIMENSION_CAP`` rows or columns."""
     if rows > DIMENSION_CAP or cols > DIMENSION_CAP:
         raise SizeCapError(f"LP of size {rows}x{cols} exceeds the {DIMENSION_CAP} cap")
+
+
+def check_entries(what: str, rows: int, cols: int):
+    """Refuse a dense matrix of more than ``DIMENSION_CAP ** 2`` entries."""
+    if rows * cols > DIMENSION_CAP ** 2:
+        raise SizeCapError(f"{what} of {rows}x{cols} = {rows * cols} entries "
+                           f"exceeds the cap of {DIMENSION_CAP}**2")
 
 
 @dataclass(frozen=True, eq=False)

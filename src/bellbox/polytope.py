@@ -2,16 +2,17 @@
 
 The local polytope of a scenario is the convex hull of its deterministic
 strategies.  This module enumerates those strategies, evaluates and
-canonicalizes linear functionals against them, reduces behaviors to a
-minimal coordinate set, and enumerates the polytope's facets by the
+canonicalizes linear functionals against them, reduces behaviors to the
+Collins-Gisin coordinates, and enumerates the polytope's facets by the
 double description method in those coordinates.
 
 Canonical forms make functionals comparable across derivation routes:
 two functionals that agree on every normalized no-signalling behavior
-differ by a combination of per-block normalization rows and marginal
-difference rows, so the canonical representative is the projection onto
-the orthogonal complement of that span, rescaled to unit maximum
-coefficient, with the deterministic bound recomputed.  That is the only
+differ by a combination of normalization rows and marginal differences,
+both read off the scenario's marginal index, so the canonical
+representative is the projection onto the orthogonal complement of that
+span, rescaled to unit maximum coefficient, with the deterministic bound
+recomputed.  That is the only
 gauge: a canonical form is meant for no-signalling behaviors, and a
 signalling one is witnessed by its marginal shift instead
 (``analysis.membership``).
@@ -31,9 +32,9 @@ from functools import lru_cache
 import numpy as np
 
 from .errors import SizeCapError, StalledError, ValidationError
-from .lp import DIMENSION_CAP
-from .scenario import (_CHSH_SCENARIO, Behavior, Scenario, flat_index, marginal_differences,
-                       marginal_indicator, validate_behavior)
+from .lp import check_entries
+from .scenario import (_CHSH_SCENARIO, Behavior, Scenario, _marginal_index, flat_index,
+                       validate_behavior)
 from .tolerances import (DEFAULT_TOL, FACET_ZERO_TOL, GAUGE_RANK_TOL, INTEGER_FIT_TOL,
                          NEGATIVE_WEIGHT_TOL, PURE_GAUGE_TOL)
 
@@ -77,11 +78,7 @@ class DeterministicStrategy:
 
 
 def strategy_count(scenario: Scenario) -> int:
-    count = 1
-    for p in range(scenario.parties):
-        for k in scenario.outputs[p]:
-            count *= k
-    return count
+    return math.prod(k for outs in scenario.outputs for k in outs)
 
 
 def _checked_strategy_count(scenario: Scenario) -> int:
@@ -89,11 +86,7 @@ def _checked_strategy_count(scenario: Scenario) -> int:
     more than ``DIMENSION_CAP ** 2`` entries, the largest program matrix
     the LP kernel accepts (512 MiB as float64)."""
     count = strategy_count(scenario)
-    entries = scenario.dimension * count
-    if entries > DIMENSION_CAP ** 2:
-        raise SizeCapError(
-            f"strategy matrix of {scenario.dimension}x{count} = {entries} entries "
-            f"exceeds the cap of {DIMENSION_CAP}**2")
+    check_entries("strategy matrix", scenario.dimension, count)
     return count
 
 
@@ -269,19 +262,18 @@ def chsh_functional(signs: tuple[int, int, int, int] = (1, 1, 1, -1)) -> BellFun
 def reduced_space(scenario: Scenario) -> np.ndarray:
     """Minimal coordinates for no-signalling behaviors, as a read-only
     (reduced dim) x (full dim) matrix of 0/1 marginalization rows: for
-    every nonempty party subset, its joint marginal at remote inputs
-    zero, dropping each party's last output.  A functional ``a`` on
-    these coordinates lifts to ``M.T @ a``, which pairs with every
-    behavior as ``a`` pairs with its reduced coordinates."""
-    rows = []
-    for size in range(1, scenario.parties + 1):
-        base = (0,) * (scenario.parties - size)  # remote inputs pinned to zero
-        for T in itertools.combinations(range(scenario.parties), size):
-            for t_inputs in itertools.product(*(range(scenario.inputs_per_party[p]) for p in T)):
-                for t_outputs in itertools.product(
-                        *(range(scenario.outputs[p][x] - 1) for p, x in zip(T, t_inputs))):
-                    rows.append(marginal_indicator(scenario, T, t_inputs, t_outputs, base))
-    matrix = np.array(rows).reshape(len(rows), scenario.dimension)
+    every nonempty party subset, its marginal index cells at remote
+    context 0, every remote input zero, but none at a party's last
+    output.  A functional ``a`` on these coordinates lifts to
+    ``M.T @ a``, which pairs with every behavior as ``a`` pairs with its
+    reduced coordinates."""
+    index = _marginal_index(scenario)
+    last = index.digits[1] == index.digits[2] - 1  # entries at a party's last output
+    blocks = []
+    for k in range(1, len(index.subsets)):
+        kept = ~last[list(index.subsets[k])].any(axis=0) & (index.cells[k] % index.contexts[k] == 0)
+        blocks.append(index.rows(k, np.flatnonzero(np.bincount(index.cells[k][kept]))))
+    matrix = np.vstack(blocks)
     matrix.setflags(write=False)
     return matrix
 
@@ -290,23 +282,26 @@ def reduced_space(scenario: Scenario) -> np.ndarray:
 
 @lru_cache(maxsize=32)
 def _gauge_basis(scenario: Scenario) -> np.ndarray:
-    """Orthonormal basis (columns) for the span of the normalization
-    indicator rows and the marginal difference rows, i.e. the directions
-    along which functionals cannot be told apart on normalized
-    no-signalling behaviors."""
-    gauge = np.vstack([[_block_indicator(scenario, joint) for joint in scenario.joint_inputs()],
-                       marginal_differences(scenario).matrix])
-    u, s, _ = np.linalg.svd(gauge.T, full_matrices=False)
+    """Orthonormal basis (columns) for the directions along which
+    functionals cannot be told apart on normalized no-signalling
+    behaviors: the marginal index's empty-subset cells (normalization
+    rows) and each proper subset's cells at every non-base remote context
+    minus the base context's.  More than ``DIMENSION_CAP ** 2`` difference
+    entries, counted from the index's shape, are refused."""
+    index = _marginal_index(scenario)
+    proper = range(1, len(index.subsets) - 1)
+    count = sum(index.groups[k] * (index.contexts[k] - 1) for k in proper)
+    check_entries("marginal-difference matrix", count, scenario.dimension)
+    blocks = [index.rows(0, range(index.contexts[0]))]
+    for k in proper:
+        rows = index.rows(k, range(index.groups[k] * index.contexts[k]))
+        rows = rows.reshape(index.groups[k], index.contexts[k], -1)
+        blocks.append((rows[:, 1:] - rows[:, :1]).reshape(-1, scenario.dimension))
+    u, s, _ = np.linalg.svd(np.vstack(blocks).T, full_matrices=False)
     rank = int((s > GAUGE_RANK_TOL * s[0]).sum())
     q = u[:, :rank].copy()
     q.setflags(write=False)
     return q
-
-
-def _block_indicator(scenario, joint) -> np.ndarray:
-    row = np.zeros(scenario.dimension)
-    row[scenario.block_slice(joint)] = 1.0
-    return row
 
 
 def canonicalize(functional: BellFunctional) -> BellFunctional:

@@ -4,8 +4,10 @@ A scenario fixes how many parties there are, how many inputs each party
 can choose, and how many outputs each (party, input) pair can produce.
 A behavior is the conditional probability table P(outputs | inputs) laid
 out as a flat vector in one fixed lexicographic order that every other
-module shares.  A table is checked at a tolerance from ``tolerances``
-or from the caller, which ``tolerances.require_tolerance`` vets.
+module shares, and checked at a tolerance ``tolerances.require_tolerance``
+vets.  One marginal index per scenario sums that table into the joint
+marginals of every party subset; the no-signalling check, the gauge, the
+reduced coordinates and the marginal shift witness all read it.
 """
 
 from __future__ import annotations
@@ -17,8 +19,8 @@ from functools import cached_property, lru_cache
 
 import numpy as np
 
-from .errors import SizeCapError, ValidationError
-from .lp import DIMENSION_CAP
+from .errors import ValidationError
+from .lp import check_entries
 from .tolerances import DEFAULT_TOL, FLOAT_EPS, MIX_WEIGHT_SUM_TOL, require_tolerance
 
 
@@ -117,10 +119,7 @@ def _block_offsets_of(scenario: Scenario) -> tuple[int, ...]:
     """Where each input block starts in the flat table, joint inputs in
     order, and the table's length last.  Cached by value, since every
     document builds its own scenario."""
-    offsets = [0]
-    for joint in scenario.joint_inputs():
-        offsets.append(offsets[-1] + scenario.block_size(joint))
-    return tuple(offsets)
+    return tuple(itertools.accumulate(map(scenario.block_size, scenario.joint_inputs()), initial=0))
 
 
 def flat_index(scenario: Scenario, inputs: tuple[int, ...], outputs: tuple[int, ...]) -> int:
@@ -266,88 +265,81 @@ def mix(components, tol: float | None = None) -> Behavior:
     return validate_behavior(scenario, combo, tol=tol)
 
 
-def marginal_indicator(scenario: Scenario, T: tuple[int, ...], t_inputs: tuple[int, ...],
-                       t_outputs: tuple[int, ...], context: tuple[int, ...]) -> np.ndarray:
-    """Row whose product with a behavior is the joint marginal of the
-    parties in T: P(T's outputs | T's inputs) with the other parties'
-    inputs set to ``context`` (in party order) and their outputs summed."""
-    inputs = [0] * scenario.parties
-    outputs: list = [slice(None)] * scenario.parties
-    for p, x, a in zip(T, t_inputs, t_outputs):
-        inputs[p] = x
-        outputs[p] = a
-    others = [p for p in range(scenario.parties) if p not in T]
-    for p, x in zip(others, context):
-        inputs[p] = x
-    inputs = tuple(inputs)
-    row = np.zeros(scenario.dimension)
-    row[scenario.block_slice(inputs)].reshape(scenario.outputs_for(inputs))[tuple(outputs)] = 1.0
-    return row
-
-
 @dataclass(frozen=True, eq=False)
-class MarginalDifferences:
-    """The no-signalling conditions of a scenario as rows D, with D p = 0
-    exactly when p is no-signalling (Barrett et al., PRA 71, 022101 (2005)).
+class _MarginalIndex:
+    """Per party subset T, by size and then ``itertools.combinations``
+    order, the cells (T's inputs, T's outputs, remote inputs) whose
+    entries sum to T's joint marginal at that remote context (Barrett et
+    al., PRA 71, 022101 (2005)).  Subset k's cell ``g * contexts[k] + c``
+    is group g, T's inputs and outputs in T's own flat layout, at its c-th
+    remote context in lexicographic order.  Arrays are built on first use."""
 
-    Row r is the joint marginal of a proper party subset T at the remote
-    context ``labels[r] = (T, T's inputs, T's outputs, context)`` minus
-    the same marginal at the base context, every remote input 0.  Rows
-    sharing (T, inputs, outputs) are contiguous and ``starts`` holds the
-    first row of each such group.  Ordered by subset size, then T, T's
-    inputs, T's outputs and context.
-    """
+    scenario: Scenario
+    subsets: tuple[tuple[int, ...], ...]
+    groups: tuple[int, ...]
+    contexts: tuple[int, ...]
 
-    matrix: np.ndarray
-    labels: tuple[tuple, ...]
-    starts: np.ndarray
+    @cached_property
+    def digits(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Each entry's input, output and output count, (parties, dimension) each."""
+        sc = self.scenario
+        offsets = np.array(sc._block_offsets)
+        joint = np.repeat(np.arange(sc.joint_input_count), np.diff(offsets))
+        inputs = np.array(np.unravel_index(joint, sc.inputs_per_party))
+        counts = np.array([np.array(sc.outputs[p])[inputs[p]] for p in range(sc.parties)])
+        outputs, within = np.empty_like(inputs), np.arange(sc.dimension) - offsets[joint]
+        for p in reversed(range(sc.parties)):  # the last party's output varies fastest
+            within, outputs[p] = np.divmod(within, counts[p])
+        return inputs, outputs, counts
 
+    @cached_property
+    def cells(self) -> np.ndarray:
+        """(subsets, dimension): every entry's cell for every subset."""
+        sc = self.scenario
+        inputs, outputs, counts = self.digits
+        cells = np.empty((len(self.subsets), sc.dimension), dtype=np.intp)
+        for k, T in enumerate(self.subsets):
+            joint, within, size, context = 0, 0, 1, 0  # T's input block, place and block size
+            for p in range(sc.parties):
+                if p in T:
+                    joint = joint * sc.inputs_per_party[p] + inputs[p]
+                    within, size = within * counts[p] + outputs[p], size * counts[p]
+                else:
+                    context = context * sc.inputs_per_party[p] + inputs[p]
+            starts = np.zeros(math.prod(sc.inputs_per_party[p] for p in T) + 1, dtype=np.intp)
+            starts[joint + 1] = size
+            cells[k] = (np.cumsum(starts)[joint] + within) * self.contexts[k] + context
+        cells.setflags(write=False)
+        return cells
 
-def _marginal_difference_count(scenario: Scenario) -> int:
-    """Rows of ``marginal_differences``, counted without building any:
-    per proper subset T, every non-base remote context times every
-    (T's inputs, T's outputs)."""
-    rows = 0
-    for size in range(1, scenario.parties):
-        for T in itertools.combinations(range(scenario.parties), size):
-            contexts = math.prod(n for p, n in enumerate(scenario.inputs_per_party)
-                                 if p not in T)
-            rows += (contexts - 1) * math.prod(sum(scenario.outputs[p]) for p in T)
-    return rows
+    def rows(self, k: int, cells) -> np.ndarray:
+        """A 0/1 row over the table for each given cell of the k-th subset."""
+        return (self.cells[k] == np.reshape(cells, (-1, 1))) * 1.0
+
+    def row(self, T: tuple[int, ...], key: tuple) -> np.ndarray:
+        """The 0/1 row of T's cell at key = (T's inputs, T's outputs, context)."""
+        inputs, outputs, _ = self.digits
+        digits = np.concatenate([inputs[list(T)], outputs[list(T)], np.delete(inputs, T, axis=0)])
+        return np.all(digits == np.concatenate(key)[:, None], axis=0) * 1.0
+
+    def key(self, T: tuple[int, ...], cell: int) -> tuple[tuple[int, ...], ...]:
+        """The key of T's cell, read off its first entry."""
+        first = np.argmax(self.cells[self.subsets.index(T)] == cell)
+        inputs, outputs = (digits[:, first].tolist() for digits in self.digits[:2])
+        remote = [p for p in range(self.scenario.parties) if p not in T]
+        return (tuple(inputs[p] for p in T), tuple(outputs[p] for p in T),
+                tuple(inputs[p] for p in remote))
 
 
 @lru_cache(maxsize=32)
-def marginal_differences(scenario: Scenario) -> MarginalDifferences:
-    """Every marginal-difference row of every proper party subset; read-only.
-    A matrix of more than ``DIMENSION_CAP ** 2`` entries, the cap on
-    strategy matrices, is refused before any row is built."""
-    count = _marginal_difference_count(scenario)
-    entries = count * scenario.dimension
-    if entries > DIMENSION_CAP ** 2:
-        raise SizeCapError(
-            f"marginal-difference matrix of {count}x{scenario.dimension} = {entries} "
-            f"entries exceeds the cap of {DIMENSION_CAP}**2")
-    rows, labels, starts = [], [], []
-    for size in range(1, scenario.parties):
-        for T in itertools.combinations(range(scenario.parties), size):
-            contexts = list(itertools.product(
-                *(range(n) for p, n in enumerate(scenario.inputs_per_party) if p not in T)))
-            if len(contexts) < 2:
-                continue
-            for t_inputs in itertools.product(*(range(scenario.inputs_per_party[p]) for p in T)):
-                for t_outputs in itertools.product(
-                        *(range(scenario.outputs[p][x]) for p, x in zip(T, t_inputs))):
-                    starts.append(len(rows))
-                    base = marginal_indicator(scenario, T, t_inputs, t_outputs, contexts[0])
-                    for context in contexts[1:]:
-                        rows.append(marginal_indicator(scenario, T, t_inputs, t_outputs, context)
-                                    - base)
-                        labels.append((T, t_inputs, t_outputs, context))
-    matrix = np.array(rows).reshape(len(rows), scenario.dimension)
-    starts = np.array(starts, dtype=np.intp)
-    matrix.setflags(write=False)
-    starts.setflags(write=False)
-    return MarginalDifferences(matrix=matrix, labels=tuple(labels), starts=starts)
+def _marginal_index(sc: Scenario) -> _MarginalIndex:
+    """The scenario's marginal index, cached by value."""
+    subsets = [T for n in range(sc.parties + 1)
+               for T in itertools.combinations(range(sc.parties), n)]
+    groups = [math.prod(sum(sc.outputs[p]) for p in T) for T in subsets]
+    contexts = [math.prod(n for p, n in enumerate(sc.inputs_per_party) if p not in T)
+                for T in subsets]
+    return _MarginalIndex(sc, tuple(subsets), tuple(groups), tuple(contexts))
 
 
 @dataclass(frozen=True)
@@ -360,7 +352,7 @@ class NoSignallingReport:
     behaviors cannot be used to transmit anything between the parties.
     ``worst_marginal`` is (party, input, output, (remote inputs A, remote
     inputs B)), the marginal and context pair attaining the defect, the
-    first in ``marginal_differences`` order; for a group's joint marginal
+    first in the marginal index's order; for a group's joint marginal
     the first three entries are equal-length tuples (parties, their
     inputs, their outputs) and ``worst_party`` is the parties' tuple.
     """
@@ -375,27 +367,31 @@ _NO_DEFECT = NoSignallingReport(max_defect=0.0, worst_party=0, worst_marginal=(0
 
 def no_signalling_defect(behavior: Behavior) -> NoSignallingReport:
     """Largest max - min of one joint marginal of a proper party subset
-    over the remote contexts, read off the marginal differences D p; the
-    first group and the first contexts attaining it name the witness."""
-    md = marginal_differences(behavior.scenario)
-    if not md.starts.size:
+    over the remote contexts, summed per marginal index cell by
+    ``np.bincount``; the first group attaining it, at its first contexts
+    of max and min, names the witness.  Proper subsets with two or more
+    remote contexts times the table's length past ``DIMENSION_CAP ** 2``
+    are refused before any cell is built."""
+    sc = behavior.scenario
+    index = _marginal_index(sc)
+    scanned = [k for k, T in enumerate(index.subsets) if T and index.contexts[k] > 1]
+    check_entries("no-signalling scan", len(scanned), sc.dimension)
+    best, worst = 0.0, None
+    for k in scanned:
+        sums = np.bincount(index.cells[k], weights=behavior.probs).reshape(index.groups[k], -1)
+        defects = np.ptp(sums, axis=1)
+        g = int(np.argmax(defects))
+        if defects[g] > best:
+            best, worst = float(defects[g]), (k, g * index.contexts[k], sums[g])
+    if worst is None:
         return _NO_DEFECT
-    shifts = md.matrix @ behavior.probs
-    # each group's base context has shift 0
-    defects = (np.maximum(np.maximum.reduceat(shifts, md.starts), 0.0)
-               - np.minimum(np.minimum.reduceat(shifts, md.starts), 0.0))
-    g = int(np.argmax(defects))
-    if defects[g] <= 0.0:
-        return _NO_DEFECT
-    first = int(md.starts[g])
-    last = int(md.starts[g + 1]) if g + 1 < md.starts.size else len(md.labels)
-    T, t_inputs, t_outputs, context = md.labels[first]
-    contexts = [(0,) * len(context)] + [md.labels[r][3] for r in range(first, last)]
-    group = np.append(0.0, shifts[first:last])
-    worst = (T, t_inputs, t_outputs) if len(T) > 1 else (T[0], t_inputs[0], t_outputs[0])
-    pair = (contexts[int(np.argmax(group))], contexts[int(np.argmin(group))])
-    return NoSignallingReport(max_defect=float(defects[g]), worst_party=worst[0],
-                              worst_marginal=worst + (pair,))
+    k, first, sums = worst
+    T = index.subsets[k]
+    x, a, hi = index.key(T, first + int(np.argmax(sums)))
+    lo = index.key(T, first + int(np.argmin(sums)))[2]
+    named = (T, x, a) if len(T) > 1 else (T[0], x[0], a[0])
+    return NoSignallingReport(max_defect=best, worst_party=named[0],
+                              worst_marginal=named + ((hi, lo),))
 
 
 _CHSH_SCENARIO = Scenario.uniform(2, 2, 2)
@@ -411,11 +407,8 @@ def named_behavior(name: str, scenario: Scenario | None = None, tol: float = DEF
     """
     if name == "uniform":
         sc = scenario if scenario is not None else _CHSH_SCENARIO
-        vec = np.zeros(sc.dimension)
-        for joint in sc.joint_inputs():
-            sl = sc.block_slice(joint)
-            vec[sl] = 1.0 / sc.block_size(joint)
-        return validate_behavior(sc, vec, tol=tol)
+        sizes = np.diff(sc._block_offsets)
+        return validate_behavior(sc, 1.0 / np.repeat(sizes, sizes), tol=tol)
     if scenario is not None and scenario != _CHSH_SCENARIO:
         raise ValidationError(f"behavior {name!r} is only defined on the (2,2,2) scenario")
     sc = _CHSH_SCENARIO

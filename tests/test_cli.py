@@ -55,6 +55,15 @@ def test_validate_bad_block_names_it(capsys, tmp_path):
     assert err.strip().count("\n") == 0  # one-line message
 
 
+def test_validate_deeply_nested_document_exits_2(capsys, tmp_path):
+    deep = tmp_path / "deep.json"
+    deep.write_text("[" * 200_000)
+    code, out, err = run_cli(capsys, "validate", str(deep))
+    assert code == 2
+    assert out == "" and "too deeply" in err
+    assert "Traceback" not in err
+
+
 def test_validate_env_tolerance_override(capsys, tmp_path, monkeypatch):
     payload = json.loads(emit_document(named_behavior("uniform")))
     payload["probs"][0] = 0.2495  # off by 5e-4

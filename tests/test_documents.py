@@ -283,6 +283,13 @@ def test_integer_past_the_digit_limit_is_refused():
         parse_document_text(text)
 
 
+def test_deeply_nested_document_is_refused():
+    """json.loads recurses once per nested array; past the interpreter's
+    limit that is a RecursionError, which must be the input's fault."""
+    with pytest.raises(ValidationError, match="too deeply"):
+        parse_document_text("[" * 200_000)
+
+
 def test_overflowing_json_float_is_refused_as_non_finite():
     """json reads 1e999 as inf; the table's own check refuses it."""
     text = emit_document(named_behavior("uniform")).replace("0.25", "1e999", 1)

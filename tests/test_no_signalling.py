@@ -2,13 +2,15 @@
 
 A group of parties must not see its joint statistics move with the
 inputs of the others, even when each member's own marginal stays flat
-(Barrett et al., PRA 71, 022101 (2005)).  The reference here is a plain
-loop over every proper subset, kept in this file, that sums the table
-entry by entry.
+(Barrett et al., PRA 71, 022101 (2005)).  The references here are
+plain loops, kept in this file: one sums the table entry by entry, and
+one builds the marginal rows one at a time, as the package once did,
+for the package's marginal index to match bit for bit.
 """
 
 import itertools
 import json
+import tracemalloc
 from unittest import mock
 
 import numpy as np
@@ -17,15 +19,15 @@ from hypothesis import assume, given, settings, strategies as st
 
 from bellbox import Scenario, validate_behavior
 import bellbox.analysis as analysis
-import bellbox.scenario
 from bellbox.analysis import (DEFAULT_TOL, MODEL_TOL, Verdict, _canonical_cut, _decide, classify,
                               derive_critical_inequality, membership)
 from bellbox.cli import main
 from bellbox.documents import write_document
 from bellbox.errors import SizeCapError, StalledError
-from bellbox.polytope import BellFunctional, local_bound, strategy_matrix
-from bellbox.scenario import (_marginal_difference_count, flat_index, marginal_differences,
-                              marginal_indicator, named_behavior, no_signalling_defect)
+from bellbox.polytope import (BellFunctional, _gauge_basis, local_bound, reduced_space,
+                              strategy_matrix)
+from bellbox.scenario import _marginal_index, flat_index, named_behavior, no_signalling_defect
+from bellbox.tolerances import GAUGE_RANK_TOL
 
 THREE = Scenario.uniform(3, 2, 2)
 
@@ -86,6 +88,73 @@ def named_shift(report, scenario, probs) -> float:
         party, x, a = (party,), (x,), (a,)
     return (marginal(scenario, probs, party, x, a, hi)
             - marginal(scenario, probs, party, x, a, lo))
+
+
+def marginal_indicator(scenario, T, t_inputs, t_outputs, context) -> np.ndarray:
+    """Row whose product with a behavior is the joint marginal of the
+    parties in T: P(T's outputs | T's inputs) with the other parties'
+    inputs set to ``context`` (in party order) and their outputs summed."""
+    inputs = [0] * scenario.parties
+    outputs: list = [slice(None)] * scenario.parties
+    for p, x, a in zip(T, t_inputs, t_outputs):
+        inputs[p] = x
+        outputs[p] = a
+    others = [p for p in range(scenario.parties) if p not in T]
+    for p, x in zip(others, context):
+        inputs[p] = x
+    inputs = tuple(inputs)
+    row = np.zeros(scenario.dimension)
+    row[scenario.block_slice(inputs)].reshape(scenario.outputs_for(inputs))[tuple(outputs)] = 1.0
+    return row
+
+
+def reference_keys(scenario, T):
+    """Every (T's inputs, T's outputs, remote context) in the order the
+    rows were built one at a time: inputs, then outputs, then context."""
+    contexts = list(itertools.product(
+        *(range(n) for p, n in enumerate(scenario.inputs_per_party) if p not in T)))
+    return [(t_inputs, t_outputs, context)
+            for t_inputs in itertools.product(*(range(scenario.inputs_per_party[p]) for p in T))
+            for t_outputs in itertools.product(
+                *(range(scenario.outputs[p][x]) for p, x in zip(T, t_inputs)))
+            for context in contexts]
+
+
+def reference_differences(scenario):
+    """The marginal-difference rows D, D p = 0 exactly when p is
+    no-signalling, with their labels (T, T's inputs, T's outputs,
+    context): per proper subset and group, the marginal at every
+    non-base context minus the one at the base context."""
+    rows, labels = [], []
+    for size in range(1, scenario.parties):
+        for T in itertools.combinations(range(scenario.parties), size):
+            for t_inputs, t_outputs, context in reference_keys(scenario, T):
+                if any(context):
+                    base = (0,) * len(context)
+                    rows.append(marginal_indicator(scenario, T, t_inputs, t_outputs, context)
+                                - marginal_indicator(scenario, T, t_inputs, t_outputs, base))
+                    labels.append((T, t_inputs, t_outputs, context))
+    return np.array(rows).reshape(len(rows), scenario.dimension), labels
+
+
+def reference_reduced_space(scenario):
+    rows = []
+    for size in range(1, scenario.parties + 1):
+        for T in itertools.combinations(range(scenario.parties), size):
+            for t_inputs, t_outputs, context in reference_keys(scenario, T):
+                last = any(a == scenario.outputs[p][x] - 1
+                           for p, x, a in zip(T, t_inputs, t_outputs))
+                if not any(context) and not last:
+                    rows.append(marginal_indicator(scenario, T, t_inputs, t_outputs, context))
+    return np.array(rows).reshape(len(rows), scenario.dimension)
+
+
+def reference_gauge_basis(scenario):
+    normalization = [marginal_indicator(scenario, (), (), (), joint)
+                     for joint in scenario.joint_inputs()]
+    gauge = np.vstack([normalization, reference_differences(scenario)[0]])
+    u, s, _ = np.linalg.svd(gauge.T, full_matrices=False)
+    return u[:, :int((s > GAUGE_RANK_TOL * s[0]).sum())]
 
 
 # -- the pair-signalling table ----------------------------------------------
@@ -196,46 +265,105 @@ def test_signalling_below_tol_does_not_make_a_local_box_nonlocal():
     assert gap <= MODEL_TOL
 
 
-# -- the marginal-difference matrix ------------------------------------------
+# -- the marginal index -------------------------------------------------------
 
-@pytest.mark.parametrize("scenario", [
-    THREE,
-    Scenario.uniform(2, 3, 2),
-    Scenario(inputs_per_party=(2, 3), outputs=((2, 3), (3, 2, 2))),
-    Scenario(inputs_per_party=(1, 2, 3), outputs=((2,), (2, 3), (2, 2, 2))),
-])
-def test_each_row_is_its_labelled_marginal_difference(scenario):
-    md = marginal_differences(scenario)
-    rng = np.random.default_rng(5)
-    probs = rng.random(scenario.dimension)
-    assert md.matrix.shape == (len(md.labels), scenario.dimension)
-    for r, (T, t_inputs, t_outputs, context) in enumerate(md.labels):
-        base = (0,) * len(context)
-        want = (marginal(scenario, probs, T, t_inputs, t_outputs, context)
-                - marginal(scenario, probs, T, t_inputs, t_outputs, base))
-        assert md.matrix[r] @ probs == pytest.approx(want, abs=1e-12)
-    # a group is every non-base context of one (T, inputs, outputs)
-    keys = [label[:3] for label in md.labels]
-    assert [keys.index(key) for key in dict.fromkeys(keys)] == list(md.starts)
-
-
-@pytest.mark.parametrize("scenario", [
+CHSH = Scenario.uniform(2, 2, 2)
+UNEVEN = Scenario(inputs_per_party=(2, 3), outputs=((2, 3), (3, 2, 2)))
+REFERENCE = [
     THREE,
     Scenario.uniform(1, 3, 2),
     Scenario.uniform(2, 3, 2),
-    Scenario(inputs_per_party=(2, 3), outputs=((2, 3), (3, 2, 2))),
+    UNEVEN,
     Scenario(inputs_per_party=(1, 2, 3), outputs=((2,), (2, 3), (2, 2, 2))),
-    Scenario(inputs_per_party=(1, 1), outputs=((2,), (3,))),
-])
+    Scenario(inputs_per_party=(2, 2), outputs=((1, 1), (1, 1))),
+    Scenario.uniform(4, 2, 2),
+]
+
+
+@pytest.mark.parametrize("scenario", REFERENCE)
+def test_reduced_space_and_gauge_equal_the_row_by_row_reference(scenario):
+    """Same rows in the same order, so canonical cuts and facets do not move."""
+    assert reduced_space(scenario).tobytes() == reference_reduced_space(scenario).tobytes()
+    assert reduced_space(scenario).shape == reference_reduced_space(scenario).shape
+    want = reference_gauge_basis(scenario)
+    assert _gauge_basis(scenario).shape == want.shape
+    assert _gauge_basis(scenario).tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("scenario", REFERENCE)
+def test_each_cell_is_its_labelled_marginal(scenario):
+    """Every cell of every subset, the empty one's normalization rows
+    included, is the reference marginal row at its key, and the keys come
+    in the order the reference built its rows."""
+    index = _marginal_index(scenario)
+    for k, T in enumerate(index.subsets):
+        count = index.groups[k] * index.contexts[k]
+        keys = [index.key(T, cell) for cell in range(count)]
+        assert keys == reference_keys(scenario, T)
+        rows = index.rows(k, np.arange(count))
+        for cell, (t_inputs, t_outputs, context) in enumerate(keys):
+            want = marginal_indicator(scenario, T, t_inputs, t_outputs, context)
+            assert rows[cell].tobytes() == want.tobytes()
+            assert index.row(T, (t_inputs, t_outputs, context)).tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("scenario", REFERENCE + [Scenario(inputs_per_party=(1, 1),
+                                                           outputs=((2,), (3,)))])
 def test_the_size_cap_counts_the_rows_that_are_built(scenario):
-    """The cap is checked on a count made without building any row; it
-    must be the number of rows the matrix then has."""
-    assert _marginal_difference_count(scenario) == marginal_differences(scenario).matrix.shape[0]
+    """The gauge's cap is checked on a count read off the index's shape,
+    before its cells are built; it must be the number of marginal
+    differences the reference builds, and every cell must hold an entry."""
+    index = _marginal_index(scenario)
+    proper = range(1, len(index.subsets) - 1)
+    count = sum(index.groups[k] * (index.contexts[k] - 1) for k in proper)
+    assert count == reference_differences(scenario)[0].shape[0]
+    for k in range(len(index.subsets)):
+        assert np.unique(index.cells[k]).tolist() == list(
+            range(index.groups[k] * index.contexts[k]))
 
 
 def test_one_party_scenario_has_no_conditions():
+    """No proper subset, no marginal difference: any table, however far
+    from uniform, passes the scan, and the gauge is normalization alone."""
     sc = Scenario.uniform(1, 3, 2)
-    assert marginal_differences(sc).matrix.shape == (0, sc.dimension)
+    assert reference_differences(sc)[0].shape == (0, sc.dimension)
+    assert _marginal_index(sc).subsets == ((), (0,))
+    behavior = validate_behavior(sc, [1.0, 0.0, 0.0, 1.0, 0.3, 0.7])
+    assert no_signalling_defect(behavior).max_defect == 0.0
+    assert _gauge_basis(sc).shape == (sc.dimension, sc.joint_input_count)
+
+
+@settings(deadline=None, max_examples=60)
+@given(seed=st.integers(0, 2**32 - 1), scenario=st.sampled_from(REFERENCE),
+       w=st.sampled_from([0.0, 1e-12, 1e-3, 0.3, 1.0]))
+def test_scan_matches_the_dense_reference(seed, scenario, w):
+    """The bincount scan against D p from the reference rows: the same
+    verdict at tol, the defect within 1e-15, and the named marginal's
+    shift within 1e-15 of the reference defect.  Round-off may name the
+    other of two marginals that tie."""
+    rng = np.random.default_rng(seed)
+    probs = (1.0 - w) * _deterministic_mixture(rng, scenario) + w * _random_table(rng, scenario)
+    behavior = validate_behavior(scenario, probs)
+    D, labels = reference_differences(scenario)
+    shifts = D @ behavior.probs
+    groups = {}
+    for shift, (T, t_inputs, t_outputs, _) in zip(shifts, labels):
+        groups.setdefault((T, t_inputs, t_outputs), [0.0]).append(float(shift))
+    want = max((max(g) - min(g) for g in groups.values()), default=0.0)
+    assume(abs(want - DEFAULT_TOL) > 1e-15)
+    report = no_signalling_defect(behavior)
+    assert abs(report.max_defect - want) <= 1e-15
+    if report.max_defect > 0.0:
+        party, x, a, (hi, lo) = report.worst_marginal
+        if isinstance(party, int):
+            party, x, a = (party,), (x,), (a,)
+        named = (marginal_indicator(scenario, party, x, a, hi)
+                 - marginal_indicator(scenario, party, x, a, lo)) @ behavior.probs
+        assert abs(named - want) <= 1e-15
+    verdict = classify(behavior).verdict
+    assert (verdict is Verdict.SIGNALLING) == (want > DEFAULT_TOL)
+    if verdict is Verdict.SIGNALLING:
+        assert_shift_witness(behavior, membership(behavior), report)
 
 
 # -- property test -----------------------------------------------------------
@@ -307,9 +435,6 @@ def test_defect_matches_every_subset_brute_force(seed, k, ns, signalling, w):
 
 # -- one decision flow -------------------------------------------------------
 
-CHSH = Scenario.uniform(2, 2, 2)
-UNEVEN = Scenario(inputs_per_party=(2, 3), outputs=((2, 3), (3, 2, 2)))
-
 
 def _embedded_pr_box(scenario):
     """A two-party PR box on inputs 0 and 1 and outputs 0 and 1; a party
@@ -354,20 +479,68 @@ def test_membership_and_classify_share_one_decision(seed, scenario, nonlocal_wei
         assert_shift_witness(behavior, res, no_signalling_defect(behavior))
 
 
-def test_marginal_difference_matrix_is_capped_before_any_row(monkeypatch, tmp_path):
-    """A declared (2,64,2) table has 16,128 marginal-difference rows of
-    16,384 entries, a 2.1 GB matrix: refused (exit 3) before a row is
-    built, so a patched row builder never runs."""
-    behavior = named_behavior("uniform", Scenario.uniform(2, 64, 2))
+def _peak_bytes(call) -> int:
+    tracemalloc.start()
+    try:
+        call()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def _refused(decide, behavior, match):
+    def call():
+        with pytest.raises(SizeCapError, match=match):
+            decide(behavior)
+    return call
+
+
+@pytest.mark.parametrize("inputs", [32, 64])
+def test_wide_table_is_refused_before_any_large_allocation(inputs, tmp_path):
+    """A uniform (2,32,2) or (2,64,2) table passes the scan, whose cells
+    take a few table lengths, and the LP cap refuses it (exit 3) before a
+    strategy is enumerated.  A dense marginal-difference matrix would
+    take 130 MB or 2.1 GB."""
+    behavior = named_behavior("uniform", Scenario.uniform(2, inputs, 2))
+    for decide in (classify, membership):
+        assert _peak_bytes(_refused(decide, behavior, "LP of size")) < 16 * 2**20
     path = tmp_path / "wide.json"
     write_document(behavior, path)
-
-    def no_rows(*args, **kwargs):
-        raise AssertionError("a marginal-difference row was built")
-
-    monkeypatch.setattr(bellbox.scenario, "marginal_indicator", no_rows)
-    for decide in (classify, membership):
-        with pytest.raises(SizeCapError, match="marginal-difference matrix"):
-            decide(behavior)
     for verb in ("classify", "membership"):
         assert main([verb, str(path)]) == 3
+
+
+def test_many_party_table_is_refused_by_the_scan_cap():
+    """(10,2,2): 1,022 proper subsets times 2**20 entries is past the
+    scan's cap, which builds nothing."""
+    sc = Scenario.uniform(10, 2, 2)
+    behavior = named_behavior("uniform", sc)
+    for decide in (classify, membership):
+        with pytest.raises(SizeCapError, match="no-signalling scan"):
+            decide(behavior)
+    assert "cells" not in vars(_marginal_index(sc))
+
+
+def _input_reader(inputs):
+    """Party 0 answers the parity of party 1's input; party 1 a fair coin."""
+    t = np.zeros((inputs, inputs, 2, 2))
+    for y in range(inputs):
+        t[:, y, y % 2, :] = 0.5
+    return validate_behavior(Scenario.uniform(2, inputs, 2), t.reshape(-1))
+
+
+def test_signalling_table_past_the_lp_cap(tmp_path, capsys):
+    """The scan calls a (2,32,2) signalling table with no program.  Its
+    membership witness is the marginal shift, whose local bound is
+    rechecked by enumerating the strategies, and that is past the cap."""
+    behavior = _input_reader(32)
+    with mock.patch.object(analysis, "solve", wraps=analysis.solve) as solves:
+        result = classify(behavior)
+    assert solves.call_count == 0
+    assert result.verdict is Verdict.SIGNALLING and result.signalling.max_defect == 1.0
+    assert _peak_bytes(_refused(membership, behavior, "strategy matrix")) < 16 * 2**20
+    path = tmp_path / "reader.json"
+    write_document(behavior, path)
+    assert main(["classify", str(path)]) == 0
+    assert "signalling" in capsys.readouterr().out
+    assert main(["membership", str(path)]) == 3
