@@ -218,7 +218,9 @@ def _shift_witness(behavior: Behavior, report: NoSignallingReport) -> Membership
     if isinstance(party, int):
         party, x, a = (party,), (x,), (a,)
     index = _marginal_index(sc)
-    coeffs = index.row(party, (x, a, ctx_hi)) - index.row(party, (x, a, ctx_lo))
+    k = index.subsets.index(party)
+    hi, lo = index.rows(k, [index.cell(k, (x, a, ctx_hi)), index.cell(k, (x, a, ctx_lo))])
+    coeffs = hi - lo
     bound, _ = local_bound(BellFunctional(scenario=sc, coeffs=coeffs))
     if bound != 0.0:
         raise StalledError(f"marginal shift has deterministic bound {bound!r}, not 0")

@@ -78,7 +78,11 @@ class DeterministicStrategy:
 
 
 def strategy_count(scenario: Scenario) -> int:
-    return math.prod(k for outs in scenario.outputs for k in outs)
+    count = 1
+    for p in range(scenario.parties):
+        for k in scenario.outputs[p]:
+            count *= k
+    return count
 
 
 def _checked_strategy_count(scenario: Scenario) -> int:
@@ -268,11 +272,13 @@ def reduced_space(scenario: Scenario) -> np.ndarray:
     ``M.T @ a``, which pairs with every behavior as ``a`` pairs with its
     reduced coordinates."""
     index = _marginal_index(scenario)
-    last = index.digits[1] == index.digits[2] - 1  # entries at a party's last output
+    entry_blocks, _, counts, outputs = index.digits
+    last = outputs == counts[:, entry_blocks] - 1  # entries at a party's last output
     blocks = []
     for k in range(1, len(index.subsets)):
-        kept = ~last[list(index.subsets[k])].any(axis=0) & (index.cells[k] % index.contexts[k] == 0)
-        blocks.append(index.rows(k, np.flatnonzero(np.bincount(index.cells[k][kept]))))
+        cells = index.cells(k)
+        kept = ~last[list(index.subsets[k])].any(axis=0) & (cells % index.contexts[k] == 0)
+        blocks.append(index.rows(k, np.flatnonzero(np.bincount(cells[kept]))))
     matrix = np.vstack(blocks)
     matrix.setflags(write=False)
     return matrix

@@ -119,7 +119,10 @@ def _block_offsets_of(scenario: Scenario) -> tuple[int, ...]:
     """Where each input block starts in the flat table, joint inputs in
     order, and the table's length last.  Cached by value, since every
     document builds its own scenario."""
-    return tuple(itertools.accumulate(map(scenario.block_size, scenario.joint_inputs()), initial=0))
+    offsets = [0]
+    for joint in scenario.joint_inputs():
+        offsets.append(offsets[-1] + scenario.block_size(joint))
+    return tuple(offsets)
 
 
 def flat_index(scenario: Scenario, inputs: tuple[int, ...], outputs: tuple[int, ...]) -> int:
@@ -265,6 +268,9 @@ def mix(components, tol: float | None = None) -> Behavior:
     return validate_behavior(scenario, combo, tol=tol)
 
 
+_KEPT_CELLS = 2**16  # cell entries a marginal index keeps, 512 KiB: every subset up to (5,2,2)
+
+
 @dataclass(frozen=True, eq=False)
 class _MarginalIndex:
     """Per party subset T, by size and then ``itertools.combinations``
@@ -272,7 +278,10 @@ class _MarginalIndex:
     entries sum to T's joint marginal at that remote context (Barrett et
     al., PRA 71, 022101 (2005)).  Subset k's cell ``g * contexts[k] + c``
     is group g, T's inputs and outputs in T's own flat layout, at its c-th
-    remote context in lexicographic order.  Arrays are built on first use."""
+    remote context in lexicographic order.  A subset's cells are built
+    from each entry's digits when asked for, and kept for the next scan
+    while the index keeps at most ``_KEPT_CELLS`` of them, so a
+    many-party table's scan holds one subset's cells at a time."""
 
     scenario: Scenario
     subsets: tuple[tuple[int, ...], ...]
@@ -280,55 +289,73 @@ class _MarginalIndex:
     contexts: tuple[int, ...]
 
     @cached_property
-    def digits(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Each entry's input, output and output count, (parties, dimension) each."""
+    def digits(self) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+        """Each entry's input block; each block's inputs and output counts,
+        (parties, blocks) each; and each entry's outputs, (parties, dimension)."""
         sc = self.scenario
         offsets = np.array(sc._block_offsets)
-        joint = np.repeat(np.arange(sc.joint_input_count), np.diff(offsets))
-        inputs = np.array(np.unravel_index(joint, sc.inputs_per_party))
+        blocks = np.repeat(np.arange(sc.joint_input_count), np.diff(offsets))
+        inputs = np.array(np.unravel_index(np.arange(sc.joint_input_count), sc.inputs_per_party))
         counts = np.array([np.array(sc.outputs[p])[inputs[p]] for p in range(sc.parties)])
-        outputs, within = np.empty_like(inputs), np.arange(sc.dimension) - offsets[joint]
+        outputs = np.empty((sc.parties, sc.dimension), dtype=np.intp)
+        within = np.arange(sc.dimension) - offsets[blocks]
         for p in reversed(range(sc.parties)):  # the last party's output varies fastest
-            within, outputs[p] = np.divmod(within, counts[p])
-        return inputs, outputs, counts
+            within, outputs[p] = np.divmod(within, counts[p, blocks])
+        return blocks, inputs, counts, outputs
 
     @cached_property
-    def cells(self) -> np.ndarray:
-        """(subsets, dimension): every entry's cell for every subset."""
-        sc = self.scenario
-        inputs, outputs, counts = self.digits
-        cells = np.empty((len(self.subsets), sc.dimension), dtype=np.intp)
-        for k, T in enumerate(self.subsets):
-            joint, within, size, context = 0, 0, 1, 0  # T's input block, place and block size
-            for p in range(sc.parties):
-                if p in T:
-                    joint = joint * sc.inputs_per_party[p] + inputs[p]
-                    within, size = within * counts[p] + outputs[p], size * counts[p]
-                else:
-                    context = context * sc.inputs_per_party[p] + inputs[p]
-            starts = np.zeros(math.prod(sc.inputs_per_party[p] for p in T) + 1, dtype=np.intp)
-            starts[joint + 1] = size
-            cells[k] = (np.cumsum(starts)[joint] + within) * self.contexts[k] + context
+    def kept(self) -> dict[int, np.ndarray]:
+        """Built cells by subset, read-only, kept for reuse."""
+        return {}
+
+    def cells(self, k: int) -> np.ndarray:
+        """Every entry's cell for the k-th subset."""
+        if k in self.kept:
+            return self.kept[k]
+        sc, T = self.scenario, self.subsets[k]
+        blocks, inputs, counts, outputs = self.digits
+        joint, size, context = 0, 1, 0  # per input block: T's inputs, T's block size, remote inputs
+        for p in range(sc.parties):
+            if p in T:
+                joint, size = joint * sc.inputs_per_party[p] + inputs[p], size * counts[p]
+            else:
+                context = context * sc.inputs_per_party[p] + inputs[p]
+        starts = np.zeros(math.prod(sc.inputs_per_party[p] for p in T) + 1, dtype=np.intp)
+        starts[joint + 1] = size
+        first = np.cumsum(starts)[joint] * self.contexts[k] + context  # the block's cell at outputs 0
+        within = 0
+        for p in T:
+            within = within * counts[p, blocks] + outputs[p]
+        cells = first[blocks] + within * self.contexts[k]
         cells.setflags(write=False)
+        if (len(self.kept) + 1) * sc.dimension <= _KEPT_CELLS:
+            self.kept[k] = cells
         return cells
 
     def rows(self, k: int, cells) -> np.ndarray:
         """A 0/1 row over the table for each given cell of the k-th subset."""
-        return (self.cells[k] == np.reshape(cells, (-1, 1))) * 1.0
+        return (self.cells(k) == np.reshape(cells, (-1, 1))) * 1.0
 
-    def row(self, T: tuple[int, ...], key: tuple) -> np.ndarray:
-        """The 0/1 row of T's cell at key = (T's inputs, T's outputs, context)."""
-        inputs, outputs, _ = self.digits
-        digits = np.concatenate([inputs[list(T)], outputs[list(T)], np.delete(inputs, T, axis=0)])
-        return np.all(digits == np.concatenate(key)[:, None], axis=0) * 1.0
-
-    def key(self, T: tuple[int, ...], cell: int) -> tuple[tuple[int, ...], ...]:
-        """The key of T's cell, read off its first entry."""
-        first = np.argmax(self.cells[self.subsets.index(T)] == cell)
-        inputs, outputs = (digits[:, first].tolist() for digits in self.digits[:2])
+    def key(self, k: int, cell: int) -> tuple[tuple[int, ...], ...]:
+        """(T's inputs, T's outputs, remote inputs) of the k-th subset's
+        cell, read off its first entry; ``cell`` maps it back."""
+        blocks, inputs, _, outputs = self.digits
+        entry = int(np.argmax(self.cells(k) == cell))
+        x, a = inputs[:, blocks[entry]].tolist(), outputs[:, entry].tolist()
+        T = self.subsets[k]
         remote = [p for p in range(self.scenario.parties) if p not in T]
-        return (tuple(inputs[p] for p in T), tuple(outputs[p] for p in T),
-                tuple(inputs[p] for p in remote))
+        return tuple(x[p] for p in T), tuple(a[p] for p in T), tuple(x[p] for p in remote)
+
+    def cell(self, k: int, key: tuple) -> int:
+        """The k-th subset's cell at ``key``, read off its entry whose
+        remote outputs are 0."""
+        T, (t_inputs, t_outputs, context) = self.subsets[k], key
+        remote = [p for p in range(self.scenario.parties) if p not in T]
+        inputs, outputs = dict(zip(T + tuple(remote), t_inputs + context)), dict(zip(T, t_outputs))
+        parties = range(self.scenario.parties)
+        entry = flat_index(self.scenario, tuple(inputs[p] for p in parties),
+                           tuple(outputs.get(p, 0) for p in parties))
+        return int(self.cells(k)[entry])
 
 
 @lru_cache(maxsize=32)
@@ -368,8 +395,9 @@ _NO_DEFECT = NoSignallingReport(max_defect=0.0, worst_party=0, worst_marginal=(0
 def no_signalling_defect(behavior: Behavior) -> NoSignallingReport:
     """Largest max - min of one joint marginal of a proper party subset
     over the remote contexts, summed per marginal index cell by
-    ``np.bincount``; the first group attaining it, at its first contexts
-    of max and min, names the witness.  Proper subsets with two or more
+    ``np.bincount``, one subset's cells at a time; the first group
+    attaining it, at its first contexts of max and min, names the
+    witness.  Proper subsets with two or more
     remote contexts times the table's length past ``DIMENSION_CAP ** 2``
     are refused before any cell is built."""
     sc = behavior.scenario
@@ -378,7 +406,7 @@ def no_signalling_defect(behavior: Behavior) -> NoSignallingReport:
     check_entries("no-signalling scan", len(scanned), sc.dimension)
     best, worst = 0.0, None
     for k in scanned:
-        sums = np.bincount(index.cells[k], weights=behavior.probs).reshape(index.groups[k], -1)
+        sums = np.bincount(index.cells(k), weights=behavior.probs).reshape(index.groups[k], -1)
         defects = np.ptp(sums, axis=1)
         g = int(np.argmax(defects))
         if defects[g] > best:
@@ -387,8 +415,8 @@ def no_signalling_defect(behavior: Behavior) -> NoSignallingReport:
         return _NO_DEFECT
     k, first, sums = worst
     T = index.subsets[k]
-    x, a, hi = index.key(T, first + int(np.argmax(sums)))
-    lo = index.key(T, first + int(np.argmin(sums)))[2]
+    x, a, hi = index.key(k, first + int(np.argmax(sums)))
+    lo = index.key(k, first + int(np.argmin(sums)))[2]
     named = (T, x, a) if len(T) > 1 else (T[0], x[0], a[0])
     return NoSignallingReport(max_defect=best, worst_party=named[0],
                               worst_marginal=named + ((hi, lo),))
@@ -407,8 +435,11 @@ def named_behavior(name: str, scenario: Scenario | None = None, tol: float = DEF
     """
     if name == "uniform":
         sc = scenario if scenario is not None else _CHSH_SCENARIO
-        sizes = np.diff(sc._block_offsets)
-        return validate_behavior(sc, 1.0 / np.repeat(sizes, sizes), tol=tol)
+        vec = np.zeros(sc.dimension)
+        for joint in sc.joint_inputs():
+            sl = sc.block_slice(joint)
+            vec[sl] = 1.0 / sc.block_size(joint)
+        return validate_behavior(sc, vec, tol=tol)
     if scenario is not None and scenario != _CHSH_SCENARIO:
         raise ValidationError(f"behavior {name!r} is only defined on the (2,2,2) scenario")
     sc = _CHSH_SCENARIO

@@ -21,6 +21,7 @@ from bellbox import Scenario, validate_behavior
 import bellbox.analysis as analysis
 from bellbox.analysis import (DEFAULT_TOL, MODEL_TOL, Verdict, _canonical_cut, _decide, classify,
                               derive_critical_inequality, membership)
+import bellbox.polytope as polytope
 from bellbox.cli import main
 from bellbox.documents import write_document
 from bellbox.errors import SizeCapError, StalledError
@@ -298,28 +299,34 @@ def test_each_cell_is_its_labelled_marginal(scenario):
     index = _marginal_index(scenario)
     for k, T in enumerate(index.subsets):
         count = index.groups[k] * index.contexts[k]
-        keys = [index.key(T, cell) for cell in range(count)]
+        keys = [index.key(k, cell) for cell in range(count)]
         assert keys == reference_keys(scenario, T)
         rows = index.rows(k, np.arange(count))
-        for cell, (t_inputs, t_outputs, context) in enumerate(keys):
-            want = marginal_indicator(scenario, T, t_inputs, t_outputs, context)
-            assert rows[cell].tobytes() == want.tobytes()
-            assert index.row(T, (t_inputs, t_outputs, context)).tobytes() == want.tobytes()
+        for cell, key in enumerate(keys):
+            assert rows[cell].tobytes() == marginal_indicator(scenario, T, *key).tobytes()
+            assert index.cell(k, key) == cell
 
 
 @pytest.mark.parametrize("scenario", REFERENCE + [Scenario(inputs_per_party=(1, 1),
                                                            outputs=((2,), (3,)))])
 def test_the_size_cap_counts_the_rows_that_are_built(scenario):
-    """The gauge's cap is checked on a count read off the index's shape,
-    before its cells are built; it must be the number of marginal
-    differences the reference builds, and every cell must hold an entry."""
+    """The gauge checks its cap on a row count read off the index's
+    shape; it must be the number of marginal differences the reference
+    builds, and every cell must hold an entry."""
+    with mock.patch.object(polytope, "check_entries", wraps=polytope.check_entries) as caps:
+        _gauge_basis.__wrapped__(scenario)
+    rows = reference_differences(scenario)[0].shape[0]
+    assert caps.call_args_list == [mock.call("marginal-difference matrix", rows, scenario.dimension)]
     index = _marginal_index(scenario)
-    proper = range(1, len(index.subsets) - 1)
-    count = sum(index.groups[k] * (index.contexts[k] - 1) for k in proper)
-    assert count == reference_differences(scenario)[0].shape[0]
     for k in range(len(index.subsets)):
-        assert np.unique(index.cells[k]).tolist() == list(
-            range(index.groups[k] * index.contexts[k]))
+        assert np.unique(index.cells(k)).tolist() == list(range(index.groups[k] * index.contexts[k]))
+
+
+def test_marginal_difference_matrix_is_capped_before_any_row():
+    """(2,64,2): 16,128 difference rows of 16,384 entries each are past
+    the cap, which refuses them before a cell is built."""
+    sc = Scenario.uniform(2, 64, 2)
+    assert _peak_bytes(_refused(_gauge_basis, sc, "marginal-difference matrix")) < 2**20
 
 
 def test_one_party_scenario_has_no_conditions():
@@ -495,13 +502,15 @@ def _refused(decide, behavior, match):
     return call
 
 
-@pytest.mark.parametrize("inputs", [32, 64])
-def test_wide_table_is_refused_before_any_large_allocation(inputs, tmp_path):
-    """A uniform (2,32,2) or (2,64,2) table passes the scan, whose cells
-    take a few table lengths, and the LP cap refuses it (exit 3) before a
-    strategy is enumerated.  A dense marginal-difference matrix would
-    take 130 MB or 2.1 GB."""
-    behavior = named_behavior("uniform", Scenario.uniform(2, inputs, 2))
+@pytest.mark.parametrize("shape", [(2, 32, 2), (2, 64, 2), (7, 2, 2), (8, 2, 2)],
+                         ids=lambda shape: "-".join(map(str, shape)))
+def test_wide_table_is_refused_before_any_large_allocation(shape, tmp_path):
+    """Uniform tables the scan admits, refused by the LP cap (exit 3)
+    before a strategy is enumerated.  The scan holds one subset's cells
+    at a time: a dense marginal-difference matrix would take 130 MB or
+    2.1 GB on the (2,32,2) and (2,64,2) ones, and every subset's cells at
+    once 19 MB or 134 MB on the (7,2,2) and (8,2,2) ones."""
+    behavior = named_behavior("uniform", Scenario.uniform(*shape))
     for decide in (classify, membership):
         assert _peak_bytes(_refused(decide, behavior, "LP of size")) < 16 * 2**20
     path = tmp_path / "wide.json"
@@ -518,7 +527,7 @@ def test_many_party_table_is_refused_by_the_scan_cap():
     for decide in (classify, membership):
         with pytest.raises(SizeCapError, match="no-signalling scan"):
             decide(behavior)
-    assert "cells" not in vars(_marginal_index(sc))
+    assert "digits" not in vars(_marginal_index(sc))
 
 
 def _input_reader(inputs):
