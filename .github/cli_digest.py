@@ -3,9 +3,14 @@ the packaged fixtures drive: one JSON line per operation.
 
 usage: python3 .github/cli_digest.py > DIGEST.jsonl
 
-The operations are every item of both perfbench decks at seeds 1-3,
+The operations are every item of both perfbench decks at seeds 1-3;
 then validate, classify and membership, in both output formats, on
-every packaged fixture.  Each runs through ``bellbox.cli.main`` in this
+every packaged fixture; then every other verb: derive-inequality and
+chsh on every fixture, facets on chsh_scenario, quantum on random
+3x3-dimensional, 3-input setups at seeds 1-3, plain and with lossy
+detectors binned, and threshold efficiency on singlet_chsh.  New
+operations go at the end, so digests of older checkouts still compare
+by name.  Each runs through ``bellbox.cli.main`` in this
 process, with bellbox imported from this checkout's src; perfbench/decks.py
 is imported and not written to.  Documents go to a temporary directory,
 whose path is masked as ``<tmp>`` in the output.  A line holds the
@@ -37,6 +42,8 @@ from bellbox.fixtures import fixture_names, fixture_path  # noqa: E402
 
 SEEDS = (1, 2, 3)
 FIXTURE_VERBS = ("validate", "classify", "membership")
+MORE_FIXTURE_VERBS = ("derive-inequality", "chsh")
+FORMATS = ("text", "structured")
 
 
 def operations():
@@ -46,12 +53,28 @@ def operations():
             for items in deck(seed):
                 for item in items:
                     yield f"{workload}/seed{seed}/{item.index}", item.argv, item.docs
-    for fixture in fixture_names():
-        doc = f"{fixture}.json"
-        text = fixture_path(fixture).read_text()
-        for verb in FIXTURE_VERBS:
-            for fmt in ("text", "structured"):
-                yield f"fixture/{fixture}/{verb}/{fmt}", [verb, doc, "--format", fmt], {doc: text}
+    for verbs in (FIXTURE_VERBS, MORE_FIXTURE_VERBS):
+        for fixture in fixture_names():
+            for verb in verbs:
+                for fmt in FORMATS:
+                    yield fixture_operation(fixture, [verb], fmt)
+    for fmt in FORMATS:
+        yield fixture_operation("chsh_scenario", ["facets"], fmt)
+    for seed in SEEDS:
+        for lossy in ([], ["--efficiency", "0.9", "--bin"]):
+            argv = ["quantum", "--seed", str(seed), "--dims", "3", "3", "--inputs", "3", "3", *lossy]
+            for fmt in FORMATS:
+                name = f"quantum/seed{seed}{'/lossy-binned' if lossy else ''}/{fmt}"
+                yield name, argv + ["--format", fmt], {}
+    for fmt in FORMATS:
+        yield fixture_operation("singlet_chsh", ["threshold", "efficiency"], fmt)
+
+
+def fixture_operation(fixture, verb, fmt):
+    """(name, argv, documents) of one verb, a list of words, on a fixture."""
+    doc = f"{fixture}.json"
+    return (f"fixture/{fixture}/{'-'.join(verb)}/{fmt}", [*verb, doc, "--format", fmt],
+            {doc: fixture_path(fixture).read_text()})
 
 
 def sha256(text: str) -> str:

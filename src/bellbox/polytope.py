@@ -4,7 +4,9 @@ The local polytope of a scenario is the convex hull of its deterministic
 strategies.  This module enumerates those strategies, evaluates and
 canonicalizes linear functionals against them, reduces behaviors to the
 Collins-Gisin coordinates, and enumerates the polytope's facets by the
-double description method in those coordinates.
+double description method in those coordinates.  Deterministic tables
+and relabelling permutations are positions read off the scenario's
+table layout in bulk (``scenario._entries``).
 
 Canonical forms make functionals comparable across derivation routes:
 two functionals that agree on every normalized no-signalling behavior
@@ -26,6 +28,7 @@ from __future__ import annotations
 
 import itertools
 import math
+from collections import Counter
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -33,7 +36,7 @@ import numpy as np
 
 from .errors import SizeCapError, StalledError, ValidationError
 from .lp import check_entries
-from .scenario import (_CHSH_SCENARIO, Behavior, Scenario, _marginal_index, flat_index,
+from .scenario import (_CHSH_SCENARIO, Behavior, Scenario, _entries, _layout, _marginal_index,
                        validate_behavior)
 from .tolerances import (DEFAULT_TOL, FACET_ZERO_TOL, GAUGE_RANK_TOL, INTEGER_FIT_TOL,
                          NEGATIVE_WEIGHT_TOL, PURE_GAUGE_TOL)
@@ -70,10 +73,10 @@ class DeterministicStrategy:
         return self.assignments[party][x]
 
     def behavior(self) -> Behavior:
+        inputs = _layout(self.scenario)[1]
+        outputs = [np.asarray(row)[x] for row, x in zip(self.assignments, inputs)]
         probs = np.zeros(self.scenario.dimension)
-        for inputs in self.scenario.joint_inputs():
-            outputs = tuple(self.assignments[p][x] for p, x in enumerate(inputs))
-            probs[flat_index(self.scenario, inputs, outputs)] = 1.0
+        probs[_entries(self.scenario, inputs, outputs)] = 1.0
         return validate_behavior(self.scenario, probs)
 
 
@@ -247,14 +250,9 @@ def chsh_functional(signs: tuple[int, int, int, int] = (1, 1, 1, -1)) -> BellFun
     scenario; the default sign pattern is the familiar three-plus-one."""
     if len(signs) != 4 or any(s not in (-1, 1) for s in signs):
         raise ValidationError("signs must be four values of +1 or -1")
-    coeffs = np.zeros(16)
-    for x in range(2):
-        for y in range(2):
-            s = signs[2 * x + y]
-            for a in range(2):
-                for b in range(2):
-                    val = s if a == b else -s
-                    coeffs[flat_index(_CHSH_SCENARIO, (x, y), (a, b))] = val
+    blocks, inputs, _, (a, b) = _layout(_CHSH_SCENARIO)
+    x, y = inputs[:, blocks]
+    coeffs = np.asarray(signs)[2 * x + y] * np.where(a == b, 1.0, -1.0)
     f = BellFunctional(scenario=_CHSH_SCENARIO, coeffs=coeffs)
     bound, _ = local_bound(f)
     return BellFunctional(scenario=_CHSH_SCENARIO, coeffs=coeffs, local_bound=bound)
@@ -272,7 +270,7 @@ def reduced_space(scenario: Scenario) -> np.ndarray:
     ``M.T @ a``, which pairs with every behavior as ``a`` pairs with its
     reduced coordinates."""
     index = _marginal_index(scenario)
-    entry_blocks, _, counts, outputs = index.digits
+    entry_blocks, _, counts, outputs = _layout(scenario)
     last = outputs == counts[:, entry_blocks] - 1  # entries at a party's last output
     blocks = []
     for k in range(1, len(index.subsets)):
@@ -296,12 +294,12 @@ def _gauge_basis(scenario: Scenario) -> np.ndarray:
     entries, counted from the index's shape, are refused."""
     index = _marginal_index(scenario)
     proper = range(1, len(index.subsets) - 1)
-    count = sum(index.groups[k] * (index.contexts[k] - 1) for k in proper)
+    count = sum(index.tables[k].dimension * (index.contexts[k] - 1) for k in proper)
     check_entries("marginal-difference matrix", count, scenario.dimension)
     blocks = [index.rows(0, range(index.contexts[0]))]
     for k in proper:
-        rows = index.rows(k, range(index.groups[k] * index.contexts[k]))
-        rows = rows.reshape(index.groups[k], index.contexts[k], -1)
+        rows = index.rows(k, range(index.tables[k].dimension * index.contexts[k]))
+        rows = rows.reshape(index.tables[k].dimension, index.contexts[k], -1)
         blocks.append((rows[:, 1:] - rows[:, :1]).reshape(-1, scenario.dimension))
     u, s, _ = np.linalg.svd(np.vstack(blocks).T, full_matrices=False)
     rank = int((s > GAUGE_RANK_TOL * s[0]).sum())
@@ -363,31 +361,18 @@ def relabellings(scenario: Scenario) -> tuple[np.ndarray, ...]:
     count = _relabelling_count(scenario)
     if count > RELABELLING_CAP:
         raise SizeCapError(f"{count} relabellings exceed the cap of {RELABELLING_CAP}")
-    perms = []
-    for sigma, input_maps in _party_exchanges(scenario):
-        for pis in itertools.product(*input_maps):
-            output_choices = []
-            for p in range(scenario.parties):
-                per_input = []
-                for x_new in range(scenario.inputs_per_party[p]):
-                    k = scenario.outputs[p][x_new]
-                    per_input.append(list(itertools.permutations(range(k))))
-                output_choices.append(per_input)
-            flat_tau = [per for party in output_choices for per in party]
-            for taus in itertools.product(*flat_tau):
-                perms.append(_relabelling_perm(scenario, sigma, pis, taus))
-    out = tuple(perms)
-    for p in out:
-        p.setflags(write=False)
-    return out
+    output_maps = [list(itertools.permutations(range(k))) for outs in scenario.outputs for k in outs]
+    return tuple(_relabelling_perm(scenario, sigma, pis, taus)
+                 for sigma, input_maps in _party_exchanges(scenario)
+                 for pis in itertools.product(*input_maps)
+                 for taus in itertools.product(*output_maps))
 
 
 def _party_exchanges(scenario: Scenario):
     """Each party exchange sigma that keeps every party's input count,
     with one iterator per party p over the input permutations pi that
     carry party sigma[p]'s output alphabets onto p's:
-    ``outputs[p][pi[x]] == outputs[sigma[p]][x]`` for every input x.
-    The iterators are lazy, so counting them holds no permutation."""
+    ``outputs[p][pi[x]] == outputs[sigma[p]][x]`` for every input x."""
     def input_maps(sigma, p, n):
         return (pi for pi in itertools.permutations(range(n))
                 if all(scenario.outputs[p][pi[x]] == scenario.outputs[sigma[p]][x]
@@ -402,36 +387,34 @@ def _party_exchanges(scenario: Scenario):
 
 
 def _relabelling_count(scenario: Scenario) -> int:
-    output_maps = math.prod(math.factorial(k) for outs in scenario.outputs for k in outs)
-    return sum(math.prod(sum(1 for _ in maps) for maps in input_maps) * output_maps
-               for _, input_maps in _party_exchanges(scenario))
+    """The number of relabellings, in closed form: party exchanges within
+    each class of parties with the same alphabet sizes up to order, times
+    per party the input permutations within each alphabet size, times
+    every alphabet's output permutations."""
+    classes = Counter(tuple(sorted(outs)) for outs in scenario.outputs)
+    return (math.prod(math.factorial(n) for n in classes.values())
+            * math.prod(math.factorial(n) for outs in scenario.outputs
+                        for n in Counter(outs).values())
+            * math.prod(math.factorial(k) for outs in scenario.outputs for k in outs))
 
 
 def _relabelling_perm(scenario, sigma, pis, taus) -> np.ndarray:
-    """Flat index permutation ``perm`` with (new vector) = vector[perm].
+    """Read-only flat index permutation ``perm`` with (new vector) =
+    vector[perm].
 
     New party p takes old party sigma(p)'s data; its input x maps to
     pis[p](x) and, per new input, outputs rename through the matching
     entry of ``taus`` (flattened party-major by new input)."""
-    tau_lookup = {}
-    pos = 0
-    for p in range(scenario.parties):
-        for x_new in range(scenario.inputs_per_party[p]):
-            tau_lookup[(p, x_new)] = taus[pos]
-            pos += 1
+    blocks, inputs, _, outputs = _layout(scenario)
+    tau = np.concatenate(taus)
+    starts = np.cumsum([0, *(k for outs in scenario.outputs for k in outs)])  # per (party, input)
+    first = np.cumsum([0, *scenario.inputs_per_party])  # each party's first (party, input)
+    new_inputs = [np.asarray(pis[p])[inputs[q]][blocks] for p, q in enumerate(sigma)]
+    new_outputs = [tau[starts[first[p] + x] + outputs[q]]
+                   for p, (q, x) in enumerate(zip(sigma, new_inputs))]
     perm = np.empty(scenario.dimension, dtype=np.intp)
-    for old_inputs in scenario.joint_inputs():
-        for old_outputs in scenario.joint_outputs(old_inputs):
-            new_inputs = [0] * scenario.parties
-            new_outputs = [0] * scenario.parties
-            for p in range(scenario.parties):
-                x_old = old_inputs[sigma[p]]
-                x_new = pis[p][x_old]
-                new_inputs[p] = x_new
-                new_outputs[p] = tau_lookup[(p, x_new)][old_outputs[sigma[p]]]
-            src = flat_index(scenario, old_inputs, old_outputs)
-            dst = flat_index(scenario, tuple(new_inputs), tuple(new_outputs))
-            perm[dst] = src
+    perm[_entries(scenario, new_inputs, new_outputs)] = np.arange(scenario.dimension)
+    perm.setflags(write=False)
     return perm
 
 

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ValidationError
-from .scenario import Behavior, Scenario, flat_index, validate_behavior
+from .scenario import Behavior, Scenario, _entries, _layout, validate_behavior
 from .tolerances import DEFAULT_TOL, EFFECT_TOL, EIG_FLOOR, STATE_TOL
 
 DIM_CAP = 4
@@ -199,12 +199,10 @@ def bin_last_outcome(behavior: Behavior) -> Behavior:
         inputs_per_party=sc.inputs_per_party,
         outputs=tuple(tuple(n - 1 for n in row) for row in sc.outputs),
     )
-    vec = np.zeros(target.dimension)
-    for joint in sc.joint_inputs():
-        counts = sc.outputs_for(joint)
-        for outs in sc.joint_outputs(joint):
-            folded = tuple(0 if o == counts[p] - 1 else o for p, o in enumerate(outs))
-            vec[flat_index(target, joint, folded)] += behavior.prob(joint, outs)
+    blocks, inputs, counts, outputs = _layout(sc)
+    folded = np.where(outputs == counts[:, blocks] - 1, 0, outputs)
+    entries = _entries(target, inputs[:, blocks], folded)
+    vec = np.bincount(entries, weights=behavior.probs, minlength=target.dimension)
     return validate_behavior(target, vec, tol=behavior.tol)
 
 

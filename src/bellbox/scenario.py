@@ -5,15 +5,21 @@ can choose, and how many outputs each (party, input) pair can produce.
 A behavior is the conditional probability table P(outputs | inputs) laid
 out as a flat vector in one fixed lexicographic order that every other
 module shares, and checked at a tolerance ``tolerances.require_tolerance``
-vets.  One marginal index per scenario sums that table into the joint
-marginals of every party subset; the no-signalling check, the gauge, the
-reduced coordinates and the marginal shift witness all read it.
+vets.  That layout is kept once per scenario (``_layout``: each entry's
+input block and outputs), and ``flat_index`` has one bulk form
+(``_entries``), so code that maps whole tables reads positions in bulk.
+One marginal index per scenario sums the table into the joint marginals
+of every party subset: a subset's cells are positions in the subset's
+own table, in the layout ``probs`` uses, times its remote contexts.  The
+no-signalling check, the gauge, the reduced coordinates and the
+marginal shift witness all read it.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
+import operator
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
 
@@ -131,12 +137,17 @@ def flat_index(scenario: Scenario, inputs: tuple[int, ...], outputs: tuple[int, 
     Layout: joint-input major, joint-output minor, both lexicographic with
     party 0 slowest.  Block sizes vary when output alphabets do, so the
     offset of an input block is the sum of the sizes of all earlier blocks.
+    A choice that is not an integer (numpy integers are) is refused.
     """
     if len(inputs) != scenario.parties or len(outputs) != scenario.parties:
         raise ValidationError(
             f"expected {scenario.parties} input and output choices, "
             f"got {len(inputs)} and {len(outputs)}"
         )
+    try:
+        inputs, outputs = [operator.index(x) for x in inputs], [operator.index(a) for a in outputs]
+    except TypeError:
+        raise ValidationError(f"choices {inputs} and {outputs} are not all integers") from None
     for p, x in enumerate(inputs):
         if not 0 <= x < scenario.inputs_per_party[p]:
             raise ValidationError(
@@ -148,10 +159,42 @@ def flat_index(scenario: Scenario, inputs: tuple[int, ...], outputs: tuple[int, 
             raise ValidationError(
                 f"party {p}: output {a} out of range [0, {out_counts[p]}) under input {inputs[p]}"
             )
-    within = 0
-    for p, a in enumerate(outputs):
-        within = within * out_counts[p] + a
-    return scenario.block_offset(inputs) + within
+    return int(_entries(scenario, inputs, outputs))
+
+
+def _entries(scenario: Scenario, inputs, outputs):
+    """``flat_index`` in bulk and unchecked: the positions of
+    P(outputs | inputs) for choices given party by party (an iterable of
+    ints or arrays each, all broadcast together, so a caller can gather
+    one party at a time).  No choices give position 0."""
+    joint = within = 0
+    for p, (x, a) in enumerate(zip(inputs, outputs)):
+        if p == 0:
+            joint, within = x + 0, a + 0  # copies, so that the steps below can work in place
+        else:  # in place: a wide table's steps allocate no new arrays
+            joint *= scenario.inputs_per_party[p]
+            joint += x
+            within *= np.asarray(scenario.outputs[p])[x]
+            within += a
+    return np.asarray(scenario._block_offsets)[joint] + within
+
+
+@lru_cache(maxsize=32)
+def _layout(sc: Scenario) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """The flat table's layout: each entry's input block; each block's
+    inputs and output counts, (parties, blocks) each; and each entry's
+    outputs, (parties, dimension).  Cached by value; read-only."""
+    offsets = np.array(sc._block_offsets)
+    blocks = np.repeat(np.arange(sc.joint_input_count), np.diff(offsets))
+    inputs = np.array(np.unravel_index(np.arange(sc.joint_input_count), sc.inputs_per_party))
+    counts = np.array([np.array(sc.outputs[p])[inputs[p]] for p in range(sc.parties)])
+    outputs = np.empty((sc.parties, sc.dimension), dtype=np.intp)
+    within = np.arange(sc.dimension) - offsets[blocks]
+    for p in reversed(range(sc.parties)):  # the last party's output varies fastest
+        within, outputs[p] = np.divmod(within, counts[p, blocks])
+    for array in (blocks, inputs, counts, outputs):
+        array.setflags(write=False)
+    return blocks, inputs, counts, outputs
 
 
 @dataclass(frozen=True, eq=False)
@@ -277,58 +320,42 @@ class _MarginalIndex:
     order, the cells (T's inputs, T's outputs, remote inputs) whose
     entries sum to T's joint marginal at that remote context (Barrett et
     al., PRA 71, 022101 (2005)).  Subset k's cell ``g * contexts[k] + c``
-    is group g, T's inputs and outputs in T's own flat layout, at its c-th
-    remote context in lexicographic order.  A subset's cells are built
-    from each entry's digits when asked for, and kept for the next scan
+    is its remote inputs' c-th context, in lexicographic order, at
+    position g of T's own table ``tables[k]``, in the layout ``probs``
+    uses; the empty subset's table is a one-entry scenario whose party
+    no cell names.  A subset's cells are built from the table's layout
+    when asked for, one party at a time, and kept for the next scan
     while the index keeps at most ``_KEPT_CELLS`` of them, so a
     many-party table's scan holds one subset's cells at a time."""
 
     scenario: Scenario
     subsets: tuple[tuple[int, ...], ...]
-    groups: tuple[int, ...]
+    tables: tuple[Scenario, ...]
     contexts: tuple[int, ...]
-
-    @cached_property
-    def digits(self) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-        """Each entry's input block; each block's inputs and output counts,
-        (parties, blocks) each; and each entry's outputs, (parties, dimension)."""
-        sc = self.scenario
-        offsets = np.array(sc._block_offsets)
-        blocks = np.repeat(np.arange(sc.joint_input_count), np.diff(offsets))
-        inputs = np.array(np.unravel_index(np.arange(sc.joint_input_count), sc.inputs_per_party))
-        counts = np.array([np.array(sc.outputs[p])[inputs[p]] for p in range(sc.parties)])
-        outputs = np.empty((sc.parties, sc.dimension), dtype=np.intp)
-        within = np.arange(sc.dimension) - offsets[blocks]
-        for p in reversed(range(sc.parties)):  # the last party's output varies fastest
-            within, outputs[p] = np.divmod(within, counts[p, blocks])
-        return blocks, inputs, counts, outputs
 
     @cached_property
     def kept(self) -> dict[int, np.ndarray]:
         """Built cells by subset, read-only, kept for reuse."""
         return {}
 
+    def remote(self, k: int) -> tuple[list[int], list[int]]:
+        """The parties outside the k-th subset and their input counts."""
+        others = [p for p in range(self.scenario.parties) if p not in self.subsets[k]]
+        return others, [self.scenario.inputs_per_party[p] for p in others]
+
     def cells(self, k: int) -> np.ndarray:
         """Every entry's cell for the k-th subset."""
         if k in self.kept:
             return self.kept[k]
-        sc, T = self.scenario, self.subsets[k]
-        blocks, inputs, counts, outputs = self.digits
-        joint, size, context = 0, 1, 0  # per input block: T's inputs, T's block size, remote inputs
-        for p in range(sc.parties):
-            if p in T:
-                joint, size = joint * sc.inputs_per_party[p] + inputs[p], size * counts[p]
-            else:
-                context = context * sc.inputs_per_party[p] + inputs[p]
-        starts = np.zeros(math.prod(sc.inputs_per_party[p] for p in T) + 1, dtype=np.intp)
-        starts[joint + 1] = size
-        first = np.cumsum(starts)[joint] * self.contexts[k] + context  # the block's cell at outputs 0
-        within = 0
-        for p in T:
-            within = within * counts[p, blocks] + outputs[p]
-        cells = first[blocks] + within * self.contexts[k]
+        T, (remote, dims) = self.subsets[k], self.remote(k)
+        _, inputs, counts, outputs = _layout(self.scenario)
+        sizes = counts.prod(axis=0)  # each block's inputs repeat over its entries
+        positions = _entries(self.tables[k], (np.repeat(inputs[p], sizes) for p in T),
+                             (outputs[p] for p in T))
+        context = np.repeat(np.ravel_multi_index(inputs[remote], dims), sizes) if remote else 0
+        cells = positions * self.contexts[k] + context
         cells.setflags(write=False)
-        if (len(self.kept) + 1) * sc.dimension <= _KEPT_CELLS:
+        if (len(self.kept) + 1) * self.scenario.dimension <= _KEPT_CELLS:
             self.kept[k] = cells
         return cells
 
@@ -338,24 +365,20 @@ class _MarginalIndex:
 
     def key(self, k: int, cell: int) -> tuple[tuple[int, ...], ...]:
         """(T's inputs, T's outputs, remote inputs) of the k-th subset's
-        cell, read off its first entry; ``cell`` maps it back."""
-        blocks, inputs, _, outputs = self.digits
-        entry = int(np.argmax(self.cells(k) == cell))
-        x, a = inputs[:, blocks[entry]].tolist(), outputs[:, entry].tolist()
-        T = self.subsets[k]
-        remote = [p for p in range(self.scenario.parties) if p not in T]
-        return tuple(x[p] for p in T), tuple(a[p] for p in T), tuple(x[p] for p in remote)
+        cell; ``cell`` maps it back."""
+        n, (position, context) = len(self.subsets[k]), divmod(int(cell), self.contexts[k])
+        blocks, inputs, _, outputs = _layout(self.tables[k])
+        return (tuple(inputs[:n, blocks[position]].tolist()), tuple(outputs[:n, position].tolist()),
+                tuple(int(x) for x in np.unravel_index(context, self.remote(k)[1])))
 
     def cell(self, k: int, key: tuple) -> int:
-        """The k-th subset's cell at ``key``, read off its entry whose
-        remote outputs are 0."""
-        T, (t_inputs, t_outputs, context) = self.subsets[k], key
-        remote = [p for p in range(self.scenario.parties) if p not in T]
-        inputs, outputs = dict(zip(T + tuple(remote), t_inputs + context)), dict(zip(T, t_outputs))
-        parties = range(self.scenario.parties)
-        entry = flat_index(self.scenario, tuple(inputs[p] for p in parties),
-                           tuple(outputs.get(p, 0) for p in parties))
-        return int(self.cells(k)[entry])
+        """The k-th subset's cell at ``key``."""
+        t_inputs, t_outputs, context = key
+        position = _entries(self.tables[k], t_inputs, t_outputs)
+        return int(position * self.contexts[k] + np.ravel_multi_index(context, self.remote(k)[1]))
+
+
+_ONE_ENTRY = Scenario(inputs_per_party=(1,), outputs=((1,),))
 
 
 @lru_cache(maxsize=32)
@@ -363,10 +386,10 @@ def _marginal_index(sc: Scenario) -> _MarginalIndex:
     """The scenario's marginal index, cached by value."""
     subsets = [T for n in range(sc.parties + 1)
                for T in itertools.combinations(range(sc.parties), n)]
-    groups = [math.prod(sum(sc.outputs[p]) for p in T) for T in subsets]
-    contexts = [math.prod(n for p, n in enumerate(sc.inputs_per_party) if p not in T)
-                for T in subsets]
-    return _MarginalIndex(sc, tuple(subsets), tuple(groups), tuple(contexts))
+    tables = [Scenario(tuple(sc.inputs_per_party[p] for p in T), tuple(sc.outputs[p] for p in T))
+              if T else _ONE_ENTRY for T in subsets]
+    return _MarginalIndex(sc, tuple(subsets), tuple(tables),
+                          tuple(sc.joint_input_count // t.joint_input_count for t in tables))
 
 
 @dataclass(frozen=True)
@@ -406,7 +429,7 @@ def no_signalling_defect(behavior: Behavior) -> NoSignallingReport:
     check_entries("no-signalling scan", len(scanned), sc.dimension)
     best, worst = 0.0, None
     for k in scanned:
-        sums = np.bincount(index.cells(k), weights=behavior.probs).reshape(index.groups[k], -1)
+        sums = np.bincount(index.cells(k), weights=behavior.probs).reshape(-1, index.contexts[k])
         defects = np.ptp(sums, axis=1)
         g = int(np.argmax(defects))
         if defects[g] > best:
@@ -435,23 +458,17 @@ def named_behavior(name: str, scenario: Scenario | None = None, tol: float = DEF
     """
     if name == "uniform":
         sc = scenario if scenario is not None else _CHSH_SCENARIO
-        vec = np.zeros(sc.dimension)
-        for joint in sc.joint_inputs():
-            sl = sc.block_slice(joint)
-            vec[sl] = 1.0 / sc.block_size(joint)
-        return validate_behavior(sc, vec, tol=tol)
+        sizes = _blocks_by_size(sc)[0]
+        return validate_behavior(sc, np.repeat(1.0 / sizes, sizes), tol=tol)
     if scenario is not None and scenario != _CHSH_SCENARIO:
         raise ValidationError(f"behavior {name!r} is only defined on the (2,2,2) scenario")
     sc = _CHSH_SCENARIO
-    vec = np.zeros(sc.dimension)
+    blocks, inputs, _, (a, b) = _layout(sc)
+    x, y = inputs[:, blocks]
     if name == "pr_box":
-        for x, y in sc.joint_inputs():
-            for a, b in sc.joint_outputs((x, y)):
-                if (a ^ b) == (x & y):
-                    vec[flat_index(sc, (x, y), (a, b))] = 0.5
+        vec = np.where((a ^ b) == (x & y), 0.5, 0.0)
     elif name == "signalling_demo":
-        for x, y in sc.joint_inputs():
-            vec[flat_index(sc, (x, y), (y, 0))] = 1.0
+        vec = np.where((a == y) & (b == 0), 1.0, 0.0)
     else:
         raise ValidationError(f"unknown behavior name {name!r}")
     return validate_behavior(sc, vec, tol=tol)

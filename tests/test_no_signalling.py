@@ -27,7 +27,8 @@ from bellbox.documents import write_document
 from bellbox.errors import SizeCapError, StalledError
 from bellbox.polytope import (BellFunctional, _gauge_basis, local_bound, reduced_space,
                               strategy_matrix)
-from bellbox.scenario import _marginal_index, flat_index, named_behavior, no_signalling_defect
+from bellbox.scenario import (_layout, _marginal_index, flat_index, named_behavior,
+                              no_signalling_defect)
 from bellbox.tolerances import GAUGE_RANK_TOL
 
 THREE = Scenario.uniform(3, 2, 2)
@@ -298,7 +299,7 @@ def test_each_cell_is_its_labelled_marginal(scenario):
     in the order the reference built its rows."""
     index = _marginal_index(scenario)
     for k, T in enumerate(index.subsets):
-        count = index.groups[k] * index.contexts[k]
+        count = index.tables[k].dimension * index.contexts[k]
         keys = [index.key(k, cell) for cell in range(count)]
         assert keys == reference_keys(scenario, T)
         rows = index.rows(k, np.arange(count))
@@ -319,7 +320,8 @@ def test_the_size_cap_counts_the_rows_that_are_built(scenario):
     assert caps.call_args_list == [mock.call("marginal-difference matrix", rows, scenario.dimension)]
     index = _marginal_index(scenario)
     for k in range(len(index.subsets)):
-        assert np.unique(index.cells(k)).tolist() == list(range(index.groups[k] * index.contexts[k]))
+        count = index.tables[k].dimension * index.contexts[k]
+        assert np.unique(index.cells(k)).tolist() == list(range(count))
 
 
 def test_marginal_difference_matrix_is_capped_before_any_row():
@@ -521,13 +523,15 @@ def test_wide_table_is_refused_before_any_large_allocation(shape, tmp_path):
 
 def test_many_party_table_is_refused_by_the_scan_cap():
     """(10,2,2): 1,022 proper subsets times 2**20 entries is past the
-    scan's cap, which builds nothing."""
+    scan's cap, which builds nothing: no table layout, no cell."""
     sc = Scenario.uniform(10, 2, 2)
+    layouts = _layout.cache_info()
     behavior = named_behavior("uniform", sc)
     for decide in (classify, membership):
         with pytest.raises(SizeCapError, match="no-signalling scan"):
             decide(behavior)
-    assert "digits" not in vars(_marginal_index(sc))
+    assert _layout.cache_info() == layouts
+    assert "kept" not in vars(_marginal_index(sc))
 
 
 def _input_reader(inputs):

@@ -7,14 +7,18 @@ route, not against itself.
 """
 
 import itertools
+import math
 import time
 from fractions import Fraction
+from unittest import mock
 
 import numpy as np
 import pytest
 
 from bellbox import Scenario, named_behavior, validate_behavior
+import bellbox.polytope as polytope
 from bellbox.errors import SizeCapError, ValidationError
+from bellbox.scenario import flat_index
 from bellbox.polytope import (
     BellFunctional,
     LocalModel,
@@ -33,6 +37,8 @@ from bellbox.polytope import (
 
 CHSH = Scenario.uniform(2, 2, 2)
 LIFTED = Scenario.uniform(2, 2, 3)
+LIFTED_32 = Scenario(inputs_per_party=(2, 3), outputs=((4, 4), (3, 3, 3)))  # dims (3, 2), no-click
+UNEVEN = Scenario(inputs_per_party=(2, 2), outputs=((2, 3), (3, 2)))
 
 
 # -- independent oracles ----------------------------------------------------
@@ -239,12 +245,14 @@ def test_enumeration_order_is_party_major():
 
 
 def test_strategy_behaviors_match_direct_tables():
-    strategies = enumerate_strategies(CHSH)
-    expected = oracle_strategies(CHSH)
-    assert [s.assignments for s in strategies] == expected
-    for s, assignment in zip(strategies, expected):
-        np.testing.assert_array_equal(s.behavior().probs,
-                                      oracle_table(CHSH, assignment))
+    """CHSH, a lifted scenario of 3- and 2-dimensional measurements, and
+    uneven alphabets: the same bits as the table built entry by entry."""
+    for sc in (CHSH, LIFTED_32, UNEVEN):
+        strategies = enumerate_strategies(sc)
+        expected = oracle_strategies(sc)
+        assert [s.assignments for s in strategies] == expected
+        for s, assignment in zip(strategies, expected):
+            assert s.behavior().probs.tobytes() == oracle_table(sc, assignment).tobytes()
 
 
 def test_strategy_matrix_columns_and_immutability():
@@ -474,6 +482,92 @@ def test_canonical_coefficients_are_free_of_input_noise(case):
 
 
 # -- relabellings -----------------------------------------------------------
+
+def reference_relabelling_perm(scenario, sigma, pis, taus) -> np.ndarray:
+    """The permutation entry by entry: new party p takes old party
+    sigma[p]'s data, its input x becomes pis[p][x], and its outputs rename
+    through taus, flattened party-major by new input."""
+    tau_lookup = {}
+    pos = 0
+    for p in range(scenario.parties):
+        for x_new in range(scenario.inputs_per_party[p]):
+            tau_lookup[(p, x_new)] = taus[pos]
+            pos += 1
+    perm = np.empty(scenario.dimension, dtype=np.intp)
+    for old_inputs in scenario.joint_inputs():
+        for old_outputs in scenario.joint_outputs(old_inputs):
+            new_inputs = [0] * scenario.parties
+            new_outputs = [0] * scenario.parties
+            for p in range(scenario.parties):
+                x_old = old_inputs[sigma[p]]
+                x_new = pis[p][x_old]
+                new_inputs[p] = x_new
+                new_outputs[p] = tau_lookup[(p, x_new)][old_outputs[sigma[p]]]
+            src = flat_index(scenario, old_inputs, old_outputs)
+            dst = flat_index(scenario, tuple(new_inputs), tuple(new_outputs))
+            perm[dst] = src
+    return perm
+
+
+def input_maps(scenario, sigma, p):
+    """The input permutations of party p that carry party sigma[p]'s
+    alphabets onto p's, or none when their input counts differ."""
+    n = scenario.inputs_per_party[p]
+    if scenario.inputs_per_party[sigma[p]] != n:
+        return []
+    return [pi for pi in itertools.permutations(range(n))
+            if all(scenario.outputs[p][pi[x]] == scenario.outputs[sigma[p]][x] for x in range(n))]
+
+
+def reference_relabellings(scenario):
+    """Every relabelling in the package's order: party exchange, then
+    input maps, then output maps, each lexicographic."""
+    output_maps = [list(itertools.permutations(range(k))) for outs in scenario.outputs for k in outs]
+    for sigma in itertools.permutations(range(scenario.parties)):
+        maps = [input_maps(scenario, sigma, p) for p in range(scenario.parties)]
+        for pis in itertools.product(*maps):
+            for taus in itertools.product(*output_maps):
+                yield reference_relabelling_perm(scenario, sigma, pis, taus)
+
+
+def walking_relabelling_count(scenario) -> int:
+    """The relabelling count, walking every party exchange and every
+    input permutation."""
+    exchanges = sum(math.prod(len(input_maps(scenario, sigma, p)) for p in range(scenario.parties))
+                    for sigma in itertools.permutations(range(scenario.parties)))
+    return exchanges * math.prod(math.factorial(k) for outs in scenario.outputs for k in outs)
+
+
+@pytest.mark.parametrize("scenario", [CHSH, Scenario.uniform(2, 3, 2), Scenario.uniform(3, 2, 2),
+                                      UNEVEN], ids=["chsh", "2-3-2", "3-2-2", "uneven"])
+def test_relabellings_equal_the_entry_by_entry_reference(scenario):
+    perms = relabellings(scenario)
+    want = [p.tobytes() for p in reference_relabellings(scenario)]
+    assert len(perms) == len(want) == walking_relabelling_count(scenario)
+    assert [p.tobytes() for p in perms] == want
+
+
+@pytest.mark.parametrize("scenario", [
+    CHSH, LIFTED, LIFTED_32, UNEVEN,
+    Scenario.uniform(2, 3, 2),
+    Scenario.uniform(3, 2, 2),
+    Scenario.uniform(1, 4, 3),
+    Scenario(inputs_per_party=(2, 1), outputs=((2, 3), (2,))),
+    Scenario(inputs_per_party=(3, 3), outputs=((2, 2, 3), (3, 2, 2))),
+    Scenario(inputs_per_party=(2, 2, 2), outputs=((2, 3), (3, 2), (2, 2))),
+    Scenario(inputs_per_party=(3, 3, 3), outputs=((2, 3, 2), (2, 2, 2), (2, 2, 3))),
+])
+def test_relabelling_count_equals_the_walking_count(scenario):
+    assert polytope._relabelling_count(scenario) == walking_relabelling_count(scenario)
+
+
+@pytest.mark.parametrize("scenario", [Scenario.uniform(2, 12, 2), Scenario.uniform(10, 2, 2)],
+                         ids=["2-12-2", "10-2-2"])
+def test_relabelling_cap_refuses_before_any_permutation_is_drawn(scenario):
+    with mock.patch.object(polytope, "_party_exchanges", side_effect=AssertionError("drawn")):
+        with pytest.raises(SizeCapError, match="relabellings exceed"):
+            relabellings(scenario)
+
 
 def test_relabelling_group_size():
     perms = relabellings(CHSH)

@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from bellbox import Scenario, named_behavior, no_signalling_defect
+from bellbox import Scenario, named_behavior, no_signalling_defect, validate_behavior
 from bellbox.errors import ValidationError
 from bellbox.scenario import flat_index
 from bellbox.quantum import (
@@ -356,6 +356,49 @@ def test_binning_sums_the_merged_outcomes():
                 if a == 0 and b == 0:
                     expected += raw.prob(inputs, (2, 2))
                 assert binned.prob(inputs, (a, b)) == pytest.approx(expected, abs=1e-12)
+
+
+def reference_binning(behavior):
+    """Fold each party's last outcome into outcome 0, entry by entry."""
+    sc = behavior.scenario
+    target = Scenario(inputs_per_party=sc.inputs_per_party,
+                      outputs=tuple(tuple(n - 1 for n in row) for row in sc.outputs))
+    vec = np.zeros(target.dimension)
+    for joint in sc.joint_inputs():
+        counts = sc.outputs_for(joint)
+        for outs in sc.joint_outputs(joint):
+            folded = tuple(0 if o == counts[p] - 1 else o for p, o in enumerate(outs))
+            vec[flat_index(target, joint, folded)] += behavior.prob(joint, outs)
+    return validate_behavior(target, vec, tol=behavior.tol)
+
+
+def _lifted_32(seed, inputs, efficiency):
+    setup = random_setup(seed, dims=(3, 2), inputs=inputs)
+    return behavior_from_setup(BellSetup(state=setup.state,
+                                         alice=lift_with_efficiency(setup.alice, efficiency),
+                                         bob=lift_with_efficiency(setup.bob, efficiency)))
+
+
+def _random_table(rng, sc):
+    """A random table: each input block a normalized draw."""
+    raw = rng.random(sc.dimension)
+    for joint in sc.joint_inputs():
+        raw[sc.block_slice(joint)] /= raw[sc.block_slice(joint)].sum()
+    return raw
+
+
+@pytest.mark.parametrize("seed", [1, 2, 3])
+def test_binning_equals_the_entry_by_entry_reference(seed):
+    """Lifted setups of a qutrit and a qubit, and a table on uneven
+    alphabets: the same bits as the fold written entry by entry."""
+    uneven = Scenario(inputs_per_party=(2, 2), outputs=((2, 3), (3, 2)))
+    behaviors = [_lifted_32(seed, inputs, efficiency)
+                 for inputs in ((2, 2), (2, 3)) for efficiency in (0.6, 0.9)]
+    behaviors.append(validate_behavior(uneven, _random_table(np.random.default_rng(seed), uneven)))
+    for behavior in behaviors:
+        binned, want = bin_last_outcome(behavior), reference_binning(behavior)
+        assert binned.scenario == want.scenario
+        assert binned.probs.tobytes() == want.probs.tobytes()
 
 
 def test_binning_requires_room():

@@ -122,6 +122,28 @@ def test_flat_index_rejects_out_of_range():
         flat_index(CHSH, (0, 0), (2, 0))
 
 
+@pytest.mark.parametrize("inputs, outputs", [
+    ((0, 0), (0.5, 0)),
+    ((1.0, 0), (0, 0)),
+    ((0, 0), (0, np.float64(1.0))),
+    ((0, "1"), (0, 0)),
+])
+def test_a_choice_that_is_not_an_integer_is_refused(inputs, outputs):
+    """A fractional output once read as a fractional position, and a
+    float input raised a bare TypeError; the table lookup too."""
+    with pytest.raises(ValidationError, match="not all integers"):
+        flat_index(CHSH, inputs, outputs)
+    with pytest.raises(ValidationError, match="not all integers"):
+        named_behavior("pr_box").prob(inputs, outputs)
+
+
+def test_flat_index_takes_numpy_integers():
+    position = flat_index(CHSH, (np.int64(0), np.int8(1)), (np.intp(1), np.uint8(0)))
+    assert type(position) is int and position == 6
+    wide = Scenario.uniform(2, 200, 2)  # joint inputs past what an int8 holds
+    assert flat_index(wide, (np.int8(100), np.int8(100)), (np.int8(1), np.int8(1))) == 4 * 20100 + 3
+
+
 # -- behavior validation ----------------------------------------------------
 
 def test_validate_accepts_uniform_table():
@@ -236,6 +258,19 @@ def test_validate_is_idempotent():
     once = validate_behavior(CHSH, raw)
     twice = validate_behavior(CHSH, once.probs)
     np.testing.assert_array_equal(once.probs, twice.probs)
+
+
+@pytest.mark.parametrize("sc", [
+    CHSH,
+    Scenario(inputs_per_party=(2, 1), outputs=((2, 3), (2,))),
+    Scenario(inputs_per_party=(2, 2), outputs=((2, 3), (3, 2))),
+    Scenario(inputs_per_party=(2, 3), outputs=((4, 4), (3, 3, 3))),
+])
+def test_uniform_equals_the_block_by_block_reference(sc):
+    raw = np.zeros(sc.dimension)
+    for joint in sc.joint_inputs():
+        raw[sc.block_slice(joint)] = 1.0 / sc.block_size(joint)
+    assert named_behavior("uniform", sc).probs.tobytes() == validate_behavior(sc, raw).probs.tobytes()
 
 
 def test_behavior_probs_are_read_only():
