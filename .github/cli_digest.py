@@ -8,7 +8,9 @@ then validate, classify and membership, in both output formats, on
 every packaged fixture; then every other verb: derive-inequality and
 chsh on every fixture, facets on chsh_scenario, quantum on random
 3x3-dimensional, 3-input setups at seeds 1-3, plain and with lossy
-detectors binned, and threshold efficiency on singlet_chsh.  New
+detectors binned, and threshold efficiency on singlet_chsh; then
+membership and derive-inequality, in both formats, on the (2,4,4) and
+(2,4,5) signalling tables where party 0 answers party 1's input.  New
 operations go at the end, so digests of older checkouts still compare
 by name.  Each runs through ``bellbox.cli.main`` in this
 process, with bellbox imported from this checkout's src; perfbench/decks.py
@@ -37,7 +39,10 @@ os.environ.pop("BELLBOX_TOL", None)  # the command line reads it as its default 
 
 import bellbox.analysis  # noqa: E402
 import decks  # noqa: E402
+import numpy as np  # noqa: E402
+from bellbox import Scenario, validate_behavior  # noqa: E402
 from bellbox.cli import main  # noqa: E402
+from bellbox.documents import emit_document  # noqa: E402
 from bellbox.fixtures import fixture_names, fixture_path  # noqa: E402
 
 SEEDS = (1, 2, 3)
@@ -68,6 +73,23 @@ def operations():
                 yield name, argv + ["--format", fmt], {}
     for fmt in FORMATS:
         yield fixture_operation("singlet_chsh", ["threshold", "efficiency"], fmt)
+    for outputs in (4, 5):
+        doc = f"input-copier-2-4-{outputs}.json"
+        text = emit_document(input_copier(outputs))
+        for verb in ("membership", "derive-inequality"):
+            for fmt in FORMATS:
+                yield (f"signalling/input-copier-2-4-{outputs}/{verb}/{fmt}",
+                       [verb, doc, "--format", fmt], {doc: text})
+
+
+def input_copier(outputs):
+    """The (2,4,outputs) table where party 0 answers party 1's input and
+    party 1 answers 0."""
+    sc = Scenario.uniform(2, 4, outputs)
+    table = np.zeros((4, 4, outputs, outputs))
+    for y in range(4):
+        table[:, y, y, 0] = 1.0
+    return validate_behavior(sc, table.reshape(-1))
 
 
 def fixture_operation(fixture, verb, fmt):

@@ -28,8 +28,8 @@ import numpy as np
 
 from .errors import StalledError, ValidationError
 from .lp import LinearProgram, check_size, solve
-from .polytope import (BellFunctional, LocalModel, canonicalize, local_bound, strategy_count,
-                       strategy_matrix)
+from .polytope import (BellFunctional, LocalModel, canonicalize, chsh_functional, local_bound,
+                       strategy_count, strategy_matrix)
 from .quantum import BellSetup, behavior_from_setup, lift_with_efficiency
 from .scenario import (_CHSH_SCENARIO, Behavior, NoSignallingReport, _marginal_index, mix,
                        no_signalling_defect)
@@ -149,7 +149,8 @@ def _decide(behavior: Behavior, tol: float = DEFAULT_TOL) -> tuple[bool, np.ndar
             raise StalledError(f"membership model misses the behavior by {residual:.3e}")
         return True, weights
     cut = np.array(out.y[:d])
-    margin = float(cut @ p - (cut @ V).max())
+    bound, _ = local_bound(BellFunctional(scenario=behavior.scenario, coeffs=cut))
+    margin = float(cut @ p) - bound
     if margin <= 0.0:
         raise StalledError(
             f"membership program at distance {out.objective:.3e} priced a cut "
@@ -309,19 +310,9 @@ def chsh_value(behavior: Behavior) -> float:
     can reach 4.
     """
     if behavior.scenario != _CHSH_SCENARIO:
-        raise ValidationError(
-            "CHSH value needs the 2-party, 2-input, 2-output scenario, "
-            f"got {behavior.scenario}"
-        )
-    total = 0.0
-    for x in range(2):
-        for y in range(2):
-            sign = -1.0 if (x, y) == (1, 1) else 1.0
-            for a in range(2):
-                for b in range(2):
-                    parity = 1.0 if a == b else -1.0
-                    total += sign * parity * behavior.prob((x, y), (a, b))
-    return total
+        raise ValidationError("CHSH value needs the 2-party, 2-input, 2-output scenario, "
+                              f"got {behavior.scenario}")
+    return chsh_functional().value(behavior)
 
 
 def _check_bisection_tol(tol: float):
@@ -407,7 +398,7 @@ def _visibility_probe(behavior: Behavior, noise: Behavior, noise_weights: np.nda
     weights = np.clip(out.x[:n], 0.0, None)
     weights = weights / weights.sum()
     cut = -out.y[:V.shape[0]]
-    cut_bound = float((cut @ V).max())
+    cut_bound = local_bound(BellFunctional(scenario=behavior.scenario, coeffs=cut))[0]
     cut_guard = 2.0 * DEFAULT_TOL * float(np.abs(cut).max())
 
     def probe(v: float) -> tuple[bool, np.ndarray]:

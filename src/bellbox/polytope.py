@@ -21,7 +21,8 @@ signalling one is witnessed by its marginal shift instead
 
 No strategy matrix is built with more than ``lp.DIMENSION_CAP ** 2``
 entries, the largest program matrix the LP kernel accepts
-(``_checked_strategy_count``); the tolerances come from ``tolerances``.
+(``_checked_strategy_count``); a local bound builds only the one of
+every party but the last.  The tolerances come from ``tolerances``.
 """
 
 from __future__ import annotations
@@ -81,11 +82,7 @@ class DeterministicStrategy:
 
 
 def strategy_count(scenario: Scenario) -> int:
-    count = 1
-    for p in range(scenario.parties):
-        for k in scenario.outputs[p]:
-            count *= k
-    return count
+    return math.prod(k for outs in scenario.outputs for k in outs)
 
 
 def _checked_strategy_count(scenario: Scenario) -> int:
@@ -229,20 +226,39 @@ class BellFunctional:
                 round(self.local_bound, 12))
 
 
+@lru_cache(maxsize=32)
+def _best_response(scenario: Scenario) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """What ``local_bound`` reads, cached by value: the entries in the
+    order of a (other parties' table) x (last party's input, output)
+    matrix, the other parties being every party but the last; the first
+    column of each last-party input; and the other parties' strategy
+    matrix, transposed.  That matrix, or its product with a functional,
+    past ``DIMENSION_CAP ** 2`` entries is refused."""
+    index = _marginal_index(scenario)
+    k = index.subsets.index(tuple(range(scenario.parties - 1)))
+    others = strategy_matrix(index.tables[k]).T
+    starts = np.cumsum([0, *scenario.outputs[-1]])
+    check_entries("best-response matrix", others.shape[0], starts[-1])
+    rows, inputs = np.divmod(index.cells(k), index.contexts[k])
+    order = np.argsort(rows * starts[-1] + starts[inputs] + _layout(scenario)[3][-1])
+    order.setflags(write=False)
+    return order, starts[:-1], others
+
+
 def local_bound(functional: BellFunctional) -> tuple[float, int]:
     """Maximum of the functional over deterministic strategies and the
-    first strategy index attaining it; exact when coefficients are
-    integers, since 0/1 tables reduce the dot product to integer sums."""
-    V = strategy_matrix(functional.scenario)
-    c = functional.coeffs
-    rounded = np.rint(c)
-    if np.array_equal(rounded, c):
-        values = rounded.astype(np.int64) @ V.astype(np.int64)
-        idx = int(np.argmax(values))
-        return float(values[idx]), idx
-    values = c @ V
-    idx = int(np.argmax(values))
-    return float(values[idx]), idx
+    first strategy index attaining it, in ``enumerate_strategies`` order:
+    a best response (Collins & Gisin, J. Phys. A 37, 1775 (2004)), where
+    the last party meets each strategy of the others with its first best
+    output per input.  Exact for integer coefficients whose absolute sum
+    is below 2**53: every partial sum is then an integer float64 holds."""
+    order, starts, others = _best_response(functional.scenario)
+    values = others @ functional.coeffs[order].reshape(others.shape[1], -1)
+    totals = np.maximum.reduceat(values, starts, axis=1).sum(axis=1)
+    s = index = int(np.argmax(totals))
+    for start, k in zip(starts, functional.scenario.outputs[-1]):  # the last party's digits
+        index = index * k + int(np.argmax(values[s, start:start + k]))
+    return float(totals[s]), index
 
 
 def chsh_functional(signs: tuple[int, int, int, int] = (1, 1, 1, -1)) -> BellFunctional:
@@ -253,8 +269,7 @@ def chsh_functional(signs: tuple[int, int, int, int] = (1, 1, 1, -1)) -> BellFun
     blocks, inputs, _, (a, b) = _layout(_CHSH_SCENARIO)
     x, y = inputs[:, blocks]
     coeffs = np.asarray(signs)[2 * x + y] * np.where(a == b, 1.0, -1.0)
-    f = BellFunctional(scenario=_CHSH_SCENARIO, coeffs=coeffs)
-    bound, _ = local_bound(f)
+    bound, _ = local_bound(BellFunctional(scenario=_CHSH_SCENARIO, coeffs=coeffs))
     return BellFunctional(scenario=_CHSH_SCENARIO, coeffs=coeffs, local_bound=bound)
 
 
@@ -326,27 +341,20 @@ def canonicalize(functional: BellFunctional) -> BellFunctional:
         raise ValidationError("functional is pure gauge; no canonical form exists")
     c = c / peak
 
-    integer_coeffs = None
-    integer_bound = None
-    bound = None
+    integer_coeffs = integer_bound = None
     for d in range(1, INTEGER_DENOMINATOR_CAP + 1):
         scaled = c * d
         ints = np.rint(scaled)
         if float(np.abs(scaled - ints).max()) <= INTEGER_FIT_TOL * d:
-            ints = ints.astype(np.int64)
-            nz = np.abs(ints)[ints != 0]
-            g = int(np.gcd.reduce(nz)) if nz.size else 1
-            ints //= g
-            V = strategy_matrix(sc).astype(np.int64)
-            values = ints @ V
-            integer_bound = int(values.max())
-            integer_coeffs = tuple(int(v) for v in ints)
+            g = math.gcd(*map(int, ints))  # not 0: the peak coefficient scaled to d
+            integer_coeffs = tuple(int(v) // g for v in ints)
+            ints = np.array(integer_coeffs, dtype=np.float64)
+            integer_bound = int(local_bound(BellFunctional(scenario=sc, coeffs=ints))[0])
             bound = integer_bound * g / d
             c = ints * g / d  # each entry correctly rounded, free of the input's noise
             break
-    if bound is None:
-        f = BellFunctional(scenario=sc, coeffs=c)
-        bound, _ = local_bound(f)
+    else:
+        bound, _ = local_bound(BellFunctional(scenario=sc, coeffs=c))
     return BellFunctional(scenario=sc, coeffs=c, local_bound=float(bound),
                           integer_coeffs=integer_coeffs, integer_bound=integer_bound)
 

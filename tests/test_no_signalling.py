@@ -545,7 +545,8 @@ def _input_reader(inputs):
 def test_signalling_table_past_the_lp_cap(tmp_path, capsys):
     """The scan calls a (2,32,2) signalling table with no program.  Its
     membership witness is the marginal shift, whose local bound is
-    rechecked by enumerating the strategies, and that is past the cap."""
+    rechecked by a best response over party 0's 2**32 strategies, and
+    that is past the cap."""
     behavior = _input_reader(32)
     with mock.patch.object(analysis, "solve", wraps=analysis.solve) as solves:
         result = classify(behavior)
@@ -557,3 +558,34 @@ def test_signalling_table_past_the_lp_cap(tmp_path, capsys):
     assert main(["classify", str(path)]) == 0
     assert "signalling" in capsys.readouterr().out
     assert main(["membership", str(path)]) == 3
+
+
+def _input_copier(outputs):
+    """Party 0 answers party 1's input and party 1 answers 0, on (2,4,k)."""
+    sc = Scenario.uniform(2, 4, outputs)
+    blocks, inputs, _, (a, b) = _layout(sc)
+    return validate_behavior(sc, np.where((a == inputs[1, blocks]) & (b == 0), 1.0, 0.0))
+
+
+@pytest.mark.parametrize("outputs", [4, 5])
+def test_signalling_table_past_the_strategy_matrix(outputs, tmp_path, capsys):
+    """The strategy matrix of (2,4,4) takes 134 MB and that of (2,4,5) is
+    past the cap, but the shift witness's bound 0 is a best response over
+    party 0's 256 or 625 strategies, so membership and the derived
+    inequality answer in a few MB, through the API and the command line."""
+    behavior = _input_copier(outputs)
+    report = no_signalling_defect(behavior)
+    assert report.max_defect == 1.0
+    assert _peak_bytes(lambda: membership(behavior)) < 16 * 2**20
+    assert_shift_witness(behavior, membership(behavior), report)
+    f = derive_critical_inequality(behavior)
+    assert f.integer_bound == 0 and f.local_bound == 0.0
+    assert f.coeffs.tobytes() == membership(behavior).functional.coeffs.tobytes()
+    path = tmp_path / "copier.json"
+    write_document(behavior, path)
+    for verb in ("membership", "derive-inequality"):
+        assert main([verb, str(path)]) == 0
+    assert capsys.readouterr().out.count(" with bound 0\n") == 2  # each integer form
+    assert main(["membership", str(path), "--format", "structured"]) == 0
+    witness = json.loads(capsys.readouterr().out)["witness"]
+    assert witness["functional"]["local_bound"] == 0.0 and witness["violation"] == 1.0

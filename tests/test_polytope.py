@@ -9,11 +9,13 @@ route, not against itself.
 import itertools
 import math
 import time
+import warnings
 from fractions import Fraction
 from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from bellbox import Scenario, named_behavior, validate_behavior
 import bellbox.polytope as polytope
@@ -205,7 +207,9 @@ def test_strategy_cap_raises_before_enumerating():
 def test_strategy_matrix_cap_counts_entries():
     """The cap is on dimension x strategies, DIMENSION_CAP**2 entries:
     (2,4,4) is 256 x 65,536 and passes; (2,7,3) has only 4,782,969
-    strategies, but 441 rows of them would take 15.7 GiB."""
+    strategies, but 441 rows of them would take 15.7 GiB.  A local bound
+    builds only the first party's 21 x 2,187 matrix there, and is refused
+    on (2,32,2), whose first party alone has 2**32 strategies."""
     from bellbox.polytope import _checked_strategy_count
 
     assert _checked_strategy_count(Scenario.uniform(2, 4, 4)) == 65_536
@@ -213,13 +217,29 @@ def test_strategy_matrix_cap_counts_entries():
         with pytest.raises(SizeCapError, match="entries"):
             _checked_strategy_count(sc)
     big = Scenario.uniform(2, 7, 3)
+    padded = np.zeros(big.dimension)
+    for (x, y, a, b), v in zip(itertools.product(range(2), repeat=4), oracle_chsh_coeffs()):
+        padded[flat_index(big, (x, y), (a, b))] = v
+    assert local_bound(BellFunctional(scenario=big, coeffs=padded))[0] == 2.0
+    wide = Scenario.uniform(2, 32, 2)
     t0 = time.perf_counter()
     with pytest.raises(SizeCapError, match="entries"):
-        local_bound(BellFunctional(scenario=big, coeffs=np.zeros(big.dimension)))
+        local_bound(BellFunctional(scenario=wide, coeffs=np.zeros(wide.dimension)))
     with pytest.raises(SizeCapError):
         enumerate_strategies(big)
     with pytest.raises(SizeCapError):
         random_local_model(big, seed=1)
+    assert time.perf_counter() - t0 < 0.5
+
+
+def test_best_response_product_is_capped():
+    """Party 0's 26 x 8,192 strategy matrix is under the cap, but its
+    product with a functional over party 1's 4,097 binary inputs would
+    hold 8,192 x 8,194 entries (537 MB): refused before it is formed."""
+    sc = Scenario(inputs_per_party=(13, 4097), outputs=((2,) * 13, (2,) * 4097))
+    t0 = time.perf_counter()
+    with pytest.raises(SizeCapError, match="best-response matrix"):
+        local_bound(BellFunctional(scenario=sc, coeffs=np.zeros(sc.dimension)))
     assert time.perf_counter() - t0 < 0.5
 
 
@@ -370,6 +390,55 @@ def test_local_bound_matches_bruteforce_on_lifted_scenario():
               for s in oracle_strategies(LIFTED)]
     assert bound == max(values)
     assert argmax == int(np.argmax(values))
+
+
+def test_local_bound_of_large_integer_coefficients_does_not_overflow():
+    """Integer coefficients past the int64 range are summed as floats:
+    every CHSH coefficient 3e18 bounds at 4 x 3e18, and CHSH scaled by
+    1e19 at 2e19, with no cast warning."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        bound, _ = local_bound(BellFunctional(scenario=CHSH, coeffs=np.full(16, 3e18)))
+        scaled = local_bound(BellFunctional(scenario=CHSH, coeffs=chsh_functional().coeffs * 1e19))
+    assert bound == pytest.approx(1.2e19, rel=1e-15)
+    assert scaled == (2e19, 0)
+
+
+BOUND_SCENARIOS = [
+    Scenario(inputs_per_party=(3,), outputs=((2, 1, 3),)),
+    CHSH, UNEVEN, LIFTED_32,
+    Scenario(inputs_per_party=(2, 1, 2), outputs=((2, 3), (2,), (1, 2))),
+    Scenario.uniform(3, 2, 2),
+    Scenario.uniform(4, 2, 2),
+]
+
+
+@settings(deadline=None, max_examples=120)
+@given(scenario=st.sampled_from(BOUND_SCENARIOS), seed=st.integers(0, 2**32 - 1),
+       kind=st.sampled_from(["zero", "small", "large", "dyadic", "float"]))
+def test_local_bound_is_the_first_best_column_of_the_strategy_matrix(scenario, seed, kind):
+    """The best response gives the maximum and the first argmax of
+    c @ V on 1- to 4-party scenarios with uneven alphabets and a
+    single-output input.  Small integers tie often, and the zero
+    functional picks strategy 0.  Integers whose absolute sum is below
+    2**53 and quarters are summed exactly by both routes; normal floats
+    agree to round-off."""
+    rng = np.random.default_rng(seed)
+    d = scenario.dimension
+    c = {"zero": lambda: np.zeros(d),
+         "small": lambda: rng.integers(-2, 3, d).astype(float),
+         "large": lambda: rng.integers(-(2**53 // d) + 1, 2**53 // d, d).astype(float),
+         "dyadic": lambda: rng.integers(-8, 9, d) / 4.0,
+         "float": lambda: rng.normal(size=d)}[kind]()
+    values = c @ strategy_matrix(scenario)
+    bound, index = local_bound(BellFunctional(scenario=scenario, coeffs=c))
+    assert index == int(np.argmax(values))
+    if kind == "float":
+        assert bound == pytest.approx(values.max(), rel=1e-12, abs=1e-12)
+    else:
+        assert bound == values.max()
+    if kind == "zero":
+        assert (bound, index) == (0.0, 0)
 
 
 # -- reduced coordinates ----------------------------------------------------
