@@ -10,9 +10,13 @@ chsh on every fixture, facets on chsh_scenario, quantum on random
 3x3-dimensional, 3-input setups at seeds 1-3, plain and with lossy
 detectors binned, and threshold efficiency on singlet_chsh; then
 membership and derive-inequality, in both formats, on the (2,4,4) and
-(2,4,5) signalling tables where party 0 answers party 1's input.  New
-operations go at the end, so digests of older checkouts still compare
-by name.  Each runs through ``bellbox.cli.main`` in this
+(2,4,5) signalling tables where party 0 answers party 1's input; then,
+where a layout change can go wrong, tables on uneven alphabets in both
+formats: validate, classify, membership and derive-inequality on a
+local, a nonlocal and a signalling table of ``UNEVEN``, and classify
+and quantum on a setup document whose inputs have different outcome
+counts.  New operations go at the end, so digests of older checkouts
+still compare by name.  Each runs through ``bellbox.cli.main`` in this
 process, with bellbox imported from this checkout's src; perfbench/decks.py
 is imported and not written to.  Documents go to a temporary directory,
 whose path is masked as ``<tmp>`` in the output.  A line holds the
@@ -44,11 +48,15 @@ from bellbox import Scenario, validate_behavior  # noqa: E402
 from bellbox.cli import main  # noqa: E402
 from bellbox.documents import emit_document  # noqa: E402
 from bellbox.fixtures import fixture_names, fixture_path  # noqa: E402
+from bellbox.quantum import (BellSetup, MeasurementSet, lift_with_efficiency,  # noqa: E402
+                             random_setup)
 
 SEEDS = (1, 2, 3)
 FIXTURE_VERBS = ("validate", "classify", "membership")
 MORE_FIXTURE_VERBS = ("derive-inequality", "chsh")
 FORMATS = ("text", "structured")
+UNEVEN = Scenario((2, 3), ((2, 3), (3, 2, 2)))
+UNEVEN_VERBS = ("validate", "classify", "membership", "derive-inequality")
 
 
 def operations():
@@ -80,6 +88,17 @@ def operations():
             for fmt in FORMATS:
                 yield (f"signalling/input-copier-2-4-{outputs}/{verb}/{fmt}",
                        [verb, doc, "--format", fmt], {doc: text})
+    for label, prob in UNEVEN_TABLES.items():
+        doc = f"uneven-{label}.json"
+        text = emit_document(uneven_table(prob))
+        for verb in UNEVEN_VERBS:
+            for fmt in FORMATS:
+                yield f"uneven/{label}/{verb}/{fmt}", [verb, doc, "--format", fmt], {doc: text}
+    doc = "uneven-setup.json"
+    text = emit_document(uneven_setup())
+    for verb in ("classify", "quantum"):
+        for fmt in FORMATS:
+            yield f"uneven/setup/{verb}/{fmt}", [verb, doc, "--format", fmt], {doc: text}
 
 
 def input_copier(outputs):
@@ -90,6 +109,42 @@ def input_copier(outputs):
     for y in range(4):
         table[:, y, y, 0] = 1.0
     return validate_behavior(sc, table.reshape(-1))
+
+
+def _tri(n):
+    return n * (n + 1) // 2
+
+
+UNEVEN_TABLES = {
+    # a product of (a + 1) and (b + 1) weights
+    "local": lambda x, y, a, b: (a + 1) * (b + 1) / (_tri(UNEVEN.outputs[0][x])
+                                                     * _tri(UNEVEN.outputs[1][y])),
+    # a PR box on inputs and outputs 0 and 1, and independent fair coins at y = 2
+    "nonlocal": lambda x, y, a, b: (0.0 if a > 1 or b > 1 else 0.25 if y == 2
+                                    else 0.5 if a ^ b == x & y else 0.0),
+    # party 0 answers party 1's input, as far as its alphabet reaches
+    "signalling": lambda x, y, a, b: float(a == y % UNEVEN.outputs[0][x] and b == 0),
+}
+
+
+def uneven_table(prob):
+    """The table on UNEVEN with entry prob(x, y, a, b), laid out block by
+    block from the scenario's joint inputs and outputs."""
+    return validate_behavior(UNEVEN, [prob(x, y, a, b) for x, y in UNEVEN.joint_inputs()
+                                      for a, b in UNEVEN.joint_outputs((x, y))])
+
+
+def uneven_setup():
+    """A (3, 2)-dimensional, (3, 2)-input random setup at seed 1 with
+    party 0's input 1 and party 1's input 0 lifted by a no-click outcome
+    at efficiency 0.8."""
+    base = random_setup(1, dims=(3, 2), inputs=(3, 2))
+    alice = MeasurementSet(dim=3, effects=(
+        base.alice.effects[0], lift_with_efficiency(base.alice, 0.8).effects[1],
+        base.alice.effects[2]))
+    bob = MeasurementSet(dim=2, effects=(
+        lift_with_efficiency(base.bob, 0.8).effects[0], base.bob.effects[1]))
+    return BellSetup(state=base.state, alice=alice, bob=bob)
 
 
 def fixture_operation(fixture, verb, fmt):

@@ -172,11 +172,10 @@ def _float_list(raw, what: str) -> np.ndarray:
 
 
 def _complex_matrix(raw, what: str) -> np.ndarray:
-    try:
+    try:  # each entry is exactly two numbers, [re, im]
         return np.array(
-            [[complex(float(e[0]) if type(e[0]) in _NUMBER else _refuse(),
-                      float(e[1]) if type(e[1]) in _NUMBER else _refuse())
-              for e in row] for row in raw]
+            [[complex(*(float(v) if type(v) in _NUMBER else _refuse() for v in e))
+              if len(e) == 2 else _refuse() for e in row] for row in raw]
         )
     except (TypeError, ValueError, OverflowError, IndexError, KeyError):
         raise ValidationError(f"{what} must be a matrix of [re, im] pairs") from None

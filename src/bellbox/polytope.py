@@ -4,9 +4,9 @@ The local polytope of a scenario is the convex hull of its deterministic
 strategies.  This module enumerates those strategies, evaluates and
 canonicalizes linear functionals against them, reduces behaviors to the
 Collins-Gisin coordinates, and enumerates the polytope's facets by the
-double description method in those coordinates.  Deterministic tables
-and relabelling permutations are positions read off the scenario's
-table layout in bulk (``scenario._entries``).
+double description method in those coordinates.  The strategy matrix,
+deterministic tables and relabelling permutations are positions read in
+bulk (``scenario._entries``) off the scenario's one table layout.
 
 Canonical forms make functionals comparable across derivation routes:
 two functionals that agree on every normalized no-signalling behavior
@@ -37,8 +37,8 @@ import numpy as np
 
 from .errors import SizeCapError, StalledError, ValidationError
 from .lp import check_entries
-from .scenario import (_CHSH_SCENARIO, Behavior, Scenario, _entries, _layout, _marginal_index,
-                       validate_behavior)
+from .scenario import (_CHSH_SCENARIO, Behavior, Scenario, _blocks, _entries, _layout,
+                       _marginal_index, validate_behavior)
 from .tolerances import (DEFAULT_TOL, FACET_ZERO_TOL, GAUGE_RANK_TOL, INTEGER_FIT_TOL,
                          NEGATIVE_WEIGHT_TOL, PURE_GAUGE_TOL)
 
@@ -74,7 +74,7 @@ class DeterministicStrategy:
         return self.assignments[party][x]
 
     def behavior(self) -> Behavior:
-        inputs = _layout(self.scenario)[1]
+        inputs = _blocks(self.scenario).inputs
         outputs = [np.asarray(row)[x] for row, x in zip(self.assignments, inputs)]
         probs = np.zeros(self.scenario.dimension)
         probs[_entries(self.scenario, inputs, outputs)] = 1.0
@@ -113,19 +113,16 @@ def strategy_matrix(scenario: Scenario) -> np.ndarray:
 
     Built by index arithmetic: strategy j's digits in the mixed radix of
     the (party, input) alphabets, party-major and last digit fastest, are
-    its outputs, and each input block gets a single 1 at its offset plus
-    the mixed-radix index of those outputs within the block.
+    its outputs, and each input block gets a single 1 at the position of
+    those outputs, all (blocks x strategies) positions in one bulk read.
     """
     count = _checked_strategy_count(scenario)
     columns = np.arange(count)
-    digits = np.unravel_index(columns, [k for outs in scenario.outputs for k in outs])
-    first = np.cumsum([0] + list(scenario.inputs_per_party))  # first digit of each party
+    digits = np.array(np.unravel_index(columns, [k for outs in scenario.outputs for k in outs]))
+    first = np.cumsum([0, *scenario.inputs_per_party])  # first digit of each party
+    inputs = _blocks(scenario).inputs
     V = np.zeros((scenario.dimension, count))
-    for inputs in scenario.joint_inputs():
-        within = np.zeros(count, dtype=np.intp)
-        for p, x in enumerate(inputs):
-            within = within * scenario.outputs[p][x] + digits[first[p] + x]
-        V[scenario.block_offset(inputs) + within, columns] = 1.0
+    V[_entries(scenario, inputs[:, :, None], digits[first[:-1, None] + inputs]), columns] = 1.0
     V.setflags(write=False)
     return V
 
@@ -240,7 +237,7 @@ def _best_response(scenario: Scenario) -> tuple[np.ndarray, np.ndarray, np.ndarr
     starts = np.cumsum([0, *scenario.outputs[-1]])
     check_entries("best-response matrix", others.shape[0], starts[-1])
     rows, inputs = np.divmod(index.cells(k), index.contexts[k])
-    order = np.argsort(rows * starts[-1] + starts[inputs] + _layout(scenario)[3][-1])
+    order = np.argsort(rows * starts[-1] + starts[inputs] + _layout(scenario)[1][-1])
     order.setflags(write=False)
     return order, starts[:-1], others
 
@@ -266,8 +263,8 @@ def chsh_functional(signs: tuple[int, int, int, int] = (1, 1, 1, -1)) -> BellFun
     scenario; the default sign pattern is the familiar three-plus-one."""
     if len(signs) != 4 or any(s not in (-1, 1) for s in signs):
         raise ValidationError("signs must be four values of +1 or -1")
-    blocks, inputs, _, (a, b) = _layout(_CHSH_SCENARIO)
-    x, y = inputs[:, blocks]
+    blocks, (a, b) = _layout(_CHSH_SCENARIO)
+    x, y = _blocks(_CHSH_SCENARIO).inputs[:, blocks]
     coeffs = np.asarray(signs)[2 * x + y] * np.where(a == b, 1.0, -1.0)
     bound, _ = local_bound(BellFunctional(scenario=_CHSH_SCENARIO, coeffs=coeffs))
     return BellFunctional(scenario=_CHSH_SCENARIO, coeffs=coeffs, local_bound=bound)
@@ -285,7 +282,7 @@ def reduced_space(scenario: Scenario) -> np.ndarray:
     ``M.T @ a``, which pairs with every behavior as ``a`` pairs with its
     reduced coordinates."""
     index = _marginal_index(scenario)
-    entry_blocks, _, counts, outputs = _layout(scenario)
+    (entry_blocks, outputs), counts = _layout(scenario), _blocks(scenario).counts
     last = outputs == counts[:, entry_blocks] - 1  # entries at a party's last output
     blocks = []
     for k in range(1, len(index.subsets)):
@@ -413,7 +410,7 @@ def _relabelling_perm(scenario, sigma, pis, taus) -> np.ndarray:
     New party p takes old party sigma(p)'s data; its input x maps to
     pis[p](x) and, per new input, outputs rename through the matching
     entry of ``taus`` (flattened party-major by new input)."""
-    blocks, inputs, _, outputs = _layout(scenario)
+    (blocks, outputs), inputs = _layout(scenario), _blocks(scenario).inputs
     tau = np.concatenate(taus)
     starts = np.cumsum([0, *(k for outs in scenario.outputs for k in outs)])  # per (party, input)
     first = np.cumsum([0, *scenario.inputs_per_party])  # each party's first (party, input)
@@ -427,11 +424,12 @@ def _relabelling_perm(scenario, sigma, pis, taus) -> np.ndarray:
 
 
 def relabel_functional(functional: BellFunctional, perm: np.ndarray) -> BellFunctional:
-    """Apply an index permutation; the deterministic bound is unchanged
-    because strategies map onto strategies."""
-    return BellFunctional(scenario=functional.scenario,
-                          coeffs=functional.coeffs[perm],
-                          local_bound=functional.local_bound)
+    """Apply an index permutation and recompute a set deterministic
+    bound, which a permutation that is no relabelling can move."""
+    sc, coeffs, bound = functional.scenario, functional.coeffs[perm], functional.local_bound
+    if bound is not None:
+        bound = local_bound(BellFunctional(scenario=sc, coeffs=coeffs))[0]
+    return BellFunctional(scenario=sc, coeffs=coeffs, local_bound=bound)
 
 
 # -- facet enumeration ------------------------------------------------------

@@ -6,7 +6,7 @@ module also covers the two standard experimental complications: detector
 inefficiency, modeled by shrinking every effect and adding an explicit
 no-click outcome, and the bookkeeping step of folding no-clicks back into
 an ordinary outcome.  States and effects are checked at the tolerances
-of ``tolerances``.
+of ``tolerances``.  Tables are read through the scenario's one layout.
 """
 
 from __future__ import annotations
@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ValidationError
-from .scenario import Behavior, Scenario, _entries, _layout, validate_behavior
+from .scenario import Behavior, Scenario, _blocks, _entries, _layout, validate_behavior
 from .tolerances import DEFAULT_TOL, EFFECT_TOL, EIG_FLOOR, STATE_TOL
 
 DIM_CAP = 4
@@ -154,12 +154,11 @@ def behavior_from_setup(setup: BellSetup, tol: float = DEFAULT_TOL) -> Behavior:
     alice = np.array([m for row in setup.alice.effects for m in row])
     bob = np.array([m for row in setup.bob.effects for m in row])
     table = np.einsum("ikjl,rji,slk->rs", rho4, alice, bob).real
-    # joint input major, then the outputs, party 0 slowest in both
-    split_a = np.cumsum(setup.alice.outcome_counts)[:-1]
-    split_b = np.cumsum(setup.bob.outcome_counts)[:-1]
-    vec = np.concatenate([block.ravel() for rows in np.split(table, split_a, axis=0)
-                          for block in np.split(rows, split_b, axis=1)])
-    return validate_behavior(setup.scenario, vec, tol=tol)
+    sc = setup.scenario  # entry (x, a, y, b) sits at row (x, a) and column (y, b) of the table
+    blocks, (a, b) = _layout(sc)
+    x, y = _blocks(sc).inputs[:, blocks]
+    starts = [np.cumsum([0, *counts]) for counts in sc.outputs]  # each input's first row, column
+    return validate_behavior(sc, table[starts[0][x] + a, starts[1][y] + b], tol=tol)
 
 
 def lift_with_efficiency(mset: MeasurementSet, efficiency: float) -> MeasurementSet:
@@ -199,9 +198,9 @@ def bin_last_outcome(behavior: Behavior) -> Behavior:
         inputs_per_party=sc.inputs_per_party,
         outputs=tuple(tuple(n - 1 for n in row) for row in sc.outputs),
     )
-    blocks, inputs, counts, outputs = _layout(sc)
-    folded = np.where(outputs == counts[:, blocks] - 1, 0, outputs)
-    entries = _entries(target, inputs[:, blocks], folded)
+    (blocks, outputs), layout = _layout(sc), _blocks(sc)
+    folded = np.where(outputs == layout.counts[:, blocks] - 1, 0, outputs)
+    entries = _entries(target, layout.inputs[:, blocks], folded)
     vec = np.bincount(entries, weights=behavior.probs, minlength=target.dimension)
     return validate_behavior(target, vec, tol=behavior.tol)
 

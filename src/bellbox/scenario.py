@@ -5,9 +5,10 @@ can choose, and how many outputs each (party, input) pair can produce.
 A behavior is the conditional probability table P(outputs | inputs) laid
 out as a flat vector in one fixed lexicographic order that every other
 module shares, and checked at a tolerance ``tolerances.require_tolerance``
-vets.  That layout is kept once per scenario (``_layout``: each entry's
-input block and outputs), and ``flat_index`` has one bulk form
-(``_entries``), so code that maps whole tables reads positions in bulk.
+vets.  That layout is worked out here only, once per scenario, per
+input block (``_blocks``) and per entry (``_layout``), and ``flat_index``
+has one bulk form (``_entries``), so code that maps whole tables reads
+positions in bulk and lays out no table itself.
 One marginal index per scenario sums the table into the joint marginals
 of every party subset: a subset's cells are positions in the subset's
 own table, in the layout ``probs`` uses, times its remote contexts.  The
@@ -22,6 +23,7 @@ import math
 import operator
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
+from typing import NamedTuple
 
 import numpy as np
 
@@ -94,10 +96,6 @@ class Scenario:
         return math.prod(self.outputs_for(inputs))
 
     @cached_property
-    def _block_offsets(self) -> tuple[int, ...]:
-        return _block_offsets_of(self)  # built once per scenario value
-
-    @cached_property
     def dimension(self) -> int:
         """Length of a behavior vector on this scenario: the sum over joint
         inputs of the product of their output counts, which factors into
@@ -113,22 +111,43 @@ class Scenario:
         return idx
 
     def block_offset(self, inputs: tuple[int, ...]) -> int:
-        return self._block_offsets[self.joint_input_index(inputs)]
+        return int(_blocks(self).offsets[self.joint_input_index(inputs)])
 
     def block_slice(self, inputs: tuple[int, ...]) -> slice:
-        j = self.joint_input_index(inputs)
-        return slice(self._block_offsets[j], self._block_offsets[j + 1])
+        j, offsets = self.joint_input_index(inputs), _blocks(self).offsets
+        return slice(int(offsets[j]), int(offsets[j + 1]))
+
+
+class _Blocks(NamedTuple):
+    """A scenario's input blocks, joint inputs in order; read-only."""
+
+    inputs: np.ndarray  # each block's inputs, (parties, blocks)
+    counts: np.ndarray  # each block's output counts, (parties, blocks)
+    sizes: np.ndarray  # each block's entry count
+    offsets: np.ndarray  # where each block starts in the flat table, its length last
+    groups: tuple  # per block size: the block numbers and their entries, (blocks, size)
+    alphabets: tuple[np.ndarray, ...]  # each party's output counts by input
+    float_band: np.ndarray  # each block's sum may miss 1 by this and stay unscaled: 4 eps x size
 
 
 @lru_cache(maxsize=32)
-def _block_offsets_of(scenario: Scenario) -> tuple[int, ...]:
-    """Where each input block starts in the flat table, joint inputs in
-    order, and the table's length last.  Cached by value, since every
-    document builds its own scenario."""
-    offsets = [0]
-    for joint in scenario.joint_inputs():
-        offsets.append(offsets[-1] + scenario.block_size(joint))
-    return tuple(offsets)
+def _blocks(sc: Scenario) -> _Blocks:
+    """The table's block tier, the one place block positions are worked
+    out.  Cached by value, since every document builds its own scenario."""
+    alphabets = tuple(np.array(row) for row in sc.outputs)
+    inputs = np.array(np.unravel_index(np.arange(sc.joint_input_count), sc.inputs_per_party))
+    counts = np.array([alphabets[p][inputs[p]] for p in range(sc.parties)])
+    sizes = counts.prod(axis=0)
+    offsets = np.concatenate([[0], np.cumsum(sizes)])
+    groups = []
+    for k in sorted(set(sizes.tolist())):  # np.unique would import numpy.ma
+        blocks = np.flatnonzero(sizes == k)
+        groups.append((blocks, offsets[blocks, None] + np.arange(k)))
+    float_band = 4.0 * FLOAT_EPS * sizes
+    for array in (inputs, counts, sizes, offsets, float_band, *alphabets,
+                  *(a for g in groups for a in g)):
+        array.setflags(write=False)
+    return _Blocks(inputs, counts, sizes, offsets, tuple(groups), alphabets, float_band)
 
 
 def flat_index(scenario: Scenario, inputs: tuple[int, ...], outputs: tuple[int, ...]) -> int:
@@ -167,6 +186,7 @@ def _entries(scenario: Scenario, inputs, outputs):
     P(outputs | inputs) for choices given party by party (an iterable of
     ints or arrays each, all broadcast together, so a caller can gather
     one party at a time).  No choices give position 0."""
+    layout = _blocks(scenario)
     joint = within = 0
     for p, (x, a) in enumerate(zip(inputs, outputs)):
         if p == 0:
@@ -174,27 +194,24 @@ def _entries(scenario: Scenario, inputs, outputs):
         else:  # in place: a wide table's steps allocate no new arrays
             joint *= scenario.inputs_per_party[p]
             joint += x
-            within *= np.asarray(scenario.outputs[p])[x]
+            within *= layout.alphabets[p][x]
             within += a
-    return np.asarray(scenario._block_offsets)[joint] + within
+    return layout.offsets[joint] + within
 
 
 @lru_cache(maxsize=32)
-def _layout(sc: Scenario) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """The flat table's layout: each entry's input block; each block's
-    inputs and output counts, (parties, blocks) each; and each entry's
-    outputs, (parties, dimension).  Cached by value; read-only."""
-    offsets = np.array(sc._block_offsets)
-    blocks = np.repeat(np.arange(sc.joint_input_count), np.diff(offsets))
-    inputs = np.array(np.unravel_index(np.arange(sc.joint_input_count), sc.inputs_per_party))
-    counts = np.array([np.array(sc.outputs[p])[inputs[p]] for p in range(sc.parties)])
+def _layout(sc: Scenario) -> tuple[np.ndarray, np.ndarray]:
+    """Each entry's input block, and its outputs, (parties, dimension),
+    from ``_blocks``.  Cached by value; read-only."""
+    layout = _blocks(sc)
+    blocks = np.repeat(np.arange(layout.sizes.size), layout.sizes)
     outputs = np.empty((sc.parties, sc.dimension), dtype=np.intp)
-    within = np.arange(sc.dimension) - offsets[blocks]
+    within = np.arange(sc.dimension) - layout.offsets[blocks]
     for p in reversed(range(sc.parties)):  # the last party's output varies fastest
-        within, outputs[p] = np.divmod(within, counts[p, blocks])
-    for array in (blocks, inputs, counts, outputs):
+        within, outputs[p] = np.divmod(within, layout.counts[p, blocks])
+    for array in (blocks, outputs):
         array.setflags(write=False)
-    return blocks, inputs, counts, outputs
+    return blocks, outputs
 
 
 @dataclass(frozen=True, eq=False)
@@ -219,26 +236,6 @@ class Behavior:
         return float(self.probs[flat_index(self.scenario, inputs, outputs)])
 
 
-@lru_cache(maxsize=32)
-def _blocks_by_size(scenario: Scenario) -> tuple[np.ndarray, np.ndarray, tuple]:
-    """The size of every input block, the miss from 1 of each block's sum
-    below which ``validate_behavior`` leaves the block unscaled (4 eps x
-    its size), and the blocks grouped by size: per size, the block
-    numbers and a (blocks, size) matrix of the flat indices of their
-    entries.  Cached by value, since every document builds its own
-    scenario; the arrays are read-only."""
-    offsets = np.array(scenario._block_offsets)
-    sizes = np.diff(offsets)
-    groups = []
-    for k in sorted(set(sizes.tolist())):  # np.unique would import numpy.ma
-        blocks = np.flatnonzero(sizes == k)
-        groups.append((blocks, offsets[blocks, None] + np.arange(k)))
-    float_band = 4.0 * FLOAT_EPS * sizes
-    for array in (sizes, float_band, *(a for group in groups for a in group)):
-        array.setflags(write=False)
-    return sizes, float_band, tuple(groups)
-
-
 def validate_behavior(scenario: Scenario, raw, tol: float = DEFAULT_TOL) -> Behavior:
     """Check and normalize a flat probability table into a Behavior.
 
@@ -258,28 +255,28 @@ def validate_behavior(scenario: Scenario, raw, tol: float = DEFAULT_TOL) -> Beha
         )
     if not np.all(np.isfinite(vec)):
         raise ValidationError("behavior contains non-finite entries")
-    sizes, float_band, groups = _blocks_by_size(scenario)
+    layout = _blocks(scenario)
     clipped = np.where(vec < 0.0, 0.0, vec)
-    sums = np.empty(sizes.size)
-    for blocks, index in groups:
+    sums = np.empty(layout.sizes.size)
+    for blocks, index in layout.groups:
         # a row sum of a contiguous copy adds in the order block.sum() does
         sums[blocks] = clipped[index].sum(axis=1)
     miss = np.abs(sums - 1.0)
     if vec.min() < -tol or miss.max() > tol:
-        for j, joint in enumerate(scenario.joint_inputs()):
-            worst = vec[scenario.block_slice(joint)].min()
-            if worst < -tol:
-                raise ValidationError(
-                    f"input block {joint}: negative probability {worst:.3e} below -tol"
-                )
-            if miss[j] > tol:
-                raise ValidationError(
-                    f"input block {joint}: probabilities sum to {float(sums[j])!r}, "
-                    f"expected 1 within {tol}"
-                )
-    rescale = miss > float_band
+        worst = np.minimum.reduceat(vec, layout.offsets[:-1])
+        j = int(np.argmax((worst < -tol) | (miss > tol)))
+        joint = tuple(layout.inputs[:, j].tolist())
+        if worst[j] < -tol:
+            raise ValidationError(
+                f"input block {joint}: negative probability {worst[j]:.3e} below -tol"
+            )
+        raise ValidationError(
+            f"input block {joint}: probabilities sum to {float(sums[j])!r}, "
+            f"expected 1 within {tol}"
+        )
+    rescale = miss > layout.float_band
     if rescale.any():
-        clipped /= np.repeat(np.where(rescale, sums, 1.0), sizes)
+        clipped /= np.repeat(np.where(rescale, sums, 1.0), layout.sizes)
     return Behavior(scenario=scenario, probs=clipped, tol=tol)
 
 
@@ -348,8 +345,8 @@ class _MarginalIndex:
         if k in self.kept:
             return self.kept[k]
         T, (remote, dims) = self.subsets[k], self.remote(k)
-        _, inputs, counts, outputs = _layout(self.scenario)
-        sizes = counts.prod(axis=0)  # each block's inputs repeat over its entries
+        layout, outputs = _blocks(self.scenario), _layout(self.scenario)[1]
+        inputs, sizes = layout.inputs, layout.sizes  # a block's inputs repeat over its entries
         positions = _entries(self.tables[k], (np.repeat(inputs[p], sizes) for p in T),
                              (outputs[p] for p in T))
         context = np.repeat(np.ravel_multi_index(inputs[remote], dims), sizes) if remote else 0
@@ -367,8 +364,9 @@ class _MarginalIndex:
         """(T's inputs, T's outputs, remote inputs) of the k-th subset's
         cell; ``cell`` maps it back."""
         n, (position, context) = len(self.subsets[k]), divmod(int(cell), self.contexts[k])
-        blocks, inputs, _, outputs = _layout(self.tables[k])
-        return (tuple(inputs[:n, blocks[position]].tolist()), tuple(outputs[:n, position].tolist()),
+        (blocks, outputs), inputs = _layout(self.tables[k]), _blocks(self.tables[k]).inputs
+        return (tuple(inputs[:n, blocks[position]].tolist()),
+                tuple(outputs[:n, position].tolist()),
                 tuple(int(x) for x in np.unravel_index(context, self.remote(k)[1])))
 
     def cell(self, k: int, key: tuple) -> int:
@@ -458,13 +456,13 @@ def named_behavior(name: str, scenario: Scenario | None = None, tol: float = DEF
     """
     if name == "uniform":
         sc = scenario if scenario is not None else _CHSH_SCENARIO
-        sizes = _blocks_by_size(sc)[0]
+        sizes = _blocks(sc).sizes
         return validate_behavior(sc, np.repeat(1.0 / sizes, sizes), tol=tol)
     if scenario is not None and scenario != _CHSH_SCENARIO:
         raise ValidationError(f"behavior {name!r} is only defined on the (2,2,2) scenario")
     sc = _CHSH_SCENARIO
-    blocks, inputs, _, (a, b) = _layout(sc)
-    x, y = inputs[:, blocks]
+    blocks, (a, b) = _layout(sc)
+    x, y = _blocks(sc).inputs[:, blocks]
     if name == "pr_box":
         vec = np.where((a ^ b) == (x & y), 0.5, 0.0)
     elif name == "signalling_demo":

@@ -13,6 +13,7 @@ from hypothesis import example, given, settings, strategies as st
 
 from bellbox import Scenario, named_behavior
 from bellbox.analysis import chsh_value
+from bellbox.cli import main
 from bellbox.documents import (
     emit_document,
     parse_document,
@@ -319,6 +320,24 @@ def test_matrix_entries_take_json_numbers_only(entry):
     payload["alice"][0][0][1][1][1] = entry
     with pytest.raises(ValidationError, match="alice effect"):
         parse_document_text(json.dumps(payload))
+
+
+@pytest.mark.parametrize("entry", [[1, 0, 3], [1], []], ids=["three", "one", "none"])
+def test_matrix_entries_are_exactly_pairs(entry, tmp_path):
+    """Every complex entry is a two-element [re, im] list (README).  One
+    with more numbers is refused like one with fewer, and the command
+    line exits 2 on it, not 0 with the extra numbers dropped."""
+    payload = json.loads(emit_document(named_setup("singlet_chsh")))
+    payload["state"][1][1] = entry
+    with pytest.raises(ValidationError, match="state must be a matrix of \\[re, im\\] pairs"):
+        parse_document_text(json.dumps(payload))
+    payload = json.loads(emit_document(named_setup("singlet_chsh")))
+    payload["bob"][0][1][0][0] = entry
+    with pytest.raises(ValidationError, match="bob effect \\(0, 1\\) must be a matrix"):
+        parse_document_text(json.dumps(payload))
+    path = tmp_path / "setup.json"
+    path.write_text(json.dumps(payload))
+    assert main(["validate", str(path)]) == 2
 
 
 @pytest.mark.parametrize("dims", [[2.0, 2], ["2", 2], [True, 2]])

@@ -27,7 +27,7 @@ from bellbox.documents import write_document
 from bellbox.errors import SizeCapError, StalledError
 from bellbox.polytope import (BellFunctional, _gauge_basis, local_bound, reduced_space,
                               strategy_matrix)
-from bellbox.scenario import (_layout, _marginal_index, flat_index, named_behavior,
+from bellbox.scenario import (_blocks, _layout, _marginal_index, flat_index, named_behavior,
                               no_signalling_defect)
 from bellbox.tolerances import GAUGE_RANK_TOL
 
@@ -523,7 +523,7 @@ def test_wide_table_is_refused_before_any_large_allocation(shape, tmp_path):
 
 def test_many_party_table_is_refused_by_the_scan_cap():
     """(10,2,2): 1,022 proper subsets times 2**20 entries is past the
-    scan's cap, which builds nothing: no table layout, no cell."""
+    scan's cap, which builds nothing: no per-entry layout, no cell."""
     sc = Scenario.uniform(10, 2, 2)
     layouts = _layout.cache_info()
     behavior = named_behavior("uniform", sc)
@@ -563,7 +563,7 @@ def test_signalling_table_past_the_lp_cap(tmp_path, capsys):
 def _input_copier(outputs):
     """Party 0 answers party 1's input and party 1 answers 0, on (2,4,k)."""
     sc = Scenario.uniform(2, 4, outputs)
-    blocks, inputs, _, (a, b) = _layout(sc)
+    (blocks, (a, b)), inputs = _layout(sc), _blocks(sc).inputs
     return validate_behavior(sc, np.where((a == inputs[1, blocks]) & (b == 0), 1.0, 0.0))
 
 

@@ -294,14 +294,20 @@ def test_strategy_matrix_is_cached():
     Scenario.uniform(3, 2, 2),
     Scenario(inputs_per_party=(2, 3), outputs=((2, 3), (3, 1, 2))),
     Scenario.uniform(2, 3, 3),
-], ids=["chsh", "232", "322", "mixed", "233"])
+    Scenario(inputs_per_party=(1, 2, 1), outputs=((3,), (2, 4), (2,))),
+    Scenario(inputs_per_party=(2, 2), outputs=((1, 3), (2, 1))),
+], ids=["chsh", "232", "322", "mixed", "233", "three-uneven", "single-output"])
 def test_strategy_matrix_matches_strategy_objects(scenario):
     """Index arithmetic gives bit for bit the columns of the public
-    strategy objects, in their enumeration order."""
+    strategy objects, in their enumeration order.  Both read the table
+    layout, so each column is also checked against the table built
+    entry by entry."""
     expected = np.column_stack([s.behavior().probs for s in enumerate_strategies(scenario)])
     V = strategy_matrix(scenario)
     assert V.dtype == expected.dtype and V.shape == expected.shape
     assert np.array_equal(V, expected)
+    for column, assignment in zip(V.T, oracle_strategies(scenario)):
+        assert column.tobytes() == oracle_table(scenario, assignment).tobytes()
     assert not V.flags.writeable
 
 
@@ -658,6 +664,19 @@ def test_relabelling_preserves_local_bound():
         bound, _ = local_bound(g)
         assert bound == 2.0
         assert canonicalize(g).key() in family
+
+
+def test_index_permutation_recomputes_the_local_bound():
+    """A permutation of the entries that is no relabelling can move the
+    bound: swapping CHSH's first two entries lifts it from 2 to 4."""
+    f = chsh_functional()
+    perm = np.arange(CHSH.dimension)
+    perm[[0, 1]] = [1, 0]
+    g = relabel_functional(f, perm)
+    assert g.coeffs.tolist() == f.coeffs[perm].tolist()
+    assert g.local_bound == local_bound(g)[0] == 4.0
+    unbounded = BellFunctional(scenario=CHSH, coeffs=f.coeffs)
+    assert relabel_functional(unbounded, perm).local_bound is None
 
 
 def test_relabelling_orbit_of_chsh_has_eight_elements():

@@ -17,7 +17,7 @@ from bellbox import (
     validate_behavior,
 )
 from bellbox.errors import ValidationError
-from bellbox.scenario import _block_offsets_of
+from bellbox.scenario import _blocks
 
 CHSH = Scenario.uniform(2, 2, 2)
 
@@ -39,14 +39,14 @@ def test_ragged_scenario_dimension():
 def test_length_is_refused_before_any_block_is_laid_out(monkeypatch):
     """Three parties with 1,000 inputs each have 10^9 joint inputs.  The
     table length is the product of each party's summed output counts,
-    so a table of the wrong length is refused without the block offsets,
+    so a table of the wrong length is refused without the block layout,
     which would enumerate every joint input."""
     import bellbox.scenario as scenario
 
     def unreachable(sc):
-        raise AssertionError("block offsets built before the length check")
+        raise AssertionError("block layout built before the length check")
 
-    monkeypatch.setattr(scenario, "_block_offsets_of", unreachable)
+    monkeypatch.setattr(scenario, "_blocks", unreachable)
     sc = Scenario(inputs_per_party=(1000,) * 3, outputs=((2,) * 1000,) * 3)
     assert sc.dimension == 2000 ** 3
     with pytest.raises(ValidationError, match="behavior has length 0, scenario dimension"):
@@ -54,9 +54,10 @@ def test_length_is_refused_before_any_block_is_laid_out(monkeypatch):
 
 
 def test_block_offsets_are_built_once_per_scenario_value():
-    """Every document builds its own Scenario; equal ones share offsets."""
+    """Every document builds its own Scenario; equal ones share one block
+    layout, built once."""
     inputs, outputs = (2, 3, 1), ((2, 3), (4, 1, 2), (3,))
-    _block_offsets_of.cache_clear()
+    _blocks.cache_clear()
     first = Scenario(inputs_per_party=inputs, outputs=outputs)
     second = Scenario(inputs_per_party=inputs, outputs=outputs)
     assert first is not second and first == second
@@ -68,8 +69,9 @@ def test_block_offsets_are_built_once_per_scenario_value():
     for j, joint in enumerate(itertools.product(*(range(n) for n in inputs))):
         assert second.block_slice(joint) == slice(offsets[j], offsets[j + 1])
         assert first.block_offset(joint) == offsets[j]
-    info = _block_offsets_of.cache_info()
-    assert (info.misses, info.hits) == (1, 1)
+        assert type(first.block_offset(joint)) is type(second.block_slice(joint).stop) is int
+    info = _blocks.cache_info()
+    assert (info.misses, info.currsize) == (1, 1) and info.hits > 0
 
 
 def test_scenario_rejects_empty_alphabets():
