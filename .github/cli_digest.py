@@ -22,7 +22,9 @@ is imported and not written to.  Documents go to a temporary directory,
 whose path is masked as ``<tmp>`` in the output.  A line holds the
 operation's name, its command line, the exit code, the sha256 of its
 stdout and of its stderr, and the simplex iteration count of each LP it
-solved, read through a wrapper on ``bellbox.analysis.solve``.
+solved, read through wrappers on ``bellbox.analysis.solve`` and on the
+staged solve ``bellbox.analysis._solve_then_maximize``, which counts once
+with the pivots of both its stages.
 
 Two runs in one checkout must print the same bytes.  The lines of two
 checkouts, compared by name, show which operations a change moved.
@@ -160,14 +162,20 @@ def sha256(text: str) -> str:
 
 def digest():
     iterations = []
-    solve = bellbox.analysis.solve
+    solve, staged = bellbox.analysis.solve, bellbox.analysis._solve_then_maximize
 
     def counted(*args, **kwargs):
         out = solve(*args, **kwargs)
         iterations.append(out.iterations)
         return out
 
+    def counted_staged(*args, **kwargs):
+        first, second = staged(*args, **kwargs)
+        iterations.append((second or first).iterations)
+        return first, second
+
     bellbox.analysis.solve = counted
+    bellbox.analysis._solve_then_maximize = counted_staged
     with tempfile.TemporaryDirectory() as tmp:
         def mask(text: str) -> str:
             return text.replace(tmp, "<tmp>")

@@ -9,10 +9,13 @@ for the critical detection efficiency are built on that one program.
 A table whose signalling defect exceeds the tolerance never reaches it:
 the shift of its worst marginal is already a violated inequality.
 
-The critical visibility has a program of its own: the largest weight of
-a behavior in a mixture with local noise that stays local.  Its optimal
-mixture and its row prices answer every probe of the visibility
-bisection, so that threshold takes one solve instead of one per probe.
+The critical visibility is the same program continued: the noise's
+distance program gains one column, the weight of the behavior in its
+blend with the noise, and once the simplex has decided the noise at
+distance zero it goes on, with the slacks fixed at zero, to the largest
+weight that stays local.  That optimum's mixture and row prices answer
+every probe of the visibility bisection, so the threshold takes one
+program and one simplex instead of one solve per probe.
 
 Every default and recheck tolerance here comes from ``tolerances``, and
 each public entry point refuses a ``tol`` that is not a positive, finite
@@ -27,7 +30,7 @@ from enum import Enum
 import numpy as np
 
 from .errors import StalledError, ValidationError
-from .lp import LinearProgram, check_size, solve
+from .lp import LinearProgram, _solve_then_maximize, check_size, solve
 from .polytope import (BellFunctional, LocalModel, canonicalize, chsh_functional, local_bound,
                        strategy_count, strategy_matrix)
 from .quantum import BellSetup, behavior_from_setup, lift_with_efficiency
@@ -88,7 +91,8 @@ class ThresholdResult:
     tolerance: float
 
 
-def _distance_program(V: np.ndarray, probs: np.ndarray) -> LinearProgram:
+def _distance_program(V: np.ndarray, probs: np.ndarray,
+                      toward: np.ndarray | None = None) -> LinearProgram:
     """l1 distance from the behavior to the deterministic mixtures.
 
     Variables are (w, u, v) >= 0: minimize sum(u + v) subject to
@@ -103,18 +107,28 @@ def _distance_program(V: np.ndarray, probs: np.ndarray) -> LinearProgram:
     gives every row a structural unit column (w_s0 for the last row, u_k
     or v_k for row k), so the simplex starts at the feasible point
     w = e_s0 and needs no phase 1.
+
+    Given ``toward``, a table p', one more variable t follows at cost 0,
+    with column (p - p'; 0).  At u = v = 0 the rows then read
+    V w = (1 - t) p + t p' and sum(w) = 1: the largest such t is the
+    largest weight of p' in a blend with p that stays local, the
+    visibility program of Kaszlikowski et al., PRL 85, 4418 (2000),
+    written as a continuation of p's own distance program.
     """
     d, n = V.shape
     # |p - V[:, s]|_1 = sum(p) + (1 - 2p).V[:, s] for 0/1 columns
     s0 = int(np.argmin((1.0 - 2.0 * probs) @ V))
-    A = np.zeros((d + 1, n + 2 * d))
+    cols = n + 2 * d + (toward is not None)
+    A = np.zeros((d + 1, cols))
     np.subtract(V, V[:, s0:s0 + 1], out=A[:d, :n])
     np.fill_diagonal(A[:d, n:n + d], 1.0)
-    np.fill_diagonal(A[:d, n + d:], -1.0)
+    np.fill_diagonal(A[:d, n + d:n + 2 * d], -1.0)
     A[d, :n] = 1.0
+    if toward is not None:
+        np.subtract(probs, toward, out=A[:d, -1])
     b = np.append(probs - V[:, s0], 1.0)
-    cost = np.zeros(n + 2 * d)
-    cost[n:] = 1.0
+    cost = np.zeros(cols)
+    cost[n:n + 2 * d] = 1.0
     return LinearProgram(A=A, b=b, c=cost, maximize=False)
 
 
@@ -130,14 +144,22 @@ def _decide(behavior: Behavior, tol: float = DEFAULT_TOL) -> tuple[bool, np.ndar
     d = behavior.scenario.dimension
     check_size(d + 1, strategy_count(behavior.scenario) + 2 * d)
     V = strategy_matrix(behavior.scenario)
-    n = V.shape[1]
-    p = behavior.probs
     # the simplex stops at the first vertex within its tol of distance 0;
     # a looser tol moves only the decision below, so that the model the
     # simplex stops at still meets MODEL_TOL
-    out = solve(_distance_program(V, p), tol=min(tol, DEFAULT_TOL))
+    out = solve(_distance_program(V, behavior.probs), tol=min(tol, DEFAULT_TOL))
+    return _decision(behavior, V, out, tol)
+
+
+def _decision(behavior: Behavior, V: np.ndarray, out, tol: float) -> tuple[bool, np.ndarray]:
+    """``_decide``'s verdict and witness, read off the outcome ``out`` of
+    the behavior's distance program over the strategy matrix ``V``; a
+    program with more columns after the weights and slacks reads the
+    same."""
     if out.status != "optimal":
         raise StalledError(f"membership program ended with status {out.status!r}")
+    d, n = V.shape
+    p = behavior.probs
     if out.objective <= tol:
         # basic weights at or below DEFAULT_TOL are round-off (or a few
         # 1e-12 below zero near the boundary): drop them, so the support is
@@ -349,56 +371,49 @@ def _bisect(parameter: str, is_local_at, tol: float) -> ThresholdResult:
     )
 
 
-def _visibility_program(V: np.ndarray, probs: np.ndarray, noise: np.ndarray) -> LinearProgram:
-    """Largest weight v at which v p + (1 - v) q is a deterministic mixture.
+def _visibility_probe(behavior: Behavior, noise: Behavior):
+    """Decide the noise and find the critical visibility v* on one
+    simplex, and return a probe that decides v p + (1 - v) q for any v in
+    [0, 1] with ``_decide``'s contract: (True, weights) or (False, c),
+    each rechecked on that mixture; None when v is unbounded, which
+    happens exactly when p = q.  A nonlocal noise is refused.
 
-    Variables are (w, v) >= 0: maximize v subject to V w - v (p - q) = q
-    and sum(w) = 1 (Kaszlikowski et al., PRL 85, 4418 (2000)).  With q
-    local, the feasible v form an interval [0, v*], and v* < 1 exactly
-    when p is nonlocal.  The program is bounded unless p = q: an
-    improving ray has dw >= 0 with sum(dw) = 0, so dw = 0 and p - q = 0.
-    Its optimal w is a local model at v*; its row prices (-c, t) satisfy
-    c.V_s <= t for every strategy s and c.(p - q) >= 1, so c separates
-    every mixture with v > v*.
+    The program is the noise's distance program continued toward p
+    (``_distance_program``), and ``_solve_then_maximize`` runs it in two
+    stages.  The first is the noise's own distance solve, with the same
+    pivots, verdict and model as ``_decide(noise)``.  The second fixes
+    the slacks at zero and maximizes t: its optimal w is a local model
+    at v*, and its first d row prices, which taking V[:, s0] times the
+    last row off the first d rows leaves as they were, are -c with
+    c.V_s <= c.q + v* for every strategy s and c.(p - q) >= 1, so c
+    separates every mixture with v > v*.
+
+    At or below v*, the weights are the optimal mixture rescaled toward
+    the noise's model, q's own at v = 0; above it, c is the program's
+    cut.  Each recheck carries a guard of the decision tolerance, so the
+    probe calls every mixture as ``_decide`` would; a mixture within
+    round-off of v* fails both and goes to ``_decide``.
     """
-    d, n = V.shape
-    A = np.empty((d + 1, n + 1))
-    A[:d, :n] = V
-    np.subtract(noise, probs, out=A[:d, n])
-    A[d, :n] = 1.0
-    A[d, n] = 0.0
-    cost = np.zeros(n + 1)
-    cost[n] = 1.0
-    return LinearProgram(A=A, b=np.append(noise, 1.0), c=cost, maximize=True)
-
-
-def _visibility_probe(behavior: Behavior, noise: Behavior, noise_weights: np.ndarray):
-    """Solve ``_visibility_program`` once and return a probe that decides
-    v p + (1 - v) q for any v in [0, 1] with ``_decide``'s contract:
-    (True, weights) or (False, c), each rechecked on that mixture; None
-    when the program is unbounded, which happens exactly when p = q, since
-    v is then free.
-
-    At or below the optimum v*, the weights are the optimal mixture
-    rescaled toward ``noise_weights``, q's own model at v = 0; above it,
-    c is the program's cut.  Each recheck carries a guard of the decision
-    tolerance, so the probe calls every mixture as ``_decide`` would; a
-    mixture within round-off of v* fails both and goes to ``_decide``.
-    """
-    V = strategy_matrix(behavior.scenario)
+    sc = behavior.scenario
+    d = sc.dimension
+    check_size(d + 1, strategy_count(sc) + 2 * d + 1)
+    V = strategy_matrix(sc)
     n = V.shape[1]
     p, q = behavior.probs, noise.probs
-    out = solve(_visibility_program(V, p, q))
+    first, out = _solve_then_maximize(_distance_program(V, q, toward=p), n + 2 * d)
+    noise_is_local, noise_weights = _decision(noise, V, first, DEFAULT_TOL)
+    if not noise_is_local:
+        raise ValidationError("noise behavior must be local")
     if out.status == "unbounded":
         return None
     if out.status != "optimal":
         raise StalledError(f"visibility program ended with status {out.status!r}")
-    v_star = max(float(out.x[n]), 0.0)
+    v_star = max(out.objective, 0.0)
     # basic weights can end a few 1e-12 below zero, as in _decide
     weights = np.clip(out.x[:n], 0.0, None)
     weights = weights / weights.sum()
-    cut = -out.y[:V.shape[0]]
-    cut_bound = local_bound(BellFunctional(scenario=behavior.scenario, coeffs=cut))[0]
+    cut = -out.y[:d]
+    cut_bound = local_bound(BellFunctional(scenario=sc, coeffs=cut))[0]
     cut_guard = 2.0 * DEFAULT_TOL * float(np.abs(cut).max())
 
     def probe(v: float) -> tuple[bool, np.ndarray]:
@@ -426,21 +441,19 @@ def visibility_threshold(
     certified-local side.
 
     The bracket is the one a bisection of ``_decide`` calls would give,
-    but one program (``_visibility_program``) answers every probe: its
-    optimal mixture certifies the local ones and its cut the nonlocal
-    ones, each rechecked on the probe's mixture (``_visibility_probe``).
+    but one simplex answers every probe (``_visibility_probe``): the
+    noise's distance program decides the noise and then continues to the
+    visibility optimum, whose mixture certifies the local probes and
+    whose cut the nonlocal ones, each rechecked on the probe's mixture.
     Its probe at full visibility also decides the behavior itself, and
-    the program is unbounded exactly when the behavior is the noise.
-    That is two solves with the noise's own check, plus one for any
-    probe that lands within round-off of the threshold.
+    the visibility is unbounded exactly when the behavior is the noise.
+    That is one program and one simplex, plus one solve for any probe
+    that lands within round-off of the threshold.
     """
     if behavior.scenario != noise.scenario:
         raise ValidationError("behavior and noise live on different scenarios")
     _check_bisection_tol(tol)
-    noise_is_local, noise_weights = _decide(noise)
-    if not noise_is_local:
-        raise ValidationError("noise behavior must be local")
-    probe = _visibility_probe(behavior, noise, noise_weights)
+    probe = _visibility_probe(behavior, noise)
     if probe is None or probe(1.0)[0]:
         raise ValidationError(
             "behavior is already local at full visibility; no threshold exists"

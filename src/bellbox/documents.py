@@ -16,6 +16,7 @@ command-line report with the bytes of ``json.dumps(..., indent=2)``.
 
 from __future__ import annotations
 
+import itertools
 import json
 import math
 from pathlib import Path
@@ -75,13 +76,16 @@ def document_payload(obj) -> dict:
 
 
 _encode_string = json.encoder.encode_basestring_ascii
+# JSON numbers as ``json`` reads them; a bool is not one, though it is an int
+_NUMBER = (int, float)
 
 
 def _indented(obj, pad: str) -> str:
     """``obj`` as ``json.dumps(obj, indent=2)`` renders it at indentation
     ``pad``.  Strings, finite floats, ints, bools, None and the lists and
-    str-keyed dicts of them are rendered here; anything else, non-finite
-    floats included, is left to ``json.dumps``, re-indented."""
+    str-keyed dicts of them are rendered here, and a list of nothing but
+    floats and ints by the C encoder; anything else, a non-finite float
+    outside such a list included, is left to ``json.dumps``, re-indented."""
     if isinstance(obj, str):
         return _encode_string(obj)
     if obj is None:
@@ -98,8 +102,14 @@ def _indented(obj, pad: str) -> str:
     if isinstance(obj, (list, tuple)):
         if not obj:
             return "[]"
-        items = (_indented(v, inner) for v in obj)
-        return "[\n" + inner + (",\n" + inner).join(items) + "\n" + pad + "]"
+        if set(map(type, obj)).issubset(_NUMBER):
+            # floats and ints (a bool's type is neither), NaN and the
+            # infinities included, are rendered by the C encoder as the
+            # indenting one renders them
+            body = json.dumps(obj, separators=(",\n" + inner, ": "))[1:-1]
+        else:
+            body = (",\n" + inner).join(_indented(v, inner) for v in obj)
+        return "[\n" + inner + body + "\n" + pad + "]"
     if isinstance(obj, dict) and all(isinstance(k, str) for k in obj):
         if not obj:
             return "{}"
@@ -128,10 +138,6 @@ def _require(payload: dict, field: str, kind: str):
     if field not in payload:
         raise ValidationError(f"{kind} document is missing field {field!r}")
     return payload[field]
-
-
-# JSON numbers as ``json`` reads them; a bool is not one, though it is an int
-_NUMBER = (int, float)
 
 
 def _refuse():
@@ -171,7 +177,29 @@ def _float_list(raw, what: str) -> np.ndarray:
         raise ValidationError(f"{what} must be a flat list of numbers") from None
 
 
+def _pair_array(raw, ndim: int) -> np.ndarray | None:
+    """``raw`` read at once as an ``ndim``-dimensional complex array, when
+    it nests lists of [re, im] pairs of JSON numbers evenly; None
+    otherwise, for ``_complex_matrix`` to read entry by entry or refuse
+    with its message.  A number is read as ``float`` reads it, -0.0
+    included; an integer too large for a float gives None."""
+    try:
+        leaves = np.array(raw, dtype=object)
+    except ValueError:
+        return None
+    if (leaves.ndim != ndim + 1 or leaves.shape[-1] != 2
+            or not set(map(type, leaves.flat)).issubset(_NUMBER)):
+        return None
+    try:
+        return leaves.astype(np.float64).view(complex)[..., 0]
+    except OverflowError:
+        return None
+
+
 def _complex_matrix(raw, what: str) -> np.ndarray:
+    mat = _pair_array(raw, 2)
+    if mat is not None:
+        return mat
     try:  # each entry is exactly two numbers, [re, im]
         return np.array(
             [[complex(*(float(v) if type(v) in _NUMBER else _refuse() for v in e))
@@ -209,6 +237,26 @@ def _parse_functional(payload: dict) -> BellFunctional:
     )
 
 
+def _effects(rows, field: str) -> tuple[tuple[np.ndarray, ...], ...]:
+    """One party's effects, per input: read as one array when every
+    effect is a matrix of one shape, and effect by effect otherwise."""
+    if type(rows) is list and all(type(row) is list for row in rows):
+        counts = [len(row) for row in rows]
+        stack = _pair_array([m for row in rows for m in row], 3)
+        if stack is not None:
+            ends = itertools.accumulate(counts)
+            return tuple(tuple(stack[end - c:end]) for c, end in zip(counts, ends))
+    try:
+        return tuple(
+            tuple(_complex_matrix(m, f"{field} effect ({x}, {a})") for a, m in enumerate(row))
+            for x, row in enumerate(rows)
+        )
+    except TypeError:
+        raise ValidationError(
+            f"setup document: {field} must list, per input, a list of effects"
+        ) from None
+
+
 def _parse_setup(payload: dict) -> BellSetup:
     dims = _require(payload, "dims", "setup")
     try:
@@ -223,16 +271,7 @@ def _parse_setup(payload: dict) -> BellSetup:
     sides = []
     for field, dim in (("alice", dim_a), ("bob", dim_b)):
         rows = _require(payload, field, "setup")
-        try:
-            effects = tuple(
-                tuple(_complex_matrix(m, f"{field} effect ({x}, {a})") for a, m in enumerate(row))
-                for x, row in enumerate(rows)
-            )
-        except TypeError:
-            raise ValidationError(
-                f"setup document: {field} must list, per input, a list of effects"
-            ) from None
-        sides.append(MeasurementSet(dim=dim, effects=effects))
+        sides.append(MeasurementSet(dim=dim, effects=_effects(rows, field)))
     return BellSetup(state=state, alice=sides[0], bob=sides[1])
 
 

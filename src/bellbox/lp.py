@@ -47,10 +47,15 @@ takes a long step.  When every cost is nonnegative,
 c.x >= 0 holds on the whole feasible set, so a feasible basis whose
 objective is within tol of zero is optimal to within tol as it stands:
 phase 2 stops there, whatever the reduced costs say, and y = 0 is its
-dual certificate.  Every outcome carries evidence: a primal solution
-for feasible problems, a Farkas vector for infeasible ones, an
-improving ray for unbounded ones, and each can be checked against its
-own verification inequality by an independent routine.  The
+dual certificate.  One private entry, ``_solve_then_maximize``, keeps the
+simplex alive past such an optimum: a column kept out of pricing during
+the solve is then maximized over the points at the optimum, with the
+columns that the costs charge retired from pricing and no second phase
+1, so a program and its continuation share one basis.  Every outcome
+carries evidence: a primal solution for feasible problems, a Farkas
+vector for infeasible ones, an improving ray for unbounded ones, and
+each can be checked against its own verification inequality by an
+independent routine.  The
 tolerances come from ``tolerances``; the size cap and the pivot limit
 are this module's own, and ``check_size`` and ``check_entries`` apply it.
 
@@ -289,11 +294,13 @@ class _Simplex:
     pattern of ``A`` counts each column's nonzeros and sums their rows,
     and ``np.minimum.at`` keeps each row's smallest +e_i and -e_i
     column.  Under nonnegative costs a phase-2 basis whose objective is
-    at most ``tol`` ends the phase.
+    at most ``tol`` ends the phase.  ``live``, when given, masks the
+    structural columns that pricing may enter; the others do not start
+    basic, and one that is basic leaves only by a pivot or ``drive_out``.
     """
 
     def __init__(self, A: np.ndarray, b: np.ndarray, max_iters: int,
-                 tol: float = DEFAULT_TOL):
+                 tol: float = DEFAULT_TOL, live: np.ndarray | None = None):
         sign = np.where(b < 0.0, -1.0, 1.0)
         self.row_sign = sign
         m, n = A.shape
@@ -312,7 +319,8 @@ class _Simplex:
         tally[0] = 1.0
         tally[1] = np.arange(m)
         count, row_sum = tally @ (A != 0.0)
-        single = np.flatnonzero(count == 1.0)
+        # a column that pricing may not enter does not start basic either
+        single = np.flatnonzero((count == 1.0) if live is None else (count == 1.0) & live)
         rows = row_sum[single].astype(np.intp)
         value = A[rows, single] * sign[rows]
         unit = np.abs(value) == 1.0
@@ -331,6 +339,8 @@ class _Simplex:
         self.mate[plus[both]] = minus[both]
         self.mate[minus[both]] = plus[both]
         self.paired = bool(both.any())
+        # the structural columns that pricing may enter, None for all of them
+        self.live = live
         self.max_iters = max_iters
         self.iterations = 0
         self.tol = tol
@@ -501,13 +511,16 @@ class _Simplex:
 
     def _entering(self, steepest: bool) -> int | None:
         """The entering column under the kept reduced costs, None when no
-        cost is below ``-PIVOT_TOL``: the largest r_j^2 / gamma_j, or the
+        cost of a ``live`` column is below ``-PIVOT_TOL``: the largest
+        r_j^2 / gamma_j, or the
         smallest index under Bland's rule.  The weights are built here, on
         the first pricing with a column to enter.  The scores are written
         into kept buffers, the ineligible ones as zero."""
         if self.n == 0:
             return None  # no column, and argmax has nothing to reduce
         eligible = np.less(self.reduced, -PIVOT_TOL, out=self.eligible)
+        if self.live is not None:
+            eligible &= self.live
         j = int(eligible.argmax())  # the first eligible column, if any
         if not eligible[j]:
             return None
@@ -589,21 +602,27 @@ class _Simplex:
         assert status == "optimal"  # phase-1 objective is bounded below by zero
         return float(self.cB @ self.xB)
 
-    def drive_out_artificials(self):
-        """Pivot each basic artificial onto the first structural column
-        with an entry above ``PIVOT_TOL`` in its row of the tableau.
+    def drive_out(self):
+        """Pivot each basic column that pricing may not enter, an
+        artificial or a structural column outside ``live``, onto the first
+        column that it may enter with an entry above ``PIVOT_TOL`` in its
+        row of the tableau.  Each such column is basic at zero, to within
+        the band of the phase or stage that ended, so the pivots are
+        degenerate.
 
-        A row with no such entry is redundant, and nothing is deleted: its
-        artificial stays basic at zero (to within the phase-1 band), at
-        cost 0 in phase 2, and its column of ``Binv`` stays +-e_i, since
-        every other row keeps a zero there for good, so its price is zero.
-        Its tableau entries are at most ``PIVOT_TOL``, below the least
-        pivot that the ratio test takes, so phase 2 passes the row by;
-        should an entry grow past it, the artificial leaves as any basic
-        column does, for good."""
-        for i in np.flatnonzero(self.basis >= self.n).tolist():
-            row = self.Binv[i] @ self.A
-            cands = np.flatnonzero(np.abs(row) > PIVOT_TOL)
+        A row with no such entry is redundant on the columns that remain,
+        and nothing is deleted: its column stays basic at zero, at cost 0
+        in the phase that follows.  For an artificial, its column of
+        ``Binv`` stays +-e_i, since every other row keeps a zero there for
+        good, so its price is zero.  Its tableau entries are at most
+        ``PIVOT_TOL``, below the least pivot that the ratio test takes, so
+        the next phase passes the row by; should an entry grow past it,
+        the column leaves as any basic column does, for good."""
+        enters = np.zeros(self.n + self.basis.size, dtype=bool)
+        enters[:self.n] = True if self.live is None else self.live
+        for i in np.flatnonzero(~enters[self.basis]).tolist():
+            entries = np.abs(self.Binv[i] @ self.A) > PIVOT_TOL
+            cands = np.flatnonzero(entries & enters[:self.n])
             if cands.size:
                 j = int(cands[0])
                 self._pivot(i, j, self.column(j))
@@ -662,35 +681,93 @@ def solve(lp: LinearProgram, tol: float = DEFAULT_TOL,
     tol = require_tolerance(tol)
     std = _StandardForm(lp)
     sx = _Simplex(std.A, std.b, max_iters, tol)
-
-    gap = sx.phase1()
-    if gap > tol * max(1.0, float(np.abs(std.b).max(initial=0.0))):
-        # phase-1 prices already satisfy y.A <= 0 with y.b = gap > 0
-        out = LpOutcome(status="infeasible", y=sx.duals(), iterations=sx.iterations)
-    elif lp.c is None:
-        sx.drive_out_artificials()
-        out = LpOutcome(status="feasible", x=std.to_original(sx.primal()),
-                        iterations=sx.iterations)
-    else:
-        sx.drive_out_artificials()
-        sx.install_costs(std.c_min, 0.0)
-        status, enter = sx.run(phase=2)
-        x = std.to_original(sx.primal())
-        if status == "unbounded":
-            out = LpOutcome(status="unbounded", x=x, ray=std.ray_to_original(sx.ray(enter)),
-                            iterations=sx.iterations)
-        else:
-            y = sx.duals()  # prices of the minimized objective: a maximum negates them
-            out = LpOutcome(status="optimal", x=x, y=-y if lp.maximize else y,
-                            objective=float(lp.c @ x), iterations=sx.iterations)
+    out = _phases(lp, std, sx)
     _check_internal(lp, std, out, tol)
     return out
 
 
-def _check_internal(lp: LinearProgram, std: _StandardForm, out: LpOutcome, tol: float):
+def _phases(lp: LinearProgram, std: _StandardForm, sx: _Simplex) -> LpOutcome:
+    """Run ``solve``'s phases on ``sx``, built over ``std``, and read the
+    outcome off the basis it ends on."""
+    gap = sx.phase1()
+    if gap > sx.tol * max(1.0, float(np.abs(std.b).max(initial=0.0))):
+        # phase-1 prices already satisfy y.A <= 0 with y.b = gap > 0
+        return LpOutcome(status="infeasible", y=sx.duals(), iterations=sx.iterations)
+    sx.drive_out()
+    if lp.c is None:
+        return LpOutcome(status="feasible", x=std.to_original(sx.primal()),
+                         iterations=sx.iterations)
+    sx.install_costs(std.c_min, 0.0)
+    return _phase2(std, sx, lp.c, lp.maximize)
+
+
+def _phase2(std: _StandardForm, sx: _Simplex, c: np.ndarray, maximize: bool) -> LpOutcome:
+    """Run phase 2 on the costs installed in ``sx``, which are those of
+    ``c`` in the orientation ``maximize``, and read the outcome."""
+    status, enter = sx.run(phase=2)
+    x = std.to_original(sx.primal())
+    if status == "unbounded":
+        return LpOutcome(status="unbounded", x=x, ray=std.ray_to_original(sx.ray(enter)),
+                         iterations=sx.iterations)
+    y = sx.duals()  # prices of the minimized objective: a maximum negates them
+    return LpOutcome(status="optimal", x=x, y=-y if maximize else y,
+                     objective=float(c @ x), iterations=sx.iterations)
+
+
+def _solve_then_maximize(lp: LinearProgram, k: int, tol: float = DEFAULT_TOL,
+                         max_iters: int = DEFAULT_MAX_ITERS) -> tuple[LpOutcome, LpOutcome | None]:
+    """Solve ``lp`` with variable ``k`` kept out of pricing, and so at
+    zero; where that ends optimal at an objective of at most ``tol``,
+    continue the same simplex to the largest x_k among the points at
+    that optimum.  ``lp`` has no variable bounds and nonnegative costs.
+
+    The first stage is ``solve`` with column ``k`` never entering: the
+    same phases, pivots and outcome (its x has x_k = 0, and a Farkas
+    vector covers the other columns).  At an optimum within tol of zero,
+    every column that the costs charge is zero to within tol, so the
+    second stage takes those columns out of pricing for good: ``drive_out`` pivots each one still basic onto a column
+    that may enter, where its row has one, and phase 2 then maximizes x_k
+    from that basis, with column k priced and no long step, since the
+    mates that a long step crosses to are charged columns.  No phase 1
+    runs again.  The second outcome is that of maximizing x_k over
+    ``A x = b``, x >= 0 with the charged columns fixed at zero:
+    "optimal" with x, row prices y in ``solve``'s orientation for a
+    maximum, and objective x_k, or "unbounded" with an improving ray.
+    Its ``iterations`` count the pivots of both stages.  It is None
+    where the first stage ends elsewhere.  Each outcome passes
+    ``_check_internal``.
+    """
+    tol = require_tolerance(tol)
+    std = _StandardForm(lp)
+    if not std.identity or lp.c is None or lp.c.min() < 0.0:
+        raise ValidationError("a staged solve takes a program without bounds and with "
+                              "nonnegative costs")
+    live = np.ones(lp.shape[1], dtype=bool)
+    live[k] = False
+    sx = _Simplex(std.A, std.b, max_iters, tol, live)
+    first = _phases(lp, std, sx)
+    _check_internal(lp, std, first, tol, held=k)
+    if first.status != "optimal" or not first.objective <= tol:
+        return first, None
+    np.equal(lp.c, 0.0, out=sx.live)
+    sx.live[k] = True
+    sx.paired = False
+    sx.drive_out()
+    goal = np.zeros(sx.n)
+    goal[k] = 1.0
+    sx.install_costs(-goal, 0.0)
+    second = _phase2(std, sx, goal, True)
+    _check_internal(lp, std, second, tol)
+    return first, second
+
+
+def _check_internal(lp: LinearProgram, std: _StandardForm, out: LpOutcome, tol: float,
+                    held: int | None = None):
     """Cheap invariant checks on the way out; a failure here means the
     tableau bookkeeping broke, which must never surface as a status.
-    Each test passes only on a number that meets it, so a NaN fails."""
+    Each test passes only on a number that meets it, so a NaN fails.  A
+    Farkas vector of a solve that held column ``held`` at zero proves
+    nothing about that column, which is not checked."""
     scale = max(1.0, float(np.abs(std.b).max(initial=0.0)))
     slack = 100.0 * tol * scale
     if out.x is not None:
@@ -699,6 +776,8 @@ def _check_internal(lp: LinearProgram, std: _StandardForm, out: LpOutcome, tol: 
             raise StalledError(f"solution residual {res:.3e} exceeds tolerance band")
     if out.status == "infeasible":
         dots = out.y @ std.A
+        if held is not None:
+            dots[held] = 0.0
         if not (dots.max(initial=0.0) <= slack and out.y @ std.b > 0.0):
             raise StalledError("infeasibility evidence failed its defining inequality")
 

@@ -260,9 +260,15 @@ def local_bound(functional: BellFunctional) -> tuple[float, int]:
 
 def chsh_functional(signs: tuple[int, int, int, int] = (1, 1, 1, -1)) -> BellFunctional:
     """Correlator functional s_xy (-1)^(a+b) on the two-input two-output
-    scenario; the default sign pattern is the familiar three-plus-one."""
+    scenario; the default sign pattern is the familiar three-plus-one.
+    The functional is immutable, and one is built per sign pattern."""
     if len(signs) != 4 or any(s not in (-1, 1) for s in signs):
         raise ValidationError("signs must be four values of +1 or -1")
+    return _chsh_functional(tuple(int(s) for s in signs))
+
+
+@lru_cache(maxsize=16)
+def _chsh_functional(signs: tuple[int, int, int, int]) -> BellFunctional:
     blocks, (a, b) = _layout(_CHSH_SCENARIO)
     x, y = _blocks(_CHSH_SCENARIO).inputs[:, blocks]
     coeffs = np.asarray(signs)[2 * x + y] * np.where(a == b, 1.0, -1.0)

@@ -77,34 +77,61 @@ class MeasurementSet:
             raise ValidationError("measurement dimension must be >= 1")
         if len(self.effects) < 1:
             raise ValidationError("a measurement set needs at least one input")
-        eye = np.eye(self.dim)
-        checked = []
+        # the effects up to the first malformed one (an empty input, a
+        # wrong shape, an entry that is no number), stacked; each check
+        # then makes one pass over the stack, and the first failure in
+        # the order of effects, and of the checks on each, is reported
+        dim, mats, names, counts, malformed = self.dim, [], [], [], None
         for x, row in enumerate(self.effects):
             if len(row) < 1:
-                raise ValidationError(f"input {x} has no outcomes")
-            mats = []
+                malformed = ValidationError(f"input {x} has no outcomes")
+                break
             for a, raw in enumerate(row):
-                m = _as_square_complex(raw, self.dim, f"effect ({x}, {a})")
-                skew = float(np.abs(m - m.conj().T).max())
-                if skew > EFFECT_TOL:
-                    raise ValidationError(
-                        f"effect ({x}, {a}) is not hermitian: asymmetry {skew:.3e}"
-                    )
-                low = float(np.linalg.eigvalsh(m).min())
-                if low < EIG_FLOOR:
-                    raise ValidationError(
-                        f"effect ({x}, {a}) is not positive semidefinite: eigenvalue {low:.3e}"
-                    )
-                m.setflags(write=False)
+                try:
+                    m = np.array(raw, dtype=complex)
+                except (TypeError, ValueError) as exc:
+                    malformed = exc
+                    break
+                if m.shape != (dim, dim):
+                    malformed = ValidationError(
+                        f"effect ({x}, {a}) has shape {m.shape}, expected ({dim}, {dim})")
+                    break
                 mats.append(m)
-            total = sum(mats)
-            gap = float(np.abs(total - eye).max())
-            if gap > EFFECT_TOL:
+                names.append((x, a))
+            if malformed is not None:
+                break
+            counts.append(len(row))
+        stack = np.array(mats).reshape(-1, dim, dim)
+        finite = np.isfinite(stack).all(axis=(1, 2))
+        stack[~finite] = 0.0  # only reported: what is left is checked
+        skew = np.abs(stack - stack.conj().transpose(0, 2, 1)).max(axis=(1, 2))
+        low = np.linalg.eigvalsh(stack).min(axis=1)
+        bad = np.flatnonzero(~finite | (skew > EFFECT_TOL) | (low < EIG_FLOOR))
+        # each complete input's sum, checked after its effects
+        ends = np.cumsum(counts, dtype=np.intp)
+        totals = (np.add.reduceat(stack[:ends[-1]], ends - counts, axis=0) if counts
+                  else stack[:0])
+        gap = np.abs(totals - np.eye(dim)).max(axis=(1, 2))
+        loose = np.flatnonzero(gap > EFFECT_TOL)
+        if loose.size and (not bad.size or loose[0] < names[bad[0]][0]):
+            x = int(loose[0])
+            raise ValidationError(
+                f"input {x}: effects sum to identity only within {gap[x]:.3e}")
+        if bad.size:
+            i = bad[0]
+            x, a = names[i]
+            if not finite[i]:
+                raise ValidationError(f"effect ({x}, {a}) contains non-finite entries")
+            if skew[i] > EFFECT_TOL:
                 raise ValidationError(
-                    f"input {x}: effects sum to identity only within {gap:.3e}"
-                )
-            checked.append(tuple(mats))
-        object.__setattr__(self, "effects", tuple(checked))
+                    f"effect ({x}, {a}) is not hermitian: asymmetry {skew[i]:.3e}")
+            raise ValidationError(
+                f"effect ({x}, {a}) is not positive semidefinite: eigenvalue {low[i]:.3e}")
+        if malformed is not None:
+            raise malformed
+        stack.setflags(write=False)
+        object.__setattr__(self, "effects",
+                           tuple(tuple(stack[end - c:end]) for c, end in zip(counts, ends)))
 
     @property
     def input_count(self) -> int:

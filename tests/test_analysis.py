@@ -21,9 +21,9 @@ from bellbox.analysis import (
     ThresholdResult,
     Verdict,
     _decide,
+    _decision,
     _distance_program,
     _visibility_probe,
-    _visibility_program,
     chsh_value,
     classify,
     derive_critical_inequality,
@@ -32,7 +32,8 @@ from bellbox.analysis import (
     visibility_threshold,
 )
 from bellbox.errors import SizeCapError, ValidationError
-from bellbox.lp import LinearProgram, _Simplex, solve, verify_certificate
+from bellbox.lp import (LinearProgram, LpOutcome, _Simplex, _solve_then_maximize, solve,
+                        verify_certificate)
 from bellbox.polytope import random_local_model, strategy_matrix
 from bellbox.quantum import (
     BellSetup,
@@ -333,13 +334,35 @@ def test_distance_program_iterations_are_pinned(kind, inputs, seed, iterations):
     assert out.iterations == iterations
 
 
-@pytest.mark.parametrize(("target", "iterations"), [("pr_box", 15), ("singlet", 15)])
+def visibility_lp(V, p, q):
+    """The visibility program in its own variables (w, v): maximize v
+    subject to V w - v (p - q) = q and sum(w) = 1."""
+    d, n = V.shape
+    A = np.zeros((d + 1, n + 1))
+    A[:d, :n] = V
+    A[:d, n] = q - p
+    A[d, :n] = 1.0
+    cost = np.zeros(n + 1)
+    cost[n] = 1.0
+    return LinearProgram(A=A, b=np.append(q, 1.0), c=cost, maximize=True)
+
+
+def staged_visibility(p, q, V):
+    """Both outcomes of the noise's distance program continued toward p."""
+    d, n = V.shape
+    return _solve_then_maximize(_distance_program(V, q, toward=p), n + 2 * d)
+
+
+@pytest.mark.parametrize(("target", "iterations"), [("pr_box", 11), ("singlet", 11)])
 def test_chsh_visibility_program_iterations_are_pinned(target, iterations):
-    """The CHSH visibility program against the uniform table: v* is 1/2
-    for the PR box and 1/sqrt(2) for the singlet."""
+    """The uniform table's distance program continued to the visibility
+    optimum: v* is 1/2 for the PR box and 1/sqrt(2) for the singlet.
+    The count takes in both stages: the noise's 3 pivots, the slacks
+    driven out, and the maximization of v."""
     p = (named_behavior("pr_box") if target == "pr_box"
          else behavior_from_setup(named_setup("singlet_chsh"))).probs
-    out = solve(_visibility_program(strategy_matrix(CHSH), p, named_behavior("uniform").probs))
+    first, out = staged_visibility(p, named_behavior("uniform").probs, strategy_matrix(CHSH))
+    assert first.iterations == 3
     assert out.status == "optimal"
     assert out.objective == pytest.approx(0.5 if target == "pr_box" else 1.0 / ROOT2, abs=1e-9)
     assert out.iterations == iterations
@@ -749,30 +772,51 @@ def test_visibility_threshold_rejects_local_target():
     behavior_from_setup(named_setup("werner", 0.6)),
 ], ids=["the-noise", "werner-0.60"])
 def test_local_target_is_refused_after_two_solves(monkeypatch, target):
-    """The noise itself makes the visibility program unbounded; a local
-    target that is not the noise gives v* > 1, and the probe at full
-    visibility calls it local.  Either way the target is refused as a
-    separate membership decision refused it, without a third solve."""
+    """The noise itself leaves the visibility unbounded; a local target
+    that is not the noise gives v* > 1, and the probe at full visibility
+    calls it local.  Either way the target is refused as a separate
+    membership decision refused it, after the two stages of the one
+    staged simplex, the noise's decision and the visibility program, and
+    with no solve besides."""
     import bellbox.analysis as analysis
 
     assert _decide(target)[0]
-    calls = []
+    stages, solves = [], []
+
+    def staged(*args, **kwargs):
+        stages.append(args)
+        return _solve_then_maximize(*args, **kwargs)
 
     def counting(*args, **kwargs):
-        calls.append(args)
+        solves.append(args)
         return solve(*args, **kwargs)
 
+    monkeypatch.setattr(analysis, "_solve_then_maximize", staged)
     monkeypatch.setattr(analysis, "solve", counting)
     with pytest.raises(ValidationError,
                        match="already local at full visibility; no threshold exists"):
         visibility_threshold(target, named_behavior("uniform"))
-    assert len(calls) <= 2
+    assert len(stages) == 1 and solves == []
 
 
 def test_visibility_threshold_rejects_nonlocal_noise():
     singlet = behavior_from_setup(named_setup("singlet_chsh"))
     with pytest.raises(ValidationError, match="noise"):
         visibility_threshold(singlet, named_behavior("pr_box"))
+
+
+def test_staged_solve_stops_where_the_noise_is_nonlocal():
+    """The PR box as noise ends its distance solve at 2, short of zero,
+    and the staged solve returns that outcome alone, as ``solve`` gives
+    it."""
+    V = strategy_matrix(CHSH)
+    pr_box = named_behavior("pr_box").probs
+    first, second = staged_visibility(named_behavior("uniform").probs, pr_box, V)
+    alone = solve(_distance_program(V, pr_box))
+    assert second is None
+    assert first.objective == alone.objective > 1.0
+    assert first.iterations == alone.iterations
+    assert np.array_equal(first.y, alone.y)
 
 
 def test_visibility_threshold_rejects_mismatched_scenarios():
@@ -813,21 +857,96 @@ def test_visibility_threshold_equals_decide_bisection(seed, inputs):
 
 
 def test_visibility_threshold_solves_two_programs(monkeypatch):
-    """The noise's own decision and the visibility program; the program's
-    probe at full visibility decides the behavior without a solve."""
+    """The noise's decision and the visibility program, solved as two
+    stages of one program on one simplex, with no phase 1 and no
+    ``solve``; the probe at full visibility decides the behavior without
+    a solve."""
     import bellbox.analysis as analysis
+    import bellbox.lp as lp
 
-    calls = []
+    built, phases, solves = [], [], []
+
+    class Recording(_Simplex):
+        def __init__(self, *args, **kwargs):
+            super().__init__(*args, **kwargs)
+            built.append(self)
+
+        def run(self, phase):
+            phases.append(phase)
+            return super().run(phase)
 
     def counting(*args, **kwargs):
-        calls.append(args)
+        solves.append(args)
         return solve(*args, **kwargs)
 
+    monkeypatch.setattr(lp, "_Simplex", Recording)
     monkeypatch.setattr(analysis, "solve", counting)
     res = visibility_threshold(behavior_from_setup(named_setup("singlet_chsh")),
                                named_behavior("uniform"))
     assert res.iterations == 20
-    assert len(calls) <= 2
+    assert len(built) == 1 and solves == []
+    assert phases == [2, 2]
+
+
+def _staged_cases():
+    """(target, noise) pairs: the PR box, the singlet, seeded (2,3,2)
+    setups and seeded (3,2,2) pair-PR tables, each against white noise."""
+    cases = [named_behavior("pr_box"), behavior_from_setup(named_setup("singlet_chsh"))]
+    cases += [first_nonlocal_setup(seed, (3, 3)) for seed in (1, 2)]
+    for seed in (1, 2):
+        sc, probs = _seeded_table("three-pr", 2, seed)
+        cases.append(validate_behavior(sc, probs))
+    return [(beh, named_behavior("uniform", beh.scenario)) for beh in cases]
+
+
+@pytest.mark.parametrize(("behavior", "noise"), _staged_cases(),
+                         ids=["pr_box", "singlet", "232-1", "232-2", "322-1", "322-2"])
+def test_staged_visibility_run(behavior, noise):
+    """Stage 1 is the noise's own distance solve, pivot for pivot; the
+    stage-2 outcome, read in the visibility program's variables, passes
+    that program's certificate check, and its v* is a cold solve's."""
+    V = strategy_matrix(behavior.scenario)
+    d, n = V.shape
+    p, q = behavior.probs, noise.probs
+    first, out = staged_visibility(p, q, V)
+    alone = solve(_distance_program(V, q))
+    assert first.iterations == alone.iterations
+    assert np.array_equal(first.x[:-1], alone.x) and first.x[-1] == 0.0
+    is_local, model = _decision(noise, V, first, 1e-9)
+    assert is_local and np.array_equal(model, _decide(noise)[1])
+
+    lp = visibility_lp(V, p, q)
+    s0 = int(np.argmin((1.0 - 2.0 * q) @ V))
+    y = -out.y  # the prices of the minimum of -t
+    y_last = y[d] - y[:d] @ V[:, s0]  # the last row's price before the row operation
+    staged = LpOutcome(status="optimal", x=np.append(out.x[:n], out.x[-1]),
+                       y=-np.append(y[:d], y_last), objective=out.objective)
+    assert verify_certificate(lp, staged).ok
+    cold = solve(lp)
+    assert cold.status == "optimal"
+    assert out.objective == pytest.approx(cold.objective, abs=1e-12)
+
+
+def test_retired_slacks_end_at_zero_and_never_enter(monkeypatch):
+    """Once the noise is decided, the slack pairs leave pricing: no pivot
+    of the second stage enters one, and each ends at zero."""
+    behavior = first_nonlocal_setup(1, (3, 3))
+    V = strategy_matrix(behavior.scenario)
+    d, n = V.shape
+    entered = []
+    pivot = _Simplex._pivot
+
+    def recording(self, i, j, col):
+        entered.append(j)
+        return pivot(self, i, j, col)
+
+    monkeypatch.setattr(_Simplex, "_pivot", recording)
+    noise = named_behavior("uniform", behavior.scenario)
+    first, out = staged_visibility(behavior.probs, noise.probs, V)
+    later = entered[first.iterations:]
+    assert len(later) == out.iterations - first.iterations > 0
+    assert all(j < n or j == n + 2 * d for j in later)
+    assert np.abs(out.x[n:n + 2 * d]).max() <= 1e-12
 
 
 @pytest.mark.parametrize("behavior", [
@@ -840,7 +959,7 @@ def test_visibility_bracket_ends_carry_rechecked_witnesses(behavior):
     its cut separates the raw mixture at the nonlocal end."""
     noise = named_behavior("uniform", behavior.scenario)
     res = visibility_threshold(behavior, noise)
-    probe = _visibility_probe(behavior, noise, _decide(noise)[1])
+    probe = _visibility_probe(behavior, noise)
     V = strategy_matrix(behavior.scenario)
     lo, hi = res.bracket
 
@@ -860,7 +979,7 @@ def test_visibility_probe_near_the_optimum_agrees_with_decide():
     """Probes within round-off of the PR box's threshold 1/2 are called
     as a fresh membership decision calls them."""
     pr_box, noise = named_behavior("pr_box"), named_behavior("uniform")
-    probe = _visibility_probe(pr_box, noise, _decide(noise)[1])
+    probe = _visibility_probe(pr_box, noise)
     for v in (0.5 - 1e-9, 0.5 - 1e-12, 0.5, 0.5 + 1e-12, 0.5 + 1e-10, 0.5 + 1e-8):
         expected = _decide(mix([(v, pr_box), (1.0 - v, noise)]))[0]
         assert probe(v)[0] is expected

@@ -391,6 +391,10 @@ _PAYLOADS = st.recursive(
         st.lists(st.floats(allow_nan=False, allow_infinity=False), max_size=8),
         st.lists(st.floats(), min_size=1, max_size=8),
         st.lists(_FLOATS, max_size=8),
+        # number lists, which the C encoder renders, with a bool or not
+        st.lists(st.one_of(st.floats(), st.integers(), st.integers(-10 ** 40, 10 ** 40)),
+                 min_size=1, max_size=8),
+        st.lists(st.one_of(st.floats(), st.integers(), st.booleans()), min_size=1, max_size=8),
     ),
     max_leaves=30,
 )
@@ -400,6 +404,8 @@ _PAYLOADS = st.recursive(
 @given(_PAYLOADS)
 @example([0.5, float("nan")])
 @example({"a": [float("-inf"), 1.0], "b": {}})
+@example({"w": [-0.0, float("nan"), float("inf"), -float("inf"), 0, 10 ** 40, 5e-324]})
+@example([[1, 2.5], (3, -0.0), [1, True], [np.float64(0.5), 1.0]])
 def test_render_json_is_json_dumps_byte_for_byte(payload):
     assert render_json(payload) == json.dumps(payload, indent=2)
 

@@ -19,6 +19,7 @@ from bellbox.lp import (
     _StandardForm,
     _bound_arrays,
     _check_internal,
+    _solve_then_maximize,
     solve,
     verify_certificate,
 )
@@ -917,3 +918,79 @@ def test_optimal_claim_without_a_point_is_not_verified():
     claim = LpOutcome(status="optimal", y=np.array([1.0, 2.0]), objective=3.0)
     report = verify_certificate(lp, claim)
     assert not report.ok
+
+
+# -- the staged solve -------------------------------------------------------
+
+def _staged_case(seed: int):
+    """A random program A x = b, x >= 0 whose nonnegative costs charge a
+    set of columns that some feasible point leaves at zero, so that the
+    minimum is 0; and the column ``k``, uncharged, to maximize after."""
+    rng = np.random.default_rng(seed)
+    m, n = int(rng.integers(2, 6)), int(rng.integers(6, 12))
+    A = rng.normal(size=(m, n))
+    charged = rng.random(n) < 0.4
+    k = int(rng.choice(np.flatnonzero(~charged)))
+    x0 = np.where(charged, 0.0, rng.random(n))
+    x0[k] = 0.0
+    cost = np.where(charged, rng.random(n) + 0.1, 0.0)
+    return LinearProgram(A=A, b=A @ x0, c=cost, maximize=False), charged, k
+
+
+@pytest.mark.parametrize("seed", range(30))
+def test_staged_solve_matches_scipy_on_the_optimal_face(seed):
+    """The first stage is ``solve`` with column k held at zero; the
+    second is the largest x_k with the charged columns fixed at zero, as
+    HiGHS finds it, with a certificate that passes against that program."""
+    lp, charged, k = _staged_case(seed)
+    first, second = _solve_then_maximize(lp, k)
+    held = [(0.0, 0.0) if j == k else (0.0, None) for j in range(lp.shape[1])]
+    ref = linprog(lp.c, A_eq=lp.A, b_eq=lp.b, bounds=held, method="highs")
+    assert first.status == "optimal" and first.x[k] == 0.0
+    assert first.objective == pytest.approx(ref.fun, abs=1e-9) and ref.fun < 1e-9
+    goal = np.zeros(lp.shape[1])
+    goal[k] = -1.0
+    face = [(0.0, 0.0) if c else (0.0, None) for c in charged]
+    ref = linprog(goal, A_eq=lp.A, b_eq=lp.b, bounds=face, method="highs")
+    if ref.status == 3:
+        assert second.status == "unbounded"
+        assert verify_certificate(LinearProgram(A=lp.A[:, ~charged], b=lp.b, c=-goal[~charged]),
+                                  dataclasses.replace(second, x=second.x[~charged],
+                                                      ray=second.ray[~charged])).ok
+    else:
+        assert second.status == "optimal"
+        assert second.objective == pytest.approx(-ref.fun, abs=1e-9)
+        assert np.abs(second.x[charged]).max(initial=0.0) <= 1e-12
+        restricted = LinearProgram(A=lp.A[:, ~charged], b=lp.b, c=-goal[~charged])
+        assert verify_certificate(restricted,
+                                  dataclasses.replace(second, x=second.x[~charged])).ok
+
+
+@pytest.mark.parametrize("program", [
+    LinearProgram(A=np.eye(2), b=np.ones(2), c=np.ones(2), maximize=False,
+                  bounds=((0.0, 2.0), (0.0, None))),
+    LinearProgram(A=np.eye(2), b=np.ones(2), c=np.array([1.0, -1.0]), maximize=False),
+    LinearProgram(A=np.eye(2), b=np.ones(2)),
+], ids=["bounds", "negative-cost", "no-cost"])
+def test_staged_solve_refuses_what_it_cannot_continue(program):
+    """The continuation fixes the charged columns at zero, which is the
+    optimal face only for nonnegative costs, and reads column k as it
+    stands, which needs a program without variable bounds."""
+    with pytest.raises(ValidationError, match="staged solve"):
+        _solve_then_maximize(program, 0)
+
+
+def test_staged_solve_holds_a_unit_column_at_zero():
+    """Column 0 is row 0's unit column, yet it is held: it does not start
+    basic, the first stage ends on column 1, and the second moves the
+    row to column 0.  Held at zero, x0 - x1 = 1 has no solution, and the
+    Farkas vector covers column 1 only."""
+    lp = LinearProgram(A=[[1.0, 1.0]], b=[1.0], c=[0.0, 0.0], maximize=False)
+    first, second = _solve_then_maximize(lp, 0)
+    assert first.x.tolist() == [0.0, 1.0] and first.iterations == 0
+    assert second.x.tolist() == [1.0, 0.0] and second.objective == 1.0
+    assert second.iterations == 1
+    first, second = _solve_then_maximize(
+        LinearProgram(A=[[1.0, -1.0]], b=[1.0], c=[0.0, 0.0], maximize=False), 0)
+    assert first.status == "infeasible" and second is None
+    assert first.y @ [-1.0] <= 0.0 < first.y @ [1.0]

@@ -372,6 +372,24 @@ def test_chsh_functional_coefficients():
     np.testing.assert_array_equal(f.coeffs, oracle_chsh_coeffs())
 
 
+def test_chsh_functional_is_built_once_per_sign_pattern(monkeypatch):
+    """The functional is immutable and its bound fixed, so a sign pattern
+    met before is answered from the cache, without ``local_bound``."""
+    import bellbox.polytope as polytope
+
+    f = chsh_functional((1, -1, 1, 1))
+
+    def no_bound(*args, **kwargs):
+        raise AssertionError("local_bound ran for a cached sign pattern")
+
+    monkeypatch.setattr(polytope, "local_bound", no_bound)
+    assert chsh_functional([1, -1, 1, 1]) is f
+    assert chsh_functional((1.0, -1.0, 1.0, 1.0)) is f
+    assert not f.coeffs.flags.writeable
+    with pytest.raises(ValidationError):
+        chsh_functional((1, 0, 1, 1))
+
+
 def test_chsh_local_bound_is_exactly_two():
     f = chsh_functional()
     bound, argmax = local_bound(f)
