@@ -714,20 +714,21 @@ def _phase2(std: _StandardForm, sx: _Simplex, c: np.ndarray, maximize: bool) -> 
                      objective=float(c @ x), iterations=sx.iterations)
 
 
-def _solve_then_maximize(lp: LinearProgram, k: int, tol: float = DEFAULT_TOL,
-                         max_iters: int = DEFAULT_MAX_ITERS) -> tuple[LpOutcome, LpOutcome | None]:
+def _solve_then_maximize(lp: LinearProgram, k: int) -> tuple[LpOutcome, LpOutcome | None]:
     """Solve ``lp`` with variable ``k`` kept out of pricing, and so at
-    zero; where that ends optimal at an objective of at most ``tol``,
-    continue the same simplex to the largest x_k among the points at
-    that optimum.  ``lp`` has no variable bounds and nonnegative costs.
+    zero; where that ends optimal at an objective of at most
+    ``DEFAULT_TOL``, continue the same simplex to the largest x_k among
+    the points at that optimum.  ``lp`` has no variable bounds,
+    nonnegative costs and a feasible point with x_k = 0; nothing here
+    checks that.
 
     The first stage is ``solve`` with column ``k`` never entering: the
-    same phases, pivots and outcome (its x has x_k = 0, and a Farkas
-    vector covers the other columns).  At an optimum within tol of zero,
-    every column that the costs charge is zero to within tol, so the
-    second stage takes those columns out of pricing for good: ``drive_out`` pivots each one still basic onto a column
-    that may enter, where its row has one, and phase 2 then maximizes x_k
-    from that basis, with column k priced and no long step, since the
+    same phases, pivots and outcome (its x has x_k = 0).  At an optimum
+    within that tolerance of zero, every column that the costs charge is
+    zero to within it, so the second stage takes those columns out of
+    pricing for good: ``drive_out`` pivots each one still basic onto a
+    column that may enter, where its row has one, and phase 2 then
+    maximizes x_k from that basis, with column k priced and no long step, since the
     mates that a long step crosses to are charged columns.  No phase 1
     runs again.  The second outcome is that of maximizing x_k over
     ``A x = b``, x >= 0 with the charged columns fixed at zero:
@@ -737,17 +738,13 @@ def _solve_then_maximize(lp: LinearProgram, k: int, tol: float = DEFAULT_TOL,
     where the first stage ends elsewhere.  Each outcome passes
     ``_check_internal``.
     """
-    tol = require_tolerance(tol)
     std = _StandardForm(lp)
-    if not std.identity or lp.c is None or lp.c.min() < 0.0:
-        raise ValidationError("a staged solve takes a program without bounds and with "
-                              "nonnegative costs")
     live = np.ones(lp.shape[1], dtype=bool)
     live[k] = False
-    sx = _Simplex(std.A, std.b, max_iters, tol, live)
+    sx = _Simplex(std.A, std.b, DEFAULT_MAX_ITERS, DEFAULT_TOL, live)
     first = _phases(lp, std, sx)
-    _check_internal(lp, std, first, tol, held=k)
-    if first.status != "optimal" or not first.objective <= tol:
+    _check_internal(lp, std, first, DEFAULT_TOL)
+    if first.status != "optimal" or not first.objective <= DEFAULT_TOL:
         return first, None
     np.equal(lp.c, 0.0, out=sx.live)
     sx.live[k] = True
@@ -757,17 +754,14 @@ def _solve_then_maximize(lp: LinearProgram, k: int, tol: float = DEFAULT_TOL,
     goal[k] = 1.0
     sx.install_costs(-goal, 0.0)
     second = _phase2(std, sx, goal, True)
-    _check_internal(lp, std, second, tol)
+    _check_internal(lp, std, second, DEFAULT_TOL)
     return first, second
 
 
-def _check_internal(lp: LinearProgram, std: _StandardForm, out: LpOutcome, tol: float,
-                    held: int | None = None):
+def _check_internal(lp: LinearProgram, std: _StandardForm, out: LpOutcome, tol: float):
     """Cheap invariant checks on the way out; a failure here means the
     tableau bookkeeping broke, which must never surface as a status.
-    Each test passes only on a number that meets it, so a NaN fails.  A
-    Farkas vector of a solve that held column ``held`` at zero proves
-    nothing about that column, which is not checked."""
+    Each test passes only on a number that meets it, so a NaN fails."""
     scale = max(1.0, float(np.abs(std.b).max(initial=0.0)))
     slack = 100.0 * tol * scale
     if out.x is not None:
@@ -776,8 +770,6 @@ def _check_internal(lp: LinearProgram, std: _StandardForm, out: LpOutcome, tol: 
             raise StalledError(f"solution residual {res:.3e} exceeds tolerance band")
     if out.status == "infeasible":
         dots = out.y @ std.A
-        if held is not None:
-            dots[held] = 0.0
         if not (dots.max(initial=0.0) <= slack and out.y @ std.b > 0.0):
             raise StalledError("infeasibility evidence failed its defining inequality")
 

@@ -966,31 +966,12 @@ def test_staged_solve_matches_scipy_on_the_optimal_face(seed):
                                   dataclasses.replace(second, x=second.x[~charged])).ok
 
 
-@pytest.mark.parametrize("program", [
-    LinearProgram(A=np.eye(2), b=np.ones(2), c=np.ones(2), maximize=False,
-                  bounds=((0.0, 2.0), (0.0, None))),
-    LinearProgram(A=np.eye(2), b=np.ones(2), c=np.array([1.0, -1.0]), maximize=False),
-    LinearProgram(A=np.eye(2), b=np.ones(2)),
-], ids=["bounds", "negative-cost", "no-cost"])
-def test_staged_solve_refuses_what_it_cannot_continue(program):
-    """The continuation fixes the charged columns at zero, which is the
-    optimal face only for nonnegative costs, and reads column k as it
-    stands, which needs a program without variable bounds."""
-    with pytest.raises(ValidationError, match="staged solve"):
-        _solve_then_maximize(program, 0)
-
-
 def test_staged_solve_holds_a_unit_column_at_zero():
     """Column 0 is row 0's unit column, yet it is held: it does not start
     basic, the first stage ends on column 1, and the second moves the
-    row to column 0.  Held at zero, x0 - x1 = 1 has no solution, and the
-    Farkas vector covers column 1 only."""
+    row to column 0."""
     lp = LinearProgram(A=[[1.0, 1.0]], b=[1.0], c=[0.0, 0.0], maximize=False)
     first, second = _solve_then_maximize(lp, 0)
     assert first.x.tolist() == [0.0, 1.0] and first.iterations == 0
     assert second.x.tolist() == [1.0, 0.0] and second.objective == 1.0
     assert second.iterations == 1
-    first, second = _solve_then_maximize(
-        LinearProgram(A=[[1.0, -1.0]], b=[1.0], c=[0.0, 0.0], maximize=False), 0)
-    assert first.status == "infeasible" and second is None
-    assert first.y @ [-1.0] <= 0.0 < first.y @ [1.0]
