@@ -2,6 +2,7 @@
 the packaged fixtures drive: one JSON line per operation.
 
 usage: python3 .github/cli_digest.py > DIGEST.jsonl
+       python3 .github/cli_digest.py --against DIGEST.jsonl
 
 The operations are every item of both perfbench decks at seeds 1-3;
 then validate, classify and membership, in both output formats, on
@@ -27,8 +28,14 @@ staged solve ``bellbox.analysis._solve_then_maximize``, which counts once
 with the pivots of both its stages.
 
 Two runs in one checkout must print the same bytes.  The lines of two
-checkouts, compared by name, show which operations a change moved.
+checkouts, compared by name, show which operations a change moved:
+``--against FILE`` runs the operations and, instead of printing the
+digest, compares each line with the line of the same name in FILE, a
+saved digest.  It prints each operation whose exit code, command line,
+output hashes or iteration counts differ, with the fields that differ,
+and each operation that only one side has; it exits 1 if it prints any.
 """
+import argparse
 import contextlib
 import hashlib
 import io
@@ -161,6 +168,7 @@ def sha256(text: str) -> str:
 
 
 def digest():
+    """Each operation's line, as a dict, in the order of ``operations``."""
     iterations = []
     solve, staged = bellbox.analysis.solve, bellbox.analysis._solve_then_maximize
 
@@ -188,11 +196,41 @@ def digest():
             iterations.clear()
             with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
                 code = main(argv)
-            print(json.dumps({"op": name, "argv": [mask(arg) for arg in argv], "exit": code,
-                              "stdout": sha256(mask(out.getvalue())),
-                              "stderr": sha256(mask(err.getvalue())),
-                              "iterations": iterations}))
+            yield {"op": name, "argv": [mask(arg) for arg in argv], "exit": code,
+                   "stdout": sha256(mask(out.getvalue())), "stderr": sha256(mask(err.getvalue())),
+                   "iterations": list(iterations)}
+
+
+def compare(path) -> int:
+    """Print every operation that moved against the digest saved at
+    ``path``, and every operation that only one side has; 1 if any did."""
+    saved = {}
+    for text in Path(path).read_text().splitlines():
+        line = json.loads(text)
+        saved[line["op"]] = line
+    moved = 0
+    for line in digest():
+        old = saved.pop(line["op"], None)
+        if old is None:
+            print(f"{line['op']}: only in this checkout")
+        else:
+            fields = [key for key in {**old, **line} if old.get(key) != line.get(key)]
+            if not fields:
+                continue
+            print(f"{line['op']}: {', '.join(fields)} moved")
+        moved += 1
+    for op in saved:
+        print(f"{op}: only in {path}")
+        moved += 1
+    return 1 if moved else 0
 
 
 if __name__ == "__main__":
-    digest()
+    parser = argparse.ArgumentParser(description="Digest every command-line operation.")
+    parser.add_argument("--against", metavar="FILE",
+                        help="name the operations that moved against a saved digest")
+    args = parser.parse_args()
+    if args.against is not None:
+        sys.exit(compare(args.against))
+    for line in digest():
+        print(json.dumps(line))

@@ -33,7 +33,7 @@ from .errors import StalledError, ValidationError
 from .lp import LinearProgram, _solve_then_maximize, check_size, solve
 from .polytope import (BellFunctional, LocalModel, canonicalize, chsh_functional, local_bound,
                        strategy_count, strategy_matrix)
-from .quantum import BellSetup, behavior_from_setup, lift_with_efficiency
+from .quantum import BellSetup, _lossy_setup, behavior_from_setup
 from .scenario import (_CHSH_SCENARIO, Behavior, NoSignallingReport, _marginal_index, mix,
                        no_signalling_defect)
 from .tolerances import (BISECTION_TOL_FLOOR, DEFAULT_TOL, EFFICIENCY_TOL, MODEL_TOL,
@@ -468,13 +468,7 @@ def efficiency_threshold(setup: BellSetup, tol: float = EFFICIENCY_TOL) -> Thres
     _check_bisection_tol(tol)
 
     def behavior_at(eta: float) -> Behavior:
-        return behavior_from_setup(
-            BellSetup(
-                state=setup.state,
-                alice=lift_with_efficiency(setup.alice, eta),
-                bob=lift_with_efficiency(setup.bob, eta),
-            )
-        )
+        return behavior_from_setup(_lossy_setup(setup, eta))
 
     if _decide(behavior_at(1.0))[0]:
         raise ValidationError(

@@ -33,14 +33,8 @@ from .analysis import (
 from .documents import document_payload, emit_document, parse_document, render_json
 from .errors import SizeCapError, StalledError, ValidationError
 from .polytope import BellFunctional, enumerate_facets
-from .quantum import (
-    BellSetup,
-    behavior_from_setup,
-    bin_last_outcome,
-    lift_with_efficiency,
-    random_setup,
-)
-from .scenario import Behavior, Scenario
+from .quantum import BellSetup, _lossy_setup, behavior_from_setup, bin_last_outcome, random_setup
+from .scenario import Behavior, Scenario, _blocks, _layout
 from .tolerances import DEFAULT_TOL, EFFICIENCY_TOL, VISIBILITY_TOL, require_tolerance
 
 ENV_TOL = "BELLBOX_TOL"
@@ -283,11 +277,7 @@ def _cmd_quantum(args) -> int:
     else:
         setup = random_setup(args.seed, dims=tuple(args.dims), inputs=tuple(args.inputs))
     if args.efficiency is not None:
-        setup = BellSetup(
-            state=setup.state,
-            alice=lift_with_efficiency(setup.alice, args.efficiency),
-            bob=lift_with_efficiency(setup.bob, args.efficiency),
-        )
+        setup = _lossy_setup(setup, args.efficiency)
     behavior = behavior_from_setup(setup, tol=tol)
     if args.bin:
         behavior = bin_last_outcome(behavior)
@@ -295,12 +285,11 @@ def _cmd_quantum(args) -> int:
         sys.stdout.write(emit_document(behavior))
     else:
         sc = behavior.scenario
+        blocks, outputs = _layout(sc)  # each entry's outputs, and its block's inputs, in flat order
+        inputs = _blocks(sc).inputs[:, blocks]
         lines = [f"scenario: inputs {sc.inputs_per_party}, outputs {sc.outputs}"]
-        for joint in sc.joint_inputs():
-            for outs in sc.joint_outputs(joint):
-                lines.append(
-                    f"P{outs}|{joint} = {_fmt(behavior.prob(joint, outs))}"
-                )
+        lines += [f"P{tuple(outs)}|{tuple(joint)} = {_fmt(p)}" for joint, outs, p in
+                  zip(inputs.T.tolist(), outputs.T.tolist(), behavior.probs.tolist())]
         _emit_text(lines)
     return 0
 

@@ -1,15 +1,17 @@
 """Dense linear programming kernel with self-verified certificates.
 
 Equality-form problems over nonnegative (optionally free or box-bounded)
-variables are solved by a two-phase revised simplex that keeps the basis
-inverse, the basic values, the basic costs and, while a phase prices,
-its reduced costs and steepest-edge weights: each iteration forms only
-the entering column and the pivot row, updates the inverse by a
-rank-one change and carries the reduced costs and weights across the
-pivot.  The basis inverse and the basic values are the two parts of one
-m x (m+1) array, so that one rank-one update moves both, and an
-iteration writes its pricing rows, pivot row, outer product and
-entering scores into workspaces sized once per solve.  The constraint
+variables are solved by a two-phase revised simplex whose state is its
+basis, the basis inverse and basic values, the costs and crossing slopes
+per column (the basic ones are read off the basis, never copied), the
+columns that pricing may enter and, while a phase prices, its reduced
+costs and steepest-edge weights.  Each iteration forms only the entering
+column and the pivot row, updates the inverse by a rank-one change and
+carries the reduced costs and weights across the pivot.  The basis
+inverse and the basic values are the two parts of one m x (m+1) array,
+so that one rank-one update moves both, and an iteration writes its
+pricing rows, pivot row, outer product and entering scores into
+workspaces sized once per solve.  The constraint
 matrix is used as given, never copied: a program without variable
 bounds passes through the standard form unchanged, and a row whose
 right-hand side is negative is flipped by the sign that the basis
@@ -266,14 +268,16 @@ class _Simplex:
     Rows are flipped so the right-hand side is nonnegative, without a
     flipped copy of ``A``: ``Binv`` starts as ``diag(row_sign)``, so
     ``Binv A`` is the flipped system from the start.  The state is the
-    basis (an ``np.intp`` array, one column index per row), the basic
-    values ``xB``, the basic costs ``cB`` and the square basis inverse
-    ``Binv``, one row and one column per row of ``A`` from the first
-    pivot to the last: the current tableau is ``Binv A``, and the row
-    prices and the Farkas vector are ``cB Binv`` in the original
-    orientation.  ``Binv`` and ``xB`` are views of one array ``BX =
-    [Binv | xB]``: a pivot's rank-one update and a long step's row flips
-    move both at once.  The iteration allocates no array the size of
+    basis (an ``np.intp`` array, one column index per row), the square
+    basis inverse ``Binv``, one row and one column per row of ``A`` from
+    the first pivot to the last, the basic values ``xB``, each column's
+    installed ``cost`` and crossing slope ``col_jump``, the ``live`` mask
+    and a phase's pricing.  Basic costs and slopes are read off the
+    basis, as ``cost[basis]``: the current tableau is ``Binv A``, and the
+    row prices and the Farkas vector are ``cost[basis] Binv`` in the
+    original orientation.  ``Binv`` and ``xB`` are views of one array
+    ``BX = [Binv | xB]``: a pivot's rank-one update and a long step's row
+    flips move both at once.  The iteration allocates no array the size of
     ``Binv`` or of a pricing row: those products, the pivot row, its
     outer product and the entering scores go into workspaces made with
     the simplex.  Column ``n + i`` is the artificial of row ``i``, the
@@ -312,7 +316,6 @@ class _Simplex:
         self.Binv, self.xB = self.BX[:, :m], self.BX[:, m]
         np.fill_diagonal(self.Binv, sign)
         np.multiply(b, sign, out=self.xB)
-        self.diagonal = True  # Binv is still diag(row_sign): no pivot yet
         # per column, the count of its nonzeros and the sum of their rows,
         # both exact small integers: a singleton column's sum is its row
         tally = np.empty((2, m))
@@ -345,9 +348,8 @@ class _Simplex:
         self.iterations = 0
         self.tol = tol
         self.cost = np.zeros(n + m)
-        self.cB = np.zeros(m)
-        # crossing slopes per column and per row, set by ``install_costs``
-        self.col_jump, self.row_jump = np.full(n + m, _INF), np.full(m, _INF)
+        # crossing slope per column, set by ``install_costs``
+        self.col_jump = np.full(n + m, _INF)
         self.nonnegative = True
         # steepest-edge state of the current ``run``: weights, reduced costs
         self.weights = self.reduced = None
@@ -371,10 +373,7 @@ class _Simplex:
         row = np.divide(self.BX[i], col[i], out=self.pivot_row)
         np.subtract(self.BX, np.dot(col[:, None], row[None, :], out=self.outer), out=self.BX)
         self.BX[i] = row
-        self.cB[i] = self.cost[j]
-        self.row_jump[i] = self.col_jump[j]
         self.basis[i] = j
-        self.diagonal = False
         self.iterations += 1
         if self.iterations > self.max_iters:
             raise StalledError(
@@ -382,7 +381,7 @@ class _Simplex:
 
     def prices(self) -> np.ndarray:
         """Simplex multipliers ``c_B Binv``, one per row of ``A``."""
-        return self.cB @ self.Binv
+        return self.cost[self.basis] @ self.Binv
 
     def at_floor(self) -> bool:
         """True when no feasible point does better than the current basis
@@ -390,7 +389,7 @@ class _Simplex:
         everywhere, and the basic objective is already at most ``tol``.
         The band is not scaled by b: y = 0 leaves a duality gap equal to
         the objective, which must stay within tol whatever b is."""
-        return self.nonnegative and float(self.cB @ self.xB) <= self.tol
+        return self.nonnegative and float(self.cost[self.basis] @ self.xB) <= self.tol
 
     def run(self, phase: int) -> tuple[str, int | None]:
         """Minimize the installed costs over the structural columns in
@@ -487,7 +486,7 @@ class _Simplex:
         below zero, stops the walk.  A row crosses while the slope after
         it stays below ``-PIVOT_TOL``; the first that does not, and the
         last candidate in any case, is where the step ends."""
-        slope = (self.row_jump[pos] * col[pos]).cumsum()
+        slope = (self.col_jump[self.basis[pos]] * col[pos]).cumsum()
         slope += self.reduced[j]
         return min(int(slope.searchsorted(-PIVOT_TOL)), pos.size - 1)
 
@@ -499,13 +498,12 @@ class _Simplex:
         taken before the flip: each reduced cost grows by its product with
         the column.  One gather of [Binv | xB] flips both."""
         flipped = self.BX[rows]
-        shift = self.row_jump[rows] @ flipped[:, :-1]
+        u = self.basis[rows]
+        shift = self.col_jump[u] @ flipped[:, :-1]
         self.BX[rows] = np.negative(flipped, out=flipped)
         col[rows] *= -1.0
-        u = self.basis[rows]
         v = self.mate[u]
         self.basis[rows] = v
-        self.cB[rows] = self.cost[v]
         self.weights[u] = self.weights[v]
         return shift
 
@@ -534,15 +532,14 @@ class _Simplex:
         return int(score.argmax())
 
     def reduced_costs(self) -> np.ndarray:
-        """Reduced costs of the structural columns, from ``y = cB Binv``."""
+        """Reduced costs of the structural columns, from the row prices."""
         return self.cost[:self.n] - self.prices() @ self.A
 
     def edge_weights(self) -> np.ndarray:
         """Steepest-edge weights 1 + |Binv a_j|^2 of the structural
-        columns.  Before the first pivot ``Binv`` is diagonal with entries
-        +-1, and the images are the columns themselves up to the signs of
-        their rows."""
-        T = self.A if self.diagonal else self.Binv @ self.A
+        columns.  Before the first pivot ``Binv`` is ``diag(row_sign)``,
+        and the images are the columns themselves up to row signs."""
+        T = self.A if self.iterations == 0 else self.Binv @ self.A
         return 1.0 + np.einsum("ij,ij->j", T, T)
 
     def _update_pricing(self, i: int, j: int, col: np.ndarray,
@@ -600,7 +597,7 @@ class _Simplex:
         self.install_costs(np.zeros(self.n), 1.0)
         status, _ = self.run(phase=1)
         assert status == "optimal"  # phase-1 objective is bounded below by zero
-        return float(self.cB @ self.xB)
+        return float(self.cost[self.basis] @ self.xB)
 
     def drive_out(self):
         """Pivot each basic column that pricing may not enter, an
@@ -646,13 +643,11 @@ class _Simplex:
     def install_costs(self, c: np.ndarray, art_cost: float):
         self.cost[: c.shape[0]] = c
         self.cost[self.n:] = art_cost
-        self.cB = self.cost[self.basis]
         self.nonnegative = bool(c.min(initial=0.0) >= 0.0)
         # per column, the slope a crossing to its mate adds per unit of
         # its tableau entry, c_u + c_v; infinite where it may not cross
         jump = self.cost + self.cost[self.mate]
         self.col_jump = np.where((self.mate >= 0) & (jump >= 0.0), jump, _INF)
-        self.row_jump = self.col_jump[self.basis]
 
     def ray(self, enter: int) -> np.ndarray:
         d = np.zeros(self.n)
@@ -663,10 +658,10 @@ class _Simplex:
         return d
 
 
-def solve(lp: LinearProgram, tol: float = DEFAULT_TOL,
-          max_iters: int = DEFAULT_MAX_ITERS) -> LpOutcome:
-    """Solve ``lp``; the status is backed by a certificate and a stall or
-    misbehaving tableau raises rather than return a wrong answer.
+def solve(lp: LinearProgram, tol: float = DEFAULT_TOL) -> LpOutcome:
+    """Solve ``lp``; the status is backed by a certificate, and a stall
+    (more than ``DEFAULT_MAX_ITERS`` pivots) or a misbehaving tableau
+    raises ``StalledError`` rather than return a wrong answer.
 
     Statuses: "optimal" (x, y, objective), "infeasible" (y is a Farkas
     vector for ``A x = b, x in bounds``), "unbounded" (x feasible, ray
@@ -680,7 +675,7 @@ def solve(lp: LinearProgram, tol: float = DEFAULT_TOL,
     """
     tol = require_tolerance(tol)
     std = _StandardForm(lp)
-    sx = _Simplex(std.A, std.b, max_iters, tol)
+    sx = _Simplex(std.A, std.b, DEFAULT_MAX_ITERS, tol)
     out = _phases(lp, std, sx)
     _check_internal(lp, std, out, tol)
     return out

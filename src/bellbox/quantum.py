@@ -23,7 +23,10 @@ DIM_CAP = 4
 
 
 def _as_square_complex(raw, dim: int, what: str) -> np.ndarray:
-    mat = np.array(raw, dtype=complex)
+    try:
+        mat = np.array(raw, dtype=complex)
+    except (TypeError, ValueError):
+        raise ValidationError(f"{what} is not a matrix of numbers") from None
     if mat.shape != (dim, dim):
         raise ValidationError(f"{what} has shape {mat.shape}, expected ({dim}, {dim})")
     if not np.all(np.isfinite(mat.real)) or not np.all(np.isfinite(mat.imag)):
@@ -75,22 +78,31 @@ class MeasurementSet:
     def __post_init__(self):
         if self.dim < 1:
             raise ValidationError("measurement dimension must be >= 1")
-        if len(self.effects) < 1:
+        try:
+            inputs = len(self.effects)
+        except TypeError:
+            raise ValidationError("effects must list, per input, a list of effects") from None
+        if inputs < 1:
             raise ValidationError("a measurement set needs at least one input")
-        # the effects up to the first malformed one (an empty input, a
-        # wrong shape, an entry that is no number), stacked; each check
-        # then makes one pass over the stack, and the first failure in
-        # the order of effects, and of the checks on each, is reported
+        # the effects up to the first malformed one (an input that is empty
+        # or no list, a wrong shape, an entry that is no number), stacked;
+        # each check then makes one pass over the stack, and the first
+        # failure in the order of effects, and of the checks on each, is reported
         dim, mats, names, counts, malformed = self.dim, [], [], [], None
         for x, row in enumerate(self.effects):
-            if len(row) < 1:
+            try:
+                outcomes = len(row)
+            except TypeError:
+                malformed = ValidationError(f"input {x} is not a list of effects")
+                break
+            if outcomes < 1:
                 malformed = ValidationError(f"input {x} has no outcomes")
                 break
             for a, raw in enumerate(row):
                 try:
                     m = np.array(raw, dtype=complex)
-                except (TypeError, ValueError) as exc:
-                    malformed = exc
+                except (TypeError, ValueError):
+                    malformed = ValidationError(f"effect ({x}, {a}) is not a matrix of numbers")
                     break
                 if m.shape != (dim, dim):
                     malformed = ValidationError(
@@ -204,6 +216,12 @@ def lift_with_efficiency(mset: MeasurementSet, efficiency: float) -> Measurement
         for row in mset.effects
     )
     return MeasurementSet(dim=mset.dim, effects=rows)
+
+
+def _lossy_setup(setup: BellSetup, efficiency: float) -> BellSetup:
+    """``setup`` with both parties' effects lifted to ``efficiency``."""
+    return BellSetup(setup.state, lift_with_efficiency(setup.alice, efficiency),
+                     lift_with_efficiency(setup.bob, efficiency))
 
 
 def bin_last_outcome(behavior: Behavior) -> Behavior:

@@ -19,7 +19,8 @@ from bellbox.cli import _build_parser, main
 from bellbox.documents import emit_document, parse_document_text, write_document
 from bellbox.fixtures import fixture_names, fixture_path
 from bellbox.polytope import BellFunctional, strategy_matrix
-from bellbox.quantum import named_setup
+from bellbox.quantum import (BellSetup, MeasurementSet, behavior_from_setup, bin_last_outcome,
+                             lift_with_efficiency, named_setup, random_setup)
 
 ROOT2 = float(np.sqrt(2.0))
 
@@ -310,6 +311,49 @@ def test_quantum_refuses_a_negative_seed(capsys):
     code, out, err = run_cli(capsys, "quantum", "--seed", "-1")
     assert (code, out) == (2, "")
     assert err == "error: seed -1 must be a nonnegative integer\n"
+
+
+def _uneven_setup():
+    """A (3, 2)-dimensional, (3, 2)-input random setup with party 0's
+    input 1 and party 1's input 0 lifted by a no-click outcome, so that
+    its inputs have 3, 4, 3 and 3, 2 outcomes."""
+    base = random_setup(1, dims=(3, 2), inputs=(3, 2))
+    alice = MeasurementSet(dim=3, effects=(
+        base.alice.effects[0], lift_with_efficiency(base.alice, 0.8).effects[1],
+        base.alice.effects[2]))
+    bob = MeasurementSet(dim=2, effects=(
+        lift_with_efficiency(base.bob, 0.8).effects[0], base.bob.effects[1]))
+    return BellSetup(state=base.state, alice=alice, bob=bob)
+
+
+def _per_entry_report(beh):
+    """The quantum text report as first written: one ``Behavior.prob``
+    lookup per joint input and joint output."""
+    sc = beh.scenario
+    lines = [f"scenario: inputs {sc.inputs_per_party}, outputs {sc.outputs}"]
+    for joint in sc.joint_inputs():
+        for outs in sc.joint_outputs(joint):
+            lines.append(f"P{outs}|{joint} = {beh.prob(joint, outs):.17g}")
+    return "\n".join(lines) + "\n"
+
+
+@pytest.mark.parametrize("lossy", [[], ["--efficiency", "0.9"], ["--efficiency", "0.9", "--bin"]],
+                         ids=["plain", "lossy", "lossy-binned"])
+def test_quantum_text_report_matches_the_per_entry_lookup(capsys, tmp_path, lossy):
+    """On uneven alphabets the report read off the table's layout has
+    the bytes of one lookup per entry."""
+    setup = _uneven_setup()
+    write_document(setup, tmp_path / "setup.json")
+    code, out, err = run_cli(capsys, "quantum", str(tmp_path / "setup.json"), *lossy)
+    assert (code, err) == (0, "")
+    if lossy:
+        setup = BellSetup(setup.state, lift_with_efficiency(setup.alice, 0.9),
+                          lift_with_efficiency(setup.bob, 0.9))
+    beh = behavior_from_setup(setup)
+    if "--bin" in lossy:
+        beh = bin_last_outcome(beh)
+    assert len(set(beh.scenario.outputs[0])) > 1  # uneven alphabets
+    assert out == _per_entry_report(beh)
 
 
 def test_quantum_rejects_behavior_document(capsys):

@@ -159,8 +159,8 @@ def test_solve_refuses_a_bad_tolerance(tol):
 def test_stall_raises_not_misreports():
     lp = LinearProgram(A=np.array([[1.0, 1.0, 1.0]]), b=np.array([1.0]),
                        c=np.array([1.0, 2.0, 3.0]))
-    with pytest.raises(StalledError):
-        solve(lp, max_iters=0)
+    with mock.patch("bellbox.lp.DEFAULT_MAX_ITERS", 0), pytest.raises(StalledError):
+        solve(lp)
 
 
 # -- degenerate regression set ----------------------------------------------
@@ -975,3 +975,76 @@ def test_staged_solve_holds_a_unit_column_at_zero():
     assert first.x.tolist() == [0.0, 1.0] and first.iterations == 0
     assert second.x.tolist() == [1.0, 0.0] and second.objective == 1.0
     assert second.iterations == 1
+
+
+def _staged_visibility_programs() -> list[tuple[LinearProgram, int]]:
+    """The uniform table's distance program continued toward the PR box,
+    the singlet and seeded random (2,3,2) and (2,2,3) setups, each with
+    its blend column: the staged solves of ``visibility_threshold``."""
+    targets = [named_behavior("pr_box"), behavior_from_setup(named_setup("singlet_chsh"))]
+    targets += [behavior_from_setup(random_setup(seed, dims=dims, inputs=inputs))
+                for seed in range(3) for dims, inputs in (((2, 2), (3, 3)), ((3, 3), (2, 2)))]
+    programs = []
+    for p in targets:
+        V = strategy_matrix(p.scenario)
+        q = named_behavior("uniform", p.scenario).probs
+        programs.append((_distance_program(V, q, toward=p.probs), V.shape[1] + 2 * V.shape[0]))
+    return programs
+
+
+def test_kernel_invariants_hold_through_both_stages_of_the_staged_solve():
+    """After every pivot of either stage of ``_solve_then_maximize``,
+    and of the ``drive_out`` between them, Binv B is the identity and xB
+    is Binv b to within 1e-9, and within a stage the weights of the
+    nonbasic structural columns are 1 + |Binv a_j|^2.  Each stage's
+    first pricing builds its weights from the basis it starts on: on the
+    second stage, after pivots, that is no longer diag(row_sign), and the
+    weights of the columns themselves would be wrong."""
+    rhs: list = []
+    stage: list = []  # per run under way, its stage: 2 from the second phase-2 run on
+    runs: list = []  # the phases run in the staged solve under way
+    checked = {1: 0, 2: 0}
+    rebuilt = []  # per stage-2 first pricing: did Binv differ from the starting inverse?
+    run, pivot, weights = _Simplex.run, _Simplex._pivot, _Simplex.edge_weights
+
+    def watched_run(self, phase):
+        runs.append(phase)
+        stage.append(max(runs.count(2), 1))
+        try:
+            return run(self, phase)
+        finally:
+            stage.pop()
+
+    def watched_pivot(self, i, j, col):
+        pivot(self, i, j, col)
+        basis = np.hstack([self.A, np.diag(self.row_sign)])[:, self.basis]
+        residual = np.abs(self.Binv @ basis - np.eye(len(self.basis))).sum(axis=1).max()
+        assert residual <= 1e-9
+        assert np.abs(self.Binv @ rhs[-1] - self.xB).max() <= 1e-9
+        if not stage:
+            return  # drive_out between the stages prices nothing
+        images = self.Binv @ self.A
+        fresh = 1.0 + (images * images).sum(axis=0)
+        nonbasic = np.setdiff1d(np.arange(fresh.size), self.basis)
+        np.testing.assert_allclose(self.weights[nonbasic], fresh[nonbasic], rtol=1e-8)
+        checked[stage[-1]] += 1
+
+    def watched_weights(self):
+        built = weights(self)
+        images = self.Binv @ self.A
+        np.testing.assert_allclose(built, 1.0 + (images * images).sum(axis=0), rtol=1e-12)
+        if stage[-1] == 2:
+            untouched = 1.0 + (self.A * self.A).sum(axis=0)
+            rebuilt.append(not np.allclose(built, untouched))
+        return built
+
+    with mock.patch.object(_Simplex, "run", watched_run), \
+            mock.patch.object(_Simplex, "_pivot", watched_pivot), \
+            mock.patch.object(_Simplex, "edge_weights", watched_weights):
+        for lp, k in _staged_visibility_programs():
+            rhs.append(lp.b)
+            runs.clear()
+            first, second = _solve_then_maximize(lp, k)
+            assert first.status == "optimal" and second is not None
+    assert checked[1] > 0 and checked[2] > 0
+    assert any(rebuilt)

@@ -86,6 +86,37 @@ def test_non_psd_effect_rejected():
         MeasurementSet(dim=2, effects=((1.5 * eye, -0.5 * eye),))
 
 
+_EYE = np.eye(2, dtype=complex)
+
+
+@pytest.mark.parametrize(("build", "message"), [
+    pytest.param(lambda: MeasurementSet(dim=2, effects=5), "effects must list, per input",
+                 id="effects-a-number"),
+    pytest.param(lambda: MeasurementSet(dim=2, effects=(5,)), "input 0 is not a list of effects",
+                 id="input-a-number"),
+    pytest.param(lambda: MeasurementSet(dim=2, effects=((_EYE,), 5)),
+                 "input 1 is not a list of effects", id="second-input-a-number"),
+    pytest.param(lambda: MeasurementSet(dim=2, effects=(("abc", _EYE),)),
+                 r"effect \(0, 0\) is not a matrix of numbers", id="effect-a-string"),
+    pytest.param(lambda: MeasurementSet(dim=2, effects=((0.5 * _EYE, [[0.5, 0.0], [0.0]]),)),
+                 r"effect \(0, 1\) is not a matrix of numbers", id="effect-ragged"),
+    # an earlier effect's failure is reported first, a later one's after
+    pytest.param(lambda: MeasurementSet(dim=2, effects=((1.5 * _EYE, -0.5 * _EYE), ("abc",))),
+                 "positive semidefinite", id="negative-effect-first"),
+    pytest.param(lambda: MeasurementSet(dim=2, effects=((_EYE, "abc"), (1.5 * _EYE, -0.5 * _EYE))),
+                 r"effect \(0, 1\) is not a matrix of numbers", id="unreadable-effect-first"),
+    pytest.param(lambda: QuantumState(dim_a=1, dim_b=2, rho="abc"),
+                 "density matrix is not a matrix of numbers", id="state-a-string"),
+    pytest.param(lambda: QuantumState(dim_a=1, dim_b=2, rho=[[1.0, 0.0], [0.0]]),
+                 "density matrix is not a matrix of numbers", id="state-ragged"),
+])
+def test_unreadable_entries_are_validation_errors(build, message):
+    """numpy's own ValueError, or a TypeError from a number where a list
+    belongs, came through untyped."""
+    with pytest.raises(ValidationError, match=message):
+        build()
+
+
 def test_setup_dimension_mismatch_rejected():
     state = QuantumState(dim_a=2, dim_b=2, rho=SINGLET)
     eye3 = np.eye(3, dtype=complex)
