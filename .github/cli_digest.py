@@ -16,8 +16,11 @@ where a layout change can go wrong, tables on uneven alphabets in both
 formats: validate, classify, membership and derive-inequality on a
 local, a nonlocal and a signalling table of ``UNEVEN``, and classify
 and quantum on a setup document whose inputs have different outcome
-counts.  New operations go at the end, so digests of older checkouts
-still compare by name.  Each runs through ``bellbox.cli.main`` in this
+counts; then facets, in both formats, on a scenario document of two
+parties with two inputs each, of two and three outputs, where 72 of the
+97 facets have no integer form, and in the structured format on 3322.
+New operations go at the end, so digests of older checkouts still
+compare by name.  Each runs through ``bellbox.cli.main`` in this
 process, with bellbox imported from this checkout's src; perfbench/decks.py
 is imported and not written to.  Documents go to a temporary directory,
 whose path is masked as ``<tmp>`` in the output.  A line holds the
@@ -66,6 +69,10 @@ MORE_FIXTURE_VERBS = ("derive-inequality", "chsh")
 FORMATS = ("text", "structured")
 UNEVEN = Scenario((2, 3), ((2, 3), (3, 2, 2)))
 UNEVEN_VERBS = ("validate", "classify", "membership", "derive-inequality")
+# 72 of the first scenario's 97 facets have no integer form and print
+# float coefficients; 3322's 684 all have integer forms
+FACET_SCENARIOS = (("uneven-23-23", Scenario((2, 2), ((2, 3), (2, 3))), FORMATS),
+                   ("3322", Scenario.uniform(2, 3, 2), ("structured",)))
 
 
 def operations():
@@ -108,6 +115,10 @@ def operations():
     for verb in ("classify", "quantum"):
         for fmt in FORMATS:
             yield f"uneven/setup/{verb}/{fmt}", [verb, doc, "--format", fmt], {doc: text}
+    for label, scenario, formats in FACET_SCENARIOS:
+        doc, text = f"{label}.json", emit_document(scenario)
+        for fmt in formats:
+            yield f"facets/{label}/{fmt}", ["facets", doc, "--format", fmt], {doc: text}
 
 
 def input_copier(outputs):

@@ -30,12 +30,12 @@ from enum import Enum
 import numpy as np
 
 from .errors import StalledError, ValidationError
-from .lp import LinearProgram, _solve_then_maximize, check_size, solve
+from .lp import LinearProgram, LpOutcome, _solve_then_maximize, check_size, solve
 from .polytope import (BellFunctional, LocalModel, canonicalize, chsh_functional, local_bound,
                        strategy_count, strategy_matrix)
 from .quantum import BellSetup, _lossy_setup, behavior_from_setup
-from .scenario import (_CHSH_SCENARIO, Behavior, NoSignallingReport, _marginal_index, mix,
-                       no_signalling_defect)
+from .scenario import (_CHSH_SCENARIO, Behavior, NoSignallingReport, _blocks, _layout,
+                       _marginal_index, mix, no_signalling_defect)
 from .tolerances import (BISECTION_TOL_FLOOR, DEFAULT_TOL, EFFICIENCY_TOL, MODEL_TOL,
                          VISIBILITY_TOL, require_tolerance)
 
@@ -141,14 +141,18 @@ def _decide(behavior: Behavior, tol: float = DEFAULT_TOL) -> tuple[bool, np.ndar
     A program over the LP size cap is refused before the strategies are
     enumerated.
     """
+    return _decision(behavior, *_solved(behavior, tol), tol)
+
+
+def _solved(behavior: Behavior, tol: float) -> tuple[np.ndarray, LpOutcome]:
+    """The strategy matrix and the behavior's distance program's outcome."""
     d = behavior.scenario.dimension
     check_size(d + 1, strategy_count(behavior.scenario) + 2 * d)
     V = strategy_matrix(behavior.scenario)
     # the simplex stops at the first vertex within its tol of distance 0;
-    # a looser tol moves only the decision below, so that the model the
+    # a looser tol moves only the decision, so that the model the
     # simplex stops at still meets MODEL_TOL
-    out = solve(_distance_program(V, behavior.probs), tol=min(tol, DEFAULT_TOL))
-    return _decision(behavior, V, out, tol)
+    return V, solve(_distance_program(V, behavior.probs), tol=min(tol, DEFAULT_TOL))
 
 
 def _decision(behavior: Behavior, V: np.ndarray, out, tol: float) -> tuple[bool, np.ndarray]:
@@ -191,18 +195,19 @@ def _decided(behavior: Behavior, tol: float) -> tuple[NoSignallingReport, Member
     the local set in l1, summed over many entries.  When its cut has
     nothing left to violate once that gauge is removed, it parts the box
     from the local set only through that signalling, and the box is local
-    if a mixture reproduces it to within ``MODEL_TOL``.
+    if the same outcome gives a mixture within ``MODEL_TOL`` of it.
     """
     report = no_signalling_defect(behavior)
     if report.max_defect > tol:
         return report, None
-    is_local, witness = _decide(behavior, tol)
+    V, out = _solved(behavior, tol)
+    is_local, witness = _decision(behavior, V, out, tol)
     if not is_local:
         raw = BellFunctional(scenario=behavior.scenario, coeffs=witness)
         try:
             functional, violation = _canonical_cut(raw, behavior)
         except StalledError:
-            is_local, witness = _decide(behavior, MODEL_TOL)
+            is_local, witness = _decision(behavior, V, out, MODEL_TOL)
             if not is_local:
                 raise
         else:
@@ -231,11 +236,11 @@ def _canonical_cut(raw: BellFunctional, behavior: Behavior) -> tuple[BellFunctio
 
 def _shift_witness(behavior: Behavior, report: NoSignallingReport) -> MembershipResult:
     """A signalling table's witness: the report's worst marginal at its
-    high context minus the same marginal at its low one.  Every strategy
-    is no-signalling, so the local bound is 0, recomputed by enumeration;
-    the violation is the shift, the defect.  The two marginals sit in
-    disjoint input blocks, so no mixture comes within the defect in l1,
-    and the table is outside the local set."""
+    high context minus the same marginal at its low one, whose violation
+    is the defect.  Every strategy is no-signalling, so the local bound
+    is 0, rechecked as the best sum of an entry of each of the two input
+    blocks the marginals sit in, with the same outputs from the parties
+    whose input is the same in both.  No mixture comes this close in l1."""
     sc = behavior.scenario
     party, x, a, (ctx_hi, ctx_lo) = report.worst_marginal
     if isinstance(party, int):
@@ -244,7 +249,10 @@ def _shift_witness(behavior: Behavior, report: NoSignallingReport) -> Membership
     k = index.subsets.index(party)
     hi, lo = index.rows(k, [index.cell(k, (x, a, ctx_hi)), index.cell(k, (x, a, ctx_lo))])
     coeffs = hi - lo
-    bound, _ = local_bound(BellFunctional(scenario=sc, coeffs=coeffs))
+    layout, pair = _blocks(sc), _layout(sc)[0][[np.argmax(hi), np.argmax(lo)]]
+    free = tuple(np.flatnonzero(layout.inputs[:, pair[0]] != layout.inputs[:, pair[1]]))
+    bound = float(sum(coeffs[layout.offsets[b]:layout.offsets[b + 1]].reshape(layout.counts[:, b])
+                      .max(axis=free) for b in pair).max())
     if bound != 0.0:
         raise StalledError(f"marginal shift has deterministic bound {bound!r}, not 0")
     functional = BellFunctional(scenario=sc, coeffs=coeffs, local_bound=0.0,

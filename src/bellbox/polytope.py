@@ -4,7 +4,8 @@ The local polytope of a scenario is the convex hull of its deterministic
 strategies.  This module enumerates those strategies, evaluates and
 canonicalizes linear functionals against them, reduces behaviors to the
 Collins-Gisin coordinates, and enumerates the polytope's facets by the
-double description method in those coordinates.  The strategy matrix,
+double description method in those coordinates, on an array of rays and
+a boolean matrix of the inequalities each lies on.  The strategy matrix,
 deterministic tables and relabelling permutations are positions read in
 bulk (``scenario._entries``) off the scenario's one table layout.
 
@@ -463,85 +464,64 @@ def enumerate_facets(scenario: Scenario) -> tuple[BellFunctional, ...]:
     R = M @ strategy_matrix(scenario)  # columns are vertices
     centroid = R.mean(axis=1)
     H = R - centroid[:, None]
-    if np.linalg.matrix_rank(H, tol=FACET_ZERO_TOL) != r:
-        raise ValidationError("local polytope is not full-dimensional in reduced coordinates")
+    # the rows span r + 1 dimensions, which the double description checks,
+    # exactly when the vertices span r: the centered ones sum to zero
+    rays = _double_description(np.hstack([H.T, -np.ones((count, 1))]), r + 1)
 
-    rows = [np.append(H[:, i], -1.0) for i in range(count)]
-    rays = _double_description(rows, r + 1)
-
+    if (np.abs(rays[:, :-1]).max(axis=1) <= FACET_ZERO_TOL).any():
+        raise StalledError("facet enumeration produced a degenerate ray")
     facets = {}
-    for ray in rays:
-        a = ray[:-1]
-        if float(np.abs(a).max()) <= FACET_ZERO_TOL:
-            raise StalledError("facet enumeration produced a degenerate ray")
-        full = M.T @ a
-        canon = canonicalize(BellFunctional(scenario=scenario, coeffs=full))
-        key = canon.key()
-        if key in facets:
+    for a in rays[:, :-1]:
+        canon = canonicalize(BellFunctional(scenario=scenario, coeffs=M.T @ a))
+        if canon.key() in facets:
             raise StalledError("facet enumeration produced duplicate canonical forms")
-        facets[key] = canon
+        facets[canon.key()] = canon
     return tuple(facets[k] for k in sorted(facets))
 
 
-def _double_description(rows: list[np.ndarray], dim: int) -> list[np.ndarray]:
-    """Extreme rays of {x: row.x <= 0 for all rows} for a pointed cone.
-
-    Initializes on the first ``dim`` linearly independent rows, whose
-    cone is simplicial, then inserts the remaining rows one at a time,
-    with the standard combinatorial adjacency test on active sets.
+def _double_description(rows: np.ndarray, dim: int) -> np.ndarray:
+    """Extreme rays, one per row, of the pointed cone {x: row.x <= 0 for
+    every row}.  Starts from the simplicial cone of the first ``dim``
+    independent rows and inserts the others in order, keeping the rays
+    on or below each, then the combination of each adjacent pair across
+    it, positive rays major.  ``zero`` marks the inserted rows each ray
+    lies on; a pair is adjacent when no third ray lies on every row they
+    share, and only pairs sharing ``dim - 2`` can be (Fukuda & Prodon,
+    1996), which one product of ``zero`` rows counts for every pair.
     """
     init_idx: list[int] = []
-    for i, row in enumerate(rows):
-        candidate = init_idx + [i]
-        M = np.array([rows[j] for j in candidate])
-        if np.linalg.matrix_rank(M, tol=FACET_ZERO_TOL) == len(candidate):
+    for i in range(len(rows)):
+        if np.linalg.matrix_rank(rows[init_idx + [i]], tol=FACET_ZERO_TOL) == len(init_idx) + 1:
             init_idx.append(i)
         if len(init_idx) == dim:
             break
     if len(init_idx) < dim:
         raise ValidationError("inequality system does not span the space")
 
-    B0 = np.array([rows[j] for j in init_idx])
-    ray_mat = -np.linalg.inv(B0)
-    rays = [_normalize_ray(ray_mat[:, j]) for j in range(dim)]
-    zero_sets = [frozenset(init_idx) - {init_idx[j]} for j in range(dim)]
+    rays = _normalized(-np.linalg.inv(rows[init_idx]).T)
+    zero = np.zeros((dim, len(rows)), dtype=bool)
+    zero[:, init_idx] = ~np.eye(dim, dtype=bool)
 
-    for t, row in enumerate(rows):
-        if t in init_idx:
-            continue
-        vals = [float(row @ ray) for ray in rays]
-        keep_rays: list[np.ndarray] = []
-        keep_zero: list[frozenset] = []
-        neg = [k for k, v in enumerate(vals) if v < -FACET_ZERO_TOL]
-        pos = [k for k, v in enumerate(vals) if v > FACET_ZERO_TOL]
-        for k, v in enumerate(vals):
-            if v > FACET_ZERO_TOL:
-                continue
-            z = zero_sets[k] | {t} if abs(v) <= FACET_ZERO_TOL else zero_sets[k]
-            keep_rays.append(rays[k])
-            keep_zero.append(z)
-        for u in pos:
-            for v in neg:
-                common = zero_sets[u] & zero_sets[v]
-                if not _adjacent(common, u, v, zero_sets):
-                    continue
-                w = vals[u] * rays[v] - vals[v] * rays[u]
-                keep_rays.append(_normalize_ray(w))
-                keep_zero.append(common | {t})
-        rays = keep_rays
-        zero_sets = keep_zero
+    for t in np.setdiff1d(np.arange(len(rows)), init_idx):
+        vals = rays @ rows[t]
+        pos, neg = np.flatnonzero(vals > FACET_ZERO_TOL), np.flatnonzero(vals < -FACET_ZERO_TOL)
+        zero[np.abs(vals) <= FACET_ZERO_TOL, t] = True
+        flags = zero.astype(np.float64)
+        u, v = np.nonzero(flags[pos] @ flags[neg].T >= dim - 2)
+        u, v = pos[u], neg[v]
+        common = zero[u] & zero[v]
+        adjacent = ((common @ (1.0 - flags).T) == 0).sum(axis=1) == 2  # u and v alone
+        u, v, common = u[adjacent], v[adjacent], common[adjacent]
+        new = _normalized(vals[u, None] * rays[v] - vals[v, None] * rays[u])
+        common[:, t] = True
+        kept = vals <= FACET_ZERO_TOL
+        rays, zero = np.vstack([rays[kept], new]), np.vstack([zero[kept], common])
     return rays
 
 
-def _adjacent(common: frozenset, u: int, v: int, zero_sets: list[frozenset]) -> bool:
-    for k, z in enumerate(zero_sets):
-        if k != u and k != v and common <= z:
-            return False
-    return True
-
-
-def _normalize_ray(ray: np.ndarray) -> np.ndarray:
-    peak = float(np.abs(ray).max())
-    if peak <= 0.0:
+def _normalized(rays: np.ndarray) -> np.ndarray:
+    """Each row divided by its largest absolute entry."""
+    peaks = np.abs(rays).max(axis=1, keepdims=True)
+    if not (peaks > 0.0).all():
         raise StalledError("zero ray produced during facet enumeration")
-    return ray / peak
+    return rays / peaks

@@ -11,6 +11,7 @@ of ``tolerances``.  Tables are read through the scenario's one layout.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -20,6 +21,13 @@ from .scenario import Behavior, Scenario, _blocks, _entries, _layout, validate_b
 from .tolerances import DEFAULT_TOL, EFFECT_TOL, EIG_FLOOR, STATE_TOL
 
 DIM_CAP = 4
+
+
+def _dimension(value, what: str) -> int:
+    try:
+        return operator.index(value)
+    except TypeError:
+        raise ValidationError(f"{what} {value!r} is not an integer") from None
 
 
 def _as_square_complex(raw, dim: int, what: str) -> np.ndarray:
@@ -47,6 +55,8 @@ class QuantumState:
     rho: np.ndarray
 
     def __post_init__(self):
+        for field in ("dim_a", "dim_b"):
+            object.__setattr__(self, field, _dimension(getattr(self, field), "state dimension"))
         if self.dim_a < 1 or self.dim_b < 1:
             raise ValidationError("state dimensions must be >= 1")
         rho = _as_square_complex(self.rho, self.dim_a * self.dim_b, "density matrix")
@@ -76,6 +86,7 @@ class MeasurementSet:
     effects: tuple[tuple[np.ndarray, ...], ...]
 
     def __post_init__(self):
+        object.__setattr__(self, "dim", _dimension(self.dim, "measurement dimension"))
         if self.dim < 1:
             raise ValidationError("measurement dimension must be >= 1")
         try:

@@ -256,12 +256,15 @@ def test_signalling_below_tol_does_not_make_a_local_box_nonlocal():
     """A (3,2,2) deterministic mixture with 1e-9 of pair signalling: its
     defect is 5e-10, within tol, yet its l1 distance from the local set
     is 8e-9, and the cut that parts them is pure no-signalling gauge.
-    ``classify`` calls it local, with a model within MODEL_TOL."""
+    ``classify`` calls it local, with a model within MODEL_TOL, read off
+    the one solve of its distance program."""
     rng = np.random.default_rng(0)
     probs = _deterministic_mixture(rng, THREE)
     behavior = validate_behavior(THREE, (1.0 - 1e-9) * probs + 1e-9 * _group_signalling(rng, 2))
     assert 0.0 < no_signalling_defect(behavior).max_defect <= DEFAULT_TOL
-    result = classify(behavior)
+    with mock.patch.object(analysis, "solve", wraps=analysis.solve) as solves:
+        result = classify(behavior)
+    assert solves.call_count == 1
     assert result.verdict is Verdict.LOCAL
     gap = np.abs(strategy_matrix(THREE) @ result.model.weights - behavior.probs).max()
     assert gap <= MODEL_TOL
@@ -545,19 +548,29 @@ def _input_reader(inputs):
 def test_signalling_table_past_the_lp_cap(tmp_path, capsys):
     """The scan calls a (2,32,2) signalling table with no program.  Its
     membership witness is the marginal shift, whose local bound is
-    rechecked by a best response over party 0's 2**32 strategies, and
-    that is past the cap."""
+    rechecked over the two input blocks it reads, not by a best response
+    over party 0's 2**32 strategies, which is past the cap."""
     behavior = _input_reader(32)
     with mock.patch.object(analysis, "solve", wraps=analysis.solve) as solves:
         result = classify(behavior)
+        assert _peak_bytes(lambda: membership(behavior)) < 16 * 2**20
     assert solves.call_count == 0
     assert result.verdict is Verdict.SIGNALLING and result.signalling.max_defect == 1.0
-    assert _peak_bytes(_refused(membership, behavior, "strategy matrix")) < 16 * 2**20
+    res = membership(behavior)
+    party, x, a, (hi, lo) = result.signalling.worst_marginal
+    want = (marginal_indicator(behavior.scenario, (party,), (x,), (a,), hi)
+            - marginal_indicator(behavior.scenario, (party,), (x,), (a,), lo))
+    assert res.functional.coeffs.tobytes() == want.tobytes()
+    assert res.functional.local_bound == 0.0 and res.functional.integer_bound == 0
+    assert not res.is_local and res.violation == 1.0
+    with pytest.raises(SizeCapError, match="strategy matrix"):
+        local_bound(res.functional)
     path = tmp_path / "reader.json"
     write_document(behavior, path)
     assert main(["classify", str(path)]) == 0
     assert "signalling" in capsys.readouterr().out
-    assert main(["membership", str(path)]) == 3
+    assert main(["membership", str(path)]) == 0
+    assert "  local bound: 0\n  violation: 1\n" in capsys.readouterr().out
 
 
 def _input_copier(outputs):

@@ -723,16 +723,29 @@ def test_facet_families(chsh_facets):
     assert keys == expected
 
 
-def test_facets_are_supporting_and_tight(chsh_facets):
-    V = strategy_matrix(CHSH)
-    for f in chsh_facets:
+@pytest.mark.parametrize(("scenario", "count"), [
+    (CHSH, 24),
+    (Scenario((2, 2), ((2, 3), (2, 2))), 44),
+    (Scenario((2, 3), ((2, 2), (2, 2, 2))), 48),
+    (Scenario((1, 1, 2), ((2,), (2,), (2, 2))), 16),
+    (Scenario((2, 2), ((2, 3), (2, 3))), 97),
+], ids=["chsh", "23-22", "22-222", "2-2-22", "23-23"])
+def test_facets_are_supporting_and_tight(scenario, count):
+    """Each facet's maximum over the vertices is its bound, and the
+    vertices it saturates span a hyperplane of the local polytope, which
+    has the dimension r of the reduced coordinates."""
+    facets = enumerate_facets(scenario)
+    assert len(facets) == count
+    r = reduced_space(scenario).shape[0]
+    V = strategy_matrix(scenario)
+    for f in facets:
         values = f.coeffs @ V
         assert values.max() == pytest.approx(f.local_bound, abs=1e-9)
         tight = np.abs(values - f.local_bound) <= 1e-9
-        assert tight.sum() >= 8
+        assert tight.sum() >= r
         pts = V[:, tight].T
         centered = pts[1:] - pts[0]
-        assert np.linalg.matrix_rank(centered, tol=1e-9) == 7
+        assert np.linalg.matrix_rank(centered, tol=1e-9) == r - 1
 
 
 def test_facets_closed_under_relabellings(chsh_facets):

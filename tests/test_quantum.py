@@ -117,6 +117,30 @@ def test_unreadable_entries_are_validation_errors(build, message):
         build()
 
 
+@pytest.mark.parametrize(("build", "message"), [
+    pytest.param(lambda: QuantumState(dim_a=1.5, dim_b=2, rho=np.eye(3) / 3),
+                 "state dimension 1.5 is not an integer", id="state-float"),
+    pytest.param(lambda: QuantumState(dim_a=2, dim_b="2", rho=SINGLET),
+                 "state dimension '2' is not an integer", id="state-string"),
+    pytest.param(lambda: MeasurementSet(dim="2", effects=((_EYE,),)),
+                 "measurement dimension '2' is not an integer", id="measurement-string"),
+    pytest.param(lambda: MeasurementSet(dim=2.0, effects=((_EYE,),)),
+                 "measurement dimension 2.0 is not an integer", id="measurement-float"),
+])
+def test_dimensions_must_be_integers(build, message):
+    """A float dimension whose product matched the matrix was accepted,
+    and a string or float one raised a bare TypeError."""
+    with pytest.raises(ValidationError, match=message):
+        build()
+
+
+def test_numpy_integer_dimensions_are_read_as_ints():
+    state = QuantumState(dim_a=np.int64(2), dim_b=np.int32(2), rho=SINGLET)
+    mset = MeasurementSet(dim=np.int64(2), effects=((_EYE,),))
+    assert (state.dim_a, state.dim_b, mset.dim) == (2, 2, 2)
+    assert all(type(d) is int for d in (state.dim_a, state.dim_b, mset.dim))
+
+
 def test_setup_dimension_mismatch_rejected():
     state = QuantumState(dim_a=2, dim_b=2, rho=SINGLET)
     eye3 = np.eye(3, dtype=complex)
