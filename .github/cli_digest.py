@@ -18,7 +18,10 @@ local, a nonlocal and a signalling table of ``UNEVEN``, and classify
 and quantum on a setup document whose inputs have different outcome
 counts; then facets, in both formats, on a scenario document of two
 parties with two inputs each, of two and three outputs, where 72 of the
-97 facets have no integer form, and in the structured format on 3322.
+97 facets have no integer form, and in the structured format on 3322;
+then threshold visibility, in both formats, of the (2,3,3) tables of
+random 3x3-dimensional, 3-input setups at seeds 4 and 8 against the
+uniform table, whose second stages run past a hundred pivots.
 New operations go at the end, so digests of older checkouts still
 compare by name.  Each runs through ``bellbox.cli.main`` in this
 process, with bellbox imported from this checkout's src; perfbench/decks.py
@@ -56,12 +59,12 @@ os.environ.pop("BELLBOX_TOL", None)  # the command line reads it as its default 
 import bellbox.analysis  # noqa: E402
 import decks  # noqa: E402
 import numpy as np  # noqa: E402
-from bellbox import Scenario, validate_behavior  # noqa: E402
+from bellbox import Scenario, named_behavior, validate_behavior  # noqa: E402
 from bellbox.cli import main  # noqa: E402
 from bellbox.documents import emit_document  # noqa: E402
 from bellbox.fixtures import fixture_names, fixture_path  # noqa: E402
-from bellbox.quantum import (BellSetup, MeasurementSet, lift_with_efficiency,  # noqa: E402
-                             random_setup)
+from bellbox.quantum import (BellSetup, MeasurementSet, behavior_from_setup,  # noqa: E402
+                             lift_with_efficiency, random_setup)
 
 SEEDS = (1, 2, 3)
 FIXTURE_VERBS = ("validate", "classify", "membership")
@@ -73,6 +76,7 @@ UNEVEN_VERBS = ("validate", "classify", "membership", "derive-inequality")
 # float coefficients; 3322's 684 all have integer forms
 FACET_SCENARIOS = (("uneven-23-23", Scenario((2, 2), ((2, 3), (2, 3))), FORMATS),
                    ("3322", Scenario.uniform(2, 3, 2), ("structured",)))
+QUTRIT_THRESHOLD_SEEDS = (4, 8)
 
 
 def operations():
@@ -119,6 +123,14 @@ def operations():
         doc, text = f"{label}.json", emit_document(scenario)
         for fmt in formats:
             yield f"facets/{label}/{fmt}", ["facets", doc, "--format", fmt], {doc: text}
+    noise = emit_document(named_behavior("uniform", Scenario.uniform(2, 3, 3)))
+    for seed in QUTRIT_THRESHOLD_SEEDS:
+        doc = f"qutrit-seed{seed}.json"
+        text = emit_document(behavior_from_setup(random_setup(seed, dims=(3, 3), inputs=(3, 3))))
+        docs = {doc: text, "uniform-233.json": noise}
+        for fmt in FORMATS:
+            yield (f"threshold-visibility/qutrit-seed{seed}/{fmt}",
+                   ["threshold", "visibility", doc, "uniform-233.json", "--format", fmt], docs)
 
 
 def input_copier(outputs):

@@ -1,8 +1,9 @@
 """Dense linear programming kernel with self-verified certificates.
 
-Equality-form problems over nonnegative (optionally free or box-bounded)
-variables are solved by a two-phase revised simplex whose state is its
-basis, the basis inverse and basic values, the costs and crossing slopes
+Equality-form problems over nonnegative variables, the form of the
+package's one program, the l1 distance program of ``analysis``, are
+solved by a two-phase revised simplex whose state is its basis, the
+basis inverse and basic values, the costs and crossing slopes
 per column (the basic ones are read off the basis, never copied), the
 columns that pricing may enter and, while a phase prices, its reduced
 costs and steepest-edge weights.  Each iteration forms only the entering
@@ -12,10 +13,12 @@ inverse and the basic values are the two parts of one m x (m+1) array,
 so that one rank-one update moves both, and an iteration writes its
 pricing rows, pivot row, outer product and entering scores into
 workspaces sized once per solve.  The constraint
-matrix is used as given, never copied: a program without variable
-bounds passes through the standard form unchanged, and a row whose
-right-hand side is negative is flipped by the sign that the basis
-inverse starts with.  Artificial columns are
+matrix is used as given, never copied: a row whose right-hand side is
+negative is flipped by the sign that the basis inverse starts with.
+Every ``REINVERT_EVERY`` pivots the inverse and the basic values are
+rebuilt from the basis columns, and a phase's reduced costs and weights
+are priced afresh, so that the rounding that the rank-one updates carry
+cannot build up (Bixby, Oper. Res. 50, 3 (2002)).  Artificial columns are
 signed unit columns that are never stored, and they are start-up
 scaffolding only: no phase prices them, so one that leaves the basis
 never returns (Bertsimas and Tsitsiklis, Introduction to Linear
@@ -55,9 +58,7 @@ the solve is then maximized over the points at the optimum, with the
 columns that the costs charge retired from pricing and no second phase
 1, so a program and its continuation share one basis.  Every outcome
 carries evidence: a primal solution for feasible problems, a Farkas
-vector for infeasible ones, an improving ray for unbounded ones, and
-each can be checked against its own verification inequality by an
-independent routine.  The
+vector for infeasible ones, an improving ray for unbounded ones.  The
 tolerances come from ``tolerances``; the size cap and the pivot limit
 are this module's own, and ``check_size`` and ``check_entries`` apply it.
 
@@ -73,8 +74,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import SizeCapError, StalledError, ValidationError
-from .tolerances import (DEFAULT_TOL, PIVOT_TOL, RATIO_TOL, TIE_TOL, VERIFY_TOL,
-                         require_tolerance)
+from .tolerances import DEFAULT_TOL, PIVOT_TOL, RATIO_TOL, TIE_TOL, require_tolerance
 
 DEFAULT_MAX_ITERS = 10_000
 # most rows, and most columns, of a program; DIMENSION_CAP ** 2 entries
@@ -82,6 +82,8 @@ DEFAULT_MAX_ITERS = 10_000
 DIMENSION_CAP = 8192
 # consecutive degenerate pivots after which pricing switches to Bland's rule
 BLAND_AFTER = 50
+# pivots between two rebuilds of the basis inverse from the basis columns
+REINVERT_EVERY = 64
 
 _INF = float("inf")
 
@@ -101,54 +103,32 @@ def check_entries(what: str, rows: int, cols: int):
 
 @dataclass(frozen=True, eq=False)
 class LinearProgram:
-    """maximize (or minimize) c.x  subject to  A x = b  and variable bounds.
-
-    ``bounds`` is a per-variable sequence of (lo, hi); ``None`` means every
-    variable is nonnegative and unbounded above.  ``lo`` may be ``-inf``
-    (free below), ``hi`` may be ``+inf``.  ``c is None`` makes this a pure
-    feasibility problem.
-    """
+    """maximize (or minimize) c.x  subject to  A x = b  and  x >= 0."""
 
     A: np.ndarray
     b: np.ndarray
-    c: np.ndarray | None = None
+    c: np.ndarray
     maximize: bool = True
-    bounds: tuple[tuple[float, float], ...] | None = None
 
     def __post_init__(self):
         A = np.asarray(self.A, dtype=np.float64)
         if A.ndim != 2:
             raise ValidationError("constraint matrix must be two-dimensional")
         b = np.asarray(self.b, dtype=np.float64).reshape(-1)
+        c = np.asarray(self.c, dtype=np.float64).reshape(-1)
         object.__setattr__(self, "A", A)
         object.__setattr__(self, "b", b)
+        object.__setattr__(self, "c", c)
         m, n = A.shape
         if b.shape[0] != m:
             raise ValidationError(f"rhs has length {b.shape[0]}, matrix has {m} rows")
-        if self.c is not None:
-            c = np.asarray(self.c, dtype=np.float64).reshape(-1)
-            if c.shape[0] != n:
-                raise ValidationError(f"objective has length {c.shape[0]}, matrix has {n} columns")
-            object.__setattr__(self, "c", c)
+        if c.shape[0] != n:
+            raise ValidationError(f"objective has length {c.shape[0]}, matrix has {n} columns")
         check_size(m, n)
         if not (np.all(np.isfinite(A)) and np.all(np.isfinite(b))):
             raise ValidationError("LP data must be finite")
-        if self.c is not None and not np.all(np.isfinite(self.c)):
+        if not np.all(np.isfinite(c)):
             raise ValidationError("LP objective must be finite")
-        if self.bounds is not None:
-            if len(self.bounds) != n:
-                raise ValidationError("bounds length must match variable count")
-            clean = []
-            for j, (lo, hi) in enumerate(self.bounds):
-                lo = -_INF if lo is None else float(lo)
-                hi = _INF if hi is None else float(hi)
-                # a NaN bound fails lo <= hi, as a lower bound above its upper does
-                if not lo <= hi:
-                    raise ValidationError(f"variable {j}: bounds ({lo}, {hi}) do not meet lo <= hi")
-                if lo == _INF or hi == -_INF:
-                    raise ValidationError(f"variable {j}: bounds ({lo}, {hi}) are empty")
-                clean.append((lo, hi))
-            object.__setattr__(self, "bounds", tuple(clean))
 
     @property
     def shape(self) -> tuple[int, int]:
@@ -160,9 +140,8 @@ class LpOutcome:
     """Result of a solve, with the evidence backing its status.
 
     ``y`` is the dual vector at optimality, or the Farkas vector for
-    infeasible problems; its first ``m`` entries correspond to the input
-    rows (synthetic rows for box bounds follow, if any).  ``ray`` is an
-    improving feasible direction for unbounded problems.
+    infeasible problems, one entry per row.  ``ray`` is an improving
+    feasible direction for unbounded problems.
     """
 
     status: str
@@ -171,95 +150,6 @@ class LpOutcome:
     ray: np.ndarray | None = None
     objective: float | None = None
     iterations: int = 0
-
-
-@dataclass(frozen=True)
-class CertificateReport:
-    """Recomputed residuals and margins for an outcome; ``ok`` aggregates them."""
-
-    status: str
-    ok: bool
-    residual: float | None = None
-    bound_violation: float | None = None
-    objective_gap: float | None = None
-    duality_gap: float | None = None
-    reduced_cost_min: float | None = None
-    farkas_dot_max: float | None = None
-    farkas_margin: float | None = None
-    ray_residual: float | None = None
-    ray_gain: float | None = None
-
-
-def _bound_arrays(lp: LinearProgram) -> tuple[np.ndarray, np.ndarray]:
-    """The lower and the upper bounds of every variable, as two arrays."""
-    n = lp.shape[1]
-    if lp.bounds is None:
-        return np.zeros(n), np.full(n, _INF)
-    return np.array(lp.bounds, dtype=np.float64).reshape(n, 2).T
-
-
-class _StandardForm:
-    """Equality system with every variable nonnegative.
-
-    A program without bounds is one already: its A, b and objective
-    stand as given (``identity``), and a point or ray of the system is
-    one of the program, so ``to_original`` and ``ray_to_original`` return
-    their argument.  Otherwise columns are generated per original
-    variable: a plain column for lo=0, a shifted column for finite lo, a
-    negated column for variables only bounded above, and a +/- pair for
-    free variables.  Finite ranges get one extra row ``x' + s = hi - lo``
-    appended after the input rows.
-    """
-
-    def __init__(self, lp: LinearProgram):
-        m, n = lp.shape
-        c_min = np.zeros(n) if lp.c is None else (-lp.c if lp.maximize else lp.c)
-        self.identity = lp.bounds is None
-        if self.identity:
-            # nothing writes to A, b or c_min
-            self.A, self.b, self.c_min, self.m_rows = lp.A, lp.b, c_min, m
-            return
-        lo, hi = _bound_arrays(lp)
-        # x_j = shift_j + sign_j * x'_j, less x''_j for a free (split) variable
-        self.split = (lo == -_INF) & (hi == _INF)
-        negated = (lo == -_INF) & ~self.split
-        ranged = (lo != -_INF) & (hi != _INF)
-        self.shift = np.where(negated, hi, np.where(lo == -_INF, 0.0, lo))
-        self.sign = np.where(negated, -1.0, 1.0)
-        width = 1 + self.split.astype(np.intp)
-        self.first = np.cumsum(width) - width  # first standard column of x_j
-        origin = np.repeat(np.arange(n), width)
-        col_sign = self.sign[origin]
-        col_sign[self.first[self.split] + 1] = -1.0
-
-        b = lp.b.astype(np.float64, copy=True)
-        for j in np.flatnonzero(self.shift):
-            b -= lp.A[:, j] * self.shift[j]
-        n_struct = origin.size
-        k = int(ranged.sum())
-        if n_struct == n and k == 0 and not negated.any():
-            A_std = lp.A  # every column stands as it is; nothing writes to it
-        else:
-            A_std = np.zeros((m + k, n_struct + k))
-            A_std[:m, :n_struct] = lp.A[:, origin] * col_sign
-            A_std[m + np.arange(k), self.first[ranged]] = 1.0
-            A_std[m + np.arange(k), n_struct + np.arange(k)] = 1.0  # range slacks
-        self.A = A_std
-        self.b = np.concatenate([b, (hi - lo)[ranged]])
-        self.c_min = np.concatenate([c_min[origin] * col_sign, np.zeros(k)])
-        self.m_rows = m + k
-
-    def to_original(self, x_std: np.ndarray) -> np.ndarray:
-        if self.identity:
-            return x_std
-        return self.shift + self.ray_to_original(x_std)
-
-    def ray_to_original(self, d_std: np.ndarray) -> np.ndarray:
-        if self.identity:
-            return d_std
-        d = self.sign * d_std[self.first]
-        d[self.split] -= d_std[self.first[self.split] + 1]
-        return d
 
 
 class _Simplex:
@@ -277,12 +167,14 @@ class _Simplex:
     row prices and the Farkas vector are ``cost[basis] Binv`` in the
     original orientation.  ``Binv`` and ``xB`` are views of one array
     ``BX = [Binv | xB]``: a pivot's rank-one update and a long step's row
-    flips move both at once.  The iteration allocates no array the size of
-    ``Binv`` or of a pricing row: those products, the pivot row, its
-    outer product and the entering scores go into workspaces made with
-    the simplex.  Column ``n + i`` is the artificial of row ``i``, the
-    unit column ``row_sign[i] e_i``, never stored and never priced: the
-    reduced costs and weights cover the ``n`` structural columns only.
+    flips move both at once, and every ``REINVERT_EVERY`` pivots
+    ``_reinvert`` rebuilds both from the basis columns.  The iteration
+    allocates no array the size of ``Binv`` or of a pricing row: those
+    products, the pivot row, its outer product and the entering scores
+    go into workspaces made with the simplex.  Column ``n + i`` is the
+    artificial of row ``i``, the unit column ``row_sign[i] e_i``, never
+    stored and never priced: the reduced costs and weights cover the
+    ``n`` structural columns only.
     Each iteration picks the steepest edge from the kept reduced costs
     and weights, forms only the entering column ``Binv a_j``, updates the
     reduced costs and weights from the pivot row and updates ``Binv`` by
@@ -309,7 +201,7 @@ class _Simplex:
         self.row_sign = sign
         m, n = A.shape
         self.n = n
-        self.A = A  # never written: Binv carries the row signs
+        self.A, self.b = A, b  # never written: Binv carries the row signs
         # [Binv | xB] in one array, so that one rank-one update moves both
         # and one row gather flips both; Binv and xB are views into it
         self.BX = np.zeros((m, m + 1))
@@ -378,6 +270,29 @@ class _Simplex:
         if self.iterations > self.max_iters:
             raise StalledError(
                 f"simplex exceeded {self.max_iters} pivots without concluding")
+        if self.iterations % REINVERT_EVERY == 0:
+            self._reinvert()
+
+    def _reinvert(self):
+        """Rebuild [Binv | xB] in place as B^-1 [I | b], B the basis
+        columns of [A | diag(row_sign)], and price afresh the reduced
+        costs and weights that a run keeps, so that the rounding of the
+        rank-one updates does not build up.  ``iterations`` is left as
+        it is: ``edge_weights`` reads its zero as a diagonal Binv."""
+        m = self.basis.size
+        B = np.zeros((m, m))
+        structural = self.basis < self.n
+        B[:, structural] = self.A[:, self.basis[structural]]
+        rows = self.basis[~structural] - self.n
+        B[rows, np.flatnonzero(~structural)] = self.row_sign[rows]
+        rhs = np.zeros((m, m + 1))
+        np.fill_diagonal(rhs, 1.0)
+        rhs[:, m] = self.b
+        self.BX[:] = np.linalg.solve(B, rhs)
+        if self.reduced is not None:
+            self.reduced = self.reduced_costs()
+        if self.weights is not None:
+            self.weights = self.edge_weights()
 
     def prices(self) -> np.ndarray:
         """Simplex multipliers ``c_B Binv``, one per row of ``A``."""
@@ -407,9 +322,10 @@ class _Simplex:
         them exactly (Goldfarb and Reid), and the reduced costs with them,
         from the pivot row.  The reduced costs are priced afresh from the
         row prices every m pivots and before the phase is declared
-        optimal.  Once ``BLAND_AFTER`` pivots in a row have left the
-        objective where it was, Bland's smallest-index rule takes over
-        until a pivot moves it, so a degenerate vertex cannot cycle.
+        optimal, and with the weights at each ``_reinvert``.  Once
+        ``BLAND_AFTER`` pivots in a row have left the objective where it
+        was, Bland's smallest-index rule takes over until a pivot moves
+        it, so a degenerate vertex cannot cycle.
 
         The ratio test sorts the candidate rows by ratio.  In phase 2,
         while steepest edge is in charge, it walks them (``_long_step``):
@@ -615,6 +531,7 @@ class _Simplex:
         ``PIVOT_TOL``, below the least pivot that the ratio test takes, so
         the next phase passes the row by; should an entry grow past it,
         the column leaves as any basic column does, for good."""
+        self.weights = self.reduced = None  # no pricing here for a reinversion to redo
         enters = np.zeros(self.n + self.basis.size, dtype=bool)
         enters[:self.n] = True if self.live is None else self.live
         for i in np.flatnonzero(~enters[self.basis]).tolist():
@@ -664,8 +581,8 @@ def solve(lp: LinearProgram, tol: float = DEFAULT_TOL) -> LpOutcome:
     raises ``StalledError`` rather than return a wrong answer.
 
     Statuses: "optimal" (x, y, objective), "infeasible" (y is a Farkas
-    vector for ``A x = b, x in bounds``), "unbounded" (x feasible, ray
-    improving), "feasible" (no objective; x only).
+    vector for ``A x = b, x >= 0``), "unbounded" (x feasible, ray
+    improving).
 
     Phase 2 stops at a feasible basis as soon as the costs are all
     nonnegative and its objective is at most ``tol``: nothing feasible
@@ -674,36 +591,31 @@ def solve(lp: LinearProgram, tol: float = DEFAULT_TOL) -> LpOutcome:
     is refused.
     """
     tol = require_tolerance(tol)
-    std = _StandardForm(lp)
-    sx = _Simplex(std.A, std.b, DEFAULT_MAX_ITERS, tol)
-    out = _phases(lp, std, sx)
-    _check_internal(lp, std, out, tol)
+    sx = _Simplex(lp.A, lp.b, DEFAULT_MAX_ITERS, tol)
+    out = _phases(lp, sx)
+    _check_internal(lp, out, tol)
     return out
 
 
-def _phases(lp: LinearProgram, std: _StandardForm, sx: _Simplex) -> LpOutcome:
-    """Run ``solve``'s phases on ``sx``, built over ``std``, and read the
+def _phases(lp: LinearProgram, sx: _Simplex) -> LpOutcome:
+    """Run ``solve``'s phases on ``sx``, built over ``lp``, and read the
     outcome off the basis it ends on."""
     gap = sx.phase1()
-    if gap > sx.tol * max(1.0, float(np.abs(std.b).max(initial=0.0))):
+    if gap > sx.tol * max(1.0, float(np.abs(lp.b).max(initial=0.0))):
         # phase-1 prices already satisfy y.A <= 0 with y.b = gap > 0
         return LpOutcome(status="infeasible", y=sx.duals(), iterations=sx.iterations)
     sx.drive_out()
-    if lp.c is None:
-        return LpOutcome(status="feasible", x=std.to_original(sx.primal()),
-                         iterations=sx.iterations)
-    sx.install_costs(std.c_min, 0.0)
-    return _phase2(std, sx, lp.c, lp.maximize)
+    sx.install_costs(-lp.c if lp.maximize else lp.c, 0.0)
+    return _phase2(sx, lp.c, lp.maximize)
 
 
-def _phase2(std: _StandardForm, sx: _Simplex, c: np.ndarray, maximize: bool) -> LpOutcome:
+def _phase2(sx: _Simplex, c: np.ndarray, maximize: bool) -> LpOutcome:
     """Run phase 2 on the costs installed in ``sx``, which are those of
     ``c`` in the orientation ``maximize``, and read the outcome."""
     status, enter = sx.run(phase=2)
-    x = std.to_original(sx.primal())
+    x = sx.primal()
     if status == "unbounded":
-        return LpOutcome(status="unbounded", x=x, ray=std.ray_to_original(sx.ray(enter)),
-                         iterations=sx.iterations)
+        return LpOutcome(status="unbounded", x=x, ray=sx.ray(enter), iterations=sx.iterations)
     y = sx.duals()  # prices of the minimized objective: a maximum negates them
     return LpOutcome(status="optimal", x=x, y=-y if maximize else y,
                      objective=float(c @ x), iterations=sx.iterations)
@@ -713,9 +625,8 @@ def _solve_then_maximize(lp: LinearProgram, k: int) -> tuple[LpOutcome, LpOutcom
     """Solve ``lp`` with variable ``k`` kept out of pricing, and so at
     zero; where that ends optimal at an objective of at most
     ``DEFAULT_TOL``, continue the same simplex to the largest x_k among
-    the points at that optimum.  ``lp`` has no variable bounds,
-    nonnegative costs and a feasible point with x_k = 0; nothing here
-    checks that.
+    the points at that optimum.  ``lp`` has nonnegative costs and a
+    feasible point with x_k = 0; nothing here checks that.
 
     The first stage is ``solve`` with column ``k`` never entering: the
     same phases, pivots and outcome (its x has x_k = 0).  At an optimum
@@ -733,12 +644,11 @@ def _solve_then_maximize(lp: LinearProgram, k: int) -> tuple[LpOutcome, LpOutcom
     where the first stage ends elsewhere.  Each outcome passes
     ``_check_internal``.
     """
-    std = _StandardForm(lp)
     live = np.ones(lp.shape[1], dtype=bool)
     live[k] = False
-    sx = _Simplex(std.A, std.b, DEFAULT_MAX_ITERS, DEFAULT_TOL, live)
-    first = _phases(lp, std, sx)
-    _check_internal(lp, std, first, DEFAULT_TOL)
+    sx = _Simplex(lp.A, lp.b, DEFAULT_MAX_ITERS, DEFAULT_TOL, live)
+    first = _phases(lp, sx)
+    _check_internal(lp, first, DEFAULT_TOL)
     if first.status != "optimal" or not first.objective <= DEFAULT_TOL:
         return first, None
     np.equal(lp.c, 0.0, out=sx.live)
@@ -748,109 +658,22 @@ def _solve_then_maximize(lp: LinearProgram, k: int) -> tuple[LpOutcome, LpOutcom
     goal = np.zeros(sx.n)
     goal[k] = 1.0
     sx.install_costs(-goal, 0.0)
-    second = _phase2(std, sx, goal, True)
-    _check_internal(lp, std, second, DEFAULT_TOL)
+    second = _phase2(sx, goal, True)
+    _check_internal(lp, second, DEFAULT_TOL)
     return first, second
 
 
-def _check_internal(lp: LinearProgram, std: _StandardForm, out: LpOutcome, tol: float):
+def _check_internal(lp: LinearProgram, out: LpOutcome, tol: float):
     """Cheap invariant checks on the way out; a failure here means the
     tableau bookkeeping broke, which must never surface as a status.
     Each test passes only on a number that meets it, so a NaN fails."""
-    scale = max(1.0, float(np.abs(std.b).max(initial=0.0)))
+    scale = max(1.0, float(np.abs(lp.b).max(initial=0.0)))
     slack = 100.0 * tol * scale
     if out.x is not None:
         res = float(np.abs(lp.A @ out.x - lp.b).max(initial=0.0))
         if not res <= slack:
             raise StalledError(f"solution residual {res:.3e} exceeds tolerance band")
     if out.status == "infeasible":
-        dots = out.y @ std.A
-        if not (dots.max(initial=0.0) <= slack and out.y @ std.b > 0.0):
+        dots = out.y @ lp.A
+        if not (dots.max(initial=0.0) <= slack and out.y @ lp.b > 0.0):
             raise StalledError("infeasibility evidence failed its defining inequality")
-
-
-def verify_certificate(lp: LinearProgram, outcome: LpOutcome,
-                       tol: float = VERIFY_TOL) -> CertificateReport:
-    """Independently recompute the inequalities behind ``outcome``.
-
-    This routine never trusts solver internals: it re-derives the
-    standard-form system from ``lp`` and checks the reported evidence
-    against it with plain matrix arithmetic.  An optimum needs a feasible
-    x, a dual feasible y and equal primal and dual values.
-    """
-    status = outcome.status
-    ok = True
-    fields: dict[str, float | None] = {}
-    lo, hi = _bound_arrays(lp)
-
-    if outcome.x is not None:
-        res = float(np.abs(lp.A @ outcome.x - lp.b).max(initial=0.0))
-        # an infinite bound gives -inf here, never a violation
-        bv = float(np.maximum(lo - outcome.x, outcome.x - hi).max(initial=0.0))
-        fields["residual"] = res
-        fields["bound_violation"] = bv
-        ok &= res <= tol and bv <= tol
-
-    if status == "optimal":
-        if outcome.x is None or outcome.y is None:
-            ok = False  # a feasible x alone proves no optimum, nor do prices alone
-        else:
-            value = float(lp.c @ outcome.x)
-            fields["objective_gap"] = abs(value - outcome.objective)
-            gap, least = _dual_check(lp, outcome)
-            fields["duality_gap"] = gap
-            fields["reduced_cost_min"] = least
-            scale = tol * max(1.0, abs(value))
-            ok &= fields["objective_gap"] <= scale and gap <= scale and least >= -tol
-    elif status == "infeasible":
-        if outcome.y is None:
-            ok = False
-        else:
-            std = _StandardForm(lp)
-            dots = outcome.y @ std.A
-            margin = float(outcome.y @ std.b)
-            fields["farkas_dot_max"] = float(dots.max(initial=0.0))
-            fields["farkas_margin"] = margin
-            ok &= fields["farkas_dot_max"] <= tol and margin > 0.0
-    elif status == "unbounded":
-        if outcome.ray is None or lp.c is None:
-            ok = False
-        else:
-            d = outcome.ray
-            rres = float(np.abs(lp.A @ d).max(initial=0.0))
-            gain = float(lp.c @ d)
-            if not lp.maximize:
-                gain = -gain
-            # the ray may not leave a finite bound by more than tol
-            dir_ok = not (((lo > -_INF) & (d < -tol)).any() or ((hi < _INF) & (d > tol)).any())
-            fields["ray_residual"] = rres
-            fields["ray_gain"] = gain
-            ok &= rres <= tol and gain > tol and dir_ok
-    elif status == "feasible":
-        ok &= outcome.x is not None
-    else:
-        ok = False
-
-    return CertificateReport(status=status, ok=bool(ok), **fields)
-
-
-def _dual_check(lp: LinearProgram, outcome: LpOutcome) -> tuple[float, float]:
-    """The duality gap |c.x - y.b_std - c.shift| and the least reduced
-    cost of y, both over the reconstructed standard system.
-
-    Variable shifts (finite lower bounds, upper-only bounds) displace the
-    objective by a constant c.shift; after removing it, primal and dual
-    values coincide at optimality in either orientation.  Equal values
-    prove optimality only for a dual feasible y: its reduced costs, taken
-    as for a minimization (a maximum's y is negated) over every standard
-    column, range slacks included, must all be >= 0.
-    """
-    std = _StandardForm(lp)
-    y = outcome.y
-    if y.shape[0] != std.m_rows:
-        return _INF, -_INF  # prices for the synthetic range rows were not reported
-    dual = float(y @ std.b)
-    offset = 0.0 if std.identity else float(lp.c @ std.shift)
-    reduced = std.c_min - (-y if lp.maximize else y) @ std.A
-    return (abs(float(lp.c @ outcome.x) - dual - offset),
-            float(reduced.min(initial=_INF)))

@@ -55,7 +55,7 @@ PIVOT_TOL = 1e-10
 RATIO_TOL = 1e-9
 # how far a tie taken in the ratio test may step any basic value below zero
 TIE_TOL = 1e-11
-# residuals, bound violations, gaps and reduced costs that verify_certificate accepts
+# residuals, negative entries, gaps and reduced costs that the tests' certificate recheck accepts
 VERIFY_TOL = 1e-7
 
 # -- Bell functionals and facets (polytope) ---------------------------------

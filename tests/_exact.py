@@ -2,19 +2,20 @@
 
 ``solve_and_recheck`` runs ``bellbox.lp.solve`` with ``_Simplex``
 patched by a subclass that records the instance the solve builds, then
-re-derives that simplex's final basis in ``Fraction`` arithmetic over a
-rebuilt ``_StandardForm``.  Float data converts to ``Fraction``
-losslessly, so a True says that the basis the solve ended on proves its
-status exactly.  The check is cubic in Python fractions: it is for the
-small kernel programs of the tests, not for the package's own tables,
-whose float optima rarely sit on an exactly feasible and optimal basis.
+re-derives that simplex's final basis in ``Fraction`` arithmetic over
+the program's ``A``, ``b`` and its cost in the minimized orientation.
+Float data converts to ``Fraction`` losslessly, so a True says that the
+basis the solve ended on proves its status exactly.  The check is cubic
+in Python fractions: it is for the small kernel programs of the tests,
+not for the package's own tables, whose float optima rarely sit on an
+exactly feasible and optimal basis.
 """
 
 from fractions import Fraction
 from unittest import mock
 
 import bellbox.lp
-from bellbox.lp import LinearProgram, LpOutcome, _StandardForm, solve
+from bellbox.lp import LinearProgram, LpOutcome, solve
 
 
 def solve_and_recheck(lp: LinearProgram, **options) -> tuple[LpOutcome, bool]:
@@ -31,24 +32,25 @@ def solve_and_recheck(lp: LinearProgram, **options) -> tuple[LpOutcome, bool]:
         out = solve(lp, **options)
     (sx,) = built
     try:
-        verified = _rational_recheck(out.status, _StandardForm(lp), sx.basis, sx.row_sign)
+        verified = _rational_recheck(out.status, lp, sx.basis, sx.row_sign)
     except ZeroDivisionError:
         verified = False
     return out, verified
 
 
-def _rational_recheck(status: str, std: _StandardForm, basis, row_sign) -> bool:
-    """Re-derive the basis ``basis`` of the row-flipped system exactly.
+def _rational_recheck(status: str, lp: LinearProgram, basis, row_sign) -> bool:
+    """Re-derive the basis ``basis`` of the row-flipped system of ``lp``
+    exactly.
 
     Checks basic feasibility and the sign conditions that certify the
     reported status (for an optimum under nonnegative costs, an exact
     objective of 0 is such a condition).  Column ``n + i`` is the
     artificial of row ``i``.
     """
-    m, n = std.A.shape
+    m, n = lp.A.shape
     sign = [Fraction(s) for s in row_sign]
-    A = [[sign[i] * Fraction(std.A[i, j]) for j in range(n)] for i in range(m)]
-    b = [sign[i] * Fraction(std.b[i]) for i in range(m)]
+    A = [[sign[i] * Fraction(lp.A[i, j]) for j in range(n)] for i in range(m)]
+    b = [sign[i] * Fraction(lp.b[i]) for i in range(m)]
 
     def column(j: int) -> list[Fraction]:
         if j < n:
@@ -61,7 +63,7 @@ def _rational_recheck(status: str, std: _StandardForm, basis, row_sign) -> bool:
     Binv = _fraction_inverse([[B[j][i] for j in range(m)] for i in range(m)])
 
     xB = _matvec(Binv, b)
-    if status in ("optimal", "feasible", "unbounded"):
+    if status in ("optimal", "unbounded"):
         if any(v < 0 for v in xB):
             return False
         # a basic artificial, such as a redundant row's, must be exactly
@@ -70,7 +72,8 @@ def _rational_recheck(status: str, std: _StandardForm, basis, row_sign) -> bool:
             return False
     if status in ("optimal", "infeasible"):
         if status == "optimal":
-            c_full = [Fraction(v) for v in std.c_min] + [Fraction(0)] * m
+            c_min = -lp.c if lp.maximize else lp.c
+            c_full = [Fraction(v) for v in c_min] + [Fraction(0)] * m
         else:
             c_full = [Fraction(0)] * n + [Fraction(1)] * m
         cB = [c_full[j] for j in basis]

@@ -13,8 +13,6 @@ import numpy as np
 
 from bellbox.lp import LinearProgram
 
-_INF = float("inf")
-
 
 @dataclass(frozen=True)
 class LpCase:
@@ -68,13 +66,14 @@ def _zero_row_consistent() -> LpCase:
 def _zero_row_inconsistent() -> LpCase:
     A = np.array([[0.0, 0.0], [1.0, 1.0]])
     b = np.array([1.0, 1.0])
-    return LpCase("zero_row_inconsistent", LinearProgram(A=A, b=b), "infeasible")
+    return LpCase("zero_row_inconsistent", LinearProgram(A=A, b=b, c=np.zeros(2)),
+                  "infeasible")
 
 
 def _crossing_rows() -> LpCase:
     A = np.array([[1.0, 1.0], [1.0, 1.0]])
     b = np.array([1.0, 2.0])
-    return LpCase("crossing_rows", LinearProgram(A=A, b=b), "infeasible")
+    return LpCase("crossing_rows", LinearProgram(A=A, b=b, c=np.zeros(2)), "infeasible")
 
 
 def _assignment_2x2() -> LpCase:
@@ -111,32 +110,34 @@ def _unbounded_line() -> LpCase:
 
 
 def _box_corner() -> LpCase:
-    # degenerate box: several bounds active at the optimum
-    A = np.array([[1.0, 1.0, 1.0]])
-    b = np.array([3.0])
-    c = np.array([1.0, 1.0, 1.0])
-    bounds = ((0.0, 1.0), (0.0, 1.0), (0.0, 1.0))
-    return LpCase("box_corner", LinearProgram(A=A, b=b, c=c, bounds=bounds),
-                  "optimal", 3.0)
+    # degenerate box: max x1 + x2 + x3 with x1 + x2 + x3 = 3 and each
+    # x_j <= 1 written as x_j + s_j = 1, so every bound is active at the
+    # optimum
+    A = np.array([[1.0, 1.0, 1.0, 0.0, 0.0, 0.0],
+                  [1.0, 0.0, 0.0, 1.0, 0.0, 0.0],
+                  [0.0, 1.0, 0.0, 0.0, 1.0, 0.0],
+                  [0.0, 0.0, 1.0, 0.0, 0.0, 1.0]])
+    b = np.array([3.0, 1.0, 1.0, 1.0])
+    c = np.array([1.0, 1.0, 1.0, 0.0, 0.0, 0.0])
+    return LpCase("box_corner", LinearProgram(A=A, b=b, c=c), "optimal", 3.0)
 
 
 def _free_variable_balance() -> LpCase:
-    # max x with x + t = 0 and t free: t absorbs anything, unbounded
-    A = np.array([[1.0, 1.0]])
+    # max x with x + t = 0 and t free, written t = t+ - t-: t absorbs
+    # anything, unbounded
+    A = np.array([[1.0, 1.0, -1.0]])
     b = np.array([0.0])
-    c = np.array([1.0, 0.0])
-    bounds = ((0.0, _INF), (-_INF, _INF))
-    return LpCase("free_variable_balance",
-                  LinearProgram(A=A, b=b, c=c, bounds=bounds), "unbounded")
+    c = np.array([1.0, 0.0, 0.0])
+    return LpCase("free_variable_balance", LinearProgram(A=A, b=b, c=c), "unbounded")
 
 
 def _infeasible_box() -> LpCase:
-    # the row demands 5 but the box caps the sum at 2
-    A = np.array([[1.0, 1.0]])
-    b = np.array([5.0])
-    bounds = ((0.0, 1.0), (0.0, 1.0))
-    return LpCase("infeasible_box", LinearProgram(A=A, b=b, bounds=bounds),
-                  "infeasible")
+    # the first row demands x1 + x2 = 5, but x_j + s_j = 1 caps the sum at 2
+    A = np.array([[1.0, 1.0, 0.0, 0.0],
+                  [1.0, 0.0, 1.0, 0.0],
+                  [0.0, 1.0, 0.0, 1.0]])
+    b = np.array([5.0, 1.0, 1.0])
+    return LpCase("infeasible_box", LinearProgram(A=A, b=b, c=np.zeros(4)), "infeasible")
 
 
 def degenerate_cases() -> list[LpCase]:

@@ -40,9 +40,10 @@ from bellbox import (
 )
 from bellbox.cli import main as cli_main
 from bellbox.fixtures import fixture_names, fixture_path
-from bellbox.lp import LinearProgram, solve, verify_certificate
+from bellbox.lp import LinearProgram, solve
 from bellbox.polytope import BellFunctional, relabel_functional, strategy_matrix
 
+from _certificate import verify_certificate
 from _lp_cases import degenerate_cases
 
 ROOT2 = float(np.sqrt(2.0))
@@ -238,12 +239,17 @@ def test_criterion_08_no_signalling_suite(acceptance_log):
 
 
 def _deepest_cut_lp(behavior):
+    """max p.beta - gamma subject to beta.V_s <= gamma for every strategy
+    s, with beta in [-1, 1]^d and gamma free, written over nonnegative
+    variables: beta = c' - 1 with c' + s' = 2, gamma = gamma+ - gamma-,
+    and a slack per strategy.  The objective drops the constant -sum(p)."""
     V = strategy_matrix(behavior.scenario)
     d, n = V.shape
-    A = np.hstack([V.T, -np.ones((n, 1)), np.eye(n)])
-    bounds = [(-1.0, 1.0)] * d + [(None, None)] + [(0.0, None)] * n
-    c = np.concatenate([behavior.probs, [-1.0], np.zeros(n)])
-    return LinearProgram(A=A, b=np.zeros(n), c=c, bounds=tuple(bounds))
+    A = np.block([[V.T, -np.ones((n, 1)), np.ones((n, 1)), np.eye(n), np.zeros((n, d))],
+                  [np.eye(d), np.zeros((d, 2 + n)), np.eye(d)]])
+    b = np.concatenate([V.sum(axis=0), np.full(d, 2.0)])
+    c = np.concatenate([behavior.probs, [-1.0, 1.0], np.zeros(n + d)])
+    return LinearProgram(A=A, b=b, c=c)
 
 
 def test_criterion_09_lp_self_verification(acceptance_log):
