@@ -21,7 +21,12 @@ parties with two inputs each, of two and three outputs, where 72 of the
 97 facets have no integer form, and in the structured format on 3322;
 then threshold visibility, in both formats, of the (2,3,3) tables of
 random 3x3-dimensional, 3-input setups at seeds 4 and 8 against the
-uniform table, whose second stages run past a hundred pivots.
+uniform table, whose second stages run past a hundred pivots; then
+threshold visibility, in both formats, of singlet_chsh and pr_box
+against uniform at --tol 5e-9, which their certificates' brackets meet,
+and at --tol 1e-9, which they do not, and of the (2,3,4) table of the
+random 4x4-dimensional, 3-input setup at seed 10 against the uniform
+table, whose staged simplex loses its basis.
 New operations go at the end, so digests of older checkouts still
 compare by name.  Each runs through ``bellbox.cli.main`` in this
 process, with bellbox imported from this checkout's src; perfbench/decks.py
@@ -77,6 +82,8 @@ UNEVEN_VERBS = ("validate", "classify", "membership", "derive-inequality")
 FACET_SCENARIOS = (("uneven-23-23", Scenario((2, 2), ((2, 3), (2, 3))), FORMATS),
                    ("3322", Scenario.uniform(2, 3, 2), ("structured",)))
 QUTRIT_THRESHOLD_SEEDS = (4, 8)
+FINE_THRESHOLD_TOLS = ("5e-9", "1e-9")
+QUQUART_THRESHOLD_SEED = 10
 
 
 def operations():
@@ -131,6 +138,21 @@ def operations():
         for fmt in FORMATS:
             yield (f"threshold-visibility/qutrit-seed{seed}/{fmt}",
                    ["threshold", "visibility", doc, "uniform-233.json", "--format", fmt], docs)
+    noise = fixture_path("uniform").read_text()
+    for fixture in ("singlet_chsh", "pr_box"):
+        docs = {f"{fixture}.json": fixture_path(fixture).read_text(), "uniform.json": noise}
+        for tol in FINE_THRESHOLD_TOLS:
+            for fmt in FORMATS:
+                yield (f"threshold-visibility/{fixture}/tol{tol}/{fmt}",
+                       ["threshold", "visibility", f"{fixture}.json", "uniform.json",
+                        "--tol", tol, "--format", fmt], docs)
+    seed = QUQUART_THRESHOLD_SEED
+    doc = f"ququart-seed{seed}.json"
+    docs = {doc: emit_document(behavior_from_setup(random_setup(seed, dims=(4, 4), inputs=(3, 3)))),
+            "uniform-234.json": emit_document(named_behavior("uniform", Scenario.uniform(2, 3, 4)))}
+    for fmt in FORMATS:
+        yield (f"threshold-visibility/ququart-seed{seed}/{fmt}",
+               ["threshold", "visibility", doc, "uniform-234.json", "--format", fmt], docs)
 
 
 def input_copier(outputs):

@@ -13,9 +13,9 @@ The critical visibility is the same program continued: the noise's
 distance program gains one column, the weight of the behavior in its
 blend with the noise, and once the simplex has decided the noise at
 distance zero it goes on, with the slacks fixed at zero, to the largest
-weight that stays local.  That optimum's mixture and row prices answer
-every probe of the visibility bisection, so the threshold takes one
-program and one simplex instead of one solve per probe.
+weight that stays local.  That optimum is the threshold, and its
+mixture and row prices bracket it: one program, one simplex, no
+bisection.
 
 Every default and recheck tolerance here comes from ``tolerances``, and
 each public entry point refuses a ``tol`` that is not a positive, finite
@@ -35,7 +35,7 @@ from .polytope import (BellFunctional, LocalModel, canonicalize, chsh_functional
                        strategy_count, strategy_matrix)
 from .quantum import BellSetup, _lossy_setup, behavior_from_setup
 from .scenario import (_CHSH_SCENARIO, Behavior, NoSignallingReport, _blocks, _layout,
-                       _marginal_index, mix, no_signalling_defect)
+                       _marginal_index, no_signalling_defect)
 from .tolerances import (BISECTION_TOL_FLOOR, DEFAULT_TOL, EFFICIENCY_TOL, MODEL_TOL,
                          VISIBILITY_TOL, require_tolerance)
 
@@ -75,13 +75,13 @@ class Classification:
 
 @dataclass(frozen=True)
 class ThresholdResult:
-    """A critical parameter value bracketed by bisection.
+    """A critical parameter value and a bracket around it.
 
-    ``critical`` is the certified-local end of the final bracket; the
-    other end is certified nonlocal and the bracket is no wider than
-    ``tolerance``.  ``iterations`` counts the halvings of [0, 1], which
-    is not the number of programs solved: a visibility threshold answers
-    every probe off one program.
+    ``critical`` is the certified-local end of the bracket; the other end
+    is certified nonlocal and the bracket is no wider than ``tolerance``.
+    ``iterations`` counts the halvings of [0, 1]: an efficiency threshold
+    bisects, while a visibility threshold reads its bracket off one
+    program's certificates and makes none, so it reports 0.
     """
 
     parameter: str
@@ -379,29 +379,39 @@ def _bisect(parameter: str, is_local_at, tol: float) -> ThresholdResult:
     )
 
 
-def _visibility_probe(behavior: Behavior, noise: Behavior):
-    """Decide the noise and find the critical visibility v* on one
-    simplex, and return a probe that decides v p + (1 - v) q for any v in
-    [0, 1] with ``_decide``'s contract: (True, weights) or (False, c),
-    each rechecked on that mixture; None when v is unbounded, which
-    happens exactly when p = q.  A nonlocal noise is refused.
+def visibility_threshold(
+    behavior: Behavior, noise: Behavior, tol: float = VISIBILITY_TOL
+) -> ThresholdResult:
+    """Largest weight v at which the blend v p + (1 - v) q of the behavior
+    p into the noise q is still local, bracketed by the program's own two
+    certificates.
 
     The program is the noise's distance program continued toward p
-    (``_distance_program``), and ``_solve_then_maximize`` runs it in two
-    stages.  The first is the noise's own distance solve, with the same
-    pivots, verdict and model as ``_decide(noise)``.  The second fixes
-    the slacks at zero and maximizes t: its optimal w is a local model
-    at v*, and its first d row prices, which taking V[:, s0] times the
-    last row off the first d rows leaves as they were, are -c with
-    c.V_s <= c.q + v* for every strategy s and c.(p - q) >= 1, so c
-    separates every mixture with v > v*.
+    (``_distance_program``), run in two stages by
+    ``_solve_then_maximize``.  The first is the noise's own distance
+    solve, with the same pivots, verdict and model as ``_decide(noise)``;
+    a nonlocal noise is refused.  The second fixes the slacks at zero and
+    maximizes the visibility: its optimum v* is the critical value, its
+    optimal w a local model at v*, and its first d row prices, which
+    taking V[:, s0] times the last row off the first d rows leaves as
+    they were, are -c with c.V_s <= c.q + v* for every strategy s and
+    c.(p - q) >= 1, so c separates every blend with v > v*.
 
-    At or below v*, the weights are the optimal mixture rescaled toward
-    the noise's model, q's own at v = 0; above it, c is the program's
-    cut.  Each recheck carries a guard of the decision tolerance, so the
-    probe calls every mixture as ``_decide`` would; a mixture within
-    round-off of v* fails both and goes to ``_decide``.
+    The bracket's low end is v*, where the model reproduces the blend to
+    within half the decision tolerance in l1; its high end is the least
+    float at which the cut's margin, linear in v, exceeds twice the
+    decision tolerance times |c|_inf, which bounds the blend's l1
+    distance from below.  So ``_decide`` calls the low end local and the
+    high end nonlocal, and the bracket is a few 1e-9 wide.  A bracket
+    wider than ``tol``, or a model that fails its recheck, raises
+    ``StalledError``.  The visibility is unbounded exactly when the
+    behavior is the noise; that, or v* >= 1, is refused as local at full
+    visibility.  Only a cut that does not clear its guard at v = 1 costs
+    a solve besides the staged one: ``_decide`` of the behavior itself.
     """
+    if behavior.scenario != noise.scenario:
+        raise ValidationError("behavior and noise live on different scenarios")
+    _check_bisection_tol(tol)
     sc = behavior.scenario
     d = sc.dimension
     check_size(d + 1, strategy_count(sc) + 2 * d + 1)
@@ -409,64 +419,45 @@ def _visibility_probe(behavior: Behavior, noise: Behavior):
     n = V.shape[1]
     p, q = behavior.probs, noise.probs
     first, out = _solve_then_maximize(_distance_program(V, q, toward=p), n + 2 * d)
-    noise_is_local, noise_weights = _decision(noise, V, first, DEFAULT_TOL)
-    if not noise_is_local:
+    if not _decision(noise, V, first, DEFAULT_TOL)[0]:
         raise ValidationError("noise behavior must be local")
+    local_at_full = ValidationError(
+        "behavior is already local at full visibility; no threshold exists")
     if out.status == "unbounded":
-        return None
+        raise local_at_full
     if out.status != "optimal":
         raise StalledError(f"visibility program ended with status {out.status!r}")
-    v_star = max(out.objective, 0.0)
+    lo = max(out.objective, 0.0)
+    if lo >= 1.0:
+        raise local_at_full
     # basic weights can end a few 1e-12 below zero, as in _decide
     weights = np.clip(out.x[:n], 0.0, None)
     weights = weights / weights.sum()
+    # an l1 miss below half the tolerance keeps _decide's distance below it
+    miss = float(np.abs(V @ weights - (lo * p + (1.0 - lo) * q)).sum())
+    if miss > 0.5 * DEFAULT_TOL:
+        raise StalledError(f"visibility model misses the blend at {lo!r} by {miss:.3e} in l1")
     cut = -out.y[:d]
-    cut_bound = local_bound(BellFunctional(scenario=sc, coeffs=cut))[0]
-    cut_guard = 2.0 * DEFAULT_TOL * float(np.abs(cut).max())
-
-    def probe(v: float) -> tuple[bool, np.ndarray]:
-        # the raw mixture: validating it through mix() costs more than the recheck
-        mixture = v * p + (1.0 - v) * q
-        if v <= v_star:
-            s = v / v_star
-            model = s * weights + (1.0 - s) * noise_weights
-            # an l1 miss below half the tolerance keeps _decide's distance below it
-            if float(np.abs(V @ model - mixture).sum()) <= 0.5 * DEFAULT_TOL:
-                return True, model
-        # the margin over |c|_inf bounds the l1 distance from below
-        elif float(cut @ mixture) - cut_bound > cut_guard:
-            return False, cut
-        return _decide(mix([(v, behavior), (1.0 - v, noise)]))
-
-    return probe
-
-
-def visibility_threshold(
-    behavior: Behavior, noise: Behavior, tol: float = VISIBILITY_TOL
-) -> ThresholdResult:
-    """Largest weight at which blending the behavior into the noise is
-    still local, bracketed by bisection with ties resolved toward the
-    certified-local side.
-
-    The bracket is the one a bisection of ``_decide`` calls would give,
-    but one simplex answers every probe (``_visibility_probe``): the
-    noise's distance program decides the noise and then continues to the
-    visibility optimum, whose mixture certifies the local probes and
-    whose cut the nonlocal ones, each rechecked on the probe's mixture.
-    Its probe at full visibility also decides the behavior itself, and
-    the visibility is unbounded exactly when the behavior is the noise.
-    That is one program and one simplex, plus one solve for any probe
-    that lands within round-off of the threshold.
-    """
-    if behavior.scenario != noise.scenario:
-        raise ValidationError("behavior and noise live on different scenarios")
-    _check_bisection_tol(tol)
-    probe = _visibility_probe(behavior, noise)
-    if probe is None or probe(1.0)[0]:
-        raise ValidationError(
-            "behavior is already local at full visibility; no threshold exists"
-        )
-    return _bisect("visibility", lambda v: probe(v)[0], tol)
+    bound = local_bound(BellFunctional(scenario=sc, coeffs=cut))[0]
+    guard = 2.0 * DEFAULT_TOL * float(np.abs(cut).max())
+    # the margin over |c|_inf bounds the l1 distance from below, and it is
+    # linear in v: solve it for the guard, then step up to the first float
+    # at which the margin on the blend itself clears the guard
+    cq = float(cut @ q)
+    slope = float(cut @ p) - cq
+    hi = min(max((bound + guard - cq) / slope, lo), 1.0) if slope > 0.0 else 1.0
+    while float(cut @ (hi * p + (1.0 - hi) * q)) - bound <= guard:
+        if hi == 1.0:  # the cut does not clear its guard even at full visibility
+            if _decide(behavior)[0]:
+                raise local_at_full
+            break
+        hi = float(np.nextafter(hi, 2.0))
+    if hi - lo > tol:
+        raise StalledError(
+            f"visibility certificates bracket [{lo!r}, {hi!r}], {hi - lo:.3e} wide, "
+            f"wider than the tolerance {tol!r}")
+    return ThresholdResult(parameter="visibility", critical=lo, bracket=(lo, hi),
+                           iterations=0, tolerance=tol)
 
 
 def efficiency_threshold(setup: BellSetup, tol: float = EFFICIENCY_TOL) -> ThresholdResult:

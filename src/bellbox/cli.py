@@ -399,7 +399,7 @@ def _build_parser() -> argparse.ArgumentParser:
     _add_common(p)
     p.set_defaults(handler=_cmd_quantum)
 
-    p = sub.add_parser("threshold", help="bisect for a critical noise parameter")
+    p = sub.add_parser("threshold", help="bracket a critical noise parameter")
     tsub = p.add_subparsers(dest="parameter", required=True, metavar="parameter")
 
     tv = tsub.add_parser("visibility", help="critical weight of a behavior against noise")

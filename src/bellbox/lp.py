@@ -278,7 +278,9 @@ class _Simplex:
         columns of [A | diag(row_sign)], and price afresh the reduced
         costs and weights that a run keeps, so that the rounding of the
         rank-one updates does not build up.  ``iterations`` is left as
-        it is: ``edge_weights`` reads its zero as a diagonal Binv."""
+        it is: ``edge_weights`` reads its zero as a diagonal Binv.  A
+        singular B, which a pivot on a near-zero entry can leave behind,
+        raises ``StalledError``."""
         m = self.basis.size
         B = np.zeros((m, m))
         structural = self.basis < self.n
@@ -288,7 +290,11 @@ class _Simplex:
         rhs = np.zeros((m, m + 1))
         np.fill_diagonal(rhs, 1.0)
         rhs[:, m] = self.b
-        self.BX[:] = np.linalg.solve(B, rhs)
+        try:
+            self.BX[:] = np.linalg.solve(B, rhs)
+        except np.linalg.LinAlgError as exc:
+            raise StalledError(
+                f"simplex basis is singular at pivot {self.iterations}") from exc
         if self.reduced is not None:
             self.reduced = self.reduced_costs()
         if self.weights is not None:

@@ -37,11 +37,12 @@ NEGATIVE_WEIGHT_TOL = 1e-12
 # largest entry of |V w - p| at which analysis._decide accepts a local model
 MODEL_TOL = 1e-7
 
-# -- threshold bisections ---------------------------------------------------
+# -- thresholds -------------------------------------------------------------
 
-# default bracket width of visibility_threshold
+# default widest bracket that visibility_threshold accepts: its certificates'
+# bracket is a few 1e-9 wide, and one wider than this raises
 VISIBILITY_TOL = 1e-6
-# default bracket width of efficiency_threshold
+# default bracket width of efficiency_threshold's bisection
 EFFICIENCY_TOL = 1e-4
 # least bracket width: halving [0, 1] is exact down to 2**-52 and may not end below it
 BISECTION_TOL_FLOOR = 2.0 ** -52

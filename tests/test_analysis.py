@@ -23,7 +23,6 @@ from bellbox.analysis import (
     _decide,
     _decision,
     _distance_program,
-    _visibility_probe,
     chsh_value,
     classify,
     derive_critical_inequality,
@@ -31,7 +30,7 @@ from bellbox.analysis import (
     membership,
     visibility_threshold,
 )
-from bellbox.errors import SizeCapError, ValidationError
+from bellbox.errors import SizeCapError, StalledError, ValidationError
 from bellbox.lp import LinearProgram, LpOutcome, _Simplex, _solve_then_maximize, solve
 from bellbox.polytope import random_local_model, strategy_matrix
 from bellbox.quantum import (
@@ -746,7 +745,7 @@ def test_visibility_threshold_singlet():
     assert hi - lo <= 1e-6
     assert membership(mix([(lo, singlet), (1.0 - lo, uniform)])).is_local
     assert not membership(mix([(hi, singlet), (1.0 - hi, uniform)])).is_local
-    assert res.iterations >= 10
+    assert res.iterations == 0
 
 
 def test_visibility_threshold_pr_box():
@@ -772,12 +771,11 @@ def test_visibility_threshold_rejects_local_target():
     behavior_from_setup(named_setup("werner", 0.6)),
 ], ids=["the-noise", "werner-0.60"])
 def test_local_target_is_refused_after_two_solves(monkeypatch, target):
-    """The noise itself leaves the visibility unbounded; a local target
-    that is not the noise gives v* > 1, and the probe at full visibility
-    calls it local.  Either way the target is refused as a separate
-    membership decision refused it, after the two stages of the one
-    staged simplex, the noise's decision and the visibility program, and
-    with no solve besides."""
+    """The noise itself leaves the visibility unbounded, and a local target
+    that is not the noise gives v* > 1.  Either way the target is refused
+    as a separate membership decision refused it, after the two stages of
+    the one staged simplex, the noise's decision and the visibility
+    program, and with no solve besides."""
     import bellbox.analysis as analysis
 
     assert _decide(target)[0]
@@ -797,6 +795,51 @@ def test_local_target_is_refused_after_two_solves(monkeypatch, target):
                        match="already local at full visibility; no threshold exists"):
         visibility_threshold(target, named_behavior("uniform"))
     assert len(stages) == 1 and solves == []
+
+
+@pytest.mark.parametrize(("excess", "nonlocal_"), [(1e-10, False), (1e-9, True)])
+def test_a_cut_short_of_its_guard_at_full_visibility_costs_one_decide(monkeypatch, excess,
+                                                                      nonlocal_):
+    """The PR box at weight 1/2 + excess in the noise has v* just below 1,
+    and its cut's margin at v = 1 does not clear the guard.  One
+    ``_decide`` of the behavior settles it: local within the decision
+    tolerance is refused, nonlocal gives the high end 1."""
+    import bellbox.analysis as analysis
+
+    noise = named_behavior("uniform")
+    behavior = mix([(0.5 + excess, named_behavior("pr_box")), (0.5 - excess, noise)])
+    verdicts = []
+
+    def counting(*args, **kwargs):
+        out = _decide(*args, **kwargs)
+        verdicts.append(out[0])
+        return out
+
+    monkeypatch.setattr(analysis, "_decide", counting)
+    if nonlocal_:
+        lo, hi = visibility_threshold(behavior, noise).bracket
+        assert lo == pytest.approx(0.5 / (0.5 + excess), abs=1e-12) and hi == 1.0
+    else:
+        with pytest.raises(ValidationError, match="already local at full visibility"):
+            visibility_threshold(behavior, noise)
+    assert verdicts == [not nonlocal_]
+
+
+def test_a_low_end_whose_model_misses_its_blend_stalls(monkeypatch):
+    """An optimum reported 1e-6 short of the stage-2 model's visibility
+    leaves that model 1e-6 from the blend it should reproduce, so the
+    threshold stops rather than call the low end local."""
+    import dataclasses
+
+    import bellbox.analysis as analysis
+
+    def short(*args, **kwargs):
+        first, second = _solve_then_maximize(*args, **kwargs)
+        return first, dataclasses.replace(second, objective=second.objective - 1e-6)
+
+    monkeypatch.setattr(analysis, "_solve_then_maximize", short)
+    with pytest.raises(StalledError, match="visibility model misses the blend"):
+        visibility_threshold(named_behavior("pr_box"), named_behavior("uniform"))
 
 
 def test_visibility_threshold_rejects_nonlocal_noise():
@@ -847,20 +890,31 @@ def first_nonlocal_setup(seed, inputs):
             return behavior
 
 
+def decided_blend(behavior, noise, v):
+    """``_decide``'s verdict on the blend v p + (1 - v) q."""
+    return _decide(mix([(v, behavior), (1.0 - v, noise)]))[0]
+
+
 @settings(max_examples=15, deadline=None)
 @given(seed=st.integers(0, 10_000), inputs=st.sampled_from([(2, 2), (3, 3)]))
-def test_visibility_threshold_equals_decide_bisection(seed, inputs):
+def test_visibility_threshold_meets_decide_bisection(seed, inputs):
+    """The certificates' bracket is a few 1e-9 wide, ``_decide`` calls its
+    ends local and nonlocal, and it meets the bracket of a bisection of
+    ``_decide`` calls at width 1e-6."""
     behavior = first_nonlocal_setup(seed, inputs)
     noise = named_behavior("uniform", behavior.scenario)
     res = visibility_threshold(behavior, noise)
-    assert (res.critical, res.bracket, res.iterations) == decide_bisection(behavior, noise, 1e-6)
+    assert res.iterations == 0 and res.tolerance == 1e-6
+    assert_bracket_is_certified(behavior, noise, res)
+    lo, hi = res.bracket
+    _, (bisect_lo, bisect_hi), _ = decide_bisection(behavior, noise, 1e-6)
+    assert bisect_lo <= hi and lo <= bisect_hi
 
 
 def test_visibility_threshold_solves_two_programs(monkeypatch):
     """The noise's decision and the visibility program, solved as two
-    stages of one program on one simplex, with no phase 1 and no
-    ``solve``; the probe at full visibility decides the behavior without
-    a solve."""
+    stages of one program on one simplex, with no phase 1, no ``solve``
+    and no halving."""
     import bellbox.analysis as analysis
     import bellbox.lp as lp
 
@@ -883,7 +937,7 @@ def test_visibility_threshold_solves_two_programs(monkeypatch):
     monkeypatch.setattr(analysis, "solve", counting)
     res = visibility_threshold(behavior_from_setup(named_setup("singlet_chsh")),
                                named_behavior("uniform"))
-    assert res.iterations == 20
+    assert res.iterations == 0
     assert len(built) == 1 and solves == []
     assert phases == [2, 2]
 
@@ -949,40 +1003,69 @@ def test_retired_slacks_end_at_zero_and_never_enter(monkeypatch):
     assert np.abs(out.x[n:n + 2 * d]).max() <= 1e-12
 
 
+def assert_bracket_is_certified(behavior, noise, res):
+    """Recheck a visibility bracket against the staged program's own
+    witnesses: the optimal model reproduces the blend at the low end to
+    within half the decision tolerance in l1 and within ``MODEL_TOL``
+    per entry, the cut's margin at the high end, over the strategies'
+    largest value, is positive, and ``_decide`` calls the low end local
+    and the high end nonlocal."""
+    V = strategy_matrix(behavior.scenario)
+    d, n = V.shape
+    p, q = behavior.probs, noise.probs
+    lo, hi = res.bracket
+    assert res.critical == lo and 0.0 < hi - lo <= 1e-8
+    _, out = staged_visibility(p, q, V)
+    weights = np.clip(out.x[:n], 0.0, None)
+    weights /= weights.sum()
+    miss = V @ weights - (lo * p + (1.0 - lo) * q)
+    assert float(np.abs(miss).sum()) <= 0.5e-9
+    assert float(np.abs(miss).max()) <= MODEL_TOL
+    cut = -out.y[:d]
+    assert float(cut @ (hi * p + (1.0 - hi) * q) - (cut @ V).max()) > 0.0
+    assert decided_blend(behavior, noise, lo)
+    assert not decided_blend(behavior, noise, hi)
+
+
 @pytest.mark.parametrize("behavior", [
     behavior_from_setup(named_setup("singlet_chsh")),
     named_behavior("pr_box"),
     behavior_from_setup(random_setup(1, dims=(2, 2), inputs=(3, 3))),
 ], ids=["singlet", "pr_box", "232"])
 def test_visibility_bracket_ends_carry_rechecked_witnesses(behavior):
-    """The probe's model reproduces the raw mixture at the local end, and
-    its cut separates the raw mixture at the nonlocal end."""
+    """The staged optimum's model reproduces the blend at the local end,
+    and its cut separates the blend at the nonlocal end."""
     noise = named_behavior("uniform", behavior.scenario)
-    res = visibility_threshold(behavior, noise)
-    probe = _visibility_probe(behavior, noise)
-    V = strategy_matrix(behavior.scenario)
-    lo, hi = res.bracket
-
-    is_local, weights = probe(lo)
-    assert is_local
-    assert weights.min() >= 0.0 and weights.sum() == pytest.approx(1.0, abs=1e-12)
-    lo_mixture = lo * behavior.probs + (1.0 - lo) * noise.probs
-    assert float(np.abs(V @ weights - lo_mixture).max()) <= MODEL_TOL
-
-    is_local, cut = probe(hi)
-    assert not is_local
-    hi_mixture = hi * behavior.probs + (1.0 - hi) * noise.probs
-    assert float(cut @ hi_mixture - (cut @ V).max()) > 0.0
+    assert_bracket_is_certified(behavior, noise, visibility_threshold(behavior, noise))
 
 
-def test_visibility_probe_near_the_optimum_agrees_with_decide():
-    """Probes within round-off of the PR box's threshold 1/2 are called
-    as a fresh membership decision calls them."""
+def test_blends_beside_the_pr_box_bracket_agree_with_decide():
+    """Blends within round-off of the PR box's threshold 1/2 and outside
+    its bracket are called as a fresh membership decision calls them:
+    local at and below the low end, nonlocal at and above the high end."""
     pr_box, noise = named_behavior("pr_box"), named_behavior("uniform")
-    probe = _visibility_probe(pr_box, noise)
-    for v in (0.5 - 1e-9, 0.5 - 1e-12, 0.5, 0.5 + 1e-12, 0.5 + 1e-10, 0.5 + 1e-8):
-        expected = _decide(mix([(v, pr_box), (1.0 - v, noise)]))[0]
-        assert probe(v)[0] is expected
+    lo, hi = visibility_threshold(pr_box, noise).bracket
+    for v in (lo - 1e-9, lo - 1e-12, lo):
+        assert decided_blend(pr_box, noise, v)
+    for v in (hi, hi + 1e-12, hi + 1e-10, hi + 1e-8):
+        assert not decided_blend(pr_box, noise, v)
+
+
+@pytest.mark.parametrize("tol", [1e-6, 5e-9, 1e-9])
+def test_singlet_bracket_never_excludes_its_threshold(tol):
+    """A bisection at widths below about 1e-8 put its certified-local end
+    above 1/sqrt(2) (0.7071067811921239 at 1e-9).  The certificates'
+    bracket holds 1/sqrt(2) to within the staged optimum's round-off,
+    which puts v* an ulp or two above it, or, where the bracket is wider
+    than the tolerance, is refused."""
+    singlet = behavior_from_setup(named_setup("singlet_chsh"))
+    try:
+        res = visibility_threshold(singlet, named_behavior("uniform"), tol=tol)
+    except StalledError as exc:
+        assert "wider than the tolerance" in str(exc)
+        return
+    lo, hi = res.bracket
+    assert lo - 1e-15 <= 1.0 / ROOT2 <= hi
 
 
 def highs_visibility(V, p, q):
@@ -1002,11 +1085,10 @@ QUTRIT_SEEDS = range(1, 61)
 def test_qutrit_sweep_agrees_with_highs(seed, monkeypatch):
     """Seeded (2,3,3) tables against HiGHS: ``classify`` agrees on
     membership, and on each nonlocal table the visibility bracket
-    against uniform noise holds the HiGHS optimum, with a rechecked
-    model at its local end and a separating cut at its nonlocal end,
-    and no probe falls back to a fresh ``_decide``.  While the basis
-    inverse was never rebuilt, seed 8 exited 3 here and seed 4 fell
-    back on 15 of its 20 probes."""
+    against uniform noise holds the HiGHS optimum and rechecks at both
+    ends, with no ``_decide`` call inside the threshold.  While the basis
+    inverse was never rebuilt, seed 8 exited 3 here and seed 4 fell back
+    to a fresh ``_decide`` on 15 of its 20 bisection probes."""
     import bellbox.analysis as analysis
     behavior = behavior_from_setup(random_setup(seed, dims=(3, 3), inputs=(3, 3)))
     local = scipy_is_local(behavior)
@@ -1017,28 +1099,49 @@ def test_qutrit_sweep_agrees_with_highs(seed, monkeypatch):
     noise = named_behavior("uniform", behavior.scenario)
     V = strategy_matrix(behavior.scenario)
     v_star = highs_visibility(V, behavior.probs, noise.probs)
-    fallbacks = []
+    decides = []
     decide = analysis._decide
 
     def counting(*args, **kwargs):
-        fallbacks.append(args)
+        decides.append(args)
         return decide(*args, **kwargs)
 
     with monkeypatch.context() as patch:
         patch.setattr(analysis, "_decide", counting)
         res = visibility_threshold(behavior, noise)
-    assert fallbacks == []
+    assert decides == []
     lo, hi = res.bracket
     assert lo - 1e-9 <= v_star <= hi + 1e-9
-    probe = _visibility_probe(behavior, noise)
-    is_local, weights = probe(lo)
-    assert is_local and weights.min() >= 0.0
-    lo_mixture = lo * behavior.probs + (1.0 - lo) * noise.probs
-    assert float(np.abs(V @ weights - lo_mixture).max()) <= MODEL_TOL
-    is_local, cut = probe(hi)
-    assert not is_local
-    hi_mixture = hi * behavior.probs + (1.0 - hi) * noise.probs
-    assert float(cut @ hi_mixture - (cut @ V).max()) > 0.0
+    assert_bracket_is_certified(behavior, noise, res)
+
+
+# seeds fixed in advance, none dropped for failing; seed 10 is the one
+# nonlocal table among them
+QUQUART_SEEDS = range(1, 13)
+
+
+@pytest.mark.parametrize("seed", QUQUART_SEEDS)
+def test_ququart_sweep_agrees_with_highs(seed):
+    """Seeded (2,3,4) tables against HiGHS: ``classify`` agrees on
+    membership, and on each nonlocal table the visibility threshold
+    against uniform noise either brackets the HiGHS optimum or raises
+    ``StalledError``, never another exception.  Seed 10's staged simplex
+    pivots on 1.14e-9 of its column and loses its basis: the threshold
+    stops there, where it once crashed in the reinversion."""
+    behavior = behavior_from_setup(random_setup(seed, dims=(4, 4), inputs=(3, 3)))
+    local = scipy_is_local(behavior)
+    verdict = classify(behavior).verdict
+    assert verdict is (Verdict.LOCAL if local else Verdict.WEAKLY_NONLOCAL)
+    if local:
+        return
+    noise = named_behavior("uniform", behavior.scenario)
+    v_star = highs_visibility(strategy_matrix(behavior.scenario), behavior.probs, noise.probs)
+    try:
+        res = visibility_threshold(behavior, noise)
+    except StalledError:
+        return
+    lo, hi = res.bracket
+    assert lo - 1e-9 <= v_star <= hi + 1e-9
 
 
 @pytest.mark.parametrize("tol", [1e-20, 2.0 ** -53, 0.0, -1e-3, float("nan")])
@@ -1066,12 +1169,12 @@ def test_thresholds_refuse_an_infinite_tolerance():
 
 
 def test_visibility_threshold_at_the_halving_floor_terminates():
+    """No bracket the certificates back is as narrow as 2**-52, so the
+    threshold stops and names the width it has; a bisection would end on
+    an uncertified end such as 0.50000000025."""
     pr_box, noise = named_behavior("pr_box"), named_behavior("uniform")
-    res = visibility_threshold(pr_box, noise, tol=2.0 ** -52)
-    assert res.iterations == 52
-    assert res.bracket[1] - res.bracket[0] == 2.0 ** -52
-    assert (res.critical, res.bracket, res.iterations) == decide_bisection(
-        pr_box, noise, 2.0 ** -52)
+    with pytest.raises(StalledError, match="2.000e-09 wide, wider than the tolerance"):
+        visibility_threshold(pr_box, noise, tol=2.0 ** -52)
 
 
 # -- efficiency threshold ----------------------------------------------------
@@ -1096,8 +1199,8 @@ def test_efficiency_threshold_rejects_always_local_setup():
 
 
 def test_thresholds_and_classify_skip_unneeded_witness_work(monkeypatch):
-    """Bisection probes need only the LP verdict, and classify already
-    knows the gauge once its signalling check passes."""
+    """Thresholds need only the LP verdict, and classify already knows
+    the gauge once its signalling check passes."""
     import bellbox.analysis as analysis
 
     calls = {"canonicalize": 0, "no_signalling_defect": 0}

@@ -406,6 +406,21 @@ def test_threshold_rejects_local_target(capsys):
     assert "local" in err
 
 
+def test_threshold_visibility_never_exits_1_on_a_ququart_table(tmp_path):
+    """Seed 10's (2,3,4) table loses its simplex basis in the staged solve,
+    which ended in a traceback from the reinversion and exit 1.  A
+    fresh process answers it or stops with exit 3."""
+    target, noise = tmp_path / "t.json", tmp_path / "u.json"
+    behavior = behavior_from_setup(random_setup(10, dims=(4, 4), inputs=(3, 3)))
+    write_document(behavior, target)
+    write_document(named_behavior("uniform", behavior.scenario), noise)
+    proc = subprocess.run(
+        [sys.executable, "-m", "bellbox", "threshold", "visibility", str(target), str(noise)],
+        capture_output=True, text=True)
+    assert proc.returncode in (0, 3)
+    assert "Traceback" not in proc.stderr
+
+
 def test_threshold_rejects_local_target_that_is_not_the_noise(capsys):
     code, out, err = run_cli(capsys, "threshold", "visibility", fx("werner_0.60"), fx("uniform"))
     assert code == 2
