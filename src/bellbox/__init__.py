@@ -22,12 +22,10 @@ from .analysis import (
 from .errors import SizeCapError, StalledError, ValidationError
 from .polytope import (
     BellFunctional,
-    DeterministicStrategy,
     LocalModel,
     canonicalize,
     chsh_functional,
     enumerate_facets,
-    enumerate_strategies,
     local_bound,
     random_local_model,
     relabellings,
@@ -58,7 +56,6 @@ __all__ = [
     "BellFunctional",
     "BellSetup",
     "Classification",
-    "DeterministicStrategy",
     "LocalModel",
     "MeasurementSet",
     "MembershipResult",
@@ -79,7 +76,6 @@ __all__ = [
     "derive_critical_inequality",
     "efficiency_threshold",
     "enumerate_facets",
-    "enumerate_strategies",
     "flat_index",
     "lift_with_efficiency",
     "local_bound",

@@ -348,35 +348,14 @@ def chsh_value(behavior: Behavior) -> float:
 def _check_bisection_tol(tol: float):
     """Refuse a bracket width that is not a positive, finite number or
     that the halving may not reach.  From [0, 1], every midpoint is exact
-    down to width 2**-52, so ``_bisect`` ends within 53 steps; below that,
-    the bracket can close on two adjacent floats, whose midpoint is one of
-    them, and the loop would not end."""
+    down to width 2**-52, so ``efficiency_threshold``'s bisection ends
+    within 53 steps; below that, the bracket can close on two adjacent
+    floats, whose midpoint is one of them, and the loop would not end."""
     if require_tolerance(tol, "bisection tolerance") < BISECTION_TOL_FLOOR:
         raise ValidationError(
             f"bisection tolerance {tol!r} is below the floor of 2**-52; "
             "halving [0, 1] cannot get narrower"
         )
-
-
-def _bisect(parameter: str, is_local_at, tol: float) -> ThresholdResult:
-    # invariant: 0 is certified local, 1 certified nonlocal before entry,
-    # and tol passed _check_bisection_tol
-    lo, hi = 0.0, 1.0
-    iterations = 0
-    while hi - lo > tol:
-        mid = 0.5 * (lo + hi)
-        iterations += 1
-        if is_local_at(mid):
-            lo = mid
-        else:
-            hi = mid
-    return ThresholdResult(
-        parameter=parameter,
-        critical=lo,
-        bracket=(lo, hi),
-        iterations=iterations,
-        tolerance=tol,
-    )
 
 
 def visibility_threshold(
@@ -463,7 +442,9 @@ def visibility_threshold(
 def efficiency_threshold(setup: BellSetup, tol: float = EFFICIENCY_TOL) -> ThresholdResult:
     """Largest detection efficiency at which the setup's statistics stay
     local when both parties' detectors fire with that probability and
-    no-clicks are kept as their own outcome."""
+    no-clicks are kept as their own outcome: [0, 1] halved, one decision
+    per halving, until the bracket is at most ``tol`` wide, which
+    ``_check_bisection_tol`` keeps reachable."""
     _check_bisection_tol(tol)
 
     def behavior_at(eta: float) -> Behavior:
@@ -475,8 +456,14 @@ def efficiency_threshold(setup: BellSetup, tol: float = EFFICIENCY_TOL) -> Thres
         )
     if not _decide(behavior_at(0.0))[0]:
         raise StalledError("all-no-click statistics failed the local check")
-
-    def is_local_at(eta: float) -> bool:
-        return _decide(behavior_at(eta))[0]
-
-    return _bisect("efficiency", is_local_at, tol)
+    lo, hi = 0.0, 1.0
+    iterations = 0
+    while hi - lo > tol:
+        mid = 0.5 * (lo + hi)
+        iterations += 1
+        if _decide(behavior_at(mid))[0]:
+            lo = mid
+        else:
+            hi = mid
+    return ThresholdResult(parameter="efficiency", critical=lo, bracket=(lo, hi),
+                           iterations=iterations, tolerance=tol)

@@ -1,13 +1,15 @@
 """Deterministic strategies, Bell functionals, and facet enumeration.
 
 The local polytope of a scenario is the convex hull of its deterministic
-strategies.  This module enumerates those strategies, evaluates and
-canonicalizes linear functionals against them, reduces behaviors to the
-Collins-Gisin coordinates, and enumerates the polytope's facets by the
-double description method in those coordinates, on an array of rays and
-a boolean matrix of the inequalities each lies on.  The strategy matrix,
-deterministic tables and relabelling permutations are positions read in
-bulk (``scenario._entries``) off the scenario's one table layout.
+strategies.  This module holds those strategies as the columns of one
+matrix, evaluates and canonicalizes linear functionals against them,
+reduces behaviors to the Collins-Gisin coordinates, and enumerates the
+polytope's facets by the double description method in those
+coordinates, on an array of rays and a boolean matrix of the
+inequalities each lies on.  A strategy is named by its column number in
+``strategy_matrix``.  The strategy matrix and relabelling permutations
+are positions read in bulk (``scenario._entries``) off the scenario's
+one table layout.
 
 Canonical forms make functionals comparable across derivation routes:
 two functionals that agree on every normalized no-signalling behavior
@@ -30,6 +32,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import operator
 from collections import Counter
 from dataclasses import dataclass
 from functools import lru_cache
@@ -49,39 +52,6 @@ RELABELLING_CAP = 1_000_000
 INTEGER_DENOMINATOR_CAP = 64
 
 
-@dataclass(frozen=True)
-class DeterministicStrategy:
-    """A fixed response for every party: ``assignments[p][x]`` is the
-    output party p gives on input x."""
-
-    scenario: Scenario
-    assignments: tuple[tuple[int, ...], ...]
-
-    def __post_init__(self):
-        sc = self.scenario
-        if len(self.assignments) != sc.parties:
-            raise ValidationError(
-                f"expected assignments for {sc.parties} parties, got {len(self.assignments)}")
-        for p, per_input in enumerate(self.assignments):
-            if len(per_input) != sc.inputs_per_party[p]:
-                raise ValidationError(
-                    f"party {p}: expected {sc.inputs_per_party[p]} responses")
-            for x, o in enumerate(per_input):
-                if not 0 <= o < sc.outputs[p][x]:
-                    raise ValidationError(
-                        f"party {p}: response {o} out of range for input {x}")
-
-    def response(self, party: int, x: int) -> int:
-        return self.assignments[party][x]
-
-    def behavior(self) -> Behavior:
-        inputs = _blocks(self.scenario).inputs
-        outputs = [np.asarray(row)[x] for row, x in zip(self.assignments, inputs)]
-        probs = np.zeros(self.scenario.dimension)
-        probs[_entries(self.scenario, inputs, outputs)] = 1.0
-        return validate_behavior(self.scenario, probs)
-
-
 def strategy_count(scenario: Scenario) -> int:
     return math.prod(k for outs in scenario.outputs for k in outs)
 
@@ -96,26 +66,15 @@ def _checked_strategy_count(scenario: Scenario) -> int:
 
 
 @lru_cache(maxsize=32)
-def enumerate_strategies(scenario: Scenario) -> tuple[DeterministicStrategy, ...]:
-    """All deterministic strategies in party-major lexicographic order."""
-    _checked_strategy_count(scenario)
-    per_party = []
-    for p in range(scenario.parties):
-        outs = scenario.outputs[p]
-        per_party.append(list(itertools.product(*[range(k) for k in outs])))
-    return tuple(DeterministicStrategy(scenario=scenario, assignments=combo)
-                 for combo in itertools.product(*per_party))
-
-
-@lru_cache(maxsize=32)
 def strategy_matrix(scenario: Scenario) -> np.ndarray:
-    """Column j is the probability table of strategy j, in the order of
-    ``enumerate_strategies``; read-only.
+    """Column j is the probability table of strategy j; read-only.
 
     Built by index arithmetic: strategy j's digits in the mixed radix of
     the (party, input) alphabets, party-major and last digit fastest, are
     its outputs, and each input block gets a single 1 at the position of
     those outputs, all (blocks x strategies) positions in one bulk read.
+    Strategy j's outputs are ``np.unravel_index(j, [k for outs in
+    scenario.outputs for k in outs])``.
     """
     count = _checked_strategy_count(scenario)
     columns = np.arange(count)
@@ -165,11 +124,12 @@ class LocalModel:
 def random_local_model(scenario: Scenario, seed: int) -> LocalModel:
     """Seeded model with weights drawn once from the flat Dirichlet
     distribution over the strategy simplex (``default_rng(seed)``).  A
-    negative seed is refused with ``ValidationError``."""
+    seed that is not a nonnegative integer is refused with
+    ``ValidationError``."""
     count = _checked_strategy_count(scenario)
     try:
-        rng = np.random.default_rng(seed)
-    except ValueError:  # numpy's refusal of a negative seed
+        rng = np.random.default_rng(operator.index(seed))
+    except (TypeError, ValueError):  # not an integer, or numpy's refusal of a negative one
         raise ValidationError(f"seed {seed!r} must be a nonnegative integer") from None
     return LocalModel(scenario=scenario, weights=rng.dirichlet(np.ones(count)))
 
@@ -245,7 +205,8 @@ def _best_response(scenario: Scenario) -> tuple[np.ndarray, np.ndarray, np.ndarr
 
 def local_bound(functional: BellFunctional) -> tuple[float, int]:
     """Maximum of the functional over deterministic strategies and the
-    first strategy index attaining it, in ``enumerate_strategies`` order:
+    first strategy index attaining it, a column of ``strategy_matrix``
+    (party-major, last digit fastest):
     a best response (Collins & Gisin, J. Phys. A 37, 1775 (2004)), where
     the last party meets each strategy of the others with its first best
     output per input.  Exact for integer coefficients whose absolute sum

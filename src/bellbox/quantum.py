@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import operator
 from dataclasses import dataclass
+from numbers import Real
 
 import numpy as np
 
@@ -28,6 +29,15 @@ def _dimension(value, what: str) -> int:
         return operator.index(value)
     except TypeError:
         raise ValidationError(f"{what} {value!r} is not an integer") from None
+
+
+def _as_count(value) -> int:
+    """``value`` as ``operator.index`` reads it; one it refuses reads as 0,
+    which every count check of a sampler refuses."""
+    try:
+        return operator.index(value)
+    except TypeError:
+        return 0
 
 
 def _as_square_complex(raw, dim: int, what: str) -> np.ndarray:
@@ -219,7 +229,7 @@ def lift_with_efficiency(mset: MeasurementSet, efficiency: float) -> Measurement
     identity.  At efficiency 1 the extra outcome never occurs; at 0 it
     always does.
     """
-    if not 0.0 <= efficiency <= 1.0:
+    if not (isinstance(efficiency, Real) and 0.0 <= efficiency <= 1.0):
         raise ValidationError(f"efficiency {efficiency!r} outside [0, 1]")
     eye = np.eye(mset.dim, dtype=complex)
     rows = tuple(
@@ -311,7 +321,7 @@ def named_setup(name: str, parameter: float | None = None) -> BellSetup:
     if name == "werner":
         if parameter is None:
             raise ValidationError("werner needs a visibility parameter")
-        if not 0.0 <= parameter <= 1.0:
+        if not (isinstance(parameter, Real) and 0.0 <= parameter <= 1.0):
             raise ValidationError(f"visibility {parameter!r} outside [0, 1]")
         rho = parameter * _singlet_state().rho + (1.0 - parameter) * np.eye(4) / 4.0
         alice, bob = _chsh_measurements()
@@ -346,18 +356,19 @@ def random_setup(
     afterwards), then for each input of the first party a complex square
     matrix of standard normals whose QR factorization supplies an
     orthonormal basis (outcome k projects onto column k), then the same
-    for the second party.  Local dimensions are capped at 4, and a
-    negative seed is refused with ``ValidationError``.
+    for the second party.  Local dimensions are capped at 4; a seed that
+    is not a nonnegative integer, or a dimension or input count that is
+    not a positive one, is refused with ``ValidationError``.
     """
-    dim_a, dim_b = dims
+    dim_a, dim_b = map(_as_count, dims)
     if not (1 <= dim_a <= DIM_CAP and 1 <= dim_b <= DIM_CAP):
         raise ValidationError(f"dims {dims!r} outside [1, {DIM_CAP}]")
-    n_a, n_b = inputs
+    n_a, n_b = map(_as_count, inputs)
     if n_a < 1 or n_b < 1:
         raise ValidationError(f"inputs {inputs!r} must be >= 1")
     try:
-        rng = np.random.default_rng(seed)
-    except ValueError:  # numpy's refusal of a negative seed
+        rng = np.random.default_rng(operator.index(seed))
+    except (TypeError, ValueError):  # not an integer, or numpy's refusal of a negative one
         raise ValidationError(f"seed {seed!r} must be a nonnegative integer") from None
     d = dim_a * dim_b
     psi = rng.standard_normal(d) + 1j * rng.standard_normal(d)

@@ -32,19 +32,35 @@ from .lp import check_entries
 from .tolerances import DEFAULT_TOL, FLOAT_EPS, MIX_WEIGHT_SUM_TOL, require_tolerance
 
 
+def _counts(values, what: str) -> tuple[int, ...]:
+    try:
+        if bool not in map(type, values):  # a bool is an int to operator.index
+            return tuple(map(operator.index, values))
+    except TypeError:
+        pass
+    raise ValidationError(f"{what} {values!r} are not all integers")
+
+
 @dataclass(frozen=True)
 class Scenario:
     """Numbers of parties, inputs per party, and outputs per (party, input).
 
     ``outputs[p][x]`` is the output alphabet size of party ``p`` under
     input ``x``; alphabets are allowed to differ between inputs, which is
-    what lifted no-click scenarios produce.
+    what lifted no-click scenarios produce.  Counts are read as
+    ``operator.index`` reads them (numpy integers are) and kept as
+    tuples of ints; a bool, a float or a string is refused, as a
+    document's parser refuses one.
     """
 
     inputs_per_party: tuple[int, ...]
     outputs: tuple[tuple[int, ...], ...]
 
     def __post_init__(self):
+        object.__setattr__(self, "inputs_per_party",
+                           _counts(self.inputs_per_party, "input counts"))
+        object.__setattr__(self, "outputs",
+                           tuple(_counts(row, "output counts") for row in self.outputs))
         if len(self.inputs_per_party) < 1:
             raise ValidationError("scenario needs at least one party")
         if len(self.outputs) != len(self.inputs_per_party):

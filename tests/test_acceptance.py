@@ -8,6 +8,7 @@ at the end of the run.
 
 import contextlib
 import io
+import itertools
 import time
 
 import numpy as np
@@ -25,7 +26,7 @@ from bellbox import (
     derive_critical_inequality,
     efficiency_threshold,
     enumerate_facets,
-    enumerate_strategies,
+    flat_index,
     lift_with_efficiency,
     local_bound,
     membership,
@@ -73,17 +74,26 @@ def criterion(log, index, label, budget=None):
 def test_criterion_01_chsh_local_bound(acceptance_log):
     with criterion(acceptance_log, 1, "CHSH deterministic bound is exactly 2", 1.0):
         f = chsh_functional()
-        strategies = enumerate_strategies(CHSH_SCENARIO)
-        assert len(strategies) == 16
+        # flat_index is the documented layout: (x, y) major, (a, b) minor
+        positions = [flat_index(CHSH_SCENARIO, (x, y), (a, b))
+                     for x, y, a, b in itertools.product(range(2), repeat=4)]
+        assert positions == list(range(16))
+        # each strategy's table one entry at a time, party-major and last
+        # response fastest, the order local_bound's index counts in
+        responses = list(itertools.product(range(2), repeat=2))
+        tables = []
+        for alice, bob in itertools.product(responses, responses):
+            table = [0] * 16
+            for x, y in itertools.product(range(2), repeat=2):
+                table[flat_index(CHSH_SCENARIO, (x, y), (alice[x], bob[y]))] = 1
+            tables.append(table)
+        assert len(tables) == 16
         # integer-valued coefficients take the exact arithmetic path
         assert np.array_equal(np.rint(f.coeffs), f.coeffs)
         bound, argmax = local_bound(f)
         assert bound == 2.0
         # recompute with plain Python integers, no numpy involved
-        values = [
-            sum(int(c) * int(v) for c, v in zip(f.coeffs, s.behavior().probs))
-            for s in strategies
-        ]
+        values = [sum(int(c) * v for c, v in zip(f.coeffs, table)) for table in tables]
         assert max(values) == 2
         assert values[argmax] == 2
 
@@ -134,7 +144,7 @@ def test_criterion_05_efficiency_threshold(acceptance_log):
         assert lift_with_efficiency(setup.alice, 0.9).outcome_counts == (3, 3)
         lifted_scenario = Scenario.uniform(2, 2, 3)
         assert lifted_scenario.dimension == 36
-        assert len(enumerate_strategies(lifted_scenario)) == 81
+        assert strategy_matrix(lifted_scenario).shape == (36, 81)
         res = efficiency_threshold(setup)
         assert res.critical == pytest.approx(0.8284, abs=1e-3)
         assert res.critical == pytest.approx(2.0 / (1.0 + ROOT2), abs=1e-3)

@@ -27,7 +27,6 @@ from bellbox.polytope import (
     canonicalize,
     chsh_functional,
     enumerate_facets,
-    enumerate_strategies,
     local_bound,
     random_local_model,
     reduced_space,
@@ -200,7 +199,7 @@ def test_strategy_cap_raises_before_enumerating():
     assert strategy_count(big) == 10**10
     t0 = time.perf_counter()
     with pytest.raises(SizeCapError):
-        enumerate_strategies(big)
+        strategy_matrix(big)
     assert time.perf_counter() - t0 < 0.5
 
 
@@ -226,7 +225,7 @@ def test_strategy_matrix_cap_counts_entries():
     with pytest.raises(SizeCapError, match="entries"):
         local_bound(BellFunctional(scenario=wide, coeffs=np.zeros(wide.dimension)))
     with pytest.raises(SizeCapError):
-        enumerate_strategies(big)
+        strategy_matrix(big)
     with pytest.raises(SizeCapError):
         random_local_model(big, seed=1)
     assert time.perf_counter() - t0 < 0.5
@@ -255,26 +254,6 @@ def test_random_local_model_refuses_a_negative_seed(seed):
         random_local_model(CHSH, seed=seed)
 
 
-def test_enumeration_order_is_party_major():
-    strategies = enumerate_strategies(CHSH)
-    assert len(strategies) == 16
-    assert strategies[0].assignments == ((0, 0), (0, 0))
-    assert strategies[1].assignments == ((0, 0), (0, 1))
-    assert strategies[4].assignments == ((0, 1), (0, 0))
-    assert len({s.assignments for s in strategies}) == 16
-
-
-def test_strategy_behaviors_match_direct_tables():
-    """CHSH, a lifted scenario of 3- and 2-dimensional measurements, and
-    uneven alphabets: the same bits as the table built entry by entry."""
-    for sc in (CHSH, LIFTED_32, UNEVEN):
-        strategies = enumerate_strategies(sc)
-        expected = oracle_strategies(sc)
-        assert [s.assignments for s in strategies] == expected
-        for s, assignment in zip(strategies, expected):
-            assert s.behavior().probs.tobytes() == oracle_table(sc, assignment).tobytes()
-
-
 def test_strategy_matrix_columns_and_immutability():
     V = strategy_matrix(CHSH)
     assert V.shape == (16, 16)
@@ -296,17 +275,18 @@ def test_strategy_matrix_is_cached():
     Scenario.uniform(2, 3, 3),
     Scenario(inputs_per_party=(1, 2, 1), outputs=((3,), (2, 4), (2,))),
     Scenario(inputs_per_party=(2, 2), outputs=((1, 3), (2, 1))),
-], ids=["chsh", "232", "322", "mixed", "233", "three-uneven", "single-output"])
-def test_strategy_matrix_matches_strategy_objects(scenario):
-    """Index arithmetic gives bit for bit the columns of the public
-    strategy objects, in their enumeration order.  Both read the table
-    layout, so each column is also checked against the table built
-    entry by entry."""
-    expected = np.column_stack([s.behavior().probs for s in enumerate_strategies(scenario)])
+    LIFTED_32,
+    UNEVEN,
+], ids=["chsh", "232", "322", "mixed", "233", "three-uneven", "single-output", "lifted-32",
+        "uneven"])
+def test_strategy_matrix_matches_tables_built_entry_by_entry(scenario):
+    """Index arithmetic gives bit for bit, column j for the j-th
+    assignment in party-major order (last digit fastest), the table
+    built entry by entry, which reads nothing of the library's layout."""
+    assignments = oracle_strategies(scenario)
     V = strategy_matrix(scenario)
-    assert V.dtype == expected.dtype and V.shape == expected.shape
-    assert np.array_equal(V, expected)
-    for column, assignment in zip(V.T, oracle_strategies(scenario)):
+    assert V.dtype == np.float64 and V.shape == (scenario.dimension, len(assignments))
+    for column, assignment in zip(V.T, assignments):
         assert column.tobytes() == oracle_table(scenario, assignment).tobytes()
     assert not V.flags.writeable
 

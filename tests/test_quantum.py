@@ -12,6 +12,7 @@ from hypothesis import given, settings, strategies as st
 
 from bellbox import Scenario, named_behavior, no_signalling_defect, validate_behavior
 from bellbox.errors import ValidationError
+from bellbox.polytope import random_local_model
 from bellbox.scenario import flat_index
 from bellbox.quantum import (
     BellSetup,
@@ -488,6 +489,26 @@ def test_random_setup_refuses_a_negative_seed(seed):
     """numpy refused it with its own ValueError."""
     with pytest.raises(ValidationError, match="must be a nonnegative integer"):
         random_setup(seed=seed)
+
+
+@pytest.mark.parametrize("sample, message", [
+    (lambda: random_setup(1.5), "seed 1.5 must be a nonnegative integer"),
+    (lambda: random_setup(None), "seed None must be a nonnegative integer"),
+    (lambda: random_local_model(Scenario.uniform(2, 2, 2), 1.5),
+     "seed 1.5 must be a nonnegative integer"),
+    (lambda: random_setup(1, inputs=(2.5, 2)), r"inputs \(2.5, 2\) must be >= 1"),
+    (lambda: random_setup(1, dims=(2.0, 2)), r"dims \(2.0, 2\) outside \[1, 4\]"),
+    (lambda: lift_with_efficiency(named_setup("singlet_chsh").alice, "a"),
+     r"efficiency 'a' outside \[0, 1\]"),
+    (lambda: named_setup("werner", "a"), r"visibility 'a' outside \[0, 1\]"),
+], ids=["setup-seed", "setup-seed-none", "model-seed", "inputs", "dims", "efficiency",
+        "werner"])
+def test_a_sampler_parameter_that_is_not_a_number_is_refused(sample, message):
+    """numpy's SeedSequence, range() and a comparison with a string
+    raised TypeError on each of these but seed None, which drew an
+    unseeded setup."""
+    with pytest.raises(ValidationError, match=message):
+        sample()
 
 
 def test_random_setup_dims_cap():

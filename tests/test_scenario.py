@@ -10,12 +10,15 @@ from hypothesis import given, settings, strategies as st
 from bellbox import (
     Behavior,
     Scenario,
+    Verdict,
+    classify,
     flat_index,
     mix,
     named_behavior,
     no_signalling_defect,
     validate_behavior,
 )
+from bellbox.documents import emit_document, parse_document_text
 from bellbox.errors import ValidationError
 from bellbox.scenario import _blocks
 
@@ -81,6 +84,28 @@ def test_scenario_rejects_empty_alphabets():
         Scenario(inputs_per_party=(1,), outputs=((0,),))
     with pytest.raises(ValidationError):
         Scenario(inputs_per_party=(2,), outputs=((2,),))  # row length mismatch
+
+
+@pytest.mark.parametrize("inputs, outputs", [
+    ((2, 2), ((2.0, 2), (2, 2))),
+    (("a", 2), ((2, 2), (2, 2))),
+    ((True, 2), ((2, 2), (2, 2))),
+    ((2, 2), ((2, 2), (2, np.True_))),
+], ids=["float-output", "string-input", "bool-input", "numpy-bool-output"])
+def test_a_count_that_is_not_an_integer_is_refused(inputs, outputs):
+    """A float count compared and hashed equal to CHSH's, so the block
+    cache, keyed by value, kept its float alphabet under CHSH's key and
+    every later CHSH table failed; a string count raised TypeError."""
+    with pytest.raises(ValidationError, match="are not all integers"):
+        named_behavior("uniform", Scenario(inputs_per_party=inputs, outputs=outputs))
+    assert classify(named_behavior("pr_box")).verdict is Verdict.WEAKLY_NONLOCAL
+
+
+def test_numpy_integer_counts_are_kept_as_ints():
+    sc = Scenario(inputs_per_party=(np.int64(2), 2), outputs=((np.int64(2), 2), (2, 2)))
+    assert sc == CHSH and hash(sc) == hash(CHSH)
+    assert all(type(n) is int for n in (*sc.inputs_per_party, *sc.outputs[0]))
+    assert parse_document_text(emit_document(sc)) == CHSH
 
 
 # -- flat indexing ----------------------------------------------------------
