@@ -33,11 +33,11 @@ sorts nothing: one product of the nonzero pattern gives each column's
 nonzero count and row, and ``np.minimum.at`` keeps each row's smallest.
 The entering column is the steepest edge (Goldfarb and Reid, Math.
 Prog. 12, 361 (1977)): the largest r_j^2 / (1 + |B^-1 a_j|^2) over reduced
-costs r_j below ``-PIVOT_TOL``, with the weights kept exact by rank-one
-updates and the reduced costs priced afresh every m pivots and before
-a phase ends.  After a long run of degenerate pivots the rule falls
-back to Bland's smallest index, which cannot cycle, until the objective
-moves again.  The ratio test takes no pivot below ``RATIO_TOL`` of the
+costs r_j below ``-PIVOT_TOL``, with the weights and reduced costs
+kept exact by rank-one updates, priced afresh at each rebuild of the
+inverse, and the reduced costs once more before a phase ends.  After a
+long run of degenerate pivots the rule falls back to Bland's smallest
+index, which cannot cycle, until the objective moves again.  The ratio test takes no pivot below ``RATIO_TOL`` of the
 entering column's largest entry, reads basic values a round-off below
 zero as zero, and breaks near-ties only among rows whose step leaves
 every basic value above ``-TIE_TOL``.  In phase 2, while steepest edge
@@ -195,8 +195,8 @@ class _Simplex:
     basic, and one that is basic leaves only by a pivot or ``drive_out``.
     """
 
-    def __init__(self, A: np.ndarray, b: np.ndarray, max_iters: int,
-                 tol: float = DEFAULT_TOL, live: np.ndarray | None = None):
+    def __init__(self, A: np.ndarray, b: np.ndarray, tol: float = DEFAULT_TOL,
+                 live: np.ndarray | None = None):
         sign = np.where(b < 0.0, -1.0, 1.0)
         self.row_sign = sign
         m, n = A.shape
@@ -236,7 +236,6 @@ class _Simplex:
         self.paired = bool(both.any())
         # the structural columns that pricing may enter, None for all of them
         self.live = live
-        self.max_iters = max_iters
         self.iterations = 0
         self.tol = tol
         self.cost = np.zeros(n + m)
@@ -267,9 +266,9 @@ class _Simplex:
         self.BX[i] = row
         self.basis[i] = j
         self.iterations += 1
-        if self.iterations > self.max_iters:
+        if self.iterations > DEFAULT_MAX_ITERS:
             raise StalledError(
-                f"simplex exceeded {self.max_iters} pivots without concluding")
+                f"simplex exceeded {DEFAULT_MAX_ITERS} pivots without concluding")
         if self.iterations % REINVERT_EVERY == 0:
             self._reinvert()
 
@@ -327,8 +326,8 @@ class _Simplex:
         phase that starts optimal builds none; each pivot then updates
         them exactly (Goldfarb and Reid), and the reduced costs with them,
         from the pivot row.  The reduced costs are priced afresh from the
-        row prices every m pivots and before the phase is declared
-        optimal, and with the weights at each ``_reinvert``.  Once
+        row prices, with the weights, at each ``_reinvert``, and before a
+        phase that has pivoted is declared optimal.  Once
         ``BLAND_AFTER`` pivots in a row have left the objective where it
         was, Bland's smallest-index rule takes over until a pivot moves
         it, so a degenerate vertex cannot cycle.
@@ -345,17 +344,17 @@ class _Simplex:
         runs to its priced optimum.
         """
         self.weights = self.reduced = None
-        degenerate = stale = 0
+        degenerate, stale = 0, False
         while True:
             if phase == 2 and self.at_floor():
                 return "optimal", None
-            if self.reduced is None or stale >= len(self.basis):
-                self.reduced, stale = self.reduced_costs(), 0
+            if self.reduced is None:
+                self.reduced = self.reduced_costs()
             steepest = degenerate < BLAND_AFTER
             j = self._entering(steepest)
             if j is None and stale:
                 # an updated pricing never ends a phase: price afresh first
-                self.reduced, stale = self.reduced_costs(), 0
+                self.reduced, stale = self.reduced_costs(), False
                 j = self._entering(steepest)
             if j is None:
                 return "optimal", None
@@ -393,7 +392,7 @@ class _Simplex:
             degenerate = degenerate + 1 if best <= PIVOT_TOL else 0
             shift = self._cross(pos[:k], col) if k else None
             self._update_pricing(i, j, col, shift)
-            stale += 1
+            stale = True
             self._pivot(i, j, col)
 
     def _long_step(self, j: int, pos: np.ndarray, col: np.ndarray) -> int:
@@ -597,7 +596,7 @@ def solve(lp: LinearProgram, tol: float = DEFAULT_TOL) -> LpOutcome:
     is refused.
     """
     tol = require_tolerance(tol)
-    sx = _Simplex(lp.A, lp.b, DEFAULT_MAX_ITERS, tol)
+    sx = _Simplex(lp.A, lp.b, tol)
     out = _phases(lp, sx)
     _check_internal(lp, out, tol)
     return out
@@ -652,7 +651,7 @@ def _solve_then_maximize(lp: LinearProgram, k: int) -> tuple[LpOutcome, LpOutcom
     """
     live = np.ones(lp.shape[1], dtype=bool)
     live[k] = False
-    sx = _Simplex(lp.A, lp.b, DEFAULT_MAX_ITERS, DEFAULT_TOL, live)
+    sx = _Simplex(lp.A, lp.b, DEFAULT_TOL, live)
     first = _phases(lp, sx)
     _check_internal(lp, first, DEFAULT_TOL)
     if first.status != "optimal" or not first.objective <= DEFAULT_TOL:

@@ -32,7 +32,6 @@ from __future__ import annotations
 
 import itertools
 import math
-import operator
 from collections import Counter
 from dataclasses import dataclass
 from functools import lru_cache
@@ -41,8 +40,8 @@ import numpy as np
 
 from .errors import SizeCapError, StalledError, ValidationError
 from .lp import check_entries
-from .scenario import (_CHSH_SCENARIO, Behavior, Scenario, _blocks, _entries, _layout,
-                       _marginal_index, validate_behavior)
+from .scenario import (_CHSH_SCENARIO, Behavior, Scenario, _blocks, _counts, _entries, _layout,
+                       _marginal_index, _numbers, validate_behavior)
 from .tolerances import (DEFAULT_TOL, FACET_ZERO_TOL, GAUGE_RANK_TOL, INTEGER_FIT_TOL,
                          NEGATIVE_WEIGHT_TOL, PURE_GAUGE_TOL)
 
@@ -95,7 +94,7 @@ class LocalModel:
     weights: np.ndarray
 
     def __post_init__(self):
-        w = np.asarray(self.weights, dtype=np.float64).reshape(-1)
+        w = _numbers(self.weights, "strategy weights")
         count = strategy_count(self.scenario)
         if w.shape[0] != count:
             raise ValidationError(
@@ -128,8 +127,8 @@ def random_local_model(scenario: Scenario, seed: int) -> LocalModel:
     ``ValidationError``."""
     count = _checked_strategy_count(scenario)
     try:
-        rng = np.random.default_rng(operator.index(seed))
-    except (TypeError, ValueError):  # not an integer, or numpy's refusal of a negative one
+        rng = np.random.default_rng(_counts((seed,), "seed")[0])
+    except ValueError:  # _counts refuses a non-integer, numpy a negative one
         raise ValidationError(f"seed {seed!r} must be a nonnegative integer") from None
     return LocalModel(scenario=scenario, weights=rng.dirichlet(np.ones(count)))
 
@@ -150,7 +149,7 @@ class BellFunctional:
     note: str | None = None
 
     def __post_init__(self):
-        c = np.asarray(self.coeffs, dtype=np.float64).reshape(-1)
+        c = _numbers(self.coeffs, "coefficients")
         if c.shape[0] != self.scenario.dimension:
             raise ValidationError(
                 f"expected {self.scenario.dimension} coefficients, got {c.shape[0]}")
@@ -440,6 +439,9 @@ def enumerate_facets(scenario: Scenario) -> tuple[BellFunctional, ...]:
     return tuple(facets[k] for k in sorted(facets))
 
 
+_PAIR_RAY_BLOCK = 2**18  # pair x ray entries counted at once, 2 MiB as float64
+
+
 def _double_description(rows: np.ndarray, dim: int) -> np.ndarray:
     """Extreme rays, one per row, of the pointed cone {x: row.x <= 0 for
     every row}.  Starts from the simplicial cone of the first ``dim``
@@ -448,7 +450,9 @@ def _double_description(rows: np.ndarray, dim: int) -> np.ndarray:
     it, positive rays major.  ``zero`` marks the inserted rows each ray
     lies on; a pair is adjacent when no third ray lies on every row they
     share, and only pairs sharing ``dim - 2`` can be (Fukuda & Prodon,
-    1996), which one product of ``zero`` rows counts for every pair.
+    1996), which one product of ``zero`` rows counts for every pair.  The
+    third rays are counted over blocks of at most ``_PAIR_RAY_BLOCK``
+    pair x ray entries, so the pair x ray matrix is never held whole.
     """
     init_idx: list[int] = []
     for i in range(len(rows)):
@@ -470,8 +474,11 @@ def _double_description(rows: np.ndarray, dim: int) -> np.ndarray:
         flags = zero.astype(np.float64)
         u, v = np.nonzero(flags[pos] @ flags[neg].T >= dim - 2)
         u, v = pos[u], neg[v]
-        common = zero[u] & zero[v]
-        adjacent = ((common @ (1.0 - flags).T) == 0).sum(axis=1) == 2  # u and v alone
+        common, outside = zero[u] & zero[v], (1.0 - flags).T
+        adjacent = np.empty(u.size, dtype=bool)
+        step = max(1, _PAIR_RAY_BLOCK // len(rays))
+        for s in range(0, u.size, step):  # adjacent: u and v alone lie on all rows they share
+            adjacent[s:s + step] = ((common[s:s + step] @ outside) == 0).sum(axis=1) == 2
         u, v, common = u[adjacent], v[adjacent], common[adjacent]
         new = _normalized(vals[u, None] * rays[v] - vals[v, None] * rays[u])
         common[:, t] = True

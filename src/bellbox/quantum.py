@@ -11,33 +11,17 @@ of ``tolerances``.  Tables are read through the scenario's one layout.
 
 from __future__ import annotations
 
-import operator
 from dataclasses import dataclass
 from numbers import Real
 
 import numpy as np
 
 from .errors import ValidationError
-from .scenario import Behavior, Scenario, _blocks, _entries, _layout, validate_behavior
+from .scenario import (Behavior, Scenario, _blocks, _counts, _entries, _layout,
+                       validate_behavior)
 from .tolerances import DEFAULT_TOL, EFFECT_TOL, EIG_FLOOR, STATE_TOL
 
 DIM_CAP = 4
-
-
-def _dimension(value, what: str) -> int:
-    try:
-        return operator.index(value)
-    except TypeError:
-        raise ValidationError(f"{what} {value!r} is not an integer") from None
-
-
-def _as_count(value) -> int:
-    """``value`` as ``operator.index`` reads it; one it refuses reads as 0,
-    which every count check of a sampler refuses."""
-    try:
-        return operator.index(value)
-    except TypeError:
-        return 0
 
 
 def _as_square_complex(raw, dim: int, what: str) -> np.ndarray:
@@ -57,7 +41,8 @@ class QuantumState:
     """A bipartite density matrix on C^dim_a tensor C^dim_b.
 
     The matrix is stored row-major over the product basis with the first
-    factor slowest, matching the party order used everywhere else.
+    factor slowest, matching the party order used everywhere else.  The
+    dimensions are read as a ``Scenario`` reads its counts.
     """
 
     dim_a: int
@@ -65,9 +50,10 @@ class QuantumState:
     rho: np.ndarray
 
     def __post_init__(self):
-        for field in ("dim_a", "dim_b"):
-            object.__setattr__(self, field, _dimension(getattr(self, field), "state dimension"))
-        if self.dim_a < 1 or self.dim_b < 1:
+        dims = _counts((self.dim_a, self.dim_b), "state dimensions")
+        object.__setattr__(self, "dim_a", dims[0])
+        object.__setattr__(self, "dim_b", dims[1])
+        if min(dims) < 1:
             raise ValidationError("state dimensions must be >= 1")
         rho = _as_square_complex(self.rho, self.dim_a * self.dim_b, "density matrix")
         skew = float(np.abs(rho - rho.conj().T).max())
@@ -90,13 +76,14 @@ class MeasurementSet:
     """One party's measurements: ``effects[x][a]`` is the operator whose
     Born-rule weight is the probability of outcome ``a`` under input ``x``.
     Each input's effects must be positive and sum to the identity; outcome
-    counts may differ between inputs."""
+    counts may differ between inputs.  The dimension is read as a
+    ``Scenario`` reads its counts."""
 
     dim: int
     effects: tuple[tuple[np.ndarray, ...], ...]
 
     def __post_init__(self):
-        object.__setattr__(self, "dim", _dimension(self.dim, "measurement dimension"))
+        object.__setattr__(self, "dim", _counts((self.dim,), "measurement dimension")[0])
         if self.dim < 1:
             raise ValidationError("measurement dimension must be >= 1")
         try:
@@ -356,19 +343,20 @@ def random_setup(
     afterwards), then for each input of the first party a complex square
     matrix of standard normals whose QR factorization supplies an
     orthonormal basis (outcome k projects onto column k), then the same
-    for the second party.  Local dimensions are capped at 4; a seed that
-    is not a nonnegative integer, or a dimension or input count that is
-    not a positive one, is refused with ``ValidationError``.
+    for the second party.  The seed, dims and inputs are read as a
+    ``Scenario`` reads its counts: a seed that is not a nonnegative
+    integer, or dims or inputs that are not two positive counts (dims at
+    most 4), are refused with ``ValidationError``.
     """
-    dim_a, dim_b = map(_as_count, dims)
-    if not (1 <= dim_a <= DIM_CAP and 1 <= dim_b <= DIM_CAP):
-        raise ValidationError(f"dims {dims!r} outside [1, {DIM_CAP}]")
-    n_a, n_b = map(_as_count, inputs)
-    if n_a < 1 or n_b < 1:
-        raise ValidationError(f"inputs {inputs!r} must be >= 1")
+    dims, inputs = _counts(dims, "dims"), _counts(inputs, "inputs")
+    if len(dims) != 2 or not all(1 <= d <= DIM_CAP for d in dims):
+        raise ValidationError(f"dims {dims!r} are not two counts in [1, {DIM_CAP}]")
+    if len(inputs) != 2 or min(inputs) < 1:
+        raise ValidationError(f"inputs {inputs!r} are not two counts >= 1")
+    (dim_a, dim_b), (n_a, n_b) = dims, inputs
     try:
-        rng = np.random.default_rng(operator.index(seed))
-    except (TypeError, ValueError):  # not an integer, or numpy's refusal of a negative one
+        rng = np.random.default_rng(_counts((seed,), "seed")[0])
+    except ValueError:  # _counts refuses a non-integer, numpy a negative one
         raise ValidationError(f"seed {seed!r} must be a nonnegative integer") from None
     d = dim_a * dim_b
     psi = rng.standard_normal(d) + 1j * rng.standard_normal(d)

@@ -32,13 +32,27 @@ from .lp import check_entries
 from .tolerances import DEFAULT_TOL, FLOAT_EPS, MIX_WEIGHT_SUM_TOL, require_tolerance
 
 
-def _counts(values, what: str) -> tuple[int, ...]:
+def _counts(values, what: str, read=operator.index) -> tuple:
+    """The one reader of a caller's counts: ``values`` as a tuple, each
+    read by ``read`` (``operator.index`` by default, so numpy integers
+    are counts); a bool, a float, a string, or ``values`` that are no
+    list, is refused."""
     try:
-        if bool not in map(type, values):  # a bool is an int to operator.index
-            return tuple(map(operator.index, values))
+        items = tuple(values)  # read once: an iterator is consumed
+        if bool not in map(type, items):  # a bool is an int to operator.index
+            return tuple(map(read, items))
     except TypeError:
         pass
     raise ValidationError(f"{what} {values!r} are not all integers")
+
+
+def _numbers(raw, what: str) -> np.ndarray:
+    """``raw`` as a flat float64 array; a table that numpy cannot read as
+    numbers (a string, a ragged list) is refused."""
+    try:
+        return np.asarray(raw, dtype=np.float64).reshape(-1)
+    except (TypeError, ValueError):
+        raise ValidationError(f"{what} are not a table of numbers") from None
 
 
 @dataclass(frozen=True)
@@ -49,8 +63,9 @@ class Scenario:
     input ``x``; alphabets are allowed to differ between inputs, which is
     what lifted no-click scenarios produce.  Counts are read as
     ``operator.index`` reads them (numpy integers are) and kept as
-    tuples of ints; a bool, a float or a string is refused, as a
-    document's parser refuses one.
+    tuples of ints; a bool, a float, a string or a table that is no list
+    of lists is refused, as a document's parser refuses one.  Each
+    method that takes a joint input reads it by ``joint_input_index``.
     """
 
     inputs_per_party: tuple[int, ...]
@@ -59,8 +74,8 @@ class Scenario:
     def __post_init__(self):
         object.__setattr__(self, "inputs_per_party",
                            _counts(self.inputs_per_party, "input counts"))
-        object.__setattr__(self, "outputs",
-                           tuple(_counts(row, "output counts") for row in self.outputs))
+        object.__setattr__(self, "outputs", _counts(
+            self.outputs, "output counts", lambda row: _counts(row, "output counts")))
         if len(self.inputs_per_party) < 1:
             raise ValidationError("scenario needs at least one party")
         if len(self.outputs) != len(self.inputs_per_party):
@@ -102,14 +117,14 @@ class Scenario:
         return itertools.product(*(range(n) for n in self.inputs_per_party))
 
     def outputs_for(self, inputs: tuple[int, ...]) -> tuple[int, ...]:
-        return tuple(self.outputs[p][x] for p, x in enumerate(inputs))
+        return tuple(_blocks(self).counts[:, self.joint_input_index(inputs)].tolist())
 
     def joint_outputs(self, inputs: tuple[int, ...]):
         """All joint outputs for one joint input, party 0 slowest."""
-        return itertools.product(*(range(n) for n in self.outputs_for(inputs)))
+        return itertools.product(*map(range, self.outputs_for(inputs)))
 
     def block_size(self, inputs: tuple[int, ...]) -> int:
-        return math.prod(self.outputs_for(inputs))
+        return int(_blocks(self).sizes[self.joint_input_index(inputs)])
 
     @cached_property
     def dimension(self) -> int:
@@ -121,10 +136,16 @@ class Scenario:
         return math.prod(sum(row) for row in self.outputs)
 
     def joint_input_index(self, inputs: tuple[int, ...]) -> int:
-        idx = 0
-        for p, x in enumerate(inputs):
-            idx = idx * self.inputs_per_party[p] + x
-        return idx
+        """The block number of a joint input, in ``joint_inputs`` order,
+        read by ``_counts``; a wrong length or an out-of-range choice is
+        refused."""
+        choices = _counts(inputs, "input choices")
+        if len(choices) != self.parties:
+            raise ValidationError(f"expected {self.parties} input choices, got {len(choices)}")
+        for p, (x, n) in enumerate(zip(choices, self.inputs_per_party)):
+            if not 0 <= x < n:
+                raise ValidationError(f"party {p}: input {x} out of range [0, {n})")
+        return int(np.ravel_multi_index(choices, self.inputs_per_party))
 
     def block_offset(self, inputs: tuple[int, ...]) -> int:
         return int(_blocks(self).offsets[self.joint_input_index(inputs)])
@@ -172,29 +193,20 @@ def flat_index(scenario: Scenario, inputs: tuple[int, ...], outputs: tuple[int, 
     Layout: joint-input major, joint-output minor, both lexicographic with
     party 0 slowest.  Block sizes vary when output alphabets do, so the
     offset of an input block is the sum of the sizes of all earlier blocks.
-    A choice that is not an integer (numpy integers are) is refused.
+    The joint input is read by ``Scenario.joint_input_index``; an output
+    choice that is not an integer (numpy integers are) or out of range is
+    refused.
     """
-    if len(inputs) != scenario.parties or len(outputs) != scenario.parties:
-        raise ValidationError(
-            f"expected {scenario.parties} input and output choices, "
-            f"got {len(inputs)} and {len(outputs)}"
-        )
-    try:
-        inputs, outputs = [operator.index(x) for x in inputs], [operator.index(a) for a in outputs]
-    except TypeError:
-        raise ValidationError(f"choices {inputs} and {outputs} are not all integers") from None
-    for p, x in enumerate(inputs):
-        if not 0 <= x < scenario.inputs_per_party[p]:
+    j = scenario.joint_input_index(inputs)
+    layout = _blocks(scenario)
+    outputs = _counts(outputs, "output choices")
+    if len(outputs) != scenario.parties:
+        raise ValidationError(f"expected {scenario.parties} output choices, got {len(outputs)}")
+    for p, (a, k) in enumerate(zip(outputs, layout.counts[:, j].tolist())):
+        if not 0 <= a < k:
             raise ValidationError(
-                f"party {p}: input {x} out of range [0, {scenario.inputs_per_party[p]})"
-            )
-    out_counts = scenario.outputs_for(inputs)
-    for p, a in enumerate(outputs):
-        if not 0 <= a < out_counts[p]:
-            raise ValidationError(
-                f"party {p}: output {a} out of range [0, {out_counts[p]}) under input {inputs[p]}"
-            )
-    return int(_entries(scenario, inputs, outputs))
+                f"party {p}: output {a} out of range [0, {k}) under input {layout.inputs[p, j]}")
+    return int(layout.offsets[j] + np.ravel_multi_index(outputs, layout.counts[:, j]))
 
 
 def _entries(scenario: Scenario, inputs, outputs):
@@ -264,7 +276,7 @@ def validate_behavior(scenario: Scenario, raw, tol: float = DEFAULT_TOL) -> Beha
     sum.
     """
     tol = require_tolerance(tol)
-    vec = np.array(raw, dtype=np.float64).reshape(-1)
+    vec = _numbers(raw, "behavior entries")
     if vec.shape[0] != scenario.dimension:
         raise ValidationError(
             f"behavior has length {vec.shape[0]}, scenario dimension is {scenario.dimension}"
@@ -306,8 +318,13 @@ def mix(components, tol: float | None = None) -> Behavior:
     components = list(components)
     if not components:
         raise ValidationError("mix needs at least one component")
-    weights = np.array([w for w, _ in components], dtype=np.float64)
-    behaviors = [b for _, b in components]
+    try:
+        weights = np.array([w for w, _ in components], dtype=np.float64)
+        behaviors = [b for _, b in components if isinstance(b, Behavior)]
+    except (TypeError, ValueError):
+        behaviors = []
+    if len(behaviors) != len(components):
+        raise ValidationError("mix components must be (number, behavior) pairs")
     if np.any(weights < 0.0):
         raise ValidationError("mix weights must be nonnegative")
     if abs(float(weights.sum()) - 1.0) > MIX_WEIGHT_SUM_TOL:

@@ -8,6 +8,7 @@ verdicts are cross-checked against an external feasibility solver.
 """
 
 import itertools
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -512,7 +513,7 @@ START_CASES = [
 @pytest.mark.parametrize(("label", "which"), START_CASES)
 def test_distance_program_starts_feasible(label, which):
     """Every row of the distance program starts on a structural unit
-    column, so phase 1 makes no pivot (``max_iters=0`` would raise)."""
+    column, so phase 1 makes no pivot (a pivot limit of 0 would raise)."""
     sc = {"chsh": CHSH, "232": Scenario.uniform(2, 3, 2),
           "242": Scenario.uniform(2, 4, 2)}[label]
     V = strategy_matrix(sc)
@@ -523,9 +524,10 @@ def test_distance_program_starts_feasible(label, which):
     else:
         probs = oracle_behavior(label, 1).probs
     lp = _distance_program(V, probs)
-    sx = _Simplex(lp.A, lp.b, max_iters=0)
+    sx = _Simplex(lp.A, lp.b)
     assert (sx.basis < sx.n).all()
-    assert sx.phase1() == 0.0 and sx.iterations == 0
+    with mock.patch("bellbox.lp.DEFAULT_MAX_ITERS", 0):
+        assert sx.phase1() == 0.0 and sx.iterations == 0
     out = solve(lp)
     assert out.status == "optimal"
 

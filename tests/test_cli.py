@@ -78,6 +78,13 @@ def test_validate_env_tolerance_override(capsys, tmp_path, monkeypatch):
     assert "0.01" in out  # tolerance echo reflects the override
 
 
+def test_non_numeric_env_tolerance_exits_2(capsys, monkeypatch):
+    monkeypatch.setenv("BELLBOX_TOL", "abc")
+    code, out, err = run_cli(capsys, "validate", fx("uniform"))
+    assert (code, out) == (2, "")
+    assert err == "error: BELLBOX_TOL must be a number, got 'abc'\n"
+
+
 def test_validate_flag_beats_env(capsys, tmp_path, monkeypatch):
     payload = json.loads(emit_document(named_behavior("uniform")))
     payload["probs"][0] = 0.2495
@@ -135,6 +142,26 @@ def test_classify_accepts_setup_documents(capsys):
     code, out, _ = run_cli(capsys, "classify", "--format", "structured", fx("singlet_chsh"))
     assert code == 0
     assert json.loads(out)["verdict"] == "weakly nonlocal"
+
+
+def test_classify_refuses_a_functional_document(capsys, tmp_path):
+    doc = tmp_path / "functional.json"
+    write_document(BellFunctional(scenario=Scenario.uniform(2, 2, 2), coeffs=np.ones(16)), doc)
+    code, out, err = run_cli(capsys, "classify", str(doc))
+    assert (code, out) == (2, "")
+    assert err == (f"error: {doc} holds a functional document; "
+                   "this verb needs a behavior or setup\n")
+
+
+def test_functional_note_that_is_not_a_string_exits_2(capsys, tmp_path):
+    payload = json.loads(emit_document(BellFunctional(scenario=Scenario.uniform(2, 2, 2),
+                                                      coeffs=np.ones(16), note="facet")))
+    payload["note"] = 7
+    doc = tmp_path / "functional.json"
+    doc.write_text(json.dumps(payload))
+    code, out, err = run_cli(capsys, "validate", str(doc))
+    assert (code, out) == (2, "")
+    assert err == "error: functional document: note must be a string\n"
 
 
 @pytest.mark.parametrize(("parties", "seed"), [(2, 2), (2, 12), (3, 0)])
@@ -235,6 +262,37 @@ def test_facets_of_a_one_point_polytope(capsys, tmp_path):
     assert payload["count"] == 0 and payload["facets"] == []
     code, out, _ = run_cli(capsys, "facets", str(doc))
     assert code == 0 and out.startswith("count: 0\n")
+
+
+def test_facets_text_lists_each_facet_by_its_integer_form(capsys):
+    code, out, err = run_cli(capsys, "facets", fx("chsh_scenario"))
+    assert (code, err) == (0, "")
+    lines = out.splitlines()
+    assert lines[:3] == ["count: 24", "tolerance: 1.0000000000000001e-09",
+                         "facet 0: -4 2 2 0 -1 -1 1 1 -1 1 -1 1 0 0 0 0 with bound 2"]
+    assert len(lines) == 26
+    for i, line in enumerate(lines[2:]):
+        head, bound = line.split(" with bound ")
+        label, coeffs = head.split(": ")
+        assert label == f"facet {i}" and bound in ("0", "2")
+        assert len([int(v) for v in coeffs.split()]) == 16
+
+
+def test_facets_text_prints_floats_where_no_integer_form_exists(capsys, tmp_path):
+    """72 of the 97 facets of two parties with two and three outputs
+    have no integer form; their lines give every float to 17 digits."""
+    doc = tmp_path / "2323.json"
+    write_document(Scenario((2, 2), ((2, 3), (2, 3))), doc)
+    code, out, err = run_cli(capsys, "facets", str(doc))
+    assert (code, err) == (0, "")
+    lines = out.splitlines()[2:]
+    assert len(lines) == 97
+    floats = [line for line in lines if "." in line]
+    assert len(floats) == 72
+    for line in floats:
+        numbers = line.split(": ")[1].replace(" with bound", "").split()
+        assert len(numbers) == 26
+        assert all(f"{float(v):.17g}" == v for v in numbers)
 
 
 def test_facets_cap_exit(capsys, tmp_path):
@@ -385,6 +443,26 @@ def test_threshold_efficiency_cli(capsys):
     payload = json.loads(out)
     assert payload["parameter"] == "efficiency"
     assert payload["critical"] == pytest.approx(2.0 / (1.0 + ROOT2), abs=2e-3)
+
+
+def test_threshold_text_report(capsys):
+    code, out, err = run_cli(capsys, "threshold", "visibility", "--tol", "1e-3",
+                             fx("werner_0.80"), fx("uniform"))
+    assert (code, err) == (0, "")
+    report = dict(line.split(": ") for line in out.splitlines())
+    assert list(report) == ["parameter", "critical", "bracket", "iterations", "tolerance"]
+    assert report["parameter"] == "visibility" and report["tolerance"] == "0.001"
+    lo, hi = map(float, report["bracket"].strip("[]").split(", "))
+    assert float(report["critical"]) == lo == pytest.approx(1.0 / (0.8 * ROOT2), abs=1e-9)
+    assert 0.0 < hi - lo <= 1e-3
+    assert int(report["iterations"]) >= 0
+
+
+def test_threshold_efficiency_refuses_a_behavior_document(capsys):
+    code, out, err = run_cli(capsys, "threshold", "efficiency", fx("pr_box"))
+    assert (code, out) == (2, "")
+    assert err == (f"error: {fx('pr_box')} holds a behavior document; the efficiency "
+                   "threshold needs a setup with detectors to degrade\n")
 
 
 @pytest.mark.parametrize("verb_args", [

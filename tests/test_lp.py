@@ -185,7 +185,7 @@ def test_unit_column_on_negative_row_does_not_start_basic():
                   [0.0, 1.0, 1.0, 1.0]])
     b = np.array([-1.0, 2.0])
     lp = LinearProgram(A=A, b=b, c=np.array([1.0, 2.0, 3.0, 1.0]), maximize=False)
-    assert _Simplex(lp.A, lp.b, max_iters=10).basis.tolist() == [4, 3]
+    assert _Simplex(lp.A, lp.b).basis.tolist() == [4, 3]
     out = solve(lp)
     expect, value = scipy_status(lp)
     assert out.status == expect == "optimal"
@@ -198,7 +198,7 @@ def test_infeasible_with_unit_slacks_gives_exact_farkas_vector():
     A = np.array([[1.0, 1.0, 1.0, 0.0],
                   [1.0, 1.0, 0.0, -1.0]])
     lp = LinearProgram(A=A, b=np.array([1.0, 2.0]), c=np.zeros(4))
-    assert _Simplex(lp.A, lp.b, max_iters=10).basis.tolist() == [2, 5]
+    assert _Simplex(lp.A, lp.b).basis.tolist() == [2, 5]
     out, exact = solve_and_recheck(lp)
     assert out.status == "infeasible" == scipy_status(lp)[0]
     assert verify_certificate(lp, out).ok
@@ -238,7 +238,7 @@ def test_starting_basis_takes_the_smallest_unit_column_of_each_row(seed):
         nz = np.flatnonzero(flipped[:, j])
         if nz.size == 1 and flipped[nz[0], j] == 1.0:
             expect[int(nz[0])] = j
-    assert _Simplex(A, b, max_iters=10).basis.tolist() == expect
+    assert _Simplex(A, b).basis.tolist() == expect
 
 
 def reference_unit_scan(A: np.ndarray, b: np.ndarray):
@@ -290,7 +290,7 @@ def unit_column_systems(draw):
 @given(unit_column_systems())
 def test_unit_column_scan_matches_the_unique_scan(system):
     A, b = system
-    sx = _Simplex(A, b, max_iters=10)
+    sx = _Simplex(A, b)
     basis, mate, paired = reference_unit_scan(A, b)
     assert sx.basis.tolist() == basis.tolist()
     assert sx.mate.tolist() == mate.tolist()
@@ -300,7 +300,7 @@ def test_unit_column_scan_matches_the_unique_scan(system):
 @pytest.mark.parametrize("shape", [(0, 0), (0, 3), (3, 0)])
 def test_unit_column_scan_on_empty_systems(shape):
     A, b = np.zeros(shape), -np.ones(shape[0])
-    sx = _Simplex(A, b, max_iters=10)
+    sx = _Simplex(A, b)
     assert sx.basis.tolist() == list(range(shape[1], shape[1] + shape[0]))
     assert sx.mate.tolist() == [-1] * sum(shape)
     assert not sx.paired

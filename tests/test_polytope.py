@@ -9,15 +9,15 @@ route, not against itself.
 import itertools
 import math
 import time
+import tracemalloc
 import warnings
-from fractions import Fraction
 from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from bellbox import Scenario, named_behavior, validate_behavior
+from bellbox import Scenario, named_behavior
 import bellbox.polytope as polytope
 from bellbox.errors import SizeCapError, ValidationError
 from bellbox.scenario import flat_index
@@ -248,6 +248,13 @@ def test_functional_refuses_a_non_finite_bound(bound):
         BellFunctional(scenario=CHSH, coeffs=np.zeros(16), local_bound=bound)
 
 
+@pytest.mark.parametrize("coeffs", ["abc", [[1.0] * 8, [1.0] * 7]], ids=["string", "ragged"])
+def test_functional_refuses_coefficients_that_are_not_numbers(coeffs):
+    """numpy's own ValueError came through untyped."""
+    with pytest.raises(ValidationError, match="coefficients are not a table of numbers"):
+        BellFunctional(scenario=CHSH, coeffs=coeffs)
+
+
 @pytest.mark.parametrize("seed", [-1, -3])
 def test_random_local_model_refuses_a_negative_seed(seed):
     with pytest.raises(ValidationError, match="must be a nonnegative integer"):
@@ -309,6 +316,13 @@ def test_local_model_validation():
         LocalModel(scenario=CHSH, weights=bad)
     with pytest.raises(ValidationError):
         LocalModel(scenario=CHSH, weights=np.full(16, 0.9 / 16.0))
+
+
+@pytest.mark.parametrize("weights", ["ab", [[0.125] * 8, [0.125] * 7]], ids=["string", "ragged"])
+def test_local_model_refuses_weights_that_are_not_numbers(weights):
+    """numpy's own ValueError came through untyped."""
+    with pytest.raises(ValidationError, match="strategy weights are not a table of numbers"):
+        LocalModel(scenario=CHSH, weights=weights)
 
 
 def test_local_model_rejects_non_finite_weights():
@@ -793,6 +807,20 @@ def test_3322_facet_census():
         for key in orbit:
             del facets[key]
     assert sorted(sizes) == [36, 72, 576]
+
+
+def test_3322_facet_enumeration_holds_no_pair_by_ray_matrix():
+    """Double description counted the third rays of every candidate pair
+    in one pair x ray product, which peaked past 30 MB on (2,3,2); it is
+    now counted in blocks of at most 2**18 entries."""
+    tracemalloc.start()
+    try:
+        facets = enumerate_facets(Scenario.uniform(2, 3, 2))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(facets) == 684
+    assert peak <= 8e6
 
 
 def test_facet_caps():

@@ -120,17 +120,24 @@ def test_unreadable_entries_are_validation_errors(build, message):
 
 @pytest.mark.parametrize(("build", "message"), [
     pytest.param(lambda: QuantumState(dim_a=1.5, dim_b=2, rho=np.eye(3) / 3),
-                 "state dimension 1.5 is not an integer", id="state-float"),
+                 r"state dimensions \(1.5, 2\) are not all integers", id="state-float"),
     pytest.param(lambda: QuantumState(dim_a=2, dim_b="2", rho=SINGLET),
-                 "state dimension '2' is not an integer", id="state-string"),
+                 r"state dimensions \(2, '2'\) are not all integers", id="state-string"),
     pytest.param(lambda: MeasurementSet(dim="2", effects=((_EYE,),)),
-                 "measurement dimension '2' is not an integer", id="measurement-string"),
+                 r"measurement dimension \('2',\) are not all integers",
+                 id="measurement-string"),
     pytest.param(lambda: MeasurementSet(dim=2.0, effects=((_EYE,),)),
-                 "measurement dimension 2.0 is not an integer", id="measurement-float"),
+                 r"measurement dimension \(2.0,\) are not all integers",
+                 id="measurement-float"),
+    pytest.param(lambda: QuantumState(dim_a=True, dim_b=2, rho=np.eye(2) / 2),
+                 r"state dimensions \(True, 2\) are not all integers", id="state-bool"),
+    pytest.param(lambda: MeasurementSet(dim=True, effects=((np.eye(1),),)),
+                 r"measurement dimension \(True,\) are not all integers", id="measurement-bool"),
 ])
 def test_dimensions_must_be_integers(build, message):
     """A float dimension whose product matched the matrix was accepted,
-    and a string or float one raised a bare TypeError."""
+    a string or float one raised a bare TypeError, and a bool read as 1
+    where a scenario refuses one."""
     with pytest.raises(ValidationError, match=message):
         build()
 
@@ -496,17 +503,25 @@ def test_random_setup_refuses_a_negative_seed(seed):
     (lambda: random_setup(None), "seed None must be a nonnegative integer"),
     (lambda: random_local_model(Scenario.uniform(2, 2, 2), 1.5),
      "seed 1.5 must be a nonnegative integer"),
-    (lambda: random_setup(1, inputs=(2.5, 2)), r"inputs \(2.5, 2\) must be >= 1"),
-    (lambda: random_setup(1, dims=(2.0, 2)), r"dims \(2.0, 2\) outside \[1, 4\]"),
+    (lambda: random_setup(1, inputs=(2.5, 2)), r"inputs \(2.5, 2\) are not all integers"),
+    (lambda: random_setup(1, dims=(2.0, 2)), r"dims \(2.0, 2\) are not all integers"),
+    (lambda: random_setup(True), "seed True must be a nonnegative integer"),
+    (lambda: random_setup(1, dims=(True, 2)), r"dims \(True, 2\) are not all integers"),
+    (lambda: random_setup(1, dims=None), "dims None are not all integers"),
+    (lambda: random_setup(1, dims=(2, 2, 2)), r"dims \(2, 2, 2\) are not two counts in \[1, 4\]"),
+    (lambda: random_setup(1, inputs=(2,)), r"inputs \(2,\) are not two counts >= 1"),
+    (lambda: random_setup(1, inputs=(0, 2)), r"inputs \(0, 2\) are not two counts >= 1"),
     (lambda: lift_with_efficiency(named_setup("singlet_chsh").alice, "a"),
      r"efficiency 'a' outside \[0, 1\]"),
     (lambda: named_setup("werner", "a"), r"visibility 'a' outside \[0, 1\]"),
-], ids=["setup-seed", "setup-seed-none", "model-seed", "inputs", "dims", "efficiency",
-        "werner"])
+], ids=["setup-seed", "setup-seed-none", "model-seed", "inputs", "dims", "seed-bool",
+        "dims-bool", "dims-none", "three-dims", "one-input-count", "zero-inputs",
+        "efficiency", "werner"])
 def test_a_sampler_parameter_that_is_not_a_number_is_refused(sample, message):
     """numpy's SeedSequence, range() and a comparison with a string
-    raised TypeError on each of these but seed None, which drew an
-    unseeded setup."""
+    raised TypeError on the first five and the last two but seed None,
+    which drew an unseeded setup; a bool read as 1, dims None raised
+    TypeError, and three dims or one input count ValueError."""
     with pytest.raises(ValidationError, match=message):
         sample()
 

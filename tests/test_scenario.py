@@ -91,14 +91,26 @@ def test_scenario_rejects_empty_alphabets():
     (("a", 2), ((2, 2), (2, 2))),
     ((True, 2), ((2, 2), (2, 2))),
     ((2, 2), ((2, 2), (2, np.True_))),
-], ids=["float-output", "string-input", "bool-input", "numpy-bool-output"])
+    ((2, 2), None),
+    ((2, 2), (2, 2)),
+    (None, ((2, 2), (2, 2))),
+], ids=["float-output", "string-input", "bool-input", "numpy-bool-output", "outputs-none",
+        "rows-numbers", "inputs-none"])
 def test_a_count_that_is_not_an_integer_is_refused(inputs, outputs):
     """A float count compared and hashed equal to CHSH's, so the block
     cache, keyed by value, kept its float alphabet under CHSH's key and
-    every later CHSH table failed; a string count raised TypeError."""
+    every later CHSH table failed; a string count, or an outputs table
+    that is no list, raised TypeError."""
     with pytest.raises(ValidationError, match="are not all integers"):
         named_behavior("uniform", Scenario(inputs_per_party=inputs, outputs=outputs))
     assert classify(named_behavior("pr_box")).verdict is Verdict.WEAKLY_NONLOCAL
+
+
+def test_counts_and_choices_may_come_from_an_iterator():
+    """The bool check consumed an iterator, which then read as no counts."""
+    sc = Scenario(inputs_per_party=iter((2, 2)), outputs=iter((iter((2, 2)), (2, 2))))
+    assert sc == CHSH
+    assert sc.joint_input_index(iter((1, 0))) == 2
 
 
 def test_numpy_integer_counts_are_kept_as_ints():
@@ -164,6 +176,51 @@ def test_a_choice_that_is_not_an_integer_is_refused(inputs, outputs):
         named_behavior("pr_box").prob(inputs, outputs)
 
 
+PR_BOX = named_behavior("pr_box")
+JOINT_INPUT_READERS = {
+    "flat-index": lambda inputs: flat_index(CHSH, inputs, (0, 0)),
+    "index": CHSH.joint_input_index,
+    "outputs-for": CHSH.outputs_for,
+    "joint-outputs": CHSH.joint_outputs,
+    "block-size": CHSH.block_size,
+    "block-offset": CHSH.block_offset,
+    "block-slice": CHSH.block_slice,
+    "block": PR_BOX.block,
+}
+
+
+@pytest.mark.parametrize("reader", JOINT_INPUT_READERS.values(), ids=JOINT_INPUT_READERS.keys())
+@pytest.mark.parametrize(("inputs", "message"), [
+    ((1,), "expected 2 input choices, got 1"),
+    ((0, 0, 0), "expected 2 input choices, got 3"),
+    ((-1, 0), r"party 0: input -1 out of range \[0, 2\)"),
+    ((2, 0), r"party 0: input 2 out of range \[0, 2\)"),
+    ((0, 5), r"party 1: input 5 out of range \[0, 2\)"),
+    ((0.5, 0), "not all integers"),
+    ((True, 0), "not all integers"),
+    (None, "not all integers"),
+], ids=["short", "long", "negative", "past-the-end", "second-party", "float", "bool", "none"])
+def test_every_joint_input_is_read_by_one_checked_reader(reader, inputs, message):
+    """``pr.block((1,))`` returned block (0, 1), ``block((-1, 0))``
+    block (1, 1) and ``block((2, 0))`` raised IndexError, and
+    ``outputs_for`` and ``block_size`` read a short input as a one-party
+    one; flat_index checked its inputs by a loop of its own."""
+    with pytest.raises(ValidationError, match=message):
+        reader(inputs)
+
+
+def test_joint_input_readers_agree_with_the_layout():
+    layout = _blocks(RAGGED)
+    for j, joint in enumerate(RAGGED.joint_inputs()):
+        assert RAGGED.joint_input_index(joint) == j
+        assert RAGGED.block_slice(joint) == slice(*layout.offsets[j:j + 2].tolist())
+        assert RAGGED.outputs_for(joint) == tuple(layout.counts[:, j].tolist())
+        assert RAGGED.block_size(joint) == math.prod(RAGGED.outputs_for(joint))
+        assert list(RAGGED.joint_outputs(joint)) == list(
+            itertools.product(*map(range, RAGGED.outputs_for(joint))))
+        assert type(RAGGED.joint_input_index(np.array(joint))) is int
+
+
 def test_flat_index_takes_numpy_integers():
     position = flat_index(CHSH, (np.int64(0), np.int8(1)), (np.intp(1), np.uint8(0)))
     assert type(position) is int and position == 6
@@ -190,6 +247,13 @@ def test_validate_refuses_a_nan_tolerance():
 def test_validate_rejects_wrong_length():
     with pytest.raises(ValidationError, match="16"):
         validate_behavior(CHSH, np.full(15, 0.25))
+
+
+@pytest.mark.parametrize("raw", ["abc", [[0.25] * 4] * 3 + [[0.5] * 2]], ids=["string", "ragged"])
+def test_validate_refuses_a_table_that_is_not_numbers(raw):
+    """numpy's own ValueError came through untyped."""
+    with pytest.raises(ValidationError, match="behavior entries are not a table of numbers"):
+        validate_behavior(CHSH, raw)
 
 
 def test_validate_rejects_bad_block_sum_naming_the_block():
@@ -361,6 +425,19 @@ def test_mix_rejects_negative_weight():
     beh = named_behavior("uniform", CHSH)
     with pytest.raises(ValidationError, match="weight"):
         mix([(-0.25, beh), (1.25, beh)])
+
+
+@pytest.mark.parametrize("components", [
+    lambda beh: [("a", beh)],
+    lambda beh: [beh],
+    lambda beh: [(0.5, beh, beh)],
+    lambda beh: [(0.5, beh), (0.5, beh.probs)],
+], ids=["string-weight", "bare-behavior", "triple", "table-not-behavior"])
+def test_mix_refuses_components_that_are_not_number_behavior_pairs(components):
+    """A string weight raised numpy's ValueError, a bare behavior
+    TypeError, and a table in place of a behavior AttributeError."""
+    with pytest.raises(ValidationError, match=r"\(number, behavior\) pairs"):
+        mix(components(named_behavior("uniform", CHSH)))
 
 
 def test_mix_rejects_weights_off_unit_sum():
