@@ -26,7 +26,10 @@ threshold visibility, in both formats, of singlet_chsh and pr_box
 against uniform at --tol 5e-9, which their certificates' brackets meet,
 and at --tol 1e-9, which they do not, and of the (2,3,4) table of the
 random 4x4-dimensional, 3-input setup at seed 10 against the uniform
-table, whose staged simplex loses its basis.
+table, whose staged simplex loses its basis; then threshold efficiency,
+in both formats, on setup documents of the random 2x2-dimensional,
+2-input setups at seeds 16, 20 and 24, the nonlocal ones among seeds
+1-39, and at seed 1, which is local at full efficiency and is refused.
 New operations go at the end, so digests of older checkouts still
 compare by name.  Each runs through ``bellbox.cli.main`` in this
 process, with bellbox imported from this checkout's src; perfbench/decks.py
@@ -84,6 +87,7 @@ FACET_SCENARIOS = (("uneven-23-23", Scenario((2, 2), ((2, 3), (2, 3))), FORMATS)
 QUTRIT_THRESHOLD_SEEDS = (4, 8)
 FINE_THRESHOLD_TOLS = ("5e-9", "1e-9")
 QUQUART_THRESHOLD_SEED = 10
+EFFICIENCY_THRESHOLD_SEEDS = (16, 20, 24, 1)  # seed 1 is local at full efficiency
 
 
 def operations():
@@ -153,6 +157,12 @@ def operations():
     for fmt in FORMATS:
         yield (f"threshold-visibility/ququart-seed{seed}/{fmt}",
                ["threshold", "visibility", doc, "uniform-234.json", "--format", fmt], docs)
+    for seed in EFFICIENCY_THRESHOLD_SEEDS:
+        doc = f"setup-seed{seed}.json"
+        docs = {doc: emit_document(random_setup(seed, dims=(2, 2), inputs=(2, 2)))}
+        for fmt in FORMATS:
+            yield (f"threshold-efficiency/seed{seed}/{fmt}",
+                   ["threshold", "efficiency", doc, "--format", fmt], docs)
 
 
 def input_copier(outputs):

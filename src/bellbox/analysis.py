@@ -4,8 +4,8 @@ The decision problem is linear: one small program measures the l1
 distance from a behavior to the mixtures of deterministic strategies.
 At distance zero its optimal mixture is the local model; at a positive
 distance its row prices are the deepest box-normalized cut, a violated
-inequality.  Classification, inequality derivation and the bisection
-for the critical detection efficiency are built on that one program.
+inequality.  Classification, inequality derivation and both critical
+thresholds are built on that one program.
 A table whose signalling defect exceeds the tolerance never reaches it:
 the shift of its worst marginal is already a violated inequality.
 
@@ -15,7 +15,9 @@ blend with the noise, and once the simplex has decided the noise at
 distance zero it goes on, with the slacks fixed at zero, to the largest
 weight that stays local.  That optimum is the threshold, and its
 mixture and row prices bracket it: one program, one simplex, no
-bisection.
+bisection.  The critical efficiency follows its own cuts, each cut's
+margin a quadratic whose largest root below the probe is the next probe,
+and both thresholds read their bracket off certificates by one rule.
 
 Every default and recheck tolerance here comes from ``tolerances``, and
 each public entry point refuses a ``tol`` that is not a positive, finite
@@ -36,8 +38,8 @@ from .polytope import (BellFunctional, LocalModel, canonicalize, chsh_functional
 from .quantum import BellSetup, _lossy_setup, behavior_from_setup
 from .scenario import (_CHSH_SCENARIO, Behavior, NoSignallingReport, _blocks, _layout,
                        _marginal_index, no_signalling_defect)
-from .tolerances import (BISECTION_TOL_FLOOR, DEFAULT_TOL, EFFICIENCY_TOL, MODEL_TOL,
-                         VISIBILITY_TOL, require_tolerance)
+from .tolerances import (DEFAULT_TOL, EFFICIENCY_TOL, MODEL_TOL, VISIBILITY_TOL,
+                         require_tolerance)
 
 
 class Verdict(Enum):
@@ -79,9 +81,8 @@ class ThresholdResult:
 
     ``critical`` is the certified-local end of the bracket; the other end
     is certified nonlocal and the bracket is no wider than ``tolerance``.
-    ``iterations`` counts the halvings of [0, 1]: an efficiency threshold
-    bisects, while a visibility threshold reads its bracket off one
-    program's certificates and makes none, so it reports 0.
+    Both thresholds read their bracket off certificates and halve
+    nothing, so ``iterations`` is 0 on both; the reports still print it.
     """
 
     parameter: str
@@ -345,17 +346,22 @@ def chsh_value(behavior: Behavior) -> float:
     return chsh_functional().value(behavior)
 
 
-def _check_bisection_tol(tol: float):
-    """Refuse a bracket width that is not a positive, finite number or
-    that the halving may not reach.  From [0, 1], every midpoint is exact
-    down to width 2**-52, so ``efficiency_threshold``'s bisection ends
-    within 53 steps; below that, the bracket can close on two adjacent
-    floats, whose midpoint is one of them, and the loop would not end."""
-    if require_tolerance(tol, "bisection tolerance") < BISECTION_TOL_FLOOR:
-        raise ValidationError(
-            f"bisection tolerance {tol!r} is below the floor of 2**-52; "
-            "halving [0, 1] cannot get narrower"
-        )
+def _certified_bracket(parameter: str, lo: float, start: float, top: float, margin,
+                       guard: float, tol: float) -> ThresholdResult:
+    """The bracket from ``lo``, certified by a local model, to the least
+    float from ``start`` (clamped to [lo, top]) at which ``margin``, a
+    cut's margin on the table itself, exceeds ``guard`` = 2 DEFAULT_TOL
+    |c|_inf, so that ``_decide``'s l1 distance exceeds its tolerance, or
+    to ``top``, certified nonlocal.  One wider than ``tol`` raises StalledError."""
+    hi = min(max(start, lo), top)
+    while hi < top and margin(hi) <= guard:
+        hi = float(np.nextafter(hi, 2.0))
+    if hi - lo > tol:
+        raise StalledError(
+            f"{parameter} certificates bracket [{lo!r}, {hi!r}], {hi - lo:.3e} wide, "
+            f"wider than the tolerance {tol!r}")
+    return ThresholdResult(parameter=parameter, critical=lo, bracket=(lo, hi),
+                           iterations=0, tolerance=tol)
 
 
 def visibility_threshold(
@@ -377,20 +383,20 @@ def visibility_threshold(
     c.(p - q) >= 1, so c separates every blend with v > v*.
 
     The bracket's low end is v*, where the model reproduces the blend to
-    within half the decision tolerance in l1; its high end is the least
-    float at which the cut's margin, linear in v, exceeds twice the
-    decision tolerance times |c|_inf, which bounds the blend's l1
-    distance from below.  So ``_decide`` calls the low end local and the
-    high end nonlocal, and the bracket is a few 1e-9 wide.  A bracket
-    wider than ``tol``, or a model that fails its recheck, raises
-    ``StalledError``.  The visibility is unbounded exactly when the
-    behavior is the noise; that, or v* >= 1, is refused as local at full
-    visibility.  Only a cut that does not clear its guard at v = 1 costs
-    a solve besides the staged one: ``_decide`` of the behavior itself.
+    within half the decision tolerance in l1, and a model that fails
+    that recheck raises ``StalledError``; ``_certified_bracket`` takes
+    the high end from c, whose margin is linear in v.  The visibility is
+    unbounded exactly when the behavior is the noise; that, or v* >= 1,
+    is refused as local at full visibility.  Only a cut that does not
+    clear its guard at v = 1 costs a solve besides the staged one:
+    ``_decide`` of the behavior itself.
     """
+    if not (isinstance(behavior, Behavior) and isinstance(noise, Behavior)):
+        raise ValidationError("visibility threshold needs a target and a noise Behavior, "
+                              f"got {type(behavior).__name__} and {type(noise).__name__}")
     if behavior.scenario != noise.scenario:
         raise ValidationError("behavior and noise live on different scenarios")
-    _check_bisection_tol(tol)
+    require_tolerance(tol)
     sc = behavior.scenario
     d = sc.dimension
     check_size(d + 1, strategy_count(sc) + 2 * d + 1)
@@ -419,51 +425,56 @@ def visibility_threshold(
     cut = -out.y[:d]
     bound = local_bound(BellFunctional(scenario=sc, coeffs=cut))[0]
     guard = 2.0 * DEFAULT_TOL * float(np.abs(cut).max())
-    # the margin over |c|_inf bounds the l1 distance from below, and it is
-    # linear in v: solve it for the guard, then step up to the first float
-    # at which the margin on the blend itself clears the guard
-    cq = float(cut @ q)
-    slope = float(cut @ p) - cq
-    hi = min(max((bound + guard - cq) / slope, lo), 1.0) if slope > 0.0 else 1.0
-    while float(cut @ (hi * p + (1.0 - hi) * q)) - bound <= guard:
-        if hi == 1.0:  # the cut does not clear its guard even at full visibility
-            if _decide(behavior)[0]:
-                raise local_at_full
-            break
-        hi = float(np.nextafter(hi, 2.0))
-    if hi - lo > tol:
-        raise StalledError(
-            f"visibility certificates bracket [{lo!r}, {hi!r}], {hi - lo:.3e} wide, "
-            f"wider than the tolerance {tol!r}")
-    return ThresholdResult(parameter="visibility", critical=lo, bracket=(lo, hi),
-                           iterations=0, tolerance=tol)
+    cp, cq = float(cut @ p), float(cut @ q)
+    if cp - bound <= guard and _decide(behavior)[0]:  # the cut misses its guard even at v = 1
+        raise local_at_full
+    # the margin is linear in v: the search starts where it meets the guard
+    slope = cp - cq
+    start = (bound + guard - cq) / slope if slope > 0.0 else 1.0
+    return _certified_bracket("visibility", lo, start, 1.0,
+                              lambda v: float(cut @ (v * p + (1.0 - v) * q)) - bound, guard, tol)
 
 
 def efficiency_threshold(setup: BellSetup, tol: float = EFFICIENCY_TOL) -> ThresholdResult:
-    """Largest detection efficiency at which the setup's statistics stay
-    local when both parties' detectors fire with that probability and
-    no-clicks are kept as their own outcome: [0, 1] halved, one decision
-    per halving, until the bracket is at most ``tol`` wide, which
-    ``_check_bisection_tol`` keeps reachable."""
-    _check_bisection_tol(tol)
+    """Largest detection efficiency eta at which the setup's statistics
+    stay local when both detectors fire with probability eta and no-clicks
+    are their own outcome.  Tables local at eta stay local below it, so
+    from eta = 1 each nonlocal probe's cut moves eta to the largest root
+    below it of the cut's quadratic margin, for at most 64 cuts.  The
+    first local probe is the low end; ``_certified_bracket`` takes the
+    high end, at most the last nonlocal probe.  A setup local at eta = 1
+    is refused."""
+    if not isinstance(setup, BellSetup):
+        raise ValidationError(f"efficiency threshold needs a BellSetup, got {type(setup).__name__}")
+    require_tolerance(tol)
 
     def behavior_at(eta: float) -> Behavior:
         return behavior_from_setup(_lossy_setup(setup, eta))
 
-    if _decide(behavior_at(1.0))[0]:
-        raise ValidationError(
-            "setup is local even with perfect detection; no threshold exists"
-        )
-    if not _decide(behavior_at(0.0))[0]:
+    full, none = behavior_at(1.0), behavior_at(0.0)
+    is_local, cut = _decide(full)
+    if is_local:
+        raise ValidationError("setup is local even with perfect detection; no threshold exists")
+    if not _decide(none)[0]:
         raise StalledError("all-no-click statistics failed the local check")
-    lo, hi = 0.0, 1.0
-    iterations = 0
-    while hi - lo > tol:
-        mid = 0.5 * (lo + hi)
-        iterations += 1
-        if _decide(behavior_at(mid))[0]:
-            lo = mid
-        else:
-            hi = mid
-    return ThresholdResult(parameter="efficiency", critical=lo, bracket=(lo, hi),
-                           iterations=iterations, tolerance=tol)
+    tables = np.array([none.probs, behavior_at(0.5).probs, full.probs])
+    eta = 1.0
+    for _ in range(64):
+        bound = local_bound(BellFunctional(scenario=full.scenario, coeffs=cut))[0]
+        m0, mh, m1 = tables @ cut - bound
+        # the margin's coefficients, highest first, through its values at 0, 1/2 and 1
+        poly = [2.0 * (m0 + m1 - 2.0 * mh), 4.0 * mh - 3.0 * m0 - m1, m0]
+        roots, top = np.roots(poly), eta
+        eta = float(np.max(roots.real[(roots.imag == 0.0) & (roots.real < top)], initial=0.0))
+        is_local, witness = _decide(behavior_at(eta))
+        if is_local:
+            break
+        cut = witness
+    else:
+        raise StalledError("efficiency cuts reached no local table in 64 rounds")
+    guard = 2.0 * DEFAULT_TOL * float(np.abs(cut).max())
+    # one Newton step from eta to where the quadratic meets the guard starts the search
+    slope = 2.0 * poly[0] * eta + poly[1]
+    start = float(eta + (guard - np.polyval(poly, eta)) / slope) if slope > 0.0 else top
+    return _certified_bracket("efficiency", eta, start, top,
+                              lambda x: float(cut @ behavior_at(x).probs) - bound, guard, tol)

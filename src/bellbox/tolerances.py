@@ -42,10 +42,9 @@ MODEL_TOL = 1e-7
 # default widest bracket that visibility_threshold accepts: its certificates'
 # bracket is a few 1e-9 wide, and one wider than this raises
 VISIBILITY_TOL = 1e-6
-# default bracket width of efficiency_threshold's bisection
+# default widest bracket that efficiency_threshold accepts: its cuts' bracket is
+# about 1e-9 wide, and one wider than this raises
 EFFICIENCY_TOL = 1e-4
-# least bracket width: halving [0, 1] is exact down to 2**-52 and may not end below it
-BISECTION_TOL_FLOOR = 2.0 ** -52
 
 # -- linear programs (lp) ---------------------------------------------------
 

@@ -1146,8 +1146,11 @@ def test_ququart_sweep_agrees_with_highs(seed):
     assert lo - 1e-9 <= v_star <= hi + 1e-9
 
 
-@pytest.mark.parametrize("tol", [1e-20, 2.0 ** -53, 0.0, -1e-3, float("nan")])
+@pytest.mark.parametrize("tol", [0.0, -1e-3, float("nan")])
 def test_thresholds_refuse_tolerances_below_the_halving_floor(tol, monkeypatch):
+    """A width that is not positive is refused before any solve.  Neither
+    threshold halves any more, so a positive width has no floor: one
+    below the certificates' bracket stops after the solve instead."""
     import bellbox.analysis as analysis
 
     def no_solve(*args, **kwargs):
@@ -1163,20 +1166,50 @@ def test_thresholds_refuse_tolerances_below_the_halving_floor(tol, monkeypatch):
 def test_thresholds_refuse_an_infinite_tolerance():
     """An infinite width passed the halving floor and gave a bracket of
     [0, 1] after no step."""
-    with pytest.raises(ValidationError, match="bisection tolerance"):
+    match = "tolerance must be positive and finite"
+    with pytest.raises(ValidationError, match=match):
         visibility_threshold(named_behavior("pr_box"), named_behavior("uniform"),
                              tol=float("inf"))
-    with pytest.raises(ValidationError, match="bisection tolerance"):
+    with pytest.raises(ValidationError, match=match):
         efficiency_threshold(named_setup("singlet_chsh"), tol=float("inf"))
 
 
-def test_visibility_threshold_at_the_halving_floor_terminates():
-    """No bracket the certificates back is as narrow as 2**-52, so the
-    threshold stops and names the width it has; a bisection would end on
-    an uncertified end such as 0.50000000025."""
-    pr_box, noise = named_behavior("pr_box"), named_behavior("uniform")
-    with pytest.raises(StalledError, match="2.000e-09 wide, wider than the tolerance"):
-        visibility_threshold(pr_box, noise, tol=2.0 ** -52)
+@pytest.mark.parametrize("tol", [2.0 ** -52, 2.0 ** -53, 1e-20], ids=["2**-52", "2**-53", "1e-20"])
+@pytest.mark.parametrize(("verb", "width"), [("visibility", "2.000e-09"),
+                                             ("efficiency", "5.000e-10")],
+                         ids=["visibility", "efficiency"])
+def test_thresholds_below_their_certified_width_stop(verb, width, tol):
+    """No bracket the certificates back is as narrow as 2**-52, so either
+    threshold stops after its solves and names the width it has; a
+    bisection would end on an uncertified end such as 0.50000000025, and
+    below 2**-52 it would not end at all."""
+    with pytest.raises(StalledError, match=f"{width} wide, wider than the tolerance"):
+        if verb == "visibility":
+            visibility_threshold(named_behavior("pr_box"), named_behavior("uniform"), tol=tol)
+        else:
+            efficiency_threshold(named_setup("singlet_chsh"), tol=tol)
+
+
+@pytest.mark.parametrize("call", [
+    lambda: efficiency_threshold(named_behavior("pr_box")),
+    lambda: efficiency_threshold(None),
+    lambda: visibility_threshold(named_behavior("pr_box"), None),
+    lambda: visibility_threshold(named_setup("singlet_chsh"), named_behavior("uniform")),
+], ids=["efficiency-of-a-behavior", "efficiency-of-none", "visibility-into-none",
+        "visibility-of-a-setup"])
+def test_thresholds_refuse_the_wrong_kind_of_argument(call, monkeypatch):
+    """A threshold given something other than a setup, or a target or
+    noise other than a behavior, is refused before any solve; these
+    raised AttributeError from inside the threshold."""
+    import bellbox.analysis as analysis
+
+    def no_solve(*args, **kwargs):
+        raise AssertionError("a solve ran before the argument was checked")
+
+    monkeypatch.setattr(analysis, "solve", no_solve)
+    monkeypatch.setattr(analysis, "_solve_then_maximize", no_solve)
+    with pytest.raises(ValidationError, match="threshold needs a"):
+        call()
 
 
 # -- efficiency threshold ----------------------------------------------------
@@ -1193,6 +1226,57 @@ def test_efficiency_threshold_singlet():
     setup = named_setup("singlet_chsh")
     assert membership(behavior_from_setup(lifted(setup, lo))).is_local
     assert not membership(behavior_from_setup(lifted(setup, hi))).is_local
+
+
+def efficiency_bisection(setup, tol):
+    """The plain bisection of [0, 1]: one membership decision per probe."""
+    lo, hi = 0.0, 1.0
+    while hi - lo > tol:
+        mid = 0.5 * (lo + hi)
+        if _decide(behavior_from_setup(lifted(setup, mid)))[0]:
+            lo = mid
+        else:
+            hi = mid
+    return lo, hi
+
+
+# the nonlocal ones among random_setup(s, dims=(2, 2), inputs=(2, 2)), s = 1-39
+EFFICIENCY_SEEDS = (16, 20, 24)
+
+
+@pytest.mark.parametrize("seed", [None, *EFFICIENCY_SEEDS],
+                         ids=["singlet", *(f"seed{s}" for s in EFFICIENCY_SEEDS)])
+def test_efficiency_bracket_meets_the_bisection_and_rechecks(seed):
+    """The cuts' bracket is a few 1e-9 wide, meets the bracket of a plain
+    bisection over ``_decide``, and ``_decide`` calls its low end local
+    and its high end nonlocal."""
+    setup = (named_setup("singlet_chsh") if seed is None
+             else random_setup(seed, dims=(2, 2), inputs=(2, 2)))
+    res = efficiency_threshold(setup)
+    lo, hi = res.bracket
+    assert res.critical == lo < hi <= lo + 1e-8 and res.iterations == 0
+    bisect_lo, bisect_hi = efficiency_bisection(setup, 1e-4)
+    assert lo <= bisect_hi and bisect_lo <= hi
+    assert _decide(behavior_from_setup(lifted(setup, lo)))[0]
+    assert not _decide(behavior_from_setup(lifted(setup, hi)))[0]
+
+
+def test_singlet_efficiency_is_garg_mermin_in_four_decisions(monkeypatch):
+    """The singlet's cuts reach 2/(1 + sqrt(2)) within 1e-9 in at most four
+    ``_decide`` calls, the all-no-click recheck among them; the bisection
+    at the default width made 16."""
+    import bellbox.analysis as analysis
+
+    calls = []
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return _decide(*args, **kwargs)
+
+    monkeypatch.setattr(analysis, "_decide", counting)
+    res = efficiency_threshold(named_setup("singlet_chsh"))
+    assert abs(res.critical - 2.0 / (1.0 + ROOT2)) <= 1e-9
+    assert len(calls) <= 4
 
 
 def test_efficiency_threshold_rejects_always_local_setup():

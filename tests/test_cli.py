@@ -465,17 +465,18 @@ def test_threshold_efficiency_refuses_a_behavior_document(capsys):
                    "threshold needs a setup with detectors to degrade\n")
 
 
-@pytest.mark.parametrize("verb_args", [
-    ("visibility", fx("pr_box"), fx("uniform")),
-    ("efficiency", fx("singlet_chsh")),
+@pytest.mark.parametrize(("verb_args", "width"), [
+    (("visibility", fx("pr_box"), fx("uniform")), "2.000e-09"),
+    (("efficiency", fx("singlet_chsh")), "5.000e-10"),
 ], ids=["visibility", "efficiency"])
-def test_threshold_rejects_tolerance_below_halving_floor(capsys, verb_args):
+def test_threshold_narrower_than_its_certificates_exits_3(capsys, verb_args, width):
+    """A width below the certificates' bracket stops after the solve,
+    naming the width it has, where it once was refused below 2**-52."""
     start = time.perf_counter()
     code, out, err = run_cli(capsys, "threshold", *verb_args, "--tol", "1e-20")
     assert time.perf_counter() - start < 5.0
-    assert code == 2
-    assert out == ""
-    assert "2**-52" in err
+    assert (code, out) == (3, "")
+    assert f"{width} wide, wider than the tolerance 1e-20" in err
 
 
 def test_threshold_rejects_local_target(capsys):
