@@ -26,12 +26,18 @@ threshold visibility, in both formats, of singlet_chsh and pr_box
 against uniform at --tol 5e-9, which their certificates' brackets meet,
 and at --tol 1e-9, which they do not, and of the (2,3,4) table of the
 random 4x4-dimensional, 3-input setup at seed 10 against the uniform
-table, whose staged simplex loses its basis; then threshold efficiency,
-in both formats, on setup documents of the random 2x2-dimensional,
-2-input setups at seeds 16, 20 and 24, the nonlocal ones among seeds
-1-39, and at seed 1, which is local at full efficiency and is refused.
-New operations go at the end, so digests of older checkouts still
-compare by name.  Each runs through ``bellbox.cli.main`` in this
+table, whose staged simplex once lost its basis on a tiny tied pivot;
+then threshold efficiency, in both formats, on setup documents of the
+random 2x2-dimensional, 2-input setups at seeds 16, 20 and 24, the
+nonlocal ones among seeds 1-39, and at seed 1, which is local at full
+efficiency and is refused; then classify and membership, in both
+formats, on tables where the distance program's closed-form start is at
+an edge: a deterministic strategy of (2,4,2), whose start is at
+distance 0 on rows that are all degenerate, the uniform (3,2,2) table,
+on which every strategy ties as the one nearest the table, and the
+one-entry table of the scenario with one input and one output per
+party.  New operations go at the end, so digests of older checkouts
+still compare by name.  Each runs through ``bellbox.cli.main`` in this
 process, with bellbox imported from this checkout's src; perfbench/decks.py
 is imported and not written to.  Documents go to a temporary directory,
 whose path is masked as ``<tmp>`` in the output.  A line holds the
@@ -71,6 +77,7 @@ from bellbox import Scenario, named_behavior, validate_behavior  # noqa: E402
 from bellbox.cli import main  # noqa: E402
 from bellbox.documents import emit_document  # noqa: E402
 from bellbox.fixtures import fixture_names, fixture_path  # noqa: E402
+from bellbox.polytope import strategy_matrix  # noqa: E402
 from bellbox.quantum import (BellSetup, MeasurementSet, behavior_from_setup,  # noqa: E402
                              lift_with_efficiency, random_setup)
 
@@ -163,6 +170,20 @@ def operations():
         for fmt in FORMATS:
             yield (f"threshold-efficiency/seed{seed}/{fmt}",
                    ["threshold", "efficiency", doc, "--format", fmt], docs)
+    for label, table in start_edge_tables():
+        doc, text = f"{label}.json", emit_document(table)
+        for verb in ("classify", "membership"):
+            for fmt in FORMATS:
+                yield f"start-edge/{label}/{verb}/{fmt}", [verb, doc, "--format", fmt], {doc: text}
+
+
+def start_edge_tables():
+    """(label, table) of the tables where the distance program's
+    closed-form start is at an edge."""
+    sc = Scenario.uniform(2, 4, 2)
+    yield "strategy-242", validate_behavior(sc, strategy_matrix(sc)[:, 77])
+    yield "uniform-322", named_behavior("uniform", Scenario.uniform(3, 2, 2))
+    yield "one-entry", validate_behavior(Scenario((1, 1), ((1,), (1,))), [1.0])
 
 
 def input_copier(outputs):

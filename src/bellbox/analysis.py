@@ -28,16 +28,17 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
+from functools import lru_cache
 
 import numpy as np
 
 from .errors import StalledError, ValidationError
-from .lp import LinearProgram, LpOutcome, _solve_then_maximize, check_size, solve
-from .polytope import (BellFunctional, LocalModel, canonicalize, chsh_functional, local_bound,
-                       strategy_count, strategy_matrix)
+from .lp import LinearProgram, LpOutcome, _Start, _solve_then_maximize, check_size, solve
+from .polytope import (BellFunctional, LocalModel, _strategy_store, canonicalize,
+                       chsh_functional, local_bound, strategy_count, strategy_matrix)
 from .quantum import BellSetup, _lossy_setup, behavior_from_setup
-from .scenario import (_CHSH_SCENARIO, Behavior, NoSignallingReport, _blocks, _layout,
-                       _marginal_index, no_signalling_defect)
+from .scenario import (_CHSH_SCENARIO, Behavior, NoSignallingReport, Scenario, _blocks,
+                       _layout, _marginal_index, no_signalling_defect)
 from .tolerances import (DEFAULT_TOL, EFFICIENCY_TOL, MODEL_TOL, VISIBILITY_TOL,
                          require_tolerance)
 
@@ -92,45 +93,93 @@ class ThresholdResult:
     tolerance: float
 
 
-def _distance_program(V: np.ndarray, probs: np.ndarray,
-                      toward: np.ndarray | None = None) -> LinearProgram:
-    """l1 distance from the behavior to the deterministic mixtures.
+@lru_cache(maxsize=32)
+def _distance_matrix(scenario: Scenario) -> tuple[np.ndarray, LinearProgram]:
+    """The strategy matrix V and the distance program that every table of
+    ``scenario`` shares, with b = 0.  Its matrix A = [V | I | -I ; 1 0 0]
+    is the read-only array that already holds V
+    (``polytope._strategy_store``), never copied; A and the costs are
+    checked, and the costs made read-only, once."""
+    V = strategy_matrix(scenario)
+    d, n = V.shape
+    cost = np.zeros(n + 2 * d)
+    cost[n:] = 1.0
+    shared = LinearProgram(A=_strategy_store(scenario)[0], b=np.zeros(d + 1), c=cost,
+                           maximize=False)
+    shared.b.setflags(write=False)
+    shared.c.setflags(write=False)
+    return V, shared
+
+
+def _distance_program(scenario: Scenario, probs: np.ndarray,
+                      toward: np.ndarray | None = None) -> tuple[LinearProgram, _Start]:
+    """l1 distance from the behavior to the deterministic mixtures, and the
+    start of its simplex.
 
     Variables are (w, u, v) >= 0: minimize sum(u + v) subject to
     V w + u - v = p and sum(w) = 1.  The optimum is 0 exactly when w is a
     reproducing mixture.  It is the LP dual of the box-normalized cut
-    program, so the prices of the first d rows are the coefficients of
-    the deepest cut with |c_j| <= 1.
+    program, so the prices y[:d] of the first d rows are the
+    coefficients of the deepest cut with |c_j| <= 1, and y[d] is the
+    price of the last row.  A and the costs are built once per scenario,
+    A in the array that holds the strategy matrix (``_distance_matrix``),
+    and shared, never copied or checked again: a table brings only
+    b = (p; 1).
 
-    The first d rows are written with V[:, s0] times the last row taken
-    off, for the strategy s0 nearest to p in l1.  That leaves the
-    feasible set and the prices of the first d rows as they were, and
-    gives every row a structural unit column (w_s0 for the last row, u_k
-    or v_k for row k), so the simplex starts at the feasible point
-    w = e_s0 and needs no phase 1.
+    The start is the crash basis (Bixby, ORSA J. Comput. 4, 267 (1992)),
+    built in closed form.  For the strategy s0 nearest to p in l1, row
+    k < d starts on u_k or v_k by the sign of p_k - V[k, s0], and the
+    last row on w_s0: the feasible point w = e_s0, so no phase 1 runs.
+    With S the diagonal of those signs, the inverse is
+    [[S, -S V[:, s0]], [0, 1]] and the basic values are
+    (|p - V[:, s0]|; 1).  The inverse, not A, carries the row operation
+    that takes V[:, s0] times the last row off the first d rows: the
+    tableau is that of the shifted rows, the prices y[:d] are unchanged
+    by the shift, and y[d] is the price of the unshifted last row.  u_k
+    and v_k are mates, and the first steepest-edge weights are
+    2 + 2 (blocks - V[:, s0].V_s) for strategy s, blocks being the input
+    blocks that each strategy fills once, and 2 for each slack.
 
     Given ``toward``, a table p', one more variable t follows at cost 0,
-    with column (p - p'; 0).  At u = v = 0 the rows then read
+    with column (p - p'; 0), on a copy of A, and its first weight is
+    1 + |p - p'|^2.  At u = v = 0 the rows then read
     V w = (1 - t) p + t p' and sum(w) = 1: the largest such t is the
     largest weight of p' in a blend with p that stays local, the
     visibility program of Kaszlikowski et al., PRL 85, 4418 (2000),
     written as a continuation of p's own distance program.
     """
+    V, shared = _distance_matrix(scenario)
     d, n = V.shape
+    slacks = n + 2 * d
     # |p - V[:, s]|_1 = sum(p) + (1 - 2p).V[:, s] for 0/1 columns
     s0 = int(np.argmin((1.0 - 2.0 * probs) @ V))
-    cols = n + 2 * d + (toward is not None)
-    A = np.zeros((d + 1, cols))
-    np.subtract(V, V[:, s0:s0 + 1], out=A[:d, :n])
-    np.fill_diagonal(A[:d, n:n + d], 1.0)
-    np.fill_diagonal(A[:d, n + d:n + 2 * d], -1.0)
-    A[d, :n] = 1.0
-    if toward is not None:
-        np.subtract(probs, toward, out=A[:d, -1])
-    b = np.append(probs - V[:, s0], 1.0)
-    cost = np.zeros(cols)
-    cost[n:n + 2 * d] = 1.0
-    return LinearProgram(A=A, b=b, c=cost, maximize=False)
+    b = np.append(probs, 1.0)
+    weights = np.full(slacks + (toward is not None), 2.0)
+    agree = V[:, s0] @ V  # the blocks on which each strategy agrees with s0
+    weights[:n] += 2.0 * (agree[s0] - agree)
+    if toward is None:
+        lp = LinearProgram._prechecked(shared.A, b, shared.c, maximize=False)
+    else:
+        A = np.empty((d + 1, slacks + 1))
+        A[:, :slacks] = shared.A
+        np.subtract(probs, toward, out=A[:d, slacks])
+        A[d, slacks] = 0.0
+        column = A[:, slacks:]
+        weights[slacks] = 1.0 + np.einsum("ij,ij->j", column, column)[0]  # as edge_weights sums
+        lp = LinearProgram._prechecked(A, b, np.append(shared.c, 0.0), maximize=False)
+    gap = probs - V[:, s0]
+    below = gap < 0.0
+    sign = np.where(below, -1.0, 1.0)
+    BX = np.zeros((d + 1, d + 2))
+    np.fill_diagonal(BX[:d], sign)
+    np.multiply(sign, -V[:, s0], out=BX[:d, d])
+    np.abs(gap, out=BX[:d, d + 1])
+    BX[d, d:] = 1.0
+    rows = np.arange(n, n + d)
+    mate = np.full(lp.shape[1] + d + 1, -1)
+    mate[rows], mate[rows + d] = rows + d, rows
+    basis = np.append(rows + d * below, s0)
+    return lp, _Start(basis=basis, BX=BX, mate=mate, weights=weights)
 
 
 def _decide(behavior: Behavior, tol: float = DEFAULT_TOL) -> tuple[bool, np.ndarray]:
@@ -150,10 +199,11 @@ def _solved(behavior: Behavior, tol: float) -> tuple[np.ndarray, LpOutcome]:
     d = behavior.scenario.dimension
     check_size(d + 1, strategy_count(behavior.scenario) + 2 * d)
     V = strategy_matrix(behavior.scenario)
+    lp, start = _distance_program(behavior.scenario, behavior.probs)
     # the simplex stops at the first vertex within its tol of distance 0;
     # a looser tol moves only the decision, so that the model the
     # simplex stops at still meets MODEL_TOL
-    return V, solve(_distance_program(V, behavior.probs), tol=min(tol, DEFAULT_TOL))
+    return V, solve(lp, tol=min(tol, DEFAULT_TOL), start=start)
 
 
 def _decision(behavior: Behavior, V: np.ndarray, out, tol: float) -> tuple[bool, np.ndarray]:
@@ -377,10 +427,9 @@ def visibility_threshold(
     solve, with the same pivots, verdict and model as ``_decide(noise)``;
     a nonlocal noise is refused.  The second fixes the slacks at zero and
     maximizes the visibility: its optimum v* is the critical value, its
-    optimal w a local model at v*, and its first d row prices, which
-    taking V[:, s0] times the last row off the first d rows leaves as
-    they were, are -c with c.V_s <= c.q + v* for every strategy s and
-    c.(p - q) >= 1, so c separates every blend with v > v*.
+    optimal w a local model at v*, and its first d row prices are -c with
+    c.V_s <= c.q + v* for every strategy s and c.(p - q) >= 1, so c
+    separates every blend with v > v*.
 
     The bracket's low end is v*, where the model reproduces the blend to
     within half the decision tolerance in l1, and a model that fails
@@ -403,7 +452,8 @@ def visibility_threshold(
     V = strategy_matrix(sc)
     n = V.shape[1]
     p, q = behavior.probs, noise.probs
-    first, out = _solve_then_maximize(_distance_program(V, q, toward=p), n + 2 * d)
+    lp, start = _distance_program(sc, q, toward=p)
+    first, out = _solve_then_maximize(lp, n + 2 * d, start)
     if not _decision(noise, V, first, DEFAULT_TOL)[0]:
         raise ValidationError("noise behavior must be local")
     local_at_full = ValidationError(

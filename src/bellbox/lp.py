@@ -3,64 +3,69 @@
 Equality-form problems over nonnegative variables, the form of the
 package's one program, the l1 distance program of ``analysis``, are
 solved by a two-phase revised simplex whose state is its basis, the
-basis inverse and basic values, the costs and crossing slopes
-per column (the basic ones are read off the basis, never copied), the
-columns that pricing may enter and, while a phase prices, its reduced
-costs and steepest-edge weights.  Each iteration forms only the entering
-column and the pivot row, updates the inverse by a rank-one change and
-carries the reduced costs and weights across the pivot.  The basis
-inverse and the basic values are the two parts of one m x (m+1) array,
-so that one rank-one update moves both, and an iteration writes its
-pricing rows, pivot row, outer product and entering scores into
-workspaces sized once per solve.  The constraint
-matrix is used as given, never copied: a row whose right-hand side is
+basis inverse and basic values, the costs and crossing slopes per column
+(the basic ones are read off the basis, never copied), the columns that
+pricing may enter and, while a phase prices, its reduced costs and
+steepest-edge weights.  Each iteration forms only the entering column
+and the pivot row, updates the inverse by a rank-one change and carries
+the reduced costs and weights across the pivot.  The basis inverse and
+the basic values are the two parts of one m x (m+1) array, so that one
+rank-one update moves both, and an iteration writes its pricing rows,
+pivot row, outer product and entering scores into workspaces sized once
+per solve.  The constraint matrix is used as given, never copied or
+checked again: on the artificials' start a row whose right-hand side is
 negative is flipped by the sign that the basis inverse starts with.
 Every ``REINVERT_EVERY`` pivots the inverse and the basic values are
 rebuilt from the basis columns, and a phase's reduced costs and weights
 are priced afresh, so that the rounding that the rank-one updates carry
-cannot build up (Bixby, Oper. Res. 50, 3 (2002)).  Artificial columns are
-signed unit columns that are never stored, and they are start-up
-scaffolding only: no phase prices them, so one that leaves the basis
-never returns (Bertsimas and Tsitsiklis, Introduction to Linear
-Optimization, 1997, section 3.5), and a redundant row keeps its
-artificial basic at zero instead of being deleted, so the basis inverse
-stays square over the same rows for the whole solve.  Each row starts
-on a structural column that already equals its unit vector in the
-flipped system, where one exists, and on its artificial otherwise;
-phase 1 runs only when some row starts on its artificial, since a start
-without one is already feasible.  The scan that finds those columns
-sorts nothing: one product of the nonzero pattern gives each column's
-nonzero count and row, and ``np.minimum.at`` keeps each row's smallest.
-The entering column is the steepest edge (Goldfarb and Reid, Math.
-Prog. 12, 361 (1977)): the largest r_j^2 / (1 + |B^-1 a_j|^2) over reduced
-costs r_j below ``-PIVOT_TOL``, with the weights and reduced costs
-kept exact by rank-one updates, priced afresh at each rebuild of the
-inverse, and the reduced costs once more before a phase ends.  After a
-long run of degenerate pivots the rule falls back to Bland's smallest
-index, which cannot cycle, until the objective moves again.  The ratio test takes no pivot below ``RATIO_TOL`` of the
-entering column's largest entry, reads basic values a round-off below
-zero as zero, and breaks near-ties only among rows whose step leaves
-every basic value above ``-TIE_TOL``.  In phase 2, while steepest edge
-prices, the ratio test takes long steps: a structural +e_i column and a
--e_i column in the same row, such as the slacks u_k and v_k of the l1
-distance program, are mates, and a basic column that the step drives
-through zero hands its row to its mate instead of leaving, for as long
-as the objective keeps falling along the step (Barrodale and Roberts,
-SIAM J. Numer. Anal. 10, 839 (1973); Fourer, Math. Prog. 33, 204
-(1985)).  Bland pivots take the plain ratio test, and phase 1 never
-takes a long step.  When every cost is nonnegative,
-c.x >= 0 holds on the whole feasible set, so a feasible basis whose
-objective is within tol of zero is optimal to within tol as it stands:
-phase 2 stops there, whatever the reduced costs say, and y = 0 is its
-dual certificate.  One private entry, ``_solve_then_maximize``, keeps the
-simplex alive past such an optimum: a column kept out of pricing during
-the solve is then maximized over the points at the optimum, with the
-columns that the costs charge retired from pricing and no second phase
-1, so a program and its continuation share one basis.  Every outcome
-carries evidence: a primal solution for feasible problems, a Farkas
-vector for infeasible ones, an improving ray for unbounded ones.  The
-tolerances come from ``tolerances``; the size cap and the pivot limit
-are this module's own, and ``check_size`` and ``check_entries`` apply it.
+cannot build up (Bixby, Oper. Res. 50, 3 (2002)).  The start comes with
+the program (``_Start``): a basis with its inverse and basic values, the
+pairs of columns that are mates, and the first steepest-edge weights,
+all built in closed form by the program's builder, as ``analysis``
+builds the crash basis of the l1 distance program (Bixby, ORSA J.
+Comput. 4, 267 (1992)).  A program without one starts every row on its
+artificial, with no mates.  Artificial columns are signed unit columns
+that are never stored, and they are start-up scaffolding only: no phase
+prices them, so one that leaves the basis never returns (Bertsimas and
+Tsitsiklis, Introduction to Linear Optimization, 1997, section 3.5), and
+a redundant row keeps its artificial basic at zero instead of being
+deleted, so the basis inverse stays square over the same rows for the
+whole solve.  Phase 1 runs only when some row starts on its artificial,
+since a start without one is already feasible.  The entering column is
+the steepest edge (Goldfarb and Reid, Math. Prog. 12, 361 (1977)): the
+largest r_j^2 / (1 + |B^-1 a_j|^2) over reduced costs r_j below
+``-PIVOT_TOL``, with the weights and reduced costs kept exact by
+rank-one updates, priced afresh at each rebuild of the inverse, and the
+reduced costs once more before a phase ends.  After a long run of
+degenerate pivots the rule falls back to Bland's smallest index, which
+cannot cycle, until the objective moves again.  The ratio test takes no
+pivot below ``RATIO_TOL`` of the entering column's largest entry, reads
+basic values a round-off below zero as zero, and breaks near-ties only
+among rows whose step leaves every basic value above ``-TIE_TOL`` and
+whose pivot is at least ``_TIE_PIVOT_FLOOR`` of the largest tied pivot,
+since a tiny pivot leaves a near-singular basis (a milder form of the
+largest tied pivot of Harris, Math. Prog. 5, 1 (1973)).  In phase 2,
+while steepest edge prices, the ratio test takes long steps: two columns
+that the start names as mates, one the other negated, such as the slacks
+u_k and v_k of the l1 distance program, hand a row to each other, and a
+basic column that the step drives through zero hands its row to its mate
+instead of leaving, for as long as the objective keeps falling along the
+step (Barrodale and Roberts, SIAM J. Numer. Anal. 10, 839 (1973);
+Fourer, Math. Prog. 33, 204 (1985)).  Bland pivots take the plain ratio
+test, and phase 1 never takes a long step.  When every cost is
+nonnegative, c.x >= 0 holds on the whole feasible set, so a feasible
+basis whose objective is within tol of zero is optimal to within tol as
+it stands: phase 2 stops there, whatever the reduced costs say, and y =
+0 is its dual certificate.  One private entry, ``_solve_then_maximize``,
+keeps the simplex alive past such an optimum: a column kept out of
+pricing during the solve is then maximized over the points at the
+optimum, with the columns that the costs charge retired from pricing and
+no second phase 1, so a program and its continuation share one basis.
+Every outcome carries evidence: a primal solution for feasible problems,
+a Farkas vector for infeasible ones, an improving ray for unbounded
+ones.  The tolerances come from ``tolerances``; the size cap and the
+pivot limit are this module's own, and ``check_size`` and
+``check_entries`` apply it.
 
 Problems have at most ``DIMENSION_CAP`` (8192) rows and as many
 columns, so the design optimizes for robustness and certificate
@@ -84,6 +89,9 @@ DIMENSION_CAP = 8192
 BLAND_AFTER = 50
 # pivots between two rebuilds of the basis inverse from the basis columns
 REINVERT_EVERY = 64
+
+# least pivot among near-tied leaving rows, relative to the largest of them
+_TIE_PIVOT_FLOOR = 1e-2
 
 _INF = float("inf")
 
@@ -130,6 +138,18 @@ class LinearProgram:
         if not np.all(np.isfinite(c)):
             raise ValidationError("LP objective must be finite")
 
+    @classmethod
+    def _prechecked(cls, A: np.ndarray, b: np.ndarray, c: np.ndarray,
+                    maximize: bool = True) -> LinearProgram:
+        """A program over float64 arrays that its builder has already
+        checked as ``__post_init__`` checks them: shapes that agree within
+        the cap, and finite entries.  Nothing is converted or checked
+        again."""
+        lp = object.__new__(cls)
+        for name, value in (("A", A), ("b", b), ("c", c), ("maximize", maximize)):
+            object.__setattr__(lp, name, value)
+        return lp
+
     @property
     def shape(self) -> tuple[int, int]:
         return self.A.shape
@@ -152,88 +172,89 @@ class LpOutcome:
     iterations: int = 0
 
 
+@dataclass(frozen=True, eq=False)
+class _Start:
+    """A starting basis that comes with its program.  ``basis`` holds each
+    row's basic column (``n + i`` is the artificial of row i), ``BX`` the
+    basis inverse and the basic values as one m x (m+1) array
+    [Binv | xB], ``mate`` each column's mate or -1, over the n structural
+    columns and the m artificials, and ``weights`` the structural
+    columns' steepest-edge weights 1 + |Binv a_j|^2.  The simplex copies
+    what it updates, so a start is never written."""
+
+    basis: np.ndarray
+    BX: np.ndarray
+    mate: np.ndarray
+    weights: np.ndarray
+
+
+def _artificial_start(A: np.ndarray, b: np.ndarray, sign: np.ndarray) -> _Start:
+    """Every row on its artificial ``sign[i] e_i``, for a program without a
+    start: Binv = diag(sign), xB = sign b, no mates, and weights
+    1 + |a_j|^2."""
+    m, n = A.shape
+    BX = np.zeros((m, m + 1))
+    np.fill_diagonal(BX, sign)
+    np.multiply(b, sign, out=BX[:, m])
+    return _Start(basis=np.arange(n, n + m), BX=BX, mate=np.full(n + m, -1),
+                  weights=1.0 + np.einsum("ij,ij->j", A, A))
+
+
 class _Simplex:
     """Two-phase revised simplex over a standard-form system.
 
-    Rows are flipped so the right-hand side is nonnegative, without a
-    flipped copy of ``A``: ``Binv`` starts as ``diag(row_sign)``, so
-    ``Binv A`` is the flipped system from the start.  The state is the
-    basis (an ``np.intp`` array, one column index per row), the square
-    basis inverse ``Binv``, one row and one column per row of ``A`` from
-    the first pivot to the last, the basic values ``xB``, each column's
-    installed ``cost`` and crossing slope ``col_jump``, the ``live`` mask
-    and a phase's pricing.  Basic costs and slopes are read off the
-    basis, as ``cost[basis]``: the current tableau is ``Binv A``, and the
-    row prices and the Farkas vector are ``cost[basis] Binv`` in the
-    original orientation.  ``Binv`` and ``xB`` are views of one array
-    ``BX = [Binv | xB]``: a pivot's rank-one update and a long step's row
-    flips move both at once, and every ``REINVERT_EVERY`` pivots
-    ``_reinvert`` rebuilds both from the basis columns.  The iteration
-    allocates no array the size of ``Binv`` or of a pricing row: those
-    products, the pivot row, its outer product and the entering scores
-    go into workspaces made with the simplex.  Column ``n + i`` is the
-    artificial of row ``i``, the unit column ``row_sign[i] e_i``, never
-    stored and never priced: the reduced costs and weights cover the
-    ``n`` structural columns only.
+    The state is the basis (an ``np.intp`` array, one column index per
+    row), the square basis inverse ``Binv``, one row and one column per
+    row of ``A`` from the first pivot to the last, the basic values
+    ``xB``, each column's installed ``cost`` and crossing slope
+    ``col_jump``, the ``live`` mask and a phase's pricing.  All of it
+    starts from ``start`` (``_Start``), the program's own, or, where
+    there is none, from the artificials: ``Binv = diag(row_sign)``, which
+    flips the rows whose right-hand side is negative without a flipped
+    copy of ``A``, so that phase 1 starts from a nonnegative xB.  Basic
+    costs and slopes are read off the basis, as ``cost[basis]``: the
+    current tableau is ``Binv A``, and the row prices and the Farkas
+    vector are ``cost[basis] Binv`` in the original orientation.
+    ``Binv`` and ``xB`` are views of one array ``BX = [Binv | xB]``: a
+    pivot's rank-one update and a long step's row flips move both at
+    once, and every ``REINVERT_EVERY`` pivots ``_reinvert`` rebuilds both
+    from the basis columns.  The iteration allocates no array the size
+    of ``Binv`` or of a pricing row: those products, the pivot row, its
+    outer product and the entering scores go into workspaces made with
+    the simplex.  Column ``n + i`` is the artificial of row ``i``, the
+    unit column ``row_sign[i] e_i``, never stored and never priced: the
+    reduced costs and weights cover the ``n`` structural columns only.
     Each iteration picks the steepest edge from the kept reduced costs
     and weights, forms only the entering column ``Binv a_j``, updates the
     reduced costs and weights from the pivot row and updates ``Binv`` by
-    a rank-one change.  A row whose flipped constraint already has a
-    structural +e_i column starts with that column basic instead of its
-    artificial; either way the starting basis matrix is
-    ``diag(row_sign)``, and phase 1 has nothing to do unless some
-    artificial starts basic.
-    The same scan pairs that column with the row's -e_i column, where
-    there is one: the two are mates (``mate``), and in phase 2 a long
-    step may hand the row from one to the other (``_long_step``,
-    ``_cross``).  The scan sorts nothing: one product with the nonzero
-    pattern of ``A`` counts each column's nonzeros and sums their rows,
-    and ``np.minimum.at`` keeps each row's smallest +e_i and -e_i
-    column.  Under nonnegative costs a phase-2 basis whose objective is
-    at most ``tol`` ends the phase.  ``live``, when given, masks the
-    structural columns that pricing may enter; the others do not start
-    basic, and one that is basic leaves only by a pivot or ``drive_out``.
+    a rank-one change.  Phase 1 has nothing to do unless some artificial
+    starts basic.  Columns that the start pairs in ``mate`` are mates:
+    in phase 2 a long step may hand the row from one to the other
+    (``_long_step``, ``_cross``).  Under nonnegative costs a phase-2
+    basis whose objective is at most ``tol`` ends the phase.  ``live``,
+    when given, masks the structural columns that pricing may enter; a
+    start puts none of the others in its basis, and one that is basic
+    leaves only by a pivot or ``drive_out``.
     """
 
     def __init__(self, A: np.ndarray, b: np.ndarray, tol: float = DEFAULT_TOL,
-                 live: np.ndarray | None = None):
-        sign = np.where(b < 0.0, -1.0, 1.0)
-        self.row_sign = sign
+                 live: np.ndarray | None = None, start: _Start | None = None):
+        self.row_sign = np.where(b < 0.0, -1.0, 1.0)
         m, n = A.shape
         self.n = n
-        self.A, self.b = A, b  # never written: Binv carries the row signs
+        self.A, self.b = A, b  # never written
+        if start is None:
+            start = _artificial_start(A, b, self.row_sign)
+        self.start = start
         # [Binv | xB] in one array, so that one rank-one update moves both
         # and one row gather flips both; Binv and xB are views into it
-        self.BX = np.zeros((m, m + 1))
+        self.BX = start.BX.copy()
         self.Binv, self.xB = self.BX[:, :m], self.BX[:, m]
-        np.fill_diagonal(self.Binv, sign)
-        np.multiply(b, sign, out=self.xB)
-        # per column, the count of its nonzeros and the sum of their rows,
-        # both exact small integers: a singleton column's sum is its row
-        tally = np.empty((2, m))
-        tally[0] = 1.0
-        tally[1] = np.arange(m)
-        count, row_sum = tally @ (A != 0.0)
-        # a column that pricing may not enter does not start basic either
-        single = np.flatnonzero((count == 1.0) if live is None else (count == 1.0) & live)
-        rows = row_sum[single].astype(np.intp)
-        value = A[rows, single] * sign[rows]
-        unit = np.abs(value) == 1.0
-        # per row, its smallest +e_i column of the flipped system (slot i)
-        # and its smallest -e_i column (slot m + i), or n where it has none;
-        # a plain fancy-index write with repeated slots leaves unspecified
-        # which column wins
-        first = np.full(2 * m, n, dtype=np.intp)
-        np.minimum.at(first, rows[unit] + m * (value[unit] < 0.0), single[unit])
-        plus, minus = first[:m], first[m:]
-        self.basis = np.where(plus < n, plus, np.arange(n, n + m, dtype=np.intp))
-        # a +e_i column and a -e_i column are mates: one crosses to the
-        # other where its value passes zero (``_long_step``)
-        both = (plus < n) & (minus < n)
-        self.mate = np.full(n + m, -1)
-        self.mate[plus[both]] = minus[both]
-        self.mate[minus[both]] = plus[both]
-        self.paired = bool(both.any())
+        self.basis = start.basis.copy()
+        # a column and its mate, the same column negated: one crosses to
+        # the other where its value passes zero (``_long_step``)
+        self.mate = start.mate
+        self.paired = bool((start.mate >= 0).any())
         # the structural columns that pricing may enter, None for all of them
         self.live = live
         self.iterations = 0
@@ -277,7 +298,7 @@ class _Simplex:
         columns of [A | diag(row_sign)], and price afresh the reduced
         costs and weights that a run keeps, so that the rounding of the
         rank-one updates does not build up.  ``iterations`` is left as
-        it is: ``edge_weights`` reads its zero as a diagonal Binv.  A
+        it is: ``edge_weights`` reads its zero as the start's basis.  A
         singular B, which a pivot on a near-zero entry can leave behind,
         raises ``StalledError``."""
         m = self.basis.size
@@ -321,16 +342,16 @@ class _Simplex:
         costs below ``-PIVOT_TOL`` it takes the largest r_j^2 / gamma_j,
         where gamma_j = 1 + |Binv a_j|^2 is the squared length of the edge
         that column j would move along.  The weights are formed on the
-        first pricing of the call that has a column to enter (from the
-        columns themselves while ``Binv`` is still diagonal), so a
-        phase that starts optimal builds none; each pivot then updates
-        them exactly (Goldfarb and Reid), and the reduced costs with them,
-        from the pivot row.  The reduced costs are priced afresh from the
-        row prices, with the weights, at each ``_reinvert``, and before a
-        phase that has pivoted is declared optimal.  Once
-        ``BLAND_AFTER`` pivots in a row have left the objective where it
-        was, Bland's smallest-index rule takes over until a pivot moves
-        it, so a degenerate vertex cannot cycle.
+        first pricing of the call that has a column to enter (the start's
+        own before the first pivot), so a phase that starts optimal
+        builds none; each pivot then updates them exactly (Goldfarb and
+        Reid), and the reduced costs with them, from the pivot row.  The
+        reduced costs are priced afresh from the row prices, with the
+        weights, at each ``_reinvert``, and before a phase that has
+        pivoted is declared optimal.  Once ``BLAND_AFTER`` pivots in a row
+        have left the objective where it was, Bland's smallest-index rule
+        takes over until a pivot moves it, so a degenerate vertex cannot
+        cycle.
 
         The ratio test sorts the candidate rows by ratio.  In phase 2,
         while steepest edge is in charge, it walks them (``_long_step``):
@@ -338,19 +359,31 @@ class _Simplex:
         the row (``_cross``), while the objective still falls after it;
         the first row that does not cross leaves.  Bland pivots and phase
         1 take the plain ratio test, the first row leaving.  Either way
-        near-ties among the rows that may leave are bounded in x and
-        broken by the smallest basic index.  In phase 2 a basis at the
-        floor (``at_floor``) is optimal without pricing; phase 1 always
-        runs to its priced optimum.
+        near-ties among the rows that may leave are bounded in x, rows
+        whose pivot is below ``_TIE_PIVOT_FLOOR`` of the largest tied one
+        are passed by, and the smallest basic index among the rest
+        leaves.  Bland's proof that no cycle survives takes the smallest
+        index over every tied row, which the floor does not: so once a
+        Bland run has come back to a basis it already visited
+        ``BLAND_AFTER`` times, the floor is dropped until the objective
+        moves, and the plain rule, which cannot cycle, runs alone.  In
+        phase 2 a basis at the floor (``at_floor``) is optimal without
+        pricing; phase 1 always runs to its priced optimum.
         """
         self.weights = self.reduced = None
         degenerate, stale = 0, False
+        # the bases of the current Bland run, and how often it came back to one
+        visited, revisits = set(), 0
         while True:
             if phase == 2 and self.at_floor():
                 return "optimal", None
             if self.reduced is None:
                 self.reduced = self.reduced_costs()
             steepest = degenerate < BLAND_AFTER
+            if not steepest:
+                key = np.sort(self.basis).tobytes()
+                revisits += key in visited
+                visited.add(key)
             j = self._entering(steepest)
             if j is None and stale:
                 # an updated pricing never ends a phase: price afresh first
@@ -388,8 +421,13 @@ class _Simplex:
                 room = np.maximum(self.xB[tied], 0.0)
                 reach = ((room + TIE_TOL) / col[tied]).min()
                 tied = tied[ratios[k:end] <= reach]
+                if revisits < BLAND_AFTER:
+                    # a pivot far below another tied one blows B^-1 up
+                    tied = tied[col[tied] >= _TIE_PIVOT_FLOOR * col[tied].max()]
                 i = int(tied[self.basis[tied].argmin()])  # Bland tie-break
             degenerate = degenerate + 1 if best <= PIVOT_TOL else 0
+            if not degenerate:
+                visited, revisits = set(), 0
             shift = self._cross(pos[:k], col) if k else None
             self._update_pricing(i, j, col, shift)
             stale = True
@@ -458,9 +496,10 @@ class _Simplex:
 
     def edge_weights(self) -> np.ndarray:
         """Steepest-edge weights 1 + |Binv a_j|^2 of the structural
-        columns.  Before the first pivot ``Binv`` is ``diag(row_sign)``,
-        and the images are the columns themselves up to row signs."""
-        T = self.A if self.iterations == 0 else self.Binv @ self.A
+        columns: before the first pivot, a copy of the start's."""
+        if self.iterations == 0:
+            return self.start.weights.copy()
+        T = self.Binv @ self.A
         return 1.0 + np.einsum("ij,ij->j", T, T)
 
     def _update_pricing(self, i: int, j: int, col: np.ndarray,
@@ -580,10 +619,13 @@ class _Simplex:
         return d
 
 
-def solve(lp: LinearProgram, tol: float = DEFAULT_TOL) -> LpOutcome:
-    """Solve ``lp``; the status is backed by a certificate, and a stall
-    (more than ``DEFAULT_MAX_ITERS`` pivots) or a misbehaving tableau
-    raises ``StalledError`` rather than return a wrong answer.
+def solve(lp: LinearProgram, tol: float = DEFAULT_TOL,
+          start: _Start | None = None) -> LpOutcome:
+    """Solve ``lp`` from ``start``, the start its builder made for it
+    (``_Start``), or from its artificials where there is none.  The
+    status is backed by a certificate, and a stall (more than
+    ``DEFAULT_MAX_ITERS`` pivots) or a misbehaving tableau raises
+    ``StalledError`` rather than return a wrong answer.
 
     Statuses: "optimal" (x, y, objective), "infeasible" (y is a Farkas
     vector for ``A x = b, x >= 0``), "unbounded" (x feasible, ray
@@ -596,7 +638,7 @@ def solve(lp: LinearProgram, tol: float = DEFAULT_TOL) -> LpOutcome:
     is refused.
     """
     tol = require_tolerance(tol)
-    sx = _Simplex(lp.A, lp.b, tol)
+    sx = _Simplex(lp.A, lp.b, tol, start=start)
     out = _phases(lp, sx)
     _check_internal(lp, out, tol)
     return out
@@ -626,12 +668,14 @@ def _phase2(sx: _Simplex, c: np.ndarray, maximize: bool) -> LpOutcome:
                      objective=float(c @ x), iterations=sx.iterations)
 
 
-def _solve_then_maximize(lp: LinearProgram, k: int) -> tuple[LpOutcome, LpOutcome | None]:
-    """Solve ``lp`` with variable ``k`` kept out of pricing, and so at
-    zero; where that ends optimal at an objective of at most
-    ``DEFAULT_TOL``, continue the same simplex to the largest x_k among
-    the points at that optimum.  ``lp`` has nonnegative costs and a
-    feasible point with x_k = 0; nothing here checks that.
+def _solve_then_maximize(lp: LinearProgram, k: int,
+                         start: _Start | None = None) -> tuple[LpOutcome, LpOutcome | None]:
+    """Solve ``lp`` from ``start``, as ``solve`` does, with variable ``k``
+    kept out of pricing, and so at zero; where that ends optimal at an
+    objective of at most ``DEFAULT_TOL``, continue the same simplex to
+    the largest x_k among the points at that optimum.  ``lp`` has
+    nonnegative costs and a feasible point with x_k = 0, and ``start``
+    does not put column k in its basis; nothing here checks that.
 
     The first stage is ``solve`` with column ``k`` never entering: the
     same phases, pivots and outcome (its x has x_k = 0).  At an optimum
@@ -639,8 +683,9 @@ def _solve_then_maximize(lp: LinearProgram, k: int) -> tuple[LpOutcome, LpOutcom
     zero to within it, so the second stage takes those columns out of
     pricing for good: ``drive_out`` pivots each one still basic onto a
     column that may enter, where its row has one, and phase 2 then
-    maximizes x_k from that basis, with column k priced and no long step, since the
-    mates that a long step crosses to are charged columns.  No phase 1
+    maximizes x_k from that basis, with column k priced and no long
+    step, since the mates that a long step crosses to are charged
+    columns.  No phase 1
     runs again.  The second outcome is that of maximizing x_k over
     ``A x = b``, x >= 0 with the charged columns fixed at zero:
     "optimal" with x, row prices y in ``solve``'s orientation for a
@@ -651,7 +696,7 @@ def _solve_then_maximize(lp: LinearProgram, k: int) -> tuple[LpOutcome, LpOutcom
     """
     live = np.ones(lp.shape[1], dtype=bool)
     live[k] = False
-    sx = _Simplex(lp.A, lp.b, DEFAULT_TOL, live)
+    sx = _Simplex(lp.A, lp.b, DEFAULT_TOL, live, start)
     first = _phases(lp, sx)
     _check_internal(lp, first, DEFAULT_TOL)
     if first.status != "optimal" or not first.objective <= DEFAULT_TOL:

@@ -39,7 +39,7 @@ from functools import lru_cache
 import numpy as np
 
 from .errors import SizeCapError, StalledError, ValidationError
-from .lp import check_entries
+from .lp import DIMENSION_CAP, check_entries
 from .scenario import (_CHSH_SCENARIO, Behavior, Scenario, _blocks, _counts, _entries, _layout,
                        _marginal_index, _numbers, validate_behavior)
 from .tolerances import (DEFAULT_TOL, FACET_ZERO_TOL, GAUGE_RANK_TOL, INTEGER_FIT_TOL,
@@ -64,7 +64,6 @@ def _checked_strategy_count(scenario: Scenario) -> int:
     return count
 
 
-@lru_cache(maxsize=32)
 def strategy_matrix(scenario: Scenario) -> np.ndarray:
     """Column j is the probability table of strategy j; read-only.
 
@@ -73,17 +72,36 @@ def strategy_matrix(scenario: Scenario) -> np.ndarray:
     its outputs, and each input block gets a single 1 at the position of
     those outputs, all (blocks x strategies) positions in one bulk read.
     Strategy j's outputs are ``np.unravel_index(j, [k for outs in
-    scenario.outputs for k in outs])``.
+    scenario.outputs for k in outs])``.  It is a view of the first block
+    of the array that ``_strategy_store`` keeps.
     """
+    return _strategy_store(scenario)[1]
+
+
+@lru_cache(maxsize=32)
+def _strategy_store(scenario: Scenario) -> tuple[np.ndarray, np.ndarray]:
+    """The one array that holds the strategy matrix V, read-only, and V,
+    a view of its first block.  Where the l1 distance program over V
+    (``analysis._distance_program``) fits the LP kernel's
+    ``DIMENSION_CAP`` rows and columns, the array is that program's
+    matrix [V | I | -I ; 1 0 0], so the program and every reader of V
+    share V's bytes; otherwise it is V alone.  Either way it holds at
+    most ``DIMENSION_CAP ** 2`` entries."""
     count = _checked_strategy_count(scenario)
+    d = scenario.dimension
     columns = np.arange(count)
     digits = np.array(np.unravel_index(columns, [k for outs in scenario.outputs for k in outs]))
     first = np.cumsum([0, *scenario.inputs_per_party])  # first digit of each party
     inputs = _blocks(scenario).inputs
-    V = np.zeros((scenario.dimension, count))
-    V[_entries(scenario, inputs[:, :, None], digits[first[:-1, None] + inputs]), columns] = 1.0
-    V.setflags(write=False)
-    return V
+    fits = d + 1 <= DIMENSION_CAP and count + 2 * d <= DIMENSION_CAP
+    store = np.zeros((d + 1, count + 2 * d) if fits else (d, count))
+    store[_entries(scenario, inputs[:, :, None], digits[first[:-1, None] + inputs]), columns] = 1.0
+    if fits:
+        np.fill_diagonal(store[:d, count:count + d], 1.0)
+        np.fill_diagonal(store[:d, count + d:], -1.0)
+        store[d, :count] = 1.0
+    store.setflags(write=False)
+    return store, store[:d, :count]
 
 
 @dataclass(frozen=True, eq=False)

@@ -6,7 +6,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 from scipy.optimize import linprog
 
 from bellbox.analysis import _distance_program
@@ -16,6 +16,7 @@ from bellbox.lp import (
     LinearProgram,
     LpOutcome,
     _Simplex,
+    _Start,
     _check_internal,
     _solve_then_maximize,
     solve,
@@ -26,6 +27,7 @@ from bellbox.scenario import Scenario, named_behavior
 from _certificate import verify_certificate
 from _exact import solve_and_recheck
 from _lp_cases import degenerate_cases
+from test_analysis import START_SCENARIOS, behavior_on, block_distance_program
 from test_no_signalling import _pr_box_on_pair
 
 
@@ -175,17 +177,17 @@ def test_degenerate_case_rational_recheck(case):
     assert exact is True
 
 
-# -- unit-column start -------------------------------------------------------
+# -- starts ------------------------------------------------------------------
 
 def test_unit_column_on_negative_row_does_not_start_basic():
     # column 0 is +e_0, but row 0 is flipped (b_0 < 0), so there it reads
-    # -e_0 and row 0 starts on its artificial; column 3 is +e_1 on a
-    # nonnegative row and starts basic
+    # -e_0; column 3 is +e_1 on a nonnegative row.  A program without a
+    # start starts every row on its artificial, and neither column does
     A = np.array([[1.0, 1.0, -1.0, 0.0],
                   [0.0, 1.0, 1.0, 1.0]])
     b = np.array([-1.0, 2.0])
     lp = LinearProgram(A=A, b=b, c=np.array([1.0, 2.0, 3.0, 1.0]), maximize=False)
-    assert _Simplex(lp.A, lp.b).basis.tolist() == [4, 3]
+    assert _Simplex(lp.A, lp.b).basis.tolist() == [4, 5]
     out = solve(lp)
     expect, value = scipy_status(lp)
     assert out.status == expect == "optimal"
@@ -194,11 +196,10 @@ def test_unit_column_on_negative_row_does_not_start_basic():
 
 
 def test_infeasible_with_unit_slacks_gives_exact_farkas_vector():
-    # x0 + x1 + s0 = 1 and x0 + x1 - s1 = 2: s0 starts basic on row 0
+    # x0 + x1 + s0 = 1 and x0 + x1 - s1 = 2 clash
     A = np.array([[1.0, 1.0, 1.0, 0.0],
                   [1.0, 1.0, 0.0, -1.0]])
     lp = LinearProgram(A=A, b=np.array([1.0, 2.0]), c=np.zeros(4))
-    assert _Simplex(lp.A, lp.b).basis.tolist() == [2, 5]
     out, exact = solve_and_recheck(lp)
     assert out.status == "infeasible" == scipy_status(lp)[0]
     assert verify_certificate(lp, out).ok
@@ -207,8 +208,7 @@ def test_infeasible_with_unit_slacks_gives_exact_farkas_vector():
 
 @pytest.mark.parametrize("seed", range(10))
 def test_random_slack_form_problems_match_scipy(seed):
-    # G x + s = b with an identity block of slacks and mixed-sign b: rows
-    # with b_i >= 0 start on their slack, the others on an artificial
+    # G x + s = b with an identity block of slacks and mixed-sign b
     rng = np.random.default_rng(5000 + seed)
     m = int(rng.integers(3, 7))
     k = int(rng.integers(2, 6))
@@ -224,27 +224,33 @@ def test_random_slack_form_problems_match_scipy(seed):
     assert exact is True
 
 
-
 @pytest.mark.parametrize("seed", range(10))
 def test_starting_basis_takes_the_smallest_unit_column_of_each_row(seed):
+    """The start that a distance program comes with puts on each row the
+    smallest column that its inverse turns into that row's unit vector,
+    as a scan of Binv A for unit columns would, over every scenario of
+    the start tests, with a visibility column on odd seeds."""
     rng = np.random.default_rng(7000 + seed)
-    m, n = int(rng.integers(1, 6)), int(rng.integers(1, 12))
-    A = rng.choice([-1.0, 0.0, 0.0, 1.0], size=(m, n))
-    A[:, rng.integers(0, n, size=n)] = A[:, rng.integers(0, n, size=n)]  # repeats
-    b = rng.choice([-1.0, 0.0, 1.0], size=m)
-    flipped = A * np.where(b < 0.0, -1.0, 1.0)[:, None]
+    sc = START_SCENARIOS[sorted(START_SCENARIOS)[seed % len(START_SCENARIOS)]]
+    p = behavior_on(sc, 7000 + seed, rng.random()).probs
+    q = behavior_on(sc, 8000 + seed, rng.random()).probs if seed % 2 else None
+    lp, start = _distance_program(sc, p, toward=q)
+    T = start.BX[:, :-1] @ lp.A
+    m, n = T.shape
     expect = [n + i for i in range(m)]
     for j in reversed(range(n)):
-        nz = np.flatnonzero(flipped[:, j])
-        if nz.size == 1 and flipped[nz[0], j] == 1.0:
+        nz = np.flatnonzero(T[:, j])
+        if nz.size == 1 and T[nz[0], j] == 1.0:
             expect[int(nz[0])] = j
-    assert _Simplex(A, b).basis.tolist() == expect
+    assert start.basis.tolist() == expect
+    assert _Simplex(lp.A, lp.b, start=start).basis.tolist() == expect
 
 
 def reference_unit_scan(A: np.ndarray, b: np.ndarray):
-    """The starting basis, mates and ``paired`` by the earlier scan: count
-    each column's nonzeros, take each singleton's row, and keep the first
-    +e_i and -e_i column per row of the flipped system by np.unique."""
+    """The starting basis, mates and ``paired`` by a scan for unit
+    columns: count each column's nonzeros, take each singleton's row, and
+    keep the first +e_i and -e_i column per row of the flipped system by
+    np.unique."""
     sign = np.where(b < 0.0, -1.0, 1.0)
     m, n = A.shape
     nonzero = A != 0.0
@@ -262,6 +268,38 @@ def reference_unit_scan(A: np.ndarray, b: np.ndarray):
     mate[plus[both]] = minus[both]
     mate[minus[both]] = plus[both]
     return basis, mate, bool(both.any())
+
+
+@settings(max_examples=100, deadline=None)
+@given(label=st.sampled_from(sorted(START_SCENARIOS)), seed=st.integers(0, 2**32 - 1),
+       w=st.floats(0.0, 1.0), toward=st.booleans())
+def test_unit_column_scan_matches_the_unique_scan(label, seed, w, toward):
+    """The closed-form start of a distance program is the start that the
+    np.unique scan for unit columns finds on the shifted program, with
+    V[:, s0] times the last row taken off the first d rows: the same
+    basis, the same mates, and paired alike."""
+    sc = START_SCENARIOS[label]
+    p = behavior_on(sc, seed, w).probs
+    q = behavior_on(sc, seed + 1, 1.0 - w).probs if toward else None
+    lp, start = _distance_program(sc, p, toward=q)
+    A, b = block_distance_program(strategy_matrix(sc), p)
+    if q is not None:
+        A = np.hstack([A, np.append(p - q, 0.0)[:, None]])
+    basis, mate, paired = reference_unit_scan(A, b)
+    assert start.basis.tolist() == basis.tolist()
+    assert start.mate.tolist() == mate.tolist()
+    assert _Simplex(lp.A, lp.b, start=start).paired == paired
+
+
+@pytest.mark.parametrize("shape", [(0, 0), (0, 3), (3, 0)])
+def test_unit_column_scan_on_empty_systems(shape):
+    """An empty system, with no unit column to start on, starts every row
+    on its artificial, with no mates."""
+    A, b = np.zeros(shape), -np.ones(shape[0])
+    sx = _Simplex(A, b)
+    assert sx.basis.tolist() == list(range(shape[1], shape[1] + shape[0]))
+    assert sx.mate.tolist() == [-1] * sum(shape)
+    assert not sx.paired
 
 
 @st.composite
@@ -288,22 +326,23 @@ def unit_column_systems(draw):
 
 @settings(max_examples=300, deadline=None)
 @given(unit_column_systems())
-def test_unit_column_scan_matches_the_unique_scan(system):
+@example((np.zeros((0, 0)), np.zeros(0))).via("an empty system")
+@example((np.zeros((0, 3)), np.zeros(0))).via("no rows")
+@example((np.zeros((3, 0)), -np.ones(3))).via("no columns")
+def test_programs_without_a_start_start_on_their_artificials(system):
+    """With no start given, every row starts on its artificial, even where
+    a structural column equals its unit vector: Binv = diag(row_sign),
+    xB = row_sign b >= 0, no mates, and the weights of the columns
+    themselves, 1 + |a_j|^2."""
     A, b = system
+    m, n = A.shape
     sx = _Simplex(A, b)
-    basis, mate, paired = reference_unit_scan(A, b)
-    assert sx.basis.tolist() == basis.tolist()
-    assert sx.mate.tolist() == mate.tolist()
-    assert sx.paired == paired
-
-
-@pytest.mark.parametrize("shape", [(0, 0), (0, 3), (3, 0)])
-def test_unit_column_scan_on_empty_systems(shape):
-    A, b = np.zeros(shape), -np.ones(shape[0])
-    sx = _Simplex(A, b)
-    assert sx.basis.tolist() == list(range(shape[1], shape[1] + shape[0]))
-    assert sx.mate.tolist() == [-1] * sum(shape)
-    assert not sx.paired
+    sign = np.where(b < 0.0, -1.0, 1.0)
+    assert sx.basis.tolist() == list(range(n, n + m))
+    assert np.array_equal(sx.Binv, np.diag(sign)) and np.array_equal(sx.xB, sign * b)
+    assert (sx.xB >= 0.0).all()
+    assert sx.mate.tolist() == [-1] * (n + m) and not sx.paired
+    assert np.array_equal(sx.edge_weights(), 1.0 + (A * A).sum(axis=0))
 
 
 def _recording_runs(calls: list):
@@ -318,16 +357,16 @@ def _recording_runs(calls: list):
 
 
 def test_phase1_runs_only_when_an_artificial_starts_basic():
-    """A distance program starts every row on a structural unit column,
-    so phase 1 prices nothing; a row with no unit column starts on its
-    artificial, and phase 1 runs."""
+    """A distance program's start puts a structural column on every row,
+    so phase 1 prices nothing; a program without a start starts on its
+    artificials, and phase 1 runs."""
     beh = behavior_from_setup(random_setup(seed=1, dims=(2, 2), inputs=(4, 4)))
     calls: list = []
+    lp, start = _distance_program(beh.scenario, beh.probs)
     with _recording_runs(calls):
-        out = solve(_distance_program(strategy_matrix(beh.scenario), beh.probs))
+        out = solve(lp, start=start)
     assert out.status == "optimal"
     assert calls == [2]
-    # row 0 reads -e_0 in column 0 once flipped, so it starts on its artificial
     lp = LinearProgram(A=np.array([[1.0, 1.0, -1.0, 0.0], [0.0, 1.0, 1.0, 1.0]]),
                        b=np.array([-1.0, 2.0]), c=np.array([1.0, 2.0, 3.0, 1.0]),
                        maximize=False)
@@ -387,12 +426,14 @@ def test_a_redundant_row_keeps_its_artificial_basic_at_zero(name):
 
 def test_simplex_reads_the_standard_form_matrix_without_a_copy():
     """The distance program is in standard form as built, and ``solve``
-    runs the simplex on its own A.  It has negative right-hand sides;
-    their rows are flipped by the signs Binv starts with, not in a copy
-    of A."""
+    runs the simplex on its own A, the scenario's read-only matrix, from
+    the inverse of its start.  A program without a start that has
+    negative right-hand sides has those rows flipped by the signs Binv
+    starts with, not in a copy of A."""
     beh = behavior_from_setup(random_setup(seed=1, dims=(2, 2), inputs=(4, 4)))
-    lp = _distance_program(strategy_matrix(beh.scenario), beh.probs)
-    assert (lp.b < 0.0).any()
+    lp, start = _distance_program(beh.scenario, beh.probs)
+    flipped = LinearProgram(A=np.array([[1.0, 1.0, -1.0], [0.0, 1.0, 1.0]]),
+                            b=np.array([-1.0, 2.0]), c=np.zeros(3))
     starts = []
     init = _Simplex.__init__
 
@@ -401,10 +442,13 @@ def test_simplex_reads_the_standard_form_matrix_without_a_copy():
         starts.append((self.A, self.Binv.copy()))
 
     with mock.patch.object(_Simplex, "__init__", watched_init):
-        assert solve(lp).status == "optimal"
-    ((A, Binv),) = starts
-    assert A is lp.A
-    np.testing.assert_array_equal(Binv, np.diag(np.where(lp.b < 0.0, -1.0, 1.0)))
+        assert solve(lp, start=start).status == "optimal"
+        assert solve(flipped).status == "optimal"
+    ((A, Binv), (A_flipped, Binv_flipped)) = starts
+    assert A is lp.A and not A.flags.writeable
+    np.testing.assert_array_equal(Binv, start.BX[:, :-1])
+    assert A_flipped is flipped.A
+    np.testing.assert_array_equal(Binv_flipped, np.diag([-1.0, 1.0]))
 
 
 def _mixed_sign_programs(status: str, count: int = 6) -> list[LinearProgram]:
@@ -686,14 +730,15 @@ def _priced_random_lp(seed: int) -> LinearProgram:
     return LinearProgram(A=A, b=b, c=c, maximize=False)
 
 
-def _paired_distance_programs() -> list[LinearProgram]:
+def _paired_distance_programs() -> list[tuple[LinearProgram, _Start]]:
     """Distance programs of a nonlocal (2,4,2) table and of a (3,2,3) PR
-    box on a random pair: every slack u_k has its mate v_k = -u_k, so
-    phase 2 takes long steps, and neither table reaches the floor."""
+    box on a random pair, with their starts: every slack u_k has its mate
+    v_k = -u_k, so phase 2 takes long steps, and neither table reaches
+    the floor."""
     beh = behavior_from_setup(random_setup(seed=1, dims=(2, 2), inputs=(4, 4)))
     box = _pr_box_on_pair(np.random.default_rng(3), 3)
-    return [_distance_program(strategy_matrix(beh.scenario), beh.probs),
-            _distance_program(strategy_matrix(Scenario.uniform(3, 2, 3)), box)]
+    return [_distance_program(beh.scenario, beh.probs),
+            _distance_program(Scenario.uniform(3, 2, 3), box)]
 
 
 def _counting_crossings(counts: list):
@@ -705,6 +750,27 @@ def _counting_crossings(counts: list):
         return cross(self, rows, col)
 
     return mock.patch.object(_Simplex, "_cross", counting)
+
+
+def test_ratio_test_tie_keeps_the_larger_pivot():
+    """Entering x2 ties both rows at ratio 0.  The smallest basic index,
+    x0's row, offers a pivot of 1e-4 beside x1's 1, below the tie floor
+    of 1e-2 of the largest tied pivot, so x1 leaves instead."""
+    lp = LinearProgram(A=[[1.0, 0.0, 1e-4], [0.0, 1.0, 1.0]], b=[0.0, 0.0],
+                       c=[0.0, 0.0, -1.0], maximize=False)
+    start = _Start(basis=np.array([0, 1]), BX=np.hstack([np.eye(2), np.zeros((2, 1))]),
+                   mate=np.full(5, -1), weights=np.array([1.0, 1.0, 2.0]))
+    pivots = []
+    pivot = _Simplex._pivot
+
+    def watched_pivot(self, i, j, col):
+        pivots.append((i, j))
+        pivot(self, i, j, col)
+
+    with mock.patch.object(_Simplex, "_pivot", watched_pivot):
+        out = solve(lp, start=start)
+    assert out.status == "optimal" and out.objective == 0.0
+    assert pivots == [(1, 2)]
 
 
 def test_steepest_edge_weights_are_exact_after_every_pivot():
@@ -752,11 +818,11 @@ def test_steepest_edge_weights_are_exact_after_every_pivot():
             out = solve(lp)
             assert out.status == "optimal"
             assert verify_certificate(lp, out).ok
-        assert not crossings  # no unit column has a mate in these programs
-        for lp in _paired_distance_programs():
+        assert not crossings  # a program without a start has no mates
+        for lp, start in _paired_distance_programs():
             before = len(crossings)
             rhs.append(lp.b)
-            out = solve(lp)
+            out = solve(lp, start=start)
             assert out.status == "optimal"
             assert verify_certificate(lp, out).ok
             assert len(crossings) > before
@@ -793,12 +859,12 @@ def test_updated_reduced_costs_match_a_fresh_pricing():
             exits += 1
         return status, enter
 
-    lps = [_priced_random_lp(seed) for seed in range(25)] + _paired_distance_programs()
+    lps = [(_priced_random_lp(seed), None) for seed in range(25)] + _paired_distance_programs()
     with mock.patch.object(_Simplex, "reduced_costs", watched_costs), \
             mock.patch.object(_Simplex, "run", watched_run), \
             _counting_crossings(crossings):
-        for lp in lps:
-            out = solve(lp)
+        for lp, start in lps:
+            out = solve(lp, start=start)
             assert out.status == "optimal"
             _, value = scipy_status(lp)
             assert out.objective == pytest.approx(value, rel=1e-7, abs=1e-7)
@@ -813,10 +879,10 @@ def test_long_step_optimum_passes_the_rational_recheck(name):
     confirms them."""
     beh = (named_behavior("pr_box") if name == "pr_box"
            else behavior_from_setup(named_setup("singlet_chsh")))
-    lp = _distance_program(strategy_matrix(beh.scenario), beh.probs)
+    lp, start = _distance_program(beh.scenario, beh.probs)
     crossings: list = []
     with _counting_crossings(crossings):
-        out, exact = solve_and_recheck(lp)
+        out, exact = solve_and_recheck(lp, start=start)
     assert crossings
     assert out.status == "optimal" and out.objective > 0.8
     assert verify_certificate(lp, out).ok
@@ -828,8 +894,8 @@ def test_exact_recheck_can_say_no():
     exactly feasible and optimal over the rationals, although the float
     certificate passes: the re-check is no formality."""
     beh = behavior_from_setup(random_setup(seed=1, dims=(2, 2), inputs=(3, 3)))
-    lp = _distance_program(strategy_matrix(beh.scenario), beh.probs)
-    out, exact = solve_and_recheck(lp)
+    lp, start = _distance_program(beh.scenario, beh.probs)
+    out, exact = solve_and_recheck(lp, start=start)
     assert out.status == "optimal"
     assert verify_certificate(lp, out).ok
     assert exact is False
@@ -919,43 +985,40 @@ def test_staged_solve_matches_scipy_on_the_optimal_face(seed):
 
 
 def test_staged_solve_holds_a_unit_column_at_zero():
-    """Column 0 is row 0's unit column, yet it is held: it does not start
-    basic, the first stage ends on column 1, and the second moves the
-    row to column 0."""
+    """Column 0 is row 0's unit column, yet it is held: phase 1 moves the
+    row from its artificial to column 1, where the first stage ends, and
+    the second moves it to column 0."""
     lp = LinearProgram(A=[[1.0, 1.0]], b=[1.0], c=[0.0, 0.0], maximize=False)
     first, second = _solve_then_maximize(lp, 0)
-    assert first.x.tolist() == [0.0, 1.0] and first.iterations == 0
+    assert first.x.tolist() == [0.0, 1.0] and first.iterations == 1
     assert second.x.tolist() == [1.0, 0.0] and second.objective == 1.0
-    assert second.iterations == 1
+    assert second.iterations == 2
 
 
-def _staged_visibility_programs() -> list[tuple[LinearProgram, int, float]]:
+def _staged_visibility_programs() -> list[tuple[LinearProgram, _Start, int]]:
     """The uniform table's distance program continued toward the PR box,
     the singlet, seeded random (2,3,2) and (2,2,3) setups and the (2,3,3)
-    setup of seed 8, each with its blend column and the factor by which
-    its kernel invariants' bands widen: the staged solves of
+    setup of seed 8, each with its blend column: the staged solves of
     ``visibility_threshold``.
 
-    Seed 8's second stage runs 162 pivots, past ``REINVERT_EVERY``.
+    Seed 8's second stage runs 156 pivots, past ``REINVERT_EVERY``.
     Without a rebuilt inverse, Binv B drifted from the identity there by
     1.08 within 14 pivots, and the solve failed its residual check.  Its
-    factor is 1e4: at pivot 93, five rows tie at ratio 0, and the
-    smallest basic index among them leaves on a pivot of 3.2e-4 beside a
-    column entry of 72.  That basis has an infinity-norm condition
-    number of 4.1e8, and even a fresh LU inverse of it misses the
-    identity by 1.4e-8.  With the rebuilds, Binv B stays within 1.2e-7
-    of the identity and xB within 4.4e-9 of Binv b; the weights stay
-    within a relative 2.3e-5."""
+    ratio tests tie rows at ratio 0, and the smallest basic index among
+    them once left on a pivot of 3.2e-4 beside a column entry of 72, on
+    a basis of infinity-norm condition number 4.1e8.  With the tie floor
+    its smallest pivot is 1.8e-3 of its column's largest entry, Binv B
+    stays within 7.7e-10 of the identity, xB within 1.5e-11 of Binv b,
+    and the weights within a relative 6.3e-9."""
     targets = [named_behavior("pr_box"), behavior_from_setup(named_setup("singlet_chsh"))]
     targets += [behavior_from_setup(random_setup(seed, dims=dims, inputs=inputs))
                 for seed in range(3) for dims, inputs in (((2, 2), (3, 3)), ((3, 3), (2, 2)))]
     seed8 = behavior_from_setup(random_setup(8, dims=(3, 3), inputs=(3, 3)))
     programs = []
-    for p, widen in [(p, 1.0) for p in targets] + [(seed8, 1e4)]:
-        V = strategy_matrix(p.scenario)
+    for p in targets + [seed8]:
         q = named_behavior("uniform", p.scenario).probs
-        programs.append((_distance_program(V, q, toward=p.probs),
-                         V.shape[1] + 2 * V.shape[0], widen))
+        lp, start = _distance_program(p.scenario, q, toward=p.probs)
+        programs.append((lp, start, lp.shape[1] - 1))
     return programs
 
 
@@ -963,13 +1026,12 @@ def test_kernel_invariants_hold_through_both_stages_of_the_staged_solve():
     """After every pivot of either stage of ``_solve_then_maximize``,
     and of the ``drive_out`` between them, Binv B is the identity and xB
     is Binv b to within 1e-9, and within a stage the weights of the
-    nonbasic structural columns are 1 + |Binv a_j|^2 to a relative 1e-8,
-    each band widened by the program's factor.  Each stage's
+    nonbasic structural columns are 1 + |Binv a_j|^2 to a relative 1e-8.
+    Each stage's
     first pricing builds its weights from the basis it starts on: on the
-    second stage, after pivots, that is no longer diag(row_sign), and the
-    weights of the columns themselves would be wrong."""
+    second stage, after pivots, that is no longer the start's, and the
+    start's weights would be wrong."""
     rhs: list = []
-    widen: list = []
     stage: list = []  # per run under way, its stage: 2 from the second phase-2 run on
     runs: list = []  # the phases run in the staged solve under way
     checked = {1: 0, 2: 0}
@@ -988,15 +1050,15 @@ def test_kernel_invariants_hold_through_both_stages_of_the_staged_solve():
         pivot(self, i, j, col)
         basis = np.hstack([self.A, np.diag(self.row_sign)])[:, self.basis]
         residual = np.abs(self.Binv @ basis - np.eye(len(self.basis))).sum(axis=1).max()
-        assert residual <= 1e-9 * widen[-1]
-        assert np.abs(self.Binv @ rhs[-1] - self.xB).max() <= 1e-9 * widen[-1]
+        assert residual <= 1e-9
+        assert np.abs(self.Binv @ rhs[-1] - self.xB).max() <= 1e-9
         if not stage:
             return  # drive_out between the stages prices nothing
         images = self.Binv @ self.A
         fresh = 1.0 + (images * images).sum(axis=0)
         nonbasic = np.setdiff1d(np.arange(fresh.size), self.basis)
         np.testing.assert_allclose(self.weights[nonbasic], fresh[nonbasic],
-                                   rtol=1e-8 * widen[-1])
+                                   rtol=1e-8)
         checked[stage[-1]] += 1
 
     def watched_weights(self):
@@ -1004,18 +1066,16 @@ def test_kernel_invariants_hold_through_both_stages_of_the_staged_solve():
         images = self.Binv @ self.A
         np.testing.assert_allclose(built, 1.0 + (images * images).sum(axis=0), rtol=1e-12)
         if stage[-1] == 2:
-            untouched = 1.0 + (self.A * self.A).sum(axis=0)
-            rebuilt.append(not np.allclose(built, untouched))
+            rebuilt.append(not np.allclose(built, self.start.weights))
         return built
 
     with mock.patch.object(_Simplex, "run", watched_run), \
             mock.patch.object(_Simplex, "_pivot", watched_pivot), \
             mock.patch.object(_Simplex, "edge_weights", watched_weights):
-        for lp, k, factor in _staged_visibility_programs():
+        for lp, start, k in _staged_visibility_programs():
             rhs.append(lp.b)
-            widen.append(factor)
             runs.clear()
-            first, second = _solve_then_maximize(lp, k)
+            first, second = _solve_then_maximize(lp, k, start)
             assert first.status == "optimal" and second is not None
     assert checked[1] > 0 and checked[2] > 0
     assert any(rebuilt)

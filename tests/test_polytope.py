@@ -274,6 +274,24 @@ def test_strategy_matrix_is_cached():
     assert strategy_matrix(CHSH) is strategy_matrix(Scenario.uniform(2, 2, 2))
 
 
+def test_strategy_matrix_is_the_first_block_of_its_distance_program():
+    """V is kept once: as the first block of [V | I | -I ; 1 0 0] where that
+    program fits the LP kernel, as (2,4,2)'s 65 x 384 does, and alone where
+    it does not: 8,192 strategies over 26 rows leave no room for the 52
+    slack columns."""
+    sc = Scenario.uniform(2, 4, 2)
+    store, V = polytope._strategy_store(sc)
+    d, n = V.shape
+    assert V is strategy_matrix(sc) and V.base is store and store.shape == (d + 1, n + 2 * d)
+    assert not store.flags.writeable
+    assert np.array_equal(store[:d, n:n + d], np.eye(d))
+    assert np.array_equal(store[:d, n + d:], -np.eye(d))
+    assert np.array_equal(store[d], np.r_[np.ones(n), np.zeros(2 * d)])
+    wide = Scenario(inputs_per_party=(13, 1), outputs=((2,) * 13, (1,)))
+    store, V = polytope._strategy_store(wide)
+    assert store.shape == V.shape == (26, 8192)
+
+
 @pytest.mark.parametrize("scenario", [
     CHSH,
     Scenario.uniform(2, 3, 2),
