@@ -36,7 +36,10 @@ an edge: a deterministic strategy of (2,4,2), whose start is at
 distance 0 on rows that are all degenerate, the uniform (3,2,2) table,
 on which every strategy ties as the one nearest the table, and the
 one-entry table of the scenario with one input and one output per
-party.  New operations go at the end, so digests of older checkouts
+party; then classify, membership and threshold visibility against the
+uniform (3,2,2) table, in both formats, on the GHZ table of three
+qubits under Mermin's X and Y settings, a quantum table of three
+parties.  New operations go at the end, so digests of older checkouts
 still compare by name.  Each runs through ``bellbox.cli.main`` in this
 process, with bellbox imported from this checkout's src; perfbench/decks.py
 is imported and not written to.  Documents go to a temporary directory,
@@ -175,6 +178,14 @@ def operations():
         for verb in ("classify", "membership"):
             for fmt in FORMATS:
                 yield f"start-edge/{label}/{verb}/{fmt}", [verb, doc, "--format", fmt], {doc: text}
+    docs = {"ghz3.json": emit_document(ghz3_mermin()),
+            "uniform-322.json": emit_document(named_behavior("uniform", Scenario.uniform(3, 2, 2)))}
+    for label, argv in (("classify", ["classify", "ghz3.json"]),
+                        ("membership", ["membership", "ghz3.json"]),
+                        ("threshold-visibility",
+                         ["threshold", "visibility", "ghz3.json", "uniform-322.json"])):
+        for fmt in FORMATS:
+            yield f"ghz3/{label}/{fmt}", [*argv, "--format", fmt], docs
 
 
 def start_edge_tables():
@@ -184,6 +195,21 @@ def start_edge_tables():
     yield "strategy-242", validate_behavior(sc, strategy_matrix(sc)[:, 77])
     yield "uniform-322", named_behavior("uniform", Scenario.uniform(3, 2, 2))
     yield "one-entry", validate_behavior(Scenario((1, 1), ((1,), (1,))), [1.0])
+
+
+def ghz3_mermin():
+    """The state (|000> + |111>)/sqrt(2) under X (input 0) and Y (input 1)
+    at every party, outcome 0 the +1 eigenvalue (Mermin, PRL 65, 1838
+    (1990)), each entry by Kronecker products of the parties' projectors."""
+    X = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
+    Y = np.array([[0.0, -1j], [1j, 0.0]])
+    proj = [[(np.eye(2) + sign * M) / 2.0 for sign in (1.0, -1.0)] for M in (X, Y)]
+    psi = np.zeros(8, dtype=complex)
+    psi[0] = psi[7] = 1.0 / np.sqrt(2.0)
+    sc = Scenario.uniform(3, 2, 2)
+    return validate_behavior(sc, [
+        (psi.conj() @ np.kron(np.kron(proj[x][a], proj[y][b]), proj[z][c]) @ psi).real
+        for x, y, z in sc.joint_inputs() for a, b, c in sc.joint_outputs((x, y, z))])
 
 
 def input_copier(outputs):

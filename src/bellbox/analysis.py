@@ -104,8 +104,7 @@ def _distance_matrix(scenario: Scenario) -> tuple[np.ndarray, LinearProgram]:
     d, n = V.shape
     cost = np.zeros(n + 2 * d)
     cost[n:] = 1.0
-    shared = LinearProgram(A=_strategy_store(scenario)[0], b=np.zeros(d + 1), c=cost,
-                           maximize=False)
+    shared = LinearProgram(A=_strategy_store(scenario)[0], b=np.zeros(d + 1), c=cost)
     shared.b.setflags(write=False)
     shared.c.setflags(write=False)
     return V, shared
@@ -158,7 +157,7 @@ def _distance_program(scenario: Scenario, probs: np.ndarray,
     agree = V[:, s0] @ V  # the blocks on which each strategy agrees with s0
     weights[:n] += 2.0 * (agree[s0] - agree)
     if toward is None:
-        lp = LinearProgram._prechecked(shared.A, b, shared.c, maximize=False)
+        lp = LinearProgram._prechecked(shared.A, b, shared.c)
     else:
         A = np.empty((d + 1, slacks + 1))
         A[:, :slacks] = shared.A
@@ -166,7 +165,7 @@ def _distance_program(scenario: Scenario, probs: np.ndarray,
         A[d, slacks] = 0.0
         column = A[:, slacks:]
         weights[slacks] = 1.0 + np.einsum("ij,ij->j", column, column)[0]  # as edge_weights sums
-        lp = LinearProgram._prechecked(A, b, np.append(shared.c, 0.0), maximize=False)
+        lp = LinearProgram._prechecked(A, b, np.append(shared.c, 0.0))
     gap = probs - V[:, s0]
     below = gap < 0.0
     sign = np.where(below, -1.0, 1.0)
@@ -426,10 +425,10 @@ def visibility_threshold(
     ``_solve_then_maximize``.  The first is the noise's own distance
     solve, with the same pivots, verdict and model as ``_decide(noise)``;
     a nonlocal noise is refused.  The second fixes the slacks at zero and
-    maximizes the visibility: its optimum v* is the critical value, its
-    optimal w a local model at v*, and its first d row prices are -c with
-    c.V_s <= c.q + v* for every strategy s and c.(p - q) >= 1, so c
-    separates every blend with v > v*.
+    minimizes the negated visibility: its optimum -v* gives the critical
+    value v*, its optimal w a local model at v*, and its first d row
+    prices are c with c.V_s <= c.q + v* for every strategy s and
+    c.(p - q) >= 1, so c separates every blend with v > v*.
 
     The bracket's low end is v*, where the model reproduces the blend to
     within half the decision tolerance in l1, and a model that fails
@@ -462,7 +461,7 @@ def visibility_threshold(
         raise local_at_full
     if out.status != "optimal":
         raise StalledError(f"visibility program ended with status {out.status!r}")
-    lo = max(out.objective, 0.0)
+    lo = max(-out.objective, 0.0)
     if lo >= 1.0:
         raise local_at_full
     # basic weights can end a few 1e-12 below zero, as in _decide
@@ -472,7 +471,7 @@ def visibility_threshold(
     miss = float(np.abs(V @ weights - (lo * p + (1.0 - lo) * q)).sum())
     if miss > 0.5 * DEFAULT_TOL:
         raise StalledError(f"visibility model misses the blend at {lo!r} by {miss:.3e} in l1")
-    cut = -out.y[:d]
+    cut = out.y[:d]
     bound = local_bound(BellFunctional(scenario=sc, coeffs=cut))[0]
     guard = 2.0 * DEFAULT_TOL * float(np.abs(cut).max())
     cp, cq = float(cut @ p), float(cut @ q)

@@ -16,7 +16,6 @@ command-line report with the bytes of ``json.dumps(..., indent=2)``.
 
 from __future__ import annotations
 
-import itertools
 import json
 import math
 from pathlib import Path
@@ -131,7 +130,7 @@ def emit_document(obj) -> str:
 
 
 def write_document(obj, path) -> None:
-    Path(path).write_text(emit_document(obj))
+    Path(path).write_text(emit_document(obj), encoding="utf-8")
 
 
 def _require(payload: dict, field: str, kind: str):
@@ -177,36 +176,19 @@ def _float_list(raw, what: str) -> np.ndarray:
         raise ValidationError(f"{what} must be a flat list of numbers") from None
 
 
-def _pair_array(raw, ndim: int) -> np.ndarray | None:
-    """``raw`` read at once as an ``ndim``-dimensional complex array, when
-    it nests lists of [re, im] pairs of JSON numbers evenly; None
-    otherwise, for ``_complex_matrix`` to read entry by entry or refuse
-    with its message.  A number is read as ``float`` reads it, -0.0
-    included; an integer too large for a float gives None."""
+def _complex_matrix(raw, what: str) -> np.ndarray:
+    """``raw`` read at once as a complex matrix, when it nests rows of
+    [re, im] pairs of JSON numbers evenly; a number is read as ``float``
+    reads it, -0.0 included.  Anything else, an empty matrix or an
+    integer too large for a float included, is refused."""
     try:
         leaves = np.array(raw, dtype=object)
-    except ValueError:
-        return None
-    if (leaves.ndim != ndim + 1 or leaves.shape[-1] != 2
-            or not set(map(type, leaves.flat)).issubset(_NUMBER)):
-        return None
-    try:
-        return leaves.astype(np.float64).view(complex)[..., 0]
-    except OverflowError:
-        return None
-
-
-def _complex_matrix(raw, what: str) -> np.ndarray:
-    mat = _pair_array(raw, 2)
-    if mat is not None:
-        return mat
-    try:  # each entry is exactly two numbers, [re, im]
-        return np.array(
-            [[complex(*(float(v) if type(v) in _NUMBER else _refuse() for v in e))
-              if len(e) == 2 else _refuse() for e in row] for row in raw]
-        )
-    except (TypeError, ValueError, OverflowError, IndexError, KeyError):
-        raise ValidationError(f"{what} must be a matrix of [re, im] pairs") from None
+        if (leaves.ndim == 3 and leaves.shape[-1] == 2
+                and set(map(type, leaves.flat)).issubset(_NUMBER)):
+            return leaves.astype(np.float64).view(complex)[..., 0]
+    except (ValueError, OverflowError):
+        pass
+    raise ValidationError(f"{what} must be a matrix of [re, im] pairs")
 
 
 def _parse_behavior(payload: dict, tol: float | None) -> Behavior:
@@ -238,14 +220,7 @@ def _parse_functional(payload: dict) -> BellFunctional:
 
 
 def _effects(rows, field: str) -> tuple[tuple[np.ndarray, ...], ...]:
-    """One party's effects, per input: read as one array when every
-    effect is a matrix of one shape, and effect by effect otherwise."""
-    if type(rows) is list and all(type(row) is list for row in rows):
-        counts = [len(row) for row in rows]
-        stack = _pair_array([m for row in rows for m in row], 3)
-        if stack is not None:
-            ends = itertools.accumulate(counts)
-            return tuple(tuple(stack[end - c:end]) for c, end in zip(counts, ends))
+    """One party's effects, per input, each read by ``_complex_matrix``."""
     try:
         return tuple(
             tuple(_complex_matrix(m, f"{field} effect ({x}, {a})") for a, m in enumerate(row))
@@ -306,9 +281,11 @@ def parse_document_text(text: str, tol: float | None = None):
 
 
 def parse_document(path, tol: float | None = None):
-    """Parse the document stored at a filesystem path."""
+    """Parse the document stored at a filesystem path, as UTF-8 text."""
     try:
-        text = Path(path).read_text()
+        text = Path(path).read_text(encoding="utf-8")
     except OSError as err:
         raise ValidationError(f"cannot read document {path}: {err.strerror}") from None
+    except UnicodeDecodeError:
+        raise ValidationError(f"cannot read document {path}: not UTF-8 text") from None
     return parse_document_text(text, tol=tol)

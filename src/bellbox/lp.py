@@ -2,11 +2,12 @@
 
 Equality-form problems over nonnegative variables, the form of the
 package's one program, the l1 distance program of ``analysis``, are
-solved by a two-phase revised simplex whose state is its basis, the
-basis inverse and basic values, the costs and crossing slopes per column
-(the basic ones are read off the basis, never copied), the columns that
-pricing may enter and, while a phase prices, its reduced costs and
-steepest-edge weights.  Each iteration forms only the entering column
+minimized, always: a maximum is asked for as the minimum of the
+negated costs.  They are solved by a two-phase revised simplex whose
+state is its basis, the basis inverse and basic values, the costs and
+crossing slopes per column (the basic ones are read off the basis, never
+copied), the columns that pricing may enter and, while a phase prices,
+its reduced costs and steepest-edge weights.  Each iteration forms only the entering column
 and the pivot row, updates the inverse by a rank-one change and carries
 the reduced costs and weights across the pivot.  The basis inverse and
 the basic values are the two parts of one m x (m+1) array, so that one
@@ -59,8 +60,9 @@ it stands: phase 2 stops there, whatever the reduced costs say, and y =
 0 is its dual certificate.  One private entry, ``_solve_then_maximize``,
 keeps the simplex alive past such an optimum: a column kept out of
 pricing during the solve is then maximized over the points at the
-optimum, with the columns that the costs charge retired from pricing and
-no second phase 1, so a program and its continuation share one basis.
+optimum, as the minimum of its negation, with the columns that the costs
+charge retired from pricing and no second phase 1, so a program and its
+continuation share one basis.
 Every outcome carries evidence: a primal solution for feasible problems,
 a Farkas vector for infeasible ones, an improving ray for unbounded
 ones.  The tolerances come from ``tolerances``; the size cap and the
@@ -111,12 +113,12 @@ def check_entries(what: str, rows: int, cols: int):
 
 @dataclass(frozen=True, eq=False)
 class LinearProgram:
-    """maximize (or minimize) c.x  subject to  A x = b  and  x >= 0."""
+    """minimize c.x  subject to  A x = b  and  x >= 0; a maximum of c.x
+    is the minimum of -c.x."""
 
     A: np.ndarray
     b: np.ndarray
     c: np.ndarray
-    maximize: bool = True
 
     def __post_init__(self):
         A = np.asarray(self.A, dtype=np.float64)
@@ -139,14 +141,13 @@ class LinearProgram:
             raise ValidationError("LP objective must be finite")
 
     @classmethod
-    def _prechecked(cls, A: np.ndarray, b: np.ndarray, c: np.ndarray,
-                    maximize: bool = True) -> LinearProgram:
+    def _prechecked(cls, A: np.ndarray, b: np.ndarray, c: np.ndarray) -> LinearProgram:
         """A program over float64 arrays that its builder has already
         checked as ``__post_init__`` checks them: shapes that agree within
         the cap, and finite entries.  Nothing is converted or checked
         again."""
         lp = object.__new__(cls)
-        for name, value in (("A", A), ("b", b), ("c", c), ("maximize", maximize)):
+        for name, value in (("A", A), ("b", b), ("c", c)):
             object.__setattr__(lp, name, value)
         return lp
 
@@ -652,19 +653,18 @@ def _phases(lp: LinearProgram, sx: _Simplex) -> LpOutcome:
         # phase-1 prices already satisfy y.A <= 0 with y.b = gap > 0
         return LpOutcome(status="infeasible", y=sx.duals(), iterations=sx.iterations)
     sx.drive_out()
-    sx.install_costs(-lp.c if lp.maximize else lp.c, 0.0)
-    return _phase2(sx, lp.c, lp.maximize)
+    sx.install_costs(lp.c, 0.0)
+    return _phase2(sx, lp.c)
 
 
-def _phase2(sx: _Simplex, c: np.ndarray, maximize: bool) -> LpOutcome:
-    """Run phase 2 on the costs installed in ``sx``, which are those of
-    ``c`` in the orientation ``maximize``, and read the outcome."""
+def _phase2(sx: _Simplex, c: np.ndarray) -> LpOutcome:
+    """Run phase 2 on the costs ``c`` installed in ``sx``, minimizing c.x,
+    and read the outcome: the row prices are those of c.x."""
     status, enter = sx.run(phase=2)
     x = sx.primal()
     if status == "unbounded":
         return LpOutcome(status="unbounded", x=x, ray=sx.ray(enter), iterations=sx.iterations)
-    y = sx.duals()  # prices of the minimized objective: a maximum negates them
-    return LpOutcome(status="optimal", x=x, y=-y if maximize else y,
+    return LpOutcome(status="optimal", x=x, y=sx.duals(),
                      objective=float(c @ x), iterations=sx.iterations)
 
 
@@ -683,13 +683,12 @@ def _solve_then_maximize(lp: LinearProgram, k: int,
     zero to within it, so the second stage takes those columns out of
     pricing for good: ``drive_out`` pivots each one still basic onto a
     column that may enter, where its row has one, and phase 2 then
-    maximizes x_k from that basis, with column k priced and no long
+    minimizes -x_k from that basis, with column k priced and no long
     step, since the mates that a long step crosses to are charged
-    columns.  No phase 1
-    runs again.  The second outcome is that of maximizing x_k over
-    ``A x = b``, x >= 0 with the charged columns fixed at zero:
-    "optimal" with x, row prices y in ``solve``'s orientation for a
-    maximum, and objective x_k, or "unbounded" with an improving ray.
+    columns.  No phase 1 runs again.  The second outcome is that of
+    minimizing -x_k over ``A x = b``, x >= 0 with the charged columns
+    fixed at zero: "optimal" with x, the row prices y of -x_k and
+    objective -x_k, or "unbounded" with an improving ray.
     Its ``iterations`` count the pivots of both stages.  It is None
     where the first stage ends elsewhere.  Each outcome passes
     ``_check_internal``.
@@ -706,9 +705,9 @@ def _solve_then_maximize(lp: LinearProgram, k: int,
     sx.paired = False
     sx.drive_out()
     goal = np.zeros(sx.n)
-    goal[k] = 1.0
-    sx.install_costs(-goal, 0.0)
-    second = _phase2(sx, goal, True)
+    goal[k] = -1.0
+    sx.install_costs(goal, 0.0)
+    second = _phase2(sx, goal)
     _check_internal(lp, second, DEFAULT_TOL)
     return first, second
 

@@ -81,9 +81,7 @@ def verify_certificate(lp: LinearProgram, outcome: LpOutcome,
         else:
             d = outcome.ray
             rres = float(np.abs(lp.A @ d).max(initial=0.0))
-            gain = float(lp.c @ d)
-            if not lp.maximize:
-                gain = -gain
+            gain = -float(lp.c @ d)
             fields["ray_residual"] = rres
             fields["ray_gain"] = gain
             # the ray may not leave x >= 0
@@ -97,13 +95,11 @@ def verify_certificate(lp: LinearProgram, outcome: LpOutcome,
 def _dual_check(lp: LinearProgram, outcome: LpOutcome) -> tuple[float, float]:
     """The duality gap |c.x - y.b| and the least reduced cost of y.
 
-    Primal and dual values coincide at optimality in either orientation.
-    Equal values prove optimality only for a dual feasible y: its
-    reduced costs, taken as for a minimization (a maximum's cost and y
-    are negated) over every column, must all be >= 0.
+    Primal and dual values coincide at optimality.  Equal values prove
+    optimality only for a dual feasible y: its reduced costs c - y.A,
+    over every column, must all be >= 0.
     """
     y = outcome.y
-    c_min, y_min = (-lp.c, -y) if lp.maximize else (lp.c, y)
-    reduced = c_min - y_min @ lp.A
+    reduced = lp.c - y @ lp.A
     return (abs(float(lp.c @ outcome.x) - float(y @ lp.b)),
             float(reduced.min(initial=_INF)))

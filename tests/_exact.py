@@ -3,7 +3,7 @@
 ``solve_and_recheck`` runs ``bellbox.lp.solve`` with ``_Simplex``
 patched by a subclass that records the instance the solve builds, then
 re-derives that simplex's final basis in ``Fraction`` arithmetic over
-the program's ``A``, ``b`` and its cost in the minimized orientation.
+the program's ``A``, ``b`` and the costs it minimizes.
 Float data converts to ``Fraction`` losslessly, so a True says that the
 basis the solve ended on proves its status exactly.  The check is cubic
 in Python fractions: it is for the small kernel programs of the tests,
@@ -72,8 +72,7 @@ def _rational_recheck(status: str, lp: LinearProgram, basis, row_sign) -> bool:
             return False
     if status in ("optimal", "infeasible"):
         if status == "optimal":
-            c_min = -lp.c if lp.maximize else lp.c
-            c_full = [Fraction(v) for v in c_min] + [Fraction(0)] * m
+            c_full = [Fraction(v) for v in lp.c] + [Fraction(0)] * m
         else:
             c_full = [Fraction(0)] * n + [Fraction(1)] * m
         cB = [c_full[j] for j in basis]

@@ -32,35 +32,34 @@ def _beale_cycling() -> LpCase:
     ])
     b = np.array([0.0, 0.0, 1.0])
     c = np.array([0.0, 0.0, 0.0, -0.75, 150.0, -1.0 / 50.0, 6.0])
-    return LpCase("beale_cycling",
-                  LinearProgram(A=A, b=b, c=c, maximize=False),
-                  "optimal", -0.05)
+    return LpCase("beale_cycling", LinearProgram(A=A, b=b, c=c), "optimal", -0.05)
 
 
 def _klee_minty_3() -> LpCase:
-    # worst-case simplex path on the deformed cube, optimum 125
+    # worst-case simplex path on the deformed cube: the maximum 125 of
+    # 4 x1 + 2 x2 + x3, as the minimum -125 of its negation
     A = np.array([
         [1.0, 0.0, 0.0, 1.0, 0.0, 0.0],
         [4.0, 1.0, 0.0, 0.0, 1.0, 0.0],
         [8.0, 4.0, 1.0, 0.0, 0.0, 1.0],
     ])
     b = np.array([5.0, 25.0, 125.0])
-    c = np.array([4.0, 2.0, 1.0, 0.0, 0.0, 0.0])
-    return LpCase("klee_minty_3", LinearProgram(A=A, b=b, c=c), "optimal", 125.0)
+    c = np.array([-4.0, -2.0, -1.0, 0.0, 0.0, 0.0])
+    return LpCase("klee_minty_3", LinearProgram(A=A, b=b, c=c), "optimal", -125.0)
 
 
 def _duplicated_row() -> LpCase:
     A = np.array([[1.0, 1.0], [1.0, 1.0], [1.0, -1.0]])
     b = np.array([2.0, 2.0, 0.0])
-    c = np.array([1.0, 0.0])
-    return LpCase("duplicated_row", LinearProgram(A=A, b=b, c=c), "optimal", 1.0)
+    c = np.array([-1.0, 0.0])
+    return LpCase("duplicated_row", LinearProgram(A=A, b=b, c=c), "optimal", -1.0)
 
 
 def _zero_row_consistent() -> LpCase:
     A = np.array([[0.0, 0.0], [1.0, 1.0]])
     b = np.array([0.0, 1.0])
-    c = np.array([1.0, 2.0])
-    return LpCase("zero_row_consistent", LinearProgram(A=A, b=b, c=c), "optimal", 2.0)
+    c = np.array([-1.0, -2.0])
+    return LpCase("zero_row_consistent", LinearProgram(A=A, b=b, c=c), "optimal", -2.0)
 
 
 def _zero_row_inconsistent() -> LpCase:
@@ -77,8 +76,8 @@ def _crossing_rows() -> LpCase:
 
 
 def _assignment_2x2() -> LpCase:
-    # doubly stochastic 2x2 with a redundant fourth row; optimum picks
-    # the identity permutation
+    # doubly stochastic 2x2 with a redundant fourth row; the optimum, the
+    # least of -(x11 + x22), picks the identity permutation
     A = np.array([
         [1.0, 1.0, 0.0, 0.0],
         [0.0, 0.0, 1.0, 1.0],
@@ -86,8 +85,8 @@ def _assignment_2x2() -> LpCase:
         [0.0, 1.0, 0.0, 1.0],
     ])
     b = np.ones(4)
-    c = np.array([1.0, 0.0, 0.0, 1.0])
-    return LpCase("assignment_2x2", LinearProgram(A=A, b=b, c=c), "optimal", 2.0)
+    c = np.array([-1.0, 0.0, 0.0, -1.0])
+    return LpCase("assignment_2x2", LinearProgram(A=A, b=b, c=c), "optimal", -2.0)
 
 
 def _origin_only() -> LpCase:
@@ -98,19 +97,19 @@ def _origin_only() -> LpCase:
         [0.0, 1.0, 1.0],
     ])
     b = np.zeros(3)
-    c = np.array([1.0, 1.0, 1.0])
+    c = np.array([-1.0, -1.0, -1.0])
     return LpCase("origin_only", LinearProgram(A=A, b=b, c=c), "optimal", 0.0)
 
 
 def _unbounded_line() -> LpCase:
     A = np.array([[1.0, -1.0]])
     b = np.array([0.0])
-    c = np.array([1.0, 0.0])
+    c = np.array([-1.0, 0.0])
     return LpCase("unbounded_line", LinearProgram(A=A, b=b, c=c), "unbounded")
 
 
 def _box_corner() -> LpCase:
-    # degenerate box: max x1 + x2 + x3 with x1 + x2 + x3 = 3 and each
+    # degenerate box: min -(x1 + x2 + x3) with x1 + x2 + x3 = 3 and each
     # x_j <= 1 written as x_j + s_j = 1, so every bound is active at the
     # optimum
     A = np.array([[1.0, 1.0, 1.0, 0.0, 0.0, 0.0],
@@ -118,16 +117,16 @@ def _box_corner() -> LpCase:
                   [0.0, 1.0, 0.0, 0.0, 1.0, 0.0],
                   [0.0, 0.0, 1.0, 0.0, 0.0, 1.0]])
     b = np.array([3.0, 1.0, 1.0, 1.0])
-    c = np.array([1.0, 1.0, 1.0, 0.0, 0.0, 0.0])
-    return LpCase("box_corner", LinearProgram(A=A, b=b, c=c), "optimal", 3.0)
+    c = np.array([-1.0, -1.0, -1.0, 0.0, 0.0, 0.0])
+    return LpCase("box_corner", LinearProgram(A=A, b=b, c=c), "optimal", -3.0)
 
 
 def _free_variable_balance() -> LpCase:
-    # max x with x + t = 0 and t free, written t = t+ - t-: t absorbs
+    # min -x with x + t = 0 and t free, written t = t+ - t-: t absorbs
     # anything, unbounded
     A = np.array([[1.0, 1.0, -1.0]])
     b = np.array([0.0])
-    c = np.array([1.0, 0.0, 0.0])
+    c = np.array([-1.0, 0.0, 0.0])
     return LpCase("free_variable_balance", LinearProgram(A=A, b=b, c=c), "unbounded")
 
 

@@ -249,16 +249,17 @@ def test_criterion_08_no_signalling_suite(acceptance_log):
 
 
 def _deepest_cut_lp(behavior):
-    """max p.beta - gamma subject to beta.V_s <= gamma for every strategy
-    s, with beta in [-1, 1]^d and gamma free, written over nonnegative
-    variables: beta = c' - 1 with c' + s' = 2, gamma = gamma+ - gamma-,
-    and a slack per strategy.  The objective drops the constant -sum(p)."""
+    """min -(p.beta - gamma), the deepest cut's depth negated, subject to
+    beta.V_s <= gamma for every strategy s, with beta in [-1, 1]^d and
+    gamma free, written over nonnegative variables: beta = c' - 1 with
+    c' + s' = 2, gamma = gamma+ - gamma-, and a slack per strategy.  The
+    objective drops the constant sum(p)."""
     V = strategy_matrix(behavior.scenario)
     d, n = V.shape
     A = np.block([[V.T, -np.ones((n, 1)), np.ones((n, 1)), np.eye(n), np.zeros((n, d))],
                   [np.eye(d), np.zeros((d, 2 + n)), np.eye(d)]])
     b = np.concatenate([V.sum(axis=0), np.full(d, 2.0)])
-    c = np.concatenate([behavior.probs, [-1.0, 1.0], np.zeros(n + d)])
+    c = -np.concatenate([behavior.probs, [-1.0, 1.0], np.zeros(n + d)])
     return LinearProgram(A=A, b=b, c=c)
 
 

@@ -25,6 +25,7 @@ from bellbox.analysis import (
     _decide,
     _decision,
     _distance_program,
+    _solved,
     chsh_value,
     classify,
     derive_critical_inequality,
@@ -34,7 +35,7 @@ from bellbox.analysis import (
 )
 from bellbox.errors import SizeCapError, StalledError, ValidationError
 from bellbox.lp import LinearProgram, LpOutcome, _Simplex, _Start, _solve_then_maximize, solve
-from bellbox.polytope import random_local_model, strategy_matrix
+from bellbox.polytope import _relabelling_count, random_local_model, relabellings, strategy_matrix
 from bellbox.quantum import (
     BellSetup,
     MeasurementSet,
@@ -44,6 +45,7 @@ from bellbox.quantum import (
     random_setup,
     spin_projectors,
 )
+from bellbox.tolerances import DEFAULT_TOL
 from _certificate import verify_certificate
 from test_no_signalling import _pr_box_on_pair
 
@@ -342,7 +344,7 @@ def test_distance_program_iterations_are_pinned(kind, inputs, seed, iterations):
 
 
 def visibility_lp(V, p, q):
-    """The visibility program in its own variables (w, v): maximize v
+    """The visibility program in its own variables (w, v): minimize -v
     subject to V w - v (p - q) = q and sum(w) = 1."""
     d, n = V.shape
     A = np.zeros((d + 1, n + 1))
@@ -350,8 +352,8 @@ def visibility_lp(V, p, q):
     A[:d, n] = q - p
     A[d, :n] = 1.0
     cost = np.zeros(n + 1)
-    cost[n] = 1.0
-    return LinearProgram(A=A, b=np.append(q, 1.0), c=cost, maximize=True)
+    cost[n] = -1.0
+    return LinearProgram(A=A, b=np.append(q, 1.0), c=cost)
 
 
 def staged_visibility(p, q, scenario):
@@ -371,7 +373,7 @@ def test_chsh_visibility_program_iterations_are_pinned(target, iterations):
     first, out = staged_visibility(p, named_behavior("uniform").probs, CHSH)
     assert first.iterations == 3
     assert out.status == "optimal"
-    assert out.objective == pytest.approx(0.5 if target == "pr_box" else 1.0 / ROOT2, abs=1e-9)
+    assert -out.objective == pytest.approx(0.5 if target == "pr_box" else 1.0 / ROOT2, abs=1e-9)
     assert out.iterations == iterations
 
 
@@ -485,7 +487,7 @@ def test_distance_program_matrix_matches_block_assembly(label):
         lp, _ = _distance_program(sc, probs)
         block = unreduced_program(V, probs)
         assert np.array_equal(lp.A, block.A) and np.array_equal(lp.b, block.b)
-        assert np.array_equal(lp.c, block.c) and lp.maximize is block.maximize
+        assert np.array_equal(lp.c, block.c)
 
 
 def test_classify_on_234_within_caps():
@@ -507,7 +509,7 @@ def unreduced_program(V, probs):
     eye = np.eye(d)
     A = np.block([[V, eye, -eye], [np.ones((1, n)), np.zeros((1, 2 * d))]])
     cost = np.concatenate([np.zeros(n), np.ones(2 * d)])
-    return LinearProgram(A=A, b=np.append(probs, 1.0), c=cost, maximize=False)
+    return LinearProgram(A=A, b=np.append(probs, 1.0), c=cost)
 
 
 def cut_margin(V, probs, y):
@@ -604,7 +606,7 @@ def shifted_program(V, p, toward):
     sign = np.where(b < 0.0, -1.0, 1.0)
     start = _Start(basis=basis, BX=np.hstack([np.diag(sign), np.abs(b)[:, None]]), mate=mate,
                    weights=1.0 + np.einsum("ij,ij->j", A, A))
-    return LinearProgram(A=A, b=b, c=cost, maximize=False), start
+    return LinearProgram(A=A, b=b, c=cost), start
 
 
 @settings(deadline=None, max_examples=80)
@@ -847,6 +849,56 @@ def test_classify_summary_is_deterministic():
         assert a == b
 
 
+def ghz3_mermin():
+    """The GHZ state (|000> + |111>)/sqrt(2) under X (input 0) and Y
+    (input 1) at every party, outcome 0 the +1 eigenvalue: Mermin's
+    table, which scores 4 on <XXX> - <XYY> - <YXY> - <YYX>, whose local
+    bound is 2 (Mermin, PRL 65, 1838 (1990))."""
+    X = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
+    Y = np.array([[0.0, -1j], [1j, 0.0]])
+    proj = [[(np.eye(2) + sign * M) / 2.0 for sign in (1.0, -1.0)] for M in (X, Y)]
+    psi = np.zeros(8, dtype=complex)
+    psi[0] = psi[7] = 1.0 / ROOT2
+    sc = Scenario.uniform(3, 2, 2)
+    return validate_behavior(sc, [
+        (psi.conj() @ np.kron(np.kron(proj[x][a], proj[y][b]), proj[z][c]) @ psi).real
+        for x, y, z in sc.joint_inputs() for a, b, c in sc.joint_outputs((x, y, z))])
+
+
+def test_ghz3_is_weakly_nonlocal_with_mermin_violation():
+    c = classify(ghz3_mermin())
+    assert c.verdict is Verdict.WEAKLY_NONLOCAL
+    assert c.violation == pytest.approx(2.0, abs=1e-9)
+    assert c.functional.integer_bound == 2
+
+
+# shapes of random_setup with dims and inputs up to 3; the five whose
+# scenarios have 62,208 or more relabellings are left out, since
+# relabellings lists every one of them
+RELABELLED_SHAPES = [
+    (dims, inputs)
+    for dims in itertools.product(range(1, 4), repeat=2)
+    for inputs in itertools.product(range(1, 4), repeat=2)
+    if _relabelling_count(Scenario(inputs, tuple((d,) * n for d, n in zip(dims, inputs))))
+    <= 20_000
+]
+
+
+@settings(deadline=None, max_examples=80)
+@given(shape=st.sampled_from(RELABELLED_SHAPES), seed=st.integers(0, 2**16),
+       pick=st.integers(0, 2**32))
+def test_relabelling_keeps_the_verdict_and_the_distance(shape, seed, pick):
+    """Renaming parties, inputs and outputs moves no table in or out of
+    the local set, nor its l1 distance to it."""
+    dims, inputs = shape
+    p = behavior_from_setup(random_setup(seed, dims=dims, inputs=inputs))
+    perms = relabellings(p.scenario)
+    relabelled = validate_behavior(p.scenario, p.probs[perms[pick % len(perms)]])
+    assert classify(relabelled).verdict is classify(p).verdict
+    assert _solved(relabelled, DEFAULT_TOL)[1].objective == pytest.approx(
+        _solved(p, DEFAULT_TOL)[1].objective, abs=1e-9)
+
+
 # -- inequality derivation ---------------------------------------------------
 
 def test_derive_critical_inequality_for_pr_box():
@@ -957,15 +1009,16 @@ def test_a_cut_short_of_its_guard_at_full_visibility_costs_one_decide(monkeypatc
 
 def test_a_low_end_whose_model_misses_its_blend_stalls(monkeypatch):
     """An optimum reported 1e-6 short of the stage-2 model's visibility
-    leaves that model 1e-6 from the blend it should reproduce, so the
-    threshold stops rather than call the low end local."""
+    (the objective, -v, 1e-6 above) leaves that model 1e-6 from the
+    blend it should reproduce, so the threshold stops rather than call
+    the low end local."""
     import dataclasses
 
     import bellbox.analysis as analysis
 
     def short(*args, **kwargs):
         first, second = _solve_then_maximize(*args, **kwargs)
-        return first, dataclasses.replace(second, objective=second.objective - 1e-6)
+        return first, dataclasses.replace(second, objective=second.objective + 1e-6)
 
     monkeypatch.setattr(analysis, "_solve_then_maximize", short)
     with pytest.raises(StalledError, match="visibility model misses the blend"):
@@ -1100,7 +1153,7 @@ def test_staged_visibility_run(behavior, noise):
     assert is_local and np.array_equal(model, _decide(noise)[1])
 
     # the staged program's rows are the visibility program's, so its
-    # prices for the maximum of t are that program's too
+    # prices for the minimum of -t are that program's too
     lp = visibility_lp(V, p, q)
     staged = LpOutcome(status="optimal", x=np.append(out.x[:n], out.x[-1]), y=out.y,
                        objective=out.objective)
@@ -1150,7 +1203,7 @@ def assert_bracket_is_certified(behavior, noise, res):
     miss = V @ weights - (lo * p + (1.0 - lo) * q)
     assert float(np.abs(miss).sum()) <= 0.5e-9
     assert float(np.abs(miss).max()) <= MODEL_TOL
-    cut = -out.y[:d]
+    cut = out.y[:d]
     assert float(cut @ (hi * p + (1.0 - hi) * q) - (cut @ V).max()) > 0.0
     assert decided_blend(behavior, noise, lo)
     assert not decided_blend(behavior, noise, hi)
@@ -1201,7 +1254,7 @@ def highs_visibility(V, p, q):
     """The largest v at which v p + (1 - v) q is local, by a HiGHS solve of
     ``visibility_lp``."""
     lp = visibility_lp(V, p, q)
-    res = linprog(-lp.c, A_eq=lp.A, b_eq=lp.b, bounds=(0.0, None), method="highs")
+    res = linprog(lp.c, A_eq=lp.A, b_eq=lp.b, bounds=(0.0, None), method="highs")
     assert res.status == 0
     return -res.fun
 
@@ -1270,6 +1323,20 @@ def test_ququart_sweep_agrees_with_highs(seed):
     v_star = highs_visibility(strategy_matrix(behavior.scenario), behavior.probs, noise.probs)
     lo, hi = visibility_threshold(behavior, noise).bracket
     assert lo - 1e-9 <= v_star <= hi + 1e-9
+
+
+def test_ghz3_visibility_bracket_holds_the_highs_optimum():
+    """Mermin's table blended with white noise scores 4 v, local up to
+    v = 1/2, where HiGHS finds the visibility program's optimum; the
+    certificates' bracket holds it to within that solve's tolerance."""
+    behavior = ghz3_mermin()
+    noise = named_behavior("uniform", behavior.scenario)
+    v_star = highs_visibility(strategy_matrix(behavior.scenario), behavior.probs, noise.probs)
+    assert v_star == pytest.approx(0.5, abs=1e-9)
+    res = visibility_threshold(behavior, noise)
+    lo, hi = res.bracket
+    assert lo - 1e-9 <= v_star <= hi + 1e-9
+    assert_bracket_is_certified(behavior, noise, res)
 
 
 @pytest.mark.parametrize("tol", [0.0, -1e-3, float("nan")])

@@ -111,6 +111,15 @@ def test_missing_file(capsys):
     assert "file.json" in err
 
 
+def test_validate_document_that_is_not_utf8_exits_2(capsys, tmp_path):
+    bad = tmp_path / "bad.json"
+    bad.write_bytes(b"\xff\xfe{}")
+    code, out, err = run_cli(capsys, "validate", str(bad))
+    assert code == 2
+    assert out == "" and "bad.json: not UTF-8 text" in err
+    assert "Traceback" not in err
+
+
 # -- classify ----------------------------------------------------------------
 
 def test_classify_pr_box_structured(capsys):

@@ -164,6 +164,15 @@ def test_parse_missing_file(tmp_path):
         parse_document(tmp_path / "missing.json")
 
 
+def test_parse_refuses_a_file_that_is_not_utf8(tmp_path):
+    """The bytes ff fe 7b 7d are no UTF-8 text: the document is refused,
+    whatever encoding the locale would have decoded them with."""
+    path = tmp_path / "bad.json"
+    path.write_bytes(b"\xff\xfe{}")
+    with pytest.raises(ValidationError, match="cannot read document .*bad.json: not UTF-8 text"):
+        parse_document(path)
+
+
 def test_non_finite_probability_rejected():
     payload = json.loads(emit_document(named_behavior("uniform")))
     payload["probs"][3] = float("nan")
@@ -338,6 +347,19 @@ def test_matrix_entries_are_exactly_pairs(entry, tmp_path):
     path = tmp_path / "setup.json"
     path.write_text(json.dumps(payload))
     assert main(["validate", str(path)]) == 2
+
+
+def test_an_empty_matrix_is_refused_as_no_matrix_of_pairs():
+    """An empty state or effect has no [re, im] pair to read, and is
+    refused as such rather than by the shape check after it."""
+    payload = json.loads(emit_document(named_setup("singlet_chsh")))
+    payload["state"] = []
+    with pytest.raises(ValidationError, match="state must be a matrix of \\[re, im\\] pairs"):
+        parse_document_text(json.dumps(payload))
+    payload = json.loads(emit_document(named_setup("singlet_chsh")))
+    payload["alice"][1][0] = []
+    with pytest.raises(ValidationError, match="alice effect \\(1, 0\\) must be a matrix"):
+        parse_document_text(json.dumps(payload))
 
 
 @pytest.mark.parametrize("dims", [[2.0, 2], ["2", 2], [True, 2]])

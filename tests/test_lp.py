@@ -32,24 +32,23 @@ from test_no_signalling import _pr_box_on_pair
 
 
 def scipy_status(lp: LinearProgram):
-    """Independent solve via scipy's HiGHS backend."""
-    c = -lp.c if lp.maximize else lp.c
-    res = linprog(c, A_eq=lp.A, b_eq=lp.b, bounds=(0.0, None), method="highs")
+    """Independent solve via scipy's HiGHS backend: the status, and the
+    minimum where there is one."""
+    res = linprog(lp.c, A_eq=lp.A, b_eq=lp.b, bounds=(0.0, None), method="highs")
     status = {0: "optimal", 2: "infeasible", 3: "unbounded"}.get(res.status, "other")
-    value = None
-    if status == "optimal":
-        value = -res.fun if lp.maximize else res.fun
-    return status, value
+    return status, (res.fun if status == "optimal" else None)
 
 
 # -- basic statuses ---------------------------------------------------------
 
 def test_simple_maximum():
+    """The maximum 2 of x0 + 2 x1 on x0 + x1 = 1, asked for as the
+    minimum of its negation."""
     lp = LinearProgram(A=np.array([[1.0, 1.0]]), b=np.array([1.0]),
-                       c=np.array([1.0, 2.0]))
+                       c=np.array([-1.0, -2.0]))
     out = solve(lp)
     assert out.status == "optimal"
-    assert out.objective == pytest.approx(2.0, abs=1e-12)
+    assert out.objective == pytest.approx(-2.0, abs=1e-12)
     np.testing.assert_allclose(out.x, [0.0, 1.0], atol=1e-12)
 
 
@@ -75,17 +74,16 @@ def test_worked_farkas_example():
 
 def test_unbounded_with_ray():
     lp = LinearProgram(A=np.array([[1.0, -1.0]]), b=np.array([0.0]),
-                       c=np.array([1.0, 0.0]))
+                       c=np.array([-1.0, 0.0]))
     out = solve(lp)
     assert out.status == "unbounded"
-    assert float(lp.c @ out.ray) > 0.0
+    assert float(lp.c @ out.ray) < 0.0
     np.testing.assert_allclose(lp.A @ out.ray, 0.0, atol=1e-12)
 
 
 
 def test_systems_without_rows_or_columns():
-    no_rows = LinearProgram(A=np.zeros((0, 3)), b=np.zeros(0), c=np.ones(3),
-                            maximize=False)
+    no_rows = LinearProgram(A=np.zeros((0, 3)), b=np.zeros(0), c=np.ones(3))
     out = solve(no_rows)
     assert out.status == "optimal" and out.objective == 0.0
     np.testing.assert_array_equal(out.x, 0.0)
@@ -144,7 +142,7 @@ def test_solve_refuses_a_bad_tolerance(tol):
 
 def test_stall_raises_not_misreports():
     lp = LinearProgram(A=np.array([[1.0, 1.0, 1.0]]), b=np.array([1.0]),
-                       c=np.array([1.0, 2.0, 3.0]))
+                       c=np.array([-1.0, -2.0, -3.0]))
     with mock.patch("bellbox.lp.DEFAULT_MAX_ITERS", 0), pytest.raises(StalledError):
         solve(lp)
 
@@ -186,7 +184,7 @@ def test_unit_column_on_negative_row_does_not_start_basic():
     A = np.array([[1.0, 1.0, -1.0, 0.0],
                   [0.0, 1.0, 1.0, 1.0]])
     b = np.array([-1.0, 2.0])
-    lp = LinearProgram(A=A, b=b, c=np.array([1.0, 2.0, 3.0, 1.0]), maximize=False)
+    lp = LinearProgram(A=A, b=b, c=np.array([1.0, 2.0, 3.0, 1.0]))
     assert _Simplex(lp.A, lp.b).basis.tolist() == [4, 5]
     out = solve(lp)
     expect, value = scipy_status(lp)
@@ -214,7 +212,7 @@ def test_random_slack_form_problems_match_scipy(seed):
     k = int(rng.integers(2, 6))
     A = np.hstack([rng.normal(size=(m, k)), np.eye(m)])
     b = rng.normal(size=m)
-    lp = LinearProgram(A=A, b=b, c=rng.random(m + k), maximize=False)
+    lp = LinearProgram(A=A, b=b, c=rng.random(m + k))
     out, exact = solve_and_recheck(lp)
     expect, value = scipy_status(lp)
     assert out.status == expect
@@ -368,8 +366,7 @@ def test_phase1_runs_only_when_an_artificial_starts_basic():
     assert out.status == "optimal"
     assert calls == [2]
     lp = LinearProgram(A=np.array([[1.0, 1.0, -1.0, 0.0], [0.0, 1.0, 1.0, 1.0]]),
-                       b=np.array([-1.0, 2.0]), c=np.array([1.0, 2.0, 3.0, 1.0]),
-                       maximize=False)
+                       b=np.array([-1.0, 2.0]), c=np.array([1.0, 2.0, 3.0, 1.0]))
     calls.clear()
     with _recording_runs(calls):
         out = solve(lp)
@@ -385,7 +382,7 @@ def test_an_artificial_that_leaves_never_enters_again():
     A = np.array([[-2, 0, 2, -3, -1, -1, 2], [1, -1, 2, 3, -2, 3, -2],
                   [1, 3, -1, 1, -1, 2, 0], [1, -1, -2, 1, -2, -2, -2]], dtype=float)
     lp = LinearProgram(A=A, b=np.array([-8.0, 3.0, 2.0, 1.0]),
-                       c=np.array([2.0, 2.0, 2.0, -2.0, 0.0, -1.0, -2.0]), maximize=False)
+                       c=np.array([2.0, 2.0, 2.0, -2.0, 0.0, -1.0, -2.0]))
     entered = []
     pivot = _Simplex._pivot
 
@@ -465,7 +462,7 @@ def _mixed_sign_programs(status: str, count: int = 6) -> list[LinearProgram]:
         if not ((b < 0.0).any() and (b > 0.0).any()):
             continue
         c = np.zeros(m + k) if status == "feasible" else rng.integers(-3, 4, size=m + k)
-        lp = LinearProgram(A=A, b=b, c=c, maximize=bool(seed % 2))
+        lp = LinearProgram(A=A, b=b, c=-c if seed % 2 else c)
         if scipy_status(lp)[0] == _expected(status):
             found.append(lp)
             if len(found) == count:
@@ -494,7 +491,7 @@ def test_mixed_sign_rhs_certificates_pass_both_checks(status):
 
 def test_tampered_solution_is_flagged():
     lp = LinearProgram(A=np.array([[1.0, 1.0]]), b=np.array([1.0]),
-                       c=np.array([1.0, 2.0]))
+                       c=np.array([-1.0, -2.0]))
     out = solve(lp)
     bad_x = out.x.copy()
     bad_x[0] += 1e-3
@@ -520,8 +517,7 @@ def test_suboptimal_point_with_matching_dual_value_is_flagged():
     value y.b = 7, but its reduced costs (-6, 2, -2) are not dual
     feasible, so equal values prove nothing."""
     lp = LinearProgram(A=np.array([[1.0, 0.0, 1.0], [0.0, 1.0, 0.0]]),
-                       b=np.array([1.0, 1.0]), c=np.array([1.0, 2.0, 5.0]),
-                       maximize=False)
+                       b=np.array([1.0, 1.0]), c=np.array([1.0, 2.0, 5.0]))
     claim = LpOutcome(status="optimal", x=np.array([0.0, 1.0, 1.0]),
                       y=np.array([7.0, 0.0]), objective=7.0)
     report = verify_certificate(lp, claim)
@@ -540,7 +536,7 @@ def test_weak_duality_holds_at_optimum():
         A = rng.normal(size=(m, n))
         x0 = rng.random(n)
         b = A @ x0
-        c = rng.normal(size=n)
+        c = -rng.normal(size=n)
         lp = LinearProgram(A=A, b=b, c=c)
         out = solve(lp)
         if out.status != "optimal":
@@ -562,13 +558,12 @@ def zero_floor_data(seed: int):
 
 
 @settings(deadline=None, max_examples=60)
-@given(seed=st.integers(0, 2**32 - 1), maximize=st.booleans())
-def test_zero_optimum_under_nonnegative_costs_has_zero_duals(seed, maximize):
+@given(seed=st.integers(0, 2**32 - 1))
+def test_zero_optimum_under_nonnegative_costs_has_zero_duals(seed):
     """c.x >= 0 on every feasible x, so a feasible point of cost 0 is
     optimal and y = 0 certifies it, in floats and exactly."""
     A, x0, cost = zero_floor_data(seed)
-    lp = LinearProgram(A=A, b=A @ x0, c=-cost if maximize else cost,
-                       maximize=maximize)
+    lp = LinearProgram(A=A, b=A @ x0, c=cost)
     out, exact = solve_and_recheck(lp)
     assert out.status == "optimal"
     assert abs(out.objective) <= 1e-9
@@ -588,7 +583,7 @@ def test_floor_band_is_not_scaled_by_the_rhs(A, b, c):
     """The starting vertex costs less than tol * |b|_inf but more than
     tol; the optimum is 0, and a stop at the starting vertex would leave
     a duality gap that verify_certificate rejects."""
-    lp = LinearProgram(A=np.array(A), b=np.array(b), c=np.array(c), maximize=False)
+    lp = LinearProgram(A=np.array(A), b=np.array(b), c=np.array(c))
     out, exact = solve_and_recheck(lp)
     assert out.status == "optimal"
     assert out.objective == 0.0
@@ -609,7 +604,7 @@ def test_negative_cost_never_stops_at_the_floor(seed):
     b = np.append(A0 @ x0, x0.sum() + 1.0)
     c = np.append(cost, 0.0)
     c[np.random.default_rng(seed).integers(n)] = -1.0
-    lp = LinearProgram(A=A, b=b, c=c, maximize=False)
+    lp = LinearProgram(A=A, b=b, c=c)
     stops = []
 
     def recording(sx, _original=_Simplex.at_floor):
@@ -636,7 +631,7 @@ def test_random_feasible_problems_match_scipy(seed):
     n = int(rng.integers(m + 1, 12))
     A = rng.normal(size=(m, n))
     b = A @ rng.random(n)  # feasible by construction
-    c = rng.normal(size=n)
+    c = -rng.normal(size=n)
     lp = LinearProgram(A=A, b=b, c=c)
     out = solve(lp)
     expect, value = scipy_status(lp)
@@ -663,11 +658,11 @@ def test_random_tall_systems_match_scipy(seed):
 
 
 def scipy_bounded(A, b, c, bounds):
-    """Status and maximum of c.x subject to A x = b with the variable
+    """Status and minimum of c.x subject to A x = b with the variable
     bounds ``bounds``, by HiGHS, which takes the bounds as they are."""
-    res = linprog(-c, A_eq=A, b_eq=b, bounds=bounds, method="highs")
+    res = linprog(c, A_eq=A, b_eq=b, bounds=bounds, method="highs")
     status = {0: "optimal", 2: "infeasible", 3: "unbounded"}.get(res.status, "other")
-    return status, (-res.fun if status == "optimal" else None)
+    return status, (res.fun if status == "optimal" else None)
 
 
 @pytest.mark.parametrize("seed", range(15))
@@ -680,7 +675,7 @@ def test_random_boxed_problems_match_scipy(seed):
     A = rng.normal(size=(m, n))
     x0 = rng.uniform(-1.0, 1.0, size=n)
     b = A @ x0
-    c = rng.normal(size=n)
+    c = -rng.normal(size=n)
     lp = LinearProgram(A=np.block([[A, np.zeros((m, n))], [np.eye(n), np.eye(n)]]),
                        b=np.concatenate([b + A.sum(axis=1), np.full(n, 2.0)]),
                        c=np.concatenate([c, np.zeros(n)]))
@@ -703,7 +698,7 @@ def test_random_free_variable_problems_match_scipy(seed):
     n = int(rng.integers(m + 1, 9))
     A = rng.normal(size=(m, n))
     b = A @ rng.normal(size=n)
-    c = rng.normal(size=n)
+    c = -rng.normal(size=n)
     free = np.arange(n) % 2 == 0
     lp = LinearProgram(A=np.hstack([A, -A[:, free]]), b=b, c=np.concatenate([c, -c[free]]))
     out = solve(lp)
@@ -727,7 +722,7 @@ def _priced_random_lp(seed: int) -> LinearProgram:
     b = A @ rng.random(n)
     # c.x = z.b + s.x on the feasible set, with s >= 0
     c = A.T @ rng.normal(size=m) + rng.random(n)
-    return LinearProgram(A=A, b=b, c=c, maximize=False)
+    return LinearProgram(A=A, b=b, c=c)
 
 
 def _paired_distance_programs() -> list[tuple[LinearProgram, _Start]]:
@@ -757,7 +752,7 @@ def test_ratio_test_tie_keeps_the_larger_pivot():
     x0's row, offers a pivot of 1e-4 beside x1's 1, below the tie floor
     of 1e-2 of the largest tied pivot, so x1 leaves instead."""
     lp = LinearProgram(A=[[1.0, 0.0, 1e-4], [0.0, 1.0, 1.0]], b=[0.0, 0.0],
-                       c=[0.0, 0.0, -1.0], maximize=False)
+                       c=[0.0, 0.0, -1.0])
     start = _Start(basis=np.array([0, 1]), BX=np.hstack([np.eye(2), np.zeros((2, 1))]),
                    mate=np.full(5, -1), weights=np.array([1.0, 1.0, 2.0]))
     pivots = []
@@ -905,7 +900,7 @@ def test_deterministic_replay():
     rng = np.random.default_rng(5)
     A = rng.normal(size=(4, 9))
     b = A @ rng.random(9)
-    c = rng.normal(size=9)
+    c = -rng.normal(size=9)
     lp = LinearProgram(A=A, b=b, c=c)
     first = solve(lp)
     second = solve(lp)
@@ -917,8 +912,7 @@ def test_optimal_claim_without_duals_is_not_verified():
     """x = (0, 1, 1) costs 7 against the optimum 3; without y nothing
     proves it optimal, so the claim fails."""
     lp = LinearProgram(A=np.array([[1.0, 0.0, 1.0], [0.0, 1.0, 0.0]]),
-                       b=np.array([1.0, 1.0]), c=np.array([1.0, 2.0, 5.0]),
-                       maximize=False)
+                       b=np.array([1.0, 1.0]), c=np.array([1.0, 2.0, 5.0]))
     claim = LpOutcome(status="optimal", x=np.array([0.0, 1.0, 1.0]), objective=7.0)
     assert claim.y is None
     report = verify_certificate(lp, claim)
@@ -931,8 +925,7 @@ def test_optimal_claim_without_a_point_is_not_verified():
     and y.b = 3), but prices alone prove no optimum: with x missing the
     claim fails instead of raising."""
     lp = LinearProgram(A=np.array([[1.0, 0.0, 1.0], [0.0, 1.0, 0.0]]),
-                       b=np.array([1.0, 1.0]), c=np.array([1.0, 2.0, 5.0]),
-                       maximize=False)
+                       b=np.array([1.0, 1.0]), c=np.array([1.0, 2.0, 5.0]))
     claim = LpOutcome(status="optimal", y=np.array([1.0, 2.0]), objective=3.0)
     report = verify_certificate(lp, claim)
     assert not report.ok
@@ -952,7 +945,7 @@ def _staged_case(seed: int):
     x0 = np.where(charged, 0.0, rng.random(n))
     x0[k] = 0.0
     cost = np.where(charged, rng.random(n) + 0.1, 0.0)
-    return LinearProgram(A=A, b=A @ x0, c=cost, maximize=False), charged, k
+    return LinearProgram(A=A, b=A @ x0, c=cost), charged, k
 
 
 @pytest.mark.parametrize("seed", range(30))
@@ -972,14 +965,14 @@ def test_staged_solve_matches_scipy_on_the_optimal_face(seed):
     ref = linprog(goal, A_eq=lp.A, b_eq=lp.b, bounds=face, method="highs")
     if ref.status == 3:
         assert second.status == "unbounded"
-        assert verify_certificate(LinearProgram(A=lp.A[:, ~charged], b=lp.b, c=-goal[~charged]),
+        assert verify_certificate(LinearProgram(A=lp.A[:, ~charged], b=lp.b, c=goal[~charged]),
                                   dataclasses.replace(second, x=second.x[~charged],
                                                       ray=second.ray[~charged])).ok
     else:
         assert second.status == "optimal"
-        assert second.objective == pytest.approx(-ref.fun, abs=1e-9)
+        assert second.objective == pytest.approx(ref.fun, abs=1e-9)
         assert np.abs(second.x[charged]).max(initial=0.0) <= 1e-12
-        restricted = LinearProgram(A=lp.A[:, ~charged], b=lp.b, c=-goal[~charged])
+        restricted = LinearProgram(A=lp.A[:, ~charged], b=lp.b, c=goal[~charged])
         assert verify_certificate(restricted,
                                   dataclasses.replace(second, x=second.x[~charged])).ok
 
@@ -988,10 +981,10 @@ def test_staged_solve_holds_a_unit_column_at_zero():
     """Column 0 is row 0's unit column, yet it is held: phase 1 moves the
     row from its artificial to column 1, where the first stage ends, and
     the second moves it to column 0."""
-    lp = LinearProgram(A=[[1.0, 1.0]], b=[1.0], c=[0.0, 0.0], maximize=False)
+    lp = LinearProgram(A=[[1.0, 1.0]], b=[1.0], c=[0.0, 0.0])
     first, second = _solve_then_maximize(lp, 0)
     assert first.x.tolist() == [0.0, 1.0] and first.iterations == 1
-    assert second.x.tolist() == [1.0, 0.0] and second.objective == 1.0
+    assert second.x.tolist() == [1.0, 0.0] and second.objective == -1.0
     assert second.iterations == 2
 
 
