@@ -39,7 +39,11 @@ one-entry table of the scenario with one input and one output per
 party; then classify, membership and threshold visibility against the
 uniform (3,2,2) table, in both formats, on the GHZ table of three
 qubits under Mermin's X and Y settings, a quantum table of three
-parties.  New operations go at the end, so digests of older checkouts
+parties; then threshold visibility, in both formats, of the (2,3,4)
+tables of the random 4x4-dimensional, 3-input setups at seeds 14, 26
+and 118 against the uniform table, on which the staged simplex finds
+its basis singular and the threshold follows separate decisions' cuts
+(14 and 26 are local, and refused).  New operations go at the end, so digests of older checkouts
 still compare by name.  Each runs through ``bellbox.cli.main`` in this
 process, with bellbox imported from this checkout's src; perfbench/decks.py
 is imported and not written to.  Documents go to a temporary directory,
@@ -97,6 +101,7 @@ FACET_SCENARIOS = (("uneven-23-23", Scenario((2, 2), ((2, 3), (2, 3))), FORMATS)
 QUTRIT_THRESHOLD_SEEDS = (4, 8)
 FINE_THRESHOLD_TOLS = ("5e-9", "1e-9")
 QUQUART_THRESHOLD_SEED = 10
+QUQUART_STALL_SEEDS = (14, 26, 118)  # the staged simplex finds its basis singular
 EFFICIENCY_THRESHOLD_SEEDS = (16, 20, 24, 1)  # seed 1 is local at full efficiency
 
 
@@ -160,13 +165,7 @@ def operations():
                 yield (f"threshold-visibility/{fixture}/tol{tol}/{fmt}",
                        ["threshold", "visibility", f"{fixture}.json", "uniform.json",
                         "--tol", tol, "--format", fmt], docs)
-    seed = QUQUART_THRESHOLD_SEED
-    doc = f"ququart-seed{seed}.json"
-    docs = {doc: emit_document(behavior_from_setup(random_setup(seed, dims=(4, 4), inputs=(3, 3)))),
-            "uniform-234.json": emit_document(named_behavior("uniform", Scenario.uniform(2, 3, 4)))}
-    for fmt in FORMATS:
-        yield (f"threshold-visibility/ququart-seed{seed}/{fmt}",
-               ["threshold", "visibility", doc, "uniform-234.json", "--format", fmt], docs)
+    yield from ququart_visibility(QUQUART_THRESHOLD_SEED)
     for seed in EFFICIENCY_THRESHOLD_SEEDS:
         doc = f"setup-seed{seed}.json"
         docs = {doc: emit_document(random_setup(seed, dims=(2, 2), inputs=(2, 2)))}
@@ -186,6 +185,20 @@ def operations():
                          ["threshold", "visibility", "ghz3.json", "uniform-322.json"])):
         for fmt in FORMATS:
             yield f"ghz3/{label}/{fmt}", [*argv, "--format", fmt], docs
+    for seed in QUQUART_STALL_SEEDS:
+        yield from ququart_visibility(seed)
+
+
+def ququart_visibility(seed):
+    """threshold visibility, in both formats, of the (2,3,4) table of the
+    random 4x4-dimensional, 3-input setup at ``seed`` against the uniform
+    table."""
+    doc = f"ququart-seed{seed}.json"
+    docs = {doc: emit_document(behavior_from_setup(random_setup(seed, dims=(4, 4), inputs=(3, 3)))),
+            "uniform-234.json": emit_document(named_behavior("uniform", Scenario.uniform(2, 3, 4)))}
+    for fmt in FORMATS:
+        yield (f"threshold-visibility/ququart-seed{seed}/{fmt}",
+               ["threshold", "visibility", doc, "uniform-234.json", "--format", fmt], docs)
 
 
 def start_edge_tables():

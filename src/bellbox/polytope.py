@@ -347,10 +347,14 @@ def canonicalize(functional: BellFunctional) -> BellFunctional:
 def relabellings(scenario: Scenario) -> tuple[np.ndarray, ...]:
     """Index permutations of the flat probability vector generated by
     party exchange, per-party input renaming, and per-input output
-    renaming, restricted to maps that send the scenario to itself."""
+    renaming, restricted to maps that send the scenario to itself.  A
+    group of more than ``RELABELLING_CAP`` maps, or whose maps hold more
+    than ``DIMENSION_CAP ** 2`` entries together, is refused before any
+    is built."""
     count = _relabelling_count(scenario)
     if count > RELABELLING_CAP:
         raise SizeCapError(f"{count} relabellings exceed the cap of {RELABELLING_CAP}")
+    check_entries("relabellings", count, scenario.dimension)
     output_maps = [list(itertools.permutations(range(k))) for outs in scenario.outputs for k in outs]
     return tuple(_relabelling_perm(scenario, sigma, pis, taus)
                  for sigma, input_maps in _party_exchanges(scenario)

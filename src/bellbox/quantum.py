@@ -24,15 +24,31 @@ from .tolerances import DEFAULT_TOL, EFFECT_TOL, EIG_FLOOR, STATE_TOL
 DIM_CAP = 4
 
 
-def _as_square_complex(raw, dim: int, what: str) -> np.ndarray:
+def _operator(raw, dim: int, what: str, tol: float, unit_trace: bool = False) -> np.ndarray:
+    """``raw`` read as a read-only complex dim x dim matrix, checked in
+    this order: its shape, that its entries are finite, that it is
+    hermitian within ``tol``, where ``unit_trace`` asks, that its trace
+    is 1 within ``tol``, and that no eigenvalue is below ``EIG_FLOOR``.
+    The first check that fails raises ``ValidationError`` naming ``what``."""
     try:
         mat = np.array(raw, dtype=complex)
     except (TypeError, ValueError):
         raise ValidationError(f"{what} is not a matrix of numbers") from None
     if mat.shape != (dim, dim):
         raise ValidationError(f"{what} has shape {mat.shape}, expected ({dim}, {dim})")
-    if not np.all(np.isfinite(mat.real)) or not np.all(np.isfinite(mat.imag)):
+    if not np.isfinite(mat).all():
         raise ValidationError(f"{what} contains non-finite entries")
+    skew = float(np.abs(mat - mat.conj().T).max())
+    if skew > tol:
+        raise ValidationError(f"{what} is not hermitian: asymmetry {skew:.3e}")
+    if unit_trace:
+        trace = complex(np.trace(mat)).real
+        if abs(trace - 1.0) > tol:
+            raise ValidationError(f"{what} has trace {trace!r}, expected 1")
+    low = float(np.linalg.eigvalsh(mat).min())
+    if low < EIG_FLOOR:
+        raise ValidationError(f"{what} is not positive semidefinite: eigenvalue {low:.3e}")
+    mat.setflags(write=False)
     return mat
 
 
@@ -55,19 +71,8 @@ class QuantumState:
         object.__setattr__(self, "dim_b", dims[1])
         if min(dims) < 1:
             raise ValidationError("state dimensions must be >= 1")
-        rho = _as_square_complex(self.rho, self.dim_a * self.dim_b, "density matrix")
-        skew = float(np.abs(rho - rho.conj().T).max())
-        if skew > STATE_TOL:
-            raise ValidationError(f"density matrix is not hermitian: asymmetry {skew:.3e}")
-        trace = complex(np.trace(rho)).real
-        if abs(trace - 1.0) > STATE_TOL:
-            raise ValidationError(f"density matrix has trace {trace!r}, expected 1")
-        low = float(np.linalg.eigvalsh(rho).min())
-        if low < EIG_FLOOR:
-            raise ValidationError(
-                f"density matrix is not positive semidefinite: eigenvalue {low:.3e}"
-            )
-        rho.setflags(write=False)
+        rho = _operator(self.rho, self.dim_a * self.dim_b, "density matrix", STATE_TOL,
+                        unit_trace=True)
         object.__setattr__(self, "rho", rho)
 
 
@@ -92,66 +97,24 @@ class MeasurementSet:
             raise ValidationError("effects must list, per input, a list of effects") from None
         if inputs < 1:
             raise ValidationError("a measurement set needs at least one input")
-        # the effects up to the first malformed one (an input that is empty
-        # or no list, a wrong shape, an entry that is no number), stacked;
-        # each check then makes one pass over the stack, and the first
-        # failure in the order of effects, and of the checks on each, is reported
-        dim, mats, names, counts, malformed = self.dim, [], [], [], None
+        # input by input, each effect's checks and then the input's sum
+        rows = []
         for x, row in enumerate(self.effects):
             try:
                 outcomes = len(row)
             except TypeError:
-                malformed = ValidationError(f"input {x} is not a list of effects")
-                break
+                raise ValidationError(f"input {x} is not a list of effects") from None
             if outcomes < 1:
-                malformed = ValidationError(f"input {x} has no outcomes")
-                break
-            for a, raw in enumerate(row):
-                try:
-                    m = np.array(raw, dtype=complex)
-                except (TypeError, ValueError):
-                    malformed = ValidationError(f"effect ({x}, {a}) is not a matrix of numbers")
-                    break
-                if m.shape != (dim, dim):
-                    malformed = ValidationError(
-                        f"effect ({x}, {a}) has shape {m.shape}, expected ({dim}, {dim})")
-                    break
-                mats.append(m)
-                names.append((x, a))
-            if malformed is not None:
-                break
-            counts.append(len(row))
-        stack = np.array(mats).reshape(-1, dim, dim)
-        finite = np.isfinite(stack).all(axis=(1, 2))
-        stack[~finite] = 0.0  # only reported: what is left is checked
-        skew = np.abs(stack - stack.conj().transpose(0, 2, 1)).max(axis=(1, 2))
-        low = np.linalg.eigvalsh(stack).min(axis=1)
-        bad = np.flatnonzero(~finite | (skew > EFFECT_TOL) | (low < EIG_FLOOR))
-        # each complete input's sum, checked after its effects
-        ends = np.cumsum(counts, dtype=np.intp)
-        totals = (np.add.reduceat(stack[:ends[-1]], ends - counts, axis=0) if counts
-                  else stack[:0])
-        gap = np.abs(totals - np.eye(dim)).max(axis=(1, 2))
-        loose = np.flatnonzero(gap > EFFECT_TOL)
-        if loose.size and (not bad.size or loose[0] < names[bad[0]][0]):
-            x = int(loose[0])
-            raise ValidationError(
-                f"input {x}: effects sum to identity only within {gap[x]:.3e}")
-        if bad.size:
-            i = bad[0]
-            x, a = names[i]
-            if not finite[i]:
-                raise ValidationError(f"effect ({x}, {a}) contains non-finite entries")
-            if skew[i] > EFFECT_TOL:
-                raise ValidationError(
-                    f"effect ({x}, {a}) is not hermitian: asymmetry {skew[i]:.3e}")
-            raise ValidationError(
-                f"effect ({x}, {a}) is not positive semidefinite: eigenvalue {low[i]:.3e}")
-        if malformed is not None:
-            raise malformed
-        stack.setflags(write=False)
-        object.__setattr__(self, "effects",
-                           tuple(tuple(stack[end - c:end]) for c, end in zip(counts, ends)))
+                raise ValidationError(f"input {x} has no outcomes")
+            mats = tuple(_operator(raw, self.dim, f"effect ({x}, {a})", EFFECT_TOL)
+                         for a, raw in enumerate(row))
+            # reduceat adds the first effect to the pairwise sum of the rest,
+            # the order earlier versions used: a sum right at EFFECT_TOL reads the same
+            gap = float(np.abs(np.add.reduceat(mats, [0])[0] - np.eye(self.dim)).max())
+            if gap > EFFECT_TOL:
+                raise ValidationError(f"input {x}: effects sum to identity only within {gap:.3e}")
+            rows.append(mats)
+        object.__setattr__(self, "effects", tuple(rows))
 
     @property
     def input_count(self) -> int:

@@ -674,6 +674,15 @@ def test_relabelling_cap_refuses_before_any_permutation_is_drawn(scenario):
             relabellings(scenario)
 
 
+def test_relabelling_memory_cap_refuses_before_any_permutation_is_drawn():
+    """(3,3,2) has 663,552 relabellings, under the count cap, of 216
+    entries each: 143M index entries, about 1.15 GB, which were built and
+    then kept by the cache."""
+    with mock.patch.object(polytope, "_party_exchanges", side_effect=AssertionError("drawn")):
+        with pytest.raises(SizeCapError, match=r"relabellings of 663552x216 = 143327232 entries"):
+            relabellings(Scenario.uniform(3, 3, 2))
+
+
 def test_relabelling_group_size():
     perms = relabellings(CHSH)
     assert len(perms) == 128

@@ -119,6 +119,25 @@ def test_unreadable_entries_are_validation_errors(build, message):
 
 
 @pytest.mark.parametrize(("build", "message"), [
+    pytest.param(lambda: QuantumState(dim_a=2, dim_b=2, rho=-0.05 * np.eye(4)),
+                 r"density matrix has trace -0.2, expected 1", id="trace-before-positivity"),
+    pytest.param(lambda: MeasurementSet(dim=2, effects=((1.5 * _EYE, -0.8 * _EYE),)),
+                 r"effect \(0, 1\) is not positive semidefinite: eigenvalue -8.000e-01",
+                 id="effect-before-its-sum"),
+    pytest.param(lambda: MeasurementSet(dim=2, effects=((_EYE, _EYE), 5)),
+                 r"input 0: effects sum to identity only within 1.000e\+00",
+                 id="sum-before-a-later-input"),
+])
+def test_first_failure_in_reading_order(build, message):
+    """Each matrix is checked for shape, finiteness, hermiticity, trace
+    (a state's) and positivity, in that order, and a measurement set's
+    inputs one after another, each input's effects before its sum: the
+    first check that fails is the one reported."""
+    with pytest.raises(ValidationError, match=f"^{message}$"):
+        build()
+
+
+@pytest.mark.parametrize(("build", "message"), [
     pytest.param(lambda: QuantumState(dim_a=1.5, dim_b=2, rho=np.eye(3) / 3),
                  r"state dimensions \(1.5, 2\) are not all integers", id="state-float"),
     pytest.param(lambda: QuantumState(dim_a=2, dim_b="2", rho=SINGLET),
