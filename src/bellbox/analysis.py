@@ -15,11 +15,11 @@ blend with the noise, and once the simplex has decided the noise at
 distance zero it goes on, with the slacks fixed at zero, to the largest
 weight that stays local.  That optimum is the threshold, and its
 mixture and row prices bracket it: one program, one simplex, no
-bisection.  The critical efficiency follows its own cuts, each cut's
-margin a quadratic whose largest root below the probe is the next probe;
-the visibility follows its cuts the same way where the staged simplex
-stalls, and both thresholds read their bracket off certificates by one
-rule.
+bisection; a staged simplex that stops raises ``StalledError``, as any
+internal failure does.  The critical efficiency follows its own cuts,
+each cut's margin a quadratic whose largest root below the probe is the
+next probe, and both thresholds read their bracket off certificates by
+one rule.
 
 Every default and recheck tolerance here comes from ``tolerances``, and
 each public entry point refuses a ``tol`` that is not a positive, finite
@@ -415,37 +415,6 @@ def _certified_bracket(parameter: str, lo: float, start: float, top: float, marg
                            iterations=0, tolerance=tol)
 
 
-def _cut_threshold(parameter: str, table_at, cut: np.ndarray, tol: float) -> ThresholdResult:
-    """The threshold of a family ``table_at`` of tables, each entry a
-    quadratic in the parameter on [0, 1], local at 0 and nonlocal at 1,
-    where ``cut`` separates: from 1, each nonlocal probe's cut moves the
-    parameter to the largest root below it of the cut's margin, for at
-    most 64 cuts.  The first local probe is the low end;
-    ``_certified_bracket`` takes the high end, at most the last nonlocal
-    probe."""
-    ends = [table_at(t) for t in (0.0, 0.5, 1.0)]
-    tables, eta = np.array([table.probs for table in ends]), 1.0
-    for _ in range(64):
-        bound = local_bound(BellFunctional(scenario=ends[2].scenario, coeffs=cut))[0]
-        m0, mh, m1 = tables @ cut - bound
-        # the margin's coefficients, highest first, through its values at 0, 1/2 and 1
-        poly = [2.0 * (m0 + m1 - 2.0 * mh), 4.0 * mh - 3.0 * m0 - m1, m0]
-        roots, top = np.roots(poly), eta
-        eta = float(np.max(roots.real[(roots.imag == 0.0) & (roots.real < top)], initial=0.0))
-        is_local, witness = _decide(table_at(eta))
-        if is_local:
-            break
-        cut = witness
-    else:
-        raise StalledError(f"{parameter} cuts reached no local table in 64 rounds")
-    guard = 2.0 * DEFAULT_TOL * float(np.abs(cut).max())
-    # one Newton step from eta to where the quadratic meets the guard starts the search
-    slope = 2.0 * poly[0] * eta + poly[1]
-    start = float(eta + (guard - np.polyval(poly, eta)) / slope) if slope > 0.0 else top
-    return _certified_bracket(parameter, eta, start, top,
-                              lambda x: float(cut @ table_at(x).probs) - bound, guard, tol)
-
-
 def visibility_threshold(
     behavior: Behavior, noise: Behavior, tol: float = VISIBILITY_TOL
 ) -> ThresholdResult:
@@ -470,14 +439,8 @@ def visibility_threshold(
     unbounded exactly when the behavior is the noise; that, or v* >= 1,
     is refused as local at full visibility.  Only a cut that does not
     clear its guard at v = 1 costs a solve besides the staged one:
-    ``_decide`` of the behavior itself.
-
-    Where the staged simplex stalls (a basis it finds singular), the
-    noise is decided, and refused if nonlocal, then the behavior, and
-    refused if local; from the behavior's cut, the threshold is found as
-    the efficiency one is, by ``_cut_threshold`` on the blends.  Its low
-    end is then certified by ``_decide``, so it may sit up to the
-    decision tolerance past the optimum.
+    ``_decide`` of the behavior itself.  A staged simplex that stops,
+    on a singular basis or a failed recheck, raises ``StalledError``.
     """
     if not (isinstance(behavior, Behavior) and isinstance(noise, Behavior)):
         raise ValidationError("visibility threshold needs a target and a noise Behavior, "
@@ -491,22 +454,12 @@ def visibility_threshold(
     V = strategy_matrix(sc)
     n = V.shape[1]
     p, q = behavior.probs, noise.probs
-    noise_not_local = ValidationError("noise behavior must be local")
     local_at_full = ValidationError(
         "behavior is already local at full visibility; no threshold exists")
     lp, start = _distance_program(sc, q, toward=p)
-    try:
-        first, out = _solve_then_maximize(lp, n + 2 * d, start)
-    except StalledError:
-        if not _decide(noise)[0]:
-            raise noise_not_local from None
-        is_local, cut = _decide(behavior)
-        if is_local:
-            raise local_at_full from None
-        return _cut_threshold("visibility", lambda v: Behavior(sc, v * p + (1.0 - v) * q),
-                              cut, tol)
+    first, out = _solve_then_maximize(lp, n + 2 * d, start)
     if not _decision(noise, V, first, DEFAULT_TOL)[0]:
-        raise noise_not_local
+        raise ValidationError("noise behavior must be local")
     if out.status == "unbounded":
         raise local_at_full
     if out.status != "optimal":
@@ -537,12 +490,12 @@ def visibility_threshold(
 def efficiency_threshold(setup: BellSetup, tol: float = EFFICIENCY_TOL) -> ThresholdResult:
     """Largest detection efficiency eta at which the setup's statistics
     stay local when both detectors fire with probability eta and no-clicks
-    are their own outcome.  Tables local at eta stay local below it, so
-    from eta = 1 each nonlocal probe's cut moves eta to the largest root
-    below it of the cut's quadratic margin, for at most 64 cuts.  The
-    first local probe is the low end; ``_certified_bracket`` takes the
-    high end, at most the last nonlocal probe.  A setup local at eta = 1
-    is refused."""
+    are their own outcome.  Tables local at eta stay local below it, and
+    each entry is a quadratic in eta, so from eta = 1 each nonlocal
+    probe's cut moves eta to the largest root below it of the cut's
+    margin, for at most 64 cuts.  The first local probe is the low end;
+    ``_certified_bracket`` takes the high end, at most the last nonlocal
+    probe.  A setup local at eta = 1 is refused."""
     if not isinstance(setup, BellSetup):
         raise ValidationError(f"efficiency threshold needs a BellSetup, got {type(setup).__name__}")
     require_tolerance(tol)
@@ -556,4 +509,23 @@ def efficiency_threshold(setup: BellSetup, tol: float = EFFICIENCY_TOL) -> Thres
         raise ValidationError("setup is local even with perfect detection; no threshold exists")
     if not _decide(none)[0]:
         raise StalledError("all-no-click statistics failed the local check")
-    return _cut_threshold("efficiency", behavior_at, cut, tol)
+    tables, eta = np.array([none.probs, behavior_at(0.5).probs, full.probs]), 1.0
+    for _ in range(64):
+        bound = local_bound(BellFunctional(scenario=full.scenario, coeffs=cut))[0]
+        m0, mh, m1 = tables @ cut - bound
+        # the margin's coefficients, highest first, through its values at 0, 1/2 and 1
+        poly = [2.0 * (m0 + m1 - 2.0 * mh), 4.0 * mh - 3.0 * m0 - m1, m0]
+        roots, top = np.roots(poly), eta
+        eta = float(np.max(roots.real[(roots.imag == 0.0) & (roots.real < top)], initial=0.0))
+        is_local, witness = _decide(behavior_at(eta))
+        if is_local:
+            break
+        cut = witness
+    else:
+        raise StalledError("efficiency cuts reached no local table in 64 rounds")
+    guard = 2.0 * DEFAULT_TOL * float(np.abs(cut).max())
+    # one Newton step from eta to where the quadratic meets the guard starts the search
+    slope = 2.0 * poly[0] * eta + poly[1]
+    start = float(eta + (guard - np.polyval(poly, eta)) / slope) if slope > 0.0 else top
+    return _certified_bracket("efficiency", eta, start, top,
+                              lambda x: float(cut @ behavior_at(x).probs) - bound, guard, tol)

@@ -40,12 +40,14 @@ rank-one updates, priced afresh at each rebuild of the inverse, and the
 reduced costs once more before a phase ends.  After a long run of
 degenerate pivots the rule falls back to Bland's smallest index, which
 cannot cycle, until the objective moves again.  The ratio test takes no
-pivot below ``RATIO_TOL`` of the entering column's largest entry, reads
-basic values a round-off below zero as zero, and breaks near-ties only
-among rows whose step leaves every basic value above ``-TIE_TOL`` and
-whose pivot is at least ``_TIE_PIVOT_FLOOR`` of the largest tied pivot,
-since a tiny pivot leaves a near-singular basis (a milder form of the
-largest tied pivot of Harris, Math. Prog. 5, 1 (1973)).  In phase 2,
+pivot below ``RATIO_TOL`` (1e-5) of the entering column's largest entry,
+a relative pivot tolerance (Harris, below; Gill, Murray, Saunders and
+Wright, Math. Prog. 45, 437 (1989)), reads basic values a round-off
+below zero as zero, and breaks near-ties only among rows whose step
+leaves every basic value above ``-TIE_TOL`` and whose pivot is at least
+``_TIE_PIVOT_FLOOR`` of the largest tied pivot, since a tiny pivot
+leaves a near-singular basis (a milder form of the largest tied pivot
+of Harris, Math. Prog. 5, 1 (1973)).  In phase 2,
 while steepest edge prices, the ratio test takes long steps: two columns
 that the start names as mates, one the other negated, such as the slacks
 u_k and v_k of the l1 distance program, hand a row to each other, and a
@@ -63,11 +65,11 @@ pricing during the solve is then maximized over the points at the
 optimum, as the minimum of its negation, with the columns that the costs
 charge retired from pricing and no second phase 1, so a program and its
 continuation share one basis.
-Every outcome carries evidence: a primal solution for feasible problems,
-a Farkas vector for infeasible ones, an improving ray for unbounded
-ones.  The tolerances come from ``tolerances``; the size cap and the
-pivot limit are this module's own, and ``check_size`` and
-``check_entries`` apply it.
+Every outcome carries evidence, rechecked on the way out: a primal
+solution for feasible problems, a Farkas vector for infeasible ones, an
+improving ray for unbounded ones.  The tolerances come from
+``tolerances``; the size cap and the pivot limit are this module's own,
+and ``check_size`` and ``check_entries`` apply it.
 
 Problems have at most ``DIMENSION_CAP`` (8192) rows and as many
 columns, so the design optimizes for robustness and certificate
@@ -300,8 +302,9 @@ class _Simplex:
         costs and weights that a run keeps, so that the rounding of the
         rank-one updates does not build up.  ``iterations`` is left as
         it is: ``edge_weights`` reads its zero as the start's basis.  A
-        singular B, which a pivot on a near-zero entry can leave behind,
-        raises ``StalledError``."""
+        singular B raises ``StalledError``.  ``RATIO_TOL`` keeps out the
+        tiny pivots that leave one behind: it bounds how far one pivot
+        can grow B^-1, though not how far a run of them can."""
         m = self.basis.size
         B = np.zeros((m, m))
         structural = self.basis < self.n
@@ -708,20 +711,32 @@ def _solve_then_maximize(lp: LinearProgram, k: int,
     goal[k] = -1.0
     sx.install_costs(goal, 0.0)
     second = _phase2(sx, goal)
-    _check_internal(lp, second, DEFAULT_TOL)
+    _check_internal(lp, second, DEFAULT_TOL, goal)
     return first, second
 
 
-def _check_internal(lp: LinearProgram, out: LpOutcome, tol: float):
+def _check_internal(lp: LinearProgram, out: LpOutcome, tol: float,
+                    c: np.ndarray | None = None):
     """Cheap invariant checks on the way out; a failure here means the
     tableau bookkeeping broke, which must never surface as a status.
-    Each test passes only on a number that meets it, so a NaN fails."""
+    An unbounded outcome's ray must stay in A's null space and in x >= 0,
+    both within the band, and lower ``c``, the costs the phase minimized
+    (``lp.c`` by default).  Each test passes only on a number that meets
+    it, so a NaN fails."""
     scale = max(1.0, float(np.abs(lp.b).max(initial=0.0)))
     slack = 100.0 * tol * scale
     if out.x is not None:
         res = float(np.abs(lp.A @ out.x - lp.b).max(initial=0.0))
         if not res <= slack:
             raise StalledError(f"solution residual {res:.3e} exceeds tolerance band")
+    if out.status == "unbounded":
+        ray = out.ray
+        drift = float(np.abs(lp.A @ ray).max(initial=0.0))
+        gain = float((lp.c if c is None else c) @ ray)
+        if not (drift <= slack * max(1.0, float(np.abs(ray).max()))
+                and ray.min() >= -slack and gain < 0.0):
+            raise StalledError(f"unbounded ray failed its recheck: |A ray| {drift:.3e}, "
+                               f"least entry {ray.min():.3e}, cost change {gain:.3e}")
     if out.status == "infeasible":
         dots = out.y @ lp.A
         if not (dots.max(initial=0.0) <= slack and out.y @ lp.b > 0.0):

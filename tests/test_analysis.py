@@ -1025,6 +1025,21 @@ def test_a_low_end_whose_model_misses_its_blend_stalls(monkeypatch):
         visibility_threshold(named_behavior("pr_box"), named_behavior("uniform"))
 
 
+def test_a_staged_stop_is_not_answered_another_way(monkeypatch):
+    """The staged simplex is the visibility's one algorithm: where it
+    stops, the threshold stops with it, and no membership decision runs
+    in its place."""
+    import bellbox.analysis as analysis
+
+    def singular(*args, **kwargs):
+        raise StalledError("simplex basis is singular at pivot 1")
+
+    monkeypatch.setattr(analysis, "_solve_then_maximize", singular)
+    monkeypatch.setattr(analysis, "_decide", None)  # a call would raise TypeError
+    with pytest.raises(StalledError, match="simplex basis is singular"):
+        visibility_threshold(named_behavior("pr_box"), named_behavior("uniform"))
+
+
 def test_visibility_threshold_rejects_nonlocal_noise():
     singlet = behavior_from_setup(named_setup("singlet_chsh"))
     with pytest.raises(ValidationError, match="noise"):
@@ -1297,34 +1312,48 @@ def test_qutrit_sweep_agrees_with_highs(seed, monkeypatch):
     assert_bracket_is_certified(behavior, noise, res)
 
 
-# seeds fixed in advance, none dropped for failing; seeds 10 and 118 are
-# the nonlocal tables among them, and on 14, 26 and 118 the staged simplex
-# finds its basis singular
-QUQUART_SEEDS = (*range(1, 13), 14, 26, 118)
+# seeds fixed in advance, none dropped for failing; 10, 118, 178 and 276
+# are the nonlocal tables among them; at a ratio-test tolerance of 1e-9 the
+# staged simplex stopped on 14, 26, 118 and 178 on a singular basis and on
+# 93 and 276 on a residual that no reinversion caught
+QUQUART_SEEDS = (*range(1, 13), 14, 26, 93, 118, 178, 276)
 
 
 @pytest.mark.parametrize("seed", QUQUART_SEEDS)
-def test_ququart_sweep_agrees_with_highs(seed):
+def test_ququart_sweep_agrees_with_highs(seed, monkeypatch):
     """Seeded (2,3,4) tables against HiGHS: ``classify`` agrees on
     membership, the visibility threshold against uniform noise refuses
-    each local table as local at full visibility, and on the nonlocal
-    one it brackets the HiGHS optimum.  Without the ratio test's tie
-    floor, seed 10's staged simplex pivoted on 1.14e-9 of its column and
-    lost its basis, and seeds 1, 6, 7, 9 and 12 stopped on a singular
-    basis instead of being refused.  Seeds 14, 26 and 118 still stop
-    there, and are answered by the cuts of separate decisions."""
+    each local table as local at full visibility, and on each nonlocal
+    one it brackets the HiGHS optimum, with no ``_decide`` call inside
+    the threshold: the staged simplex answers every one by itself.
+    Without the ratio test's tie floor, seed 10's staged simplex pivoted
+    on 1.14e-9 of its column and lost its basis, and seeds 1, 6, 7, 9
+    and 12 stopped on a singular basis instead of being refused."""
+    import bellbox.analysis as analysis
     behavior = behavior_from_setup(random_setup(seed, dims=(4, 4), inputs=(3, 3)))
     local = scipy_is_local(behavior)
     verdict = classify(behavior).verdict
     assert verdict is (Verdict.LOCAL if local else Verdict.WEAKLY_NONLOCAL)
     noise = named_behavior("uniform", behavior.scenario)
-    if local:
-        with pytest.raises(ValidationError, match="already local at full visibility"):
-            visibility_threshold(behavior, noise)
-        return
-    v_star = highs_visibility(strategy_matrix(behavior.scenario), behavior.probs, noise.probs)
-    lo, hi = visibility_threshold(behavior, noise).bracket
-    assert lo - 1e-9 <= v_star <= hi + 1e-9
+    decides = []
+    decide = analysis._decide
+
+    def counting(*args, **kwargs):
+        decides.append(args)
+        return decide(*args, **kwargs)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(analysis, "_decide", counting)
+        if local:
+            with pytest.raises(ValidationError, match="already local at full visibility"):
+                visibility_threshold(behavior, noise)
+        else:
+            lo, hi = visibility_threshold(behavior, noise).bracket
+    assert decides == []
+    if not local:
+        v_star = highs_visibility(strategy_matrix(behavior.scenario), behavior.probs,
+                                  noise.probs)
+        assert lo - 1e-9 <= v_star <= hi + 1e-9
 
 
 def test_ghz3_visibility_bracket_holds_the_highs_optimum():

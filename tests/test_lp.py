@@ -125,6 +125,35 @@ def test_nan_residual_is_an_internal_failure():
         _check_internal(lp, LpOutcome(status="infeasible", y=np.array([_NAN])), 1e-9)
 
 
+@pytest.mark.parametrize("ray", [[1.0, 0.5], [1.0, -1e-3], [-1.0, -1.0], [0.0, 1.0],
+                                 [_NAN, 1.0]],
+                         ids=["off-null-space", "negative", "worsening", "flat", "nan"])
+def test_a_doctored_unbounded_ray_is_an_internal_failure(ray):
+    """An unbounded outcome is read as an answer ("already local at full
+    visibility"), so its ray is rechecked: it must keep A x = b, keep
+    x >= 0 and lower the costs.  The solver's own ray (1, 1) passes;
+    each doctored one raises."""
+    lp = LinearProgram(A=np.array([[1.0, -1.0]]), b=np.array([0.0]),
+                       c=np.array([-1.0, 0.0]))
+    out = solve(lp)
+    assert out.status == "unbounded" and np.array_equal(out.ray, [1.0, 1.0])
+    with pytest.raises(StalledError, match="unbounded ray failed its recheck"):
+        _check_internal(lp, dataclasses.replace(out, ray=np.array(ray)), 1e-9)
+
+
+def test_a_staged_ray_is_rechecked_against_the_costs_of_its_stage():
+    """The second stage minimizes -x_k, not the program's costs: its ray
+    lowers that goal, and against ``lp.c``, on which it costs nothing,
+    the same ray fails."""
+    lp = LinearProgram(A=np.array([[1.0, -1.0, 0.0]]), b=np.array([0.0]),
+                       c=np.array([0.0, 0.0, 1.0]))
+    first, second = _solve_then_maximize(lp, 0)
+    assert first.status == "optimal" and second.status == "unbounded"
+    _check_internal(lp, second, 1e-9, np.array([-1.0, 0.0, 0.0]))
+    with pytest.raises(StalledError, match="unbounded ray failed its recheck"):
+        _check_internal(lp, second, 1e-9)
+
+
 def test_dimension_cap():
     with pytest.raises(SizeCapError):
         LinearProgram(A=np.zeros((1, DIMENSION_CAP + 1)), b=np.zeros(1),
